@@ -28,7 +28,7 @@
 use crate::callgraph::CallGraph;
 use crate::cfg::{lower, Cfg};
 use crate::parse::{Event, FileAst, FnDef};
-use crate::rules::{Finding, RuleId};
+use crate::rules::{Finding, RuleId, NO_WAIT_ENTRIES, STRUCTURE_SRC};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Files whose internals implement the latch/buffer machinery itself;
@@ -37,15 +37,6 @@ const EXEMPT: [&str; 3] = [
     "crates/pagestore/src/latch.rs",
     "crates/pagestore/src/buffer.rs",
     "crates/pagestore/src/sync.rs",
-];
-
-/// SMO completion-path entry files for the interprocedural No-Wait rule.
-/// Sites *inside* these files are the token rule's responsibility; flow
-/// adds the call chains that leave them.
-const NO_WAIT_ENTRIES: [&str; 3] = [
-    "crates/core/src/completion.rs",
-    "crates/core/src/post.rs",
-    "crates/core/src/consolidate.rs",
 ];
 
 /// Suppression oracle: `(file index, line, rule)` → suppressed?
@@ -820,9 +811,10 @@ fn no_wait_reach(
     findings: &mut Vec<Finding>,
 ) {
     let is_entry_file = |fi: usize| NO_WAIT_ENTRIES.contains(&asts[fi].path.as_str());
-    let in_core = |fi: usize| asts[fi].path.starts_with("crates/core/src/");
+    let in_scope = |fi: usize| STRUCTURE_SRC.iter().any(|p| asts[fi].path.starts_with(p));
 
-    // BFS from every entry function over in-core call edges.
+    // BFS from every entry function over call edges that stay inside the
+    // engine and structure crates.
     let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
     let mut entry_of: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -840,7 +832,7 @@ fn no_wait_reach(
                 } = e
                 {
                     for c in cg.resolve(name, *args, *method) {
-                        if in_core(fns[c].file) && !entry_of.contains_key(&c) {
+                        if in_scope(fns[c].file) && !entry_of.contains_key(&c) {
                             entry_of.insert(c, entry_of[&i]);
                             parent.insert(c, i);
                             queue.push_back(c);
@@ -975,11 +967,11 @@ mod tests {
         let (f, _) = run(&[
             (
                 "crates/core/src/completion.rs",
-                "fn finish(&self, store: &S) { self.alloc_page(store); }",
+                "fn finish(&self, store: &S) { self.reserve_page(store); }",
             ),
             (
                 "crates/core/src/split.rs",
-                "fn alloc_page(&self, store: &S) { let a = store.space.lock_alloc(); }",
+                "fn reserve_page(&self, store: &S) { let a = store.space.lock_alloc(); }",
             ),
         ]);
         let hit = f.iter().find(|x| x.rule == RuleId::NoWait);

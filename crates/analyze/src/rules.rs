@@ -314,16 +314,32 @@ fn assigned_var(cx: &FileCx, i: usize, floor: usize) -> Option<String> {
 
 // ---- R2: no-wait (§4.2.2) ------------------------------------------------
 
+/// The files completing actions start in: the engine's completion queue
+/// and drain (every structure's completions run through it), the B-link
+/// posting and consolidation actions, and the TSB and hB posting/split
+/// actions. This rule checks the sites *inside* them; the flow tier
+/// ([`crate::flow`]) follows the call chains that leave them.
+pub const NO_WAIT_ENTRIES: [&str; 5] = [
+    "crates/core/src/completion.rs",
+    "crates/core/src/post.rs",
+    "crates/core/src/consolidate.rs",
+    "crates/tsbtree/src/split.rs",
+    "crates/hbtree/src/split.rs",
+];
+
+/// Source trees a completing action's call chain can run through: the
+/// engine and the three structures built on it.
+pub const STRUCTURE_SRC: [&str; 3] = [
+    "crates/core/src/",
+    "crates/tsbtree/src/",
+    "crates/hbtree/src/",
+];
+
 /// In SMO completion paths, every lock acquisition must be conditional:
 /// a completing action already holds latches, and blocking on a lock while
 /// latched is the latch-lock deadlock the No-Wait Rule exists to prevent.
 fn no_wait(cx: &FileCx, out: &mut Vec<Finding>) {
-    const SCOPE: [&str; 3] = [
-        "crates/core/src/completion.rs",
-        "crates/core/src/post.rs",
-        "crates/core/src/consolidate.rs",
-    ];
-    if !SCOPE.contains(&cx.path.as_str()) {
+    if !NO_WAIT_ENTRIES.contains(&cx.path.as_str()) {
         return;
     }
     for i in 0..cx.tokens.len() {
@@ -395,9 +411,13 @@ fn log_before_dirty(cx: &FileCx, out: &mut Vec<Finding>) {
 /// fetch, where a panic would take down the serving store, not a recovery
 /// tool.
 fn panic_free_recovery(cx: &FileCx, out: &mut Vec<Finding>) {
+    // Restart runs through the WAL's recovery engines, the Π-tree engine's
+    // lifecycle (`recover`, `recover_instant`, the lazily opening undo
+    // handler's `open`), and each structure's undo module.
     let scoped = cx.path == "crates/wal/src/recovery.rs"
         || cx.path == "crates/wal/src/log.rs"
         || cx.path == "crates/wal/src/instant.rs"
+        || cx.path == "crates/core/src/engine.rs"
         || cx.path.ends_with("/undo.rs");
     if !scoped {
         return;

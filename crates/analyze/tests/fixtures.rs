@@ -122,6 +122,10 @@ fn complete(&self) {
         "crates/core/src/completion.rs",
         "crates/core/src/post.rs",
         "crates/core/src/consolidate.rs",
+        // The TSB and hB posting/split actions run through the same
+        // engine drain, so their files are completion paths too.
+        "crates/tsbtree/src/split.rs",
+        "crates/hbtree/src/split.rs",
     ] {
         assert!(
             rules_of(path, src).contains(&RuleId::NoWait),
@@ -139,6 +143,7 @@ fn complete(&self) {
 }
 "#;
     assert!(!rules_of("crates/core/src/post.rs", src).contains(&RuleId::NoWait));
+    assert!(!rules_of("crates/tsbtree/src/split.rs", src).contains(&RuleId::NoWait));
     // The same blocking call outside the completion paths is not R2's business.
     let blocking = "fn f(&self) { let g = self.table.lock(); g.use_it(); }";
     assert!(!rules_of("crates/core/src/tree.rs", blocking).contains(&RuleId::NoWait));
@@ -255,6 +260,35 @@ fn force_to(&self, lsn: Lsn) -> StoreResult<()> {
     assert!(
         !rules_of("crates/wal/src/log.rs", quiet).contains(&RuleId::PanicFreeRecovery),
         "checked parsing with typed errors is the sanctioned shape"
+    );
+}
+
+#[test]
+fn panic_free_covers_the_engine_lifecycle() {
+    // `Engine::open` runs inside restart for every structure — from
+    // `recover`/`recover_instant` and from the lazily opening undo handler —
+    // and reads meta-page records that a crash may have left in any state.
+    let fires = r#"
+fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
+    let rec = store.meta_record(tree_id)?;
+    Ok(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())))
+}
+"#;
+    assert!(
+        rules_of("crates/core/src/engine.rs", fires).contains(&RuleId::PanicFreeRecovery),
+        "indexing + unwrap on a registry record must fire in engine.rs"
+    );
+
+    let quiet = r#"
+fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
+    let rec = store.meta_record(tree_id)?;
+    registry_root(rec, MAGIC, tree_id)
+        .ok_or_else(|| StoreError::Corrupt(format!("tree {tree_id} not registered")))
+}
+"#;
+    assert!(
+        !rules_of("crates/core/src/engine.rs", quiet).contains(&RuleId::PanicFreeRecovery),
+        "checked decoding with typed errors is the sanctioned shape"
     );
 }
 

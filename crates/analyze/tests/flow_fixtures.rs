@@ -347,6 +347,61 @@ fn flow_no_wait_quiet_when_not_reachable_from_completion_paths() {
     );
 }
 
+/// The engine's drain in completion.rs reaching a structure crate through
+/// `Structure::complete`; `probe` is the lock call the structure makes.
+fn drain_into_tsb(probe: &str) -> analyze::Report {
+    let tsb_split = format!(
+        "pub fn post_index_term(tree: &E, c: C) {{\n\
+         \x20   reserve(tree);\n\
+         }}\n\
+         fn reserve(tree: &E) {{\n\
+         \x20   let alloc = tree.store.space.{probe}();\n\
+         }}\n"
+    );
+    scan(&[
+        (
+            "crates/core/src/completion.rs",
+            "pub fn run_completions(&self) {\n\
+             \x20   let c = self.completions().pop();\n\
+             \x20   S::complete(self, c);\n\
+             }\n",
+        ),
+        (
+            "crates/tsbtree/src/tree.rs",
+            "fn complete(tree: &E, c: C) {\n\
+             \x20   post_index_term(tree, c);\n\
+             }\n",
+        ),
+        ("crates/tsbtree/src/node.rs", &tsb_split),
+    ])
+}
+
+#[test]
+fn flow_no_wait_follows_the_engine_drain_into_a_structure_crate() {
+    // TSB and hB completions are dispatched by the engine's one drain loop;
+    // a blocking probe three calls away in the structure's own crate is a
+    // completion-path violation just like one in core.
+    let report = drain_into_tsb("lock_alloc");
+    let hit = report
+        .findings
+        .iter()
+        .find(|x| x.rule == RuleId::NoWait)
+        .unwrap_or_else(|| panic!("{:?}", report.findings));
+    assert_eq!(hit.path, "crates/tsbtree/src/node.rs");
+    assert!(hit.msg.contains("run_completions"), "{hit:?}");
+    assert!(hit.msg.contains("complete"), "{hit:?}");
+}
+
+#[test]
+fn flow_no_wait_quiet_when_the_structure_probes_conditionally() {
+    let report = drain_into_tsb("try_lock_alloc");
+    assert!(
+        !rules_of(&report.findings).contains(&RuleId::NoWait),
+        "{:?}",
+        report.findings
+    );
+}
+
 #[test]
 fn flow_no_wait_suppressed_is_consumed_not_stale() {
     let report = scan(&[

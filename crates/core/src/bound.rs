@@ -4,7 +4,6 @@
 //! `[low, high)` (§2.1.1). The first node of each level is responsible for
 //! the whole space, so bounds must be able to express ±∞.
 
-use pitree_pagestore::{StoreError, StoreResult};
 use std::cmp::Ordering;
 
 /// One end of a node's directly-contained interval.
@@ -60,7 +59,8 @@ impl KeyBound {
         }
     }
 
-    /// Encode: tag byte + optional length-prefixed key.
+    /// Encode: tag byte + optional length-prefixed key. Decoded by
+    /// [`crate::node::BoundRef::parse`].
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             KeyBound::NegInf => out.push(0),
@@ -70,32 +70,6 @@ impl KeyBound {
                 out.extend_from_slice(k);
             }
             KeyBound::PosInf => out.push(2),
-        }
-    }
-
-    /// Decode from `bytes[*pos..]`, advancing `pos`.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> StoreResult<KeyBound> {
-        let tag = *bytes
-            .get(*pos)
-            .ok_or_else(|| StoreError::Corrupt("truncated bound".into()))?;
-        *pos += 1;
-        match tag {
-            0 => Ok(KeyBound::NegInf),
-            2 => Ok(KeyBound::PosInf),
-            1 => {
-                if *pos + 2 > bytes.len() {
-                    return Err(StoreError::Corrupt("truncated bound length".into()));
-                }
-                let len = u16::from_le_bytes([bytes[*pos], bytes[*pos + 1]]) as usize;
-                *pos += 2;
-                if *pos + len > bytes.len() {
-                    return Err(StoreError::Corrupt("truncated bound key".into()));
-                }
-                let k = bytes[*pos..*pos + len].to_vec();
-                *pos += len;
-                Ok(KeyBound::Key(k))
-            }
-            t => Err(StoreError::Corrupt(format!("bad bound tag {t}"))),
         }
     }
 }
@@ -113,6 +87,7 @@ impl std::fmt::Display for KeyBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::BoundRef;
 
     #[test]
     fn interval_membership() {
@@ -154,19 +129,16 @@ mod tests {
             let mut buf = Vec::new();
             b.encode(&mut buf);
             let mut pos = 0;
-            assert_eq!(KeyBound::decode(&buf, &mut pos).unwrap(), b);
+            assert_eq!(BoundRef::parse(&buf, &mut pos).unwrap().to_bound(), b);
             assert_eq!(pos, buf.len());
         }
     }
 
     #[test]
-    fn decode_rejects_garbage() {
-        let mut pos = 0;
-        assert!(KeyBound::decode(&[], &mut pos).is_err());
-        let mut pos = 0;
-        assert!(KeyBound::decode(&[9], &mut pos).is_err());
-        let mut pos = 0;
-        assert!(KeyBound::decode(&[1, 10, 0, 1, 2], &mut pos).is_err());
+    fn parse_rejects_garbage() {
+        for bad in [&[][..], &[9], &[1, 10, 0, 1, 2]] {
+            assert!(BoundRef::parse(bad, &mut 0).is_err());
+        }
     }
 
     #[test]

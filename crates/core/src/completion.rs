@@ -12,10 +12,19 @@
 //! the "we lose track of which structure changes need completion" case the
 //! protocol is built to tolerate.
 
+use crate::engine::{Engine, Structure};
 use crate::traverse::SavedPath;
 use pitree_pagestore::sync::Mutex;
-use pitree_pagestore::PageId;
+use pitree_pagestore::{PageId, StoreResult};
 use std::collections::VecDeque;
+
+/// A pending completing action, as the queue sees it.
+pub trait Pending {
+    /// Whether `other` would redo the same work. (Duplicates would be
+    /// harmless — completion is testable — but bounding the queue keeps
+    /// storms of sibling traversals cheap.)
+    fn duplicates(&self, other: &Self) -> bool;
+}
 
 /// A pending completing action.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,26 +53,9 @@ pub enum Completion {
     },
 }
 
-/// FIFO of pending completions with duplicate suppression.
-#[derive(Default)]
-pub struct CompletionQueue {
-    q: Mutex<VecDeque<Completion>>,
-}
-
-impl std::fmt::Debug for CompletionQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompletionQueue").finish_non_exhaustive()
-    }
-}
-
-impl CompletionQueue {
-    /// Schedule `c` unless an equivalent completion is already queued.
-    /// (Duplicates would be harmless — completion is testable — but bounding
-    /// the queue keeps storms of sibling traversals cheap.)
-    pub fn push(&self, c: Completion) -> bool {
-        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
-        let mut q = self.q.lock();
-        let dup = q.iter().any(|e| match (e, &c) {
+impl Pending for Completion {
+    fn duplicates(&self, other: &Completion) -> bool {
+        match (self, other) {
             (
                 Completion::Post {
                     level: l1,
@@ -81,8 +73,35 @@ impl CompletionQueue {
                 Completion::Consolidate { level: l2, key: k2 },
             ) => l1 == l2 && k1 == k2,
             _ => false,
-        });
-        if dup {
+        }
+    }
+}
+
+/// FIFO of pending completions with duplicate suppression.
+pub struct CompletionQueue<C = Completion> {
+    q: Mutex<VecDeque<C>>,
+}
+
+impl<C> Default for CompletionQueue<C> {
+    fn default() -> Self {
+        CompletionQueue {
+            q: Mutex::new(VecDeque::new()),
+        }
+    }
+}
+
+impl<C> std::fmt::Debug for CompletionQueue<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompletionQueue").finish_non_exhaustive()
+    }
+}
+
+impl<C: Pending> CompletionQueue<C> {
+    /// Schedule `c` unless an equivalent completion is already queued.
+    pub fn push(&self, c: C) -> bool {
+        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
+        let mut q = self.q.lock();
+        if q.iter().any(|e| e.duplicates(&c)) {
             return false;
         }
         q.push_back(c);
@@ -90,7 +109,7 @@ impl CompletionQueue {
     }
 
     /// Take the next pending completion.
-    pub fn pop(&self) -> Option<Completion> {
+    pub fn pop(&self) -> Option<C> {
         // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         self.q.lock().pop_front()
     }
@@ -105,6 +124,35 @@ impl CompletionQueue {
     pub fn is_empty(&self) -> bool {
         // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         self.q.lock().is_empty()
+    }
+}
+
+impl<S: Structure> Engine<S> {
+    /// Drain the completion queue, executing each completing atomic action
+    /// (index-term postings, consolidations). Returns how many completions
+    /// were executed.
+    pub fn run_completions(&self) -> StoreResult<usize> {
+        let mut done = 0;
+        // Drain only what was queued at entry: completions that defer (e.g.
+        // on a move lock) re-queue themselves and must not spin within this
+        // call — they run on a later pass, after the blocker resolves.
+        let batch = self.completions().len();
+        for _ in 0..batch {
+            let Some(c) = self.completions().pop() else {
+                break;
+            };
+            S::complete(self, c)?;
+            done += 1;
+        }
+        Ok(done)
+    }
+
+    /// Drain inline after an operation when the structure asks for it.
+    pub fn maybe_autocomplete(&self) -> StoreResult<()> {
+        if self.structure().auto_complete() && !self.completions().is_empty() {
+            self.run_completions()?;
+        }
+        Ok(())
     }
 }
 
@@ -123,7 +171,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let q = CompletionQueue::default();
+        let q = CompletionQueue::<Completion>::default();
         assert!(q.push(post(1, 10)));
         assert!(q.push(post(1, 11)));
         assert!(matches!(
@@ -145,7 +193,7 @@ mod tests {
 
     #[test]
     fn duplicate_posts_suppressed() {
-        let q = CompletionQueue::default();
+        let q = CompletionQueue::<Completion>::default();
         assert!(q.push(post(1, 10)));
         assert!(!q.push(post(1, 10)), "same node+level is a duplicate");
         assert!(q.push(post(2, 10)), "different level is not");
@@ -154,7 +202,7 @@ mod tests {
 
     #[test]
     fn duplicate_consolidations_suppressed() {
-        let q = CompletionQueue::default();
+        let q = CompletionQueue::<Completion>::default();
         let c = Completion::Consolidate {
             level: 0,
             key: b"k".to_vec(),
@@ -169,7 +217,7 @@ mod tests {
 
     #[test]
     fn mixed_kinds_do_not_collide() {
-        let q = CompletionQueue::default();
+        let q = CompletionQueue::<Completion>::default();
         assert!(q.push(post(0, 5)));
         assert!(q.push(Completion::Consolidate {
             level: 0,

@@ -14,6 +14,7 @@
 //! latches, and a stale schedule simply terminates.
 
 use crate::config::{ConsolidationPolicy, DeallocPolicy, UndoPolicy};
+use crate::engine::set_header;
 use crate::node::{utilization, Guarded, IndexTerm, NodeHeader};
 use crate::stats::TreeStats;
 use crate::tree::PiTree;
@@ -160,7 +161,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
                     });
                 return Ok(ConsolidateOutcome::MoveDeferred);
             }
-            Err(e) => return Err(crate::tree::lock_err(e)),
+            Err(e) => return Err(crate::engine::lock_err(e)),
         }
     }
 
@@ -177,14 +178,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         low: c_hdr.low.clone(),
         high: n_hdr.high.clone(),
     };
-    act.apply(
-        &c_pin,
-        &mut cg,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: merged_hdr.encode(),
-        },
-    )?;
+    set_header(&mut act, &c_pin, &mut cg, merged_hdr.encode())?;
     // Delete the contained node's index term.
     act.apply(
         &parent_pin,

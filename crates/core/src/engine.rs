@@ -1,0 +1,434 @@
+//! The one Π-tree engine (§2.1, §2.2): everything the B-link, TSB and hB
+//! trees share, written once and statically dispatched over a
+//! [`Structure`].
+//!
+//! A Π-tree node *directly contains* part of the search space, delegates
+//! the rest through *sibling terms*, and is indexed by lazily posted *index
+//! terms*. A [`Structure`] says how one member of the family encodes those
+//! three things — it routes a search argument through a latched page, says
+//! what to schedule when a sibling term is crossed, and runs its own
+//! completing actions and logical-undo tags. The [`Engine`] owns the rest:
+//! the tree registry on the meta page, restart (stop-the-world and
+//! instant), the descent loop ([`crate::traverse`]), the completion drain
+//! ([`crate::completion`]), the undo handlers ([`crate::undo`]), page
+//! allocation and the No-Wait lock step.
+
+use crate::completion::{CompletionQueue, Pending};
+use crate::stats::TreeStats;
+use crate::store::Store;
+use crate::traverse::{DescentTarget, SavedPath};
+use pitree_pagestore::buffer::PinnedPage;
+use pitree_pagestore::latch::XGuard;
+use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
+use pitree_txnlock::{LockError, LockMode, LockName, Txn};
+use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
+use std::sync::Arc;
+
+/// What a latched node tells a descent to do next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The node directly contains the argument at the target level: done.
+    Arrived,
+    /// The node directly contains the argument above the target level:
+    /// follow this index term down.
+    Child(PageId),
+    /// The argument's space was delegated: follow this sibling term.
+    Side(PageId),
+    /// Routing raced far ahead of a consolidation (argument below the
+    /// node's space); restart from the root. Transient, CP only.
+    Restart,
+}
+
+/// A routing decision plus the level of the node that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Routed {
+    /// Level of the routed-through node (0 for data nodes).
+    pub level: u8,
+    /// Where to go from it.
+    pub step: Step,
+}
+
+/// One member of the Π-tree family: its node geometry and policies. All
+/// methods are statically dispatched — the read path never sees a `dyn`.
+pub trait Structure: Sized + Send + Sync {
+    /// The public tuning knobs this structure is built from.
+    type Config: Copy + Send + Sync;
+    /// The search argument a descent routes by (a key, a point).
+    type Arg: ?Sized;
+    /// A pending completing action (§5.1).
+    type Completion: Pending + Send;
+    /// Magic tagging this structure's tree-registry records on the meta page.
+    const META_MAGIC: u32;
+
+    /// Fresh structure state for a tree configured by `cfg`.
+    fn new(cfg: Self::Config) -> Self;
+    /// The configuration this structure was built from.
+    fn config(&self) -> &Self::Config;
+    /// Slot-0 bytes of a brand-new root: a data node directly containing
+    /// the whole space.
+    fn root_leaf_header() -> Vec<u8>;
+    /// Whether descents couple latches (CP) or hold one at a time (CNS).
+    fn couples_latches(&self) -> bool;
+    /// Whether operations drain the completion queue inline.
+    fn auto_complete(&self) -> bool;
+    /// Route `arg` through the latched node `page` (id `pid`): does the node
+    /// directly contain it, and if not, which index or sibling term does?
+    fn route(
+        &self,
+        page: &Page,
+        pid: PageId,
+        arg: &Self::Arg,
+        target_level: u8,
+    ) -> StoreResult<Routed>;
+    /// A descent crossed the sibling term `from → to` (`to_page` latched):
+    /// schedule whatever completes the intermediate state it reveals (§5.1).
+    fn side_traversal(
+        eng: &Engine<Self>,
+        from: PageId,
+        to: PageId,
+        to_page: &Page,
+        path: &SavedPath,
+    ) -> StoreResult<()>;
+    /// Execute one completing atomic action.
+    fn complete(eng: &Engine<Self>, c: Self::Completion) -> StoreResult<()>;
+    /// Execute one logical-undo compensation (§4.2).
+    fn undo(eng: &Engine<Self>, tag: u8, payload: &[u8]) -> StoreResult<()>;
+    /// Hook run once a tree is opened (restore volatile state from disk).
+    fn opened(_eng: &Engine<Self>) -> StoreResult<()> {
+        Ok(())
+    }
+}
+
+/// A Π-tree over a [`Store`]: the shared shell around one [`Structure`].
+pub struct Engine<S: Structure> {
+    store: Arc<Store>,
+    tree_id: u32,
+    root: PageId,
+    structure: S,
+    completions: Arc<CompletionQueue<S::Completion>>,
+    stats: Arc<TreeStats>,
+}
+
+impl<S: Structure> std::fmt::Debug for Engine<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("tree_id", &self.tree_id)
+            .field("root", &self.root)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Allocate a fresh page through `chain`, logging the space-map bit. The
+/// allocation latch is ordered last (§4.1.1) and is held only across the
+/// find + logged set.
+pub fn alloc_page<'a>(store: &'a Store, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
+    let pid = {
+        // pitree-lint: allow(no-wait) allocation latch ranks last in the §4.1.1 order (the flow graph proves no inverse alloc->page edge), so blocking here cannot deadlock a completion path
+        let mut alloc = store.space.lock_alloc();
+        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
+        let bm = store.pool.fetch(bm_pid)?;
+        let mut bmg = bm.x();
+        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
+        pid
+    };
+    store.pool.fetch_or_create(pid, PageType::Free)
+}
+
+/// Allocate a page and format it as a node whose slot 0 is `header`.
+/// Returns it X-latched.
+pub fn new_node<'a>(
+    store: &'a Store,
+    chain: &mut Txn<'_>,
+    header: Vec<u8>,
+) -> StoreResult<(PinnedPage<'a>, XGuard<'a, Page>)> {
+    let pin = alloc_page(store, chain)?;
+    let mut g = pin.x();
+    chain.apply(&pin, &mut g, PageOp::Format { ty: PageType::Node })?;
+    chain.apply(
+        &pin,
+        &mut g,
+        PageOp::InsertSlot {
+            slot: 0,
+            bytes: header,
+        },
+    )?;
+    Ok((pin, g))
+}
+
+/// Rewrite the slot-0 header of an X-latched node.
+pub fn set_header(
+    chain: &mut Txn<'_>,
+    pin: &PinnedPage<'_>,
+    g: &mut XGuard<'_, Page>,
+    header: Vec<u8>,
+) -> StoreResult<()> {
+    chain.apply(
+        pin,
+        g,
+        PageOp::UpdateSlot {
+            slot: 0,
+            bytes: header,
+        },
+    )?;
+    Ok(())
+}
+
+/// Move the keyed entries in `slots` of `from` into `to`: inserts first,
+/// then removes, each individually logged (§3.2.1 steps 3/4).
+pub fn move_entries(
+    chain: &mut Txn<'_>,
+    from: &PinnedPage<'_>,
+    from_g: &mut XGuard<'_, Page>,
+    to: &PinnedPage<'_>,
+    to_g: &mut XGuard<'_, Page>,
+    slots: std::ops::RangeInclusive<u16>,
+) -> StoreResult<()> {
+    let moved: Vec<Vec<u8>> = slots
+        .map(|s| from_g.get(s).map(|e| e.to_vec()))
+        .collect::<StoreResult<_>>()?;
+    for e in &moved {
+        chain.apply(to, to_g, PageOp::KeyedInsert { bytes: e.clone() })?;
+    }
+    for e in &moved {
+        let key = Page::entry_key(e).to_vec();
+        chain.apply(from, from_g, PageOp::KeyedRemove { key })?;
+    }
+    Ok(())
+}
+
+/// Convert a lock failure into a store error at the API boundary. The
+/// requester is the deadlock victim; callers abort the transaction and
+/// retry.
+pub fn lock_err(e: LockError) -> StoreError {
+    match e {
+        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
+        LockError::Timeout => StoreError::LockFailed { deadlock: false },
+        LockError::WouldBlock => {
+            StoreError::Corrupt("WouldBlock escaped the No-Wait retry loop".into())
+        }
+    }
+}
+
+/// The root recorded by the meta-page record `rec`, if it is the 16-byte
+/// tree-registry record `(magic, tree id, root)` of this tree.
+fn registry_root(rec: &[u8], magic: u32, tree_id: u32) -> Option<PageId> {
+    let (m, rest) = rec.split_first_chunk::<4>()?;
+    let (id, root) = rest.split_first_chunk::<4>()?;
+    let root: [u8; 8] = root.try_into().ok()?;
+    (u32::from_le_bytes(*m) == magic && u32::from_le_bytes(*id) == tree_id)
+        .then_some(PageId(u64::from_le_bytes(root)))
+}
+
+impl<S: Structure> Engine<S> {
+    // ---- lifecycle -------------------------------------------------------------
+
+    fn assemble(store: Arc<Store>, tree_id: u32, root: PageId, cfg: S::Config) -> Engine<S> {
+        let stats = Arc::new(TreeStats::new(store.recorder()));
+        Engine {
+            store,
+            tree_id,
+            root,
+            structure: S::new(cfg),
+            completions: Arc::new(CompletionQueue::default()),
+            stats,
+        }
+    }
+
+    /// Create a new tree with id `tree_id`: allocate its (fixed, immortal)
+    /// root page and register it on the meta page. Forces the log so the
+    /// tree's existence survives any crash.
+    pub fn create(store: Arc<Store>, tree_id: u32, cfg: S::Config) -> StoreResult<Engine<S>> {
+        let mut act = store.txns.begin(ActionIdentity::Transaction);
+        let root = new_node(&store, &mut act, S::root_leaf_header())?.0.id();
+        {
+            let meta = store.pool.fetch(PageId(0))?;
+            let mut g = meta.x();
+            let slot = g.slot_count();
+            let mut rec = Vec::with_capacity(16);
+            rec.extend_from_slice(&S::META_MAGIC.to_le_bytes());
+            rec.extend_from_slice(&tree_id.to_le_bytes());
+            rec.extend_from_slice(&root.0.to_le_bytes());
+            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
+        }
+        act.commit()?;
+        Ok(Engine::assemble(store, tree_id, root, cfg))
+    }
+
+    /// Open an existing tree by id, reading its root from the meta page.
+    pub fn open(store: Arc<Store>, tree_id: u32, cfg: S::Config) -> StoreResult<Engine<S>> {
+        let root = {
+            let meta = store.pool.fetch(PageId(0))?;
+            let g = meta.s();
+            let mut found = None;
+            for slot in 1..g.slot_count() {
+                found = registry_root(g.get(slot)?, S::META_MAGIC, tree_id);
+                if found.is_some() {
+                    break;
+                }
+            }
+            found.ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "tree {tree_id} (magic {:#x}) not registered",
+                    S::META_MAGIC
+                ))
+            })?
+        };
+        let eng = Engine::assemble(store, tree_id, root, cfg);
+        S::opened(&eng)?;
+        Ok(eng)
+    }
+
+    /// Open the tree and run full crash recovery (redo + undo, with this
+    /// tree's logical-undo handler registered). The usual restart sequence.
+    ///
+    /// Redo must repeat history before the tree is readable — the meta page
+    /// itself may need redo — yet logical undo needs an open tree: the
+    /// handler opens one lazily, after redo, and the tree returned here is
+    /// opened once recovery is complete.
+    pub fn recover(
+        store: Arc<Store>,
+        tree_id: u32,
+        cfg: S::Config,
+    ) -> StoreResult<(Engine<S>, RecoveryStats)> {
+        let handler = crate::undo::DeferredHandler::<S>::new(Arc::clone(&store), tree_id, cfg);
+        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
+        Ok((Engine::open(store, tree_id, cfg)?, stats))
+    }
+
+    /// Open the tree with **instant restart**: analysis + undo only, then
+    /// serve traffic immediately, with redo running per page at first pin.
+    /// Returns the tree plus the [`InstantRecovery`] plan — call
+    /// [`InstantRecovery::drive`] on background threads to finish redo while
+    /// the tree serves (or let traffic drain it).
+    ///
+    /// Sound for every Π-tree by §4.3.2: an interrupted structure change
+    /// leaves the tree well-formed but intermediate, and normal traffic
+    /// detects and completes it lazily — so serving against a partially
+    /// redone store is just serving an older well-formed state of each
+    /// not-yet-touched page. See `RECOVERY.md` for the full argument.
+    pub fn recover_instant(
+        store: Arc<Store>,
+        tree_id: u32,
+        cfg: S::Config,
+    ) -> StoreResult<(Engine<S>, Arc<InstantRecovery>, RecoveryStats)> {
+        let handler = crate::undo::DeferredHandler::<S>::new(Arc::clone(&store), tree_id, cfg);
+        let (plan, stats) = pitree_wal::start_instant(&store.pool, &store.log, Some(&handler))?;
+        // `open` reads the meta page, which redoes it on demand if needed.
+        Ok((Engine::open(store, tree_id, cfg)?, plan, stats))
+    }
+
+    // ---- accessors -------------------------------------------------------------
+
+    /// The underlying store.
+    pub fn store(&self) -> &Arc<Store> {
+        &self.store
+    }
+
+    /// The tree's configuration.
+    pub fn config(&self) -> &S::Config {
+        self.structure.config()
+    }
+
+    /// The structure (geometry + policies) this engine runs.
+    pub fn structure(&self) -> &S {
+        &self.structure
+    }
+
+    /// This tree's id (namespaces its lock names).
+    pub fn tree_id(&self) -> u32 {
+        self.tree_id
+    }
+
+    /// The fixed root page ("we ensure that the root does not move and is
+    /// never de-allocated", §5.2.2).
+    pub fn root_pid(&self) -> PageId {
+        self.root
+    }
+
+    /// Operation counters.
+    pub fn stats(&self) -> &TreeStats {
+        &self.stats
+    }
+
+    /// The store's observability recorder (for `op.*` latency histograms,
+    /// SMO events, and `Registry::report`).
+    pub fn recorder(&self) -> &pitree_obs::Recorder {
+        self.store.recorder()
+    }
+
+    /// Shared handle to the counters (for commit hooks).
+    pub(crate) fn stats_arc(&self) -> Arc<TreeStats> {
+        Arc::clone(&self.stats)
+    }
+
+    /// Shared handle to the completion queue (for commit hooks).
+    pub(crate) fn completions_arc(&self) -> Arc<CompletionQueue<S::Completion>> {
+        Arc::clone(&self.completions)
+    }
+
+    /// The completion queue (§5.1).
+    pub fn completions(&self) -> &CompletionQueue<S::Completion> {
+        &self.completions
+    }
+
+    /// Schedule a completing action (duplicates are suppressed).
+    pub fn schedule(&self, c: S::Completion) {
+        if self.completions.push(c) {
+            TreeStats::bump(&self.stats.postings_scheduled);
+        }
+    }
+
+    /// Begin a user database transaction on this tree's store.
+    pub fn begin(&self) -> Txn<'_> {
+        self.store.txns.begin(ActionIdentity::Transaction)
+    }
+
+    /// The lock name of a record key.
+    pub fn key_lock(&self, key: &[u8]) -> LockName {
+        let mut name = Vec::with_capacity(4 + key.len());
+        name.extend_from_slice(&self.tree_id.to_le_bytes());
+        name.extend_from_slice(key);
+        LockName::Key(name)
+    }
+
+    /// Finish a point read at the data node `d`: one in-place probe for
+    /// `key`, whose payload copy is the read's only allocation; then release
+    /// the node and drain completions if the structure asks for it.
+    pub fn finish_get(&self, d: DescentTarget<'_>, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
+        let out = d
+            .guard
+            .page()
+            .keyed_lookup(key)
+            .map(|(_, e)| Page::entry_payload(e).to_vec());
+        drop(d);
+        self.maybe_autocomplete()?;
+        Ok(out)
+    }
+
+    // ---- the No-Wait Rule ------------------------------------------------------
+
+    /// Take `locks` for `txn` while the descent `d` holds its latch, under
+    /// the **No-Wait Rule** (§4.1.2): acquisition under a latch is
+    /// conditional; on conflict the latch is released *before* blocking, and
+    /// `None` tells the caller to re-descend (the locks are then held).
+    pub fn lock_no_wait<'a>(
+        &self,
+        txn: &Txn<'_>,
+        d: DescentTarget<'a>,
+        locks: &[(&LockName, LockMode)],
+    ) -> StoreResult<Option<DescentTarget<'a>>> {
+        match locks.iter().try_for_each(|(n, m)| txn.try_lock(n, *m)) {
+            Ok(()) => Ok(Some(d)),
+            Err(LockError::WouldBlock) => {
+                drop(d);
+                TreeStats::bump(&self.stats.no_wait_restarts);
+                for (name, mode) in locks {
+                    txn.lock(name, *mode).map_err(lock_err)?;
+                }
+                Ok(None)
+            }
+            Err(e) => Err(lock_err(e)),
+        }
+    }
+}

@@ -14,7 +14,8 @@
 //! * crash recovery needs no tree-specific machinery (§1 point 4), and
 //! * the protocol works with a family of recovery methods — page-oriented
 //!   UNDO with move locks, or logical UNDO (§4.2) — and of search
-//!   structures (B-link here; TSB-tree and hB-tree in sibling crates).
+//!   structures: the protocol is written once, in [`Engine`], over a
+//!   [`Structure`] (B-link here; TSB-tree and hB-tree in sibling crates).
 //!
 //! ## Quick start
 //!
@@ -34,6 +35,7 @@ pub mod bound;
 pub mod completion;
 pub mod config;
 pub mod consolidate;
+pub mod engine;
 pub mod node;
 pub mod post;
 pub mod split;
@@ -45,13 +47,14 @@ pub mod undo;
 pub mod wellformed;
 
 pub use bound::KeyBound;
-pub use completion::{Completion, CompletionQueue};
+pub use completion::{Completion, CompletionQueue, Pending};
 pub use config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
 pub use consolidate::{consolidate, ConsolidateOutcome};
+pub use engine::{Engine, Routed, Step, Structure};
 pub use node::{BoundRef, HeaderRef, IndexTerm, NodeHeader, NodeRef};
 pub use post::{post_index_term, PostOutcome};
 pub use stats::TreeStats;
 pub use store::{CrashableStore, Store};
-pub use traverse::{PathEntry, SavedPath};
-pub use tree::PiTree;
+pub use traverse::{DescentTarget, PathEntry, SavedPath};
+pub use tree::{BLink, PiTree};
 pub use wellformed::{check, WellFormedReport};

@@ -17,7 +17,8 @@ use pitree_pagestore::latch::{SGuard, UGuard, XGuard};
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, StoreError, StoreResult};
 
-/// Decoded node header (slot 0 of a node page).
+/// Owned node header (slot 0 of a node page): the encoder side of
+/// [`HeaderRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeHeader {
     /// Level: 0 for data nodes, parents one higher than children (§2.1.2).
@@ -63,30 +64,9 @@ impl NodeHeader {
         v
     }
 
-    /// Decode from slot-0 record bytes.
-    pub fn decode(bytes: &[u8]) -> StoreResult<NodeHeader> {
-        if bytes.len() < 9 {
-            return Err(StoreError::Corrupt("node header too short".into()));
-        }
-        let level = bytes[0];
-        let side = PageId(u64::from_le_bytes(bytes[1..9].try_into().unwrap()));
-        let mut pos = 9;
-        let low = KeyBound::decode(bytes, &mut pos)?;
-        let high = KeyBound::decode(bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(StoreError::Corrupt("trailing bytes in node header".into()));
-        }
-        Ok(NodeHeader {
-            level,
-            side,
-            low,
-            high,
-        })
-    }
-
     /// Read the header of a node page.
     pub fn read(page: &Page) -> StoreResult<NodeHeader> {
-        NodeHeader::decode(page.get(0)?)
+        Ok(HeaderRef::read(page)?.to_header())
     }
 }
 
@@ -104,9 +84,8 @@ pub enum BoundRef<'a> {
 }
 
 impl<'a> BoundRef<'a> {
-    /// Parse from `bytes[*pos..]`, advancing `pos`. Rejects exactly what
-    /// [`KeyBound::decode`] rejects (bad tag, truncated length, truncated
-    /// key) so view-path and write-path corruption checks stay in lockstep.
+    /// Parse from `bytes[*pos..]`, advancing `pos`. Rejects a bad tag, a
+    /// truncated length and a truncated key.
     pub fn parse(bytes: &'a [u8], pos: &mut usize) -> StoreResult<BoundRef<'a>> {
         let tag = *bytes
             .get(*pos)
@@ -190,8 +169,8 @@ impl<'a> BoundRef<'a> {
 /// [`NodeHeader`] clone. Sound because the caller holds a latch guard on the
 /// page for the lifetime `'a` (DESIGN.md §11).
 ///
-/// [`NodeHeader::encode`]/[`NodeHeader::decode`] remain the write-path/SMO
-/// representation; this view serves the read hot path.
+/// This is the only decoder of slot-0 bytes; the owned [`NodeHeader`] is
+/// the encoder the write and SMO paths build new headers with.
 #[derive(Debug, Clone, Copy)]
 pub struct HeaderRef<'a> {
     level: u8,
@@ -201,9 +180,8 @@ pub struct HeaderRef<'a> {
 }
 
 impl<'a> HeaderRef<'a> {
-    /// Parse slot-0 record bytes. Accepts and rejects byte-for-byte the same
-    /// inputs as [`NodeHeader::decode`] (short header, bad bound tag,
-    /// truncated bound, trailing bytes) — a property test pins the parity.
+    /// Parse slot-0 record bytes. Rejects a short header, a bad bound tag, a
+    /// truncated bound and trailing bytes.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<HeaderRef<'a>> {
         if bytes.len() < 9 {
             return Err(StoreError::Corrupt("node header too short".into()));
@@ -363,6 +341,17 @@ impl IndexTerm {
         Page::make_entry(&self.key, &payload)
     }
 
+    /// The keyed entry of a freshly posted (single-parent) term: `child` is
+    /// responsible from `key` up.
+    pub fn entry_for(key: &[u8], child: PageId) -> Vec<u8> {
+        IndexTerm {
+            key: key.to_vec(),
+            child,
+            multi_parent: false,
+        }
+        .to_entry()
+    }
+
     /// Decode from a keyed entry.
     pub fn from_entry(entry: &[u8]) -> StoreResult<IndexTerm> {
         let key = Page::entry_key(entry).to_vec();
@@ -501,7 +490,7 @@ mod tests {
                 high: KeyBound::PosInf,
             },
         ] {
-            assert_eq!(NodeHeader::decode(&h.encode()).unwrap(), h);
+            assert_eq!(HeaderRef::parse(&h.encode()).unwrap().to_header(), h);
         }
     }
 
@@ -565,16 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_corrupt_headers() {
-        assert!(NodeHeader::decode(&[1, 2, 3]).is_err());
-        let mut ok = NodeHeader::new_root_leaf().encode();
-        ok.push(0xaa);
-        assert!(NodeHeader::decode(&ok).is_err());
+    fn index_term_rejects_short_payload() {
         assert!(IndexTerm::from_entry(&Page::make_entry(b"k", b"short")).is_err());
     }
 
     #[test]
-    fn header_ref_agrees_with_decode() {
+    fn header_ref_agrees_with_owned_header() {
         for h in [
             NodeHeader::new_root_leaf(),
             NodeHeader {
@@ -609,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn header_ref_rejects_what_decode_rejects() {
+    fn header_ref_rejects_corrupt_headers() {
         let corpus: Vec<Vec<u8>> = vec![
             vec![],
             vec![1, 2, 3],
@@ -627,12 +612,7 @@ mod tests {
             },
         ];
         for bytes in &corpus {
-            assert_eq!(
-                HeaderRef::parse(bytes).is_err(),
-                NodeHeader::decode(bytes).is_err(),
-                "parity break on {bytes:02x?}"
-            );
-            assert!(HeaderRef::parse(bytes).is_err());
+            assert!(HeaderRef::parse(bytes).is_err(), "accepted {bytes:02x?}");
         }
     }
 

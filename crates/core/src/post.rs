@@ -239,12 +239,7 @@ pub fn post_index_term(
     TreeStats::bump(&stats.upper_exclusive);
 
     // ---- Space Test + Update Node ---------------------------------------------
-    let term = IndexTerm {
-        key: post_key,
-        child: post_pid,
-        multi_parent: false,
-    };
-    let entry = term.to_entry();
+    let entry = IndexTerm::entry_for(&post_key, post_pid);
     let mut cur_pin: PinnedPage<'_> = parent_pin;
     let mut cur_guard = pg;
     loop {
@@ -270,17 +265,12 @@ pub fn post_index_term(
                 split_key,
                 new_pid,
             } => {
-                if tree
-                    .completions()
-                    .push(crate::completion::Completion::Post {
-                        level: cur_level + 1,
-                        key: split_key.clone(),
-                        node: new_pid,
-                        path: Box::new(path.above(cur_level)),
-                    })
-                {
-                    TreeStats::bump(&stats.postings_scheduled);
-                }
+                tree.schedule(crate::completion::Completion::Post {
+                    level: cur_level + 1,
+                    key: split_key.clone(),
+                    node: new_pid,
+                    path: Box::new(path.above(cur_level)),
+                });
                 // "Then check which resulting node has a directly contained
                 // space that includes KEY, and make that NODE."
                 if key >= split_key.as_slice() {

@@ -17,13 +17,14 @@
 
 use crate::bound::KeyBound;
 use crate::completion::Completion;
+use crate::engine::{lock_err, move_entries, new_node, set_header};
 use crate::node::{IndexTerm, NodeHeader};
 use crate::stats::TreeStats;
 use crate::traverse::DescentTarget;
-use crate::tree::{lock_err, PiTree};
+use crate::tree::PiTree;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, Txn};
 
@@ -57,23 +58,6 @@ pub(crate) enum SplitCandidates<'a> {
     },
 }
 
-/// Allocate a fresh page through `chain`, logging the space-map bit. The
-/// allocation latch is ordered last (§4.1.1) and is held only across the
-/// find + logged set.
-pub(crate) fn alloc_page<'a>(tree: &'a PiTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        // pitree-lint: allow(no-wait) allocation latch ranks last in the §4.1.1 order (the flow graph proves no inverse alloc->page edge), so blocking here cannot deadlock a completion path
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
-}
-
 /// The raw §3.2.1 split of a non-root node: partition at the middle entry,
 /// move the upper half to a freshly allocated sibling, install the sibling
 /// term. Returns the new node (X-latched) and the partition key.
@@ -95,42 +79,19 @@ fn raw_split<'a>(
     let mid_slot = 1 + n / 2;
     let split_key = Page::entry_key(g.get(mid_slot)?).to_vec();
 
-    // Step 1: allocate space for the new node.
-    let new_pin = alloc_page(tree, chain)?;
-    let new_pid = new_pin.id();
-    let mut ng = new_pin.x();
-    chain.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
+    // Step 1: allocate space for the new node; it inherits the old sibling
+    // term (§3.2.1 step 3).
     let new_hdr = NodeHeader {
         level: hdr.level,
-        side: hdr.side, // the new node inherits the old sibling term (§3.2.1 step 3)
+        side: hdr.side,
         low: KeyBound::Key(split_key.clone()),
-        high: hdr.high.clone(),
+        high: hdr.high,
     };
-    chain.apply(
-        &new_pin,
-        &mut ng,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
+    let (new_pin, mut ng) = new_node(tree.store(), chain, new_hdr.encode())?;
+    let new_pid = new_pin.id();
 
     // Steps 3/4: move the delegated entries (records or index terms alike).
-    let moved: Vec<Vec<u8>> = (mid_slot..=n)
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &moved {
-        chain.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &moved {
-        chain.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
+    move_entries(chain, page, g, &new_pin, &mut ng, mid_slot..=n)?;
 
     // Step 5: the sibling term — side pointer plus delegation boundary.
     let old_hdr = NodeHeader {
@@ -139,14 +100,7 @@ fn raw_split<'a>(
         low: hdr.low,
         high: KeyBound::Key(split_key.clone()),
     };
-    chain.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: old_hdr.encode(),
-        },
-    )?;
+    set_header(chain, page, g, old_hdr.encode())?;
     TreeStats::bump(&tree.stats().splits);
     tree.recorder()
         .event(pitree_obs::EventKind::SmoSplit, page.id().0, new_pid.0);
@@ -176,83 +130,29 @@ pub(crate) fn split_node<'a>(
     // ---- root growth ---------------------------------------------------------
     let hdr = NodeHeader::read(g)?;
     debug_assert!(!hdr.side.is_valid(), "the root never has a side pointer");
-    let n1_pin = alloc_page(tree, chain)?;
-    let n1_pid = n1_pin.id();
-    let mut n1g = n1_pin.x();
-    chain.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;
     let n1_hdr = NodeHeader {
         level: hdr.level,
-        side: PageId::INVALID,
-        low: KeyBound::NegInf,
-        high: KeyBound::PosInf,
+        ..NodeHeader::new_root_leaf()
     };
-    chain.apply(
-        &n1_pin,
-        &mut n1g,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: n1_hdr.encode(),
-        },
-    )?;
+    let (n1_pin, mut n1g) = new_node(tree.store(), chain, n1_hdr.encode())?;
+    let n1_pid = n1_pin.id();
 
-    // Move the root's contents wholesale into n1.
-    let all: Vec<Vec<u8>> = (1..g.slot_count())
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &all {
-        chain.apply(&n1_pin, &mut n1g, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &all {
-        chain.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
-    // The root rises one level and indexes n1 for the whole space.
+    // Move the root's contents wholesale into n1; the root rises one level
+    // and indexes n1 for the whole space.
+    let n = g.entry_count();
+    move_entries(chain, page, g, &n1_pin, &mut n1g, 1..=n)?;
     let root_hdr = NodeHeader {
         level: hdr.level + 1,
-        side: PageId::INVALID,
-        low: KeyBound::NegInf,
-        high: KeyBound::PosInf,
+        ..NodeHeader::new_root_leaf()
     };
-    chain.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: root_hdr.encode(),
-        },
-    )?;
-    let n1_term = IndexTerm {
-        key: Vec::new(),
-        child: n1_pid,
-        multi_parent: false,
-    };
-    chain.apply(
-        page,
-        g,
-        PageOp::KeyedInsert {
-            bytes: n1_term.to_entry(),
-        },
-    )?;
+    set_header(chain, page, g, root_hdr.encode())?;
+    let bytes = IndexTerm::entry_for(b"", n1_pid);
+    chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
 
     // n1 is as full as the root was: split it now and post the pair.
     let (n2_pin, n2g, split_key, n2_pid) = raw_split(tree, chain, &n1_pin, &mut n1g)?;
-    let n2_term = IndexTerm {
-        key: split_key.clone(),
-        child: n2_pid,
-        multi_parent: false,
-    };
-    chain.apply(
-        page,
-        g,
-        PageOp::KeyedInsert {
-            bytes: n2_term.to_entry(),
-        },
-    )?;
+    let bytes = IndexTerm::entry_for(&split_key, n2_pid);
+    chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
     TreeStats::bump(&tree.stats().root_grows);
     tree.recorder()
         .event(pitree_obs::EventKind::SmoRootGrow, page.id().0, 0);
@@ -270,7 +170,6 @@ pub(crate) fn split_leaf_for_insert<'t>(
     tree: &'t PiTree,
     txn: &mut Txn<'_>,
     d: DescentTarget<'t>,
-    _key: &[u8],
 ) -> StoreResult<()> {
     use crate::config::UndoPolicy;
     let leaf_pid = d.page.id();
@@ -412,14 +311,12 @@ pub(crate) fn independent_split(tree: &PiTree, d: DescentTarget<'_>) -> StoreRes
     drop(d.page);
     act.commit()?;
     if let Some((split_key, new_pid)) = schedule {
-        if tree.completions().push(Completion::Post {
+        tree.schedule(Completion::Post {
             level: level + 1,
             key: split_key,
             node: new_pid,
             path: Box::new(path.above(level)),
-        }) {
-            TreeStats::bump(&tree.stats().postings_scheduled);
-        }
+        });
     }
     Ok(())
 }

@@ -1,28 +1,27 @@
 //! Tree traversal (§3.1) with the latching discipline of §4.1/§5.2, and the
-//! saved-path machinery of §5.2.
+//! saved-path machinery of §5.2 — the one descent loop every Π-tree
+//! structure runs.
 //!
 //! The traversal descends from the root following index terms; when a node's
-//! directly-contained space does not include the search key, it follows side
-//! pointers (§3.1). Following a side pointer is how intermediate states are
-//! *detected* (§5.1): descents schedule an index-term posting whenever they
-//! traverse one — unless the delegating node is move-locked (§4.2.2).
+//! directly-contained space does not include the search argument, it follows
+//! sibling terms (§3.1). Following a sibling term is how intermediate states
+//! are *detected* (§5.1): the structure's
+//! [`Structure::side_traversal`] hook schedules the completing action.
 //!
-//! Latching depends on the consolidation policy:
+//! Latching depends on the structure's invariant:
 //! * **CNS** (no consolidation): nodes are immortal; one latch at a time.
 //! * **CP**: latch coupling — the latch on the referenced node is acquired
 //!   before the latch on the referencing node is released.
 //!
-//! The descent itself is allocation-free (DESIGN.md §11): every per-hop
-//! containment/routing decision is made through a borrowed [`HeaderRef`]
-//! view under a scoped latch borrow, the child pointer is read in place via
-//! [`IndexTerm::child_at`], and the saved path is an inline array.
+//! The loop itself is allocation-free (DESIGN.md §11): each hop is decided
+//! by [`Structure::route`] under a scoped latch borrow, and the saved path
+//! is an inline array.
 
-use crate::completion::Completion;
-use crate::node::{Guarded, HeaderRef, IndexTerm};
+use crate::engine::{Engine, Routed, Step, Structure};
+use crate::node::Guarded;
 use crate::stats::TreeStats;
-use crate::tree::PiTree;
 use pitree_pagestore::buffer::PinnedPage;
-use pitree_pagestore::{Lsn, PageId, StoreError, StoreResult};
+use pitree_pagestore::{Lsn, PageId, PageType, StoreError, StoreResult};
 
 /// One remembered step of a traversal: node, its state identifier at visit
 /// time, and its level.
@@ -127,9 +126,8 @@ impl SavedPath {
 /// Result of a descent: the target node pinned and latched, its level, and
 /// the saved path of the levels above it.
 ///
-/// The target's header is *not* materialized here — readers derive a
-/// [`HeaderRef`] view from the guard when they need bounds, and write paths
-/// decode the owned header themselves.
+/// The target's header is *not* materialized here — callers derive a
+/// borrowed header view from the guard when they need bounds.
 pub struct DescentTarget<'a> {
     /// Pin on the target node.
     pub page: PinnedPage<'a>,
@@ -156,129 +154,103 @@ fn latch<'a>(page: &PinnedPage<'a>, update: bool) -> Guarded<'a> {
     }
 }
 
-/// What a scoped header view told us to do at the current node.
-enum Step {
-    /// The node directly contains the key at the target level: done.
-    Arrived,
-    /// The node directly contains the key but is above the target level:
-    /// descend to the child, noting our LSN for the saved path.
-    Child { child: PageId, lsn: Lsn },
-    /// Delegated to the sibling (key ≥ high).
-    Side(PageId),
-    /// key < low: routing raced far ahead; restart from the root.
-    /// (Possible only transiently under CP consolidation.)
-    Restart,
+/// Move from the node latched by `prev` to `next`: under latch coupling the
+/// new latch is taken before the old one is released, otherwise after.
+pub fn step_to<'a>(
+    prev: Guarded<'_>,
+    next: &PinnedPage<'a>,
+    update: bool,
+    coupling: bool,
+) -> Guarded<'a> {
+    if coupling {
+        let g = latch(next, update);
+        drop(prev);
+        g
+    } else {
+        drop(prev);
+        latch(next, update)
+    }
 }
 
-impl PiTree {
+impl<S: Structure> Engine<S> {
     /// Descend from the root to the node at `target_level` whose directly
-    /// contained space includes `key`, following side pointers as needed.
+    /// contained space includes `arg`, following sibling terms as needed.
     ///
     /// With `update_at_target`, the target node is U-latched (§5.3: "When
     /// the LEVEL is reached, U-latches are used, possibly traversing side
     /// pointers until the correct NODE is U-latched"); otherwise S.
     ///
-    /// `schedule` controls whether side-pointer traversals enqueue
-    /// completing postings (§5.1); completing actions themselves pass
-    /// `false`.
-    pub(crate) fn descend(
+    /// `schedule` controls whether sibling-term traversals schedule
+    /// completing actions (§5.1); completing actions themselves pass `false`.
+    pub fn descend(
         &self,
-        key: &[u8],
+        arg: &S::Arg,
         target_level: u8,
         update_at_target: bool,
         schedule: bool,
     ) -> StoreResult<DescentTarget<'_>> {
         self.descend_from(
             self.root_pid(),
-            key,
+            arg,
             target_level,
             update_at_target,
             schedule,
         )
     }
 
-    /// [`PiTree::descend`] starting from `start` instead of the root — the
+    /// [`Engine::descend`] starting from `start` instead of the root — the
     /// §5.2 saved-path re-traversal. The caller asserts that `start` was on
-    /// a path for `key` (so `start.low ≤ key`; low bounds never change) and,
-    /// under the CP invariant, that it has verified `start` is still
-    /// allocated. A start node that nonetheless turns out freed or re-used
-    /// falls back to a root traversal.
-    pub(crate) fn descend_from(
+    /// a path for `arg` (low bounds never change) and, under the CP
+    /// invariant, that it has verified `start` is still allocated. A start
+    /// node that nonetheless turns out freed, re-used or below the target
+    /// level falls back to a root traversal (only the root is immortal,
+    /// §5.2.2).
+    pub fn descend_from(
         &self,
         start: PageId,
-        key: &[u8],
+        arg: &S::Arg,
         target_level: u8,
         update_at_target: bool,
         schedule: bool,
     ) -> StoreResult<DescentTarget<'_>> {
-        let coupling = self.config().consolidation.couples_latches();
+        let coupling = self.structure().couples_latches();
         let pool = &self.store().pool;
+        let from_root = start == self.root_pid();
 
         let mut path = SavedPath::default();
         let mut cur = pool.fetch(start)?;
         let mut g = latch(&cur, false);
-        if g.page().page_type()? != pitree_pagestore::PageType::Node || g.page().is_freed() {
-            // The remembered node was de-allocated after verification; only
-            // the root is immortal (§5.2.2).
+        if !from_root && (g.page().page_type()? != PageType::Node || g.page().is_freed()) {
             drop(g);
-            return self.descend_from(
-                self.root_pid(),
-                key,
-                target_level,
-                update_at_target,
-                schedule,
-            );
+            return self.descend(arg, target_level, update_at_target, schedule);
         }
-        let mut level = HeaderRef::read(g.page())?.level();
-        if level < target_level {
-            return Err(StoreError::Corrupt(format!(
-                "descend target level {target_level} above start level {level}"
-            )));
-        }
-        // Re-latch the root in U mode if the root itself is the target of an
-        // update descent. (Promotion from S is forbidden.)
-        if level == target_level && update_at_target {
-            drop(g);
-            g = latch(&cur, true);
-        }
-
+        let mut at_start = true;
         loop {
-            // One borrowed header view per node arrival decides the next
-            // step; the view's borrow of the guard ends before any latch
-            // movement below.
-            let step = {
-                let h = HeaderRef::read(g.page())?;
-                level = h.level();
-                if !h.contains(key) {
-                    if !h.high_gt(key) {
-                        // key ≥ high: delegated to the sibling.
-                        let side = h.side();
-                        if !side.is_valid() {
-                            return Err(StoreError::Corrupt(format!(
-                                "node {} lacks side pointer but does not contain key",
-                                cur.id()
-                            )));
-                        }
-                        Step::Side(side)
-                    } else {
-                        Step::Restart
+            // One routing decision per node arrival; its borrow of the guard
+            // ends before any latch movement below.
+            let Routed { level, step } =
+                self.structure()
+                    .route(g.page(), cur.id(), arg, target_level)?;
+            if at_start {
+                at_start = false;
+                if level < target_level {
+                    drop(g);
+                    if from_root {
+                        return Err(StoreError::Corrupt(format!(
+                            "descend target level {target_level} above root level {level}"
+                        )));
                     }
-                } else if level == target_level {
-                    Step::Arrived
-                } else {
-                    let slot = g.page().keyed_floor(key)?.ok_or_else(|| {
-                        StoreError::Corrupt(format!(
-                            "index node {} contains {key:02x?} but has no routable term",
-                            cur.id()
-                        ))
-                    })?;
-                    Step::Child {
-                        child: IndexTerm::child_at(g.page(), slot)?,
-                        lsn: g.page().lsn(),
-                    }
+                    return self.descend(arg, target_level, update_at_target, schedule);
                 }
-            };
-
+                // Re-latch in U mode if the start node is itself the target
+                // of an update descent (promotion from S is forbidden), then
+                // route again under the new latch.
+                if level == target_level && update_at_target {
+                    drop(g);
+                    g = latch(&cur, true);
+                    continue;
+                }
+            }
             match step {
                 Step::Arrived => {
                     return Ok(DescentTarget {
@@ -290,89 +262,31 @@ impl PiTree {
                 }
                 Step::Restart => {
                     drop(g);
-                    return self.descend(key, target_level, update_at_target, schedule);
+                    return self.descend(arg, target_level, update_at_target, schedule);
                 }
                 Step::Side(side) => {
                     let from = cur.id();
                     let want_u = update_at_target && level == target_level;
                     let sib = pool.fetch(side)?;
-                    let sg = if coupling {
-                        let t = latch(&sib, want_u);
-                        drop(g);
-                        t
-                    } else {
-                        drop(g);
-                        latch(&sib, want_u)
-                    };
+                    g = step_to(g, &sib, want_u, coupling);
                     TreeStats::bump(&self.stats().side_traversals);
                     if schedule {
-                        let sh = HeaderRef::read(sg.page())?;
-                        self.schedule_posting_for(
-                            from,
-                            side,
-                            sh.level(),
-                            sh.low_entry_key(),
-                            &path,
-                        );
+                        S::side_traversal(self, from, side, g.page(), &path)?;
                     }
                     cur = sib;
-                    g = sg;
                 }
-                Step::Child { child, lsn } => {
+                Step::Child(child) => {
                     path.push(PathEntry {
                         pid: cur.id(),
-                        lsn,
+                        lsn: g.page().lsn(),
                         level,
                     });
                     let want_u = update_at_target && level - 1 == target_level;
                     let cp = pool.fetch(child)?;
-                    let cg = if coupling {
-                        let t = latch(&cp, want_u);
-                        drop(g);
-                        t
-                    } else {
-                        drop(g);
-                        latch(&cp, want_u)
-                    };
+                    g = step_to(g, &cp, want_u, coupling);
                     cur = cp;
-                    g = cg;
                 }
             }
-        }
-    }
-
-    /// Schedule the completing index-term posting for a side traversal from
-    /// `from` to the sibling `node` (at `node_level`, with low bound
-    /// `node_low_key`) — unless the delegating node is move locked, in which
-    /// case the split's transaction is still in doubt and "a transaction
-    /// encountering a move lock on a sibling traversal does not schedule an
-    /// index posting" (§4.2.2).
-    pub(crate) fn schedule_posting_for(
-        &self,
-        from: PageId,
-        node: PageId,
-        node_level: u8,
-        node_low_key: &[u8],
-        path: &SavedPath,
-    ) {
-        if self
-            .store()
-            .txns
-            .locks()
-            .is_move_locked(&self.page_lock(from))
-        {
-            TreeStats::bump(&self.stats().postings_move_deferred);
-            return;
-        }
-        let key = node_low_key.to_vec();
-        let level = node_level + 1;
-        if self.completions().push(Completion::Post {
-            level,
-            key,
-            node,
-            path: Box::new(path.above(node_level)),
-        }) {
-            TreeStats::bump(&self.stats().postings_scheduled);
         }
     }
 }

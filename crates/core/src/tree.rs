@@ -13,240 +13,178 @@
 //! `try_lock` — on conflict the latch is released before blocking, then the
 //! operation restarts (the **No-Wait Rule**).
 
-use crate::completion::{Completion, CompletionQueue};
-use crate::config::{ConsolidationPolicy, PiTreeConfig, UndoPolicy};
-use crate::node::{node_full, utilization, Guarded, HeaderRef, NodeHeader};
+use crate::completion::Completion;
+use crate::config::{ConsolidationPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
+use crate::engine::{lock_err, Engine, Routed, Step, Structure};
+use crate::node::{node_full, utilization, HeaderRef, IndexTerm, NodeHeader};
 use crate::stats::TreeStats;
-use crate::store::Store;
+use crate::traverse::{step_to, SavedPath};
 use crate::undo::{TAG_UNDO_DELETE, TAG_UNDO_INSERT, TAG_UNDO_UPDATE};
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::buffer::PinnedPage;
+use pitree_pagestore::latch::XGuard;
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
-use pitree_wal::ActionIdentity;
-use std::sync::Arc;
 
-/// Magic marking tree-registry records on the meta page.
-const TREE_META_MAGIC: u32 = 0x5049_5452; // "PITR"
-
-/// A Π-tree (B-link instantiation) over a [`Store`].
-pub struct PiTree {
-    store: Arc<Store>,
-    cfg: PiTreeConfig,
-    tree_id: u32,
-    root: PageId,
-    completions: Arc<CompletionQueue>,
-    stats: Arc<TreeStats>,
+/// What the header of a key-partitioned node — directly-contained space
+/// `[low, high)`, sibling term `side` — says about one search key. The
+/// routing rule is shared by every such Π-tree level (B-link nodes, TSB
+/// current and index nodes); each structure fills this in from its own
+/// borrowed header view.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyRouting {
+    /// The node's level.
+    pub level: u8,
+    /// Its side pointer, or `PageId::INVALID`.
+    pub side: PageId,
+    /// `low ≤ key`.
+    pub low_le: bool,
+    /// `key < high`.
+    pub high_gt: bool,
 }
 
-impl std::fmt::Debug for PiTree {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PiTree").finish_non_exhaustive()
+impl KeyRouting {
+    /// Route `key` through the node `page` (id `pid`) this was read from.
+    pub fn route(self, page: &Page, pid: PageId, key: &[u8], target: u8) -> StoreResult<Routed> {
+        let step = if !self.high_gt {
+            // key ≥ high: delegated to the sibling.
+            if !self.side.is_valid() {
+                return Err(StoreError::Corrupt(format!(
+                    "node {pid} lacks side pointer but does not contain {key:02x?}"
+                )));
+            }
+            Step::Side(self.side)
+        } else if !self.low_le {
+            Step::Restart
+        } else if self.level == target {
+            Step::Arrived
+        } else {
+            let slot = page.keyed_floor(key)?.ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "index node {pid} contains {key:02x?} but has no routable term"
+                ))
+            })?;
+            Step::Child(IndexTerm::child_at(page, slot)?)
+        };
+        Ok(Routed {
+            level: self.level,
+            step,
+        })
     }
 }
+
+/// The B-link structure: nodes directly contain a key interval, the
+/// sibling term is the header's side pointer + high bound, index terms are
+/// keyed `(low key, child)` entries.
+#[derive(Debug)]
+pub struct BLink(PiTreeConfig);
+
+impl Structure for BLink {
+    type Config = PiTreeConfig;
+    type Arg = [u8];
+    type Completion = Completion;
+    const META_MAGIC: u32 = 0x5049_5452; // "PITR"
+
+    fn new(cfg: PiTreeConfig) -> BLink {
+        BLink(cfg)
+    }
+
+    fn config(&self) -> &PiTreeConfig {
+        &self.0
+    }
+
+    fn root_leaf_header() -> Vec<u8> {
+        NodeHeader::new_root_leaf().encode()
+    }
+
+    fn couples_latches(&self) -> bool {
+        self.0.consolidation.couples_latches()
+    }
+
+    fn auto_complete(&self) -> bool {
+        self.0.auto_complete
+    }
+
+    #[inline]
+    fn route(&self, page: &Page, pid: PageId, key: &[u8], target: u8) -> StoreResult<Routed> {
+        let h = HeaderRef::read(page)?;
+        KeyRouting {
+            level: h.level(),
+            side: h.side(),
+            low_le: h.low_le(key),
+            high_gt: h.high_gt(key),
+        }
+        .route(page, pid, key, target)
+    }
+
+    /// Schedule the completing index-term posting for the sibling `to` —
+    /// unless the delegating node is move locked, in which case the split's
+    /// transaction is still in doubt and "a transaction encountering a move
+    /// lock on a sibling traversal does not schedule an index posting"
+    /// (§4.2.2).
+    fn side_traversal(
+        tree: &PiTree,
+        from: PageId,
+        to: PageId,
+        to_page: &Page,
+        path: &SavedPath,
+    ) -> StoreResult<()> {
+        if tree
+            .store()
+            .txns
+            .locks()
+            .is_move_locked(&tree.page_lock(from))
+        {
+            TreeStats::bump(&tree.stats().postings_move_deferred);
+            return Ok(());
+        }
+        let h = HeaderRef::read(to_page)?;
+        tree.schedule(Completion::Post {
+            level: h.level() + 1,
+            key: h.low_entry_key().to_vec(),
+            node: to,
+            path: Box::new(path.above(h.level())),
+        });
+        Ok(())
+    }
+
+    fn complete(tree: &PiTree, c: Completion) -> StoreResult<()> {
+        match c {
+            Completion::Post {
+                level,
+                key,
+                node,
+                path,
+            } => crate::post::post_index_term(tree, level, &key, node, &path).map(drop),
+            Completion::Consolidate { level, key } => {
+                crate::consolidate::consolidate(tree, level, &key).map(drop)
+            }
+        }
+    }
+
+    fn undo(tree: &PiTree, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        tree.compensate(tag, payload)
+    }
+}
+
+/// A Π-tree (B-link instantiation) over a [`crate::Store`].
+pub type PiTree = Engine<BLink>;
 
 impl PiTree {
-    // ---- construction --------------------------------------------------------
-
-    /// Create a new tree with id `tree_id`: allocate its (fixed, immortal)
-    /// root page and register it on the meta page. Forces the log so the
-    /// tree's existence survives any crash.
-    pub fn create(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> StoreResult<PiTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: NodeHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&TREE_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(PiTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-        })
-    }
-
-    /// Open an existing tree by id, reading its root from the meta page.
-    pub fn open(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> StoreResult<PiTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == TREE_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found.ok_or_else(|| StoreError::Corrupt(format!("tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(PiTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-        })
-    }
-
-    /// Open the tree and run full crash recovery (redo + undo, with this
-    /// tree's logical-undo handler registered). The usual restart sequence.
-    pub fn recover(
-        store: Arc<Store>,
-        tree_id: u32,
-        cfg: PiTreeConfig,
-    ) -> StoreResult<(PiTree, pitree_wal::RecoveryStats)> {
-        // Redo must repeat history before the tree is readable; the meta
-        // page itself may need redo, so run a redo-only pass first by
-        // deferring `open` until after recovery. Logical undo needs an open
-        // tree, which needs the meta page — recover in two steps: physical
-        // redo happens inside `recover` before any undo, and the handler
-        // opens lazily.
-        let handler = crate::undo::DeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = PiTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
-    }
-
-    /// Open the tree with **instant restart**: analysis + undo only, then
-    /// serve traffic immediately, with redo running per page at first pin.
-    /// Returns the tree plus the [`pitree_wal::InstantRecovery`] plan —
-    /// call [`pitree_wal::InstantRecovery::drive`] on background threads to
-    /// finish redo while the tree serves (or let traffic drain it).
-    ///
-    /// Sound for the Π-tree by §4.3.2: an interrupted structure change
-    /// leaves the tree well-formed but intermediate, and normal traffic
-    /// detects and completes it lazily — so serving against a partially
-    /// redone store is just serving an older well-formed state of each
-    /// not-yet-touched page. See `RECOVERY.md` for the full argument.
-    pub fn recover_instant(
-        store: Arc<Store>,
-        tree_id: u32,
-        cfg: PiTreeConfig,
-    ) -> StoreResult<(
-        PiTree,
-        Arc<pitree_wal::InstantRecovery>,
-        pitree_wal::RecoveryStats,
-    )> {
-        let handler = crate::undo::DeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let (plan, stats) = pitree_wal::start_instant(&store.pool, &store.log, Some(&handler))?;
-        // `open` reads the meta page, which redoes it on demand if needed.
-        let tree = PiTree::open(store, tree_id, cfg)?;
-        Ok((tree, plan, stats))
-    }
-
-    // ---- accessors ------------------------------------------------------------
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<Store> {
-        &self.store
-    }
-
-    /// The tree's configuration.
-    pub fn config(&self) -> &PiTreeConfig {
-        &self.cfg
-    }
-
-    /// This tree's id (namespaces its lock names).
-    pub fn tree_id(&self) -> u32 {
-        self.tree_id
-    }
-
-    /// The fixed root page ("we ensure that the root does not move and is
-    /// never de-allocated", §5.2.2).
-    pub fn root_pid(&self) -> PageId {
-        self.root
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> &TreeStats {
-        &self.stats
-    }
-
-    /// The store's observability recorder (for `op.*` latency histograms,
-    /// SMO events, and `Registry::report`).
-    pub fn recorder(&self) -> &pitree_obs::Recorder {
-        self.store.recorder()
-    }
-
-    /// Shared handle to the counters (for commit hooks).
-    pub(crate) fn stats_arc(&self) -> Arc<TreeStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Shared handle to the completion queue (for commit hooks).
-    pub(crate) fn completions_arc(&self) -> Arc<CompletionQueue> {
-        Arc::clone(&self.completions)
-    }
-
-    /// The completion queue (§5.1).
-    pub fn completions(&self) -> &CompletionQueue {
-        &self.completions
-    }
-
     /// Tree height (levels), read from the root.
     pub fn height(&self) -> StoreResult<u8> {
-        let page = self.store.pool.fetch(self.root)?;
+        let page = self.store().pool.fetch(self.root_pid())?;
         let g = page.s();
         Ok(HeaderRef::read(&g)?.level() + 1)
     }
 
-    /// Begin a user database transaction on this tree's store.
-    pub fn begin(&self) -> Txn<'_> {
-        self.store.txns.begin(ActionIdentity::Transaction)
-    }
-
     /// The lock name used for page-scope locking (updater intent and move
-    /// locks): per-page, or the whole relation, per
-    /// [`crate::config::MoveGranule`].
+    /// locks): per-page, or the whole relation, per [`MoveGranule`].
     pub fn page_lock(&self, pid: PageId) -> LockName {
-        match self.cfg.move_granule {
-            crate::config::MoveGranule::Page => LockName::Page(pid),
-            crate::config::MoveGranule::Relation => LockName::Tree(self.tree_id),
+        match self.config().move_granule {
+            MoveGranule::Page => LockName::Page(pid),
+            MoveGranule::Relation => LockName::Tree(self.tree_id()),
         }
-    }
-
-    /// The lock name of a record key.
-    pub fn key_lock(&self, key: &[u8]) -> LockName {
-        let mut name = Vec::with_capacity(4 + key.len());
-        name.extend_from_slice(&self.tree_id.to_le_bytes());
-        name.extend_from_slice(key);
-        LockName::Key(name)
     }
 
     // ---- reads ----------------------------------------------------------------
@@ -258,26 +196,8 @@ impl PiTree {
         let name = self.key_lock(key);
         loop {
             let d = self.descend(key, 0, false, true)?;
-            match txn.try_lock(&name, LockMode::S) {
-                Ok(()) => {
-                    // Single in-place probe; the only allocation is the
-                    // returned value.
-                    let out = d
-                        .guard
-                        .page()
-                        .keyed_lookup(key)
-                        .map(|(_, e)| Page::entry_payload(e).to_vec());
-                    drop(d);
-                    self.maybe_autocomplete()?;
-                    return Ok(out);
-                }
-                Err(LockError::WouldBlock) => {
-                    drop(d); // No-Wait Rule: release the latch, then wait.
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::S).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
+            if let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::S)])? {
+                return self.finish_get(d, key);
             }
         }
     }
@@ -286,14 +206,7 @@ impl PiTree {
     /// internal verification.
     pub fn get_unlocked(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
         let d = self.descend(key, 0, false, true)?;
-        let out = d
-            .guard
-            .page()
-            .keyed_lookup(key)
-            .map(|(_, e)| Page::entry_payload(e).to_vec());
-        drop(d);
-        self.maybe_autocomplete()?;
-        Ok(out)
+        self.finish_get(d, key)
     }
 
     /// Latch-only range scan of `[from, to)`, walking the leaf side chain.
@@ -302,8 +215,7 @@ impl PiTree {
     /// high-bound test never re-encodes `to`.
     pub fn scan(&self, from: &[u8], to: &[u8]) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let coupling = self.cfg.consolidation.couples_latches();
-        let pool = &self.store.pool;
+        let coupling = self.structure().couples_latches();
         let d = self.descend(from, 0, false, true)?;
         let mut cur = d.page;
         let mut g = d.guard;
@@ -329,17 +241,9 @@ impl PiTree {
                 }
             };
             let Some(side) = next else { break };
-            let sib = pool.fetch(side)?;
-            let sg = if coupling {
-                let t = Guarded::S(sib.s());
-                drop(g);
-                t
-            } else {
-                drop(g);
-                Guarded::S(sib.s())
-            };
+            let sib = self.store().pool.fetch(side)?;
+            g = step_to(g, &sib, false, coupling);
             cur = sib;
-            g = sg;
         }
         drop(g);
         drop(cur);
@@ -356,33 +260,49 @@ impl PiTree {
         from: &[u8],
         to: &[u8],
     ) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        loop {
+        'rescan: loop {
             let out = self.scan(from, to)?;
             // Lock the result set with the No-Wait discipline: the latch-free
             // scan above re-runs if any lock needs a blocking wait (the set
             // may have changed while waiting).
-            let mut must_retry = false;
             for (k, _) in &out {
-                match txn.try_lock(&self.key_lock(k), LockMode::S) {
+                let name = self.key_lock(k);
+                match txn.try_lock(&name, LockMode::S) {
                     Ok(()) => {}
                     Err(LockError::WouldBlock) => {
-                        TreeStats::bump(&self.stats.no_wait_restarts);
-                        txn.lock(&self.key_lock(k), LockMode::S).map_err(lock_err)?;
-                        must_retry = true;
-                        break;
+                        TreeStats::bump(&self.stats().no_wait_restarts);
+                        txn.lock(&name, LockMode::S).map_err(lock_err)?;
+                        continue 'rescan;
                     }
                     Err(e) => return Err(lock_err(e)),
                 }
             }
-            if !must_retry {
-                // Re-validate under the locks: values cannot have changed
-                // (X requires our S to drain), but keys may have appeared.
-                return Ok(out);
-            }
+            // Values cannot have changed under the locks (X requires our S
+            // to drain).
+            return Ok(out);
         }
     }
 
     // ---- writes ---------------------------------------------------------------
+
+    /// Log and apply a record update in `txn`, with the undo information the
+    /// configured [`UndoPolicy`] calls for: none beyond the page image
+    /// (page-oriented), or `(tag, payload)` for logical undo.
+    fn apply_update(
+        &self,
+        txn: &mut Txn<'_>,
+        page: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        op: PageOp,
+        tag: u8,
+        payload: Vec<u8>,
+    ) -> StoreResult<()> {
+        match self.config().undo {
+            UndoPolicy::PageOriented => txn.apply(page, g, op)?,
+            UndoPolicy::Logical => txn.apply_logical(page, g, op, tag, payload)?,
+        };
+        Ok(())
+    }
 
     /// Transactional upsert. Returns `true` if the key was new, `false` if
     /// an existing record was replaced.
@@ -398,85 +318,41 @@ impl PiTree {
         let key_name = self.key_lock(key);
         loop {
             let d = self.descend(key, 0, true, true)?;
-            let leaf_pid = d.page.id();
-            let page_name = self.page_lock(leaf_pid);
+            let page_name = self.page_lock(d.page.id());
 
             // Split first if needed, before taking record locks, so an
             // independent split's move lock cannot collide with our own page
             // lock (§4.2.1: the split happens "independent of and before T").
             let exists = d.guard.page().keyed_probe(key).is_ok();
-            if !exists && node_full(d.guard.page(), entry.len(), self.cfg.max_leaf_entries) {
-                self.split_for_insert(txn, d, key)?;
+            if !exists && node_full(d.guard.page(), entry.len(), self.config().max_leaf_entries) {
+                crate::split::split_leaf_for_insert(self, txn, d)?;
                 continue;
             }
-
-            // No-Wait record locking.
-            let locked = txn
-                .try_lock(&page_name, LockMode::IX)
-                .and_then(|_| txn.try_lock(&key_name, LockMode::X));
-            match locked {
-                Ok(()) => {}
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&page_name, LockMode::IX).map_err(lock_err)?;
-                    txn.lock(&key_name, LockMode::X).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
-            }
-
-            // Re-check under the locks we now hold (state can only have
-            // changed if we just latched a different incarnation — the
-            // guard was held across the checks above, so `exists` and the
-            // space check are still valid).
-            let mut g = d.guard.promote().into_x();
-            let created = if exists {
-                let old = g.keyed_lookup(key).unwrap().1.to_vec();
-                match self.cfg.undo {
-                    UndoPolicy::PageOriented => txn.apply(
-                        &d.page,
-                        &mut g,
-                        PageOp::KeyedUpdate {
-                            bytes: entry.clone(),
-                        },
-                    )?,
-                    UndoPolicy::Logical => txn.apply_logical(
-                        &d.page,
-                        &mut g,
-                        PageOp::KeyedUpdate {
-                            bytes: entry.clone(),
-                        },
-                        TAG_UNDO_UPDATE,
-                        old,
-                    )?,
-                };
-                false
-            } else {
-                match self.cfg.undo {
-                    UndoPolicy::PageOriented => txn.apply(
-                        &d.page,
-                        &mut g,
-                        PageOp::KeyedInsert {
-                            bytes: entry.clone(),
-                        },
-                    )?,
-                    UndoPolicy::Logical => txn.apply_logical(
-                        &d.page,
-                        &mut g,
-                        PageOp::KeyedInsert {
-                            bytes: entry.clone(),
-                        },
-                        TAG_UNDO_INSERT,
-                        key.to_vec(),
-                    )?,
-                };
-                true
+            let locks = [(&page_name, LockMode::IX), (&key_name, LockMode::X)];
+            let Some(d) = self.lock_no_wait(txn, d, &locks)? else {
+                continue;
             };
+
+            // The guard was held across the checks above, so `exists` and
+            // the space check are still valid under the locks we now hold.
+            let mut g = d.guard.promote().into_x();
+            let (op, tag, undo) = match g.keyed_lookup(key) {
+                Some((_, old)) => (
+                    PageOp::KeyedUpdate { bytes: entry },
+                    TAG_UNDO_UPDATE,
+                    old.to_vec(),
+                ),
+                None => (
+                    PageOp::KeyedInsert { bytes: entry },
+                    TAG_UNDO_INSERT,
+                    key.to_vec(),
+                ),
+            };
+            self.apply_update(txn, &d.page, &mut g, op, tag, undo)?;
             drop(g);
             drop(d.page);
             self.maybe_autocomplete()?;
-            return Ok(created);
+            return Ok(!exists);
         }
     }
 
@@ -485,52 +361,32 @@ impl PiTree {
         let key_name = self.key_lock(key);
         loop {
             let d = self.descend(key, 0, true, true)?;
-            let leaf_pid = d.page.id();
-            let page_name = self.page_lock(leaf_pid);
-            let locked = txn
-                .try_lock(&page_name, LockMode::IX)
-                .and_then(|_| txn.try_lock(&key_name, LockMode::X));
-            match locked {
-                Ok(()) => {}
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&page_name, LockMode::IX).map_err(lock_err)?;
-                    txn.lock(&key_name, LockMode::X).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
-            }
-
-            if d.guard.page().keyed_probe(key).is_err() {
+            let page_name = self.page_lock(d.page.id());
+            let locks = [(&page_name, LockMode::IX), (&key_name, LockMode::X)];
+            let Some(d) = self.lock_no_wait(txn, d, &locks)? else {
+                continue;
+            };
+            let Some(old) = d.guard.page().keyed_lookup(key).map(|(_, e)| e.to_vec()) else {
                 drop(d);
                 self.maybe_autocomplete()?;
                 return Ok(false);
-            }
-            let mut g = d.guard.promote().into_x();
-            let old = g.keyed_lookup(key).unwrap().1.to_vec();
-            match self.cfg.undo {
-                UndoPolicy::PageOriented => {
-                    txn.apply(&d.page, &mut g, PageOp::KeyedRemove { key: key.to_vec() })?
-                }
-                UndoPolicy::Logical => txn.apply_logical(
-                    &d.page,
-                    &mut g,
-                    PageOp::KeyedRemove { key: key.to_vec() },
-                    TAG_UNDO_DELETE,
-                    old,
-                )?,
             };
+            let mut g = d.guard.promote().into_x();
+            let op = PageOp::KeyedRemove { key: key.to_vec() };
+            self.apply_update(txn, &d.page, &mut g, op, TAG_UNDO_DELETE, old)?;
             // Consolidation trigger (§3.3): schedule when under-utilized.
             let low_key = HeaderRef::read(&g)?.low_entry_key().to_vec();
             let underutilized =
-                utilization(&g, self.cfg.max_leaf_entries) < self.cfg.min_utilization;
+                utilization(&g, self.config().max_leaf_entries) < self.config().min_utilization;
             drop(g);
             drop(d.page);
             if underutilized
-                && matches!(self.cfg.consolidation, ConsolidationPolicy::Enabled { .. })
+                && matches!(
+                    self.config().consolidation,
+                    ConsolidationPolicy::Enabled { .. }
+                )
             {
-                self.completions.push(Completion::Consolidate {
+                self.completions().push(Completion::Consolidate {
                     level: 0,
                     key: low_key,
                 });
@@ -540,75 +396,9 @@ impl PiTree {
         }
     }
 
-    /// Split the leaf in `d` on behalf of `txn`'s blocked insert; see
-    /// [`crate::split`] for the policy split (independent action vs inside
-    /// the transaction).
-    fn split_for_insert(
-        &self,
-        txn: &mut Txn<'_>,
-        d: crate::traverse::DescentTarget<'_>,
-        key: &[u8],
-    ) -> StoreResult<()> {
-        crate::split::split_leaf_for_insert(self, txn, d, key)
-    }
-
-    // ---- maintenance ------------------------------------------------------------
-
-    /// Drain the completion queue, executing each completing atomic action
-    /// (index-term postings, consolidations). Returns how many completions
-    /// were executed. New completions scheduled by the executed ones are
-    /// processed too, up to a budget.
-    pub fn run_completions(&self) -> StoreResult<usize> {
-        let mut done = 0;
-        // Drain only what was queued at entry: completions that defer (e.g.
-        // on a move lock) re-queue themselves and must not spin within this
-        // call — they run on a later pass, after the blocker resolves.
-        let batch = self.completions.len();
-        for _ in 0..batch {
-            let Some(c) = self.completions.pop() else {
-                break;
-            };
-            match c {
-                Completion::Post {
-                    level,
-                    key,
-                    node,
-                    path,
-                } => {
-                    crate::post::post_index_term(self, level, &key, node, &path)?;
-                }
-                Completion::Consolidate { level, key } => {
-                    crate::consolidate::consolidate(self, level, &key)?;
-                }
-            }
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    fn maybe_autocomplete(&self) -> StoreResult<()> {
-        if self.cfg.auto_complete && !self.completions.is_empty() {
-            self.run_completions()?;
-        }
-        Ok(())
-    }
-
     /// Check the well-formedness invariants of §2.1.3. See
     /// [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::WellFormedReport> {
         crate::wellformed::check(self)
-    }
-}
-
-/// Convert a lock failure into a store error at the API boundary. The
-/// requester is the deadlock victim; callers abort the transaction and
-/// retry.
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => {
-            StoreError::Corrupt("WouldBlock escaped the No-Wait retry loop".into())
-        }
     }
 }

@@ -7,7 +7,7 @@
 //! present / insert if absent), so a crash between a compensation and its
 //! CLR marker is harmless — recovery simply re-runs it.
 
-use crate::config::PiTreeConfig;
+use crate::engine::{Engine, Structure};
 use crate::node::node_full;
 use crate::store::Store;
 use crate::tree::PiTree;
@@ -28,57 +28,39 @@ pub const TAG_UNDO_DELETE: u8 = 2;
 pub const TAG_UNDO_UPDATE: u8 = 3;
 
 impl PiTree {
-    /// A logical-undo handler borrowing this tree, for rolling back live
-    /// transactions (`Txn::abort`).
-    pub fn undo_handler(&self) -> TreeUndoHandler<'_> {
-        TreeUndoHandler(self)
-    }
-
     /// Execute one logical compensation. Runs as an independent system
     /// atomic action per attempt; splits (for a re-insert into a full leaf)
     /// are ordinary independent split actions.
     pub(crate) fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        let key = match tag {
+            TAG_UNDO_INSERT => payload,
+            TAG_UNDO_DELETE | TAG_UNDO_UPDATE => Page::entry_key(payload),
+            t => return Err(StoreError::Corrupt(format!("unknown logical undo tag {t}"))),
+        };
         loop {
-            let (key, entry): (&[u8], Option<&[u8]>) = match tag {
-                TAG_UNDO_INSERT => (payload, None),
-                TAG_UNDO_DELETE | TAG_UNDO_UPDATE => (Page::entry_key(payload), Some(payload)),
-                t => return Err(StoreError::Corrupt(format!("unknown logical undo tag {t}"))),
-            };
             let d = self.descend(key, 0, true, false)?;
-            let present = d.guard.page().keyed_find(key)?.is_ok();
-            let op = match tag {
-                TAG_UNDO_INSERT if present => Some(PageOp::KeyedRemove { key: key.to_vec() }),
-                TAG_UNDO_DELETE if !present => {
-                    let bytes = require_entry(entry)?.to_vec();
-                    if node_full(d.guard.page(), bytes.len(), self.config().max_leaf_entries) {
-                        crate::split::independent_split(self, d)?;
-                        continue; // re-descend and retry
-                    }
-                    Some(PageOp::KeyedInsert { bytes })
+            let page = d.guard.page();
+            // The compensating operation, and whether the leaf must split
+            // before it fits.
+            let (op, needs_split) = match (tag, page.keyed_find(key)?) {
+                (TAG_UNDO_INSERT, Ok(_)) => (PageOp::KeyedRemove { key: key.to_vec() }, false),
+                (TAG_UNDO_DELETE, Err(_)) => {
+                    let bytes = payload.to_vec();
+                    let full = node_full(page, bytes.len(), self.config().max_leaf_entries);
+                    (PageOp::KeyedInsert { bytes }, full)
                 }
-                TAG_UNDO_UPDATE if present => {
-                    let bytes = require_entry(entry)?.to_vec();
-                    let Ok(slot) = d.guard.page().keyed_find(key)? else {
-                        // `present` came from the same latched page, so the
-                        // key cannot have moved; a miss here is corruption.
-                        return Err(StoreError::Corrupt(
-                            "entry vanished under latch during undo-update".to_string(),
-                        ));
-                    };
-                    let old_len = d.guard.page().get(slot)?.len();
-                    if bytes.len() > old_len && bytes.len() - old_len > d.guard.page().free_space()
-                    {
-                        crate::split::independent_split(self, d)?;
-                        continue;
-                    }
-                    Some(PageOp::KeyedUpdate { bytes })
+                (TAG_UNDO_UPDATE, Ok(slot)) => {
+                    let bytes = payload.to_vec();
+                    let old_len = page.get(slot)?.len();
+                    let full = bytes.len() > old_len && bytes.len() - old_len > page.free_space();
+                    (PageOp::KeyedUpdate { bytes }, full)
                 }
-                _ => None, // testable state: nothing to compensate
+                _ => return Ok(()), // testable state: nothing to compensate
             };
-            let Some(op) = op else {
-                drop(d);
-                return Ok(());
-            };
+            if needs_split {
+                crate::split::independent_split(self, d)?;
+                continue; // re-descend and retry
+            }
             let mut act = self
                 .store()
                 .txns
@@ -93,47 +75,48 @@ impl PiTree {
     }
 }
 
-/// The undo payload an undo-delete / undo-update record must carry.
-fn require_entry(entry: Option<&[u8]>) -> StoreResult<&[u8]> {
-    entry.ok_or_else(|| {
-        StoreError::Corrupt("logical undo record missing its entry payload".to_string())
-    })
-}
-
-/// [`LogicalUndoHandler`] over a live tree.
-pub struct TreeUndoHandler<'a>(&'a PiTree);
-
-impl std::fmt::Debug for TreeUndoHandler<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TreeUndoHandler").finish_non_exhaustive()
+impl<S: Structure> Engine<S> {
+    /// A logical-undo handler borrowing this tree, for rolling back live
+    /// transactions (`Txn::abort`).
+    pub fn undo_handler(&self) -> UndoHandler<'_, S> {
+        UndoHandler(self)
     }
 }
 
-impl LogicalUndoHandler for TreeUndoHandler<'_> {
+/// [`LogicalUndoHandler`] over a live tree.
+pub struct UndoHandler<'a, S: Structure>(&'a Engine<S>);
+
+impl<S: Structure> std::fmt::Debug for UndoHandler<'_, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UndoHandler").finish_non_exhaustive()
+    }
+}
+
+impl<S: Structure> LogicalUndoHandler for UndoHandler<'_, S> {
     fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        self.0.compensate(tag, payload)
+        S::undo(self.0, tag, payload)
     }
 }
 
 /// A handler that opens the tree lazily — needed at restart, where recovery
 /// must run redo before the tree (whose meta record may itself need redo)
 /// can be opened, yet the undo pass needs a working tree.
-pub struct DeferredHandler {
+pub struct DeferredHandler<S: Structure> {
     store: Arc<Store>,
     tree_id: u32,
-    cfg: PiTreeConfig,
-    tree: Mutex<Option<PiTree>>,
+    cfg: S::Config,
+    tree: Mutex<Option<Engine<S>>>,
 }
 
-impl std::fmt::Debug for DeferredHandler {
+impl<S: Structure> std::fmt::Debug for DeferredHandler<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeferredHandler").finish_non_exhaustive()
     }
 }
 
-impl DeferredHandler {
+impl<S: Structure> DeferredHandler<S> {
     /// Build a handler for `tree_id` over `store`.
-    pub fn new(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> DeferredHandler {
+    pub fn new(store: Arc<Store>, tree_id: u32, cfg: S::Config) -> DeferredHandler<S> {
         DeferredHandler {
             store,
             tree_id,
@@ -143,17 +126,17 @@ impl DeferredHandler {
     }
 }
 
-impl LogicalUndoHandler for DeferredHandler {
+impl<S: Structure> LogicalUndoHandler for DeferredHandler<S> {
     fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
         let mut guard = self.tree.lock();
         let tree = match &mut *guard {
             Some(t) => t,
-            slot => slot.insert(PiTree::open(
+            slot => slot.insert(Engine::open(
                 Arc::clone(&self.store),
                 self.tree_id,
                 self.cfg,
             )?),
         };
-        tree.compensate(tag, payload)
+        S::undo(tree, tag, payload)
     }
 }

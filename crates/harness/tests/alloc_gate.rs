@@ -2,6 +2,13 @@
 //! **one** heap allocation — the returned value — and a range scan stays
 //! within two allocations per returned pair plus a constant.
 //!
+//! All three structures read through the one engine descent
+//! (`pitree::Engine::descend`), so the gate covers each: Π-tree `get` and
+//! TSB `get_as_of` are pinned at exactly 1 per hit / 0 per miss, and hB
+//! point `get` — whose routing still materializes the kd fragment of every
+//! node on the path — is pinned at its measured count as a ceiling, so the
+//! shared loop cannot quietly start allocating for any of them.
+//!
 //! The counter is a wrapping [`GlobalAlloc`] that tallies allocations made
 //! by the *measuring thread only* (thread-local flag), so background work —
 //! the group-commit daemon, other test threads — cannot perturb the count.
@@ -11,6 +18,8 @@
 //! warms both before counting.
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree_hb::{HbConfig, HbTree};
+use pitree_tsb::{TsbConfig, TsbTree};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -132,5 +141,103 @@ fn steady_state_reads_are_allocation_free() {
         n <= 2 * pairs + 8,
         "scan allocated {n} times for {pairs} pairs (budget: 2/pair + 8 \
          for the output vector's growth)"
+    );
+}
+
+#[test]
+fn tsb_as_of_reads_allocate_only_the_returned_value() {
+    let store = CrashableStore::create(4096, 1_000_000).expect("create store");
+    let tree =
+        TsbTree::create(Arc::clone(&store.store), 2, TsbConfig::default()).expect("create tree");
+
+    // Three versions per key, so as-of reads cross time splits into the
+    // history chains as well as landing in current nodes.
+    const KEYS: u64 = 2_000;
+    let mut stamps = Vec::new();
+    for round in 0..3u64 {
+        let mut txn = tree.begin();
+        for i in 0..KEYS {
+            tree.put(&mut txn, &i.to_be_bytes(), &(i * 7 + round).to_be_bytes())
+                .expect("put");
+        }
+        txn.commit().expect("commit");
+        stamps.push(tree.now());
+    }
+    let read_all = |t| {
+        for i in 0..KEYS {
+            let v = tree.get_as_of(&i.to_be_bytes(), t).expect("get_as_of");
+            assert!(v.is_some(), "key {i} must be visible at {t}");
+        }
+    };
+    // Warm the pool, this thread's event ring, and the completion queue
+    // (side traversals found by the first reads get their postings done).
+    for _ in 0..6 {
+        stamps.iter().for_each(|t| read_all(*t));
+    }
+
+    const READS: u64 = 1_000;
+    for &t in &stamps {
+        let n = count_allocs(|| {
+            for i in 0..READS {
+                let v = tree.get_as_of(&(i % KEYS).to_be_bytes(), t).expect("get");
+                std::hint::black_box(&v);
+            }
+        });
+        assert_eq!(
+            n, READS,
+            "steady-state get_as_of(t={t}) must allocate exactly once per hit; \
+             counted {n} over {READS} reads"
+        );
+    }
+    let n = count_allocs(|| {
+        for i in 0..READS {
+            let key = (KEYS + 1 + i).to_be_bytes();
+            assert!(tree.get_as_of(&key, stamps[2]).expect("get").is_none());
+        }
+    });
+    assert_eq!(n, 0, "an as-of miss returns None without touching the heap");
+}
+
+#[test]
+fn hb_point_reads_stay_under_their_measured_ceiling() {
+    let store = CrashableStore::create(4096, 1_000_000).expect("create store");
+    let tree =
+        HbTree::create(Arc::clone(&store.store), 3, HbConfig::default()).expect("create tree");
+
+    const SIDE: u64 = 64;
+    let mut txn = tree.begin();
+    for x in 0..SIDE {
+        for y in 0..SIDE {
+            // A fixed scatter so the kd splits alternate dimensions.
+            let p = [(x * 37) % SIDE, (y * 29 + x) % SIDE];
+            tree.insert(&mut txn, &p, &(x * SIDE + y).to_be_bytes())
+                .expect("insert");
+        }
+    }
+    txn.commit().expect("commit");
+    tree.run_completions().expect("completions");
+
+    let read_all = || {
+        for x in 0..SIDE {
+            for y in 0..SIDE {
+                let v = tree.get(&[x, y]).expect("get");
+                std::hint::black_box(&v);
+            }
+        }
+    };
+    for _ in 0..4 {
+        read_all();
+    }
+    let n = count_allocs(read_all);
+    // Measured at the commit before the shared engine (hB's own descent
+    // loop): 242,944 allocations for these SIDE*SIDE reads, the owned
+    // fragment decode of every node on the path. The engine routes the
+    // root once per descent instead of decoding it twice (210,176 when it
+    // landed), so the count only went down; it must never go back up.
+    const HB_CEILING: u64 = 242_944;
+    assert!(
+        n <= HB_CEILING,
+        "hB point reads allocated {n} times over {} reads (ceiling {HB_CEILING})",
+        SIDE * SIDE
     );
 }

@@ -13,9 +13,12 @@
 //! change).
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree_hb::{HbConfig, HbTree, Point};
 use pitree_pagestore::fault::{is_injected, InjectorHandle};
 use pitree_pagestore::{StoreError, StoreResult};
 use pitree_sim::CrashPlan;
+use pitree_tsb::{Time, TsbConfig, TsbTree};
+use pitree_wal::InstantRecovery;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -856,15 +859,26 @@ fn get_served_from_not_yet_redone_page() {
     let crashed = cs.crash().unwrap();
     let (tree, plan, _) =
         PiTree::recover_instant(Arc::clone(&crashed.store), 1, cfg).expect("instant recover");
+    serve_from_not_yet_redone_pages(&crashed, &plan, |ctx| {
+        for (k, v) in &model {
+            let got = tree.get_unlocked(&key(*k)).expect("get");
+            assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} served wrong");
+        }
+    });
+    verify_recovery(&crashed, cfg, &model, "on-demand-read");
+}
+
+/// The shared tail of rows (h), (h-tsb) and (h-hb): with the REDO plan still
+/// pending, `serve` must answer every committed read correctly through
+/// pages replayed inline at first pin, and draining the plan afterwards
+/// must change no answer.
+fn serve_from_not_yet_redone_pages(
+    crashed: &CrashableStore,
+    plan: &InstantRecovery,
+    serve: impl Fn(&str),
+) {
     assert!(plan.pending_page_count() > 0, "nothing pending");
-    for (k, v) in &model {
-        let got = tree.get_unlocked(&key(*k)).expect("get mid-recovery");
-        assert_eq!(
-            got.as_ref(),
-            Some(v),
-            "key {k}: wrong value served from a half-recovered store"
-        );
-    }
+    serve("while REDO pending");
     let on_demand = crashed
         .store
         .recorder()
@@ -876,5 +890,67 @@ fn get_served_from_not_yet_redone_page() {
     );
     plan.drive(&crashed.store.pool, 2).expect("drain");
     assert!(plan.is_complete());
-    verify_recovery(&crashed, cfg, &model, "on-demand-read");
+    serve("after drain");
+}
+
+/// (h-tsb) As-of reads served from not-yet-redone TSB pages: every
+/// committed version — in current nodes and down the history chains —
+/// reads back while the plan is pending.
+#[test]
+fn tsb_as_of_reads_served_from_not_yet_redone_pages() {
+    let cfg = TsbConfig::small_nodes(4, 4);
+    let cs = CrashableStore::create(8, 10_000).unwrap();
+    let tree = TsbTree::create(Arc::clone(&cs.store), 2, cfg).unwrap();
+    let mut versions: Vec<(u64, Time, Vec<u8>)> = Vec::new();
+    for round in 0..3u64 {
+        for k in 0..20u64 {
+            let mut t = tree.begin();
+            let v = val(k * 10 + round);
+            let at = tree.put(&mut t, &key(k), &v).unwrap();
+            t.commit().unwrap();
+            versions.push((k, at, v));
+        }
+    }
+    drop(tree);
+
+    let crashed = cs.crash().unwrap();
+    let (tree, plan, _) =
+        TsbTree::recover_instant(Arc::clone(&crashed.store), 2, cfg).expect("instant recover");
+    serve_from_not_yet_redone_pages(&crashed, &plan, |ctx| {
+        for (k, at, v) in &versions {
+            let got = tree.get_as_of(&key(*k), *at).expect("get_as_of");
+            assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} as of {at}");
+        }
+    });
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+}
+
+/// (h-hb) Point reads served from not-yet-redone hB pages.
+#[test]
+fn hb_gets_served_from_not_yet_redone_pages() {
+    let cfg = HbConfig::small_nodes(4, 6);
+    let cs = CrashableStore::create(8, 10_000).unwrap();
+    let tree = HbTree::create(Arc::clone(&cs.store), 3, cfg).unwrap();
+    let mut model: BTreeMap<Point, Vec<u8>> = BTreeMap::new();
+    for i in 0..40u64 {
+        let p = [(i * 7) % 16, (i * 5) % 12];
+        let mut t = tree.begin();
+        tree.insert(&mut t, &p, &val(i)).unwrap();
+        t.commit().unwrap();
+        model.insert(p, val(i));
+    }
+    drop(tree);
+
+    let crashed = cs.crash().unwrap();
+    let (tree, plan, _) =
+        HbTree::recover_instant(Arc::clone(&crashed.store), 3, cfg).expect("instant recover");
+    serve_from_not_yet_redone_pages(&crashed, &plan, |ctx| {
+        for (p, v) in &model {
+            let got = tree.get(p).expect("get");
+            assert_eq!(got.as_ref(), Some(v), "{ctx}: point {p:?}");
+        }
+    });
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
 }

@@ -8,7 +8,11 @@
 //! traffic triggers on-demand REDO before the background workers drain
 //! the rest. All three must produce byte-identical pages ("repeating
 //! history" has exactly one answer — §4.3.1's invariant restated as an
-//! executable test).
+//! executable test). The oracle runs over a crashed image of each of the
+//! three structures — Π-tree, TSB-tree, hB-tree — since all of them restart
+//! through the one engine (`pitree::Engine::{recover, recover_instant}`);
+//! each image carries a loser transaction, so logical undo runs through
+//! the structure's own handler with the on-demand redo hook installed.
 //!
 //! The second half exercises the **fuzzy-checkpoint trigger**: armed via
 //! [`pitree_txnlock::TxnManager::set_checkpoint_every_bytes`], commits
@@ -17,12 +21,17 @@
 //! committed state exactly (analysis now starts at the checkpoint, not
 //! the log head).
 
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree::{CrashableStore, PiTree, PiTreeConfig, Store};
+use pitree_hb::{HbConfig, HbTree, Point, Rect};
 use pitree_pagestore::PageId;
+use pitree_tsb::{Time, TsbConfig, TsbTree};
+use pitree_wal::{InstantRecovery, RecoveryStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 type Model = BTreeMap<u64, Vec<u8>>;
+/// Per key, every committed version: `(start time, value or tombstone)`.
+type VersionModel = BTreeMap<u64, Vec<(Time, Option<Vec<u8>>)>>;
 
 fn key(k: u64) -> Vec<u8> {
     k.to_be_bytes().to_vec()
@@ -115,73 +124,207 @@ fn crashed_workload() -> (CrashableStore, Model) {
     (cs, model)
 }
 
-/// Same crash image, three replay engines, one answer: the page images
-/// after serial REDO, parallel background REDO, and traffic-first
-/// on-demand REDO must be byte-identical.
-#[test]
-fn serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
-    let cfg = PiTreeConfig::small_nodes(4, 4);
-    let (cs, model) = crashed_workload();
-
+/// Same crash image, three replay engines, one answer: recover `cs` by
+/// serial REDO, by parallel background REDO, and by traffic-first on-demand
+/// REDO, and demand byte-identical page images. `serve` answers every
+/// committed read through point lookups (what traffic does while REDO is
+/// pending); `verify` additionally validates the whole structure.
+fn assert_three_engines_agree<T>(
+    cs: &CrashableStore,
+    serial: impl Fn(Arc<Store>) -> (T, RecoveryStats),
+    instant: impl Fn(Arc<Store>) -> (T, Arc<InstantRecovery>, RecoveryStats),
+    serve: impl Fn(&T, &str),
+    verify: impl Fn(&T, &str),
+) {
     // (a) stop-the-world serial recovery.
-    let serial = cs.crash().expect("snapshot a");
-    let (tree_a, stats_a) =
-        PiTree::recover(Arc::clone(&serial.store), 1, cfg).expect("serial recover");
+    let a = cs.crash().expect("snapshot a");
+    let (tree_a, stats_a) = serial(Arc::clone(&a.store));
     assert!(stats_a.redone > 0, "workload left nothing to redo");
     assert!(
         !stats_a.losers.is_empty(),
         "the forced-but-uncommitted loser must be found and undone"
     );
-    check_model(&tree_a, &model, "serial");
+    serve(&tree_a, "serial");
+    verify(&tree_a, "serial");
     drop(tree_a);
 
     // (b) instant restart, background REDO on 4 workers, no traffic.
-    let parallel = cs.crash().expect("snapshot b");
-    let (tree_b, plan_b, _) =
-        PiTree::recover_instant(Arc::clone(&parallel.store), 1, cfg).expect("instant recover b");
-    plan_b
-        .drive(&parallel.store.pool, 4)
-        .expect("parallel drive");
+    let b = cs.crash().expect("snapshot b");
+    let (tree_b, plan_b, stats_b) = instant(Arc::clone(&b.store));
+    assert!(
+        !stats_b.losers.is_empty(),
+        "undo must have run with the redo hook installed"
+    );
+    plan_b.drive(&b.store.pool, 4).expect("parallel drive");
     assert!(plan_b.is_complete());
-    check_model(&tree_b, &model, "parallel");
+    serve(&tree_b, "parallel");
+    verify(&tree_b, "parallel");
     drop(tree_b);
 
     // (c) instant restart, traffic triggers on-demand REDO first, then
     // background workers drain the remainder.
-    let on_demand = cs.crash().expect("snapshot c");
-    let (tree_c, plan_c, _) =
-        PiTree::recover_instant(Arc::clone(&on_demand.store), 1, cfg).expect("instant recover c");
-    for (k, v) in &model {
-        let got = tree_c.get_unlocked(&key(*k)).expect("get mid-recovery");
-        assert_eq!(
-            got.as_ref(),
-            Some(v),
-            "key {k} served wrong value from a half-recovered store"
-        );
-    }
-    plan_c
-        .drive(&on_demand.store.pool, 2)
-        .expect("drain after traffic");
+    let c = cs.crash().expect("snapshot c");
+    let (tree_c, plan_c, _) = instant(Arc::clone(&c.store));
+    serve(&tree_c, "half-recovered store");
+    plan_c.drive(&c.store.pool, 2).expect("drain after traffic");
     assert!(plan_c.is_complete());
-    check_model(&tree_c, &model, "on-demand");
+    serve(&tree_c, "on-demand");
+    verify(&tree_c, "on-demand");
     drop(tree_c);
 
-    let img_a = page_images(&serial, 10_000);
-    let img_b = page_images(&parallel, 10_000);
-    let img_c = page_images(&on_demand, 10_000);
-    assert_eq!(
-        img_a.len(),
-        img_b.len(),
-        "allocated page sets diverge (serial vs parallel)"
+    let img_a = page_images(&a, 10_000);
+    for (other, name) in [(&b, "parallel"), (&c, "on-demand")] {
+        let img = page_images(other, 10_000);
+        assert_eq!(
+            img_a.len(),
+            img.len(),
+            "allocated page sets diverge (serial vs {name})"
+        );
+        for ((pa, ba), (po, bo)) in img_a.iter().zip(img.iter()) {
+            assert_eq!(pa, po, "allocated page sets diverge");
+            assert_eq!(ba, bo, "page {pa}: serial and {name} REDO disagree");
+        }
+    }
+}
+
+#[test]
+fn serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+    let cfg = PiTreeConfig::small_nodes(4, 4);
+    let (cs, model) = crashed_workload();
+    assert_three_engines_agree(
+        &cs,
+        |store| PiTree::recover(store, 1, cfg).expect("serial recover"),
+        |store| PiTree::recover_instant(store, 1, cfg).expect("instant recover"),
+        |tree, ctx| {
+            for (k, v) in &model {
+                let got = tree.get_unlocked(&key(*k)).expect("get");
+                assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} served wrong");
+            }
+        },
+        |tree, ctx| check_model(tree, &model, ctx),
     );
-    for ((pa, ba), (pb, bb)) in img_a.iter().zip(img_b.iter()) {
-        assert_eq!(pa, pb, "allocated page sets diverge");
-        assert_eq!(ba, bb, "page {pa}: serial and parallel REDO disagree");
+}
+
+/// The TSB image: versions spread over current and history nodes by time
+/// and key splits, tombstones, and a loser whose version must vanish from
+/// every copy a time split made of it.
+#[test]
+fn tsb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+    let cfg = TsbConfig::small_nodes(4, 4);
+    let cs = CrashableStore::create(8, 10_000).expect("store");
+    let tree = TsbTree::create(Arc::clone(&cs.store), 2, cfg).expect("tree");
+    let mut model = VersionModel::new();
+    for round in 0..3u64 {
+        for k in 0..24u64 {
+            let mut t = tree.begin();
+            let v = (k % 5 != round).then(|| val(k, "tsb"));
+            let at = match &v {
+                Some(v) => tree.put(&mut t, &key(k), v),
+                None => tree.delete(&mut t, &key(k)),
+            }
+            .expect("write version");
+            t.commit().expect("commit");
+            model.entry(k).or_default().push((at, v));
+        }
     }
-    for ((pa, ba), (pc, bc)) in img_a.iter().zip(img_c.iter()) {
-        assert_eq!(pa, pc, "allocated page sets diverge");
-        assert_eq!(ba, bc, "page {pa}: serial and on-demand REDO disagree");
+    let mut loser = tree.begin();
+    tree.put(&mut loser, &key(7), b"loser-uncommitted")
+        .expect("loser put");
+    cs.store.log.force_all().expect("force loser tail");
+    std::mem::forget(loser);
+    assert!(tree.stats().splits.get() > 0, "workload must split");
+    drop(tree);
+
+    assert_three_engines_agree(
+        &cs,
+        |store| TsbTree::recover(store, 2, cfg).expect("serial recover"),
+        |store| TsbTree::recover_instant(store, 2, cfg).expect("instant recover"),
+        |tree, ctx| {
+            for (k, versions) in &model {
+                for (at, v) in versions {
+                    let got = tree.get_as_of(&key(*k), *at).expect("get_as_of");
+                    assert_eq!(&got, v, "{ctx}: key {k} as of {at}");
+                }
+                let last = versions.last().map(|(_, v)| v.clone());
+                assert_eq!(tree.get_current(&key(*k)).expect("get"), last.flatten());
+            }
+        },
+        |tree, ctx| {
+            for (k, versions) in &model {
+                let got = tree.history(&key(*k)).expect("history");
+                assert_eq!(&got, versions, "{ctx}: history of key {k}");
+            }
+            let report = tree.validate().expect("validate");
+            assert!(report.is_well_formed(), "{ctx}: {:?}", report.violations);
+        },
+    );
+}
+
+/// The hB image: point records spread by hyperplane splits, updates and
+/// deletes, and a loser insert that recovery removes wherever a split took
+/// it.
+#[test]
+fn hb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+    let cfg = HbConfig::small_nodes(4, 6);
+    let cs = CrashableStore::create(8, 10_000).expect("store");
+    let tree = HbTree::create(Arc::clone(&cs.store), 3, cfg).expect("tree");
+    let mut model: BTreeMap<Point, Vec<u8>> = BTreeMap::new();
+    let write = |model: &mut BTreeMap<Point, Vec<u8>>, p: Point, v: Option<Vec<u8>>| {
+        let mut t = tree.begin();
+        match &v {
+            Some(v) => drop(tree.insert(&mut t, &p, v).expect("insert")),
+            None => drop(tree.delete(&mut t, &p).expect("delete")),
+        }
+        t.commit().expect("commit");
+        match v {
+            Some(v) => drop(model.insert(p, v)),
+            None => drop(model.remove(&p)),
+        }
+    };
+    for i in 0..48u64 {
+        write(&mut model, [(i * 7) % 16, (i * 5) % 12], Some(val(i, "hb")));
     }
+    for i in (0..48u64).step_by(3) {
+        write(
+            &mut model,
+            [(i * 7) % 16, (i * 5) % 12],
+            Some(val(i, "upd")),
+        );
+    }
+    for i in (1..48u64).step_by(7) {
+        write(&mut model, [(i * 7) % 16, (i * 5) % 12], None);
+    }
+    let mut loser = tree.begin();
+    tree.insert(&mut loser, &[3, 3], b"loser-uncommitted")
+        .expect("loser insert");
+    cs.store.log.force_all().expect("force loser tail");
+    std::mem::forget(loser);
+    assert!(
+        !model.contains_key(&[3, 3]),
+        "the loser's point must be fresh"
+    );
+    assert!(tree.stats().splits.get() > 0, "workload must split");
+    drop(tree);
+
+    assert_three_engines_agree(
+        &cs,
+        |store| HbTree::recover(store, 3, cfg).expect("serial recover"),
+        |store| HbTree::recover_instant(store, 3, cfg).expect("instant recover"),
+        |tree, ctx| {
+            for (p, v) in &model {
+                let got = tree.get(p).expect("get");
+                assert_eq!(got.as_ref(), Some(v), "{ctx}: point {p:?} served wrong");
+            }
+            assert_eq!(tree.get(&[3, 3]).expect("get"), None, "{ctx}: loser");
+        },
+        |tree, ctx| {
+            let all = tree.window_query(&Rect::all()).expect("window");
+            let want: Vec<(Point, Vec<u8>)> = model.clone().into_iter().collect();
+            assert_eq!(all, want, "{ctx}: full-space window query");
+            let report = tree.validate().expect("validate");
+            assert!(report.is_well_formed(), "{ctx}: {:?}", report.violations);
+        },
+    );
 }
 
 /// The log-bytes trigger takes fuzzy checkpoints inline with commits:

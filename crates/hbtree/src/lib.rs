@@ -15,6 +15,11 @@
 //! into both parents and marked **multi-parent** (§3.2.2, §3.3); postings go
 //! to the parent on the detecting search path, other parents lazily.
 //!
+//! The protocol itself — descent, registry, restart, completion drain, undo
+//! handlers — is `pitree::Engine`; this crate supplies the [`Hb`] structure
+//! (routing through kd fragments) plus its geometry, split policy and undo
+//! tags.
+//!
 //! Scope (see DESIGN.md): two attributes; node consolidation omitted — the
 //! paper itself defers hB consolidation to its reference \[3\]
 //! "(in preparation)" — so the tree runs under the CNS invariant.
@@ -28,6 +33,6 @@ pub mod wellformed;
 
 pub use geometry::{point_key, Frag, Point, PtrKind, Rect, DIMS};
 pub use node::HbHeader;
-pub use tree::{HbConfig, HbPost, HbTree};
+pub use tree::{Hb, HbConfig, HbPost, HbTree};
 pub use undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};
 pub use wellformed::HbReport;

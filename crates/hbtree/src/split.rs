@@ -1,28 +1,17 @@
 //! hB-tree structure changes: hyperplane splits of data and index nodes
 //! (with clipping), root growth, and the fragment-posting action.
 
-use crate::geometry::{key_point, Frag, Point, Rect, DIMS};
+use crate::geometry::{key_point, Frag, Point, PtrKind, Rect, DIMS};
 use crate::node::HbHeader;
-use crate::tree::{HbDescent, HbPost, HbTree};
+use crate::tree::{parent_hint, HbEngine, HbPost};
+use pitree::engine::{move_entries, new_node, set_header};
 use pitree::stats::TreeStats;
+use pitree::traverse::DescentTarget;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
-
-fn alloc_page<'a>(tree: &'a HbTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
-}
 
 /// Choose a hyperplane for a data node: the dimension and median coordinate
 /// giving the most balanced record partition with both sides non-empty.
@@ -84,30 +73,28 @@ fn choose_index_cut(leaves: &[(Rect, bool)]) -> StoreResult<(usize, u64)> {
 
 /// Split the full data node in `d` as an independent atomic action; the
 /// caller retries its insert.
-pub(crate) fn split_data_node(tree: &HbTree, d: HbDescent<'_>) -> StoreResult<()> {
-    let parent_hint = d.parent;
-    let hdr = d.hdr.clone();
+pub(crate) fn split_data_node(tree: &HbEngine, d: DescentTarget<'_>) -> StoreResult<()> {
+    let hdr = HbHeader::read(d.guard.page())?;
     let mut g = d.guard.promote().into_x();
     let mut act = tree.store().txns.begin(tree.config().smo_identity);
 
     if d.page.id() == tree.root_pid() {
-        grow_data_root(tree, &mut act, &d.page, &mut g)?;
+        grow_root(tree, &mut act, &d.page, &mut g, &hdr)?;
         drop(g);
         drop(d.page);
         act.commit()?;
-        TreeStats::bump(&tree.stats().root_grows);
         TreeStats::bump(&tree.stats().splits_independent);
         return Ok(());
     }
 
     let old = d.page.id();
-    let (new_pid, new_rect) = raw_data_split(tree, &mut act, &d.page, &mut g, &hdr)?;
+    let (new_pid, new_rect) = raw_split(tree, &mut act, &d.page, &mut g, &hdr)?;
     drop(g);
     drop(d.page);
     act.commit()?;
     TreeStats::bump(&tree.stats().splits_independent);
-    tree.schedule_post(HbPost {
-        parent: parent_hint,
+    tree.schedule(HbPost {
+        parent: parent_hint(tree, &d.path),
         level: 1,
         old,
         new: new_pid,
@@ -116,146 +103,77 @@ pub(crate) fn split_data_node(tree: &HbTree, d: HbDescent<'_>) -> StoreResult<()
     Ok(())
 }
 
-/// §3.2.1 for hB data nodes: hyperplane-split the records and fragment.
-/// Returns the new node and its rectangle.
-fn raw_data_split<'a>(
-    tree: &'a HbTree,
+/// §3.2.1 / §3.2.2 for hB nodes: cut the node's space by a hyperplane. A
+/// data node moves the records on the high side; an index node clips its
+/// straddling child terms into both halves (`clip` sets their multi-parent
+/// markers, §3.3). Either way the old fragment gains a split whose high
+/// side is the sibling term — Figure 2's "one child of the root points to
+/// the new sibling". Returns the new node and its rectangle.
+fn raw_split(
+    tree: &HbEngine,
     act: &mut Txn<'_>,
-    page: &PinnedPage<'a>,
-    g: &mut XGuard<'a, Page>,
+    page: &PinnedPage<'_>,
+    g: &mut XGuard<'_, Page>,
     hdr: &HbHeader,
 ) -> StoreResult<(PageId, Rect)> {
     let entries: Vec<Vec<u8>> = (1..g.slot_count())
         .map(|s| g.get(s).map(|e| e.to_vec()))
         .collect::<StoreResult<_>>()?;
-    let points: Vec<Point> = entries
-        .iter()
-        .map(|e| key_point(Page::entry_key(e)))
-        .collect();
-    let (dim, val) = choose_data_cut(&points)?;
+    let (dim, val) = if hdr.level == 0 {
+        let points: Vec<Point> = entries
+            .iter()
+            .map(|e| key_point(Page::entry_key(e)))
+            .collect();
+        choose_data_cut(&points)?
+    } else {
+        let mut leaves = Vec::new();
+        hdr.frag.leaves(&hdr.rect, &mut leaves);
+        let leaf_info: Vec<(Rect, bool)> = leaves
+            .into_iter()
+            .map(|(l, r)| {
+                let is_child = matches!(
+                    l,
+                    Frag::Ptr {
+                        kind: PtrKind::Child,
+                        ..
+                    }
+                );
+                (r, is_child)
+            })
+            .collect();
+        choose_index_cut(&leaf_info)?
+    };
 
     let mut clipped = Vec::new();
     let new_frag = hdr.frag.clip(&hdr.rect, dim, val, true, &mut clipped);
     let old_lo = hdr.frag.clip(&hdr.rect, dim, val, false, &mut clipped);
     debug_assert!(
-        clipped.is_empty(),
+        hdr.level > 0 || clipped.is_empty(),
         "data fragments have no child terms to clip"
     );
 
-    let new_pin = alloc_page(tree, act)?;
-    let new_pid = new_pin.id();
     let new_rect = hdr.rect.half(dim, val, true);
-    let mut ng = new_pin.x();
-    act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
     let new_hdr = HbHeader {
-        level: 0,
+        level: hdr.level,
         rect: new_rect.clone(),
         frag: new_frag,
     };
-    act.apply(
-        &new_pin,
-        &mut ng,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
+    let (new_pin, mut ng) = new_node(tree.store(), act, new_hdr.encode())?;
+    let new_pid = new_pin.id();
 
-    // Move the records on the high side.
-    for (e, p) in entries.iter().zip(&points) {
-        if p[dim] >= val {
-            act.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes: e.clone() })?;
-        }
-    }
-    for (e, p) in entries.iter().zip(&points) {
-        if p[dim] >= val {
-            act.apply(
-                page,
-                g,
-                PageOp::KeyedRemove {
-                    key: Page::entry_key(e).to_vec(),
-                },
-            )?;
-        }
-    }
-    // The old node's fragment gains a split whose high side is the sibling
-    // term — Figure 2's hyperplane-split treatment ("one child of the root
-    // points to the new sibling").
-    let old_hdr = HbHeader {
-        level: 0,
-        rect: hdr.rect.clone(),
-        frag: Frag::Split {
-            dim: dim as u8,
-            val,
-            lo: Box::new(old_lo),
-            hi: Box::new(Frag::sibling(new_pid)),
-        },
-    };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: old_hdr.encode(),
-        },
-    )?;
-    TreeStats::bump(&tree.stats().splits);
-    Ok((new_pid, new_rect))
-}
-
-/// Split a full index node by hyperplane, clipping straddling child terms
-/// (§3.2.2). Returns the new node and its rectangle.
-fn raw_index_split<'a>(
-    tree: &'a HbTree,
-    act: &mut Txn<'_>,
-    page: &PinnedPage<'a>,
-    g: &mut XGuard<'a, Page>,
-    hdr: &HbHeader,
-) -> StoreResult<(PageId, Rect)> {
-    let mut leaves = Vec::new();
-    hdr.frag.leaves(&hdr.rect, &mut leaves);
-    let leaf_info: Vec<(Rect, bool)> = leaves
+    // Move the records on the high side (index nodes have none).
+    let high: Vec<&Vec<u8>> = entries
         .iter()
-        .map(|(l, r)| {
-            (
-                r.clone(),
-                matches!(
-                    l,
-                    Frag::Ptr {
-                        kind: crate::geometry::PtrKind::Child,
-                        ..
-                    }
-                ),
-            )
-        })
+        .filter(|e| key_point(Page::entry_key(e))[dim] >= val)
         .collect();
-    let (dim, val) = choose_index_cut(&leaf_info)?;
-
-    let mut clipped = Vec::new();
-    let new_frag = hdr.frag.clip(&hdr.rect, dim, val, true, &mut clipped);
-    let old_lo = hdr.frag.clip(&hdr.rect, dim, val, false, &mut clipped);
-    // §3.3: clipped index terms mark multi-parent nodes; `clip` set the
-    // markers inside both output fragments.
-    let _ = &clipped;
-
-    let new_pin = alloc_page(tree, act)?;
-    let new_pid = new_pin.id();
-    let new_rect = hdr.rect.half(dim, val, true);
-    let mut ng = new_pin.x();
-    act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
-    let new_hdr = HbHeader {
-        level: hdr.level,
-        rect: new_rect.clone(),
-        frag: new_frag,
-    };
-    act.apply(
-        &new_pin,
-        &mut ng,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
+    for e in &high {
+        let bytes = e.to_vec();
+        act.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes })?;
+    }
+    for e in &high {
+        let key = Page::entry_key(e).to_vec();
+        act.apply(page, g, PageOp::KeyedRemove { key })?;
+    }
     let old_hdr = HbHeader {
         level: hdr.level,
         rect: hdr.rect.clone(),
@@ -266,85 +184,39 @@ fn raw_index_split<'a>(
             hi: Box::new(Frag::sibling(new_pid)),
         },
     };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: old_hdr.encode(),
-        },
-    )?;
+    set_header(act, page, g, old_hdr.encode())?;
     TreeStats::bump(&tree.stats().splits);
     Ok((new_pid, new_rect))
 }
 
-/// Grow at the fixed root (data-node case): contents move to n1, n1 splits,
-/// and both fragment references are installed in the root inline.
-fn grow_data_root(
-    tree: &HbTree,
+/// Grow the tree at the fixed root: the root's header (and, for a data
+/// root, its records) move wholesale to a fresh child n1, the root rises one
+/// level holding a single child term, then n1 splits and the pair of index
+/// terms is posted inline (§5.3) — unless n1's fragment is too small to cut.
+fn grow_root(
+    tree: &HbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
+    hdr: &HbHeader,
 ) -> StoreResult<()> {
-    let hdr = HbHeader::read(g)?;
-    let n1_pin = alloc_page(tree, act)?;
+    let (n1_pin, mut n1g) = new_node(tree.store(), act, hdr.encode())?;
     let n1_pid = n1_pin.id();
-    let mut n1g = n1_pin.x();
-    act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;
-    let n1_hdr = HbHeader {
-        level: hdr.level,
-        rect: hdr.rect.clone(),
-        frag: hdr.frag.clone(),
-    };
-    act.apply(
-        &n1_pin,
-        &mut n1g,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: n1_hdr.encode(),
-        },
-    )?;
-    let entries: Vec<Vec<u8>> = (1..g.slot_count())
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &entries {
-        act.apply(&n1_pin, &mut n1g, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &entries {
-        act.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
+    let n = g.entry_count();
+    move_entries(act, page, g, &n1_pin, &mut n1g, 1..=n)?;
     let mut root_hdr = HbHeader {
         level: hdr.level + 1,
         rect: hdr.rect.clone(),
         frag: Frag::child(n1_pid),
     };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: root_hdr.encode(),
-        },
-    )?;
-    // Split n1 and post the pair inline.
-    let (n2_pid, n2_rect) = raw_data_split(tree, act, &n1_pin, &mut n1g, &n1_hdr)?;
-    root_hdr
-        .frag
-        .post(&root_hdr.rect.clone(), n1_pid, n2_pid, &n2_rect);
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: root_hdr.encode(),
-        },
-    )?;
+    set_header(act, page, g, root_hdr.encode())?;
+    if hdr.level == 0 || hdr.frag.size() >= 3 {
+        let (n2_pid, n2_rect) = raw_split(tree, act, &n1_pin, &mut n1g, hdr)?;
+        let rect = root_hdr.rect.clone();
+        root_hdr.frag.post(&rect, n1_pid, n2_pid, &n2_rect);
+        set_header(act, page, g, root_hdr.encode())?;
+    }
+    TreeStats::bump(&tree.stats().root_grows);
     Ok(())
 }
 
@@ -353,7 +225,7 @@ fn grow_data_root(
 /// that already routes `rect` to `new`, or that holds no term for `old`
 /// there, makes this a no-op. Splits the parent (or grows the root) within
 /// the action when the refined fragment no longer fits.
-pub(crate) fn run_post(tree: &HbTree, post: HbPost) -> StoreResult<()> {
+pub(crate) fn run_post(tree: &HbEngine, post: HbPost) -> StoreResult<()> {
     let HbPost {
         parent,
         level,
@@ -362,65 +234,19 @@ pub(crate) fn run_post(tree: &HbTree, post: HbPost) -> StoreResult<()> {
         rect,
     } = post;
     let stats = tree.stats();
-    let pool = &tree.store().pool;
+    let max_frag = tree.config().max_frag_nodes;
     let mut act = tree.store().txns.begin(tree.config().smo_identity);
 
     // Locate the parent at `level` whose fragment routes rect.lo — starting
-    // from the hint (immortal under CNS), descending/hopping as needed.
+    // from the hint (immortal under CNS; a stale one below `level` restarts
+    // from the root).
     let probe: Point = rect.lo;
-    let mut pin = pool.fetch(parent)?;
-    let mut g = pin.u();
-    let mut hdr = HbHeader::read(&g)?;
-    if hdr.level < level {
-        // Stale hint below the target level: restart from the root.
-        drop(g);
-        pin = pool.fetch(tree.root_pid())?;
-        g = pin.u();
-        hdr = HbHeader::read(&g)?;
-    }
-    loop {
-        if hdr.level == level {
-            let (leaf, _) = hdr.frag.locate(&hdr.rect, &probe);
-            match leaf {
-                Frag::Ptr {
-                    kind: crate::geometry::PtrKind::Sibling,
-                    pid,
-                    ..
-                } => {
-                    let side = *pid;
-                    drop(g);
-                    pin = pool.fetch(side)?;
-                    g = pin.u();
-                    hdr = HbHeader::read(&g)?;
-                    continue;
-                }
-                _ => break,
-            }
-        }
-        if hdr.level < level {
-            act.commit()?;
-            return Ok(()); // degenerate: tree reshaped; traversals will re-detect
-        }
-        let (leaf, _) = hdr.frag.locate(&hdr.rect, &probe);
-        match leaf {
-            Frag::Ptr { pid, .. } => {
-                let next = *pid;
-                drop(g);
-                pin = pool.fetch(next)?;
-                g = pin.u();
-                hdr = HbHeader::read(&g)?;
-            }
-            Frag::Local => {
-                act.commit()?;
-                return Ok(());
-            }
-            Frag::Split { .. } => unreachable!("locate returns leaves"),
-        }
-    }
-
-    let mut xg = g.promote();
+    let d = tree.descend_from(parent, &probe, level, true, false)?;
+    let mut pin = d.page;
+    let mut xg = d.guard.promote().into_x();
     loop {
         let hdr = HbHeader::read(&xg)?;
+        let is_root = pin.id() == tree.root_pid();
         let mut frag = hdr.frag.clone();
         if !frag.post(&hdr.rect, old, new, &rect) {
             TreeStats::bump(&stats.postings_noop);
@@ -432,59 +258,39 @@ pub(crate) fn run_post(tree: &HbTree, post: HbPost) -> StoreResult<()> {
             frag,
         };
         let bytes = new_hdr.encode();
-        let fits_page = bytes.len() <= xg.free_space() + xg.get(0)?.len();
-        if fits_page {
+        if bytes.len() <= xg.free_space() + xg.get(0)?.len() {
             // Apply the posting whenever physically possible; the fragment
             // cap is enforced by an opportunistic split *afterwards*, so a
             // posting can never starve behind restructuring.
-            act.apply(&pin, &mut xg, PageOp::UpdateSlot { slot: 0, bytes })?;
+            set_header(&mut act, &pin, &mut xg, bytes)?;
             TreeStats::bump(&stats.postings_done);
-            if new_hdr.frag.size() > tree.config().max_frag_nodes && pin.id() != tree.root_pid() {
-                let (new_sib, new_sib_rect) =
-                    raw_index_split(tree, &mut act, &pin, &mut xg, &new_hdr)?;
-                tree.schedule_post(HbPost {
-                    parent: tree.root_pid(),
-                    level: new_hdr.level + 1,
-                    old: pin.id(),
-                    new: new_sib,
-                    rect: new_sib_rect,
-                });
-            } else if new_hdr.frag.size() > tree.config().max_frag_nodes {
-                grow_index_root(tree, &mut act, &pin, &mut xg, &new_hdr)?;
+            if new_hdr.frag.size() > max_frag {
+                if is_root {
+                    grow_root(tree, &mut act, &pin, &mut xg, &new_hdr)?;
+                } else {
+                    split_index_node(tree, &mut act, &pin, &mut xg, &new_hdr)?;
+                }
             }
             break;
         }
-        // The posted header does not physically fit: restructure, then retry.
-        if pin.id() == tree.root_pid() {
-            grow_index_root(tree, &mut act, &pin, &mut xg, &hdr)?;
-            // The root now holds a single child term; the target level node
-            // is that child.
-            let child = match &HbHeader::read(&xg)?.frag {
-                Frag::Ptr { pid, .. } => *pid,
-                _ => unreachable!("grown root has a single child term"),
-            };
+        // The posted header does not physically fit: restructure, then retry
+        // on whichever node now routes the probe.
+        let next = if is_root {
+            grow_root(tree, &mut act, &pin, &mut xg, &hdr)?;
+            // The target-level node is now the root's child over the probe.
+            let grown = HbHeader::read(&xg)?;
+            match grown.frag.locate(&grown.rect, &probe).0 {
+                Frag::Ptr { pid, .. } => Some(*pid),
+                _ => return Err(StoreError::Corrupt("grown hB root has no child".into())),
+            }
+        } else {
+            let (new_sib, new_sib_rect) = split_index_node(tree, &mut act, &pin, &mut xg, &hdr)?;
+            new_sib_rect.contains(&probe).then_some(new_sib)
+        };
+        if let Some(next) = next {
             drop(xg);
-            let np = pool.fetch(child)?;
-            let ng = np.x();
-            pin = np;
-            xg = ng;
-            continue;
-        }
-        let (new_sib, new_sib_rect) = raw_index_split(tree, &mut act, &pin, &mut xg, &hdr)?;
-        tree.schedule_post(HbPost {
-            parent: tree.root_pid(),
-            level: hdr.level + 1,
-            old: pin.id(),
-            new: new_sib,
-            rect: new_sib_rect.clone(),
-        });
-        // Continue on whichever half routes the probe.
-        if new_sib_rect.contains(&probe) {
-            drop(xg);
-            let np = pool.fetch(new_sib)?;
-            let ng = np.x();
-            pin = np;
-            xg = ng;
+            pin = tree.store().pool.fetch(next)?;
+            xg = pin.x();
         }
     }
     drop(xg);
@@ -493,62 +299,22 @@ pub(crate) fn run_post(tree: &HbTree, post: HbPost) -> StoreResult<()> {
     Ok(())
 }
 
-/// Grow the tree at the fixed root (index case): the root's fragment moves
-/// wholesale to a fresh child; the root keeps a single child term one level
-/// higher.
-fn grow_index_root(
-    tree: &HbTree,
+/// Split a non-root index node inside a posting action and schedule the
+/// posting of its own new sibling one level up.
+fn split_index_node(
+    tree: &HbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &HbHeader,
-) -> StoreResult<()> {
-    let n1_pin = alloc_page(tree, act)?;
-    let n1_pid = n1_pin.id();
-    let mut n1g = n1_pin.x();
-    act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;
-    let n1_hdr = HbHeader {
-        level: hdr.level,
-        rect: hdr.rect.clone(),
-        frag: hdr.frag.clone(),
-    };
-    act.apply(
-        &n1_pin,
-        &mut n1g,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: n1_hdr.encode(),
-        },
-    )?;
-    let mut root_hdr = HbHeader {
+) -> StoreResult<(PageId, Rect)> {
+    let (new_sib, rect) = raw_split(tree, act, page, g, hdr)?;
+    tree.schedule(HbPost {
+        parent: tree.root_pid(),
         level: hdr.level + 1,
-        rect: hdr.rect.clone(),
-        frag: Frag::child(n1_pid),
-    };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: root_hdr.encode(),
-        },
-    )?;
-    // Split n1 and post the pair inline (§5.3's "pair of index terms"),
-    // keeping the new root from degenerating into a single-child chain.
-    if n1_hdr.frag.size() >= 3 {
-        let (n2_pid, n2_rect) = raw_index_split(tree, act, &n1_pin, &mut n1g, &n1_hdr)?;
-        root_hdr
-            .frag
-            .post(&root_hdr.rect.clone(), n1_pid, n2_pid, &n2_rect);
-        act.apply(
-            page,
-            g,
-            PageOp::UpdateSlot {
-                slot: 0,
-                bytes: root_hdr.encode(),
-            },
-        )?;
-    }
-    TreeStats::bump(&tree.stats().root_grows);
-    Ok(())
+        old: page.id(),
+        new: new_sib,
+        rect: rect.clone(),
+    });
+    Ok((new_sib, rect))
 }

@@ -10,20 +10,17 @@
 
 use crate::geometry::{key_point, point_key, Frag, Point, PtrKind, Rect};
 use crate::node::HbHeader;
-use pitree::node::Guarded;
-use pitree::stats::TreeStats;
+use crate::undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};
+use pitree::completion::Pending;
+use pitree::engine::{Engine, Routed, Step, Structure};
+use pitree::node::node_full;
 use pitree::store::Store;
-use pitree_pagestore::buffer::PinnedPage;
-use pitree_pagestore::page::{Page, PageType};
-use pitree_pagestore::sync::Mutex;
+use pitree::traverse::SavedPath;
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockError, LockMode, LockName, Txn};
-use pitree_wal::ActionIdentity;
-use std::collections::VecDeque;
+use pitree_txnlock::{LockMode, LockName, Txn};
+use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::Arc;
-
-/// Magic for hB registry records on the meta page.
-const HB_META_MAGIC: u32 = 0x4842_5452; // "HBTR"
 
 /// hB-tree tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -78,105 +75,145 @@ pub struct HbPost {
     pub rect: Rect,
 }
 
-/// The hB-tree.
-pub struct HbTree {
-    store: Arc<Store>,
-    cfg: HbConfig,
-    tree_id: u32,
-    root: PageId,
-    queue: Mutex<VecDeque<HbPost>>,
-    pub(crate) stats: Arc<TreeStats>,
-}
-
-impl std::fmt::Debug for HbTree {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HbTree").finish_non_exhaustive()
+impl Pending for HbPost {
+    fn duplicates(&self, other: &HbPost) -> bool {
+        self.old == other.old && self.new == other.new
     }
 }
 
-/// A descent's outcome: the data node owning the point.
-pub(crate) struct HbDescent<'a> {
-    pub page: PinnedPage<'a>,
-    pub guard: Guarded<'a>,
-    pub hdr: HbHeader,
-    /// The last index node on the path (posting hint), or the root.
-    pub parent: PageId,
+/// The hB structure: a node directly contains its rectangle minus what its
+/// kd fragment delegates; `Sibling` fragment leaves are the sibling terms,
+/// `Child` leaves the index terms (Figure 2). CNS: nodes are immortal, one
+/// latch at a time.
+#[derive(Debug)]
+pub struct Hb(HbConfig);
+
+impl Structure for Hb {
+    type Config = HbConfig;
+    type Arg = Point;
+    type Completion = HbPost;
+    const META_MAGIC: u32 = 0x4842_5452; // "HBTR"
+
+    fn new(cfg: HbConfig) -> Hb {
+        Hb(cfg)
+    }
+
+    fn config(&self) -> &HbConfig {
+        &self.0
+    }
+
+    fn root_leaf_header() -> Vec<u8> {
+        HbHeader::new_root_leaf().encode()
+    }
+
+    fn couples_latches(&self) -> bool {
+        false
+    }
+
+    fn auto_complete(&self) -> bool {
+        self.0.auto_complete
+    }
+
+    fn route(&self, page: &Page, pid: PageId, p: &Point, target: u8) -> StoreResult<Routed> {
+        let hdr = HbHeader::read(page)?;
+        let level = hdr.level;
+        let step = match hdr.frag.locate(&hdr.rect, p).0 {
+            Frag::Ptr {
+                kind: PtrKind::Sibling,
+                pid: side,
+                ..
+            } => Step::Side(*side),
+            Frag::Ptr { pid: child, .. } => {
+                if level == target {
+                    Step::Arrived
+                } else {
+                    Step::Child(*child)
+                }
+            }
+            // Local space belongs to data nodes, and a descent never goes
+            // below its target level.
+            Frag::Local => {
+                if level != 0 {
+                    return Err(StoreError::Corrupt(format!(
+                        "index node {pid} has Local space at {p:?}"
+                    )));
+                }
+                Step::Arrived
+            }
+            Frag::Split { .. } => {
+                return Err(StoreError::Corrupt(format!(
+                    "hB node {pid}: fragment lookup did not end at a leaf"
+                )));
+            }
+        };
+        Ok(Routed { level, step })
+    }
+
+    /// §3.2.2: "we post only to the parent that is on the current search
+    /// path" — the last index node the descent came through, or the root.
+    fn side_traversal(
+        tree: &HbEngine,
+        from: PageId,
+        to: PageId,
+        to_page: &Page,
+        path: &SavedPath,
+    ) -> StoreResult<()> {
+        let sib = HbHeader::read(to_page)?;
+        tree.schedule(HbPost {
+            parent: parent_hint(tree, path),
+            level: sib.level + 1,
+            old: from,
+            new: to,
+            rect: sib.rect,
+        });
+        Ok(())
+    }
+
+    fn complete(tree: &HbEngine, post: HbPost) -> StoreResult<()> {
+        crate::split::run_post(tree, post)
+    }
+
+    fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        crate::undo::undo(tree, tag, payload)
+    }
+}
+
+/// The shared Π-tree engine running the hB structure.
+pub(crate) type HbEngine = Engine<Hb>;
+
+/// The posting hint a descent leaves behind: the last index node on its
+/// path, or the root.
+pub(crate) fn parent_hint(tree: &HbEngine, path: &SavedPath) -> PageId {
+    path.entries().last().map_or(tree.root_pid(), |e| e.pid)
+}
+
+/// Whether the data node `page` has no room for one more `entry_len`-byte
+/// record.
+pub(crate) fn data_node_full(tree: &HbEngine, page: &Page, entry_len: usize) -> bool {
+    node_full(page, entry_len, tree.config().max_records)
+}
+
+/// The hB-tree: the engine's shell (registry, restart, descent,
+/// completions, undo — reached through `Deref`) plus the point operations.
+#[derive(Debug)]
+pub struct HbTree(HbEngine);
+
+impl std::ops::Deref for HbTree {
+    type Target = Engine<Hb>;
+    fn deref(&self) -> &Engine<Hb> {
+        &self.0
+    }
 }
 
 impl HbTree {
     /// Create a new hB-tree with a fixed root.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: HbConfig) -> StoreResult<HbTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: HbHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&HB_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(HbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            queue: Mutex::new(VecDeque::new()),
-            stats,
-        })
+        Engine::create(store, tree_id, cfg).map(HbTree)
     }
 
     /// Open an existing hB-tree by id.
     pub fn open(store: Arc<Store>, tree_id: u32, cfg: HbConfig) -> StoreResult<HbTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == HB_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found.ok_or_else(|| StoreError::Corrupt(format!("hB tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(HbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            queue: Mutex::new(VecDeque::new()),
-            stats,
-        })
+        Engine::open(store, tree_id, cfg).map(HbTree)
     }
 
     /// Open + run crash recovery with this tree's logical-undo handler.
@@ -184,199 +221,45 @@ impl HbTree {
         store: Arc<Store>,
         tree_id: u32,
         cfg: HbConfig,
-    ) -> StoreResult<(HbTree, pitree_wal::RecoveryStats)> {
-        let handler = crate::undo::HbDeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = HbTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
+    ) -> StoreResult<(HbTree, RecoveryStats)> {
+        Engine::recover(store, tree_id, cfg).map(|(e, stats)| (HbTree(e), stats))
     }
 
-    // ---- accessors -------------------------------------------------------------
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<Store> {
-        &self.store
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HbConfig {
-        &self.cfg
-    }
-
-    /// The fixed root page.
-    pub fn root_pid(&self) -> PageId {
-        self.root
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> &TreeStats {
-        &self.stats
+    /// Open with instant restart; see [`Engine::recover_instant`].
+    pub fn recover_instant(
+        store: Arc<Store>,
+        tree_id: u32,
+        cfg: HbConfig,
+    ) -> StoreResult<(HbTree, Arc<InstantRecovery>, RecoveryStats)> {
+        Engine::recover_instant(store, tree_id, cfg)
+            .map(|(e, plan, stats)| (HbTree(e), plan, stats))
     }
 
     /// Pending postings.
     pub fn pending_posts(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// Begin a user transaction.
-    pub fn begin(&self) -> Txn<'_> {
-        self.store.txns.begin(ActionIdentity::Transaction)
+        self.completions().len()
     }
 
     /// The lock name of a point record.
     pub fn point_lock(&self, p: &Point) -> LockName {
-        let mut name = Vec::with_capacity(20);
-        name.extend_from_slice(&self.tree_id.to_le_bytes());
-        name.extend_from_slice(&point_key(p));
-        LockName::Key(name)
-    }
-
-    pub(crate) fn schedule_post(&self, post: HbPost) {
-        let mut q = self.queue.lock();
-        if !q.iter().any(|e| e.old == post.old && e.new == post.new) {
-            q.push_back(post);
-            TreeStats::bump(&self.stats.postings_scheduled);
-        }
-    }
-
-    // ---- traversal ---------------------------------------------------------------
-
-    /// Descend to the data node directly containing `p`, following child and
-    /// sibling terms through the kd fragments. One latch at a time (CNS).
-    pub(crate) fn descend(
-        &self,
-        p: &Point,
-        update_at_target: bool,
-        schedule: bool,
-    ) -> StoreResult<HbDescent<'_>> {
-        let pool = &self.store.pool;
-        let mut parent = self.root;
-        let mut cur = pool.fetch(self.root)?;
-        let mut g = {
-            let peek = Guarded::S(cur.s());
-            let hdr = HbHeader::read(peek.page())?;
-            if hdr.level == 0 && update_at_target {
-                drop(peek);
-                Guarded::U(cur.u())
-            } else {
-                peek
-            }
-        };
-        let mut hdr = HbHeader::read(g.page())?;
-        loop {
-            let (leaf, region) = hdr.frag.locate(&hdr.rect, p);
-            match leaf {
-                Frag::Local => {
-                    if hdr.level != 0 {
-                        return Err(StoreError::Corrupt(format!(
-                            "index node {} has Local space at {region:?}",
-                            cur.id()
-                        )));
-                    }
-                    return Ok(HbDescent {
-                        page: cur,
-                        guard: g,
-                        hdr,
-                        parent,
-                    });
-                }
-                Frag::Ptr {
-                    kind: PtrKind::Sibling,
-                    pid,
-                    ..
-                } => {
-                    let side = *pid;
-                    let from = cur.id();
-                    let level = hdr.level;
-                    drop(g); // CNS
-                    let sib = pool.fetch(side)?;
-                    let want_u = update_at_target && level == 0;
-                    let sg = if want_u {
-                        Guarded::U(sib.u())
-                    } else {
-                        Guarded::S(sib.s())
-                    };
-                    let sib_hdr = HbHeader::read(sg.page())?;
-                    TreeStats::bump(&self.stats.side_traversals);
-                    if schedule {
-                        self.schedule_post(HbPost {
-                            parent,
-                            level: level + 1,
-                            old: from,
-                            new: side,
-                            rect: sib_hdr.rect.clone(),
-                        });
-                    }
-                    cur = sib;
-                    g = sg;
-                    hdr = sib_hdr;
-                }
-                Frag::Split { .. } => unreachable!("locate returns leaves"),
-                Frag::Ptr {
-                    kind: PtrKind::Child,
-                    pid,
-                    ..
-                } => {
-                    let child = *pid;
-                    parent = cur.id();
-                    let next_level = hdr.level - 1;
-                    drop(g); // CNS
-                    let cpin = pool.fetch(child)?;
-                    let want_u = update_at_target && next_level == 0;
-                    let cg = if want_u {
-                        Guarded::U(cpin.u())
-                    } else {
-                        Guarded::S(cpin.s())
-                    };
-                    let child_hdr = HbHeader::read(cg.page())?;
-                    cur = cpin;
-                    g = cg;
-                    hdr = child_hdr;
-                }
-            }
-        }
+        self.key_lock(&point_key(p))
     }
 
     // ---- reads ----------------------------------------------------------------
 
     /// Latch-only point lookup.
     pub fn get(&self, p: &Point) -> StoreResult<Option<Vec<u8>>> {
-        let d = self.descend(p, false, true)?;
-        let key = point_key(p);
-        let out = d
-            .guard
-            .page()
-            .keyed_lookup(&key)
-            .map(|(_, e)| Page::entry_payload(e).to_vec());
-        drop(d);
-        self.maybe_autocomplete()?;
-        Ok(out)
+        let d = self.descend(p, 0, false, true)?;
+        self.finish_get(d, &point_key(p))
     }
 
     /// Transactional point lookup (S record lock).
     pub fn get_locked(&self, txn: &Txn<'_>, p: &Point) -> StoreResult<Option<Vec<u8>>> {
         let name = self.point_lock(p);
         loop {
-            let d = self.descend(p, false, true)?;
-            match txn.try_lock(&name, LockMode::S) {
-                Ok(()) => {
-                    let key = point_key(p);
-                    let out = d
-                        .guard
-                        .page()
-                        .keyed_lookup(&key)
-                        .map(|(_, e)| Page::entry_payload(e).to_vec());
-                    drop(d);
-                    self.maybe_autocomplete()?;
-                    return Ok(out);
-                }
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::S)
-                        .map_err(crate::tree::lock_err)?;
-                }
-                Err(e) => return Err(lock_err(e)),
+            let d = self.descend(p, 0, false, true)?;
+            if let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::S)])? {
+                return self.finish_get(d, &point_key(p));
             }
         }
     }
@@ -386,13 +269,13 @@ impl HbTree {
     /// window, via the fragment graph.
     pub fn window_query(&self, window: &Rect) -> StoreResult<Vec<(Point, Vec<u8>)>> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
+        let mut stack = vec![self.root_pid()];
         let mut seen = std::collections::HashSet::new();
         while let Some(pid) = stack.pop() {
             if !seen.insert(pid) {
                 continue;
             }
-            let pin = self.store.pool.fetch(pid)?;
+            let pin = self.store().pool.fetch(pid)?;
             let g = pin.s();
             let hdr = HbHeader::read(&g)?;
             let mut leaves = Vec::new();
@@ -431,50 +314,22 @@ impl HbTree {
         let entry = Page::make_entry(&key, value);
         let name = self.point_lock(p);
         loop {
-            let d = self.descend(p, true, true)?;
-            match txn.try_lock(&name, LockMode::X) {
-                Ok(()) => {}
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::X).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
-            }
-            let exists = d.guard.page().keyed_find(&key)?.is_ok();
-            if !exists
-                && (d.guard.page().entry_count() as usize >= self.cfg.max_records
-                    || d.guard.page().free_space() < entry.len() + 4)
-            {
+            let d = self.descend(p, 0, true, true)?;
+            let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::X)])? else {
+                continue;
+            };
+            let old = d.guard.page().keyed_lookup(&key).map(|(_, e)| e.to_vec());
+            if old.is_none() && data_node_full(self, d.guard.page(), entry.len()) {
                 crate::split::split_data_node(self, d)?;
                 continue;
             }
-            let mut g = d.guard.promote().into_x();
-            let created = if exists {
-                let old = g.get(g.keyed_find(&key)?.unwrap())?.to_vec();
-                txn.apply_logical(
-                    &d.page,
-                    &mut g,
-                    PageOp::KeyedUpdate {
-                        bytes: entry.clone(),
-                    },
-                    crate::undo::TAG_HB_RESTORE,
-                    old,
-                )?;
-                false
-            } else {
-                txn.apply_logical(
-                    &d.page,
-                    &mut g,
-                    PageOp::KeyedInsert {
-                        bytes: entry.clone(),
-                    },
-                    crate::undo::TAG_HB_REMOVE,
-                    key.clone(),
-                )?;
-                true
+            let created = old.is_none();
+            let (op, tag, undo) = match old {
+                Some(old) => (PageOp::KeyedUpdate { bytes: entry }, TAG_HB_RESTORE, old),
+                None => (PageOp::KeyedInsert { bytes: entry }, TAG_HB_REMOVE, key),
             };
+            let mut g = d.guard.promote().into_x();
+            txn.apply_logical(&d.page, &mut g, op, tag, undo)?;
             drop(g);
             drop(d.page);
             self.maybe_autocomplete()?;
@@ -488,30 +343,16 @@ impl HbTree {
         let key = point_key(p);
         let name = self.point_lock(p);
         loop {
-            let d = self.descend(p, true, true)?;
-            match txn.try_lock(&name, LockMode::X) {
-                Ok(()) => {}
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::X).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
-            }
-            if d.guard.page().keyed_find(&key)?.is_err() {
-                drop(d);
+            let d = self.descend(p, 0, true, true)?;
+            let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::X)])? else {
+                continue;
+            };
+            let Some(old) = d.guard.page().keyed_lookup(&key).map(|(_, e)| e.to_vec()) else {
                 return Ok(false);
-            }
+            };
             let mut g = d.guard.promote().into_x();
-            let old = g.get(g.keyed_find(&key)?.unwrap())?.to_vec();
-            txn.apply_logical(
-                &d.page,
-                &mut g,
-                PageOp::KeyedRemove { key: key.clone() },
-                crate::undo::TAG_HB_RESTORE,
-                old,
-            )?;
+            let op = PageOp::KeyedRemove { key };
+            txn.apply_logical(&d.page, &mut g, op, TAG_HB_RESTORE, old)?;
             drop(g);
             drop(d.page);
             self.maybe_autocomplete()?;
@@ -519,39 +360,8 @@ impl HbTree {
         }
     }
 
-    // ---- maintenance -------------------------------------------------------------
-
-    /// Drain one batch of pending index-term postings.
-    pub fn run_completions(&self) -> StoreResult<usize> {
-        let mut done = 0;
-        let batch = self.queue.lock().len();
-        for _ in 0..batch {
-            let Some(post) = self.queue.lock().pop_front() else {
-                break;
-            };
-            crate::split::run_post(self, post)?;
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    pub(crate) fn maybe_autocomplete(&self) -> StoreResult<()> {
-        if self.cfg.auto_complete && !self.queue.lock().is_empty() {
-            self.run_completions()?;
-        }
-        Ok(())
-    }
-
     /// Structural validation; see [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::HbReport> {
         crate::wellformed::check(self)
-    }
-}
-
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => StoreError::Corrupt("WouldBlock escaped retry loop".into()),
     }
 }

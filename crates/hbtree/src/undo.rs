@@ -4,130 +4,53 @@
 
 use crate::geometry::key_point;
 use crate::node::HbHeader;
-use crate::tree::{HbConfig, HbTree};
-use pitree::store::Store;
+use crate::tree::{data_node_full, HbEngine};
 use pitree_pagestore::page::Page;
-use pitree_pagestore::sync::Mutex;
 use pitree_pagestore::{PageOp, StoreError, StoreResult};
-use pitree_wal::recovery::LogicalUndoHandler;
 use pitree_wal::ActionIdentity;
-use std::sync::Arc;
 
 /// Undo of an insert: payload is the point key; remove if present.
 pub const TAG_HB_REMOVE: u8 = 32;
 /// Undo of an update/delete: payload is the previous entry; restore it.
 pub const TAG_HB_RESTORE: u8 = 33;
 
-impl HbTree {
-    /// A handler borrowing this tree, for live-transaction rollback.
-    pub fn undo_handler(&self) -> HbUndoHandler<'_> {
-        HbUndoHandler(self)
-    }
-
-    pub(crate) fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        let (key, entry): (&[u8], Option<&[u8]>) = match tag {
-            TAG_HB_REMOVE => (payload, None),
-            TAG_HB_RESTORE => (Page::entry_key(payload), Some(payload)),
-            t => return Err(StoreError::Corrupt(format!("unknown hB undo tag {t}"))),
-        };
-        let p = key_point(key);
-        loop {
-            let d = self.descend(&p, true, false)?;
-            let present = d.guard.page().keyed_find(key)?.is_ok();
-            let op = match tag {
-                TAG_HB_REMOVE if present => Some(PageOp::KeyedRemove { key: key.to_vec() }),
-                TAG_HB_RESTORE => {
-                    let bytes = entry
-                        .ok_or_else(|| {
-                            StoreError::Corrupt(
-                                "hB restore record missing its entry payload".to_string(),
-                            )
-                        })?
-                        .to_vec();
-                    if present {
-                        Some(PageOp::KeyedUpdate { bytes })
-                    } else {
-                        // Re-insert; splitting if the node is packed.
-                        if d.guard.page().entry_count() as usize >= self.config().max_records
-                            || d.guard.page().free_space() < bytes.len() + 4
-                        {
-                            crate::split::split_data_node(self, d)?;
-                            continue;
-                        }
-                        Some(PageOp::KeyedInsert { bytes })
-                    }
+/// Run one hB logical-undo record as a system atomic action (testable and
+/// idempotent: an already-compensated state is left alone).
+pub(crate) fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
+    let key = match tag {
+        TAG_HB_REMOVE => payload,
+        TAG_HB_RESTORE => Page::entry_key(payload),
+        t => return Err(StoreError::Corrupt(format!("unknown hB undo tag {t}"))),
+    };
+    let p = key_point(key);
+    loop {
+        let d = tree.descend(&p, 0, true, false)?;
+        let present = d.guard.page().keyed_find(key)?.is_ok();
+        let op = match (tag, present) {
+            (TAG_HB_REMOVE, true) => PageOp::KeyedRemove { key: key.to_vec() },
+            (TAG_HB_REMOVE, false) => return Ok(()), // nothing to compensate
+            (_, true) => PageOp::KeyedUpdate {
+                bytes: payload.to_vec(),
+            },
+            (_, false) => {
+                // Re-insert; splitting first if the node is packed.
+                if data_node_full(tree, d.guard.page(), payload.len()) {
+                    crate::split::split_data_node(tree, d)?;
+                    continue;
                 }
-                _ => None, // testable: nothing to compensate
-            };
-            let Some(op) = op else {
-                drop(d);
-                return Ok(());
-            };
-            let mut act = self.store().txns.begin(ActionIdentity::SystemTransaction);
-            let mut g = d.guard.promote().into_x();
-            act.apply(&d.page, &mut g, op)?;
-            // Sanity: the record belongs to this node's space.
-            debug_assert!(HbHeader::read(&g)?.rect.contains(&p));
-            drop(g);
-            drop(d.page);
-            act.commit()?;
-            return Ok(());
-        }
-    }
-}
-
-/// [`LogicalUndoHandler`] over a live hB-tree.
-pub struct HbUndoHandler<'a>(&'a HbTree);
-
-impl std::fmt::Debug for HbUndoHandler<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HbUndoHandler").finish_non_exhaustive()
-    }
-}
-
-impl LogicalUndoHandler for HbUndoHandler<'_> {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        self.0.compensate(tag, payload)
-    }
-}
-
-/// Lazily-opened handler for restart recovery.
-pub struct HbDeferredHandler {
-    store: Arc<Store>,
-    tree_id: u32,
-    cfg: HbConfig,
-    tree: Mutex<Option<HbTree>>,
-}
-
-impl std::fmt::Debug for HbDeferredHandler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HbDeferredHandler").finish_non_exhaustive()
-    }
-}
-
-impl HbDeferredHandler {
-    /// Build a handler for `tree_id` over `store`.
-    pub fn new(store: Arc<Store>, tree_id: u32, cfg: HbConfig) -> HbDeferredHandler {
-        HbDeferredHandler {
-            store,
-            tree_id,
-            cfg,
-            tree: Mutex::new(None),
-        }
-    }
-}
-
-impl LogicalUndoHandler for HbDeferredHandler {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        let mut guard = self.tree.lock();
-        let tree = match &mut *guard {
-            Some(t) => t,
-            slot => slot.insert(HbTree::open(
-                Arc::clone(&self.store),
-                self.tree_id,
-                self.cfg,
-            )?),
+                PageOp::KeyedInsert {
+                    bytes: payload.to_vec(),
+                }
+            }
         };
-        tree.compensate(tag, payload)
+        let mut act = tree.store().txns.begin(ActionIdentity::SystemTransaction);
+        let mut g = d.guard.promote().into_x();
+        act.apply(&d.page, &mut g, op)?;
+        // Sanity: the record belongs to this node's space.
+        debug_assert!(HbHeader::read(&g)?.rect.contains(&p));
+        drop(g);
+        drop(d.page);
+        act.commit()?;
+        return Ok(());
     }
 }

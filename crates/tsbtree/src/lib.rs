@@ -9,7 +9,11 @@
 //! *history side pointers* (Figure 1). Both are sibling terms in the Π-tree
 //! sense, so the same protocol applies: splits are independent atomic
 //! actions, index-term postings are separate, lazy, testable actions, and
-//! crash recovery takes no special measures.
+//! crash recovery takes no special measures. The protocol itself —
+//! descent, registry, restart, completion drain, undo handlers — is
+//! `pitree::Engine`; this crate supplies the [`Tsb`] structure (routing over
+//! the key dimension, the two sibling terms) plus its split policy, undo
+//! tag and versioned operations.
 //!
 //! Scope note (see DESIGN.md): index nodes route by key over *current*
 //! nodes; history nodes are reached exclusively through history sibling
@@ -24,6 +28,6 @@ pub mod undo;
 pub mod wellformed;
 
 pub use node::{Time, TsbHeader, TsbKind};
-pub use tree::{TsbConfig, TsbTree};
+pub use tree::{Tsb, TsbConfig, TsbTree};
 pub use undo::TAG_TSB_REMOVE_VERSION;
 pub use wellformed::TsbReport;

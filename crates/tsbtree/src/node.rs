@@ -47,7 +47,7 @@ impl TsbKind {
     }
 }
 
-/// Decoded TSB node header (slot 0).
+/// Owned TSB node header (slot 0): the encoder side of [`TsbHeaderRef`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TsbHeader {
     /// What this node is.
@@ -111,44 +111,18 @@ impl TsbHeader {
         v
     }
 
-    /// Decode from the slot-0 record.
-    pub fn decode(bytes: &[u8]) -> StoreResult<TsbHeader> {
-        if bytes.len() < 34 {
-            return Err(StoreError::Corrupt("TSB header too short".into()));
-        }
-        let kind = TsbKind::from_u8(bytes[0])?;
-        let level = bytes[1];
-        let key_side = PageId(u64::from_le_bytes(bytes[2..10].try_into().unwrap()));
-        let hist_side = PageId(u64::from_le_bytes(bytes[10..18].try_into().unwrap()));
-        let t_lo = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
-        let t_hi = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
-        let mut pos = 34;
-        let key_low = KeyBound::decode(bytes, &mut pos)?;
-        let key_high = KeyBound::decode(bytes, &mut pos)?;
-        Ok(TsbHeader {
-            kind,
-            level,
-            key_low,
-            key_high,
-            key_side,
-            hist_side,
-            t_lo,
-            t_hi,
-        })
-    }
-
     /// Read from a node page.
     pub fn read(page: &Page) -> StoreResult<TsbHeader> {
-        TsbHeader::decode(page.get(0)?)
+        Ok(TsbHeaderRef::read(page)?.to_header())
     }
 }
 
 /// Borrowed, zero-copy view of a TSB node header: scalars are read at their
 /// fixed offsets, the key bounds stay as slices into the frame. The read
-/// hot path (`descend`, `get_as_of`) makes every rectangle-membership
+/// hot path (routing, `get_as_of`) makes every rectangle-membership
 /// decision through this view without materializing a [`TsbHeader`]
-/// (DESIGN.md §11). `TsbHeader::{encode,decode}` remain the write-path
-/// representation.
+/// (DESIGN.md §11). This is the only decoder; the write and SMO paths build
+/// new headers as [`TsbHeader`]s and encode them.
 #[derive(Debug, Clone, Copy)]
 pub struct TsbHeaderRef<'a> {
     kind: TsbKind,
@@ -162,8 +136,8 @@ pub struct TsbHeaderRef<'a> {
 }
 
 impl<'a> TsbHeaderRef<'a> {
-    /// Parse slot-0 record bytes; accepts and rejects the same inputs as
-    /// [`TsbHeader::decode`].
+    /// Parse slot-0 record bytes. Rejects a short header, a bad node kind,
+    /// and a bad or truncated key bound.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<TsbHeaderRef<'a>> {
         if bytes.len() < 34 {
             return Err(StoreError::Corrupt("TSB header too short".into()));
@@ -265,6 +239,20 @@ impl<'a> TsbHeaderRef<'a> {
     #[inline]
     pub fn low_entry_key(&self) -> &'a [u8] {
         self.key_low.as_entry_key()
+    }
+
+    /// Materialize the owned header (write paths / SMOs only).
+    pub fn to_header(&self) -> TsbHeader {
+        TsbHeader {
+            kind: self.kind,
+            level: self.level,
+            key_low: self.key_low.to_bound(),
+            key_high: self.key_high.to_bound(),
+            key_side: self.key_side,
+            hist_side: self.hist_side,
+            t_lo: self.t_lo,
+            t_hi: self.t_hi,
+        }
     }
 }
 
@@ -412,7 +400,7 @@ mod tests {
                 t_hi: Time::MAX,
             },
         ] {
-            assert_eq!(TsbHeader::decode(&h.encode()).unwrap(), h);
+            assert_eq!(TsbHeaderRef::parse(&h.encode()).unwrap().to_header(), h);
         }
     }
 
@@ -452,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn header_ref_agrees_with_decode() {
+    fn header_ref_agrees_with_owned_header() {
         for h in [
             TsbHeader::new_root_leaf(),
             TsbHeader {
@@ -482,12 +470,9 @@ mod tests {
                 assert_eq!(v.contains_time(t), h.contains_time(t));
             }
         }
-        // Rejection parity with decode.
+        // Empty, too short, bad kind byte.
         for bad in [&[][..], &[0, 0, 1][..], &[9; 40][..]] {
-            assert_eq!(
-                TsbHeaderRef::parse(bad).is_err(),
-                TsbHeader::decode(bad).is_err()
-            );
+            assert!(TsbHeaderRef::parse(bad).is_err(), "accepted {bad:02x?}");
         }
     }
 

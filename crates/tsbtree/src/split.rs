@@ -14,124 +14,91 @@
 //!   Only key splits post index terms.
 
 use crate::node::{split_version_key, version_key, Time, TsbHeader, TsbKind};
-use crate::tree::{TsbDescent, TsbTree};
+use crate::tree::TsbEngine;
 use pitree::bound::KeyBound;
 use pitree::completion::Completion;
-use pitree::node::{Guarded, IndexTerm};
+use pitree::engine::{move_entries, new_node, set_header};
+use pitree::node::{node_full, IndexTerm};
 use pitree::stats::TreeStats;
-use pitree::traverse::SavedPath;
+use pitree::traverse::{DescentTarget, SavedPath};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
 
-/// Allocate a page through `chain` (logged space-map bit).
-fn alloc_page<'a>(tree: &'a TsbTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
+/// Number of distinct user keys among a data node's version entries.
+fn distinct_keys(g: &Page) -> usize {
+    let mut distinct = 0;
+    let mut prev: Option<&[u8]> = None;
+    for slot in 1..g.slot_count() {
+        let (k, _) = split_version_key(g.entry_key_at(slot));
+        if prev != Some(k) {
+            distinct += 1;
+            prev = Some(k);
+        }
+    }
+    distinct
 }
 
 /// Split a full *current data node*, choosing between a time split and a key
 /// split (TSB heuristic: mostly-historical content → time split). One
 /// independent atomic action; the caller retries its insert afterwards.
-pub(crate) fn split_data_node(tree: &TsbTree, d: TsbDescent<'_>) -> StoreResult<()> {
+pub(crate) fn split_data_node(tree: &TsbEngine, d: DescentTarget<'_>) -> StoreResult<()> {
     let hdr = TsbHeader::read(d.guard.page())?;
     debug_assert_eq!(hdr.kind, TsbKind::Current);
-    let path = d.path.clone();
     let mut g = d.guard.promote().into_x();
 
-    // Count distinct keys vs versions to pick the split dimension.
+    // Mostly historical versions → time split; so does a node full of
+    // versions of one key (a key split needs two distinct keys).
     let n = g.entry_count() as usize;
-    let mut distinct = 0usize;
-    let mut prev: Option<Vec<u8>> = None;
-    for slot in 1..g.slot_count() {
-        let (k, _) = split_version_key(Page::entry_key(g.get(slot)?));
-        if prev.as_deref() != Some(k) {
-            distinct += 1;
-            prev = Some(k.to_vec());
-        }
-    }
+    let distinct = distinct_keys(&g);
+    let by_time = (distinct * 2 <= n && distinct < n) || distinct < 2;
 
     let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    if distinct * 2 <= n && distinct < n {
-        // Mostly historical versions: time split.
+    let posting = if by_time {
         time_split(tree, &mut act, &d.page, &mut g, &hdr)?;
-        drop(g);
-        drop(d.page);
-        act.commit()?;
-        TreeStats::bump(&tree.stats().splits_independent);
-        return Ok(());
-    }
-    // Key split. Needs at least two distinct keys; a node full of versions
-    // of one key falls back to a time split.
-    if distinct < 2 {
-        time_split(tree, &mut act, &d.page, &mut g, &hdr)?;
-        drop(g);
-        drop(d.page);
-        act.commit()?;
-        TreeStats::bump(&tree.stats().splits_independent);
-        return Ok(());
-    }
-    let out = key_split(tree, &mut act, &d.page, &mut g, &hdr)?;
+        None
+    } else if d.page.id() == tree.root_pid() {
+        // Root growth posts both index terms inline.
+        grow_root(tree, &mut act, &d.page, &mut g)?;
+        None
+    } else {
+        Some(key_split(tree, &mut act, &d.page, &mut g, &hdr)?)
+    };
     drop(g);
     drop(d.page);
     act.commit()?;
     TreeStats::bump(&tree.stats().splits_independent);
-    if let Some((split_key, new_pid)) = out {
-        if tree.completions().push(Completion::Post {
+    if let Some((split_key, new_pid)) = posting {
+        tree.schedule(Completion::Post {
             level: 1,
             key: split_key,
             node: new_pid,
-            path: Box::new(path.above(0)),
-        }) {
-            TreeStats::bump(&tree.stats().postings_scheduled);
-        }
+            path: Box::new(d.path.above(0)),
+        });
     }
     Ok(())
 }
 
 /// Time split at `T = now + 1`: all existing versions started before `T`.
 fn time_split(
-    tree: &TsbTree,
+    tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
 ) -> StoreResult<()> {
-    let t_split: Time = tree.now() + 1;
-    let hist_pin = alloc_page(tree, act)?;
-    let hist_pid = hist_pin.id();
-    let mut hg = hist_pin.x();
-    act.apply(&hist_pin, &mut hg, PageOp::Format { ty: PageType::Node })?;
+    let t_split: Time = tree.structure().now() + 1;
     let hist_hdr = TsbHeader {
         kind: TsbKind::History,
-        level: 0,
-        key_low: hdr.key_low.clone(),
-        key_high: hdr.key_high.clone(),
         key_side: PageId::INVALID,
         // The new historic node contains a copy of the prior history
         // sibling pointer (Figure 1).
-        hist_side: hdr.hist_side,
-        t_lo: hdr.t_lo,
         t_hi: t_split,
+        ..hdr.clone()
     };
-    act.apply(
-        &hist_pin,
-        &mut hg,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: hist_hdr.encode(),
-        },
-    )?;
+    let (hist_pin, mut hg) = new_node(tree.store(), act, hist_hdr.encode())?;
 
     // Copy everything (all versions started before T).
     let all: Vec<Vec<u8>> = (1..g.slot_count())
@@ -144,335 +111,144 @@ fn time_split(
     // successor version of the same key). The alive-at-T versions remain —
     // they now exist in both nodes, which is what makes as-of queries in
     // either rectangle self-contained.
-    let mut dead: Vec<Vec<u8>> = Vec::new();
     for w in all.windows(2) {
         let (k0, _) = split_version_key(Page::entry_key(&w[0]));
         let (k1, _) = split_version_key(Page::entry_key(&w[1]));
         if k0 == k1 {
-            dead.push(Page::entry_key(&w[0]).to_vec());
+            let key = Page::entry_key(&w[0]).to_vec();
+            act.apply(page, g, PageOp::KeyedRemove { key })?;
         }
     }
-    for k in &dead {
-        act.apply(page, g, PageOp::KeyedRemove { key: k.clone() })?;
-    }
     let new_hdr = TsbHeader {
-        hist_side: hist_pid,
+        hist_side: hist_pin.id(),
         t_lo: t_split,
         ..hdr.clone()
     };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
+    set_header(act, page, g, new_hdr.encode())?;
     TreeStats::bump(&tree.stats().splits);
     Ok(())
 }
 
-/// Key split at a user-key boundary near the middle. Returns the split key
-/// and new node for index posting, or `None` when the node was the root and
-/// the posting happened inline via root growth.
+/// Key split of a non-root data node at a user-key boundary near the
+/// middle. Returns the split key and new node for index posting.
 fn key_split(
-    tree: &TsbTree,
+    tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
-) -> StoreResult<Option<(Vec<u8>, PageId)>> {
-    if page.id() == tree.root_pid() {
-        grow_root(tree, act, page, g)?;
-        return Ok(None);
-    }
+) -> StoreResult<(Vec<u8>, PageId)> {
     let n = g.entry_count();
     // Find the start of the middle entry's key group; when the middle entry
     // belongs to the first key group (one key dominating the node), fall
     // forward to the next group so both halves stay non-empty.
-    let mut mid_key = {
-        let (k, _) = split_version_key(Page::entry_key(g.get(1 + n / 2)?));
-        k.to_vec()
-    };
+    let mut mid_key = split_version_key(g.entry_key_at(1 + n / 2)).0.to_vec();
     let mut first_slot = match g.keyed_find(&version_key(&mid_key, 0))? {
-        Ok(s) => s,
-        Err(s) => s,
+        Ok(s) | Err(s) => s,
     };
     if first_slot <= 1 {
-        let mut s = 2;
-        loop {
-            let (k, _) = split_version_key(Page::entry_key(g.get(s)?));
-            if k != mid_key.as_slice() {
-                mid_key = k.to_vec();
-                first_slot = s;
-                break;
-            }
-            s += 1;
-            if s > n {
-                return Err(StoreError::Corrupt("key split with one key group".into()));
-            }
-        }
+        first_slot = (2..=n)
+            .find(|s| split_version_key(g.entry_key_at(*s)).0 != mid_key.as_slice())
+            .ok_or_else(|| StoreError::Corrupt("key split with one key group".into()))?;
+        mid_key = split_version_key(g.entry_key_at(first_slot)).0.to_vec();
     }
-
-    let new_pin = alloc_page(tree, act)?;
-    let new_pid = new_pin.id();
-    let mut ng = new_pin.x();
-    act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
-    let new_hdr = TsbHeader {
-        kind: TsbKind::Current,
-        level: 0,
-        key_low: KeyBound::Key(mid_key.clone()),
-        key_high: hdr.key_high.clone(),
-        // Copies of the key side pointer and the history sibling pointer
-        // (Figure 1): the new current node answers for the entire history of
-        // its key space.
-        key_side: hdr.key_side,
-        hist_side: hdr.hist_side,
-        t_lo: hdr.t_lo,
-        t_hi: Time::MAX,
-    };
-    act.apply(
-        &new_pin,
-        &mut ng,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
-    let moved: Vec<Vec<u8>> = (first_slot..=n)
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &moved {
-        act.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &moved {
-        act.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
-    let old_hdr = TsbHeader {
-        key_high: KeyBound::Key(mid_key.clone()),
-        key_side: new_pid,
-        ..hdr.clone()
-    };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: old_hdr.encode(),
-        },
-    )?;
-    TreeStats::bump(&tree.stats().splits);
-    Ok(Some((mid_key, new_pid)))
+    // The new current node gets copies of the key side pointer and the
+    // history sibling pointer (Figure 1): it answers for the entire history
+    // of its key space.
+    let new_pid = split_off(tree, act, page, g, hdr, first_slot, mid_key.clone())?;
+    Ok((mid_key, new_pid))
 }
 
 /// Split a full *index node* at its middle term (plain B-link key split).
 fn index_split(
-    tree: &TsbTree,
+    tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
 ) -> StoreResult<(Vec<u8>, PageId)> {
     let hdr = TsbHeader::read(g)?;
-    let n = g.entry_count();
-    let mid = 1 + n / 2;
-    let split_key = Page::entry_key(g.get(mid)?).to_vec();
-    let new_pin = alloc_page(tree, act)?;
-    let new_pid = new_pin.id();
-    let mut ng = new_pin.x();
-    act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
-    let new_hdr = TsbHeader {
-        kind: TsbKind::Index,
-        level: hdr.level,
-        key_low: KeyBound::Key(split_key.clone()),
-        key_high: hdr.key_high.clone(),
-        key_side: hdr.key_side,
-        hist_side: PageId::INVALID,
-        t_lo: 0,
-        t_hi: Time::MAX,
-    };
-    act.apply(
-        &new_pin,
-        &mut ng,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: new_hdr.encode(),
-        },
-    )?;
-    let moved: Vec<Vec<u8>> = (mid..=n)
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &moved {
-        act.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &moved {
-        act.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
-    let old_hdr = TsbHeader {
-        key_high: KeyBound::Key(split_key.clone()),
-        key_side: new_pid,
-        ..hdr
-    };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: old_hdr.encode(),
-        },
-    )?;
-    TreeStats::bump(&tree.stats().splits);
+    let mid = 1 + g.entry_count() / 2;
+    let split_key = g.entry_key_at(mid).to_vec();
+    let new_pid = split_off(tree, act, page, g, &hdr, mid, split_key.clone())?;
     Ok((split_key, new_pid))
+}
+
+/// The key-dimension split both node kinds share (§3.2.1): entries from
+/// `first_slot` up move to a new sibling whose space starts at `split_key`
+/// and which inherits everything else — kind, time interval, both sibling
+/// terms — from `hdr`; the old node's key sibling term now delegates
+/// `[split_key, …)` to it.
+fn split_off(
+    tree: &TsbEngine,
+    act: &mut Txn<'_>,
+    page: &PinnedPage<'_>,
+    g: &mut XGuard<'_, Page>,
+    hdr: &TsbHeader,
+    first_slot: u16,
+    split_key: Vec<u8>,
+) -> StoreResult<PageId> {
+    let new_hdr = TsbHeader {
+        key_low: KeyBound::Key(split_key.clone()),
+        ..hdr.clone()
+    };
+    let (new_pin, mut ng) = new_node(tree.store(), act, new_hdr.encode())?;
+    let n = g.entry_count();
+    move_entries(act, page, g, &new_pin, &mut ng, first_slot..=n)?;
+    let old_hdr = TsbHeader {
+        key_high: KeyBound::Key(split_key),
+        key_side: new_pin.id(),
+        ..hdr.clone()
+    };
+    set_header(act, page, g, old_hdr.encode())?;
+    TreeStats::bump(&tree.stats().splits);
+    Ok(new_pin.id())
 }
 
 /// Grow the tree at the fixed root: contents move to n1, n1 splits into
 /// n1/n2 (by key — for a data root, at a user-key boundary), and both index
 /// terms are posted to the root inline.
 fn grow_root(
-    tree: &TsbTree,
+    tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
 ) -> StoreResult<()> {
     let hdr = TsbHeader::read(g)?;
-    let n1_pin = alloc_page(tree, act)?;
-    let n1_pid = n1_pin.id();
-    let mut n1g = n1_pin.x();
-    act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;
-    let n1_hdr = TsbHeader {
-        key_low: KeyBound::NegInf,
-        key_high: KeyBound::PosInf,
-        key_side: PageId::INVALID,
-        ..hdr.clone()
-    };
-    act.apply(
-        &n1_pin,
-        &mut n1g,
-        PageOp::InsertSlot {
-            slot: 0,
-            bytes: n1_hdr.encode(),
-        },
-    )?;
-    let all: Vec<Vec<u8>> = (1..g.slot_count())
-        .map(|s| g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &all {
-        act.apply(&n1_pin, &mut n1g, PageOp::KeyedInsert { bytes: e.clone() })?;
-    }
-    for e in &all {
-        act.apply(
-            page,
-            g,
-            PageOp::KeyedRemove {
-                key: Page::entry_key(e).to_vec(),
-            },
-        )?;
-    }
+    let (n1_pin, mut n1g) = new_node(tree.store(), act, hdr.encode())?;
+    let n = g.entry_count();
+    move_entries(act, page, g, &n1_pin, &mut n1g, 1..=n)?;
     let root_hdr = TsbHeader {
         kind: TsbKind::Index,
         level: hdr.level + 1,
-        key_low: KeyBound::NegInf,
-        key_high: KeyBound::PosInf,
-        key_side: PageId::INVALID,
-        hist_side: PageId::INVALID,
-        t_lo: 0,
-        t_hi: Time::MAX,
+        ..TsbHeader::new_root_leaf()
     };
-    act.apply(
-        page,
-        g,
-        PageOp::UpdateSlot {
-            slot: 0,
-            bytes: root_hdr.encode(),
-        },
-    )?;
-    act.apply(
-        page,
-        g,
-        PageOp::KeyedInsert {
-            bytes: IndexTerm {
-                key: Vec::new(),
-                child: n1_pid,
-                multi_parent: false,
-            }
-            .to_entry(),
-        },
-    )?;
-    // Split n1 and post the pair (§5.3).
-    let (split_key, n2_pid) = if n1_hdr.kind == TsbKind::Current {
-        match key_split_non_root(tree, act, &n1_pin, &mut n1g)? {
-            Some(pair) => pair,
-            None => {
-                // Could not key-split (single key group): time split instead;
-                // the root keeps a single child, which is fine.
-                TreeStats::bump(&tree.stats().root_grows);
-                return Ok(());
-            }
-        }
-    } else {
-        index_split(tree, act, &n1_pin, &mut n1g)?
-    };
-    act.apply(
-        page,
-        g,
-        PageOp::KeyedInsert {
-            bytes: IndexTerm {
-                key: split_key,
-                child: n2_pid,
-                multi_parent: false,
-            }
-            .to_entry(),
-        },
-    )?;
+    set_header(act, page, g, root_hdr.encode())?;
+    let bytes = IndexTerm::entry_for(b"", n1_pin.id());
+    act.apply(page, g, PageOp::KeyedInsert { bytes })?;
     TreeStats::bump(&tree.stats().root_grows);
+    // Split n1 and post the pair (§5.3). A data node holding a single key
+    // group cannot key-split: it time-splits instead, and the root keeps a
+    // single child, which is fine.
+    let (split_key, n2_pid) = if hdr.kind != TsbKind::Current {
+        index_split(tree, act, &n1_pin, &mut n1g)?
+    } else if distinct_keys(&n1g) < 2 {
+        return time_split(tree, act, &n1_pin, &mut n1g, &hdr);
+    } else {
+        key_split(tree, act, &n1_pin, &mut n1g, &hdr)?
+    };
+    let bytes = IndexTerm::entry_for(&split_key, n2_pid);
+    act.apply(page, g, PageOp::KeyedInsert { bytes })?;
     Ok(())
-}
-
-/// Key split for a (non-root) data node inside root growth; falls back to a
-/// time split when there is a single key group.
-fn key_split_non_root(
-    tree: &TsbTree,
-    act: &mut Txn<'_>,
-    page: &PinnedPage<'_>,
-    g: &mut XGuard<'_, Page>,
-) -> StoreResult<Option<(Vec<u8>, PageId)>> {
-    let hdr = TsbHeader::read(g)?;
-    let mut distinct = 0usize;
-    let mut prev: Option<Vec<u8>> = None;
-    for slot in 1..g.slot_count() {
-        let (k, _) = split_version_key(Page::entry_key(g.get(slot)?));
-        if prev.as_deref() != Some(k) {
-            distinct += 1;
-            prev = Some(k.to_vec());
-        }
-    }
-    if distinct < 2 {
-        time_split(tree, act, page, g, &hdr)?;
-        return Ok(None);
-    }
-    key_split(tree, act, page, g, &hdr)
 }
 
 /// The completing index-term posting action for TSB key splits — the §5.3
 /// steps under the CNS invariant (remembered parents need no verification,
 /// but the posting is still testable and idempotent).
 pub(crate) fn post_index_term(
-    tree: &TsbTree,
+    tree: &TsbEngine,
     level: u8,
     key: &[u8],
     node: PageId,
-    _path: &SavedPath,
 ) -> StoreResult<()> {
     let stats = tree.stats();
     let mut act = tree.store().txns.begin(tree.config().smo_identity);
@@ -484,61 +260,43 @@ pub(crate) fn post_index_term(
         return Ok(());
     }
     let mut cur_pin = d.page;
-    let mut cur_guard = match d.guard {
-        Guarded::U(u) => u.promote(),
-        Guarded::X(x) => x,
-        Guarded::S(_) => unreachable!(),
-    };
-    let term = IndexTerm {
-        key: key.to_vec(),
-        child: node,
-        multi_parent: false,
-    }
-    .to_entry();
-    loop {
-        let full = cur_guard.entry_count() as usize >= tree.config().max_index_entries
-            || cur_guard.free_space() < term.len() + 4;
-        if !full {
-            act.apply(
-                &cur_pin,
-                &mut cur_guard,
-                PageOp::KeyedInsert {
-                    bytes: term.clone(),
-                },
-            )?;
-            break;
-        }
+    let mut cur_guard = d.guard.promote().into_x();
+    let term = IndexTerm::entry_for(key, node);
+    while node_full(&cur_guard, term.len(), tree.config().max_index_entries) {
         if cur_pin.id() == tree.root_pid() {
             grow_root(tree, &mut act, &cur_pin, &mut cur_guard)?;
             // Re-descend within the grown root: route to the child covering
             // `key` and continue the space test there.
-            let child = {
-                let slot = cur_guard.keyed_floor(key)?.expect("root routes everything");
-                IndexTerm::read(&cur_guard, slot)?.child
-            };
-            let pin = tree.store().pool.fetch(child)?;
-            let g = pin.x();
+            let slot = cur_guard.keyed_floor(key)?.ok_or_else(|| {
+                StoreError::Corrupt("grown TSB root does not route the posted key".into())
+            })?;
+            let pin = tree
+                .store()
+                .pool
+                .fetch(IndexTerm::child_at(&cur_guard, slot)?)?;
+            cur_guard = pin.x();
             cur_pin = pin;
-            cur_guard = g;
             continue;
         }
         let cur_level = TsbHeader::read(&cur_guard)?.level;
         let (split_key, new_pid) = index_split(tree, &mut act, &cur_pin, &mut cur_guard)?;
-        if tree.completions().push(Completion::Post {
+        tree.schedule(Completion::Post {
             level: cur_level + 1,
             key: split_key.clone(),
             node: new_pid,
             path: Box::new(SavedPath::default()),
-        }) {
-            TreeStats::bump(&stats.postings_scheduled);
-        }
+        });
         if key >= split_key.as_slice() {
             let pin = tree.store().pool.fetch(new_pid)?;
-            let g = pin.x();
+            cur_guard = pin.x();
             cur_pin = pin;
-            cur_guard = g;
         }
     }
+    act.apply(
+        &cur_pin,
+        &mut cur_guard,
+        PageOp::KeyedInsert { bytes: term },
+    )?;
     drop(cur_guard);
     drop(cur_pin);
     act.commit()?;

@@ -12,21 +12,18 @@ use crate::node::{
     find_version_probe, split_version_key, version_entry, version_key, version_value, Time,
     TsbHeader, TsbHeaderRef,
 };
-use pitree::completion::{Completion, CompletionQueue};
-use pitree::node::{BoundRef, Guarded, IndexTerm};
-use pitree::stats::TreeStats;
+use pitree::completion::Completion;
+use pitree::engine::{Engine, Routed, Step, Structure};
+use pitree::node::{node_full, BoundRef, Guarded};
 use pitree::store::Store;
-use pitree::traverse::{PathEntry, SavedPath};
-use pitree_pagestore::buffer::PinnedPage;
-use pitree_pagestore::page::{Page, PageType};
+use pitree::traverse::SavedPath;
+use pitree::tree::KeyRouting;
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockError, LockMode, LockName, Txn};
-use pitree_wal::ActionIdentity;
+use pitree_txnlock::{LockMode, Txn};
+use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Magic for TSB registry records on the meta page.
-const TSB_META_MAGIC: u32 = 0x5453_4254; // "TSBT"
 
 /// TSB-tree tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -63,112 +60,160 @@ impl TsbConfig {
     }
 }
 
-/// A Time-Split B-tree over a shared [`Store`].
-pub struct TsbTree {
-    store: Arc<Store>,
+/// The TSB structure: data nodes directly contain a (key × time)
+/// rectangle; the *key* side pointer is the sibling term descents route by,
+/// the *history* side pointer a second sibling term followed by as-of reads
+/// (Figure 1); index terms are keyed `(low key, child)` entries over current
+/// nodes. CNS: nodes are immortal, one latch at a time.
+#[derive(Debug)]
+pub struct Tsb {
     cfg: TsbConfig,
-    tree_id: u32,
-    root: PageId,
-    pub(crate) completions: Arc<CompletionQueue>,
-    pub(crate) stats: Arc<TreeStats>,
     clock: AtomicU64,
 }
 
-impl std::fmt::Debug for TsbTree {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TsbTree").finish_non_exhaustive()
+impl Tsb {
+    /// The logical clock's current value (last issued timestamp).
+    pub fn now(&self) -> Time {
+        self.clock.load(Ordering::SeqCst)
     }
 }
 
-/// Outcome of a descent to a data node. The header is not materialized —
-/// consumers derive a [`TsbHeaderRef`] view (or decode [`TsbHeader`] on
-/// write paths) from the guard.
-pub(crate) struct TsbDescent<'a> {
-    pub page: PinnedPage<'a>,
-    pub guard: Guarded<'a>,
-    pub path: SavedPath,
+impl Structure for Tsb {
+    type Config = TsbConfig;
+    type Arg = [u8];
+    type Completion = Completion;
+    const META_MAGIC: u32 = 0x5453_4254; // "TSBT"
+
+    fn new(cfg: TsbConfig) -> Tsb {
+        Tsb {
+            cfg,
+            clock: AtomicU64::new(0),
+        }
+    }
+
+    fn config(&self) -> &TsbConfig {
+        &self.cfg
+    }
+
+    fn root_leaf_header() -> Vec<u8> {
+        TsbHeader::new_root_leaf().encode()
+    }
+
+    fn couples_latches(&self) -> bool {
+        false
+    }
+
+    fn auto_complete(&self) -> bool {
+        self.cfg.auto_complete
+    }
+
+    #[inline]
+    fn route(&self, page: &Page, pid: PageId, key: &[u8], target: u8) -> StoreResult<Routed> {
+        let h = TsbHeaderRef::read(page)?;
+        let routed = KeyRouting {
+            level: h.level(),
+            side: h.key_side(),
+            low_le: h.key_low().le_key(key),
+            high_gt: h.key_high_gt(key),
+        }
+        .route(page, pid, key, target)?;
+        if routed.step == Step::Restart {
+            // Nothing is ever consolidated away under CNS, so routing can
+            // never overshoot.
+            return Err(StoreError::Corrupt(format!(
+                "TSB routing went past key {key:02x?} (low {:?})",
+                h.key_low()
+            )));
+        }
+        Ok(routed)
+    }
+
+    fn side_traversal(
+        tree: &TsbEngine,
+        _from: PageId,
+        to: PageId,
+        to_page: &Page,
+        path: &SavedPath,
+    ) -> StoreResult<()> {
+        let h = TsbHeaderRef::read(to_page)?;
+        tree.schedule(Completion::Post {
+            level: h.level() + 1,
+            key: h.low_entry_key().to_vec(),
+            node: to,
+            path: Box::new(path.clone()),
+        });
+        Ok(())
+    }
+
+    fn complete(tree: &TsbEngine, c: Completion) -> StoreResult<()> {
+        match c {
+            Completion::Post {
+                level, key, node, ..
+            } => crate::split::post_index_term(tree, level, &key, node),
+            Completion::Consolidate { .. } => Ok(()), // TSB never consolidates
+        }
+    }
+
+    fn undo(tree: &TsbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        crate::undo::undo(tree, tag, payload)
+    }
+
+    /// Restore the logical clock from the newest version reachable on the
+    /// current data chain.
+    fn opened(tree: &TsbEngine) -> StoreResult<()> {
+        // The empty key routes to the leftmost leaf; from there walk the
+        // level-0 current chain, taking the newest version start.
+        let d = tree.descend(b"", 0, false, false)?;
+        let mut pin = d.page;
+        let mut g = d.guard;
+        let mut max_t = 0;
+        loop {
+            let page = g.page();
+            let h = TsbHeaderRef::read(page)?;
+            for slot in 1..page.slot_count() {
+                max_t = max_t.max(split_version_key(page.entry_key_at(slot)).1);
+            }
+            max_t = max_t.max(h.t_lo());
+            let next = h.key_side();
+            if !next.is_valid() {
+                break;
+            }
+            drop(g);
+            pin = tree.store().pool.fetch(next)?;
+            g = Guarded::S(pin.s());
+        }
+        drop(g);
+        drop(pin);
+        tree.structure().clock.store(max_t, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+/// The shared Π-tree engine running the TSB structure.
+pub(crate) type TsbEngine = Engine<Tsb>;
+
+/// A Time-Split B-tree over a shared [`Store`]: the engine's shell
+/// (registry, restart, descent, completions, undo — reached through
+/// `Deref`) plus the versioned operations.
+#[derive(Debug)]
+pub struct TsbTree(TsbEngine);
+
+impl std::ops::Deref for TsbTree {
+    type Target = Engine<Tsb>;
+    fn deref(&self) -> &Engine<Tsb> {
+        &self.0
+    }
 }
 
 impl TsbTree {
     /// Create a new TSB-tree with a fixed root, registered on the meta page.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: TsbConfig) -> StoreResult<TsbTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: TsbHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&TSB_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(TsbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-            clock: AtomicU64::new(0),
-        })
+        Engine::create(store, tree_id, cfg).map(TsbTree)
     }
 
-    /// Open an existing TSB-tree, restoring the logical clock from the
-    /// newest version reachable on the current data chain.
+    /// Open an existing TSB-tree, restoring the logical clock from disk.
     pub fn open(store: Arc<Store>, tree_id: u32, cfg: TsbConfig) -> StoreResult<TsbTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == TSB_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found
-                .ok_or_else(|| StoreError::Corrupt(format!("TSB tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        let tree = TsbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-            clock: AtomicU64::new(0),
-        };
-        tree.clock.store(tree.max_time_on_disk()?, Ordering::SeqCst);
-        Ok(tree)
+        Engine::open(store, tree_id, cfg).map(TsbTree)
     }
 
     /// Open + run full crash recovery (redo, then logical undo through this
@@ -177,221 +222,23 @@ impl TsbTree {
         store: Arc<Store>,
         tree_id: u32,
         cfg: TsbConfig,
-    ) -> StoreResult<(TsbTree, pitree_wal::RecoveryStats)> {
-        let handler = crate::undo::TsbDeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = TsbTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
+    ) -> StoreResult<(TsbTree, RecoveryStats)> {
+        Engine::recover(store, tree_id, cfg).map(|(e, stats)| (TsbTree(e), stats))
     }
 
-    fn max_time_on_disk(&self) -> StoreResult<Time> {
-        // Walk the level-0 current chain and take the newest version start.
-        let mut max_t = 0;
-        let mut cur = self.leftmost_leaf()?;
-        loop {
-            let pin = self.store.pool.fetch(cur)?;
-            let g = pin.s();
-            let hdr = TsbHeader::read(&g)?;
-            for slot in 1..g.slot_count() {
-                let (_, t) = split_version_key(Page::entry_key(g.get(slot)?));
-                max_t = max_t.max(t);
-            }
-            max_t = max_t.max(hdr.t_lo);
-            if !hdr.key_side.is_valid() {
-                break;
-            }
-            cur = hdr.key_side;
-        }
-        Ok(max_t)
-    }
-
-    fn leftmost_leaf(&self) -> StoreResult<PageId> {
-        let mut cur = self.root;
-        loop {
-            let pin = self.store.pool.fetch(cur)?;
-            let g = pin.s();
-            let hdr = TsbHeader::read(&g)?;
-            if hdr.level == 0 {
-                return Ok(cur);
-            }
-            cur = IndexTerm::read(&g, 1)?.child;
-        }
-    }
-
-    // ---- accessors -----------------------------------------------------------
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<Store> {
-        &self.store
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TsbConfig {
-        &self.cfg
-    }
-
-    /// The fixed root page.
-    pub fn root_pid(&self) -> PageId {
-        self.root
-    }
-
-    /// Operation counters (shared with the Π-tree stats type).
-    pub fn stats(&self) -> &TreeStats {
-        &self.stats
-    }
-
-    /// Pending completions.
-    pub fn completions(&self) -> &CompletionQueue {
-        &self.completions
+    /// Open with instant restart; see [`Engine::recover_instant`].
+    pub fn recover_instant(
+        store: Arc<Store>,
+        tree_id: u32,
+        cfg: TsbConfig,
+    ) -> StoreResult<(TsbTree, Arc<InstantRecovery>, RecoveryStats)> {
+        Engine::recover_instant(store, tree_id, cfg)
+            .map(|(e, plan, stats)| (TsbTree(e), plan, stats))
     }
 
     /// The logical clock's current value (last issued timestamp).
     pub fn now(&self) -> Time {
-        self.clock.load(Ordering::SeqCst)
-    }
-
-    /// Begin a user transaction.
-    pub fn begin(&self) -> Txn<'_> {
-        self.store.txns.begin(ActionIdentity::Transaction)
-    }
-
-    /// Lock name of a record key.
-    pub fn key_lock(&self, key: &[u8]) -> LockName {
-        let mut name = Vec::with_capacity(4 + key.len());
-        name.extend_from_slice(&self.tree_id.to_le_bytes());
-        name.extend_from_slice(key);
-        LockName::Key(name)
-    }
-
-    // ---- traversal -------------------------------------------------------------
-
-    /// Descend by `key` to the node at `target_level` directly containing
-    /// it, following key side pointers (and scheduling postings for the
-    /// splits they reveal, §5.1). CNS: one latch at a time.
-    pub(crate) fn descend(
-        &self,
-        key: &[u8],
-        target_level: u8,
-        update_at_target: bool,
-        schedule: bool,
-    ) -> StoreResult<TsbDescent<'_>> {
-        // Every per-hop decision reads the header through a borrowed
-        // TsbHeaderRef under a scoped borrow of the latch guard — the
-        // descent itself never allocates (DESIGN.md §11).
-        enum Step {
-            Arrived,
-            Side(PageId),
-            Child {
-                child: PageId,
-                lsn: pitree_pagestore::Lsn,
-            },
-        }
-        let pool = &self.store.pool;
-        let mut path = SavedPath::default();
-        let mut cur = pool.fetch(self.root)?;
-        let mut g = if update_at_target {
-            // The root might itself be the target.
-            let peek = Guarded::S(cur.s());
-            let lvl = TsbHeaderRef::read(peek.page())?.level();
-            if lvl == target_level {
-                drop(peek);
-                Guarded::U(cur.u())
-            } else {
-                peek
-            }
-        } else {
-            Guarded::S(cur.s())
-        };
-        let mut level = TsbHeaderRef::read(g.page())?.level();
-        if level < target_level {
-            return Err(StoreError::Corrupt(format!(
-                "TSB descend target {target_level} above root level {level}"
-            )));
-        }
-        loop {
-            let step = {
-                let h = TsbHeaderRef::read(g.page())?;
-                level = h.level();
-                if !h.contains_key(key) {
-                    if !h.key_high_gt(key) {
-                        let side = h.key_side();
-                        if !side.is_valid() {
-                            return Err(StoreError::Corrupt(format!(
-                                "TSB node {} lacks key side pointer for {key:02x?}",
-                                cur.id()
-                            )));
-                        }
-                        Step::Side(side)
-                    } else {
-                        return Err(StoreError::Corrupt(format!(
-                            "TSB routing went past key {key:02x?} (low {:?})",
-                            h.key_low()
-                        )));
-                    }
-                } else if level == target_level {
-                    Step::Arrived
-                } else {
-                    let slot = g.page().keyed_floor(key)?.ok_or_else(|| {
-                        StoreError::Corrupt(format!("TSB index node {} unroutable", cur.id()))
-                    })?;
-                    Step::Child {
-                        child: IndexTerm::child_at(g.page(), slot)?,
-                        lsn: g.page().lsn(),
-                    }
-                }
-            };
-            match step {
-                Step::Arrived => {
-                    return Ok(TsbDescent {
-                        page: cur,
-                        guard: g,
-                        path,
-                    });
-                }
-                Step::Side(side) => {
-                    drop(g); // CNS: one latch at a time
-                    let sib = pool.fetch(side)?;
-                    let want_u = update_at_target && level == target_level;
-                    let sg = if want_u {
-                        Guarded::U(sib.u())
-                    } else {
-                        Guarded::S(sib.s())
-                    };
-                    TreeStats::bump(&self.stats.side_traversals);
-                    if schedule {
-                        let sh = TsbHeaderRef::read(sg.page())?;
-                        let k = sh.low_entry_key().to_vec();
-                        if self.completions.push(Completion::Post {
-                            level: sh.level() + 1,
-                            key: k,
-                            node: side,
-                            path: Box::new(path.clone()),
-                        }) {
-                            TreeStats::bump(&self.stats.postings_scheduled);
-                        }
-                    }
-                    cur = sib;
-                    g = sg;
-                }
-                Step::Child { child, lsn } => {
-                    path.push(PathEntry {
-                        pid: cur.id(),
-                        lsn,
-                        level,
-                    });
-                    drop(g); // CNS
-                    let cp = pool.fetch(child)?;
-                    let want_u = update_at_target && level - 1 == target_level;
-                    let cg = if want_u {
-                        Guarded::U(cp.u())
-                    } else {
-                        Guarded::S(cp.s())
-                    };
-                    cur = cp;
-                    g = cg;
-                }
-            }
-        }
+        self.structure().now()
     }
 
     // ---- reads -----------------------------------------------------------------
@@ -408,7 +255,7 @@ impl TsbTree {
     /// away), in which case its governing version lives down the chain.
     pub fn get_as_of(&self, key: &[u8], t: Time) -> StoreResult<Option<Vec<u8>>> {
         let d = self.descend(key, 0, false, true)?;
-        let pool = &self.store.pool;
+        let pool = &self.store().pool;
         let mut pin = d.page;
         let mut g = d.guard;
         let out = loop {
@@ -444,7 +291,7 @@ impl TsbTree {
     /// `None` for tombstones. Alive-at-split copies are deduplicated.
     pub fn history(&self, key: &[u8]) -> StoreResult<Vec<(Time, Option<Vec<u8>>)>> {
         let d = self.descend(key, 0, false, true)?;
-        let pool = &self.store.pool;
+        let pool = &self.store().pool;
         let mut versions = std::collections::BTreeMap::new();
         let mut pin = d.page;
         let mut g = d.guard;
@@ -503,7 +350,7 @@ impl TsbTree {
             let next_low = {
                 let h = TsbHeaderRef::read(d.guard.page())?;
                 match h.key_high() {
-                    BoundRef::Key(hk) if hk < to => Some(hk.to_vec()),
+                    BoundRef::Key(hk) => (hk < to).then(|| hk.to_vec()),
                     _ => None,
                 }
             };
@@ -545,21 +392,12 @@ impl TsbTree {
         let name = self.key_lock(key);
         loop {
             let d = self.descend(key, 0, true, true)?;
-            match txn.try_lock(&name, LockMode::X) {
-                Ok(()) => {}
-                Err(LockError::WouldBlock) => {
-                    drop(d);
-                    TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::X).map_err(lock_err)?;
-                    continue;
-                }
-                Err(e) => return Err(lock_err(e)),
-            }
-            let t = self.clock.fetch_add(1, Ordering::SeqCst) + 1;
+            let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::X)])? else {
+                continue;
+            };
+            let t = self.structure().clock.fetch_add(1, Ordering::SeqCst) + 1;
             let entry = version_entry(key, t, value);
-            if d.guard.page().entry_count() as usize >= self.cfg.max_leaf_entries
-                || d.guard.page().free_space() < entry.len() + 4
-            {
+            if node_full(d.guard.page(), entry.len(), self.config().max_leaf_entries) {
                 crate::split::split_data_node(self, d)?;
                 continue;
             }
@@ -578,49 +416,8 @@ impl TsbTree {
         }
     }
 
-    // ---- maintenance -------------------------------------------------------------
-
-    /// Drain one batch of pending completions (index-term postings).
-    pub fn run_completions(&self) -> StoreResult<usize> {
-        let mut done = 0;
-        let batch = self.completions.len();
-        for _ in 0..batch {
-            let Some(c) = self.completions.pop() else {
-                break;
-            };
-            match c {
-                Completion::Post {
-                    level,
-                    key,
-                    node,
-                    path,
-                } => {
-                    crate::split::post_index_term(self, level, &key, node, &path)?;
-                }
-                Completion::Consolidate { .. } => {} // TSB never consolidates
-            }
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    pub(crate) fn maybe_autocomplete(&self) -> StoreResult<()> {
-        if self.cfg.auto_complete && !self.completions.is_empty() {
-            self.run_completions()?;
-        }
-        Ok(())
-    }
-
     /// Structural validation; see [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::TsbReport> {
         crate::wellformed::check(self)
-    }
-}
-
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => StoreError::Corrupt("WouldBlock escaped retry loop".into()),
     }
 }

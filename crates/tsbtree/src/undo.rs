@@ -6,142 +6,46 @@
 //! alive-at-T versions, so undo removes **every** copy. The compensation is
 //! testable and idempotent: absent copies are skipped.
 
-use crate::node::{split_version_key, TsbHeader};
-use crate::tree::{TsbConfig, TsbTree};
-use pitree::store::Store;
-use pitree_pagestore::sync::Mutex;
+use crate::node::{split_version_key, TsbHeaderRef};
+use crate::tree::TsbEngine;
 use pitree_pagestore::{PageOp, StoreError, StoreResult};
-use pitree_wal::recovery::LogicalUndoHandler;
 use pitree_wal::ActionIdentity;
-use std::sync::Arc;
 
 /// Logical-undo tag: payload is the composite version key `key ⧺ t`.
 pub const TAG_TSB_REMOVE_VERSION: u8 = 16;
 
-impl TsbTree {
-    /// A handler borrowing this tree, for live-transaction rollback.
-    pub fn undo_handler(&self) -> TsbUndoHandler<'_> {
-        TsbUndoHandler(self)
+/// Run one TSB logical-undo record.
+pub(crate) fn undo(tree: &TsbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
+    match tag {
+        TAG_TSB_REMOVE_VERSION => remove_version(tree, payload),
+        t => Err(StoreError::Corrupt(format!("unknown TSB undo tag {t}"))),
     }
+}
 
-    /// Remove every copy of the version with composite key `vkey`.
-    pub(crate) fn compensate_remove_version(&self, vkey: &[u8]) -> StoreResult<()> {
-        let (key, _t) = split_version_key(vkey);
-        let key = key.to_vec();
-        // Current node first.
-        {
-            let d = self.descend(&key, 0, true, false)?;
-            if d.guard.page().keyed_find(vkey)?.is_err() {
-                // Not in the current node; walk the history chain below.
-                let mut hist = TsbHeader::read(d.guard.page())?.hist_side;
-                drop(d);
-                while hist.is_valid() {
-                    let pin = self.store().pool.fetch(hist)?;
-                    let mut g = pin.x();
-                    let hdr = TsbHeader::read(&g)?;
-                    if g.keyed_find(vkey)?.is_ok() {
-                        let mut act = self.store().txns.begin(ActionIdentity::SystemTransaction);
-                        act.apply(&pin, &mut g, PageOp::KeyedRemove { key: vkey.to_vec() })?;
-                        drop(g);
-                        drop(pin);
-                        act.commit()?;
-                    } else {
-                        drop(g);
-                        drop(pin);
-                    }
-                    hist = hdr.hist_side;
-                }
-                return Ok(());
-            }
-            let mut act = self.store().txns.begin(ActionIdentity::SystemTransaction);
-            let mut g = d.guard.promote().into_x();
-            act.apply(&d.page, &mut g, PageOp::KeyedRemove { key: vkey.to_vec() })?;
-            // Continue into the history chain — a time split may have left a
-            // copy there too.
-            let hist = TsbHeader::read(&g)?.hist_side;
+/// Remove every copy of the version with composite key `vkey`: from the
+/// current node, then down the history chain — a time split may have left
+/// a copy there too. Each removal is its own system atomic action.
+fn remove_version(tree: &TsbEngine, vkey: &[u8]) -> StoreResult<()> {
+    let (key, _t) = split_version_key(vkey);
+    let d = tree.descend(key, 0, true, false)?;
+    let mut pin = d.page;
+    let mut g = d.guard.promote().into_x();
+    loop {
+        let hist = TsbHeaderRef::read(&g)?.hist_side();
+        if g.keyed_find(vkey)?.is_ok() {
+            let mut act = tree.store().txns.begin(ActionIdentity::SystemTransaction);
+            act.apply(&pin, &mut g, PageOp::KeyedRemove { key: vkey.to_vec() })?;
             drop(g);
-            drop(d.page);
+            drop(pin);
             act.commit()?;
-            let mut hist = hist;
-            while hist.is_valid() {
-                let pin = self.store().pool.fetch(hist)?;
-                let mut g = pin.x();
-                let hdr = TsbHeader::read(&g)?;
-                if g.keyed_find(vkey)?.is_ok() {
-                    let mut act = self.store().txns.begin(ActionIdentity::SystemTransaction);
-                    act.apply(&pin, &mut g, PageOp::KeyedRemove { key: vkey.to_vec() })?;
-                    drop(g);
-                    drop(pin);
-                    act.commit()?;
-                } else {
-                    drop(g);
-                    drop(pin);
-                }
-                hist = hdr.hist_side;
-            }
-            Ok(())
+        } else {
+            drop(g);
+            drop(pin);
         }
-    }
-}
-
-/// [`LogicalUndoHandler`] over a live TSB-tree.
-pub struct TsbUndoHandler<'a>(&'a TsbTree);
-
-impl std::fmt::Debug for TsbUndoHandler<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TsbUndoHandler").finish_non_exhaustive()
-    }
-}
-
-impl LogicalUndoHandler for TsbUndoHandler<'_> {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        match tag {
-            TAG_TSB_REMOVE_VERSION => self.0.compensate_remove_version(payload),
-            t => Err(StoreError::Corrupt(format!("unknown TSB undo tag {t}"))),
+        if !hist.is_valid() {
+            return Ok(());
         }
-    }
-}
-
-/// Lazily-opened handler for restart recovery.
-pub struct TsbDeferredHandler {
-    store: Arc<Store>,
-    tree_id: u32,
-    cfg: TsbConfig,
-    tree: Mutex<Option<TsbTree>>,
-}
-
-impl std::fmt::Debug for TsbDeferredHandler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TsbDeferredHandler").finish_non_exhaustive()
-    }
-}
-
-impl TsbDeferredHandler {
-    /// Build a handler for `tree_id` over `store`.
-    pub fn new(store: Arc<Store>, tree_id: u32, cfg: TsbConfig) -> TsbDeferredHandler {
-        TsbDeferredHandler {
-            store,
-            tree_id,
-            cfg,
-            tree: Mutex::new(None),
-        }
-    }
-}
-
-impl LogicalUndoHandler for TsbDeferredHandler {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        let mut guard = self.tree.lock();
-        let tree = match &mut *guard {
-            Some(t) => t,
-            slot => slot.insert(TsbTree::open(
-                Arc::clone(&self.store),
-                self.tree_id,
-                self.cfg,
-            )?),
-        };
-        match tag {
-            TAG_TSB_REMOVE_VERSION => tree.compensate_remove_version(payload),
-            t => Err(StoreError::Corrupt(format!("unknown TSB undo tag {t}"))),
-        }
+        pin = tree.store().pool.fetch(hist)?;
+        g = pin.x();
     }
 }

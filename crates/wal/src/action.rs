@@ -52,8 +52,8 @@ impl<'a> AtomicAction<'a> {
     pub fn begin(log: &'a LogManager, identity: ActionIdentity) -> AtomicAction<'a> {
         let id = log.next_action_id();
         let last = log.append(id, Lsn::ZERO, RecordKind::Begin { identity });
+        log.action_counters().begins.inc();
         let rec = log.recorder();
-        rec.counter("action.begins").inc();
         rec.event(EventKind::ActionBegin, id.0, identity_code(&identity));
         AtomicAction {
             log,
@@ -158,8 +158,8 @@ impl<'a> AtomicAction<'a> {
     /// Commit without forcing the log — relative durability (§4.3.1).
     pub fn commit(mut self) -> Lsn {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
+        self.log.action_counters().commits.inc();
         let rec = self.log.recorder();
-        rec.counter("action.commits").inc();
         rec.event(EventKind::ActionCommit, self.id.0, 0);
         self.last
     }
@@ -174,8 +174,8 @@ impl<'a> AtomicAction<'a> {
     /// matches [`AtomicAction::commit`] / [`AtomicAction::commit_force`].
     pub fn commit_append(mut self) -> Lsn {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
+        self.log.action_counters().commits.inc();
         let rec = self.log.recorder();
-        rec.counter("action.commits").inc();
         let forced_class = matches!(self.identity, ActionIdentity::Transaction);
         rec.event(EventKind::ActionCommit, self.id.0, u64::from(forced_class));
         self.last
@@ -187,8 +187,8 @@ impl<'a> AtomicAction<'a> {
     pub fn commit_force(mut self) -> StoreResult<Lsn> {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
         self.log.force_to(self.last)?;
+        self.log.action_counters().commits.inc();
         let rec = self.log.recorder();
-        rec.counter("action.commits").inc();
         rec.event(EventKind::ActionCommit, self.id.0, 1);
         Ok(self.last)
     }
@@ -202,8 +202,8 @@ impl<'a> AtomicAction<'a> {
         handler: Option<&dyn LogicalUndoHandler>,
     ) -> StoreResult<()> {
         self.last = self.log.append(self.id, self.last, RecordKind::Abort);
+        self.log.action_counters().aborts.inc();
         let rec = self.log.recorder();
-        rec.counter("action.aborts").inc();
         rec.event(EventKind::ActionAbort, self.id.0, 0);
         let mut cursor = self.last;
         while cursor != Lsn::ZERO {
@@ -477,5 +477,28 @@ mod tests {
         let recs = crate::log::scan_bytes(&durable, None);
         assert!(recs.iter().any(|r| matches!(r.kind, RecordKind::Commit)));
         assert!(recs.len() >= 6);
+    }
+
+    #[test]
+    fn action_counters_advance_through_the_resolved_handles() {
+        let (pool, log) = setup();
+        let rec = log.recorder().clone();
+        let count = |name: &'static str| rec.counter(name).get();
+        let (b0, c0, a0) = (
+            count("action.begins"),
+            count("action.commits"),
+            count("action.aborts"),
+        );
+        AtomicAction::begin(&log, ActionIdentity::SystemTransaction).commit();
+        AtomicAction::begin(&log, ActionIdentity::Transaction).commit_append();
+        AtomicAction::begin(&log, ActionIdentity::Transaction)
+            .commit_force()
+            .unwrap();
+        AtomicAction::begin(&log, ActionIdentity::Transaction)
+            .rollback(&pool, None)
+            .unwrap();
+        assert_eq!(count("action.begins") - b0, 4);
+        assert_eq!(count("action.commits") - c0, 3);
+        assert_eq!(count("action.aborts") - a0, 1);
     }
 }

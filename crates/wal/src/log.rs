@@ -351,6 +351,17 @@ pub struct LogManager {
     force_ns: Hist,
     group_size: Hist,
     linger_ns: Hist,
+    actions: ActionCounters,
+}
+
+/// The `action.*` counters bumped by every atomic action's begin, commit
+/// and abort — resolved once here so the per-action path never touches the
+/// registry's name map.
+#[derive(Debug)]
+pub(crate) struct ActionCounters {
+    pub(crate) begins: Counter,
+    pub(crate) commits: Counter,
+    pub(crate) aborts: Counter,
 }
 
 impl std::fmt::Debug for LogManager {
@@ -399,6 +410,11 @@ impl LogManager {
             force_ns: rec.hist("wal.force_ns"),
             group_size: rec.hist("wal.group_size"),
             linger_ns: rec.hist("wal.linger_ns"),
+            actions: ActionCounters {
+                begins: rec.counter("action.begins"),
+                commits: rec.counter("action.commits"),
+                aborts: rec.counter("action.aborts"),
+            },
             rec,
         })
     }
@@ -406,6 +422,11 @@ impl LogManager {
     /// The recorder this log manager reports into.
     pub fn recorder(&self) -> &Recorder {
         &self.rec
+    }
+
+    /// The pre-resolved `action.*` counter handles.
+    pub(crate) fn action_counters(&self) -> &ActionCounters {
+        &self.actions
     }
 
     /// The durable store (for crash snapshots and the master record).

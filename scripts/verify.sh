@@ -58,7 +58,7 @@ fi
 step "cargo test (workspace)"
 cargo test --offline -q
 
-step "alloc gate (steady-state point read allocates exactly once)"
+step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
 step "sim acceptance sweep (64 seeds, crash-recover-verify + shake)"
@@ -165,5 +165,8 @@ fi
 
 step "ThreadSanitizer suites (skips cleanly without an instrumented nightly)"
 ./scripts/tsan.sh
+
+step "size ledger (report-only: src/test lines per crate, delta vs LOC.txt)"
+./scripts/loc.sh || echo "warning: loc.sh failed; the size ledger is report-only" >&2
 
 printf '\nverify.sh: all checks passed\n'
