@@ -280,24 +280,24 @@ impl<S: Structure> Engine<S> {
     }
 
     /// Open the tree and run full crash recovery (redo + undo, with this
-    /// tree's logical-undo handler registered). The usual restart sequence.
-    ///
-    /// Redo must repeat history before the tree is readable — the meta page
-    /// itself may need redo — yet logical undo needs an open tree: the
-    /// handler opens one lazily, after redo, and the tree returned here is
-    /// opened once recovery is complete.
+    /// tree's logical-undo handler registered). The usual restart sequence:
+    /// [`Engine::recover_instant`], then the calling thread drains the whole
+    /// redo plan before the tree is handed out.
     pub fn recover(
         store: Arc<Store>,
         tree_id: u32,
         cfg: S::Config,
     ) -> StoreResult<(Engine<S>, RecoveryStats)> {
-        let handler = crate::undo::DeferredHandler::<S>::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        Ok((Engine::open(store, tree_id, cfg)?, stats))
+        let (eng, plan, mut stats) = Engine::recover_instant(store, tree_id, cfg)?;
+        plan.drain(&eng.store.pool, &mut stats)?;
+        Ok((eng, stats))
     }
 
     /// Open the tree with **instant restart**: analysis + undo only, then
     /// serve traffic immediately, with redo running per page at first pin.
+    /// Redo must repeat history before a page is readable — the meta page
+    /// itself may need redo — yet logical undo needs an open tree: the
+    /// handler opens one lazily, through the installed redo plan.
     /// Returns the tree plus the [`InstantRecovery`] plan — call
     /// [`InstantRecovery::drive`] on background threads to finish redo while
     /// the tree serves (or let traffic drain it).

@@ -9,6 +9,7 @@
 use pitree_obs::{Recorder, Registry};
 use pitree_pagestore::buffer::BufferPool;
 use pitree_pagestore::disk::{DiskManager, FileDisk, MemDisk};
+use pitree_pagestore::fault::InjectorHandle;
 use pitree_pagestore::space::SpaceMap;
 use pitree_pagestore::StoreResult;
 use pitree_txnlock::TxnManager;
@@ -130,11 +131,13 @@ impl CrashableStore {
     /// A brand-new in-memory store whose durable-write boundaries (page
     /// writes and log forces) consult `injector` — the simulation kit's
     /// crash-point hook. A subsequent [`CrashableStore::crash`] yields an
-    /// injector-free survivor on which recovery runs unimpeded.
+    /// injector-free survivor on which recovery runs unimpeded;
+    /// [`CrashableStore::crash_with_injector`] yields one whose recovery can
+    /// itself be crashed.
     pub fn create_with_injector(
         pool_frames: usize,
         max_pages: u64,
-        injector: pitree_pagestore::fault::InjectorHandle,
+        injector: InjectorHandle,
     ) -> StoreResult<CrashableStore> {
         let disk = Arc::new(MemDisk::with_injector(Arc::clone(&injector)));
         let log_store = Arc::new(MemLogStore::with_injector(injector));
@@ -165,8 +168,23 @@ impl CrashableStore {
     /// (simulating a force cut short mid-record). Used for log-prefix
     /// crash-point sweeps.
     pub fn crash_with_log_prefix(&self, log_bytes: u64) -> StoreResult<CrashableStore> {
-        let disk = Arc::new(self.disk.snapshot());
-        let log_store = Arc::new(self.log_store.snapshot_truncated(log_bytes));
+        self.survivor(log_bytes, None)
+    }
+
+    /// Crash into a survivor whose durable-write boundaries consult
+    /// `injector`: recovery's own writes — eviction write-backs during the
+    /// redo drain, the CLR/`End` force — become crash points too.
+    pub fn crash_with_injector(&self, injector: InjectorHandle) -> StoreResult<CrashableStore> {
+        self.survivor(u64::MAX, Some(injector))
+    }
+
+    fn survivor(
+        &self,
+        log_bytes: u64,
+        injector: Option<InjectorHandle>,
+    ) -> StoreResult<CrashableStore> {
+        let disk = Arc::new(self.disk.snapshot_with(injector.clone()));
+        let log_store = Arc::new(self.log_store.snapshot_with(log_bytes, injector));
         let store = Store::assemble(
             Arc::clone(&disk) as Arc<dyn DiskManager>,
             Arc::clone(&log_store) as Arc<dyn LogStore>,

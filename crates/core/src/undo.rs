@@ -98,9 +98,9 @@ impl<S: Structure> LogicalUndoHandler for UndoHandler<'_, S> {
     }
 }
 
-/// A handler that opens the tree lazily — needed at restart, where recovery
-/// must run redo before the tree (whose meta record may itself need redo)
-/// can be opened, yet the undo pass needs a working tree.
+/// A handler that opens the tree lazily — needed at restart, where the redo
+/// plan must be installed before the tree (whose meta record may itself need
+/// redo) can be opened, yet the undo pass needs a working tree.
 pub struct DeferredHandler<S: Structure> {
     store: Arc<Store>,
     tree_id: u32,

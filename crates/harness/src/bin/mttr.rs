@@ -1,17 +1,20 @@
 //! MTTR (mean time to repair) benchmark: crash the **file-backed** store
 //! with ~K MB of log written since the last fuzzy checkpoint, then
-//! measure how long a restart takes to answer its first query two ways:
+//! measure how long a restart takes to answer its first query under two
+//! drain policies of the one REDO engine (both restarts run analysis,
+//! install the per-page redo plan and undo losers; they differ in who
+//! drains the plan, and when):
 //!
-//! - **Stop-the-world** (`PiTree::recover`): analysis + full REDO of
-//!   every update since the checkpoint + undo, then the first get.
-//!   Time-to-first-op is O(log since checkpoint) *page fetches*: the
-//!   updates are spread over far more leaves than the restart pool has
-//!   frames, so replay pays a cold random read (and an eviction
-//!   write-back) per touched page.
-//! - **Instant restart** (`PiTree::recover_instant`): analysis + undo
-//!   only, then the first get — pages replay on demand at first pin, so
-//!   time-to-first-op is O(analysis) — one *sequential* read of the
-//!   post-checkpoint log — plus per-page redo along a single
+//! - **Stop-the-world** (`PiTree::recover`): the recovering thread
+//!   drains the whole plan — every page touched since the checkpoint —
+//!   and only then serves the first get. Time-to-first-op is O(log
+//!   since checkpoint) *page fetches*: the updates are spread over far
+//!   more leaves than the restart pool has frames, so the drain pays a
+//!   cold random read (and an eviction write-back) per touched page.
+//! - **Instant restart** (`PiTree::recover_instant`): the store opens
+//!   right after undo, then the first get — pages replay on demand at
+//!   first pin, so time-to-first-op is O(analysis) — one *sequential*
+//!   read of the post-checkpoint log — plus per-page redo along a single
 //!   root-to-leaf path. Background REDO
 //!   ([`pitree_wal::InstantRecovery::drive`]) then drains the plan on
 //!   worker threads while the foreground serves reads;
@@ -26,7 +29,7 @@
 //!   interval *is* the K axis.
 //! - Both restarts recover **the same crash image**: the durable files
 //!   (`store.db`/`store.log`/`store.master`) are copied to two
-//!   directories after the crash, so the comparison is replay strategy
+//!   directories after the crash, so the comparison is drain policy
 //!   and nothing else. Every committed key (preloads and updates) is
 //!   verified after each recovery — the bench doubles as an end-to-end
 //!   durability check.
@@ -245,7 +248,7 @@ fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> RunResult {
     let probe = 0u64; // preload key — always present
     assert!(versions.contains_key(&probe));
 
-    // ---- B: stop-the-world recovery, then the first get --------------------
+    // ---- B: synchronous drain (stop-the-world), then the first get --------
     let cold_cache = drop_os_caches();
     let (full_replay_ns, redone_full) = {
         let t0 = Stopwatch::start();

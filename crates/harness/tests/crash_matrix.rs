@@ -176,9 +176,52 @@ fn build(cfg: PiTreeConfig, plan: &Arc<CrashPlan>) -> (CrashableStore, PiTree) {
     (cs, tree)
 }
 
-fn verify_recovery(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, ctx: &str) {
-    let (tree, _stats) = PiTree::recover(Arc::clone(&crashed.store), 1, cfg)
-        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+/// Who drains the redo plan of the recovery under test.
+#[derive(Clone, Copy)]
+enum Drain {
+    /// `PiTree::recover`: the calling thread drains before the tree opens.
+    Synchronous,
+    /// `PiTree::recover_instant`: every committed key is served while the
+    /// plan may still be pending (each pin redoes its page inline), then
+    /// two background workers drain the rest.
+    TrafficThenWorkers,
+}
+
+/// Recover the crashed image under `drain` and verify the full committed
+/// state, before and after lazy completion of interrupted structure changes.
+fn verify_recovery_with(
+    crashed: &CrashableStore,
+    cfg: PiTreeConfig,
+    model: &Model,
+    drain: Drain,
+    ctx: &str,
+) {
+    let store = Arc::clone(&crashed.store);
+    let tree = match drain {
+        Drain::Synchronous => {
+            PiTree::recover(store, 1, cfg)
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"))
+                .0
+        }
+        Drain::TrafficThenWorkers => {
+            let (tree, plan, _stats) = PiTree::recover_instant(store, 1, cfg)
+                .unwrap_or_else(|e| panic!("{ctx}: instant recovery failed: {e}"));
+            for (k, v) in model {
+                let got = tree
+                    .get_unlocked(&key(*k))
+                    .unwrap_or_else(|e| panic!("{ctx}: get {k} mid-recovery: {e}"));
+                assert_eq!(
+                    got.as_ref(),
+                    Some(v),
+                    "{ctx}: key {k} wrong while REDO pending"
+                );
+            }
+            plan.drive(&crashed.store.pool, 2)
+                .unwrap_or_else(|e| panic!("{ctx}: drive: {e}"));
+            assert!(plan.is_complete(), "{ctx}: plan not drained");
+            tree
+        }
+    };
     let report = tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     assert!(
         report.is_well_formed(),
@@ -211,6 +254,10 @@ fn verify_recovery(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, c
         model.len(),
         "{ctx}: completion changed records"
     );
+}
+
+fn verify_recovery(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, ctx: &str) {
+    verify_recovery_with(crashed, cfg, model, Drain::Synchronous, ctx);
 }
 
 fn expect_injected(res: StoreResult<()>, ctx: &str) {
@@ -608,15 +655,18 @@ fn crash_between_group_write_and_publish_with_dependent_txn() {
 // ---- Instant-restart / fuzzy-checkpoint crash windows ----------------------
 //
 // Fuzzy checkpoints and the two-stage restart (analysis, then on-demand +
-// parallel REDO) open three windows none of the rows above reach: (f) a
+// parallel REDO) open four windows none of the rows above reach: (f) a
 // crash that tears the checkpoint record itself after the master pointer
 // was published; (g) a second crash in the middle of *parallel* REDO, with
-// one shard's pages already flushed and the rest untouched; and (h) a read
-// served from a page the background REDO has not reached yet. The oracles:
-// a torn checkpoint must degrade to a full-scan analysis (never a failed
-// recovery), a half-redone image must recover to exactly the committed
-// state (REDO is idempotent under the per-page LSN check), and a
-// mid-recovery read must return committed data.
+// one shard's pages already flushed and the rest untouched; (h) a read
+// served from a page the background REDO has not reached yet; and (j) a
+// checkpoint taken while the redo plan is still pending, followed by a
+// crash before the plan drains. The oracles: a torn checkpoint must degrade
+// to a full-scan analysis (never a failed recovery), a half-redone image
+// must recover to exactly the committed state (REDO is idempotent under the
+// per-page LSN check), a mid-recovery read must return committed data, and
+// a mid-drain checkpoint must not advance the master past a record the plan
+// still owes.
 
 /// (f) Crash while the checkpoint record is half-written: sweep every
 /// durable-log prefix across the checkpoint record's byte range *without*
@@ -703,6 +753,45 @@ fn crash_mid_parallel_redo_with_one_shard_complete() {
     verify_recovery(&crashed, cfg, &model, "mid-parallel-redo");
 }
 
+/// (j) Checkpoint while the redo plan is pending, then crash before it
+/// drains: instant restart opens the store, traffic commits a few writes
+/// (touching — and thereby redoing — only some pages), the redone pages are
+/// flushed, `TxnManager::checkpoint` runs with the rest of the plan still
+/// owed, and the machine dies before any `drive`. The owed pages were never fetched since the
+/// restart, so no dirty frame speaks for them: the checkpoint's dirty-page
+/// table must list them itself, or the new master skips their only records.
+#[test]
+fn checkpoint_during_pending_redo_then_crash_before_drive() {
+    let cfg = PiTreeConfig::small_nodes(4, 4);
+    let cs = CrashableStore::create(64, 10_000).unwrap();
+    let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap();
+    let mut model = Model::new();
+    for k in 0..40 {
+        insert(&tree, &mut model, k).unwrap();
+    }
+    drop(tree);
+
+    let mid = cs.crash().unwrap();
+    let (tree_mid, plan, _) =
+        PiTree::recover_instant(Arc::clone(&mid.store), 1, cfg).expect("instant recover");
+    for k in [3, 40, 41] {
+        insert(&tree_mid, &mut model, k).unwrap();
+    }
+    assert!(
+        plan.pending_page_count() > 0,
+        "nothing owed at the checkpoint: the row tests nothing"
+    );
+    // Clean every frame first. Otherwise the root — redone at first pin,
+    // so dirty since the log's earliest records — drags the redo horizon
+    // back over the owed pages' records by accident.
+    mid.store.pool.flush_all().expect("flush redone pages");
+    mid.store.txns.checkpoint().expect("checkpoint mid-drain");
+    drop(tree_mid);
+
+    let crashed = mid.crash().unwrap();
+    verify_recovery(&crashed, cfg, &model, "checkpoint-during-pending-redo");
+}
+
 // ---- Eviction write-back crash window (i) ----------------------------------
 //
 // The scenario harness runs at a pool ~1% of the data, so dirty pages are
@@ -711,47 +800,8 @@ fn crash_mid_parallel_redo_with_one_shard_complete() {
 // middle of an eviction write-back, with the half-evicted page's log
 // records forced (log-before-dirty) but the page image torn out of the
 // sweep. Recovery must rebuild exactly the committed state, and it must do
-// so through the *instant* path: on-demand REDO first, then the parallel
-// plan drained to completion.
-
-/// Recover the crashed image via `PiTree::recover_instant`, serve every
-/// committed key while the REDO plan may still be pending, drain the plan,
-/// and verify the full committed-version state.
-fn verify_recovery_instant(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, ctx: &str) {
-    let (tree, plan, _stats) = PiTree::recover_instant(Arc::clone(&crashed.store), 1, cfg)
-        .unwrap_or_else(|e| panic!("{ctx}: instant recovery failed: {e}"));
-    // Reads during recovery: each pin redoes its page inline if pending.
-    for (k, v) in model {
-        let got = tree
-            .get_unlocked(&key(*k))
-            .unwrap_or_else(|e| panic!("{ctx}: get {k} mid-recovery: {e}"));
-        assert_eq!(
-            got.as_ref(),
-            Some(v),
-            "{ctx}: key {k} wrong while REDO pending"
-        );
-    }
-    plan.drive(&crashed.store.pool, 2)
-        .unwrap_or_else(|e| panic!("{ctx}: drive: {e}"));
-    assert!(plan.is_complete(), "{ctx}: plan not drained");
-    let report = tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert!(
-        report.is_well_formed(),
-        "{ctx}: recovered tree ill-formed: {:?}",
-        report.violations
-    );
-    assert_eq!(
-        report.records,
-        model.len(),
-        "{ctx}: committed records lost or resurrected"
-    );
-    for (k, v) in model {
-        let got = tree
-            .get_unlocked(&key(*k))
-            .unwrap_or_else(|e| panic!("{ctx}: get {k}: {e}"));
-        assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} wrong after drain");
-    }
-}
+// so under the traffic-first drain policy: on-demand REDO first, then the
+// parallel plan drained to completion.
 
 /// (i) Crash during eviction write-back under hot-key pressure: an
 /// 8-frame pool under a tree an order of magnitude larger, hammered on a
@@ -832,7 +882,7 @@ fn crash_during_eviction_writeback_under_hot_keys() {
         let crashed = cs
             .crash()
             .unwrap_or_else(|e| panic!("{ctx}: snapshot: {e}"));
-        verify_recovery_instant(&crashed, cfg, &model, &ctx);
+        verify_recovery_with(&crashed, cfg, &model, Drain::TrafficThenWorkers, &ctx);
     }
     assert!(
         page_write_crashes > 0,

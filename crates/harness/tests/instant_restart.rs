@@ -1,18 +1,21 @@
 //! Instant-restart integration oracles.
 //!
 //! The heart of this file is the **determinism oracle**: recovery must be
-//! a pure function of the durable crash image, no matter which engine
-//! replays it. One seeded workload is crashed once, and the same image is
-//! recovered three ways — stop-the-world serial REDO, instant restart
-//! with parallel background REDO, and instant restart where foreground
-//! traffic triggers on-demand REDO before the background workers drain
-//! the rest. All three must produce byte-identical pages ("repeating
-//! history" has exactly one answer — §4.3.1's invariant restated as an
-//! executable test). The oracle runs over a crashed image of each of the
-//! three structures — Π-tree, TSB-tree, hB-tree — since all of them restart
-//! through the one engine (`pitree::Engine::{recover, recover_instant}`);
-//! each image carries a loser transaction, so logical undo runs through
-//! the structure's own handler with the on-demand redo hook installed.
+//! a pure function of the durable crash image, no matter who drains the
+//! redo plan. One seeded workload is crashed once, and the same image is
+//! recovered under the one REDO engine's three drain policies —
+//! stop-the-world synchronous drain, instant restart with parallel
+//! background REDO, and instant restart where foreground traffic triggers
+//! on-demand REDO before the background workers drain the rest (the
+//! log-order textbook pass they replaced lives on as a test-side reference
+//! in `pitree-wal`'s `tests/one_redo_engine.rs`). All three must produce
+//! byte-identical pages ("repeating history" has exactly one answer —
+//! §4.3.1's invariant restated as an executable test). The oracle runs over
+//! a crashed image of each of the three structures — Π-tree, TSB-tree,
+//! hB-tree — since all of them restart through the one engine
+//! (`pitree::Engine::{recover, recover_instant}`); each image carries a
+//! loser transaction, so logical undo runs through the structure's own
+//! handler with the on-demand redo hook installed.
 //!
 //! The second half exercises the **fuzzy-checkpoint trigger**: armed via
 //! [`pitree_txnlock::TxnManager::set_checkpoint_every_bytes`], commits
@@ -124,28 +127,28 @@ fn crashed_workload() -> (CrashableStore, Model) {
     (cs, model)
 }
 
-/// Same crash image, three replay engines, one answer: recover `cs` by
-/// serial REDO, by parallel background REDO, and by traffic-first on-demand
-/// REDO, and demand byte-identical page images. `serve` answers every
-/// committed read through point lookups (what traffic does while REDO is
-/// pending); `verify` additionally validates the whole structure.
-fn assert_three_engines_agree<T>(
+/// Same crash image, three drain policies, one answer: recover `cs` by
+/// synchronous drain, by parallel background REDO, and by traffic-first
+/// on-demand REDO, and demand byte-identical page images. `serve` answers
+/// every committed read through point lookups (what traffic does while REDO
+/// is pending); `verify` additionally validates the whole structure.
+fn assert_three_drain_policies_agree<T>(
     cs: &CrashableStore,
-    serial: impl Fn(Arc<Store>) -> (T, RecoveryStats),
+    sync: impl Fn(Arc<Store>) -> (T, RecoveryStats),
     instant: impl Fn(Arc<Store>) -> (T, Arc<InstantRecovery>, RecoveryStats),
     serve: impl Fn(&T, &str),
     verify: impl Fn(&T, &str),
 ) {
-    // (a) stop-the-world serial recovery.
+    // (a) stop-the-world: the recovering thread drains the whole plan.
     let a = cs.crash().expect("snapshot a");
-    let (tree_a, stats_a) = serial(Arc::clone(&a.store));
+    let (tree_a, stats_a) = sync(Arc::clone(&a.store));
     assert!(stats_a.redone > 0, "workload left nothing to redo");
     assert!(
         !stats_a.losers.is_empty(),
         "the forced-but-uncommitted loser must be found and undone"
     );
-    serve(&tree_a, "serial");
-    verify(&tree_a, "serial");
+    serve(&tree_a, "synchronous");
+    verify(&tree_a, "synchronous");
     drop(tree_a);
 
     // (b) instant restart, background REDO on 4 workers, no traffic.
@@ -168,32 +171,32 @@ fn assert_three_engines_agree<T>(
     serve(&tree_c, "half-recovered store");
     plan_c.drive(&c.store.pool, 2).expect("drain after traffic");
     assert!(plan_c.is_complete());
-    serve(&tree_c, "on-demand");
-    verify(&tree_c, "on-demand");
+    serve(&tree_c, "traffic-first");
+    verify(&tree_c, "traffic-first");
     drop(tree_c);
 
     let img_a = page_images(&a, 10_000);
-    for (other, name) in [(&b, "parallel"), (&c, "on-demand")] {
+    for (other, name) in [(&b, "parallel"), (&c, "traffic-first")] {
         let img = page_images(other, 10_000);
         assert_eq!(
             img_a.len(),
             img.len(),
-            "allocated page sets diverge (serial vs {name})"
+            "allocated page sets diverge (synchronous vs {name})"
         );
         for ((pa, ba), (po, bo)) in img_a.iter().zip(img.iter()) {
             assert_eq!(pa, po, "allocated page sets diverge");
-            assert_eq!(ba, bo, "page {pa}: serial and {name} REDO disagree");
+            assert_eq!(ba, bo, "page {pa}: synchronous and {name} drains disagree");
         }
     }
 }
 
 #[test]
-fn serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+fn sync_parallel_and_traffic_first_drains_agree_byte_for_byte() {
     let cfg = PiTreeConfig::small_nodes(4, 4);
     let (cs, model) = crashed_workload();
-    assert_three_engines_agree(
+    assert_three_drain_policies_agree(
         &cs,
-        |store| PiTree::recover(store, 1, cfg).expect("serial recover"),
+        |store| PiTree::recover(store, 1, cfg).expect("synchronous recover"),
         |store| PiTree::recover_instant(store, 1, cfg).expect("instant recover"),
         |tree, ctx| {
             for (k, v) in &model {
@@ -209,7 +212,7 @@ fn serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
 /// and key splits, tombstones, and a loser whose version must vanish from
 /// every copy a time split made of it.
 #[test]
-fn tsb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+fn tsb_sync_parallel_and_traffic_first_drains_agree_byte_for_byte() {
     let cfg = TsbConfig::small_nodes(4, 4);
     let cs = CrashableStore::create(8, 10_000).expect("store");
     let tree = TsbTree::create(Arc::clone(&cs.store), 2, cfg).expect("tree");
@@ -235,9 +238,9 @@ fn tsb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
     assert!(tree.stats().splits.get() > 0, "workload must split");
     drop(tree);
 
-    assert_three_engines_agree(
+    assert_three_drain_policies_agree(
         &cs,
-        |store| TsbTree::recover(store, 2, cfg).expect("serial recover"),
+        |store| TsbTree::recover(store, 2, cfg).expect("synchronous recover"),
         |store| TsbTree::recover_instant(store, 2, cfg).expect("instant recover"),
         |tree, ctx| {
             for (k, versions) in &model {
@@ -264,7 +267,7 @@ fn tsb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
 /// deletes, and a loser insert that recovery removes wherever a split took
 /// it.
 #[test]
-fn hb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
+fn hb_sync_parallel_and_traffic_first_drains_agree_byte_for_byte() {
     let cfg = HbConfig::small_nodes(4, 6);
     let cs = CrashableStore::create(8, 10_000).expect("store");
     let tree = HbTree::create(Arc::clone(&cs.store), 3, cfg).expect("tree");
@@ -306,9 +309,9 @@ fn hb_serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
     assert!(tree.stats().splits.get() > 0, "workload must split");
     drop(tree);
 
-    assert_three_engines_agree(
+    assert_three_drain_policies_agree(
         &cs,
-        |store| HbTree::recover(store, 3, cfg).expect("serial recover"),
+        |store| HbTree::recover(store, 3, cfg).expect("synchronous recover"),
         |store| HbTree::recover_instant(store, 3, cfg).expect("instant recover"),
         |tree, ctx| {
             for (p, v) in &model {

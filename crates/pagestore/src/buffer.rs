@@ -68,6 +68,11 @@ pub trait RedoHook: Send + Sync {
     /// should format a fresh frame for the hook to fill.
     fn pending(&self, pid: PageId) -> bool;
 
+    /// `(page id, first pending LSN)` of every page still owed records.
+    /// [`BufferPool::dirty_pages`] lists them beside the dirty frames: an
+    /// owed page is stale on disk exactly as a dirty frame's page is.
+    fn pending_pages(&self) -> Vec<(PageId, Lsn)>;
+
     /// Whether every page's redo has completed (the pool uninstalls the
     /// hook once this reports `true`).
     fn is_complete(&self) -> bool;
@@ -640,16 +645,33 @@ impl BufferPool {
         Ok(())
     }
 
-    /// `(page id, recovery LSN)` of all currently dirty cached pages (the
-    /// dirty-page table of a fuzzy checkpoint).
+    /// `(page id, recovery LSN)` of every page whose disk image is stale
+    /// (the dirty-page table of a fuzzy checkpoint): the dirty cached pages
+    /// plus, while a [`RedoHook`] is installed, the pages it still owes —
+    /// a checkpoint that left those out would advance the master past
+    /// their only records.
+    ///
+    /// Owed pages are listed *before* the frames are scanned: the hook
+    /// replays a page under the same lock its listing takes, so a page
+    /// missing from the listing has already been marked dirty in its frame.
     pub fn dirty_pages(&self) -> Vec<(PageId, Lsn)> {
-        let mut out = Vec::new();
+        let mut out = self
+            .redo_hook()
+            .map_or_else(Vec::new, |h| h.pending_pages());
+        let owed = !out.is_empty();
         for frame in self.frames.iter() {
             if frame.dirty.load(Ordering::SeqCst) {
                 if let Some(pid) = *frame.pid.lock() {
                     out.push((pid, Lsn(frame.rec_lsn.load(Ordering::SeqCst))));
                 }
             }
+        }
+        if owed {
+            // A page can be both owed and dirty (a replay that failed half
+            // way): keep its lower LSN. Sorting also fixes the order the
+            // hook's hash maps left open.
+            out.sort_unstable();
+            out.dedup_by_key(|e| e.0);
         }
         out
     }

@@ -64,11 +64,17 @@ impl MemDisk {
     }
 
     /// Copy the current durable image — the survivor of a simulated crash.
-    /// The snapshot carries no injector: recovery must run unimpeded.
+    /// The snapshot carries no injector: recovery runs unimpeded.
     pub fn snapshot(&self) -> MemDisk {
+        self.snapshot_with(None)
+    }
+
+    /// [`MemDisk::snapshot`] whose page writes consult `injector`, so the
+    /// survivor's own recovery can be crashed.
+    pub fn snapshot_with(&self, injector: Option<InjectorHandle>) -> MemDisk {
         MemDisk {
             pages: Mutex::new(self.pages.lock().clone()),
-            injector: None,
+            injector,
         }
     }
 }

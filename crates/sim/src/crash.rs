@@ -27,6 +27,13 @@
 //!    and every model key readable with its exact value. Then complete any
 //!    interrupted structure changes lazily and re-check well-formedness.
 //!
+//! [`crash_during_recovery`] turns the same kit on recovery itself: the
+//! survivor of step 4 carries a second [`CrashPlan`], so the restart's own
+//! durable writes — eviction write-backs while the redo plan drains, the
+//! CLR/`End` force after undo — are crash points too. Recovery is killed at
+//! each sampled one, the half-recovered image is crashed again, and a clean
+//! recovery of *that* must still yield exactly the committed data.
+//!
 //! Every panic message carries the seed and crash point, and the [`crate::prop`]
 //! runner prints the `PITREE_SIM_SEED` replay command on the way out.
 
@@ -226,6 +233,17 @@ fn expect_injected(res: StoreResult<()>, ctx: &str) {
     }
 }
 
+/// The boundaries to crash at, out of `1..=fault_points`: evenly strided,
+/// at most about `max_points`, always including the first and the last.
+fn sample_points(fault_points: u64, max_points: usize) -> Vec<u64> {
+    let stride = (fault_points as usize / max_points).max(1);
+    let mut points: Vec<u64> = (1..=fault_points).step_by(stride).collect();
+    if fault_points > 0 && points.last() != Some(&fault_points) {
+        points.push(fault_points);
+    }
+    points
+}
+
 /// Full crash–recover–verify sweep for one seed. Panics (with a replayable
 /// message) on any violation; returns coverage numbers otherwise.
 pub fn crash_recover_verify(seed: u64, cfg: &CrashConfig) -> CrashReport {
@@ -259,12 +277,7 @@ pub fn crash_recover_verify(seed: u64, cfg: &CrashConfig) -> CrashReport {
     );
     drop(tree);
 
-    // Sweep: evenly strided boundaries, always including the first and last.
-    let stride = (fault_points as usize / cfg.max_crash_points).max(1);
-    let mut points: Vec<u64> = (1..=fault_points).step_by(stride).collect();
-    if points.last() != Some(&fault_points) {
-        points.push(fault_points);
-    }
+    let points = sample_points(fault_points, cfg.max_crash_points);
 
     for &n in &points {
         let plan = CrashPlan::fire_at(n);
@@ -290,6 +303,123 @@ pub fn crash_recover_verify(seed: u64, cfg: &CrashConfig) -> CrashReport {
         fault_points,
         crash_points_tested: points.len(),
         final_keys: probe_model.len(),
+    }
+}
+
+/// What one seed's [`crash_during_recovery`] sweep covered.
+#[derive(Clone, Debug)]
+pub struct RecoveryCrashReport {
+    /// The seed that generated the workload and picked the drain policy.
+    pub seed: u64,
+    /// Whether the interrupted restarts were instant (`recover_instant` +
+    /// point reads + `drive`) rather than stop-the-world (`recover`).
+    pub instant: bool,
+    /// Durable-write boundaries one uninterrupted recovery crosses.
+    pub fault_points: u64,
+    /// How many of those boundaries recovery was killed at.
+    pub crash_points_tested: usize,
+    /// How many of the kills tore a page write (an eviction write-back
+    /// during undo or the drain); the rest cut a log force short.
+    pub page_write_kills: usize,
+    /// Loser actions the interrupted recovery had to roll back.
+    pub losers: usize,
+}
+
+/// One restart of `crashed` under a drain policy: stop-the-world, or instant
+/// with a point read of every committed key (on-demand redo) before the
+/// background drain. Returns the number of losers rolled back.
+fn restart(
+    crashed: &CrashableStore,
+    cfg: &CrashConfig,
+    model: &BTreeMap<u64, Vec<u8>>,
+    instant: bool,
+) -> StoreResult<usize> {
+    let store = Arc::clone(&crashed.store);
+    if !instant {
+        return Ok(PiTree::recover(store, 1, cfg.tree_cfg)?.1.losers.len());
+    }
+    let (tree, plan, stats) = PiTree::recover_instant(store, 1, cfg.tree_cfg)?;
+    for k in model.keys() {
+        tree.get_unlocked(&key_bytes(*k))?;
+    }
+    // One worker: the boundary sequence must repeat exactly between the
+    // counting run and each killing run.
+    plan.drive(&crashed.store.pool, 1)?;
+    Ok(stats.losers.len())
+}
+
+/// Crash recovery itself, for one seed: run a seed-chosen prefix of the
+/// workload, leave one transaction in flight with its updates forced (so
+/// every image has a loser and undo has CLRs to write), crash, then kill the
+/// survivor's restart at every sampled durable write of its own, crash
+/// again, recover cleanly and check the committed model. The seed's low bit
+/// picks the drain policy of the restarts that get killed; the final, clean
+/// recovery is always stop-the-world.
+pub fn crash_during_recovery(seed: u64, cfg: &CrashConfig) -> RecoveryCrashReport {
+    let mut rng = SimRng::new(seed);
+    let script = gen_script(&mut rng, cfg);
+    let instant = seed & 1 == 1;
+
+    // The workload's own crash needs no injector: it lands between two
+    // operations of the script's second half.
+    let (dead, tree) = build(cfg, &CrashPlan::count_only());
+    let prefix = script.len() / 2 + rng.range_usize(0..script.len() / 2 + 1);
+    let mut model = BTreeMap::new();
+    run_script(&dead, &tree, &script[..prefix], &mut model)
+        .unwrap_or_else(|e| panic!("seed {seed}: workload failed: {e}"));
+    let mut loser = tree.begin();
+    for _ in 0..3 {
+        let k = rng.below(cfg.key_domain);
+        tree.insert(&mut loser, &key_bytes(k), b"loser-uncommitted")
+            .unwrap_or_else(|e| panic!("seed {seed}: loser insert {k}: {e}"));
+    }
+    dead.store
+        .log
+        .force_all()
+        .unwrap_or_else(|e| panic!("seed {seed}: force loser tail: {e}"));
+    // Forget, not drop: a dead machine does not roll back politely.
+    std::mem::forget(loser);
+    drop(tree);
+
+    // Count the boundaries of one uninterrupted restart of that image.
+    let count = CrashPlan::count_only();
+    let survivor = dead
+        .crash_with_injector(Arc::clone(&count) as InjectorHandle)
+        .unwrap_or_else(|e| panic!("seed {seed}: snapshot: {e}"));
+    count.arm();
+    let losers = restart(&survivor, cfg, &model, instant)
+        .unwrap_or_else(|e| panic!("seed {seed}: uninterrupted restart failed: {e}"));
+    let fault_points = count.hits();
+
+    let points = sample_points(fault_points, cfg.max_crash_points);
+    let mut page_write_kills = 0;
+    for &m in &points {
+        let kill = CrashPlan::fire_at(m);
+        let survivor = dead
+            .crash_with_injector(Arc::clone(&kill) as InjectorHandle)
+            .unwrap_or_else(|e| panic!("seed {seed}: snapshot: {e}"));
+        kill.arm();
+        let res = restart(&survivor, cfg, &model, instant).map(drop);
+        let site = kill.fired_site().unwrap_or_else(|| "?".into());
+        let ctx = format!(
+            "seed {seed} after {prefix} ops, recovery (instant: {instant}) killed at \
+             {m}/{fault_points} ({site})"
+        );
+        expect_injected(res, &ctx);
+        page_write_kills += usize::from(site.starts_with("page-write"));
+        let twice = survivor
+            .crash()
+            .unwrap_or_else(|e| panic!("{ctx}: snapshot: {e}"));
+        verify_recovery(&twice, cfg, &model, &ctx);
+    }
+
+    RecoveryCrashReport {
+        seed,
+        instant,
+        fault_points,
+        crash_points_tested: points.len(),
+        page_write_kills,
+        losers,
     }
 }
 

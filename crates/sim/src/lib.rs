@@ -22,8 +22,10 @@
 //! * [`crash`] and [`mod@shake`] — the two closed loops built from those parts:
 //!   a crash–recover–verify sweep that kills the system at every injected
 //!   boundary of a seeded workload and checks recovery against a `BTreeMap`
-//!   reference model, and a seeded multi-thread schedule shaker for
-//!   concurrent insert/delete/search + structure-change interleavings.
+//!   reference model (and, in a second property, kills the *recovery* at
+//!   each of its own durable writes), and a seeded multi-thread schedule
+//!   shaker for concurrent insert/delete/search + structure-change
+//!   interleavings.
 //!
 //! The crate sits *above* the system crates (pagestore, wal, txnlock, core)
 //! as a dev-dependency of each — the `FaultInjector` trait lives down in
@@ -37,7 +39,9 @@ pub mod rng;
 pub mod schedule;
 pub mod shake;
 
-pub use crash::{crash_recover_verify, CrashConfig, CrashReport};
+pub use crash::{
+    crash_during_recovery, crash_recover_verify, CrashConfig, CrashReport, RecoveryCrashReport,
+};
 pub use fault::CrashPlan;
 pub use rng::SimRng;
 pub use schedule::{gen_schedule, run_schedule, CountingStore, ScheduleOutcome};

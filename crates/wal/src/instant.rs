@@ -1,23 +1,28 @@
-//! Instant restart: open for traffic after analysis, redo per page.
+//! The redo plan: the workspace's one REDO engine, and instant restart.
 //!
-//! Classic [`crate::recovery::recover`] is stop-the-world: no operation can
-//! be served until every record in the redo range has been replayed, so MTTR
-//! grows linearly with log volume. This module implements the Sauer–Härder
-//! style upgrade (PAPERS.md "fast, REDO-only recovery"; Lomet, "Implementing
-//! Performance Competitive Logical Recovery"), which the paper's own §4.3.2
-//! makes sound for the Π-tree: interrupted structure changes need no special
-//! measures, so a tree that is *partially* redone is merely a tree in an
+//! Analysis (`crate::recovery::analyze`) partitions the redo range into
+//! per-page record lists — a *redo plan*. [`start_instant`] installs the plan
+//! as the buffer pool's [`RedoHook`], runs undo, and returns. From that
+//! moment any fetch of a page that still owes records replays exactly those
+//! records, under the plan shard's mutex, before the pin is handed out.
+//! What remains is a choice of *drain policy*, not of engine:
+//!
+//! * **synchronous** — [`InstantRecovery::drain`] walks the whole plan on
+//!   the calling thread; this is stop-the-world [`crate::recovery::recover`],
+//!   and MTTR grows linearly with log volume.
+//! * **background** — the store serves traffic at once (time-to-first-op is
+//!   O(analysis), not O(log)) while [`InstantRecovery::drive`] walks the
+//!   plan on N worker threads, partitioned by [`page_shard`] so each pool
+//!   shard's pages are replayed by one worker, mirroring run-time placement.
+//! * **traffic-first** — nobody drives; pages are replayed as they are
+//!   pinned.
+//!
+//! Opening before the drain is the Sauer–Härder style upgrade (PAPERS.md
+//! "fast, REDO-only recovery"; Lomet, "Implementing Performance Competitive
+//! Logical Recovery"), which the paper's own §4.3.2 makes sound for the
+//! Π-tree: interrupted structure changes need no special measures, so a tree
+//! that is *partially* redone is merely a tree in an
 //! intermediate-but-well-formed state.
-//!
-//! [`start_instant`] runs analysis, partitions the redo range into per-page
-//! record lists (a *redo plan*), installs the plan as the buffer pool's
-//! [`RedoHook`], runs undo, and returns. From that moment the store serves
-//! traffic: any fetch of a page that still owes records replays exactly
-//! those records, under the plan shard's mutex, before the pin is handed
-//! out — time-to-first-op is O(analysis), not O(log). A background
-//! [`InstantRecovery::drive`] walks the remaining plan on N worker threads,
-//! partitioned by [`page_shard`] so each pool shard's pages are replayed by
-//! one worker, mirroring run-time placement.
 //!
 //! # Soundness
 //!
@@ -31,20 +36,25 @@
 //! * **Traffic sees redone state** — every pin goes through the hook until
 //!   the plan is empty, at which point the pool uninstalls it
 //!   ([`RedoHook::is_complete`]).
+//! * **Checkpoints see owed pages** — a fuzzy checkpoint taken while the
+//!   plan is pending lists every owed page in its dirty-page table
+//!   ([`RedoHook::pending_pages`]), so the master never advances past a
+//!   record the plan has yet to apply.
 //! * **No deadlock** — the hook acquires `plan-shard mutex → page X latch`.
 //!   Any thread holding a page latch after the hook is installed pinned that
 //!   page through the hook, so its plan entry is already gone and no replayer
 //!   can be waiting on that page's latch.
 //!
-//! Byte-equivalence of serial, parallel, and on-demand redo is gated by the
-//! determinism test in `pitree-harness` (`tests/instant_restart.rs`); the
-//! crash matrix covers crash-mid-parallel-redo and reads served against a
-//! half-recovered store. `RECOVERY.md` has the full walkthrough.
+//! Byte-equivalence of the three drain policies is gated by the determinism
+//! test in `pitree-harness` (`tests/instant_restart.rs`), and a log-order
+//! replay written in `tests/one_redo_engine.rs` keeps the textbook as the
+//! reference; the crash matrix covers crash-mid-parallel-redo, a checkpoint
+//! taken mid-drain, and reads served against a half-recovered store.
+//! `RECOVERY.md` has the full walkthrough.
 
 use crate::log::LogManager;
-use crate::record::RecordKind;
 use crate::recovery::{analyze, undo_pass, LogicalUndoHandler, RecoveryStats};
-use pitree_obs::{Counter, Stopwatch};
+use pitree_obs::{Counter, Hist, Stopwatch};
 use pitree_pagestore::buffer::{page_shard, BufferPool, PinnedPage, RedoHook};
 use pitree_pagestore::page::PageType;
 use pitree_pagestore::sync::Mutex;
@@ -69,21 +79,28 @@ thread_local! {
     static IN_DRIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The redo plan of an instant restart: per-page, LSN-ordered record lists,
-/// sharded by [`page_shard`]. Installed as the pool's [`RedoHook`] by
-/// [`start_instant`]; drained on demand by traffic and/or in the background
-/// by [`InstantRecovery::drive`].
+/// The redo plan of a restart: per-page, LSN-ordered record lists, sharded
+/// by [`page_shard`]. Installed as the pool's [`RedoHook`] by
+/// [`start_instant`]; drained synchronously by [`InstantRecovery::drain`],
+/// in the background by [`InstantRecovery::drive`], and/or on demand by
+/// traffic.
 pub struct InstantRecovery {
     /// `plan[s]` holds the pending pages whose `page_shard(pid, REDO_SHARDS)`
     /// is `s`. Each entry is the page's redo records in log order.
     plan: Box<[PlanShard]>,
     /// Pages still owing redo; 0 ⇒ complete and the pool drops the hook.
     pending_pages: AtomicUsize,
+    /// Records applied (`page LSN < record LSN`) and records skipped because
+    /// the page was already current, over every page replayed so far.
+    redone: AtomicUsize,
+    redo_skipped: AtomicUsize,
     /// `recovery.redo_pages`: pages replayed (background + on demand).
     redo_pages: Counter,
     /// `recovery.on_demand_redos`: pages replayed because traffic touched
     /// them before the background pass did.
     on_demand: Counter,
+    /// `recovery.redo_ns`: duration of a synchronous drain.
+    redo_ns: Hist,
 }
 
 impl std::fmt::Debug for InstantRecovery {
@@ -124,13 +141,12 @@ impl InstantRecovery {
             None => return Ok(()),
         };
         let mut g = page.x();
-        let mut marked = false;
+        let mut redone = 0;
         for (lsn, op) in &records {
             if g.lsn() < *lsn {
-                if !marked {
+                if redone == 0 {
                     // pitree-lint: allow(log-before-dirty) redo replays records that are already durable in the log
                     page.mark_dirty_at(*lsn);
-                    marked = true;
                 }
                 if let Err(e) = op.apply(&mut g) {
                     // Put the plan entry back so a retry (or the background
@@ -141,9 +157,13 @@ impl InstantRecovery {
                     return Err(e);
                 }
                 g.set_lsn(*lsn);
+                redone += 1;
             }
         }
         drop(g);
+        self.redone.fetch_add(redone, Ordering::Relaxed);
+        self.redo_skipped
+            .fetch_add(records.len() - redone, Ordering::Relaxed);
         self.pending_pages.fetch_sub(1, Ordering::SeqCst);
         self.redo_pages.inc();
         if !IN_DRIVE.with(Cell::get) {
@@ -152,12 +172,13 @@ impl InstantRecovery {
         Ok(())
     }
 
-    /// Whether `pid` still owes redo records.
-    fn pending_for(&self, pid: PageId) -> bool {
-        match self.shard_slot(pid) {
-            Ok(slot) => slot.lock().contains_key(&pid),
-            Err(_) => false,
-        }
+    /// `(redone, skipped)` record counts over every page replayed so far;
+    /// they sum to the plan's record count once it is drained.
+    pub fn redo_counts(&self) -> (usize, usize) {
+        (
+            self.redone.load(Ordering::Relaxed),
+            self.redo_skipped.load(Ordering::Relaxed),
+        )
     }
 
     /// Replay every remaining page of this worker's plan shards
@@ -175,30 +196,35 @@ impl InstantRecovery {
         stride: usize,
     ) -> StoreResult<()> {
         let stride = stride.max(1);
+        let mine = self.plan.iter().enumerate();
+        let mut mine = mine.filter(|(si, _)| si % stride == worker);
         IN_DRIVE.with(|c| c.set(true));
-        let res = self.drive_partition_inner(pool, worker, stride);
+        let res = mine.try_for_each(|(_, shard)| {
+            let mut pids: Vec<PageId> = shard.lock().keys().copied().collect();
+            // Page order, not hash order: a drain is then a pure function
+            // of the crash image (the sim kit crashes it at its n-th write).
+            pids.sort_unstable();
+            // `fetch_or_create`, not `fetch`: a page that only ever lived in
+            // the log has no disk image yet. Already-drained pages resolve
+            // to a pool hit or a clean disk read.
+            pids.into_iter()
+                .try_for_each(|pid| pool.fetch_or_create(pid, PageType::Free).map(drop))
+        });
         IN_DRIVE.with(|c| c.set(false));
         res
     }
 
-    fn drive_partition_inner(
-        &self,
-        pool: &BufferPool,
-        worker: usize,
-        stride: usize,
-    ) -> StoreResult<()> {
-        for (si, shard) in self.plan.iter().enumerate() {
-            if si % stride != worker {
-                continue;
-            }
-            let pids: Vec<PageId> = shard.lock().keys().copied().collect();
-            for pid in pids {
-                // `fetch_or_create`, not `fetch`: a page that only ever
-                // lived in the log has no disk image yet. Already-drained
-                // pages resolve to a pool hit or a clean disk read.
-                let _pin = pool.fetch_or_create(pid, PageType::Free)?;
-            }
+    /// Synchronous drain: replay the whole remaining plan on the calling
+    /// thread, uninstall the hook, and report the redo counts in `stats`
+    /// (the stop-the-world policy behind [`crate::recovery::recover`]).
+    pub fn drain(&self, pool: &BufferPool, stats: &mut RecoveryStats) -> StoreResult<()> {
+        let timer = Stopwatch::start();
+        self.drive_partition(pool, 0, 1)?;
+        if self.is_complete() {
+            pool.end_recovery();
         }
+        self.redo_ns.record(timer.elapsed_ns());
+        (stats.redone, stats.redo_skipped) = self.redo_counts();
         Ok(())
     }
 
@@ -206,30 +232,24 @@ impl InstantRecovery {
     /// threads, each owning the plan shards `s ≡ w (mod workers)`. Returns
     /// when the plan is fully drained (traffic may have helped); uninstalls
     /// the pool hook if this call finished the plan.
-    pub fn drive(&self, pool: &Arc<BufferPool>, workers: usize) -> StoreResult<()> {
+    pub fn drive(&self, pool: &BufferPool, workers: usize) -> StoreResult<()> {
         let workers = workers.clamp(1, REDO_SHARDS);
-        let result: StoreResult<()> = std::thread::scope(|s| {
+        let result = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| s.spawn(move || self.drive_partition(pool, w, workers)))
                 .collect();
-            let mut first_err = None;
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert(StoreError::Corrupt(
+            // Join every worker before reporting the first failure.
+            let joined: Vec<StoreResult<()>> = handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|_| {
+                        Err(StoreError::Corrupt(
                             "parallel-redo worker panicked".to_string(),
-                        ));
-                    }
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+                        ))
+                    })
+                })
+                .collect();
+            joined.into_iter().collect::<StoreResult<()>>()
         });
         result?;
         if self.is_complete() {
@@ -245,7 +265,21 @@ impl RedoHook for InstantRecovery {
     }
 
     fn pending(&self, pid: PageId) -> bool {
-        self.pending_for(pid)
+        self.shard_slot(pid)
+            .is_ok_and(|slot| slot.lock().contains_key(&pid))
+    }
+
+    fn pending_pages(&self) -> Vec<(PageId, Lsn)> {
+        let mut out = Vec::new();
+        for shard in self.plan.iter() {
+            let shard = shard.lock();
+            out.extend(
+                shard
+                    .iter()
+                    .filter_map(|(pid, recs)| recs.first().map(|(lsn, _)| (*pid, *lsn))),
+            );
+        }
+        out
     }
 
     fn is_complete(&self) -> bool {
@@ -261,12 +295,12 @@ impl RedoHook for InstantRecovery {
 /// complete); call [`InstantRecovery::drive`] on worker threads to finish
 /// redo in the background while serving.
 ///
-/// The returned [`RecoveryStats`] covers analysis and undo; per-page redo
-/// work is reported through the `recovery.redo_pages` and
-/// `recovery.on_demand_redos` counters as it happens instead of
-/// `RecoveryStats::redone`.
+/// The returned [`RecoveryStats`] covers analysis and undo, plus the redo
+/// undo itself triggered; the rest of the per-page redo work is reported
+/// through [`InstantRecovery::redo_counts`] and the `recovery.redo_pages` /
+/// `recovery.on_demand_redos` counters as it happens.
 pub fn start_instant(
-    pool: &Arc<BufferPool>,
+    pool: &BufferPool,
     log: &LogManager,
     handler: Option<&dyn LogicalUndoHandler>,
 ) -> StoreResult<(Arc<InstantRecovery>, RecoveryStats)> {
@@ -276,36 +310,23 @@ pub fn start_instant(
 
     let analysis = analyze(log, &mut stats)?;
 
-    // Build the redo plan: per-page, LSN-ordered record lists. Log order
-    // within a page is preserved by construction (the scan is in LSN order).
-    let plan: Box<[PlanShard]> = (0..REDO_SHARDS)
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect();
-    let mut pages = 0usize;
-    for r in &analysis.redo_records {
-        let (pid, op) = match &r.kind {
-            RecordKind::Update { pid, redo, .. } => (*pid, redo),
-            RecordKind::Clr { pid, redo, .. } => (*pid, redo),
-            _ => continue,
-        };
-        let idx = page_shard(pid, REDO_SHARDS);
-        let slot = plan.get(idx).ok_or_else(|| {
-            StoreError::Corrupt(format!("redo plan shard {idx} out of range for page {pid}"))
-        })?;
-        let mut shard = slot.lock();
-        let entry = shard.entry(pid).or_default();
-        if entry.is_empty() {
-            pages += 1;
-        }
-        entry.push((r.lsn, op.clone()));
-    }
-
+    // Shard the plan analysis built. Each page's list moves as a whole, so
+    // the plan is the restart's only copy of the redo payload.
+    let pages = analysis.redo.len();
     let ir = Arc::new(InstantRecovery {
-        plan,
+        plan: (0..REDO_SHARDS)
+            .map(|_| Mutex::new(HashMap::new()))
+            .collect(),
         pending_pages: AtomicUsize::new(pages),
+        redone: AtomicUsize::new(0),
+        redo_skipped: AtomicUsize::new(0),
         redo_pages: rec.counter("recovery.redo_pages"),
         on_demand: rec.counter("recovery.on_demand_redos"),
+        redo_ns: rec.hist("recovery.redo_ns"),
     });
+    for (pid, records) in analysis.redo {
+        ir.shard_slot(pid)?.lock().insert(pid, records);
+    }
     rec.hist("recovery.analysis_ns").record(timer.elapsed_ns());
 
     if pages > 0 {
@@ -319,6 +340,7 @@ pub fn start_instant(
     log.reserve_action_ids(analysis.max_action);
     log.force_all()?;
     rec.hist("recovery.undo_ns").record(timer.elapsed_ns());
+    (stats.redone, stats.redo_skipped) = ir.redo_counts();
 
     Ok((ir, stats))
 }
@@ -327,79 +349,15 @@ pub fn start_instant(
 mod tests {
     use super::*;
     use crate::action::AtomicAction;
-    use crate::log::{LogStore, MemLogStore};
     use crate::record::ActionIdentity;
     use crate::recovery::{recover, take_checkpoint};
-    use pitree_pagestore::{DiskManager, MemDisk};
-
-    struct World {
-        disk: Arc<MemDisk>,
-        store: Arc<MemLogStore>,
-        pool: Arc<BufferPool>,
-        log: Arc<LogManager>,
-    }
-
-    fn world() -> World {
-        let disk = Arc::new(MemDisk::new());
-        let store = Arc::new(MemLogStore::new());
-        let pool = Arc::new(BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskManager>,
-            32,
-        ));
-        let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap());
-        pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
-        World {
-            disk,
-            store,
-            pool,
-            log,
-        }
-    }
-
-    fn crash(w: &World) -> World {
-        let disk = Arc::new(w.disk.snapshot());
-        let store = Arc::new(w.store.snapshot());
-        let pool = Arc::new(BufferPool::new(
-            Arc::clone(&disk) as Arc<dyn DiskManager>,
-            32,
-        ));
-        let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap());
-        pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
-        World {
-            disk,
-            store,
-            pool,
-            log,
-        }
-    }
-
-    fn put(w: &World, pid: PageId, slot: u16, bytes: &[u8]) {
-        let page = w.pool.fetch_or_create(pid, PageType::Free).unwrap();
-        let mut act = AtomicAction::begin(&w.log, ActionIdentity::SystemTransaction);
-        {
-            let mut g = page.x();
-            if g.page_type().unwrap() == PageType::Free {
-                act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })
-                    .unwrap();
-            }
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot,
-                    bytes: bytes.to_vec(),
-                },
-            )
-            .unwrap();
-        }
-        act.commit_force().unwrap();
-    }
+    use crate::testkit::{crash, put, world};
 
     #[test]
     fn on_demand_redo_serves_first_fetch() {
         let w = world();
-        put(&w, PageId(7), 0, b"seven");
-        put(&w, PageId(8), 0, b"eight");
+        put(&w, PageId(7), 0, b"seven", true);
+        put(&w, PageId(8), 0, b"eight", true);
         let w2 = crash(&w);
         let (ir, stats) = start_instant(&w2.pool, &w2.log, None).unwrap();
         assert!(stats.losers.is_empty());
@@ -421,7 +379,13 @@ mod tests {
     fn instant_and_serial_recovery_agree() {
         let w = world();
         for i in 0..12u64 {
-            put(&w, PageId(10 + i % 4), (i / 4) as u16, &i.to_be_bytes());
+            put(
+                &w,
+                PageId(10 + i % 4),
+                (i / 4) as u16,
+                &i.to_be_bytes(),
+                true,
+            );
         }
         // Serial baseline.
         let ws = crash(&w);
@@ -440,7 +404,7 @@ mod tests {
     #[test]
     fn empty_plan_is_complete_immediately() {
         let w = world();
-        put(&w, PageId(7), 0, b"x");
+        put(&w, PageId(7), 0, b"x", true);
         w.pool.flush_all().unwrap();
         take_checkpoint(&w.pool, &w.log, vec![]).unwrap();
         let w2 = crash(&w);
@@ -454,7 +418,7 @@ mod tests {
     #[test]
     fn undo_compensates_against_redone_pages() {
         let w = world();
-        put(&w, PageId(7), 0, b"base");
+        put(&w, PageId(7), 0, b"base", true);
         // Durable update without a durable commit: a loser.
         let page = w.pool.fetch(PageId(7)).unwrap();
         let mut act = AtomicAction::begin(&w.log, ActionIdentity::SeparateTransaction);

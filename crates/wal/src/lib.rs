@@ -31,6 +31,8 @@ pub mod instant;
 pub mod log;
 pub mod record;
 pub mod recovery;
+#[cfg(test)]
+mod testkit;
 
 pub use action::AtomicAction;
 pub use instant::{start_instant, InstantRecovery};

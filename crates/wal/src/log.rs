@@ -124,14 +124,20 @@ impl MemLogStore {
 
     /// A copy of the durable contents truncated to `len` bytes — the
     /// survivor of a crash whose final force was cut short. The snapshot
-    /// carries no injector: recovery must run unimpeded.
+    /// carries no injector: recovery runs unimpeded.
     pub fn snapshot_truncated(&self, len: u64) -> MemLogStore {
+        self.snapshot_with(len, None)
+    }
+
+    /// [`MemLogStore::snapshot_truncated`] whose appends consult
+    /// `injector`, so the survivor's own recovery can be crashed.
+    pub fn snapshot_with(&self, len: u64, injector: Option<InjectorHandle>) -> MemLogStore {
         let durable = self.durable.lock();
         let cut = (len as usize).min(durable.len());
         MemLogStore {
             durable: Mutex::new(durable.get(..cut).map(<[u8]>::to_vec).unwrap_or_default()),
             master: AtomicU64::new(self.master.load(Ordering::SeqCst)),
-            injector: None,
+            injector,
         }
     }
 

@@ -18,23 +18,25 @@
 //! typed errors and never panics (`pitree-lint`'s `panic-free-recovery` rule
 //! enforces this mechanically).
 //!
-//! Two entry points share the passes extracted here:
+//! There is one restart pipeline and one REDO engine: analysis emits a
+//! per-page redo plan, the plan is installed as the buffer pool's redo hook,
+//! undo runs against it, and the plan is drained. The entry points differ
+//! only in *who drains*:
 //!
-//! * [`recover`] — classic stop-the-world ARIES: analysis, full serial redo,
-//!   undo. Simple and the baseline the MTTR bench measures against.
-//! * `crate::instant` — instant restart: after analysis and undo the
-//!   store opens for traffic, and redo happens per page (on first pin, or in
-//!   the background partitioned by buffer-pool shard). See `RECOVERY.md`.
+//! * [`recover`] — stop-the-world: the calling thread drains the whole plan
+//!   before returning.
+//! * [`crate::instant::start_instant`] — instant restart: the store opens
+//!   after undo; traffic and/or background workers drain. See `RECOVERY.md`.
 //!
 //! [`take_checkpoint`] writes the fuzzy checkpoint (dirty-page table +
 //! active-action table) that bounds both analysis and the redo horizon.
 
+use crate::instant::start_instant;
 use crate::log::LogManager;
-use crate::record::{ActionId, ActionIdentity, LogRecord, RecordKind, UndoInfo};
+use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
 use pitree_obs::{EventKind, Stopwatch};
 use pitree_pagestore::buffer::BufferPool;
-use pitree_pagestore::page::PageType;
-use pitree_pagestore::{Lsn, StoreError, StoreResult};
+use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
 use std::collections::HashMap;
 
 /// Callback through which recovery (and normal rollback) performs
@@ -74,24 +76,23 @@ fn last_lsn(last_lsns: &HashMap<ActionId, Lsn>, action: ActionId) -> StoreResult
     })
 }
 
-/// What the analysis pass learned, shared by stop-the-world [`recover`] and
-/// instant restart (`crate::instant`): the loser table, the highest action
-/// id seen, where the scan started, and every record the redo pass must
-/// consider (already bounded below by the checkpoint's dirty-page table).
+/// What the analysis pass learned: the loser table, the highest action id
+/// seen, and the redo plan.
 pub(crate) struct Analysis {
     /// Actions with no durable `Commit`/`End`: identity + last known LSN.
     pub active: HashMap<ActionId, (ActionIdentity, Lsn)>,
     /// Highest action id seen (recovery reserves past it).
     pub max_action: u64,
-    /// Records from the redo horizon (min dirty-page recovery LSN) onward.
-    pub redo_records: Vec<LogRecord>,
+    /// The redo plan: each page's redo operations from the redo horizon
+    /// (min dirty-page recovery LSN) onward, in log order.
+    pub redo: HashMap<PageId, Vec<(Lsn, PageOp)>>,
 }
 
 /// Analysis pass: seed from the master checkpoint when present (falling back
 /// to a full scan if the master points at a torn or missing record — the
 /// master is only advanced *after* its checkpoint is durable, so a readable
-/// master always names a whole checkpoint), then scan forward building the
-/// active-action table and the redo record list.
+/// master always names a whole checkpoint), then scan forward once, building
+/// the active-action table and the redo plan.
 pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResult<Analysis> {
     let master = log.store().master();
     let mut active: HashMap<ActionId, (ActionIdentity, Lsn)> = HashMap::new();
@@ -113,40 +114,42 @@ pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResul
         }
     }
 
-    let records = log.scan(Some(scan_from))?;
+    // The scan starts at the earliest point that might concern a dirty page
+    // — the redo horizon, which may precede the master. Records below the
+    // master only feed the redo plan: the checkpoint's active-action table
+    // already accounts for them.
     let mut max_action = 0u64;
-    for rec in &records {
-        stats.scanned += 1;
-        max_action = max_action.max(rec.action.0);
-        match &rec.kind {
-            RecordKind::Begin { identity } => {
-                active.insert(rec.action, (*identity, rec.lsn));
-            }
-            RecordKind::Commit | RecordKind::End => {
-                active.remove(&rec.action);
-            }
-            RecordKind::Checkpoint { .. } => {}
-            _ => {
-                if let Some(entry) = active.get_mut(&rec.action) {
-                    entry.1 = rec.lsn;
+    let mut redo: HashMap<PageId, Vec<(Lsn, PageOp)>> = HashMap::new();
+    for rec in log.scan(Some(redo_start.min(scan_from)))? {
+        if rec.lsn >= scan_from {
+            stats.scanned += 1;
+            max_action = max_action.max(rec.action.0);
+            match &rec.kind {
+                RecordKind::Begin { identity } => {
+                    active.insert(rec.action, (*identity, rec.lsn));
+                }
+                RecordKind::Commit | RecordKind::End => {
+                    active.remove(&rec.action);
+                }
+                RecordKind::Checkpoint { .. } => {}
+                _ => {
+                    if let Some(entry) = active.get_mut(&rec.action) {
+                        entry.1 = rec.lsn;
+                    }
                 }
             }
         }
+        if let RecordKind::Update { pid, redo: op, .. } | RecordKind::Clr { pid, redo: op, .. } =
+            rec.kind
+        {
+            redo.entry(pid).or_default().push((rec.lsn, op));
+        }
     }
-
-    // Redo must start at the earliest point that might concern a dirty page.
-    // (When seeded from a checkpoint, older records are covered by the
-    // dirty-page table; otherwise the scan already began at the log start.)
-    let redo_records = if redo_start < scan_from {
-        log.scan(Some(redo_start))?
-    } else {
-        records
-    };
     stats.analysis_start = scan_from;
     Ok(Analysis {
         active,
         max_action,
-        redo_records,
+        redo,
     })
 }
 
@@ -155,63 +158,25 @@ pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResul
 /// `handler` is required if the log can contain logical-undo records (i.e.
 /// the tree was configured with non-page-oriented UNDO).
 ///
-/// This is the stop-the-world path: the store is unavailable until every
-/// page is redone. `crate::instant::start_instant` opens after analysis +
-/// undo and redoes pages on demand; both paths produce byte-identical pages
-/// (gated by the determinism test in `pitree-harness`).
+/// This is the stop-the-world drain policy: [`start_instant`] runs analysis
+/// and undo with the redo plan installed, then the calling thread replays
+/// every page the plan still owes before this returns.
 pub fn recover(
     pool: &BufferPool,
     log: &LogManager,
     handler: Option<&dyn LogicalUndoHandler>,
 ) -> StoreResult<RecoveryStats> {
-    let mut stats = RecoveryStats::default();
-    let rec = log.recorder().clone();
-    let pass_timer = Stopwatch::start();
-
-    let analysis = analyze(log, &mut stats)?;
-
-    rec.hist("recovery.analysis_ns")
-        .record(pass_timer.elapsed_ns());
-    let pass_timer = Stopwatch::start();
-
-    // ---- Redo: repeat history, serially ------------------------------------
-    for rec in &analysis.redo_records {
-        let (pid, op) = match &rec.kind {
-            RecordKind::Update { pid, redo, .. } => (*pid, redo),
-            RecordKind::Clr { pid, redo, .. } => (*pid, redo),
-            _ => continue,
-        };
-        let page = pool.fetch_or_create(pid, PageType::Free)?;
-        let mut g = page.x();
-        if g.lsn() < rec.lsn {
-            op.apply(&mut g)?;
-            g.set_lsn(rec.lsn);
-            // pitree-lint: allow(log-before-dirty) redo applies a record that is already durable in the log
-            page.mark_dirty_at(rec.lsn);
-            stats.redone += 1;
-        } else {
-            stats.redo_skipped += 1;
-        }
-    }
-
-    rec.hist("recovery.redo_ns").record(pass_timer.elapsed_ns());
-    let pass_timer = Stopwatch::start();
-
-    undo_pass(pool, log, handler, &analysis.active, &mut stats)?;
-
-    log.reserve_action_ids(analysis.max_action);
-    log.force_all()?;
-    rec.hist("recovery.undo_ns").record(pass_timer.elapsed_ns());
+    let (plan, mut stats) = start_instant(pool, log, handler)?;
+    plan.drain(pool, &mut stats)?;
     Ok(stats)
 }
 
 /// Undo pass: roll back losers. Multi-chain undo in globally descending LSN
 /// order, writing CLRs so a crash during recovery's own undo is safe.
 ///
-/// Under instant restart this runs *while the on-demand redo hook is
-/// installed*: each `pool.fetch` below replays the touched page's pending
-/// redo records before the undo reads it, so undo always compensates against
-/// fully-redone state.
+/// This runs *while the redo hook is installed*: each `pool.fetch` below
+/// replays the touched page's pending redo records before the undo reads
+/// it, so undo always compensates against fully-redone state.
 pub(crate) fn undo_pass(
     pool: &BufferPool,
     log: &LogManager,
@@ -301,9 +266,12 @@ pub(crate) fn undo_pass(
 /// (`crate::action`), so a page absent from the dirty-page table has all
 /// its records at or past the checkpoint LSN; and the buffer pool clears a
 /// frame's dirty flag only *after* write-back I/O completes, so a page
-/// mid-write still shows up in the table. The master is advanced only after
-/// the checkpoint record is durable: a crash mid-checkpoint leaves the old
-/// master, whose checkpoint is still whole.
+/// mid-write still shows up in the table. While a redo plan is still being
+/// drained, `dirty_pages` also lists every page the plan owes (at its first
+/// pending LSN): such a page was never fetched since restart, so no frame
+/// speaks for it. The master is advanced only after the checkpoint record is
+/// durable: a crash mid-checkpoint leaves the old master, whose checkpoint is
+/// still whole.
 pub fn take_checkpoint(
     pool: &BufferPool,
     log: &LogManager,
@@ -331,71 +299,10 @@ pub fn take_checkpoint(
 mod tests {
     use super::*;
     use crate::action::AtomicAction;
-    use crate::log::{LogManager, LogStore, MemLogStore};
-    use pitree_pagestore::{MemDisk, PageId, PageOp};
+    use crate::log::{LogManager, LogStore};
+    use crate::testkit::{crash, put, world};
+    use pitree_pagestore::page::PageType;
     use std::sync::Arc;
-
-    struct World {
-        disk: Arc<MemDisk>,
-        store: Arc<MemLogStore>,
-        pool: Arc<BufferPool>,
-        log: Arc<LogManager>,
-    }
-
-    fn world() -> World {
-        let disk = Arc::new(MemDisk::new());
-        let store = Arc::new(MemLogStore::new());
-        let pool = Arc::new(BufferPool::new(Arc::clone(&disk) as Arc<_>, 32));
-        let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap());
-        pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
-        World {
-            disk,
-            store,
-            pool,
-            log,
-        }
-    }
-
-    /// Crash: keep only the durable disk image and the durable log prefix.
-    fn crash(w: &World) -> World {
-        let disk = Arc::new(w.disk.snapshot());
-        let store = Arc::new(w.store.snapshot());
-        let pool = Arc::new(BufferPool::new(Arc::clone(&disk) as Arc<_>, 32));
-        let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap());
-        pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
-        World {
-            disk,
-            store,
-            pool,
-            log,
-        }
-    }
-
-    fn put(w: &World, pid: PageId, slot: u16, bytes: &[u8], force: bool) {
-        let page = w.pool.fetch_or_create(pid, PageType::Free).unwrap();
-        let mut act = AtomicAction::begin(&w.log, ActionIdentity::SystemTransaction);
-        {
-            let mut g = page.x();
-            if g.page_type().unwrap() == PageType::Free {
-                act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })
-                    .unwrap();
-            }
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot,
-                    bytes: bytes.to_vec(),
-                },
-            )
-            .unwrap();
-        }
-        if force {
-            act.commit_force().unwrap();
-        } else {
-            act.commit();
-        }
-    }
 
     #[test]
     fn committed_forced_action_survives_crash() {

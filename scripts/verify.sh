@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + sim sweep + pitree-check oracles
+#                                # + sim sweeps + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,7 +61,7 @@ cargo test --offline -q
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
-step "sim acceptance sweep (64 seeds, crash-recover-verify + shake)"
+step "sim acceptance sweep (64 seeds crash-recover-verify, 32 seeds crash-during-recovery, shake)"
 cargo test --offline -q -p pitree-sim --test sim_sweep -- --nocapture
 
 step "pitree-check fixtures (each oracle must reject its seeded violation)"
