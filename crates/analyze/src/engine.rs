@@ -52,6 +52,10 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
+    /// Files the structural parser could not follow: the flow tier
+    /// (latch-cycle, guard-lifetime, flow log-before-dirty proofs) skips
+    /// them and only the token tier covers them. Sorted by path.
+    pub unfollowed: Vec<String>,
     /// Per-rule surviving finding counts.
     pub fired: BTreeMap<RuleId, usize>,
     /// Per-rule suppressed finding counts.
@@ -96,7 +100,11 @@ impl Report {
                 ));
             }
         }
-        s.push_str(&format!("files scanned: {}\n", self.files));
+        s.push_str(&format!(
+            "files scanned: {} (flow tier followed {})\n",
+            self.files,
+            self.files - self.unfollowed.len()
+        ));
         s
     }
 }
@@ -165,9 +173,11 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     for f in &findings {
         *fired.entry(f.rule).or_insert(0) += 1;
     }
+    let unfollowed = cxs.iter().zip(&asts).filter(|(_, ast)| !ast.parsed);
     Report {
         findings,
         files: cxs.len(),
+        unfollowed: unfollowed.map(|(cx, _)| cx.path.clone()).collect(),
         fired,
         allowed,
         latch_dot,

@@ -60,3 +60,63 @@ fn workspace_suppressions_are_all_in_use() {
         "the workspace documents its deliberate exceptions via reasoned allows"
     );
 }
+
+/// Files the structural parser cannot follow today (23, measured at
+/// 226c2e8), so the flow tier's proofs skip them — the buffer pool and the
+/// WAL among them. ROADMAP item 6 owns making this list empty. A ceiling: a
+/// file may leave the list, none may join.
+const UNFOLLOWED_CEILING: &[&str] = &[
+    "benchmark/src/pi.rs",
+    "benchmark/src/run.rs",
+    "crates/analyze/src/cfg.rs",
+    "crates/analyze/src/context.rs",
+    "crates/analyze/src/flow.rs",
+    "crates/analyze/src/lexer.rs",
+    "crates/analyze/src/parse.rs",
+    "crates/analyze/src/rules.rs",
+    "crates/check/src/durability.rs",
+    "crates/check/src/history.rs",
+    "crates/check/src/scenario.rs",
+    "crates/core/tests/tree_identity_and_files.rs",
+    "crates/harness/tests/crash_matrix.rs",
+    "crates/hbtree/src/geometry.rs",
+    "crates/pagestore/src/buffer.rs",
+    "crates/pagestore/src/page.rs",
+    "crates/pagestore/tests/page_proptest.rs",
+    "crates/sim/src/crash.rs",
+    "crates/tsbtree/src/node.rs",
+    "crates/tsbtree/src/wellformed.rs",
+    "crates/txnlock/src/modes.rs",
+    "crates/txnlock/src/table.rs",
+    "crates/wal/src/log.rs",
+];
+
+#[test]
+fn flow_tier_blind_spots_only_shrink() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = analyze::scan_workspace(&root).expect("workspace scan");
+    let joined: Vec<&String> = report
+        .unfollowed
+        .iter()
+        .filter(|f| !UNFOLLOWED_CEILING.contains(&f.as_str()))
+        .collect();
+    assert!(
+        joined.is_empty(),
+        "the flow tier stopped following {joined:?}: rewrite the construct the parser \
+         trips on (a match arm with an `if` guard is the usual one) — do not extend the list"
+    );
+    let left: Vec<&&str> = UNFOLLOWED_CEILING
+        .iter()
+        .filter(|f| !report.unfollowed.iter().any(|u| u == *f))
+        .collect();
+    assert!(
+        left.is_empty(),
+        "the flow tier now follows {left:?}: drop them from UNFOLLOWED_CEILING so they cannot rejoin"
+    );
+    let line = format!(
+        "files scanned: {} (flow tier followed {})",
+        report.files,
+        report.files - report.unfollowed.len()
+    );
+    assert!(report.summary_table().contains(&line), "{line}");
+}

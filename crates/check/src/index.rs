@@ -66,52 +66,24 @@ impl PiCheckIndex {
 
 impl CheckIndex for PiCheckIndex {
     fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.insert(&mut txn, key, value) {
-                Ok(created) => {
-                    txn.commit().expect("commit");
-                    return Some(created);
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    // Deadlock victim: abort and retry, like any client.
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("insert failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.insert(t, key, value));
+        let (txn, created) = run.expect("insert");
+        txn.commit().expect("commit");
+        Some(created)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        loop {
-            let txn = self.tree.begin();
-            match self.tree.get(&txn, key) {
-                Ok(got) => {
-                    txn.commit().expect("commit");
-                    return got;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(None);
-                }
-                Err(e) => panic!("get failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.get(t, key));
+        let (txn, got) = run.expect("get");
+        txn.commit().expect("commit");
+        got
     }
 
     fn delete(&self, key: &[u8]) -> bool {
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.delete(&mut txn, key) {
-                Ok(existed) => {
-                    txn.commit().expect("commit");
-                    return existed;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("delete failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.delete(t, key));
+        let (txn, existed) = run.expect("delete");
+        txn.commit().expect("commit");
+        existed
     }
 
     fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -157,51 +129,24 @@ impl PiElrIndex {
 
 impl CheckIndex for PiElrIndex {
     fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.insert(&mut txn, key, value) {
-                Ok(created) => {
-                    txn.commit_publish().wait_durable().expect("ack");
-                    return Some(created);
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("insert failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.insert(t, key, value));
+        let (txn, created) = run.expect("insert");
+        txn.commit_publish().wait_durable().expect("ack");
+        Some(created)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        loop {
-            let txn = self.tree.begin();
-            match self.tree.get(&txn, key) {
-                Ok(got) => {
-                    txn.commit().expect("commit");
-                    return got;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(None);
-                }
-                Err(e) => panic!("get failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.get(t, key));
+        let (txn, got) = run.expect("get");
+        txn.commit().expect("commit");
+        got
     }
 
     fn delete(&self, key: &[u8]) -> bool {
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.delete(&mut txn, key) {
-                Ok(existed) => {
-                    txn.commit_publish().wait_durable().expect("ack");
-                    return existed;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("delete failed: {e}"),
-            }
-        }
+        let run = self.tree.autocommit(|t| self.tree.delete(t, key));
+        let (txn, existed) = run.expect("delete");
+        txn.commit_publish().wait_durable().expect("ack");
+        existed
     }
 
     fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {

@@ -384,6 +384,30 @@ impl<S: Structure> Engine<S> {
         self.store.txns.begin(ActionIdentity::Transaction)
     }
 
+    /// Run `op` in a fresh user transaction the way any client must: a lock
+    /// failure (deadlock victim or wait timeout) aborts the transaction and
+    /// starts over from `begin`. Hands back the still-live transaction with
+    /// `op`'s value, so the caller chooses the commit — forced
+    /// ([`Txn::commit`]) or publish-then-ack ([`Txn::commit_publish`]). Any
+    /// other error rolls the transaction back and is returned unchanged.
+    pub fn autocommit<'a, T>(
+        &'a self,
+        mut op: impl FnMut(&mut Txn<'a>) -> StoreResult<T>,
+    ) -> StoreResult<(Txn<'a>, T)> {
+        loop {
+            let mut txn = self.begin();
+            match op(&mut txn) {
+                Ok(v) => return Ok((txn, v)),
+                Err(e) => {
+                    let _ = txn.abort(Some(&self.undo_handler()));
+                    if !matches!(e, StoreError::LockFailed { .. }) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
     /// The lock name of a record key.
     pub fn key_lock(&self, key: &[u8]) -> LockName {
         let mut name = Vec::with_capacity(4 + key.len());

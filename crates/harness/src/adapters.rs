@@ -1,6 +1,7 @@
 //! Adapters exposing the Π-tree through the baseline [`ConcurrentIndex`]
 //! surface, so experiment E1 drives all three protocols identically.
 
+use crate::driver::commit;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_baselines::ConcurrentIndex;
 use pitree_obs::{Hist, Stopwatch};
@@ -10,9 +11,9 @@ use std::sync::Arc;
 /// (the same per-operation cost model the baselines have — minus their
 /// missing WAL, which biases *against* the Π-tree; see DESIGN.md).
 ///
-/// Whole-operation latencies (including deadlock retries) land in the
-/// store's registry as the `op.insert_ns` / `op.get_ns` / `op.delete_ns`
-/// histograms — the top of the metric stack described in
+/// Whole-operation latencies (including [`commit`]'s deadlock retries)
+/// land in the store's registry as the `op.insert_ns` / `op.get_ns` /
+/// `op.delete_ns` histograms — the top of the metric stack described in
 /// `OBSERVABILITY.md`.
 pub struct PiTreeIndex {
     _store: CrashableStore,
@@ -52,21 +53,8 @@ impl PiTreeIndex {
 impl ConcurrentIndex for PiTreeIndex {
     fn insert(&self, key: &[u8], value: &[u8]) {
         let t = Stopwatch::start();
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.insert(&mut txn, key, value) {
-                Ok(_) => {
-                    txn.commit().expect("commit");
-                    self.op_insert_ns.record(t.elapsed_ns());
-                    return;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    // Deadlock victim: abort and retry, like any client.
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("insert failed: {e}"),
-            }
-        }
+        commit(&self.tree, |txn| self.tree.insert(txn, key, value));
+        self.op_insert_ns.record(t.elapsed_ns());
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -78,20 +66,9 @@ impl ConcurrentIndex for PiTreeIndex {
 
     fn delete(&self, key: &[u8]) -> bool {
         let t = Stopwatch::start();
-        loop {
-            let mut txn = self.tree.begin();
-            match self.tree.delete(&mut txn, key) {
-                Ok(hit) => {
-                    txn.commit().expect("commit");
-                    self.op_delete_ns.record(t.elapsed_ns());
-                    return hit;
-                }
-                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                    let _ = txn.abort(Some(&self.tree.undo_handler()));
-                }
-                Err(e) => panic!("delete failed: {e}"),
-            }
-        }
+        let hit = commit(&self.tree, |txn| self.tree.delete(txn, key));
+        self.op_delete_ns.record(t.elapsed_ns());
+        hit
     }
 
     fn name(&self) -> &'static str {

@@ -13,6 +13,7 @@
 //! Run with: `cargo run --release -p pitree-harness --bin exp2`
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree_harness::driver::commit;
 use pitree_harness::Table;
 use pitree_wal::{ActionId, ActionIdentity, RecordKind};
 use std::collections::{HashMap, HashSet};
@@ -25,9 +26,7 @@ fn main() {
     let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap();
     const KEYS: u64 = 5_000;
     for i in 0..KEYS {
-        let mut t = tree.begin();
-        tree.insert(&mut t, &i.to_be_bytes(), b"v").unwrap();
-        t.commit().unwrap();
+        commit(&tree, |t| tree.insert(t, &i.to_be_bytes(), b"v"));
     }
     for _ in 0..4 {
         tree.run_completions().unwrap();

@@ -10,13 +10,11 @@
 //! Run with: `cargo run --release -p pitree-harness --bin exp3`
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree_harness::driver::commit;
+use pitree_harness::workload::key;
 use pitree_harness::Table;
 use pitree_obs::Stopwatch;
 use std::sync::Arc;
-
-fn key(i: u64) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
-}
 
 fn main() {
     println!("E3: crash-point sweep during structure changes\n");
@@ -53,9 +51,7 @@ fn main() {
         let cs = CrashableStore::create(512, 100_000).unwrap();
         let tree = PiTree::create(Arc::clone(&cs.store), 1, build_cfg).unwrap();
         for i in 0..64u64 {
-            let mut t = tree.begin();
-            tree.insert(&mut t, &key(i), b"value").unwrap();
-            t.commit().unwrap();
+            commit(&tree, |t| tree.insert(t, &key(i), b"value"));
             if i % 16 == 0 {
                 tree.run_completions().unwrap();
             }

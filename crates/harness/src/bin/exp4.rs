@@ -21,31 +21,23 @@ const INSERTS_PER_TXN: u64 = 10;
 fn run(cfg: PiTreeConfig) -> (f64, Vec<(&'static str, u64)>, u64) {
     let cs = CrashableStore::create(8192, 1 << 20).unwrap();
     let tree = Arc::new(PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap());
-    let deadlocks = std::sync::atomic::AtomicU64::new(0);
+    let attempts = std::sync::atomic::AtomicU64::new(0);
     let start = Stopwatch::start();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let tree = Arc::clone(&tree);
-            let deadlocks = &deadlocks;
+            let attempts = &attempts;
             s.spawn(move || {
                 for b in 0..TXNS_PER_THREAD {
-                    'retry: loop {
-                        let mut txn = tree.begin();
-                        for j in 0..INSERTS_PER_TXN {
+                    // A deadlock victim aborts and re-runs the whole batch.
+                    let batch = tree.autocommit(|txn| {
+                        attempts.fetch_add(1, Ordering::Relaxed);
+                        (0..INSERTS_PER_TXN).try_for_each(|j| {
                             let k = ((b * INSERTS_PER_TXN + j) * THREADS + t).to_be_bytes();
-                            match tree.insert(&mut txn, &k, b"balance-update") {
-                                Ok(_) => {}
-                                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                                    deadlocks.fetch_add(1, Ordering::Relaxed);
-                                    txn.abort(Some(&tree.undo_handler())).unwrap();
-                                    continue 'retry;
-                                }
-                                Err(e) => panic!("{e}"),
-                            }
-                        }
-                        txn.commit().unwrap();
-                        break;
-                    }
+                            tree.insert(txn, &k, b"balance-update").map(drop)
+                        })
+                    });
+                    batch.unwrap().0.commit().unwrap();
                 }
             });
         }
@@ -63,7 +55,7 @@ fn run(cfg: PiTreeConfig) -> (f64, Vec<(&'static str, u64)>, u64) {
     (
         (THREADS * TXNS_PER_THREAD * INSERTS_PER_TXN) as f64 / wall,
         tree.stats().snapshot(),
-        deadlocks.load(Ordering::Relaxed),
+        attempts.load(Ordering::Relaxed) - THREADS * TXNS_PER_THREAD,
     )
 }
 

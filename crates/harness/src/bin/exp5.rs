@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release -p pitree-harness --bin exp5`
 
 use pitree::{ConsolidationPolicy, CrashableStore, DeallocPolicy, PiTree, PiTreeConfig};
+use pitree_harness::driver::commit;
 use pitree_harness::{KeyDist, Table, Workload};
 use pitree_obs::Stopwatch;
 use std::sync::Arc;
@@ -20,9 +21,7 @@ fn build(cfg: PiTreeConfig) -> (CrashableStore, Arc<PiTree>) {
     let cs = CrashableStore::create(8192, 1 << 20).unwrap();
     let tree = Arc::new(PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap());
     for i in 0..KEYS {
-        let mut t = tree.begin();
-        tree.insert(&mut t, &i.to_be_bytes(), b"v").unwrap();
-        t.commit().unwrap();
+        commit(&tree, |t| tree.insert(t, &i.to_be_bytes(), b"v"));
     }
     for _ in 0..4 {
         tree.run_completions().unwrap();

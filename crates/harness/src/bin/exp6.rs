@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release -p pitree-harness --bin exp6`
 
 use pitree::{ConsolidationPolicy, CrashableStore, DeallocPolicy, PiTree, PiTreeConfig};
+use pitree_harness::driver::commit;
 use pitree_harness::Table;
 use pitree_obs::Stopwatch;
 use std::sync::Arc;
@@ -21,9 +22,7 @@ fn run(keys: u64, consolidation: ConsolidationPolicy) -> (u8, f64, f64, u64, u64
     let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap();
     let t0 = Stopwatch::start();
     for i in 0..keys {
-        let mut t = tree.begin();
-        tree.insert(&mut t, &i.to_be_bytes(), b"v").unwrap();
-        t.commit().unwrap();
+        commit(&tree, |t| tree.insert(t, &i.to_be_bytes(), b"v"));
     }
     for _ in 0..4 {
         tree.run_completions().unwrap();

@@ -6,12 +6,10 @@
 //! Run with: `cargo run --release -p pitree-harness --bin exp7`
 
 use pitree::{Completion, CrashableStore, PiTree, PiTreeConfig};
+use pitree_harness::driver::commit;
+use pitree_harness::workload::key;
 use pitree_harness::Table;
 use std::sync::Arc;
-
-fn key(i: u64) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
-}
 
 fn leaves(tree: &PiTree) -> usize {
     tree.validate()
@@ -31,9 +29,7 @@ fn main() {
     let cs = CrashableStore::create(4096, 1 << 20).unwrap();
     let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap();
     for i in 0..KEYS {
-        let mut t = tree.begin();
-        tree.insert(&mut t, &key(i), b"v").unwrap();
-        t.commit().unwrap();
+        commit(&tree, |t| tree.insert(t, &key(i), b"v"));
     }
     for _ in 0..4 {
         tree.run_completions().unwrap();
@@ -44,9 +40,7 @@ fn main() {
     // Churn: delete 90% of keys.
     for i in 0..KEYS {
         if i % 10 != 0 {
-            let mut t = tree.begin();
-            tree.delete(&mut t, &key(i)).unwrap();
-            t.commit().unwrap();
+            commit(&tree, |t| tree.delete(t, &key(i)));
         }
     }
     for _ in 0..8 {

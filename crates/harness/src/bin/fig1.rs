@@ -11,14 +11,12 @@
 //! Run with: `cargo run -p pitree-harness --bin fig1`
 
 use pitree::store::CrashableStore;
+use pitree_harness::driver::commit;
+use pitree_harness::workload::key;
 use pitree_pagestore::PageId;
 use pitree_tsb::{TsbConfig, TsbHeader, TsbKind, TsbTree};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-fn key(i: u64) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
-}
 
 fn main() {
     println!("Figure 1: Time-Split B-tree split topology\n");
@@ -28,25 +26,21 @@ fn main() {
     // Phase 1: version churn on two keys → TIME split.
     for round in 0..3u64 {
         for k in [1u64, 2] {
-            let mut t = tree.begin();
-            tree.put(&mut t, &key(k), format!("r{round}").as_bytes())
-                .unwrap();
-            t.commit().unwrap();
+            commit(&tree, |t| {
+                tree.put(t, &key(k), format!("r{round}").as_bytes())
+            });
         }
     }
     // Phase 2: key spread → KEY split of the (time-split) current node.
     for k in 3..12u64 {
-        let mut t = tree.begin();
-        tree.put(&mut t, &key(k), b"spread").unwrap();
-        t.commit().unwrap();
+        commit(&tree, |t| tree.put(t, &key(k), b"spread"));
     }
     // Phase 3: more churn → another TIME split.
     for round in 3..6u64 {
         for k in [1u64, 2] {
-            let mut t = tree.begin();
-            tree.put(&mut t, &key(k), format!("r{round}").as_bytes())
-                .unwrap();
-            t.commit().unwrap();
+            commit(&tree, |t| {
+                tree.put(t, &key(k), format!("r{round}").as_bytes())
+            });
         }
     }
     tree.run_completions().unwrap();

@@ -11,6 +11,7 @@
 //! Run with: `cargo run -p pitree-harness --bin fig2`
 
 use pitree::store::CrashableStore;
+use pitree_harness::driver::commit;
 use pitree_hb::{Frag, HbConfig, HbHeader, HbTree, PtrKind, Rect};
 use std::sync::Arc;
 
@@ -55,10 +56,9 @@ fn main() {
     // splits (whose hyperplane cut produces the figure's structure).
     for x in 0..14u64 {
         for y in 0..14u64 {
-            let mut t = tree.begin();
-            tree.insert(&mut t, &[x * 64 + 10, y * 64 + 10], b"f2")
-                .unwrap();
-            t.commit().unwrap();
+            commit(&tree, |t| {
+                tree.insert(t, &[x * 64 + 10, y * 64 + 10], b"f2")
+            });
         }
     }
     for _ in 0..8 {

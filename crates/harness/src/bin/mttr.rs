@@ -52,25 +52,19 @@
 //! Run with: `cargo run --release -p pitree-harness --bin mttr`
 
 use pitree::{PiTree, PiTreeConfig, Store};
+use pitree_harness::driver::{
+    copy_image, fence, key_bytes, load, publish, Cli, MttrRow, Obj, Pipeline, LOAD_POOL_FRAMES,
+    PIPELINE_DEPTH,
+};
 use pitree_obs::Stopwatch;
 use pitree_sim::SimRng;
 use pitree_txnlock::PendingCommit;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Commits held published-but-unacked before the loader waits on the
-/// oldest (same protocol as the throughput bench, so the log the crash
-/// cuts is a realistic pipelined-commit log).
-const PIPELINE_DEPTH: usize = 8;
-
-/// Pool frames for the *load* store only. Generous, so building the tree
-/// is fast; the measured restarts use the small `Config::pool_frames`.
-const LOAD_POOL_FRAMES: usize = 8192;
-
 struct Config {
-    smoke: bool,
     /// Target post-checkpoint log sizes in bytes (one run per entry).
     k_bytes: Vec<u64>,
     /// Restart pool: far fewer frames than the tree has leaves, the
@@ -84,7 +78,6 @@ struct Config {
 impl Config {
     fn full() -> Config {
         Config {
-            smoke: false,
             k_bytes: vec![1 << 20, 4 << 20, 8 << 20],
             pool_frames: 256,
             preload_keys: 100_000,
@@ -95,7 +88,6 @@ impl Config {
 
     fn smoke() -> Config {
         Config {
-            smoke: true,
             k_bytes: vec![128 << 10],
             pool_frames: 64,
             preload_keys: 3_000,
@@ -103,10 +95,6 @@ impl Config {
             redo_workers: 2,
         }
     }
-}
-
-fn key_bytes(k: u64) -> [u8; 8] {
-    k.to_be_bytes()
 }
 
 /// Deterministic value for key `k` at version `ver` — the post-crash
@@ -118,29 +106,10 @@ fn value_bytes(k: u64, ver: u64, len: usize) -> Vec<u8> {
     v
 }
 
-/// Pipelined upsert: publish the commit (locks released at log append),
-/// hand the pending ack to the caller's window.
+/// Pipelined upsert of key `k` at version `ver`.
 fn upsert<'t>(tree: &'t PiTree, k: u64, ver: u64, len: usize) -> PendingCommit<'t> {
-    loop {
-        let mut t = tree.begin();
-        match tree.insert(&mut t, &key_bytes(k), &value_bytes(k, ver, len)) {
-            Ok(_) => return t.commit_publish(),
-            Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                let _ = t.abort(Some(&tree.undo_handler()));
-            }
-            Err(e) => panic!("upsert failed: {e}"),
-        }
-    }
-}
-
-fn drain(pending: &mut VecDeque<PendingCommit<'_>>, down_to: usize) {
-    while pending.len() > down_to {
-        pending
-            .pop_front()
-            .expect("non-empty pipeline")
-            .wait_durable()
-            .expect("ack");
-    }
+    let (key, value) = (key_bytes(k), value_bytes(k, ver, len));
+    publish(tree, |t| tree.insert(t, &key, &value))
 }
 
 /// Best-effort cold-cache fence: flush dirty OS caches, then drop the
@@ -149,18 +118,6 @@ fn drain(pending: &mut VecDeque<PendingCommit<'_>>, down_to: usize) {
 fn drop_os_caches() -> bool {
     let _ = std::process::Command::new("sync").status();
     std::fs::write("/proc/sys/vm/drop_caches", "3\n").is_ok()
-}
-
-/// Copy the durable image (`store.db`, `store.log`, `store.master`) into
-/// a fresh directory: one crash, two independent recoveries.
-fn copy_image(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("mkdir image copy");
-    for f in ["store.db", "store.log", "store.master"] {
-        let s = src.join(f);
-        if s.exists() {
-            std::fs::copy(&s, dst.join(f)).expect("copy durable file");
-        }
-    }
 }
 
 fn verify(tree: &PiTree, versions: &HashMap<u64, u64>, value_len: usize, ctx: &str) {
@@ -176,60 +133,35 @@ fn verify(tree: &PiTree, versions: &HashMap<u64, u64>, value_len: usize, ctx: &s
     }
 }
 
-struct RunResult {
-    k_bytes: u64,
-    log_bytes: u64,
-    post_ckpt_bytes: u64,
-    updates: u64,
-    full_replay_ns: u64,
-    redone_full: usize,
-    first_op_ns: u64,
-    full_recovery_ns: u64,
-    redo_pages: u64,
-    on_demand_redos: u64,
-    ops_during_redo: u64,
-    workers: usize,
-    cold_cache: bool,
-}
-
-fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> RunResult {
+fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> MttrRow {
     // ---- build the tree, checkpoint, write K bytes of updates, crash ------
     let load_dir = scratch.join(format!("k{k_bytes}-load"));
     let (mut versions, updates, post_ckpt_bytes) = {
         let store = Store::open_file(&load_dir, LOAD_POOL_FRAMES, 1 << 20).expect("store");
         let tree = PiTree::create(Arc::clone(&store), 1, PiTreeConfig::default()).expect("tree");
         let mut versions: HashMap<u64, u64> = HashMap::new();
-        let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-        for k in 0..cfg.preload_keys {
-            pending.push_back(upsert(&tree, k, 0, cfg.value_len));
+        load(store.recorder(), 0..cfg.preload_keys, |k| {
             versions.insert(k, 0);
-            if pending.len() >= PIPELINE_DEPTH {
-                drain(&mut pending, PIPELINE_DEPTH - 1);
-            }
-        }
-        drain(&mut pending, 0);
+            upsert(&tree, k, 0, cfg.value_len)
+        });
 
-        // Fence the preload off: flush every dirty page, then checkpoint.
-        // Analysis of the coming crash starts here, so the image carries
-        // exactly `k_bytes` of replayable log — the checkpoint interval
-        // is the K axis of this bench.
-        store.pool.flush_all().expect("flush before checkpoint");
-        store.txns.checkpoint().expect("checkpoint");
+        // Fence the preload off. Analysis of the coming crash starts
+        // here, so the image carries exactly `k_bytes` of replayable log —
+        // the checkpoint interval is the K axis of this bench.
+        fence(&store);
         let base = store.log.flushed_lsn().0;
 
         let mut rng = SimRng::new(0x9177 ^ k_bytes);
         let mut updates = 0u64;
+        let mut pipe = Pipeline::new(store.recorder());
         while store.log.flushed_lsn().0 - base < k_bytes {
             let k = rng.below(cfg.preload_keys);
             let ver = versions.get(&k).copied().unwrap_or(0) + 1;
-            pending.push_back(upsert(&tree, k, ver, cfg.value_len));
+            pipe.push(upsert(&tree, k, ver, cfg.value_len));
             versions.insert(k, ver);
             updates += 1;
-            if pending.len() >= PIPELINE_DEPTH {
-                drain(&mut pending, PIPELINE_DEPTH - 1);
-            }
         }
-        drain(&mut pending, 0);
+        pipe.drain(0);
         let post = store.log.flushed_lsn().0 - base;
         // Crash: tree and store drop here. Dirty pool pages and the
         // unforced log tail vanish; only the durable files survive.
@@ -259,7 +191,7 @@ fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> RunResult {
         let ns = t0.elapsed_ns();
         assert!(got.is_some(), "probe key vanished under full recovery");
         verify(&tree, &versions, cfg.value_len, "full-replay");
-        (ns, stats.redone)
+        (ns, stats.redone as u64)
     };
 
     // ---- C: instant restart — first op, then background REDO ---------------
@@ -302,7 +234,7 @@ fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> RunResult {
     verify(&tree, &versions, cfg.value_len, "instant");
     versions.clear();
 
-    RunResult {
+    MttrRow {
         k_bytes,
         log_bytes,
         post_ckpt_bytes,
@@ -320,90 +252,32 @@ fn run_one(cfg: &Config, k_bytes: u64, scratch: &Path) -> RunResult {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_mttr.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => panic!("unknown arg {other} (usage: mttr [--smoke] [--out PATH])"),
-        }
-    }
-    let cfg = if smoke {
-        Config::smoke()
-    } else {
-        Config::full()
-    };
+    let cli = Cli::from_env("mttr", &["--smoke", "--out PATH"]);
+    let (mode, cfg) = cli.mode(Config::full(), Config::smoke());
+    let out = cli.value("--out").unwrap_or("BENCH_mttr.json");
 
     let scratch = std::env::temp_dir().join(format!("pitree-mttr-{}", std::process::id()));
     let mut runs = Vec::new();
     for &k in &cfg.k_bytes {
         let r = run_one(&cfg, k, &scratch);
-        eprintln!(
-            "k={:>5.2}MB (post-ckpt {}B, {} updates, log {}B{}) full-replay {:>9}us \
-             (redone {})  first-op {:>7}us  speedup {:>5.1}x  full-recovery {:>9}us  \
-             redo-pages {}  on-demand {}  ops-during-redo {}",
-            r.k_bytes as f64 / (1 << 20) as f64,
-            r.post_ckpt_bytes,
-            r.updates,
-            r.log_bytes,
-            if r.cold_cache { ", cold" } else { ", WARM" },
-            r.full_replay_ns / 1_000,
-            r.redone_full,
-            r.first_op_ns / 1_000,
-            r.full_replay_ns as f64 / r.first_op_ns.max(1) as f64,
-            r.full_recovery_ns / 1_000,
-            r.redo_pages,
-            r.on_demand_redos,
-            r.ops_during_redo,
-        );
+        eprintln!("{}", r.json().inline());
         runs.push(r);
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"mttr\",\n  \"mode\": \"{}\",\n",
-        if cfg.smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(&format!(
-        "  \"config\": {{\"pool_frames\": {}, \"preload_keys\": {}, \"value_len\": {}, \
-         \"pipeline_depth\": {}, \"redo_workers\": {}, \"cold_cache\": {}}},\n",
-        cfg.pool_frames,
-        cfg.preload_keys,
-        cfg.value_len,
-        PIPELINE_DEPTH,
-        cfg.redo_workers,
-        runs.iter().all(|r| r.cold_cache),
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"k_mb\": {:.2}, \"log_bytes\": {}, \"post_checkpoint_bytes\": {}, \
-             \"updates\": {}, \"full_replay_ns\": {}, \"full_replay_redone\": {}, \
-             \"first_op_ns\": {}, \"ttfo_speedup\": {:.1}, \"full_recovery_ns\": {}, \
-             \"redo_pages\": {}, \"on_demand_redos\": {}, \"ops_during_redo\": {}, \
-             \"workers\": {}, \"cold_cache\": {}}}{}\n",
-            r.k_bytes as f64 / (1 << 20) as f64,
-            r.log_bytes,
-            r.post_ckpt_bytes,
-            r.updates,
-            r.full_replay_ns,
-            r.redone_full,
-            r.first_op_ns,
-            r.full_replay_ns as f64 / r.first_op_ns.max(1) as f64,
-            r.full_recovery_ns,
-            r.redo_pages,
-            r.on_demand_redos,
-            r.ops_during_redo,
-            r.workers,
-            r.cold_cache,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out, &json).expect("write bench json");
+    let config = Obj::new()
+        .num("pool_frames", cfg.pool_frames)
+        .num("preload_keys", cfg.preload_keys)
+        .num("value_len", cfg.value_len)
+        .num("pipeline_depth", PIPELINE_DEPTH)
+        .num("redo_workers", cfg.redo_workers)
+        .num("cold_cache", runs.iter().all(|r| r.cold_cache));
+    let rows: Vec<Obj> = runs.iter().map(MttrRow::json).collect();
+    let doc = Obj::new()
+        .text("bench", "mttr")
+        .text("mode", mode)
+        .obj("config", config)
+        .rows("runs", &rows);
+    std::fs::write(out, doc.document()).expect("write bench json");
     eprintln!("wrote {out}");
 }

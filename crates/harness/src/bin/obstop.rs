@@ -14,23 +14,12 @@
 //! `OBSERVABILITY.md` documents every line of the output.
 
 use pitree::{PiTree, PiTreeConfig};
+use pitree_harness::driver::Cli;
 use pitree_harness::obsdemo;
 use std::sync::Arc;
 
 fn main() {
-    let mut jsonl_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--jsonl" => {
-                jsonl_path = Some(args.next().expect("--jsonl needs a path"));
-            }
-            other => {
-                eprintln!("usage: obstop [--jsonl PATH]   (unknown arg: {other})");
-                std::process::exit(2);
-            }
-        }
-    }
+    let cli = Cli::from_env("obstop", &["--jsonl PATH"]);
 
     let seed = obsdemo::seed_from_env();
     println!(
@@ -50,7 +39,7 @@ fn main() {
     println!("---- workload registry ----");
     print!("{}", registry.report());
 
-    if let Some(path) = &jsonl_path {
+    if let Some(path) = cli.value("--jsonl") {
         let dump = registry.events_jsonl();
         std::fs::write(path, &dump).expect("write jsonl");
         println!(

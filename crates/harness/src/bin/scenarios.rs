@@ -12,28 +12,32 @@
 //! `buf.writebacks` / hit ratio / `buf.shard_conflicts`), WAL behavior
 //! (`wal.forces`, `wal.group_size` p50), and SMO counts — plus an
 //! `oracle_twin` block recording the seeds and crash points the twin
-//! sweeps covered. A twin failure fails the whole run (exit 1) *after*
-//! writing the JSON, so CI sees both the numbers and the verdict.
+//! sweeps covered. The `throughput` row (S4/S5) runs the Π-tree alone at
+//! 1/4/8 worker threads and is written as `BENCH_throughput.json`. A twin
+//! failure fails the whole run (exit 1) *after* writing the JSON, so CI
+//! sees both the numbers and the verdict.
 //!
-//! Methodology:
+//! Methodology (the machinery is [`pitree_harness::driver`]; this file is
+//! the five engines' openers and op closures):
 //!
 //! - The Π-tree/TSB/hB images are built **once** per tree shape (big
-//!   load pool, pipelined commits, `flush_all` + fuzzy checkpoint fence)
-//!   and copied per scenario, so scenarios are independent and the
-//!   measured phase always starts from the same durable image — the
-//!   `mttr` bench's image discipline.
+//!   load pool, pipelined commits, flush + fuzzy checkpoint fence) and
+//!   copied per phase, so phases are independent and every measured
+//!   phase starts by recovering the same durable image.
 //! - Measured pools are `max(64, data_pages / 128)` frames ≈ 0.78% of
 //!   the data (the JSON records the exact `pool_pct`), so eviction,
-//!   write-back, and I/O scheduling are live in every measured op.
+//!   write-back, and I/O scheduling are live in every measured op. The
+//!   `throughput` row instead holds its whole image in the pool: there
+//!   the log force is the shared resource under test.
 //! - The in-memory baselines run over the **same** `BufferPool`
 //!   machinery (MemDisk-backed) at the same frame count: pool pressure
 //!   applies to them too, only durability is off — which biases ops/s
 //!   *for* the baselines and makes the Π-tree's showing conservative.
 //!   Baselines have no range scan; a scan op is modeled as `scan_len`
 //!   point gets (recorded in the JSON as `baseline_scan_model`).
-//! - Writes on the Π-tree use the pipelined publish/ack protocol of the
-//!   `throughput` bench (depth 8); every published commit is acked
-//!   before the clock stops, so ops/s is durable throughput.
+//! - Writes on the Π-tree are pipelined publish/ack commits (depth 8);
+//!   every published commit is acked before the clock stops, so ops/s
+//!   is durable throughput.
 //!
 //! `--smoke` shrinks the population and deadlines so CI can gate the
 //! matrix (JSON shape + twin verdicts) in seconds; `--only NAME` runs a
@@ -44,34 +48,32 @@
 use pitree::{PiTree, PiTreeConfig, Store};
 use pitree_baselines::{ConcurrentIndex, LockCouplingTree};
 use pitree_check::{differential_twin, durability_twin, DurConfig};
+use pitree_harness::driver::{
+    commit, copy_image, data_pages, engine_row, fence, key_bytes, load, publish, run_phase,
+    scaled_pool, throughput_row, Cli, Done, Obj, OpKind, PhaseRun, PhaseSpec, LOAD_POOL_FRAMES,
+    PIPELINE_DEPTH,
+};
 use pitree_harness::scenario::{hb_twin, matrix, tsb_twin, twin_ops};
-use pitree_harness::{EngineSet, KeyStream, Population, ScenarioSpec};
+use pitree_harness::{EngineSet, KeyStream, MixOp, Population, ScenarioSpec};
 use pitree_hb::{point_key, HbConfig, HbTree, Point, Rect};
 use pitree_obs::{Recorder, Stopwatch};
 use pitree_sim::SimRng;
 use pitree_tsb::{Time, TsbConfig, TsbTree};
-use pitree_txnlock::PendingCommit;
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// JSON schema version of `BENCH_scenario_*.json`.
 const VERSION: u32 = 1;
 
-/// Published-but-unacked commits a writer holds before waiting on the
-/// oldest (the `throughput` bench's pipelining protocol).
-const PIPELINE_DEPTH: usize = 8;
-
-/// Pool frames while *building* images only; measured phases use the
-/// ~1% pool computed from the image size.
-const LOAD_POOL_FRAMES: usize = 8192;
+/// Page capacity of every image's space map.
+const MAX_PAGES: u64 = 1 << 22;
 
 /// Baseline node fanout (entries per node) — roughly a 4 KB page of
 /// small records, so baseline tree depth matches the Π-tree's.
 const BASELINE_FANOUT: usize = 64;
 
 struct Config {
-    smoke: bool,
     load_keys: u64,
     value_len: usize,
     ops_target: u64,
@@ -81,12 +83,18 @@ struct Config {
     twin_domain: u64,
     /// Attribute-space side for the 2-attribute scenario.
     hb_side: u64,
+    /// The `throughput` row: its half-dense population (the 50% hit rate
+    /// is part of the row's definition), ops per worker, a pool that holds
+    /// the whole image, and the most worker threads it is run at.
+    scaling_pop: Population,
+    scaling_ops: u64,
+    scaling_pool: usize,
+    max_threads: usize,
 }
 
 impl Config {
     fn full() -> Config {
         Config {
-            smoke: false,
             load_keys: 1_000_000,
             value_len: 16,
             ops_target: 40_000,
@@ -95,26 +103,28 @@ impl Config {
             twin_ops: 120,
             twin_domain: 96,
             hb_side: 4_096,
+            scaling_pop: Population::sparse(2_000, 4_000),
+            scaling_ops: 2_000,
+            scaling_pool: 256,
+            max_threads: 8,
         }
     }
 
     fn smoke() -> Config {
         Config {
-            smoke: true,
             load_keys: 3_000,
-            value_len: 16,
             ops_target: 1_000,
             deadline_ns: 3_000_000_000,
-            twin_seeds: 8,
             twin_ops: 100,
             twin_domain: 64,
             hb_side: 64,
+            scaling_pop: Population::sparse(100, 200),
+            scaling_ops: 150,
+            scaling_pool: 64,
+            max_threads: 4,
+            ..Config::full()
         }
     }
-}
-
-fn key_bytes(k: u64) -> [u8; 8] {
-    k.to_be_bytes()
 }
 
 fn value_bytes(k: u64, len: usize) -> Vec<u8> {
@@ -132,881 +142,505 @@ fn point_for(i: u64, side: u64) -> Point {
     [x, y]
 }
 
-/// Pipelined upsert (publish now, ack later) with deadlock retry.
-fn upsert<'t>(tree: &'t PiTree, key: &[u8], value: &[u8]) -> PendingCommit<'t> {
-    loop {
-        let mut t = tree.begin();
-        match tree.insert(&mut t, key, value) {
-            Ok(_) => return t.commit_publish(),
-            Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                let _ = t.abort(Some(&tree.undo_handler()));
-            }
-            Err(e) => panic!("upsert failed: {e}"),
+// ---- images ----------------------------------------------------------------
+
+#[derive(Clone)]
+struct Image {
+    dir: PathBuf,
+    pages: u64,
+    t_past: Time,
+}
+
+/// Load `engine`'s tree shape with `keys` records through the commit
+/// pipeline into a fresh store in `dir`, then fence it.
+fn build_image(dir: PathBuf, engine: Engine, keys: u64, cfg: &Config) -> Image {
+    let t0 = Stopwatch::start();
+    let store = Store::open_file(&dir, LOAD_POOL_FRAMES, MAX_PAGES).expect("load store");
+    let value = |k| value_bytes(k, cfg.value_len);
+    let mut t_past = 0;
+    let rec = store.recorder();
+    match engine {
+        Engine::Lc => unreachable!("the baseline is MemDisk-backed; it has no image"),
+        Engine::Pi | Engine::PiXy => {
+            let tree = PiTree::create(Arc::clone(&store), 1, PiTreeConfig::default()).expect("pi");
+            load(rec, 0..keys, |k| {
+                let key = match engine {
+                    Engine::PiXy => point_key(&point_for(k, cfg.hb_side)),
+                    _ => key_bytes(k).to_vec(),
+                };
+                publish(&tree, |t| tree.insert(t, &key, &value(k)))
+            });
+        }
+        // Version 0 of every key, a time fence `t_past`, then a 10% update
+        // wave — so as-of reads at `t_past` traverse history.
+        Engine::Tsb => {
+            let tree = TsbTree::create(Arc::clone(&store), 1, TsbConfig::default()).expect("tsb");
+            let put = |k, v| publish(&tree, |t| tree.put(t, &key_bytes(k), &value(v)));
+            load(rec, 0..keys, |k| put(k, k));
+            t_past = tree.now();
+            load(rec, (0..keys).step_by(10), |k| put(k, k + 1));
+        }
+        Engine::Hb => {
+            let tree = HbTree::create(Arc::clone(&store), 1, HbConfig::default()).expect("hb");
+            let point = |k| point_for(k, cfg.hb_side);
+            load(rec, 0..keys, |k| {
+                publish(&tree, |t| tree.insert(t, &point(k), &value(k)))
+            });
         }
     }
-}
-
-fn remove<'t>(tree: &'t PiTree, key: &[u8]) -> PendingCommit<'t> {
-    loop {
-        let mut t = tree.begin();
-        match tree.delete(&mut t, key) {
-            Ok(_) => return t.commit_publish(),
-            Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
-                let _ = t.abort(Some(&tree.undo_handler()));
-            }
-            Err(e) => panic!("delete failed: {e}"),
-        }
-    }
-}
-
-fn drain(pending: &mut VecDeque<PendingCommit<'_>>, down_to: usize) {
-    while pending.len() > down_to {
-        pending
-            .pop_front()
-            .expect("non-empty pipeline")
-            .wait_durable()
-            .expect("ack");
-    }
-}
-
-/// Copy the durable image (`store.db`/`store.log`/`store.master`) so each
-/// scenario mutates its own copy of the same fenced image.
-fn copy_image(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("mkdir image copy");
-    for f in ["store.db", "store.log", "store.master"] {
-        let s = src.join(f);
-        if s.exists() {
-            std::fs::copy(&s, dst.join(f)).expect("copy durable file");
-        }
-    }
-}
-
-fn data_pages(dir: &Path) -> u64 {
-    std::fs::metadata(dir.join("store.db"))
-        .expect("image store.db")
-        .len()
-        / pitree_pagestore::PAGE_SIZE as u64
-}
-
-/// The ≤ 1% pool: `data_pages / 128` (≈ 0.78%), floored at 64 frames so
-/// tiny smoke images stay runnable (smoke pools exceed 1%; the JSON's
-/// `pool_pct` records the truth either way).
-fn scaled_pool(pages: u64) -> usize {
-    ((pages / 128).max(64)) as usize
-}
-
-// ---- image builders --------------------------------------------------------
-
-fn build_pi_image(dir: &Path, cfg: &Config, composite: bool) -> u64 {
-    let store = Store::open_file(dir, LOAD_POOL_FRAMES, 1 << 22).expect("load store");
-    let tree = PiTree::create(Arc::clone(&store), 1, PiTreeConfig::default()).expect("tree");
-    let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-    for k in 0..cfg.load_keys {
-        let key: Vec<u8> = if composite {
-            point_key(&point_for(k, cfg.hb_side))
-        } else {
-            key_bytes(k).to_vec()
-        };
-        pending.push_back(upsert(&tree, &key, &value_bytes(k, cfg.value_len)));
-        if pending.len() >= PIPELINE_DEPTH {
-            drain(&mut pending, PIPELINE_DEPTH - 1);
-        }
-    }
-    drain(&mut pending, 0);
-    drop(pending);
-    store.pool.flush_all().expect("flush image");
-    store.txns.checkpoint().expect("checkpoint image");
-    drop(tree);
+    fence(&store);
     drop(store);
-    data_pages(dir)
+    let pages = data_pages(&dir);
+    let (name, ms) = (engine.name(), t0.elapsed_ns() / 1_000_000);
+    eprintln!("image {name}: {keys} keys, {pages} pages, {ms} ms");
+    Image { dir, pages, t_past }
 }
 
-/// Build the TSB image: version 0 of every key, a time fence `t_past`,
-/// then a 10% update wave — so as-of reads at `t_past` traverse history.
-fn build_tsb_image(dir: &Path, cfg: &Config) -> (u64, Time) {
-    let store = Store::open_file(dir, LOAD_POOL_FRAMES, 1 << 22).expect("load store");
-    let tree = TsbTree::create(Arc::clone(&store), 1, TsbConfig::default()).expect("tsb tree");
-    let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-    for k in 0..cfg.load_keys {
-        let mut t = tree.begin();
-        tree.put(&mut t, &key_bytes(k), &value_bytes(k, cfg.value_len))
-            .expect("tsb put");
-        pending.push_back(t.commit_publish());
-        if pending.len() >= PIPELINE_DEPTH {
-            drain(&mut pending, PIPELINE_DEPTH - 1);
+// ---- engines: five openers, five op closures ---------------------------------
+
+/// An engine of a scenario's line-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Engine {
+    /// Π-tree over 8-byte keys.
+    Pi,
+    /// Lock-coupling baseline: MemDisk-backed, no WAL, no image.
+    Lc,
+    Tsb,
+    Hb,
+    /// Π-tree over the concatenated `(x, y)` key of the point population.
+    PiXy,
+}
+
+impl Engine {
+    fn name(self) -> &'static str {
+        match self {
+            Engine::Pi => "pi-tree",
+            Engine::Lc => "lock-coupling",
+            Engine::Tsb => "tsb-tree",
+            Engine::Hb => "hb-tree",
+            Engine::PiXy => "pi-tree-xy",
         }
     }
-    drain(&mut pending, 0);
-    let t_past = tree.now();
-    for k in (0..cfg.load_keys).step_by(10) {
-        let mut t = tree.begin();
-        tree.put(&mut t, &key_bytes(k), &value_bytes(k + 1, cfg.value_len))
-            .expect("tsb update");
-        pending.push_back(t.commit_publish());
-        if pending.len() >= PIPELINE_DEPTH {
-            drain(&mut pending, PIPELINE_DEPTH - 1);
-        }
-    }
-    drain(&mut pending, 0);
-    drop(pending);
-    store.pool.flush_all().expect("flush image");
-    store.txns.checkpoint().expect("checkpoint image");
-    drop(tree);
-    drop(store);
-    (data_pages(dir), t_past)
 }
 
-fn build_hb_image(dir: &Path, cfg: &Config) -> u64 {
-    let store = Store::open_file(dir, LOAD_POOL_FRAMES, 1 << 22).expect("load store");
-    let tree = HbTree::create(Arc::clone(&store), 1, HbConfig::default()).expect("hb tree");
-    let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-    for k in 0..cfg.load_keys {
-        let p = point_for(k, cfg.hb_side);
-        let mut t = tree.begin();
-        tree.insert(&mut t, &p, &value_bytes(k, cfg.value_len))
-            .expect("hb insert");
-        pending.push_back(t.commit_publish());
-        if pending.len() >= PIPELINE_DEPTH {
-            drain(&mut pending, PIPELINE_DEPTH - 1);
-        }
-    }
-    drain(&mut pending, 0);
-    drop(pending);
-    store.pool.flush_all().expect("flush image");
-    store.txns.checkpoint().expect("checkpoint image");
-    drop(tree);
-    drop(store);
-    data_pages(dir)
-}
-
-// ---- measured phases -------------------------------------------------------
-
-#[derive(Default)]
-struct EngineResult {
-    name: &'static str,
-    ops: u64,
-    elapsed_ns: u64,
-    p50: u64,
-    p95: u64,
-    p99: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    evictions: u64,
-    writebacks: u64,
-    shard_conflicts: u64,
-    forces: u64,
-    group_size_p50: u64,
-    splits: u64,
-    consolidations: u64,
-}
-
-impl EngineResult {
-    fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-}
-
-struct PoolBase {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    writebacks: u64,
-    shard_conflicts: u64,
-}
-
-fn pool_base(rec: &Recorder) -> PoolBase {
-    PoolBase {
-        hits: rec.counter("buf.hits").get(),
-        misses: rec.counter("buf.misses").get(),
-        evictions: rec.counter("buf.evictions").get(),
-        writebacks: rec.counter("buf.writebacks").get(),
-        shard_conflicts: rec.counter("buf.shard_conflicts").get(),
-    }
-}
-
-fn fill_pool_delta(r: &mut EngineResult, rec: &Recorder, base: &PoolBase) {
-    r.pool_hits = rec.counter("buf.hits").get() - base.hits;
-    r.pool_misses = rec.counter("buf.misses").get() - base.misses;
-    r.evictions = rec.counter("buf.evictions").get() - base.evictions;
-    r.writebacks = rec.counter("buf.writebacks").get() - base.writebacks;
-    r.shard_conflicts = rec.counter("buf.shard_conflicts").get() - base.shard_conflicts;
-}
-
-/// Where a disk-backed phase runs: the prebuilt image it copies, the
-/// scratch dir it copies into, and the (≤ 1%) pool it reopens at.
-struct PhaseIo<'a> {
-    image: &'a Path,
+/// One measured phase: the scenario, its sizes, and where it runs.
+struct Cx<'a> {
+    mode: &'static str,
+    cfg: &'a Config,
+    spec: &'a ScenarioSpec,
+    pop: Population,
+    phase: PhaseSpec,
+    /// Scratch directory the phase's image copy lives in.
     dir: &'a Path,
-    pool_frames: usize,
 }
 
-/// Π-tree phase over a copied image: the standard point/scan mix with
-/// pipelined write commits, every published commit acked before the
-/// clock stops.
-fn run_pi_phase(
-    spec: &ScenarioSpec,
-    io: &PhaseIo<'_>,
-    cfg: &Config,
-    pop: Population,
-    seed: u64,
-) -> EngineResult {
-    let (image, dir, pool_frames) = (io.image, io.dir, io.pool_frames);
-    copy_image(image, dir);
-    let store = Store::open_file(dir, pool_frames, 1 << 22).expect("reopen");
-    let (tree, _stats) =
-        PiTree::recover(Arc::clone(&store), 1, PiTreeConfig::default()).expect("recover");
+/// Copy `img` into the phase's directory and reopen it at `pool` frames.
+fn reopen(img: &Image, pool: usize, cx: &Cx<'_>) -> (Arc<Store>, Recorder) {
+    let _ = std::fs::remove_dir_all(cx.dir);
+    copy_image(&img.dir, cx.dir);
+    let store = Store::open_file(cx.dir, pool, MAX_PAGES).expect("reopen image copy");
     let rec = store.recorder().clone();
-    let hist = rec.hist("scen.op_ns");
-    let base = pool_base(&rec);
-    let forces0 = rec.counter("wal.forces").get();
-    let splits0 = tree.stats().splits.get();
-    let cons0 = tree.stats().consolidations.get();
-
-    let mut rng = SimRng::new(seed);
-    let mut stream = KeyStream::new(spec.access, pop.key_space, pop.load_keys);
-    let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-    let mut ops = 0u64;
-    let wall = Stopwatch::start();
-    while ops < cfg.ops_target && wall.elapsed_ns() < cfg.deadline_ns {
-        let roll = rng.below(100) as u32;
-        let m = &spec.mix;
-        let t0 = Stopwatch::start();
-        if roll < m.get {
-            let k = stream.next_existing(&mut rng);
-            let _ = tree.get_unlocked(&key_bytes(k)).expect("get");
-        } else if roll < m.get + m.insert {
-            let k = stream.next(&mut rng);
-            pending.push_back(upsert(&tree, &key_bytes(k), &value_bytes(k, cfg.value_len)));
-        } else if roll < m.get + m.insert + m.delete {
-            let k = stream.next(&mut rng);
-            pending.push_back(remove(&tree, &key_bytes(k)));
-        } else {
-            let lo = stream.next_existing(&mut rng);
-            let _ = tree
-                .scan(&key_bytes(lo), &key_bytes(lo + m.scan_len))
-                .expect("scan");
-        }
-        if pending.len() >= PIPELINE_DEPTH {
-            drain(&mut pending, PIPELINE_DEPTH - 1);
-        }
-        hist.record(t0.elapsed_ns());
-        ops += 1;
-    }
-    drain(&mut pending, 0);
-    drop(pending);
-    let elapsed_ns = wall.elapsed_ns();
-
-    let (p50, p95, p99, _) = hist.percentiles();
-    let (gs50, _, _, _) = rec.hist("wal.group_size").percentiles();
-    let mut r = EngineResult {
-        name: "pi-tree",
-        ops,
-        elapsed_ns,
-        p50,
-        p95,
-        p99,
-        forces: rec.counter("wal.forces").get() - forces0,
-        group_size_p50: gs50,
-        splits: tree.stats().splits.get() - splits0,
-        consolidations: tree.stats().consolidations.get() - cons0,
-        ..EngineResult::default()
-    };
-    fill_pool_delta(&mut r, &rec, &base);
-    drop(tree);
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
-    r
+    (store, rec)
 }
 
-/// Lock-coupling baseline phase: same pool frames, same mix; scans are
-/// modeled as `scan_len` point gets (the baselines expose no range
-/// scan), counted as one op.
-fn run_lc_phase(
-    spec: &ScenarioSpec,
-    pool_frames: usize,
-    cfg: &Config,
-    pop: Population,
-    seed: u64,
-) -> EngineResult {
-    let lc = LockCouplingTree::new(pool_frames, BASELINE_FANOUT);
-    for k in 0..pop.load_keys {
-        lc.insert(&key_bytes(k), &value_bytes(k, cfg.value_len));
+/// Open `engine` — recovered over a copy of `img` at `pool` frames; the
+/// baseline over a fresh MemDisk pool of `pool` frames, no WAL — and run
+/// the scenario's measured phase on it. Returns the phase with the
+/// recorder that holds its histograms.
+fn measure(engine: Engine, img: &Image, pool: usize, cx: &Cx<'_>) -> (Recorder, PhaseRun) {
+    let phase = &cx.phase;
+    match engine {
+        Engine::Pi | Engine::PiXy => {
+            let (store, rec) = reopen(img, pool, cx);
+            let tree = PiTree::recover(store, 1, PiTreeConfig::default())
+                .expect("recover")
+                .0;
+            let run = match engine {
+                Engine::Pi => run_phase(&rec, phase, || pi_ops(&tree, cx)),
+                _ => run_phase(&rec, phase, || pi_xy_ops(&tree, cx)),
+            };
+            (rec, run)
+        }
+        Engine::Lc => {
+            let lc = LockCouplingTree::new(pool, BASELINE_FANOUT);
+            for k in 0..cx.pop.load_keys {
+                lc.insert(&key_bytes(k), &value_bytes(k, cx.cfg.value_len));
+            }
+            let rec = lc.pool().recorder().clone();
+            let run = run_phase(&rec, phase, || lc_ops(&lc, cx));
+            (rec, run)
+        }
+        Engine::Tsb => {
+            let (store, rec) = reopen(img, pool, cx);
+            let tree = TsbTree::recover(store, 1, TsbConfig::default())
+                .expect("recover")
+                .0;
+            let run = run_phase(&rec, phase, || tsb_ops(&tree, img.t_past, cx));
+            (rec, run)
+        }
+        Engine::Hb => {
+            let (store, rec) = reopen(img, pool, cx);
+            let tree = HbTree::recover(store, 1, HbConfig::default())
+                .expect("recover")
+                .0;
+            let run = run_phase(&rec, phase, || hb_ops(&tree, cx));
+            (rec, run)
+        }
     }
-    let rec = lc.pool().recorder().clone();
-    let hist = rec.hist("scen.op_ns");
-    let base = pool_base(&rec);
+}
 
-    let mut rng = SimRng::new(seed);
-    let mut stream = KeyStream::new(spec.access, pop.key_space, pop.load_keys);
-    let mut ops = 0u64;
-    let wall = Stopwatch::start();
-    while ops < cfg.ops_target && wall.elapsed_ns() < cfg.deadline_ns {
-        let roll = rng.below(100) as u32;
-        let m = &spec.mix;
-        let t0 = Stopwatch::start();
-        if roll < m.get {
-            let k = stream.next_existing(&mut rng);
+/// Π-tree: the point/scan mix with pipelined write commits.
+fn pi_ops<'t>(tree: &'t PiTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
+    let (mix, value_len) = (cx.spec.mix, cx.cfg.value_len);
+    let mut stream = KeyStream::new(cx.spec.access, cx.pop.key_space, cx.pop.load_keys);
+    move |rng| match mix.draw(&mut stream, rng) {
+        MixOp::Get(k) => {
+            let _ = tree.get_unlocked(&key_bytes(k)).expect("get");
+            (OpKind::Get, None)
+        }
+        MixOp::Insert(k) => {
+            let (key, value) = (key_bytes(k), value_bytes(k, value_len));
+            let commit = publish(tree, |t| tree.insert(t, &key, &value));
+            (OpKind::Insert, Some(commit))
+        }
+        MixOp::Delete(k) => {
+            let commit = publish(tree, |t| tree.delete(t, &key_bytes(k)));
+            (OpKind::Delete, Some(commit))
+        }
+        MixOp::Scan(lo) => {
+            let hi = key_bytes(lo + mix.scan_len);
+            let _ = tree.scan(&key_bytes(lo), &hi).expect("scan");
+            (OpKind::Scan, None)
+        }
+    }
+}
+
+/// Lock-coupling baseline: same mix; scans are modeled as `scan_len`
+/// point gets (the baselines expose no range scan), counted as one op.
+fn lc_ops<'t>(lc: &'t LockCouplingTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
+    let (mix, value_len) = (cx.spec.mix, cx.cfg.value_len);
+    let mut stream = KeyStream::new(cx.spec.access, cx.pop.key_space, cx.pop.load_keys);
+    move |rng| match mix.draw(&mut stream, rng) {
+        MixOp::Get(k) => {
             let _ = lc.get(&key_bytes(k));
-        } else if roll < m.get + m.insert {
-            let k = stream.next(&mut rng);
-            lc.insert(&key_bytes(k), &value_bytes(k, cfg.value_len));
-        } else if roll < m.get + m.insert + m.delete {
-            let k = stream.next(&mut rng);
+            (OpKind::Get, None)
+        }
+        MixOp::Insert(k) => {
+            lc.insert(&key_bytes(k), &value_bytes(k, value_len));
+            (OpKind::Insert, None)
+        }
+        MixOp::Delete(k) => {
             let _ = lc.delete(&key_bytes(k));
-        } else {
-            let lo = stream.next_existing(&mut rng);
-            for k in lo..lo + m.scan_len {
+            (OpKind::Delete, None)
+        }
+        MixOp::Scan(lo) => {
+            for k in lo..lo + mix.scan_len {
                 let _ = lc.get(&key_bytes(k));
             }
+            (OpKind::Scan, None)
         }
-        hist.record(t0.elapsed_ns());
-        ops += 1;
     }
-    let elapsed_ns = wall.elapsed_ns();
-    let (p50, p95, p99, _) = hist.percentiles();
-    let mut r = EngineResult {
-        name: "lock-coupling",
-        ops,
-        elapsed_ns,
-        p50,
-        p95,
-        p99,
-        ..EngineResult::default()
-    };
-    fill_pool_delta(&mut r, &rec, &base);
-    r
 }
 
-/// TSB-tree phase: as-of reads/scans split between the historical fence
-/// and now, forced-commit puts.
-fn run_tsb_phase(
-    spec: &ScenarioSpec,
-    io: &PhaseIo<'_>,
-    cfg: &Config,
-    pop: Population,
-    seed: u64,
+/// TSB-tree: as-of reads/scans split between the historical fence and
+/// now, forced-commit puts. (The as-of pick sits between the mix roll and
+/// the key draw, so this engine keeps its own draw order.)
+fn tsb_ops<'t>(
+    tree: &'t TsbTree,
     t_past: Time,
-) -> EngineResult {
-    let (image, dir, pool_frames) = (io.image, io.dir, io.pool_frames);
-    copy_image(image, dir);
-    let store = Store::open_file(dir, pool_frames, 1 << 22).expect("reopen tsb");
-    let (tree, _stats) =
-        TsbTree::recover(Arc::clone(&store), 1, TsbConfig::default()).expect("tsb recover");
-    let rec = store.recorder().clone();
-    let hist = rec.hist("scen.op_ns");
-    let base = pool_base(&rec);
-    let forces0 = rec.counter("wal.forces").get();
-
-    let mut rng = SimRng::new(seed);
-    let mut stream = KeyStream::new(spec.access, pop.key_space, pop.load_keys);
-    let mut ops = 0u64;
-    let wall = Stopwatch::start();
-    while ops < cfg.ops_target && wall.elapsed_ns() < cfg.deadline_ns {
+    cx: &'t Cx<'_>,
+) -> impl FnMut(&mut SimRng) -> Done<'t> {
+    let (m, value_len) = (cx.spec.mix, cx.cfg.value_len);
+    let mut stream = KeyStream::new(cx.spec.access, cx.pop.key_space, cx.pop.load_keys);
+    move |rng| {
         let roll = rng.below(100) as u32;
-        let m = &spec.mix;
         let as_of = if rng.chance(0.5) { t_past } else { tree.now() };
-        let t0 = Stopwatch::start();
         if roll < m.get {
-            let k = stream.next_existing(&mut rng);
+            let k = stream.next_existing(rng);
             let _ = tree.get_as_of(&key_bytes(k), as_of).expect("as-of get");
+            (OpKind::Get, None)
         } else if roll < m.get + m.insert {
-            let k = stream.next(&mut rng);
-            let mut t = tree.begin();
-            tree.put(&mut t, &key_bytes(k), &value_bytes(k, cfg.value_len))
-                .expect("put");
-            t.commit().expect("commit");
+            let k = stream.next(rng);
+            let (key, value) = (key_bytes(k), value_bytes(k, value_len));
+            commit(tree, |t| tree.put(t, &key, &value));
+            (OpKind::Insert, None)
         } else {
-            let lo = stream.next_existing(&mut rng);
-            let _ = tree
-                .scan_as_of(&key_bytes(lo), &key_bytes(lo + m.scan_len), as_of)
-                .expect("as-of scan");
+            let lo = stream.next_existing(rng);
+            let hi = key_bytes(lo + m.scan_len);
+            let _ = tree.scan_as_of(&key_bytes(lo), &hi, as_of).expect("scan");
+            (OpKind::Scan, None)
         }
-        hist.record(t0.elapsed_ns());
-        ops += 1;
     }
-    let elapsed_ns = wall.elapsed_ns();
-    let (p50, p95, p99, _) = hist.percentiles();
-    let mut r = EngineResult {
-        name: "tsb-tree",
-        ops,
-        elapsed_ns,
-        p50,
-        p95,
-        p99,
-        forces: rec.counter("wal.forces").get() - forces0,
-        splits: tree.stats().splits.get(),
-        ..EngineResult::default()
-    };
-    fill_pool_delta(&mut r, &rec, &base);
-    drop(tree);
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
-    r
 }
 
-/// hB-tree phase: true 2-attribute window queries plus point inserts.
-fn run_hb_phase(io: &PhaseIo<'_>, cfg: &Config, spec: &ScenarioSpec, seed: u64) -> EngineResult {
-    let (image, dir, pool_frames) = (io.image, io.dir, io.pool_frames);
-    copy_image(image, dir);
-    let store = Store::open_file(dir, pool_frames, 1 << 22).expect("reopen hb");
-    let (tree, _stats) =
-        HbTree::recover(Arc::clone(&store), 1, HbConfig::default()).expect("hb recover");
-    let rec = store.recorder().clone();
-    let hist = rec.hist("scen.op_ns");
-    let base = pool_base(&rec);
-    let forces0 = rec.counter("wal.forces").get();
+/// One draw of the 2-attribute mix.
+enum XyOp {
+    /// A new point and the seed of its value.
+    Insert(Point, u64),
+    Window(Rect),
+}
 
-    let mut rng = SimRng::new(seed);
-    let edge = spec.mix.scan_len.max(1);
-    let mut ops = 0u64;
-    let mut next_new = cfg.load_keys;
-    let wall = Stopwatch::start();
-    while ops < cfg.ops_target && wall.elapsed_ns() < cfg.deadline_ns {
-        let roll = rng.below(100) as u32;
-        let t0 = Stopwatch::start();
-        if roll < spec.mix.insert {
-            let p = point_for(next_new, cfg.hb_side);
+/// The 2-attribute op stream: point inserts past the preloaded
+/// population, square window queries of edge `scan_len`.
+fn xy_stream(cx: &Cx<'_>) -> impl FnMut(&mut SimRng) -> XyOp {
+    let insert_pct = cx.spec.mix.insert;
+    let edge = cx.spec.mix.scan_len.max(1);
+    let side = cx.cfg.hb_side;
+    let mut next_new = cx.pop.load_keys;
+    move |rng| {
+        if (rng.below(100) as u32) < insert_pct {
+            let p = point_for(next_new, side);
             next_new += 1;
-            let mut t = tree.begin();
-            tree.insert(&mut t, &p, &value_bytes(next_new, cfg.value_len))
-                .expect("hb insert");
-            t.commit().expect("commit");
+            XyOp::Insert(p, next_new)
         } else {
-            let lo = [
-                rng.below(cfg.hb_side.saturating_sub(edge).max(1)),
-                rng.below(cfg.hb_side.saturating_sub(edge).max(1)),
-            ];
-            let w = Rect {
-                lo,
-                hi: [lo[0] + edge, lo[1] + edge],
-            };
-            let _ = tree.window_query(&w).expect("window query");
+            let span = side.saturating_sub(edge).max(1);
+            let lo = [rng.below(span), rng.below(span)];
+            let hi = [lo[0] + edge, lo[1] + edge];
+            XyOp::Window(Rect { lo, hi })
         }
-        hist.record(t0.elapsed_ns());
-        ops += 1;
     }
-    let elapsed_ns = wall.elapsed_ns();
-    let (p50, p95, p99, _) = hist.percentiles();
-    let mut r = EngineResult {
-        name: "hb-tree",
-        ops,
-        elapsed_ns,
-        p50,
-        p95,
-        p99,
-        forces: rec.counter("wal.forces").get() - forces0,
-        splits: tree.stats().splits.get(),
-        ..EngineResult::default()
-    };
-    fill_pool_delta(&mut r, &rec, &base);
-    drop(tree);
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
-    r
+}
+
+/// hB-tree: true 2-attribute window queries plus forced-commit inserts.
+fn hb_ops<'t>(tree: &'t HbTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
+    let mut next = xy_stream(cx);
+    let value_len = cx.cfg.value_len;
+    move |rng| match next(rng) {
+        XyOp::Insert(p, v) => {
+            let value = value_bytes(v, value_len);
+            commit(tree, |t| tree.insert(t, &p, &value));
+            (OpKind::Insert, None)
+        }
+        XyOp::Window(w) => {
+            let _ = tree.window_query(&w).expect("window query");
+            (OpKind::Scan, None)
+        }
+    }
 }
 
 /// The multi-attribute strawman: a Π-tree over the concatenated `(x, y)`
 /// key answers a window query by scanning the whole x-slab and filtering
 /// y — exactly the composite-index weakness the hB-tree removes.
-fn run_pi_xy_phase(io: &PhaseIo<'_>, cfg: &Config, spec: &ScenarioSpec, seed: u64) -> EngineResult {
-    let (image, dir, pool_frames) = (io.image, io.dir, io.pool_frames);
-    copy_image(image, dir);
-    let store = Store::open_file(dir, pool_frames, 1 << 22).expect("reopen pi-xy");
-    let (tree, _stats) =
-        PiTree::recover(Arc::clone(&store), 1, PiTreeConfig::default()).expect("recover");
-    let rec = store.recorder().clone();
-    let hist = rec.hist("scen.op_ns");
-    let base = pool_base(&rec);
-    let forces0 = rec.counter("wal.forces").get();
-
-    let mut rng = SimRng::new(seed);
-    let edge = spec.mix.scan_len.max(1);
-    let mut ops = 0u64;
-    let mut next_new = cfg.load_keys;
-    let mut pending: VecDeque<PendingCommit<'_>> = VecDeque::new();
-    let wall = Stopwatch::start();
-    while ops < cfg.ops_target && wall.elapsed_ns() < cfg.deadline_ns {
-        let roll = rng.below(100) as u32;
-        let t0 = Stopwatch::start();
-        if roll < spec.mix.insert {
-            let p = point_for(next_new, cfg.hb_side);
-            next_new += 1;
-            pending.push_back(upsert(
-                &tree,
-                &point_key(&p),
-                &value_bytes(next_new, cfg.value_len),
-            ));
-            if pending.len() >= PIPELINE_DEPTH {
-                drain(&mut pending, PIPELINE_DEPTH - 1);
-            }
-        } else {
-            let lo = [
-                rng.below(cfg.hb_side.saturating_sub(edge).max(1)),
-                rng.below(cfg.hb_side.saturating_sub(edge).max(1)),
-            ];
-            // Scan the full x-slab [x_lo, x_lo+edge) × all y, filter y.
-            let slab = tree
-                .scan(&point_key(&[lo[0], 0]), &point_key(&[lo[0] + edge, 0]))
-                .expect("slab scan");
-            let _hits = slab
-                .iter()
-                .filter(|(k, _)| {
-                    let y = u64::from_be_bytes(k[8..16].try_into().expect("16-byte key"));
-                    y >= lo[1] && y < lo[1] + edge
-                })
-                .count();
+fn pi_xy_ops<'t>(tree: &'t PiTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
+    let mut next = xy_stream(cx);
+    let value_len = cx.cfg.value_len;
+    move |rng| match next(rng) {
+        XyOp::Insert(p, v) => {
+            let (key, value) = (point_key(&p), value_bytes(v, value_len));
+            let commit = publish(tree, |t| tree.insert(t, &key, &value));
+            (OpKind::Insert, Some(commit))
         }
-        hist.record(t0.elapsed_ns());
-        ops += 1;
+        XyOp::Window(w) => {
+            // Scan the full x-slab [x_lo, x_hi) × all y, filter y.
+            let (from, to) = (point_key(&[w.lo[0], 0]), point_key(&[w.hi[0], 0]));
+            let slab = tree.scan(&from, &to).expect("slab scan");
+            let in_y = |k: &[u8]| {
+                let y = u64::from_be_bytes(k[8..16].try_into().expect("16-byte key"));
+                y >= w.lo[1] && y < w.hi[1]
+            };
+            let _hits = slab.iter().filter(|(k, _)| in_y(k)).count();
+            (OpKind::Scan, None)
+        }
     }
-    drain(&mut pending, 0);
-    drop(pending);
-    let elapsed_ns = wall.elapsed_ns();
-    let (p50, p95, p99, _) = hist.percentiles();
-    let mut r = EngineResult {
-        name: "pi-tree-xy",
-        ops,
-        elapsed_ns,
-        p50,
-        p95,
-        p99,
-        forces: rec.counter("wal.forces").get() - forces0,
-        splits: tree.stats().splits.get(),
-        ..EngineResult::default()
-    };
-    fill_pool_delta(&mut r, &rec, &base);
-    drop(tree);
-    drop(store);
-    let _ = std::fs::remove_dir_all(dir);
-    r
 }
 
 // ---- oracle twins ----------------------------------------------------------
 
-struct TwinSummary {
-    seeds: u64,
-    diff_ops: usize,
-    dur_fault_points: u64,
-    dur_crash_points: usize,
-    engine_twin: &'static str,
-}
-
-/// Run every oracle twin for a scenario across the seed battery. The
-/// first failure aborts with a replayable description.
-fn run_twins(spec: &ScenarioSpec, base_seed: u64, cfg: &Config) -> Result<TwinSummary, String> {
+/// Run every oracle twin for a scenario across the seed battery; the
+/// `oracle_twin` block on success. The first failure aborts with a
+/// replayable description.
+fn run_twins(spec: &ScenarioSpec, base_seed: u64, cfg: &Config) -> Result<Obj, String> {
     let dur_cfg = DurConfig {
         max_crash_points: 6,
         ..DurConfig::default()
     };
-    let mut summary = TwinSummary {
-        seeds: cfg.twin_seeds,
-        diff_ops: 0,
-        dur_fault_points: 0,
-        dur_crash_points: 0,
-        engine_twin: "none",
-    };
+    let (mut diff_ops, mut fault_points, mut crash_points) = (0usize, 0u64, 0usize);
+    let mut engine_twin = "none";
     for s in 0..cfg.twin_seeds {
         let seed = base_seed ^ (s.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let ops = twin_ops(spec, seed, cfg.twin_ops, cfg.twin_domain);
-        let d = differential_twin(&ops, seed).map_err(|v| v.to_string())?;
-        summary.diff_ops += d.ops;
-        let r = durability_twin(&ops, seed, &dur_cfg).map_err(|v| v.to_string())?;
-        summary.dur_fault_points += r.fault_points;
-        summary.dur_crash_points += r.crash_points_tested;
+        let diff = differential_twin(&ops, seed).map_err(|v| v.to_string())?;
+        diff_ops += diff.ops;
+        let dur = durability_twin(&ops, seed, &dur_cfg).map_err(|v| v.to_string())?;
+        fault_points += dur.fault_points;
+        crash_points += dur.crash_points_tested;
         match spec.engines {
             EngineSet::Temporal => {
                 tsb_twin(seed)?;
-                summary.engine_twin = "tsb";
+                engine_twin = "tsb";
             }
             EngineSet::MultiAttr => {
                 hb_twin(seed)?;
-                summary.engine_twin = "hb";
+                engine_twin = "hb";
             }
-            EngineSet::PointVsBaselines => {}
+            EngineSet::PointVsBaselines | EngineSet::PiScaling { .. } => {}
         }
     }
-    Ok(summary)
+    Ok(Obj::new()
+        .text("status", "pass")
+        .num("seeds", cfg.twin_seeds)
+        .num("differential_ops", diff_ops)
+        .num("durability_fault_points", fault_points)
+        .num("durability_crash_points", crash_points)
+        .text("engine_twin", engine_twin))
 }
 
 // ---- orchestration ---------------------------------------------------------
 
-struct Images {
-    pi: Option<(PathBuf, u64)>,
-    pi_xy: Option<(PathBuf, u64)>,
-    tsb: Option<(PathBuf, u64, Time)>,
-    hb: Option<(PathBuf, u64)>,
+/// `BENCH_scenario_<name>.json`.
+fn scenario_doc(cx: &Cx<'_>, pool_frames: usize, pages: u64, rows: &[Obj], twin: Obj) -> Obj {
+    let (spec, cfg) = (cx.spec, cx.cfg);
+    let config = Obj::new()
+        .num("load_keys", cx.pop.load_keys)
+        .num("key_space", cx.pop.key_space)
+        .num("value_len", cfg.value_len)
+        .num("pool_frames", pool_frames)
+        .num("data_pages", pages)
+        .fixed(
+            "pool_pct",
+            pool_frames as f64 * 100.0 / pages.max(1) as f64,
+            2,
+        )
+        .num("ops_target", cfg.ops_target)
+        .num("deadline_ns", cfg.deadline_ns)
+        .text("mix", &spec.mix.describe())
+        .text("access", &spec.access.describe())
+        .num("pipeline_depth", PIPELINE_DEPTH)
+        .num("baseline_fanout", BASELINE_FANOUT)
+        .text("baseline_scan_model", "scan_len point gets");
+    Obj::new()
+        .text("bench", "scenario")
+        .text("scenario", spec.name)
+        .num("version", VERSION)
+        .text("mode", cx.mode)
+        .text("what", spec.what)
+        .obj("config", config)
+        .rows("engines", rows)
+        .obj("oracle_twin", twin)
 }
 
-fn json_engine(r: &EngineResult) -> String {
-    format!(
-        "    {{\"name\": \"{}\", \"ops\": {}, \"elapsed_ns\": {}, \"ops_per_sec\": {:.0}, \
-         \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"pool_hits\": {}, \
-         \"pool_misses\": {}, \"evictions\": {}, \"writebacks\": {}, \
-         \"shard_conflicts\": {}, \"forces\": {}, \"group_size_p50\": {}, \"splits\": {}, \
-         \"consolidations\": {}}}",
-        r.name,
-        r.ops,
-        r.elapsed_ns,
-        r.ops_per_sec(),
-        r.p50,
-        r.p95,
-        r.p99,
-        r.pool_hits,
-        r.pool_misses,
-        r.evictions,
-        r.writebacks,
-        r.shard_conflicts,
-        r.forces,
-        r.group_size_p50,
-        r.splits,
-        r.consolidations,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    out_dir: &Path,
-    spec: &ScenarioSpec,
-    cfg: &Config,
-    pop: Population,
-    pool_frames: usize,
-    pages: u64,
-    engines: &[EngineResult],
-    twin: &Result<TwinSummary, String>,
-) -> PathBuf {
-    let pool_pct = pool_frames as f64 * 100.0 / pages.max(1) as f64;
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"scenario\",\n  \"scenario\": \"{}\",\n  \"version\": {},\n  \
-         \"mode\": \"{}\",\n  \"what\": \"{}\",\n",
-        spec.name,
-        VERSION,
-        if cfg.smoke { "smoke" } else { "full" },
-        spec.what.replace('"', "'"),
-    ));
-    json.push_str(&format!(
-        "  \"config\": {{\"load_keys\": {}, \"key_space\": {}, \"value_len\": {}, \
-         \"pool_frames\": {}, \"data_pages\": {}, \"pool_pct\": {:.2}, \
-         \"ops_target\": {}, \"deadline_ns\": {}, \"mix\": \"{}\", \"access\": \"{}\", \
-         \"pipeline_depth\": {}, \"baseline_fanout\": {}, \
-         \"baseline_scan_model\": \"scan_len point gets\"}},\n",
-        pop.load_keys,
-        pop.key_space,
-        cfg.value_len,
-        pool_frames,
-        pages,
-        pool_pct,
-        cfg.ops_target,
-        cfg.deadline_ns,
-        spec.mix.describe(),
-        spec.access.describe(),
-        PIPELINE_DEPTH,
-        BASELINE_FANOUT,
-    ));
-    json.push_str("  \"engines\": [\n");
-    for (i, r) in engines.iter().enumerate() {
-        json.push_str(&json_engine(r));
-        json.push_str(if i + 1 == engines.len() { "\n" } else { ",\n" });
-    }
-    json.push_str("  ],\n");
-    match twin {
-        Ok(t) => json.push_str(&format!(
-            "  \"oracle_twin\": {{\"status\": \"pass\", \"seeds\": {}, \
-             \"differential_ops\": {}, \"durability_fault_points\": {}, \
-             \"durability_crash_points\": {}, \"engine_twin\": \"{}\"}}\n",
-            t.seeds, t.diff_ops, t.dur_fault_points, t.dur_crash_points, t.engine_twin,
-        )),
-        Err(e) => json.push_str(&format!(
-            "  \"oracle_twin\": {{\"status\": \"fail\", \"detail\": \"{}\"}}\n",
-            e.replace('"', "'"),
-        )),
-    }
-    json.push_str("}\n");
-    let path = out_dir.join(format!(
-        "BENCH_scenario_{}.json",
-        spec.name.replace('-', "_")
-    ));
-    std::fs::write(&path, &json).expect("write scenario json");
-    path
+/// `BENCH_throughput.json`.
+fn throughput_doc(cx: &Cx<'_>, pool_frames: usize, rows: &[Obj]) -> Obj {
+    let config = Obj::new()
+        .num("pool_frames", pool_frames)
+        .num("load_keys", cx.pop.load_keys)
+        .num("ops_per_thread", cx.phase.ops_target)
+        .num("key_space", cx.pop.key_space)
+        .fixed("hit_fraction", cx.pop.hit_fraction(), 2)
+        .num("pipeline_depth", PIPELINE_DEPTH)
+        .text("mix", &cx.spec.mix.describe());
+    Obj::new()
+        .text("bench", "throughput")
+        .text("mode", cx.mode)
+        .obj("config", config)
+        .rows("runs", rows)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_dir = PathBuf::from(".");
-    let mut only: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out-dir" => out_dir = PathBuf::from(args.next().expect("--out-dir needs a path")),
-            "--only" => only = Some(args.next().expect("--only needs a scenario name")),
-            other => panic!(
-                "unknown arg {other} (usage: scenarios [--smoke] [--out-dir DIR] [--only NAME])"
-            ),
-        }
-    }
-    let cfg = if smoke {
-        Config::smoke()
-    } else {
-        Config::full()
-    };
+    let cli = Cli::from_env("scenarios", &["--smoke", "--out-dir DIR", "--only NAME"]);
+    let (mode, cfg) = cli.mode(Config::full(), Config::smoke());
+    let out_dir = PathBuf::from(cli.value("--out-dir").unwrap_or("."));
     std::fs::create_dir_all(&out_dir).expect("create out dir");
     let scratch = std::env::temp_dir().join(format!("pitree-scenarios-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch");
 
     let specs: Vec<_> = matrix()
         .into_iter()
-        .filter(|s| only.as_deref().is_none_or(|n| n == s.name))
+        .filter(|s| cli.value("--only").is_none_or(|n| n == s.name))
         .collect();
-    assert!(!specs.is_empty(), "no scenario matches --only filter");
-
-    // Build each tree shape's image once, only if some scenario needs it.
-    let mut images = Images {
-        pi: None,
-        pi_xy: None,
-        tsb: None,
-        hb: None,
-    };
-    for spec in &specs {
-        match spec.engines {
-            EngineSet::PointVsBaselines | EngineSet::Temporal => {
-                if images.pi.is_none() {
-                    let dir = scratch.join("img-pi");
-                    let t = Stopwatch::start();
-                    let pages = build_pi_image(&dir, &cfg, false);
-                    eprintln!(
-                        "image pi: {} keys, {} pages ({} MB), {} ms",
-                        cfg.load_keys,
-                        pages,
-                        pages * 4096 / (1 << 20),
-                        t.elapsed_ns() / 1_000_000
-                    );
-                    images.pi = Some((dir, pages));
-                }
-                if spec.engines == EngineSet::Temporal && images.tsb.is_none() {
-                    let dir = scratch.join("img-tsb");
-                    let t = Stopwatch::start();
-                    let (pages, t_past) = build_tsb_image(&dir, &cfg);
-                    eprintln!(
-                        "image tsb: {} keys (+10% updates), {} pages, {} ms",
-                        cfg.load_keys,
-                        pages,
-                        t.elapsed_ns() / 1_000_000
-                    );
-                    images.tsb = Some((dir, pages, t_past));
-                }
-            }
-            EngineSet::MultiAttr => {
-                if images.hb.is_none() {
-                    let dir = scratch.join("img-hb");
-                    let t = Stopwatch::start();
-                    let pages = build_hb_image(&dir, &cfg);
-                    eprintln!(
-                        "image hb: {} points, {} pages, {} ms",
-                        cfg.load_keys,
-                        pages,
-                        t.elapsed_ns() / 1_000_000
-                    );
-                    images.hb = Some((dir, pages));
-                }
-                if images.pi_xy.is_none() {
-                    let dir = scratch.join("img-pi-xy");
-                    let t = Stopwatch::start();
-                    let pages = build_pi_image(&dir, &cfg, true);
-                    eprintln!(
-                        "image pi-xy: {} points, {} pages, {} ms",
-                        cfg.load_keys,
-                        pages,
-                        t.elapsed_ns() / 1_000_000
-                    );
-                    images.pi_xy = Some((dir, pages));
-                }
-            }
-        }
+    if specs.is_empty() {
+        eprintln!("scenarios: no scenario matches --only (see scenario::matrix)");
+        std::process::exit(2);
     }
 
-    let pop = Population::dense(cfg.load_keys);
+    // Each tree shape's image is built once, when a scenario first needs it.
+    let mut images: HashMap<(Engine, u64), Image> = HashMap::new();
     let mut failures = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let seed = 0x5c3a_0000 ^ (i as u64) << 8;
         let run_dir = scratch.join(format!("run-{}", spec.name));
-        let mut engines = Vec::new();
-        let (pages, pool_frames) = match spec.engines {
-            EngineSet::PointVsBaselines => {
-                let (image, pages) = images.pi.as_ref().expect("pi image built");
-                let pool = scaled_pool(*pages);
-                let io = PhaseIo {
-                    image,
-                    dir: &run_dir,
-                    pool_frames: pool,
-                };
-                engines.push(run_pi_phase(spec, &io, &cfg, pop, seed));
-                engines.push(run_lc_phase(spec, pool, &cfg, pop, seed));
-                (*pages, pool)
-            }
-            EngineSet::Temporal => {
-                let (tsb_image, tsb_pages, t_past) = images.tsb.as_ref().expect("tsb image");
-                let pool = scaled_pool(*tsb_pages);
-                let tsb_io = PhaseIo {
-                    image: tsb_image,
-                    dir: &run_dir,
-                    pool_frames: pool,
-                };
-                engines.push(run_tsb_phase(spec, &tsb_io, &cfg, pop, seed, *t_past));
-                let (pi_image, pi_pages) = images.pi.as_ref().expect("pi image");
-                let pi_io = PhaseIo {
-                    image: pi_image,
-                    dir: &run_dir,
-                    pool_frames: scaled_pool(*pi_pages),
-                };
-                engines.push(run_pi_phase(spec, &pi_io, &cfg, pop, seed));
-                engines.push(run_lc_phase(spec, pool, &cfg, pop, seed));
-                (*tsb_pages, pool)
-            }
-            EngineSet::MultiAttr => {
-                let (hb_image, hb_pages) = images.hb.as_ref().expect("hb image");
-                let pool = scaled_pool(*hb_pages);
-                let hb_io = PhaseIo {
-                    image: hb_image,
-                    dir: &run_dir,
-                    pool_frames: pool,
-                };
-                engines.push(run_hb_phase(&hb_io, &cfg, spec, seed));
-                let (xy_image, xy_pages) = images.pi_xy.as_ref().expect("pi-xy image");
-                let xy_io = PhaseIo {
-                    image: xy_image,
-                    dir: &run_dir,
-                    pool_frames: scaled_pool(*xy_pages),
-                };
-                engines.push(run_pi_xy_phase(&xy_io, &cfg, spec, seed));
-                (*hb_pages, pool)
-            }
+        let (lineup, thread_counts): (&[Engine], &[usize]) = match spec.engines {
+            EngineSet::PointVsBaselines => (&[Engine::Pi, Engine::Lc], &[1]),
+            EngineSet::Temporal => (&[Engine::Tsb, Engine::Pi, Engine::Lc], &[1]),
+            EngineSet::MultiAttr => (&[Engine::Hb, Engine::PiXy], &[1]),
+            EngineSet::PiScaling { threads } => (&[Engine::Pi], threads),
         };
+        let scaling = matches!(spec.engines, EngineSet::PiScaling { .. });
+        let (pop, ops_target) = if scaling {
+            (cfg.scaling_pop, cfg.scaling_ops)
+        } else {
+            (Population::dense(cfg.load_keys), cfg.ops_target)
+        };
+        let mut cx = Cx {
+            mode,
+            cfg: &cfg,
+            spec,
+            pop,
+            phase: PhaseSpec {
+                ops_target,
+                deadline_ns: cfg.deadline_ns,
+                threads: 1,
+                seed,
+            },
+            dir: &run_dir,
+        };
+        // Each engine's pool is ≤ 1% of *its own* image (the baseline, which
+        // has none, borrows the lead engine's); the scaling row's pool holds
+        // its image whole.
+        let mut sized = |engine: Engine| {
+            let shape = if engine == Engine::Lc {
+                lineup[0]
+            } else {
+                engine
+            };
+            let dir = scratch.join(format!("img-{}-{}", shape.name(), pop.load_keys));
+            let build = || build_image(dir, shape, pop.load_keys, &cfg);
+            let img = images.entry((shape, pop.load_keys)).or_insert_with(build);
+            let pool = if scaling {
+                cfg.scaling_pool
+            } else {
+                scaled_pool(img.pages)
+            };
+            (img.clone(), pool)
+        };
+        let (lead, lead_pool) = sized(lineup[0]);
+
+        let mut rows = Vec::new();
+        for &threads in thread_counts.iter().filter(|t| **t <= cfg.max_threads) {
+            cx.phase.threads = threads;
+            for &engine in lineup {
+                let (img, pool) = sized(engine);
+                let (rec, run) = measure(engine, &img, pool, &cx);
+                let row = if scaling {
+                    throughput_row(threads, &rec, &run)
+                } else {
+                    engine_row(engine.name(), &rec, &run)
+                };
+                eprintln!("{:<12} {}", spec.name, row.inline());
+                rows.push(row);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&run_dir);
 
         let twin = run_twins(spec, seed, &cfg);
-        let path = emit_json(
-            &out_dir,
-            spec,
-            &cfg,
-            pop,
-            pool_frames,
-            pages,
-            &engines,
-            &twin,
-        );
-        let lead = &engines[0];
-        eprintln!(
-            "{:<12} {:>9.0} ops/s ({}) p50 {:>7}ns p99 {:>9}ns evict {:>7} twin {}  -> {}",
-            spec.name,
-            lead.ops_per_sec(),
-            lead.name,
-            lead.p50,
-            lead.p99,
-            lead.evictions,
-            if twin.is_ok() { "pass" } else { "FAIL" },
-            path.display(),
-        );
+        let (file, doc) = if scaling {
+            (
+                "BENCH_throughput.json".to_string(),
+                throughput_doc(&cx, lead_pool, &rows),
+            )
+        } else {
+            let verdict = twin
+                .clone()
+                .unwrap_or_else(|e| Obj::new().text("status", "fail").text("detail", &e));
+            (
+                format!("BENCH_scenario_{}.json", spec.name.replace('-', "_")),
+                scenario_doc(&cx, lead_pool, lead.pages, &rows, verdict),
+            )
+        };
+        let path = out_dir.join(file);
+        std::fs::write(&path, doc.document()).expect("write bench json");
+        let verdict = if twin.is_ok() { "pass" } else { "FAIL" };
+        eprintln!("{:<12} twin {verdict} -> {}", spec.name, path.display());
         if let Err(e) = twin {
             failures.push(format!("{}: {e}", spec.name));
         }

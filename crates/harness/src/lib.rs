@@ -10,9 +10,14 @@
 //! additionally record whole-operation latency histograms
 //! (`op.insert_ns` / `op.get_ns` / `op.delete_ns`) into the store's
 //! registry.
+//!
+//! [`driver`] is the one bench driver under the `scenarios` and `mttr`
+//! bins: flag parsing, the autocommit/commit-pipeline protocol, durable
+//! image handling, the timed phase loop, and the `BENCH_*.json` schema.
 
 pub mod adapters;
 pub mod completer;
+pub mod driver;
 pub mod obsdemo;
 pub mod scenario;
 pub mod table;
@@ -20,6 +25,6 @@ pub mod workload;
 
 pub use adapters::PiTreeIndex;
 pub use completer::CompletionWorker;
-pub use scenario::{matrix, Access, EngineSet, KeyStream, Mix, Population, ScenarioSpec};
+pub use scenario::{matrix, Access, EngineSet, KeyStream, Mix, MixOp, Population, ScenarioSpec};
 pub use table::Table;
 pub use workload::{KeyDist, Workload};

@@ -14,6 +14,7 @@
 //! no timing-dependent decisions. `tests/obs_determinism.rs` holds the
 //! gate; `PITREE_SIM_SEED` replays a specific run.
 
+use crate::driver::key_bytes;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_sim::SimRng;
 use std::sync::Arc;
@@ -63,10 +64,6 @@ impl std::fmt::Debug for DemoRun {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DemoRun").finish_non_exhaustive()
     }
-}
-
-fn key_bytes(k: u64) -> [u8; 8] {
-    k.to_be_bytes()
 }
 
 /// Run the seeded workload. Single-threaded and deterministic: the event

@@ -76,12 +76,33 @@ pub struct Mix {
 }
 
 impl Mix {
-    fn check(&self) {
-        assert_eq!(
-            self.get + self.insert + self.delete + self.scan,
-            100,
-            "mix must sum to 100"
-        );
+    /// A mix of `get` / `insert` / `delete` / `scan` percent, scans covering
+    /// `scan_len` keys. The shares must sum to 100.
+    pub fn new(get: u32, insert: u32, delete: u32, scan: u32, scan_len: u64) -> Mix {
+        assert_eq!(get + insert + delete + scan, 100, "mix must sum to 100");
+        Mix {
+            get,
+            insert,
+            delete,
+            scan,
+            scan_len,
+        }
+    }
+
+    /// Draw the next operation: roll the mix, then aim it with `stream`.
+    /// The bench phases and the oracle twins share this, so a twin is the
+    /// same op sequence as its scenario, scaled down.
+    pub fn draw(&self, stream: &mut KeyStream, rng: &mut SimRng) -> MixOp {
+        let roll = rng.below(100) as u32;
+        if roll < self.get {
+            MixOp::Get(stream.next_existing(rng))
+        } else if roll < self.get + self.insert {
+            MixOp::Insert(stream.next(rng))
+        } else if roll < self.get + self.insert + self.delete {
+            MixOp::Delete(stream.next(rng))
+        } else {
+            MixOp::Scan(stream.next_existing(rng))
+        }
     }
 
     /// Human-readable form for the JSON config block.
@@ -99,6 +120,20 @@ impl Mix {
         }
         parts.join(" / ")
     }
+}
+
+/// One draw of a [`Mix`]: the operation and the key it aims at (a scan's
+/// low key).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MixOp {
+    /// Point read of a key that should exist.
+    Get(u64),
+    /// Upsert.
+    Insert(u64),
+    /// Delete.
+    Delete(u64),
+    /// Range scan starting here.
+    Scan(u64),
 }
 
 /// Which keys the ops aim at.
@@ -145,6 +180,14 @@ pub enum EngineSet {
     /// key (x-slab scan + y filter), the classic composite-index strawman
     /// the hB-tree paper argues against.
     MultiAttr,
+    /// The Π-tree alone, one measured phase per worker-thread count, over
+    /// a small half-dense population that fits its pool — so the log
+    /// force, not the pool, is what the workers share. Written as
+    /// `BENCH_throughput.json` (EXPERIMENTS.md S4/S5).
+    PiScaling {
+        /// Worker-thread counts, one measured phase each.
+        threads: &'static [usize],
+    },
 }
 
 /// One scenario of the matrix.
@@ -164,71 +207,42 @@ pub struct ScenarioSpec {
 
 /// The scenario matrix (EXPERIMENTS.md S7). YCSB letters follow the
 /// standard core workloads; `hot-storm` is the adversarial subtree
-/// hammer; the last two exercise the paper's other two access methods.
+/// hammer; `tsb-asof` and `hb-multiattr` exercise the paper's other two
+/// access methods; `throughput` is the multi-thread commit-path row.
 pub fn matrix() -> Vec<ScenarioSpec> {
-    let specs = vec![
+    vec![
         ScenarioSpec {
             name: "ycsb-a",
             what: "update-heavy: 50% reads / 50% upserts, zipf(0.99)",
-            mix: Mix {
-                get: 50,
-                insert: 50,
-                delete: 0,
-                scan: 0,
-                scan_len: 0,
-            },
+            mix: Mix::new(50, 50, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-b",
             what: "read-mostly: 95% reads / 5% upserts, zipf(0.99)",
-            mix: Mix {
-                get: 95,
-                insert: 5,
-                delete: 0,
-                scan: 0,
-                scan_len: 0,
-            },
+            mix: Mix::new(95, 5, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-c",
             what: "read-only: 100% reads, zipf(0.99)",
-            mix: Mix {
-                get: 100,
-                insert: 0,
-                delete: 0,
-                scan: 0,
-                scan_len: 0,
-            },
+            mix: Mix::new(100, 0, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-e",
             what: "short scans: 95% scans(50) / 5% inserts, zipf(0.99) start keys",
-            mix: Mix {
-                get: 0,
-                insert: 5,
-                delete: 0,
-                scan: 95,
-                scan_len: 50,
-            },
+            mix: Mix::new(0, 5, 0, 95, 50),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "scan-range",
             what: "scan-heavy: 60% scans(500) / 30% reads / 10% upserts, uniform",
-            mix: Mix {
-                get: 30,
-                insert: 10,
-                delete: 0,
-                scan: 60,
-                scan_len: 500,
-            },
+            mix: Mix::new(30, 10, 0, 60, 500),
             access: Access::Uniform,
             engines: EngineSet::PointVsBaselines,
         },
@@ -236,13 +250,7 @@ pub fn matrix() -> Vec<ScenarioSpec> {
             name: "hot-storm",
             what: "adversarial write storm on one subtree: 45% inserts / 45% deletes \
                    / 10% reads in an unscrambled hot band",
-            mix: Mix {
-                get: 10,
-                insert: 45,
-                delete: 45,
-                scan: 0,
-                scan_len: 0,
-            },
+            mix: Mix::new(10, 45, 45, 0, 0),
             access: Access::HotBand { width: 512 },
             engines: EngineSet::PointVsBaselines,
         },
@@ -250,13 +258,7 @@ pub fn matrix() -> Vec<ScenarioSpec> {
             name: "seq-append",
             what: "append storm: 80% sequential inserts / 20% reads of the appended \
                    prefix (rightmost-leaf contention)",
-            mix: Mix {
-                get: 20,
-                insert: 80,
-                delete: 0,
-                scan: 0,
-                scan_len: 0,
-            },
+            mix: Mix::new(20, 80, 0, 0, 0),
             access: Access::Sequential,
             engines: EngineSet::PointVsBaselines,
         },
@@ -264,13 +266,7 @@ pub fn matrix() -> Vec<ScenarioSpec> {
             name: "tsb-asof",
             what: "temporal: 70% as-of reads / 10% as-of scans(50) / 20% puts; \
                    TSB-tree vs current-version Π-tree and lock-coupling",
-            mix: Mix {
-                get: 70,
-                insert: 20,
-                delete: 0,
-                scan: 10,
-                scan_len: 50,
-            },
+            mix: Mix::new(70, 20, 0, 10, 50),
             access: Access::Zipf(0.99),
             engines: EngineSet::Temporal,
         },
@@ -278,21 +274,21 @@ pub fn matrix() -> Vec<ScenarioSpec> {
             name: "hb-multiattr",
             what: "multi-attribute: 70% window queries / 30% point inserts; hB-tree \
                    vs Π-tree over the concatenated (x,y) key",
-            mix: Mix {
-                get: 0,
-                insert: 30,
-                delete: 0,
-                scan: 70,
-                scan_len: 16, // window edge length in attribute units
-            },
+            mix: Mix::new(0, 30, 0, 70, 16), // window edge length in attribute units
             access: Access::Uniform,
             engines: EngineSet::MultiAttr,
         },
-    ];
-    for s in &specs {
-        s.mix.check();
-    }
-    specs
+        ScenarioSpec {
+            name: "throughput",
+            what: "commit-path scaling: 50% reads / 40% upserts / 10% deletes, uniform over \
+                   a half-dense key space that fits its pool, at 1/4/8 worker threads",
+            mix: Mix::new(50, 40, 10, 0, 0),
+            access: Access::Uniform,
+            engines: EngineSet::PiScaling {
+                threads: &[1, 4, 8],
+            },
+        },
+    ]
 }
 
 /// Seeded key sampler for one scenario over a given key space — the same
@@ -367,19 +363,13 @@ pub fn twin_ops(spec: &ScenarioSpec, seed: u64, ops: usize, domain: u64) -> Vec<
     // Seed a small preload so read-heavy twins have data to read.
     let mut out: Vec<ScenOp> = (0..domain / 2).map(ScenOp::Insert).collect();
     for i in 0..ops {
-        let roll = rng.below(100) as u32;
-        let m = &spec.mix;
-        if roll < m.get {
-            out.push(ScenOp::Get(stream.next_existing(&mut rng)));
-        } else if roll < m.get + m.insert {
-            out.push(ScenOp::Insert(stream.next(&mut rng)));
-        } else if roll < m.get + m.insert + m.delete {
-            out.push(ScenOp::Delete(stream.next(&mut rng)));
-        } else {
-            let lo = stream.next_existing(&mut rng);
+        out.push(match spec.mix.draw(&mut stream, &mut rng) {
+            MixOp::Get(k) => ScenOp::Get(k),
+            MixOp::Insert(k) => ScenOp::Insert(k),
+            MixOp::Delete(k) => ScenOp::Delete(k),
             // Scan windows shrink with the domain: ~1/8 of the space.
-            out.push(ScenOp::Scan(lo, lo + (domain / 8).max(2)));
-        }
+            MixOp::Scan(lo) => ScenOp::Scan(lo, lo + (domain / 8).max(2)),
+        });
         if i % 17 == 13 {
             out.push(ScenOp::Flush);
         }

@@ -70,9 +70,6 @@ cargo run --offline --release -q -p pitree-check -- --fixtures
 step "pitree-check sweep (differential + linearizability + durability, 8 seeds)"
 cargo run --offline --release -q -p pitree-check -- --sweep 8
 
-step "bench target compiles (bench-ext feature)"
-cargo build --offline -p pitree-bench --benches --features bench-ext
-
 step "rustdoc gate (zero warnings, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D warnings" \
   cargo doc --offline --no-deps --workspace
@@ -90,26 +87,9 @@ for i in 1 2; do
     seeded_schedule >/dev/null
 done
 
-step "throughput smoke (group-commit bench emits well-formed JSON; groups must form)"
-tp_out="$(mktemp)"
 mttr_out="$(mktemp)"
 scen_dir="$(mktemp -d)"
-trap 'rm -f "$tp_out" "$mttr_out"; rm -rf "$scen_dir"' EXIT
-cargo run --offline --release -q --bin throughput -- --smoke --out "$tp_out" >/dev/null
-for key in '"bench": "throughput"' '"mode": "smoke"' '"threads"' '"ops_per_sec"' \
-           '"wal_group_size_p50"' '"ack_p95_ns"' '"txn_elr_released"' \
-           '"wal_linger_p50_ns"' '"wal_force_waiters"' '"buf_shard_conflicts"'; do
-  grep -q "$key" "$tp_out" || { echo "throughput smoke output missing $key" >&2; exit 1; }
-done
-# Group commit must actually group: at >= 4 threads the median commits per
-# forced batch must be at least 2 (the regression this gate exists for
-# measured p50 = 1 at every thread count).
-while read -r threads p50; do
-  if [[ "$threads" -ge 4 && "$p50" -lt 2 ]]; then
-    echo "wal_group_size_p50 = $p50 at $threads threads: group commit is not grouping" >&2
-    exit 1
-  fi
-done < <(sed -n 's/.*"threads": \([0-9]*\),.*"wal_group_size_p50": \([0-9]*\),.*/\1 \2/p' "$tp_out")
+trap 'rm -f "$mttr_out"; rm -rf "$scen_dir"' EXIT
 
 step "mttr smoke (instant restart: first op must beat stop-the-world replay)"
 cargo run --offline --release -q --bin mttr -- --smoke --out "$mttr_out" >/dev/null
@@ -128,7 +108,7 @@ while read -r full first; do
   fi
 done < <(sed -n 's/.*"full_replay_ns": \([0-9]*\),.*"first_op_ns": \([0-9]*\),.*/\1 \2/p' "$mttr_out")
 
-step "scenario smoke (matrix runs end to end; every oracle twin must pass)"
+step "scenario smoke (matrix runs end to end; every oracle twin must pass; groups must form)"
 scen_start=$SECONDS
 cargo run --offline --release -q --bin scenarios -- --smoke --out-dir "$scen_dir" >/dev/null
 scen_elapsed=$(( SECONDS - scen_start ))
@@ -136,6 +116,22 @@ if [[ "$scen_elapsed" -ge 120 ]]; then
   echo "scenarios --smoke took ${scen_elapsed}s (budget 120s)" >&2
   exit 1
 fi
+# The matrix's multi-thread `throughput` row lands in BENCH_throughput.json.
+tp_out="$scen_dir/BENCH_throughput.json"
+for key in '"bench": "throughput"' '"mode": "smoke"' '"threads"' '"ops_per_sec"' \
+           '"wal_group_size_p50"' '"ack_p95_ns"' '"txn_elr_released"' \
+           '"wal_linger_p50_ns"' '"wal_force_waiters"' '"buf_shard_conflicts"'; do
+  grep -q "$key" "$tp_out" || { echo "throughput smoke output missing $key" >&2; exit 1; }
+done
+# Group commit must actually group: at >= 4 threads the median commits per
+# forced batch must be at least 2 (the regression this gate exists for
+# measured p50 = 1 at every thread count).
+while read -r threads p50; do
+  if [[ "$threads" -ge 4 && "$p50" -lt 2 ]]; then
+    echo "wal_group_size_p50 = $p50 at $threads threads: group commit is not grouping" >&2
+    exit 1
+  fi
+done < <(sed -n 's/.*"threads": \([0-9]*\),.*"wal_group_size_p50": \([0-9]*\),.*/\1 \2/p' "$tp_out")
 scen_count=$(ls "$scen_dir"/BENCH_scenario_*.json 2>/dev/null | wc -l)
 if [[ "$scen_count" -lt 6 ]]; then
   echo "scenarios --smoke emitted only $scen_count BENCH files (need >= 6)" >&2
