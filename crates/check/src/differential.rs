@@ -5,9 +5,15 @@
 //! agree with the model exactly — there is no reordering slack. This is
 //! the cheapest of the three layers and the one that catches plain logic
 //! bugs (lost writes, wrong scan windows, bad created/existed flags).
+//!
+//! There is one driver, [`drive`], over the workspace's one op vocabulary
+//! ([`pitree_sim::crash::Op`]): [`run_differential`] generates the seed's
+//! stream and drives it, [`differential_twin`] drives a stream the scenario
+//! harness generated.
 
 use crate::index::CheckIndex;
 use crate::model::Model;
+use pitree_sim::crash::{key_bytes, val_bytes, Op};
 use pitree_sim::SimRng;
 
 /// Knobs for one differential run.
@@ -62,19 +68,30 @@ pub struct DiffReport {
     pub final_records: usize,
 }
 
-fn key_bytes(k: u64) -> Vec<u8> {
-    k.to_be_bytes().to_vec()
+/// The seed's differential stream: 45% upsert, 20% delete, 25% point
+/// read, 10% range scan. Draw order (key, kind, then the scan's width) is
+/// part of the replay contract — a printed seed means this stream.
+pub fn gen_ops(seed: u64, cfg: DiffConfig) -> Vec<Op> {
+    let mut rng = SimRng::new(seed);
+    (0..cfg.ops)
+        .map(|_| {
+            let k = rng.below(cfg.key_domain);
+            match rng.below(100) {
+                0..=44 => Op::Insert(k),
+                45..=64 => Op::Delete(k),
+                65..=89 => Op::Get(k),
+                _ => Op::Scan(k, k + 1 + rng.below(cfg.key_domain / 4 + 1)),
+            }
+        })
+        .collect()
 }
 
-/// Run one seeded differential workload against `index`, comparing every
-/// observable result with the [`Model`] and finishing with a full-domain
-/// point-read sweep.
-pub fn run_differential(
-    index: &dyn CheckIndex,
-    seed: u64,
-    cfg: DiffConfig,
-) -> Result<DiffReport, DiffViolation> {
-    let mut rng = SimRng::new(seed);
+/// Replay an explicit op stream against `index`, comparing every observable
+/// result with the [`Model`] (scans are skipped by indexes that do not
+/// expose them; `Flush` / `Checkpoint` have no differential meaning — the
+/// crash sweep covers them), then sweep a point read over every key up to
+/// the largest the stream names, whether or not the stream read it.
+pub fn drive(index: &dyn CheckIndex, ops: &[Op], seed: u64) -> Result<DiffReport, DiffViolation> {
     let mut model = Model::new();
     let fail = |op: usize, detail: String| DiffViolation {
         index: index.name(),
@@ -82,55 +99,45 @@ pub fn run_differential(
         op,
         detail,
     };
-
-    for op in 0..cfg.ops {
-        let k = rng.below(cfg.key_domain);
-        let key = key_bytes(k);
-        match rng.below(100) {
-            // 45% insert/upsert
-            0..=44 => {
-                let val = format!("v{k}-{op}").into_bytes();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Insert(k) => {
+                let (key, val) = (key_bytes(k), val_bytes(k, i));
                 let got = index.insert(&key, &val);
                 let want = model.insert(&key, &val);
-                if let Some(created) = got {
-                    if created != want {
-                        return Err(fail(
-                            op,
-                            format!("insert({k}) created={created}, model says {want}"),
-                        ));
-                    }
+                if let Some(created) = got.filter(|created| *created != want) {
+                    return Err(fail(
+                        i,
+                        format!("insert({k}) created={created}, model says {want}"),
+                    ));
                 }
             }
-            // 20% delete
-            45..=64 => {
-                let got = index.delete(&key);
-                let want = model.delete(&key);
+            Op::Delete(k) => {
+                let key = key_bytes(k);
+                let (got, want) = (index.delete(&key), model.delete(&key));
                 if got != want {
                     return Err(fail(
-                        op,
+                        i,
                         format!("delete({k}) existed={got}, model says {want}"),
                     ));
                 }
             }
-            // 25% point read
-            65..=89 => {
-                let got = index.get(&key);
-                let want = model.get(&key);
+            Op::Get(k) => {
+                let key = key_bytes(k);
+                let (got, want) = (index.get(&key), model.get(&key));
                 if got != want {
-                    return Err(fail(op, format!("get({k}) = {got:?}, model says {want:?}")));
+                    return Err(fail(i, format!("get({k}) = {got:?}, model says {want:?}")));
                 }
             }
-            // 10% range scan (skipped by indexes that don't support it)
-            _ => {
-                let hi = k + 1 + rng.below(cfg.key_domain / 4 + 1);
-                let (lo_b, hi_b) = (key_bytes(k), key_bytes(hi));
+            Op::Scan(lo, hi) => {
+                let (lo_b, hi_b) = (key_bytes(lo), key_bytes(hi));
                 if let Some(got) = index.scan(&lo_b, &hi_b) {
                     let want = model.scan(&lo_b, &hi_b);
                     if got != want {
                         return Err(fail(
-                            op,
+                            i,
                             format!(
-                                "scan([{k},{hi})) returned {} pairs, model has {}",
+                                "scan([{lo},{hi})) returned {} pairs, model has {}",
                                 got.len(),
                                 want.len()
                             ),
@@ -138,15 +145,17 @@ pub fn run_differential(
                     }
                 }
             }
+            Op::Flush | Op::Checkpoint => {}
         }
     }
-
-    // Final sweep: every key in the domain must agree, whether or not the
-    // workload happened to read it.
-    for k in 0..cfg.key_domain {
+    let named = ops.iter().map(|op| match *op {
+        Op::Insert(k) | Op::Delete(k) | Op::Get(k) => k + 1,
+        Op::Scan(_, hi) => hi,
+        Op::Flush | Op::Checkpoint => 0,
+    });
+    for k in 0..named.max().unwrap_or(0) {
         let key = key_bytes(k);
-        let got = index.get(&key);
-        let want = model.get(&key);
+        let (got, want) = (index.get(&key), model.get(&key));
         if got != want {
             return Err(fail(
                 usize::MAX,
@@ -154,11 +163,35 @@ pub fn run_differential(
             ));
         }
     }
-
     Ok(DiffReport {
-        ops: cfg.ops,
+        ops: ops.len(),
         final_records: model.len(),
     })
+}
+
+/// Run one seeded differential workload against `index`: generate the
+/// seed's stream, then [`drive`] it.
+pub fn run_differential(
+    index: &dyn CheckIndex,
+    seed: u64,
+    cfg: DiffConfig,
+) -> Result<DiffReport, DiffViolation> {
+    drive(index, &gen_ops(seed, cfg), seed)
+}
+
+/// The scenario twins' differential half: the million-key scenario harness
+/// (EXPERIMENTS.md S7) cannot be oracle-checked at full scale, so every
+/// scenario ships a scaled-down deterministic twin stream drawn from the
+/// very samplers its bench uses; this replays it against every index in
+/// [`all_indexes`](crate::all_indexes). (The durability half is
+/// [`pitree_sim::crash::sweep_script`] on the same stream.) Returns the
+/// last index's report.
+pub fn differential_twin(ops: &[Op], seed: u64) -> Result<DiffReport, DiffViolation> {
+    let mut report = DiffReport::default();
+    for index in crate::all_indexes() {
+        report = drive(index.as_ref(), ops, seed)?;
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -171,6 +204,62 @@ mod tests {
         let report =
             run_differential(&ModelIndex::default(), 0xd1ff, DiffConfig::default()).unwrap();
         assert_eq!(report.ops, 400);
+    }
+
+    /// Replay stability: seed → stream is part of `--replay`'s contract.
+    /// Pinned against the generator as it stood when it was fused with the
+    /// driver loop.
+    #[test]
+    fn op_generator_golden() {
+        assert_eq!(
+            format!("{:?}", &gen_ops(0x601D, DiffConfig::default())[..12]),
+            "[Delete(60), Insert(49), Insert(16), Get(31), Insert(47), Scan(29, 37), \
+             Insert(52), Insert(10), Get(27), Insert(48), Delete(13), Insert(6)]"
+        );
+    }
+
+    fn mixed_stream() -> Vec<Op> {
+        let mut s = Vec::new();
+        for i in 0..30u64 {
+            s.push(Op::Insert(i % 12));
+            if i % 3 == 0 {
+                s.push(Op::Get(i % 12));
+            }
+            if i % 5 == 0 {
+                s.push(Op::Scan(0, 12));
+            }
+            if i % 7 == 0 {
+                s.push(Op::Delete((i + 1) % 12));
+            }
+            if i % 11 == 0 {
+                s.push(Op::Flush);
+            }
+            if i == 20 {
+                s.push(Op::Checkpoint);
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn twin_stream_passes_every_index_and_the_crash_sweep() {
+        let stream = mixed_stream();
+        let report = differential_twin(&stream, 0x7713).expect("twin must pass");
+        assert!(report.final_records > 0);
+        let cfg = pitree_sim::SweepConfig {
+            max_crash_points: 4,
+            ..pitree_sim::SweepConfig::default()
+        };
+        let swept = pitree_sim::crash::sweep_script(&stream, 0x7713, &cfg)
+            .expect("durability twin must pass");
+        assert!(swept.points.len() >= 2);
+    }
+
+    #[test]
+    fn twin_stream_rejects_lost_write() {
+        let broken = LostWriteIndex::new(ModelIndex::default(), 3);
+        let err = drive(&broken, &mixed_stream(), 0x7713).expect_err("dropped writes");
+        assert_eq!(err.index, "fixture:lost-write");
     }
 
     #[test]

@@ -1,391 +1,103 @@
-//! Durability oracle: crash at every sampled durable-write boundary of a
-//! seeded workload and demand that recovery yields exactly the committed
-//! effects — present with their exact values, nothing uncommitted, and a
-//! well-formed tree before and after lazy SMO completion.
+//! Durability layer: what `pitree-check` adds on top of the workspace's one
+//! crash oracle, [`pitree_sim::crash`].
 //!
-//! This is the non-panicking twin of `pitree_sim::crash`: instead of
-//! asserting inside the sweep it returns a typed [`DurViolation`] carrying
-//! the seed, crash point, and fault site, so the CLI can print a replay
-//! line and the [shrinker](crate::shrink) can re-drive candidate scripts
-//! through [`script_violation`] while minimizing.
+//! The sweep itself — script runner, boundary sweep, recover-and-verify,
+//! the typed [`Violation`] — lives in the sim kit; the CLI calls
+//! [`crash::sweep_script`] on the seed's script, and the
+//! [shrinker](crate::shrink) re-drives candidate scripts through the same
+//! function while minimizing. What lives here:
 //!
-//! The seeded-violation fixtures live here too:
-//! [`tail_drop_violation`] runs a workload to completion, then crashes
-//! with the durable log truncated one byte short — chopping the final
-//! forced commit record. That simulates a log device that acknowledged a
-//! force it never made durable (the paper's §4.3 premise is exactly that
-//! this must not happen), and the oracle is required to report the lost
-//! committed write. [`ack_before_durable_violation`] models the early-
-//! lock-release client bug — acknowledging a commit at publish time,
-//! before the durable watermark covers its LSN — and the oracle must see
-//! the lost write. [`elr_chain_violation`] sweeps log-prefix crashes over
-//! a pipelined chain of commits that each jump the predecessor's released
-//! lock, demanding the recovered value be exactly the last commit the
-//! prefix covers.
+//! * the **seeded-violation fixtures**, each of which hands the oracle a
+//!   broken run and demands the violation back (`None` means the oracle went
+//!   blind). [`tail_drop_violation`] runs a workload to completion, then
+//!   crashes with the durable log truncated one byte short — chopping the
+//!   final forced commit record. That simulates a log device that
+//!   acknowledged a force it never made durable (the paper's §4.3 premise is
+//!   exactly that this must not happen). [`ack_before_durable_violation`]
+//!   models the early-lock-release client bug — acknowledging a commit at
+//!   publish time, before the durable watermark covers its LSN.
+//!   [`stale_read_violation`] tells the model about a write the tree never
+//!   received, so the runner's in-line read check must refuse the run
+//!   before any crash is injected;
+//! * the **ELR chain sweep** ([`elr_chain_violation`]): log-prefix crashes
+//!   over a pipelined chain of commits that each jump the predecessor's
+//!   released lock, demanding the recovered value be exactly the last commit
+//!   the prefix covers.
 
-use crate::model::Model;
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
-use pitree_pagestore::fault::{is_injected, InjectorHandle};
-use pitree_pagestore::{Lsn, StoreError, StoreResult};
-use pitree_sim::fault::CrashPlan;
+use pitree::{CrashableStore, PiTree};
+use pitree_pagestore::Lsn;
+use pitree_sim::crash::{self, Drain, Model, Op, SweepConfig, Violation, Workload};
 use pitree_sim::SimRng;
 use std::sync::Arc;
 
-/// One workload step. Mirrors the sim kit's crash workload shape so
-/// failures found by either tool replay in the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurOp {
-    /// Forced-commit upsert of key `k` (value derives from key + op index).
-    Insert(u64),
-    /// Forced-commit delete of key `k`.
-    Delete(u64),
-    /// Flush all dirty pages.
-    Flush,
-    /// Fuzzy checkpoint.
-    Checkpoint,
+/// A key no generated script draws: the fixtures' private write.
+const OFF_DOMAIN: u64 = 1_000_000;
+
+/// The seed's script plus a final committed insert — the shape
+/// [`tail_drop_violation`] needs to guarantee the chopped record is a
+/// commit the caller observed succeed.
+pub fn fixture_script(seed: u64, workload: &Workload) -> Vec<Op> {
+    let mut script = workload.script(&mut SimRng::new(seed));
+    script.push(Op::Insert(OFF_DOMAIN));
+    script
 }
 
-/// Workload and sweep parameters.
-#[derive(Debug, Clone)]
-pub struct DurConfig {
-    /// Operations per seed.
-    pub ops: usize,
-    /// Keys drawn from `0..key_domain`.
-    pub key_domain: u64,
-    /// Cap on crash points swept per seed (strided; last always included).
-    pub max_crash_points: usize,
-    /// Buffer-pool frames (small pools force evictions mid-workload).
-    pub pool_frames: usize,
-    /// Space-map capacity.
-    pub max_pages: u64,
-    /// Tree configuration (small nodes force SMO crash points).
-    pub tree_cfg: PiTreeConfig,
-}
-
-impl Default for DurConfig {
-    fn default() -> DurConfig {
-        DurConfig {
-            ops: 40,
-            key_domain: 32,
-            max_crash_points: 8,
-            pool_frames: 64,
-            max_pages: 10_000,
-            tree_cfg: PiTreeConfig::small_nodes(4, 4),
-        }
-    }
-}
-
-/// A durability violation: recovery did not reproduce the committed state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurViolation {
-    /// Seed whose workload exposed it (replayable).
-    pub seed: u64,
-    /// 1-based crash boundary, or 0 when the crash was synthetic (the
-    /// tail-drop fixture).
-    pub crash_point: u64,
-    /// Human-readable fault site description.
-    pub site: String,
-    /// What recovery got wrong.
-    pub detail: String,
-}
-
-impl std::fmt::Display for DurViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "durability violation (seed {:#x}, crash point {} at {}): {}",
-            self.seed, self.crash_point, self.site, self.detail
-        )
-    }
-}
-
-/// Coverage of a passing sweep.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DurReport {
-    /// Armed durable-write boundaries the workload crossed.
-    pub fault_points: u64,
-    /// Boundaries actually crash-tested.
-    pub crash_points_tested: usize,
-    /// Committed records at the end of the no-crash probe.
-    pub final_records: usize,
-}
-
-/// Generate the seed's workload script (op mix matches the sim kit).
-pub fn gen_script(seed: u64, cfg: &DurConfig) -> Vec<DurOp> {
-    let mut rng = SimRng::new(seed);
-    (0..cfg.ops)
-        .map(|_| {
-            let k = rng.below(cfg.key_domain);
-            match rng.below(100) {
-                0..=54 => DurOp::Insert(k),
-                55..=84 => DurOp::Delete(k),
-                85..=94 => DurOp::Flush,
-                _ => DurOp::Checkpoint,
-            }
-        })
-        .collect()
-}
-
-pub(crate) fn key_bytes(k: u64) -> Vec<u8> {
-    k.to_be_bytes().to_vec()
-}
-
-pub(crate) fn val_bytes(k: u64, op_index: usize) -> Vec<u8> {
-    format!("v{k}-{op_index}").into_bytes()
-}
-
-pub(crate) fn build(cfg: &DurConfig, plan: &Arc<CrashPlan>) -> (CrashableStore, PiTree) {
-    // Setup is disarmed: mkfs/root creation are not crash points.
-    let cs = CrashableStore::create_with_injector(
-        cfg.pool_frames,
-        cfg.max_pages,
-        Arc::clone(plan) as InjectorHandle,
-    )
-    .expect("store setup (disarmed) cannot crash");
-    let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg.tree_cfg)
-        .expect("tree setup (disarmed) cannot crash");
-    (cs, tree)
-}
-
-/// A forced commit's ack is only legal once the durable watermark covers
-/// its LSN — the early-lock-release contract. Checked after every commit
-/// the sweep performs, so a regression that acks at publish surfaces as a
-/// violation at whatever crash point next loses the volatile tail.
-pub(crate) fn check_ack_watermark(cs: &CrashableStore, lsn: Lsn) -> StoreResult<()> {
-    let flushed = cs.store.log.flushed_lsn();
-    if flushed < lsn {
-        return Err(StoreError::Corrupt(format!(
-            "commit acked at lsn {lsn} before the durable watermark ({flushed}) covered it"
-        )));
-    }
-    Ok(())
-}
-
-/// Run the script, updating `model` only when a forced commit returns
-/// `Ok` — so at any crash the model is exactly the committed data.
-fn apply_script(
-    cs: &CrashableStore,
-    tree: &PiTree,
-    script: &[DurOp],
-    model: &mut Model,
-) -> StoreResult<()> {
-    for (i, op) in script.iter().enumerate() {
-        match *op {
-            DurOp::Insert(k) => {
-                let v = val_bytes(k, i);
-                let mut t = tree.begin();
-                if let Err(e) = tree.insert(&mut t, &key_bytes(k), &v) {
-                    // A dead machine can't clean the txn up either.
-                    std::mem::forget(t);
-                    return Err(e);
-                }
-                let lsn = t.commit()?;
-                check_ack_watermark(cs, lsn)?;
-                model.insert(&key_bytes(k), &v);
-            }
-            DurOp::Delete(k) => {
-                let mut t = tree.begin();
-                if let Err(e) = tree.delete(&mut t, &key_bytes(k)) {
-                    std::mem::forget(t);
-                    return Err(e);
-                }
-                let lsn = t.commit()?;
-                check_ack_watermark(cs, lsn)?;
-                model.delete(&key_bytes(k));
-            }
-            DurOp::Flush => cs.store.pool.flush_all()?,
-            DurOp::Checkpoint => {
-                cs.store.txns.checkpoint()?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Recover `crashed` and compare against the committed `model`. Returns a
-/// description of the first discrepancy, `None` when recovery is correct.
-pub(crate) fn verify(crashed: &CrashableStore, cfg: &DurConfig, model: &Model) -> Option<String> {
-    let (tree, _stats) = match PiTree::recover(Arc::clone(&crashed.store), 1, cfg.tree_cfg) {
-        Ok(t) => t,
-        Err(e) => return Some(format!("recovery failed: {e}")),
-    };
-    let report = match tree.validate() {
-        Ok(r) => r,
-        Err(e) => return Some(format!("validate failed: {e}")),
-    };
-    if !report.is_well_formed() {
-        return Some(format!(
-            "recovered tree ill-formed: {:?}",
-            report.violations
-        ));
-    }
-    if report.records != model.len() {
-        return Some(format!(
-            "{} records recovered, committed model has {} \
-             (committed effect lost or uncommitted effect survived)",
-            report.records,
-            model.len()
-        ));
-    }
-    for (k, v) in model.iter() {
-        match tree.get_unlocked(k) {
-            Ok(Some(got)) if got == *v => {}
-            Ok(got) => {
-                return Some(format!(
-                    "committed key {k:?} recovered as {got:?}, expected {v:?}"
-                ))
-            }
-            Err(e) => return Some(format!("get {k:?} failed: {e}")),
-        }
-    }
-    // Interrupted SMOs must complete lazily without disturbing the data.
-    for _ in 0..2 {
-        if let Err(e) = tree.run_completions() {
-            return Some(format!("lazy completion failed: {e}"));
-        }
-    }
-    match tree.validate() {
-        Ok(r) if !r.is_well_formed() => {
-            Some(format!("ill-formed after completion: {:?}", r.violations))
-        }
-        Ok(r) if r.records != model.len() => Some("completion changed the record count".into()),
-        Ok(_) => None,
-        Err(e) => Some(format!("post-completion validate failed: {e}")),
-    }
-}
-
-/// Sweep one explicit script over its crash-point space. This is the
-/// engine behind [`sweep_seed`] and the predicate the shrinker re-drives.
-/// Returns the first violation, or the coverage report.
-pub fn script_violation(
-    script: &[DurOp],
-    seed: u64,
-    cfg: &DurConfig,
-) -> Result<DurReport, DurViolation> {
-    // Probe: measure the boundary space and check the no-crash end state.
-    let plan = CrashPlan::count_only();
-    let (cs, tree) = build(cfg, &plan);
-    plan.arm();
-    let mut probe_model = Model::new();
-    if let Err(e) = apply_script(&cs, &tree, script, &mut probe_model) {
-        return Err(DurViolation {
-            seed,
-            crash_point: 0,
-            site: "probe".into(),
-            detail: format!("no-crash run failed: {e}"),
-        });
-    }
-    let fault_points = plan.hits();
-    drop(tree);
-
-    let mut points: Vec<u64> = if fault_points == 0 {
-        Vec::new()
-    } else {
-        let stride = (fault_points as usize / cfg.max_crash_points.max(1)).max(1);
-        (1..=fault_points).step_by(stride).collect()
-    };
-    if fault_points > 0 && points.last() != Some(&fault_points) {
-        points.push(fault_points);
-    }
-
-    for &n in &points {
-        let plan = CrashPlan::fire_at(n);
-        let (cs, tree) = build(cfg, &plan);
-        plan.arm();
-        let mut model = Model::new();
-        let res = apply_script(&cs, &tree, script, &mut model);
-        let site = plan.fired_site().unwrap_or_else(|| "?".into());
-        let fail = |detail: String| DurViolation {
-            seed,
-            crash_point: n,
-            site: site.clone(),
-            detail,
-        };
-        match res {
-            Err(ref e) if is_injected(e) => {}
-            Err(e) => return Err(fail(format!("non-injected error: {e}"))),
-            Ok(()) => {
-                return Err(fail(
-                    "workload completed although the plan should have fired".into(),
-                ))
-            }
-        }
-        drop(tree);
-        let crashed = match cs.crash() {
-            Ok(c) => c,
-            Err(e) => return Err(fail(format!("durable snapshot failed: {e}"))),
-        };
-        if let Some(detail) = verify(&crashed, cfg, &model) {
-            return Err(fail(detail));
-        }
-    }
-
-    Ok(DurReport {
-        fault_points,
-        crash_points_tested: points.len(),
-        final_records: probe_model.len(),
-    })
-}
-
-/// Full crash–recover–verify sweep for one seed's generated workload.
-pub fn sweep_seed(seed: u64, cfg: &DurConfig) -> Result<DurReport, DurViolation> {
-    let script = gen_script(seed, cfg);
-    script_violation(&script, seed, cfg)
-}
-
-/// The seeded-violation fixture: run `script` to completion on a fault-free
-/// store, then "crash" with the durable log truncated one byte short —
-/// destroying the final forced commit record that the workload was told
-/// was durable. Returns the violation the oracle reports, or `None` if it
-/// (wrongly) accepts the recovery.
-pub fn tail_drop_violation(script: &[DurOp], seed: u64, cfg: &DurConfig) -> Option<DurViolation> {
+/// Run `script` to completion on a fault-free store.
+fn completed_run(script: &[Op], cfg: &SweepConfig) -> (CrashableStore, PiTree, Model) {
     let cs = CrashableStore::create(cfg.pool_frames, cfg.max_pages).expect("store");
     let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg.tree_cfg).expect("tree");
     let mut model = Model::new();
-    apply_script(&cs, &tree, script, &mut model).expect("fault-free run");
+    crash::run_script(&tree, &mut model, script).expect("fault-free run");
+    (cs, tree, model)
+}
+
+/// What the oracle says about `crashed` given `model`, as a violation of a
+/// synthetic crash (point 0) at `site`.
+fn verdict(
+    crashed: &CrashableStore,
+    model: &Model,
+    seed: u64,
+    cfg: &SweepConfig,
+    site: &str,
+) -> Option<Violation> {
+    crash::recover_and_verify(crashed, cfg.tree_cfg, model, Drain::Synchronous)
+        .err()
+        .map(|detail| Violation {
+            seed,
+            point: 0,
+            site: site.into(),
+            detail,
+        })
+}
+
+/// The lost-commit fixture: run `script` to completion, then "crash" with
+/// the durable log truncated one byte short — destroying the final forced
+/// commit record that the workload was told was durable.
+pub fn tail_drop_violation(script: &[Op], seed: u64, cfg: &SweepConfig) -> Option<Violation> {
+    let (cs, tree, model) = completed_run(script, cfg);
     drop(tree);
     let len = cs.durable_log_len();
     assert!(len > 0, "workload wrote no log");
     let crashed = cs.crash_with_log_prefix(len - 1).expect("snapshot");
-    verify(&crashed, cfg, &model).map(|detail| DurViolation {
-        seed,
-        crash_point: 0,
-        site: "log tail dropped".into(),
-        detail,
-    })
+    verdict(&crashed, &model, seed, cfg, "log tail dropped")
 }
 
-/// A minimal script whose final op is a committed insert — the shape
-/// [`tail_drop_violation`] needs to guarantee the chopped record is a
-/// commit the caller observed succeed.
-pub fn fixture_script(seed: u64, cfg: &DurConfig) -> Vec<DurOp> {
-    let mut script = gen_script(seed, cfg);
-    script.push(DurOp::Insert(cfg.key_domain));
-    script
-}
-
-/// The early-lock-release seeded-violation fixture: run `script` to
-/// completion, then model the client bug the ELR protocol must never
-/// hide — acknowledging a commit at publish time. The transaction
-/// publishes (locks released, `PendingCommit` dropped without
-/// `wait_durable`), the "acked" write goes into the model, and the
-/// machine dies with the commit record still in the volatile tail. The
-/// oracle is required to report the lost write; `None` means it went
-/// blind.
+/// The early-lock-release fixture: run `script` to completion, then model
+/// the client bug the ELR protocol must never hide — acknowledging a commit
+/// at publish time. The transaction publishes (locks released,
+/// `PendingCommit` dropped without `wait_durable`), the "acked" write goes
+/// into the model, and the machine dies with the commit record still in the
+/// volatile tail.
 pub fn ack_before_durable_violation(
-    script: &[DurOp],
+    script: &[Op],
     seed: u64,
-    cfg: &DurConfig,
-) -> Option<DurViolation> {
-    let cs = CrashableStore::create(cfg.pool_frames, cfg.max_pages).expect("store");
-    let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg.tree_cfg).expect("tree");
-    let mut model = Model::new();
-    apply_script(&cs, &tree, script, &mut model).expect("fault-free run");
+    cfg: &SweepConfig,
+) -> Option<Violation> {
+    let (cs, tree, mut model) = completed_run(script, cfg);
     // The bug under test: publish, tell the client "committed", never wait
-    // for the watermark. (An off-domain key the script cannot overwrite.)
-    let key = key_bytes(cfg.key_domain + 1);
+    // for the watermark.
     let mut t = tree.begin();
-    tree.insert(&mut t, &key, b"acked-at-publish")
+    tree.insert(&mut t, &crash::key_bytes(OFF_DOMAIN), b"acked-at-publish")
         .expect("fixture insert");
     let pc = t.commit_publish();
     assert!(
@@ -393,15 +105,31 @@ pub fn ack_before_durable_violation(
         "fixture needs the published commit to still sit in the volatile tail"
     );
     drop(pc); // the premature ack
-    model.insert(&key, b"acked-at-publish");
+    model.insert(OFF_DOMAIN, b"acked-at-publish".to_vec());
     drop(tree);
     let crashed = cs.crash().expect("snapshot");
-    verify(&crashed, cfg, &model).map(|detail| DurViolation {
+    verdict(&crashed, &model, seed, cfg, "commit acked at publish")
+}
+
+/// The stale-read fixture: the model is told about a write the tree never
+/// received, and the script ends by reading that key. The sweep must come
+/// back with a *non-injected* violation — the in-line read check of the
+/// no-crash probe, naming the read's op index (`script.len()`) — rather
+/// than sweep crash points over a run whose reads already diverge.
+pub fn stale_read_violation(script: &[Op], seed: u64, cfg: &SweepConfig) -> Option<Violation> {
+    let mut stale = script.to_vec();
+    stale.push(Op::Get(OFF_DOMAIN));
+    crash::sweep_workload(
         seed,
-        crash_point: 0,
-        site: "commit acked at publish".into(),
-        detail,
-    })
+        cfg,
+        Drain::Synchronous,
+        &|_, model| {
+            model.insert(OFF_DOMAIN, b"never-written".to_vec());
+            Ok(())
+        },
+        &|tree, model| crash::run_script(tree, model, &stale),
+    )
+    .err()
 }
 
 fn chain_val(i: usize) -> Vec<u8> {
@@ -417,11 +145,12 @@ fn frame_end(durable: &[u8], lsn: Lsn) -> u64 {
 }
 
 /// Early-lock-release pipelined-chain sweep: a seeded chain of
-/// transactions updates one key back to back, each *publishing* its
-/// commit (locks released, registry entry gone) before any of them is
-/// durable — so every successor jumps the predecessor's released lock.
-/// Acks (`wait_durable`) happen only after the whole chain has published,
-/// and each must find the watermark covering its LSN.
+/// transactions updates one key (drawn from `0..key_domain`) back to back,
+/// each *publishing* its commit (locks released, registry entry gone)
+/// before any of them is durable — so every successor jumps the
+/// predecessor's released lock. Acks (`wait_durable`) happen only after the
+/// whole chain has published, and each must find the watermark covering its
+/// LSN.
 ///
 /// Then the oracle replays a log-prefix crash just before and exactly at
 /// every commit frame's end. The recovered value must be exactly the last
@@ -430,42 +159,42 @@ fn frame_end(durable: &[u8], lsn: Lsn) -> u64 {
 /// undone back to value `i-1` (or the pre-chain base). Anything else is a
 /// lost update or a reordering across the jumped lock. Returns the number
 /// of prefix cuts verified.
-pub fn elr_chain_violation(seed: u64, cfg: &DurConfig) -> Result<usize, DurViolation> {
+pub fn elr_chain_violation(
+    seed: u64,
+    key_domain: u64,
+    cfg: &SweepConfig,
+) -> Result<usize, Violation> {
     let mut rng = SimRng::new(seed);
     let chain_len = rng.range_usize(3..7);
-    let key = key_bytes(rng.below(cfg.key_domain));
-    let fail = |cut: u64, detail: String| DurViolation {
+    let key = rng.below(key_domain);
+    let fail = |cut: u64, detail: String| Violation {
         seed,
-        crash_point: cut,
+        point: cut,
         site: "elr chain log prefix".into(),
         detail,
     };
     let cs = CrashableStore::create(cfg.pool_frames, cfg.max_pages).expect("store");
     let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg.tree_cfg).expect("tree");
     // Base committed value: what any cut below the chain must recover.
-    let mut t = tree.begin();
-    tree.insert(&mut t, &key, b"elr-base").expect("base insert");
-    t.commit().expect("base commit");
+    let mut model = Model::new();
+    crash::insert(&tree, &mut model, key, b"elr-base").expect("base commit");
     let base_len = cs.durable_log_len();
 
     // Publish the whole chain before acking any of it.
     let pending: Vec<_> = (0..chain_len)
         .map(|i| {
             let mut t = tree.begin();
-            tree.insert(&mut t, &key, &chain_val(i))
+            tree.insert(&mut t, &crash::key_bytes(key), &chain_val(i))
                 .expect("chain insert");
             t.commit_publish()
         })
         .collect();
     let mut commit_lsns = Vec::new();
     for pc in pending {
-        let lsn = match pc.wait_durable() {
-            Ok(lsn) => lsn,
-            Err(e) => return Err(fail(0, format!("wait_durable failed: {e}"))),
-        };
-        if let Err(e) = check_ack_watermark(&cs, lsn) {
-            return Err(fail(0, e.to_string()));
-        }
+        let lsn = pc
+            .wait_durable()
+            .and_then(|lsn| crash::check_ack_watermark(&tree, lsn).map(|()| lsn))
+            .map_err(|e| fail(0, format!("chain ack failed: {e}")))?;
         commit_lsns.push(lsn);
     }
     drop(tree);
@@ -476,19 +205,13 @@ pub fn elr_chain_violation(seed: u64, cfg: &DurConfig) -> Result<usize, DurViola
         let end = frame_end(&durable, lsn);
         debug_assert!(end > base_len);
         for (cut, committed) in [(end - 1, i.checked_sub(1)), (end, Some(i))] {
-            let want = match committed {
-                Some(j) => chain_val(j),
-                None => b"elr-base".to_vec(),
-            };
-            let crashed = match cs.crash_with_log_prefix(cut) {
-                Ok(c) => c,
-                Err(e) => return Err(fail(cut, format!("snapshot failed: {e}"))),
-            };
-            let mut model = Model::new();
-            model.insert(&key, &want);
-            if let Some(detail) = verify(&crashed, cfg, &model) {
-                return Err(fail(cut, detail));
-            }
+            let want = committed.map_or(b"elr-base".to_vec(), chain_val);
+            let crashed = cs
+                .crash_with_log_prefix(cut)
+                .map_err(|e| fail(cut, format!("snapshot failed: {e}")))?;
+            model.insert(key, want);
+            crash::recover_and_verify(&crashed, cfg.tree_cfg, &model, Drain::Synchronous)
+                .map_err(|detail| fail(cut, detail))?;
             checked += 1;
         }
     }
@@ -499,45 +222,60 @@ pub fn elr_chain_violation(seed: u64, cfg: &DurConfig) -> Result<usize, DurViola
 mod tests {
     use super::*;
 
-    fn small() -> DurConfig {
-        DurConfig {
-            ops: 20,
+    const SMALL: Workload = Workload {
+        ops: 20,
+        key_domain: 32,
+    };
+
+    fn small() -> SweepConfig {
+        SweepConfig {
             max_crash_points: 4,
-            ..DurConfig::default()
+            ..SweepConfig::default()
         }
     }
 
     #[test]
     fn sweep_accepts_the_real_tree() {
-        let report = sweep_seed(0xd0_5eed, &small()).expect("durability sweep must pass");
-        assert!(report.fault_points > 0);
-        assert!(report.crash_points_tested >= 2);
+        let script = SMALL.script(&mut SimRng::new(0xd0_5eed));
+        let report =
+            crash::sweep_script(&script, 0xd0_5eed, &small()).expect("durability sweep must pass");
+        assert!(report.window.1 > 0);
+        assert!(report.points.len() >= 2);
     }
 
     #[test]
     fn tail_drop_fixture_is_rejected() {
-        let cfg = small();
-        let script = fixture_script(0xd0_5eed, &cfg);
-        let v = tail_drop_violation(&script, 0xd0_5eed, &cfg)
+        let script = fixture_script(0xd0_5eed, &SMALL);
+        let v = tail_drop_violation(&script, 0xd0_5eed, &small())
             .expect("oracle must detect the lost committed write");
-        assert_eq!(v.crash_point, 0);
+        assert_eq!(v.point, 0);
         assert!(v.site.contains("tail"));
     }
 
     #[test]
     fn elr_chain_sweep_accepts_the_real_tree() {
-        let checked = elr_chain_violation(0xe1_5eed, &small()).expect("elr chain sweep must pass");
+        let checked = elr_chain_violation(0xe1_5eed, SMALL.key_domain, &small())
+            .expect("elr chain sweep must pass");
         // chain_len >= 3, two cuts per commit.
         assert!(checked >= 6, "swept only {checked} prefix cuts");
     }
 
     #[test]
     fn ack_before_durable_fixture_is_rejected() {
-        let cfg = small();
-        let script = gen_script(0xd0_5eed, &cfg);
-        let v = ack_before_durable_violation(&script, 0xd0_5eed, &cfg)
+        let script = SMALL.script(&mut SimRng::new(0xd0_5eed));
+        let v = ack_before_durable_violation(&script, 0xd0_5eed, &small())
             .expect("oracle must detect the prematurely acked commit");
-        assert_eq!(v.crash_point, 0);
+        assert_eq!(v.point, 0);
         assert!(v.site.contains("publish"));
+    }
+
+    #[test]
+    fn stale_read_fixture_is_rejected_without_an_injected_crash() {
+        let script = SMALL.script(&mut SimRng::new(0xd0_5eed));
+        let v = stale_read_violation(&script, 0xd0_5eed, &small())
+            .expect("the in-line read check must refuse the stale read");
+        assert_eq!((v.seed, v.point, v.site.as_str()), (0xd0_5eed, 0, "probe"));
+        let at = format!("op {}: get", script.len());
+        assert!(v.detail.contains(&at), "{v}");
     }
 }

@@ -14,13 +14,18 @@
 //!    committed record for every key (§1, §3.3).
 //! 3. **Durability** ([`durability`]) — crash–recover sweeps over every
 //!    sampled durable-write boundary, verifying committed-present /
-//!    uncommitted-absent / well-formed after recovery (§4.3), with a
-//!    delta-debugging [`shrink`]er that minimizes a failing script.
+//!    uncommitted-absent / well-formed after recovery (§4.3). The sweep is
+//!    the workspace's one crash oracle, [`pitree_sim::crash`]; this crate
+//!    adds the seeded-violation fixtures, the early-lock-release chain
+//!    sweep, and a delta-debugging [`shrink`]er that minimizes a failing
+//!    script by re-driving candidates through the same oracle.
 //!
 //! Each layer must also *reject* a deliberately broken implementation —
-//! the fixtures in [`index`], [`durability::tail_drop_violation`], and
+//! the fixtures in [`index`], [`durability::tail_drop_violation`],
 //! [`durability::ack_before_durable_violation`] (a commit acknowledged at
-//! publish, before the durable watermark covered it) —
+//! publish, before the durable watermark covered it) and
+//! [`durability::stale_read_violation`] (a read the committed model
+//! contradicts) —
 //! so the gate in `scripts/verify.sh` proves the oracles have teeth
 //! before trusting their green light. The `pitree-check` binary fronts
 //! all of this over replayable seeds (see `--help`).
@@ -33,19 +38,16 @@ pub mod history;
 pub mod index;
 pub mod linear;
 pub mod model;
-pub mod scenario;
 pub mod shrink;
 
-pub use differential::{run_differential, DiffConfig, DiffReport, DiffViolation};
-pub use durability::{
-    ack_before_durable_violation, elr_chain_violation, sweep_seed, DurConfig, DurReport,
-    DurViolation,
+pub use differential::{
+    differential_twin, run_differential, DiffConfig, DiffReport, DiffViolation,
 };
+pub use durability::{ack_before_durable_violation, elr_chain_violation};
 pub use history::{Call, HistoryLog, OpKind, OpRet};
 pub use index::{BaselineIndex, CheckIndex, ModelIndex, PiCheckIndex, PiElrIndex};
 pub use linear::{check_history, run_linearizability, LinConfig, LinReport, LinViolation};
 pub use model::Model;
-pub use scenario::{differential_twin, durability_twin, ScenOp, TwinReport};
 
 use pitree::PiTreeConfig;
 use pitree_baselines::{LockCouplingTree, OptimisticCouplingTree, SerialSmoTree};

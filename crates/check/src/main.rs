@@ -15,17 +15,33 @@
 //! every machine and a printed seed replays exactly.
 
 use pitree_check::durability::{
-    ack_before_durable_violation, elr_chain_violation, fixture_script, gen_script,
+    ack_before_durable_violation, elr_chain_violation, fixture_script, stale_read_violation,
     tail_drop_violation,
 };
 use pitree_check::index::{LostWriteIndex, ModelIndex, StaleReadIndex};
 use pitree_check::shrink::{shrink_durability, shrink_tail_drop};
 use pitree_check::{
-    all_indexes, lin_targets, run_differential, run_linearizability, sweep_seed, CheckIndex,
-    DiffConfig, DurConfig, LinConfig,
+    all_indexes, lin_targets, run_differential, run_linearizability, CheckIndex, DiffConfig,
+    LinConfig,
 };
+use pitree_sim::crash::{sweep_script, SweepConfig, Violation, Workload};
 use pitree_sim::prop::case_seed;
+use pitree_sim::SimRng;
 use std::process::ExitCode;
+
+/// The durability workload `--sweep` / `--replay` generate per seed.
+const WORKLOAD: Workload = Workload {
+    ops: 40,
+    key_domain: 32,
+};
+
+/// The sweep run over that workload: 8 crash points per seed.
+fn sweep_config() -> SweepConfig {
+    SweepConfig {
+        max_crash_points: 8,
+        ..SweepConfig::default()
+    }
+}
 
 fn usage() -> ExitCode {
     println!(
@@ -70,6 +86,38 @@ fn main() -> ExitCode {
 /// One summary row, lint-gate style: layer, target, cases, verdict.
 fn row(layer: &str, target: &str, cases: usize, verdict: &str) {
     println!("{layer:<16} {target:<24} {cases:>3} case(s)  {verdict}");
+}
+
+/// A durability layer's summary row; a violation also prints itself and the
+/// replay line built from its seed. Returns the violations to count.
+fn dur_row(layer: &str, n: usize, outcome: Result<String, Violation>) -> usize {
+    match outcome {
+        Ok(covered) => {
+            row(layer, "pi-tree", n, &format!("ok ({covered})"));
+            0
+        }
+        Err(v) => {
+            row(layer, "pi-tree", n, "VIOLATION");
+            eprintln!("  {v}");
+            eprintln!("  replay: pitree-check --replay {:#x} --layer dur", v.seed);
+            1
+        }
+    }
+}
+
+/// A seeded-violation fixture's row: rejected (with what the oracle said)
+/// or wrongly accepted. Returns the acceptances to count.
+fn fixture_row(layer: &str, name: &str, rejected: Option<String>) -> usize {
+    match rejected {
+        Some(how) => {
+            row(layer, name, 1, &how);
+            0
+        }
+        None => {
+            row(layer, name, 1, "ACCEPTED (oracle is blind)");
+            1
+        }
+    }
 }
 
 fn sweep(n: usize) -> ExitCode {
@@ -127,66 +175,26 @@ fn sweep(n: usize) -> ExitCode {
 
     // Layer 3: durability across the crash-point sweep (Π-tree only; the
     // baselines have no recovery story — that's the paper's point).
-    {
-        let mut tested = 0usize;
-        let mut failed = None;
-        for i in 0..n {
-            let seed = case_seed("pitree-check.dur", i);
-            match sweep_seed(seed, &DurConfig::default()) {
-                Ok(r) => tested += r.crash_points_tested,
-                Err(v) => {
-                    failed = Some(v);
-                    break;
-                }
-            }
-        }
-        match failed {
-            None => row(
-                "durability",
-                "pi-tree",
-                n,
-                &format!("ok ({tested} crash points)"),
-            ),
-            Some(v) => {
-                row("durability", "pi-tree", n, "VIOLATION");
-                eprintln!("  {v}");
-                eprintln!("  replay: pitree-check --replay {:#x} --layer dur", v.seed);
-                violations += 1;
-            }
-        }
-    }
+    let cfg = sweep_config();
+    let tested = (0..n).try_fold(0usize, |tested, i| {
+        let seed = case_seed("pitree-check.dur", i);
+        let script = WORKLOAD.script(&mut SimRng::new(seed));
+        sweep_script(&script, seed, &cfg).map(|r| tested + r.points.len())
+    });
+    violations += dur_row("durability", n, tested.map(|t| format!("{t} crash points")));
 
     // Layer 3b: early-lock-release pipelined chains over log-prefix
     // crashes — acks only after the watermark, no lost update when a
     // successor jumps a released lock.
-    {
-        let mut cuts = 0usize;
-        let mut failed = None;
-        for i in 0..n {
-            let seed = case_seed("pitree-check.elr", i);
-            match elr_chain_violation(seed, &DurConfig::default()) {
-                Ok(c) => cuts += c,
-                Err(v) => {
-                    failed = Some(v);
-                    break;
-                }
-            }
-        }
-        match failed {
-            None => row(
-                "durability-elr",
-                "pi-tree",
-                n,
-                &format!("ok ({cuts} prefix cuts)"),
-            ),
-            Some(v) => {
-                row("durability-elr", "pi-tree", n, "VIOLATION");
-                eprintln!("  {v}");
-                eprintln!("  replay: pitree-check --replay {:#x} --layer dur", v.seed);
-                violations += 1;
-            }
-        }
-    }
+    let cuts = (0..n).try_fold(0usize, |cuts, i| {
+        let seed = case_seed("pitree-check.elr", i);
+        elr_chain_violation(seed, WORKLOAD.key_domain, &cfg).map(|c| cuts + c)
+    });
+    violations += dur_row(
+        "durability-elr",
+        n,
+        cuts.map(|c| format!("{c} prefix cuts")),
+    );
 
     if violations == 0 {
         println!("pitree-check: clean");
@@ -206,23 +214,13 @@ fn fixtures() -> ExitCode {
     let seed = case_seed("pitree-check.fixtures", 0);
 
     let broken = LostWriteIndex::new(ModelIndex::default(), 5);
-    match run_differential(&broken, seed, DiffConfig::default()) {
-        Err(v) => row(
-            "differential",
-            broken.name(),
-            1,
-            &format!("rejected (op {})", v.op),
-        ),
-        Ok(_) => {
-            row(
-                "differential",
-                broken.name(),
-                1,
-                "ACCEPTED (oracle is blind)",
-            );
-            accepted += 1;
-        }
-    }
+    accepted += fixture_row(
+        "differential",
+        broken.name(),
+        run_differential(&broken, seed, DiffConfig::default())
+            .err()
+            .map(|v| format!("rejected (op {})", v.op)),
+    );
 
     let stale = StaleReadIndex::new(ModelIndex::default());
     let lin_cfg = LinConfig {
@@ -230,67 +228,57 @@ fn fixtures() -> ExitCode {
         ops_per_thread: 64,
         key_domain: 4,
     };
-    match run_linearizability(&stale, seed, lin_cfg) {
-        Err(_) => row("linearizability", stale.name(), 1, "rejected"),
-        Ok(_) => {
-            row(
-                "linearizability",
-                stale.name(),
-                1,
-                "ACCEPTED (oracle is blind)",
-            );
-            accepted += 1;
-        }
-    }
+    accepted += fixture_row(
+        "linearizability",
+        stale.name(),
+        run_linearizability(&stale, seed, lin_cfg)
+            .err()
+            .map(|_| "rejected".into()),
+    );
 
-    let cfg = DurConfig {
+    let workload = Workload {
         ops: 24,
-        max_crash_points: 4,
-        ..DurConfig::default()
+        ..WORKLOAD
     };
-    let script = fixture_script(seed, &cfg);
-    match tail_drop_violation(&script, seed, &cfg) {
-        Some(v) => {
+    let cfg = SweepConfig {
+        max_crash_points: 4,
+        ..sweep_config()
+    };
+    let script = fixture_script(seed, &workload);
+    accepted += fixture_row(
+        "durability",
+        "fixture:lost-commit",
+        tail_drop_violation(&script, seed, &cfg).map(|v| {
             let min = shrink_tail_drop(&script, seed, &cfg);
-            row(
-                "durability",
-                "fixture:lost-commit",
-                1,
-                &format!("rejected; shrunk {} -> {} op(s)", script.len(), min.len()),
-            );
-            println!("  violation: {}", v.detail);
-            println!("  minimal schedule: {min:?}");
-        }
-        None => {
-            row(
-                "durability",
-                "fixture:lost-commit",
-                1,
-                "ACCEPTED (oracle is blind)",
-            );
-            accepted += 1;
-        }
-    }
+            format!(
+                "rejected; shrunk {} -> {} op(s)\n  violation: {}\n  minimal schedule: {min:?}",
+                script.len(),
+                min.len(),
+                v.detail
+            )
+        }),
+    );
 
     // The ELR contract: an ack is only legal once the watermark covers
     // the commit. Model the client that acks at publish; the oracle must
     // see the lost write after the crash.
-    let elr_script = gen_script(seed, &cfg);
-    match ack_before_durable_violation(&elr_script, seed, &cfg) {
-        Some(v) => {
-            row("durability", "fixture:ack-before-durable", 1, "rejected");
-            println!("  violation: {}", v.detail);
-        }
-        None => {
-            row(
-                "durability",
-                "fixture:ack-before-durable",
-                1,
-                "ACCEPTED (oracle is blind)",
-            );
-            accepted += 1;
-        }
-    }
+    let plain = workload.script(&mut SimRng::new(seed));
+    accepted += fixture_row(
+        "durability",
+        "fixture:ack-before-durable",
+        ack_before_durable_violation(&plain, seed, &cfg)
+            .map(|v| format!("rejected\n  violation: {}", v.detail)),
+    );
+
+    // The runner's in-line read check: a read the committed model
+    // contradicts must stop the sweep before any crash is injected.
+    accepted += fixture_row(
+        "durability",
+        "fixture:stale-read",
+        stale_read_violation(&plain, seed, &cfg)
+            .filter(|v| v.point == 0)
+            .map(|v| format!("rejected (no crash injected)\n  violation: {}", v.detail)),
+    );
 
     if accepted == 0 {
         println!("pitree-check: all seeded violations rejected");
@@ -345,22 +333,24 @@ fn replay(seed: u64, layer: Option<&str>) -> ExitCode {
     }
 
     if run_dur {
-        let cfg = DurConfig::default();
-        match sweep_seed(seed, &cfg) {
+        let cfg = sweep_config();
+        let script = WORKLOAD.script(&mut SimRng::new(seed));
+        match sweep_script(&script, seed, &cfg) {
             Ok(r) => println!(
                 "durability       {:<24} ok ({} of {} crash points swept)",
-                "pi-tree", r.crash_points_tested, r.fault_points
+                "pi-tree",
+                r.points.len(),
+                r.window.1
             ),
             Err(v) => {
                 println!("durability       {:<24} VIOLATION: {v}", "pi-tree");
                 println!("minimizing the failing script (this re-sweeps each candidate)...");
-                let script = pitree_check::durability::gen_script(seed, &cfg);
                 let min = shrink_durability(&script, seed, &cfg);
                 println!("minimal failing schedule ({} op(s)): {min:?}", min.len());
                 violations += 1;
             }
         }
-        match elr_chain_violation(seed, &cfg) {
+        match elr_chain_violation(seed, WORKLOAD.key_domain, &cfg) {
             Ok(c) => println!("durability-elr   {:<24} ok ({c} prefix cuts)", "pi-tree"),
             Err(v) => {
                 println!("durability-elr   {:<24} VIOLATION: {v}", "pi-tree");

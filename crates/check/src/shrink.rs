@@ -3,12 +3,13 @@
 //! The sim kit's property runner deliberately does not shrink *seeds*
 //! (a different seed is a different schedule), but once a seed fails the
 //! durability oracle we hold its concrete **script** — and scripts shrink
-//! soundly, because [`crate::durability::script_violation`] re-sweeps the
+//! soundly, because [`pitree_sim::crash::sweep_script`] re-sweeps the
 //! candidate's own crash-point space. This is a delta-debugging (ddmin)
 //! reduction: remove ever-smaller chunks, keeping any candidate that
 //! still fails, until no single op can be removed.
 
-use crate::durability::{script_violation, tail_drop_violation, DurConfig, DurOp};
+use crate::durability::tail_drop_violation;
+use pitree_sim::crash::{sweep_script, Op, SweepConfig};
 
 /// Minimize `input` under `fails` (which must hold for `input` itself).
 /// Returns a 1-minimal failing subsequence: removing any single remaining
@@ -38,15 +39,15 @@ pub fn ddmin<T: Clone, F: Fn(&[T]) -> bool>(input: &[T], fails: F) -> Vec<T> {
 }
 
 /// Shrink a script that fails the full crash-point sweep, preserving the
-/// failure as judged by [`script_violation`]. Expensive (each candidate
+/// failure as judged by [`sweep_script`]. Expensive (each candidate
 /// re-sweeps), so intended for one-off replay investigation, not gates.
-pub fn shrink_durability(script: &[DurOp], seed: u64, cfg: &DurConfig) -> Vec<DurOp> {
-    ddmin(script, |cand| script_violation(cand, seed, cfg).is_err())
+pub fn shrink_durability(script: &[Op], seed: u64, cfg: &SweepConfig) -> Vec<Op> {
+    ddmin(script, |cand| sweep_script(cand, seed, cfg).is_err())
 }
 
 /// Shrink a script that fails the tail-drop fixture oracle. Used by the
 /// fixture gate to prove the shrinker minimizes a real violation.
-pub fn shrink_tail_drop(script: &[DurOp], seed: u64, cfg: &DurConfig) -> Vec<DurOp> {
+pub fn shrink_tail_drop(script: &[Op], seed: u64, cfg: &SweepConfig) -> Vec<Op> {
     ddmin(script, |cand| {
         !cand.is_empty() && tail_drop_violation(cand, seed, cfg).is_some()
     })
@@ -75,13 +76,16 @@ mod tests {
 
     #[test]
     fn tail_drop_failure_shrinks_to_one_insert() {
-        let cfg = DurConfig {
-            ops: 16,
+        let cfg = SweepConfig {
             max_crash_points: 2,
-            ..DurConfig::default()
+            ..SweepConfig::default()
         };
         let seed = 0x5eed;
-        let script = fixture_script(seed, &cfg);
+        let workload = pitree_sim::Workload {
+            ops: 16,
+            key_domain: 32,
+        };
+        let script = fixture_script(seed, &workload);
         let min = shrink_tail_drop(&script, seed, &cfg);
         assert!(
             min.len() <= 2,
@@ -89,7 +93,7 @@ mod tests {
              (plus maybe one earlier op), got {min:?}"
         );
         assert!(
-            min.iter().any(|op| matches!(op, DurOp::Insert(_))),
+            min.iter().any(|op| matches!(op, Op::Insert(_))),
             "the surviving op must be an insert: {min:?}"
         );
     }

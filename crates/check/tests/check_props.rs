@@ -5,14 +5,14 @@
 //! seeds — no clocks, no entropy, no environment reads (enforced by
 //! pitree-lint's determinism rule, which covers this file).
 
-use pitree_check::durability::{fixture_script, tail_drop_violation, DurConfig};
+use pitree_check::durability::{fixture_script, tail_drop_violation};
 use pitree_check::index::{LostWriteIndex, ModelIndex, StaleReadIndex};
 use pitree_check::shrink::shrink_tail_drop;
 use pitree_check::{
-    all_indexes, lin_targets, run_differential, run_linearizability, sweep_seed, DiffConfig,
-    LinConfig,
+    all_indexes, lin_targets, run_differential, run_linearizability, DiffConfig, LinConfig,
 };
-use pitree_sim::prop;
+use pitree_sim::crash::{sweep_script, SweepConfig, Workload};
+use pitree_sim::{prop, SimRng};
 
 #[test]
 fn differential_all_indexes_match_model() {
@@ -84,13 +84,17 @@ fn linearizability_rejects_stale_read_fixture() {
 #[test]
 fn durability_sweep_recovers_committed_state() {
     prop::run_cases("check.dur.sweep", 2, |rng| {
-        let cfg = DurConfig {
+        let seed = rng.next_u64();
+        let workload = Workload {
             ops: 24,
-            max_crash_points: 5,
-            ..DurConfig::default()
+            key_domain: 32,
         };
-        match sweep_seed(rng.next_u64(), &cfg) {
-            Ok(report) => assert!(report.fault_points > 0, "workload crossed no boundary"),
+        let cfg = SweepConfig {
+            max_crash_points: 5,
+            ..SweepConfig::default()
+        };
+        match sweep_script(&workload.script(&mut SimRng::new(seed)), seed, &cfg) {
+            Ok(report) => assert!(report.window.1 > 0, "workload crossed no boundary"),
             Err(v) => panic!("{v}"),
         }
     });
@@ -100,12 +104,15 @@ fn durability_sweep_recovers_committed_state() {
 fn durability_rejects_dropped_commit_and_shrinks_it() {
     prop::run_cases("check.dur.fixture", 2, |rng| {
         let seed = rng.next_u64();
-        let cfg = DurConfig {
+        let workload = Workload {
             ops: 12,
-            max_crash_points: 2,
-            ..DurConfig::default()
+            key_domain: 32,
         };
-        let script = fixture_script(seed, &cfg);
+        let cfg = SweepConfig {
+            max_crash_points: 2,
+            ..SweepConfig::default()
+        };
+        let script = fixture_script(seed, &workload);
         let v = tail_drop_violation(&script, seed, &cfg)
             .expect("oracle must detect the chopped commit record");
         assert!(v.detail.contains("records") || v.detail.contains("key"));

@@ -47,7 +47,7 @@
 
 use pitree::{PiTree, PiTreeConfig, Store};
 use pitree_baselines::{ConcurrentIndex, LockCouplingTree};
-use pitree_check::{differential_twin, durability_twin, DurConfig};
+use pitree_check::differential_twin;
 use pitree_harness::driver::{
     commit, copy_image, data_pages, engine_row, fence, key_bytes, load, publish, run_phase,
     scaled_pool, throughput_row, Cli, Done, Obj, OpKind, PhaseRun, PhaseSpec, LOAD_POOL_FRAMES,
@@ -57,7 +57,7 @@ use pitree_harness::scenario::{hb_twin, matrix, tsb_twin, twin_ops};
 use pitree_harness::{EngineSet, KeyStream, MixOp, Population, ScenarioSpec};
 use pitree_hb::{point_key, HbConfig, HbTree, Point, Rect};
 use pitree_obs::{Recorder, Stopwatch};
-use pitree_sim::SimRng;
+use pitree_sim::{crash::sweep_script, SimRng, SweepConfig};
 use pitree_tsb::{Time, TsbConfig, TsbTree};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -450,9 +450,9 @@ fn pi_xy_ops<'t>(tree: &'t PiTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) ->
 /// `oracle_twin` block on success. The first failure aborts with a
 /// replayable description.
 fn run_twins(spec: &ScenarioSpec, base_seed: u64, cfg: &Config) -> Result<Obj, String> {
-    let dur_cfg = DurConfig {
+    let dur_cfg = SweepConfig {
         max_crash_points: 6,
-        ..DurConfig::default()
+        ..SweepConfig::default()
     };
     let (mut diff_ops, mut fault_points, mut crash_points) = (0usize, 0u64, 0usize);
     let mut engine_twin = "none";
@@ -461,9 +461,9 @@ fn run_twins(spec: &ScenarioSpec, base_seed: u64, cfg: &Config) -> Result<Obj, S
         let ops = twin_ops(spec, seed, cfg.twin_ops, cfg.twin_domain);
         let diff = differential_twin(&ops, seed).map_err(|v| v.to_string())?;
         diff_ops += diff.ops;
-        let dur = durability_twin(&ops, seed, &dur_cfg).map_err(|v| v.to_string())?;
-        fault_points += dur.fault_points;
-        crash_points += dur.crash_points_tested;
+        let dur = sweep_script(&ops, seed, &dur_cfg).map_err(|v| v.to_string())?;
+        fault_points += dur.window.1;
+        crash_points += dur.points.len();
         match spec.engines {
             EngineSet::Temporal => {
                 tsb_twin(seed)?;

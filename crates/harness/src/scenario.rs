@@ -8,8 +8,8 @@
 //! the `scenarios` bin consumes [`ScenarioSpec`]s from [`matrix`], drives
 //! each engine with [`KeyStream`] samples, and gates every scenario with
 //! [`twin_ops`] streams through `pitree-check`'s
-//! [`differential_twin`](pitree_check::differential_twin) /
-//! [`durability_twin`](pitree_check::durability_twin) plus the
+//! [`differential_twin`](pitree_check::differential_twin) and the crash
+//! oracle's [`sweep_script`](pitree_sim::crash::sweep_script), plus the
 //! engine-specific [`tsb_twin`] / [`hb_twin`] model checks here.
 //!
 //! Every sampler runs on [`SimRng`] + the deterministic
@@ -18,7 +18,7 @@
 //! at domain ~100 are the *same shape* drawn from the same code.
 
 use crate::workload::{scramble, Zipf};
-use pitree_check::ScenOp;
+use pitree_sim::crash::Op;
 use pitree_sim::SimRng;
 
 /// Key population of a scenario store: how many keys are preloaded and
@@ -357,24 +357,24 @@ impl KeyStream {
 /// flushes and fuzzy checkpoints sprinkled in so the durability twin
 /// crosses eviction and checkpoint boundaries. Pure function of
 /// `(spec, seed, ops, domain)`.
-pub fn twin_ops(spec: &ScenarioSpec, seed: u64, ops: usize, domain: u64) -> Vec<ScenOp> {
+pub fn twin_ops(spec: &ScenarioSpec, seed: u64, ops: usize, domain: u64) -> Vec<Op> {
     let mut rng = SimRng::new(seed ^ 0x5ce7_a110);
     let mut stream = KeyStream::new(spec.access, domain, 0);
     // Seed a small preload so read-heavy twins have data to read.
-    let mut out: Vec<ScenOp> = (0..domain / 2).map(ScenOp::Insert).collect();
+    let mut out: Vec<Op> = (0..domain / 2).map(Op::Insert).collect();
     for i in 0..ops {
         out.push(match spec.mix.draw(&mut stream, &mut rng) {
-            MixOp::Get(k) => ScenOp::Get(k),
-            MixOp::Insert(k) => ScenOp::Insert(k),
-            MixOp::Delete(k) => ScenOp::Delete(k),
+            MixOp::Get(k) => Op::Get(k),
+            MixOp::Insert(k) => Op::Insert(k),
+            MixOp::Delete(k) => Op::Delete(k),
             // Scan windows shrink with the domain: ~1/8 of the space.
-            MixOp::Scan(lo) => ScenOp::Scan(lo, lo + (domain / 8).max(2)),
+            MixOp::Scan(lo) => Op::Scan(lo, lo + (domain / 8).max(2)),
         });
         if i % 17 == 13 {
-            out.push(ScenOp::Flush);
+            out.push(Op::Flush);
         }
         if i % 41 == 29 {
-            out.push(ScenOp::Checkpoint);
+            out.push(Op::Checkpoint);
         }
     }
     out
@@ -556,12 +556,12 @@ mod tests {
         let preload = 96 / 2;
         assert!(ops[preload..]
             .iter()
-            .all(|op| !matches!(op, ScenOp::Insert(_) | ScenOp::Delete(_))));
+            .all(|op| !matches!(op, Op::Insert(_) | Op::Delete(_))));
         let storm = m.iter().find(|s| s.name == "hot-storm").unwrap();
         let ops = twin_ops(storm, 1, 200, 96);
         let writes = ops[preload..]
             .iter()
-            .filter(|op| matches!(op, ScenOp::Insert(_) | ScenOp::Delete(_)))
+            .filter(|op| matches!(op, Op::Insert(_) | Op::Delete(_)))
             .count();
         assert!(writes > 120, "hot storm twin is write-heavy: {writes}");
     }

@@ -5,55 +5,42 @@
 //! The sim kit's seeded sweep (`pitree_sim::crash`) crashes wherever a
 //! random workload happens to cross durable-write boundaries; this matrix
 //! instead *aims*: each row hand-crafts a workload whose trigger phase is
-//! known (via `TreeStats`) to perform the targeted SMO, probes the
-//! boundary window `(h0, h1]` that the trigger spans, and then crashes at
-//! every boundary inside that window. That guarantees per-SMO crash
-//! coverage regardless of what the random sweep draws (the paper's §1
-//! point 4: recovery must cope with a crash *during* any structure
-//! change).
+//! known (via `TreeStats`) to perform the targeted SMO, and hands the same
+//! engine the setup and the trigger, so it probes the boundary window
+//! `(h0, h1]` that the trigger spans and crashes at every boundary inside
+//! that window. That guarantees per-SMO crash coverage regardless of what
+//! the random sweep draws (the paper's §1 point 4: recovery must cope with a
+//! crash *during* any structure change).
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_hb::{HbConfig, HbTree, Point};
 use pitree_pagestore::fault::{is_injected, InjectorHandle};
 use pitree_pagestore::{StoreError, StoreResult};
+use pitree_sim::crash::{self, Drain, Model, SweepConfig, SweepReport};
 use pitree_sim::CrashPlan;
 use pitree_tsb::{Time, TsbConfig, TsbTree};
 use pitree_wal::InstantRecovery;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-type Model = BTreeMap<u64, Vec<u8>>;
-
 fn key(k: u64) -> Vec<u8> {
-    k.to_be_bytes().to_vec()
+    crash::key_bytes(k)
 }
 
 fn val(k: u64) -> Vec<u8> {
     format!("cm-{k}").into_bytes()
 }
 
-/// Forced-commit upsert; the model records it only when the commit
-/// returns `Ok` (a commit that returns is durable).
+/// Forced-commit upsert of the matrix's value for `k` through the crash
+/// oracle's runner (the model learns it only when the commit returns).
 fn insert(tree: &PiTree, model: &mut Model, k: u64) -> StoreResult<()> {
-    let mut t = tree.begin();
-    if let Err(e) = tree.insert(&mut t, &key(k), &val(k)) {
-        std::mem::forget(t); // dead machine: the txn cannot clean up
-        return Err(e);
-    }
-    t.commit()?;
-    model.insert(k, val(k));
-    Ok(())
+    crash::insert(tree, model, k, &val(k))
 }
 
-fn delete(tree: &PiTree, model: &mut Model, k: u64) -> StoreResult<()> {
-    let mut t = tree.begin();
-    if let Err(e) = tree.delete(&mut t, &key(k)) {
-        std::mem::forget(t);
-        return Err(e);
-    }
-    t.commit()?;
-    model.remove(&k);
-    Ok(())
+/// The crashed image must recover, stop-the-world, to exactly `model`.
+fn recovers_to(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, ctx: &str) {
+    crash::recover_and_verify(crashed, cfg, model, Drain::Synchronous)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
 /// One matrix row: a targeted SMO path.
@@ -63,25 +50,16 @@ struct Row {
     /// Workload before the measured window (SMO prerequisites).
     setup: fn(&PiTree, &mut Model) -> StoreResult<()>,
     /// The window that performs the targeted SMO.
-    trigger: fn(&CrashableStore, &PiTree, &mut Model) -> StoreResult<()>,
-    /// Asserts (from probe-run stat deltas) that the SMO really happened.
-    assert_smo: fn(&PiTree, &[(&'static str, u64)]),
+    trigger: fn(&PiTree, &mut Model) -> StoreResult<()>,
+    /// The `TreeStats` counter the trigger must advance — proof, from the
+    /// probe run, that the SMO really happened inside the window.
+    smo: &'static str,
 }
 
-fn delta(before: &[(&'static str, u64)], tree: &PiTree, name: &str) -> u64 {
-    let now: u64 = tree
-        .stats()
-        .snapshot()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    let was = before
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    now - was
+fn stat(tree: &PiTree, name: &str) -> u64 {
+    let snapshot = tree.stats().snapshot();
+    let found = snapshot.iter().find(|(n, _)| *n == name);
+    found.map_or(0, |(_, v)| *v)
 }
 
 fn rows() -> Vec<Row> {
@@ -99,72 +77,44 @@ fn rows() -> Vec<Row> {
         Row {
             name: "leaf-split",
             cfg: manual,
-            setup: |tree, model| {
-                for k in 0..4 {
-                    insert(tree, model, k)?;
-                }
-                Ok(())
-            },
-            trigger: |cs, tree, model| {
+            setup: |tree, model| (0..4).try_for_each(|k| insert(tree, model, k)),
+            trigger: |tree, model| {
                 insert(tree, model, 4)?; // 5th key overflows the leaf
-                cs.store.pool.flush_all()
+                tree.store().pool.flush_all()
             },
-            assert_smo: |tree, before| {
-                assert!(
-                    delta(before, tree, "splits") >= 1,
-                    "trigger did not split a leaf"
-                );
-            },
+            smo: "splits",
         },
         Row {
             name: "post-index-term",
             cfg: manual,
-            setup: |tree, model| {
-                // The first split of a single-leaf tree is a root grow (no
-                // posting); keep inserting until a *non-root* leaf splits
-                // and leaves a pending index-term posting behind.
-                for k in 0..10 {
-                    insert(tree, model, k)?;
-                }
-                Ok(())
-            },
-            trigger: |cs, tree, _model| {
+            // The first split of a single-leaf tree is a root grow (no
+            // posting); keep inserting until a *non-root* leaf splits and
+            // leaves a pending index-term posting behind.
+            setup: |tree, model| (0..10).try_for_each(|k| insert(tree, model, k)),
+            trigger: |tree, _model| {
                 tree.run_completions()?; // the posting SMO
-                cs.store.pool.flush_all()
+                tree.store().pool.flush_all()
             },
-            assert_smo: |tree, before| {
-                assert!(
-                    delta(before, tree, "postings_done") >= 1,
-                    "trigger did not post an index term"
-                );
-            },
+            smo: "postings_done",
         },
         Row {
             name: "consolidate",
             cfg: consol,
             setup: |tree, model| {
-                for k in 0..8 {
-                    insert(tree, model, k)?;
-                }
+                (0..8).try_for_each(|k| insert(tree, model, k))?;
                 tree.run_completions()?; // drain the split postings
-                                         // Underflow the *rightmost* leaf (the leftmost is the
-                                         // first child of its parent, which §3.3 refuses to merge)
-                                         // far enough that container + contained fit in one node.
-                for k in [7, 6, 5, 4] {
-                    delete(tree, model, k)?;
-                }
-                Ok(())
+                                         // Underflow the *rightmost* leaf (the leftmost is the first
+                                         // child of its parent, which §3.3 refuses to merge) far
+                                         // enough that container + contained fit in one node.
+                [7, 6, 5, 4]
+                    .into_iter()
+                    .try_for_each(|k| crash::delete(tree, model, k))
             },
-            trigger: |cs, tree, _model| {
+            trigger: |tree, _model| {
                 tree.run_completions()?; // the consolidation SMO
-                cs.store.pool.flush_all()
+                tree.store().pool.flush_all()
             },
-            assert_smo: |tree, before| {
-                assert!(
-                    delta(before, tree, "consolidations") >= 1,
-                    "trigger did not consolidate"
-                );
-            },
+            smo: "consolidations",
         },
     ]
 }
@@ -176,172 +126,64 @@ fn build(cfg: PiTreeConfig, plan: &Arc<CrashPlan>) -> (CrashableStore, PiTree) {
     (cs, tree)
 }
 
-/// Who drains the redo plan of the recovery under test.
-#[derive(Clone, Copy)]
-enum Drain {
-    /// `PiTree::recover`: the calling thread drains before the tree opens.
-    Synchronous,
-    /// `PiTree::recover_instant`: every committed key is served while the
-    /// plan may still be pending (each pin redoes its page inline), then
-    /// two background workers drain the rest.
-    TrafficThenWorkers,
-}
-
-/// Recover the crashed image under `drain` and verify the full committed
-/// state, before and after lazy completion of interrupted structure changes.
-fn verify_recovery_with(
-    crashed: &CrashableStore,
-    cfg: PiTreeConfig,
-    model: &Model,
-    drain: Drain,
-    ctx: &str,
-) {
-    let store = Arc::clone(&crashed.store);
-    let tree = match drain {
-        Drain::Synchronous => {
-            PiTree::recover(store, 1, cfg)
-                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"))
-                .0
-        }
-        Drain::TrafficThenWorkers => {
-            let (tree, plan, _stats) = PiTree::recover_instant(store, 1, cfg)
-                .unwrap_or_else(|e| panic!("{ctx}: instant recovery failed: {e}"));
-            for (k, v) in model {
-                let got = tree
-                    .get_unlocked(&key(*k))
-                    .unwrap_or_else(|e| panic!("{ctx}: get {k} mid-recovery: {e}"));
-                assert_eq!(
-                    got.as_ref(),
-                    Some(v),
-                    "{ctx}: key {k} wrong while REDO pending"
-                );
-            }
-            plan.drive(&crashed.store.pool, 2)
-                .unwrap_or_else(|e| panic!("{ctx}: drive: {e}"));
-            assert!(plan.is_complete(), "{ctx}: plan not drained");
-            tree
-        }
-    };
-    let report = tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert!(
-        report.is_well_formed(),
-        "{ctx}: recovered tree ill-formed: {:?}",
-        report.violations
-    );
-    assert_eq!(
-        report.records,
-        model.len(),
-        "{ctx}: committed records lost or resurrected"
-    );
-    for (k, v) in model {
-        let got = tree
-            .get_unlocked(&key(*k))
-            .unwrap_or_else(|e| panic!("{ctx}: get {k}: {e}"));
-        assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} wrong after recovery");
-    }
-    tree.run_completions()
-        .unwrap_or_else(|e| panic!("{ctx}: completions: {e}"));
-    tree.run_completions()
-        .unwrap_or_else(|e| panic!("{ctx}: completions: {e}"));
-    let report = tree.validate().unwrap();
-    assert!(
-        report.is_well_formed(),
-        "{ctx}: ill-formed after lazy completion: {:?}",
-        report.violations
-    );
-    assert_eq!(
-        report.records,
-        model.len(),
-        "{ctx}: completion changed records"
-    );
-}
-
-fn verify_recovery(crashed: &CrashableStore, cfg: PiTreeConfig, model: &Model, ctx: &str) {
-    verify_recovery_with(crashed, cfg, model, Drain::Synchronous, ctx);
-}
-
-fn expect_injected(res: StoreResult<()>, ctx: &str) {
-    match res {
-        Err(ref e) if is_injected(e) => {}
-        Err(e) => panic!("{ctx}: non-injected error: {e}"),
-        Ok(()) => panic!("{ctx}: trigger completed although the plan should have fired"),
-    }
-}
-
 fn is_lock_failed(e: &StoreError) -> bool {
     matches!(e, StoreError::LockFailed { .. })
 }
 
-/// Probe a row once (no crash), assert the SMO happened in the trigger
-/// window, and return `(h0, h1]`: the boundary window to crash inside.
-fn probe(row: &Row) -> (u64, u64) {
-    let plan = CrashPlan::count_only();
-    let (cs, tree) = build(row.cfg, &plan);
-    plan.arm();
-    let mut model = Model::new();
-    (row.setup)(&tree, &mut model).unwrap_or_else(|e| panic!("{}: setup: {e}", row.name));
-    let h0 = plan.hits();
-    let before = tree.stats().snapshot();
-    (row.trigger)(&cs, &tree, &mut model).unwrap_or_else(|e| panic!("{}: trigger: {e}", row.name));
-    let h1 = plan.hits();
-    (row.assert_smo)(&tree, &before);
-    assert!(
-        h1 > h0,
-        "{}: trigger window crossed no durable-write boundary",
-        row.name
-    );
-    let report = tree.validate().unwrap();
-    assert!(report.is_well_formed(), "{}: probe end state", row.name);
-    assert_eq!(
-        report.records,
-        model.len(),
-        "{}: probe model diverges",
-        row.name
-    );
-    (h0, h1)
-}
-
-/// Crash a row at boundary `n`, then recover and verify.
-fn crash_at(row: &Row, n: u64) {
-    let plan = CrashPlan::fire_at(n);
-    let (cs, tree) = build(row.cfg, &plan);
-    plan.arm();
-    let mut model = Model::new();
-    let ctx = format!("{} crash-point {n}", row.name);
-    let res = (row.setup)(&tree, &mut model).and_then(|()| (row.trigger)(&cs, &tree, &mut model));
-    expect_injected(res, &ctx);
-    assert!(plan.fired(), "{ctx}: plan did not fire");
-    drop(tree);
-    let crashed = cs
-        .crash()
-        .unwrap_or_else(|e| panic!("{ctx}: snapshot: {e}"));
-    verify_recovery(&crashed, row.cfg, &model, &ctx);
+/// Crash a row at every boundary of its trigger window. The probe run (the
+/// only one whose trigger returns) asserts the targeted SMO happened inside
+/// the window — which keeps the table honest if node caps or completion
+/// policies change.
+fn sweep_row(row: &Row) -> SweepReport {
+    let cfg = SweepConfig {
+        max_crash_points: usize::MAX,
+        tree_cfg: row.cfg,
+        ..SweepConfig::default()
+    };
+    let trigger = |tree: &PiTree, model: &mut Model| {
+        let before = stat(tree, row.smo);
+        (row.trigger)(tree, model)?;
+        assert!(
+            stat(tree, row.smo) > before,
+            "{}: the trigger window did not advance `{}`",
+            row.name,
+            row.smo
+        );
+        Ok(())
+    };
+    let report = crash::sweep_workload(0, &cfg, Drain::Synchronous, &row.setup, &trigger)
+        .unwrap_or_else(|v| panic!("{}: {v}", row.name));
+    let (h0, h1) = report.window;
+    assert!(h1 > h0, "{}: empty crash window", row.name);
+    assert!(report.points.iter().copied().eq(h0 + 1..=h1));
+    report
 }
 
 #[test]
 fn crash_matrix_covers_every_smo_path() {
     for row in rows() {
-        let (h0, h1) = probe(&row);
-        for n in (h0 + 1)..=h1 {
-            crash_at(&row, n);
-        }
+        let report = sweep_row(&row);
+        eprintln!(
+            "crash matrix: {} crashed at all {} boundaries of {:?}",
+            row.name,
+            report.points.len(),
+            report.window
+        );
     }
 }
 
-/// The matrix rows are meaningful only if their trigger windows really
-/// contain the targeted SMO — this meta-test keeps the table honest if
-/// node caps or completion policies change.
+/// The engine sweeps a row's window exactly where the matrix's own
+/// probe-and-crash loop always did: boundaries 5..=10 of the leaf-split run.
 #[test]
-fn matrix_windows_are_nonempty_and_targeted() {
-    for row in rows() {
-        let (h0, h1) = probe(&row);
-        assert!(h1 > h0, "{}: empty crash window", row.name);
-    }
+fn leaf_split_window_is_where_it_always_was() {
+    let report = sweep_row(&rows()[0]);
+    assert_eq!(report.window, (4, 10));
+    assert_eq!(report.points, [5, 6, 7, 8, 9, 10]);
 }
 
 /// Guard for a subtlety the matrix relies on: with `auto_complete` off,
 /// an op that fails with a lock error surfaces it as `LockFailed` (not a
-/// panic), so `expect_injected` correctly distinguishes injected crashes.
+/// panic), so the sweep correctly distinguishes injected crashes.
 #[test]
 fn lock_failed_is_distinguishable_from_injected() {
     let err = StoreError::LockFailed { deadlock: true };
@@ -406,7 +248,7 @@ fn crash_between_batch_write_and_flushed_publish() {
     assert!(recs
         .iter()
         .any(|r| r.lsn == c && matches!(r.kind, RecordKind::Commit)));
-    verify_recovery(&crashed, cfg, &model, "batch-written-flushed-unpublished");
+    recovers_to(&crashed, cfg, &model, "batch-written-flushed-unpublished");
 }
 
 /// Crash mid-stream while group commit is running multi-threaded: some
@@ -445,11 +287,11 @@ fn crash_after_leader_woke_some_followers() {
                             },
                         );
                         let c = log.append(a, b, RecordKind::Commit);
-                        match log.force_to(c) {
-                            Ok(()) => mine.push(c),
-                            Err(ref e) if is_injected(e) => break mine,
-                            Err(e) => panic!("unexpected force error: {e}"),
+                        if let Err(e) = log.force_to(c) {
+                            crash::assert_injected(&e);
+                            break mine;
                         }
+                        mine.push(c);
                     }
                 })
             })
@@ -481,7 +323,7 @@ fn crash_after_leader_woke_some_followers() {
             "force_to({lsn}) returned Ok but the record is gone after crash"
         );
     }
-    verify_recovery(&crashed, cfg, &model, "leader-woke-some-followers");
+    recovers_to(&crashed, cfg, &model, "leader-woke-some-followers");
 }
 
 // ---- Linger / early-lock-release crash windows ------------------------------
@@ -552,7 +394,7 @@ fn crash_during_linger_with_undrained_tail() {
         crashed
     });
     // Neither T1 nor T2 was acknowledged; the model keeps neither.
-    verify_recovery(&crashed, cfg, &model, "linger-undrained-tail");
+    recovers_to(&crashed, cfg, &model, "linger-undrained-tail");
 }
 
 /// (d) Crash after early lock release, before the group's force completes:
@@ -586,12 +428,12 @@ fn crash_after_lock_release_before_group_force_completes() {
         "every user commit releases at log-append (6 setup + 1)"
     );
 
-    expect_injected(pc.wait_durable().map(|_| ()), "elr-before-force");
+    crash::assert_injected(&pc.wait_durable().expect_err("the group force must die"));
     assert!(plan.fired());
 
     drop(tree);
     let crashed = cs.crash().unwrap();
-    verify_recovery(&crashed, cfg, &model, "elr-before-force");
+    recovers_to(&crashed, cfg, &model, "elr-before-force");
 }
 
 /// (e) Crash between the group's durable batch write and the watermark
@@ -649,7 +491,7 @@ fn crash_between_group_write_and_publish_with_dependent_txn() {
         );
     }
     model.insert(77, b"dependent".to_vec());
-    verify_recovery(&crashed, cfg, &model, "group-write-publish-dependent");
+    recovers_to(&crashed, cfg, &model, "group-write-publish-dependent");
 }
 
 // ---- Instant-restart / fuzzy-checkpoint crash windows ----------------------
@@ -712,7 +554,7 @@ fn crash_with_checkpoint_record_half_written() {
             crashed.store.log.read(ckpt).is_err(),
             "cut {cut}: the checkpoint record should be unreadable"
         );
-        verify_recovery(&crashed, cfg, &model, &format!("torn-checkpoint cut {cut}"));
+        recovers_to(&crashed, cfg, &model, &format!("torn-checkpoint cut {cut}"));
     }
 }
 
@@ -750,7 +592,7 @@ fn crash_mid_parallel_redo_with_one_shard_complete() {
     mid.store.pool.flush_all().expect("flush half-redone image");
 
     let crashed = mid.crash().unwrap();
-    verify_recovery(&crashed, cfg, &model, "mid-parallel-redo");
+    recovers_to(&crashed, cfg, &model, "mid-parallel-redo");
 }
 
 /// (j) Checkpoint while the redo plan is pending, then crash before it
@@ -789,7 +631,7 @@ fn checkpoint_during_pending_redo_then_crash_before_drive() {
     drop(tree_mid);
 
     let crashed = mid.crash().unwrap();
-    verify_recovery(&crashed, cfg, &model, "checkpoint-during-pending-redo");
+    recovers_to(&crashed, cfg, &model, "checkpoint-during-pending-redo");
 }
 
 // ---- Eviction write-back crash window (i) ----------------------------------
@@ -814,13 +656,10 @@ fn crash_during_eviction_writeback_under_hot_keys() {
     let cfg = PiTreeConfig::small_nodes(4, 4);
     let hot = [0u64, 8, 16, 24, 32, 39];
 
-    let setup = |tree: &PiTree, model: &mut Model| -> StoreResult<()> {
-        for k in 0..40 {
-            insert(tree, model, k)?;
-        }
-        Ok(())
-    };
+    let setup = |tree: &PiTree, model: &mut Model| (0..40).try_for_each(|k| insert(tree, model, k));
     let storm = |tree: &PiTree, model: &mut Model| -> StoreResult<()> {
+        let writebacks = tree.store().pool.recorder().counter("buf.writebacks");
+        let before = writebacks.get();
         // Three rounds over the hot band (distant leaves → misses →
         // dirty displacement) with fresh appends dirtying new pages.
         for round in 0..3u64 {
@@ -831,61 +670,37 @@ fn crash_during_eviction_writeback_under_hot_keys() {
                 insert(tree, model, 40 + round * 4 + k)?;
             }
         }
+        // Only the probe gets here: prove its window contains eviction
+        // write-backs (not merely log forces).
+        assert!(
+            writebacks.get() > before,
+            "storm performed no eviction write-backs: grow the working set"
+        );
         Ok(())
     };
 
-    // Probe: find the storm's boundary window and prove it contains
-    // eviction write-backs (not merely log forces).
-    let plan = CrashPlan::count_only();
-    let cs = CrashableStore::create_with_injector(8, 10_000, Arc::clone(&plan) as InjectorHandle)
-        .expect("store setup (disarmed)");
-    let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).expect("tree setup (disarmed)");
-    plan.arm();
-    let mut model = Model::new();
-    setup(&tree, &mut model).expect("probe setup");
-    let wb = cs.store.pool.recorder().counter("buf.writebacks");
-    let h0 = plan.hits();
-    let wb0 = wb.get();
-    storm(&tree, &mut model).expect("probe storm");
-    let h1 = plan.hits();
+    // Sweep every boundary of the storm window, each image recovered
+    // traffic-first; the storm must include page-write crashes (a
+    // write-back torn mid-flight).
+    let sweep_cfg = SweepConfig {
+        max_crash_points: usize::MAX,
+        pool_frames: 8,
+        tree_cfg: cfg,
+        ..SweepConfig::default()
+    };
+    let report = crash::sweep_workload(0, &sweep_cfg, Drain::TrafficThenWorkers(2), &setup, &storm)
+        .unwrap_or_else(|v| panic!("eviction-writeback: {v}"));
+    let (h0, h1) = report.window;
     assert!(h1 > h0, "storm crossed no durable-write boundary");
-    assert!(
-        wb.get() > wb0,
-        "storm performed no eviction write-backs: grow the working set"
+    assert!(report.points.iter().copied().eq(h0 + 1..=h1));
+    eprintln!(
+        "crash matrix: eviction-writeback crashed at all {} boundaries of {:?}, {} mid page write",
+        report.points.len(),
+        report.window,
+        report.page_write_crashes
     );
-    drop(tree);
-
-    // Sweep every boundary in the window; the storm must include
-    // page-write crashes (a write-back torn mid-flight).
-    let mut page_write_crashes = 0u32;
-    for n in (h0 + 1)..=h1 {
-        let plan = CrashPlan::fire_at(n);
-        let cs =
-            CrashableStore::create_with_injector(8, 10_000, Arc::clone(&plan) as InjectorHandle)
-                .expect("store setup (disarmed)");
-        let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).expect("tree setup (disarmed)");
-        plan.arm();
-        let mut model = Model::new();
-        let ctx = format!("eviction-writeback crash-point {n}");
-        let res = setup(&tree, &mut model).and_then(|()| storm(&tree, &mut model));
-        match res {
-            Err(ref e) if is_injected(e) => {
-                if format!("{e}").contains("page-write") {
-                    page_write_crashes += 1;
-                }
-            }
-            Err(e) => panic!("{ctx}: non-injected error: {e}"),
-            Ok(()) => panic!("{ctx}: storm completed although the plan should have fired"),
-        }
-        assert!(plan.fired(), "{ctx}: plan did not fire");
-        drop(tree);
-        let crashed = cs
-            .crash()
-            .unwrap_or_else(|e| panic!("{ctx}: snapshot: {e}"));
-        verify_recovery_with(&crashed, cfg, &model, Drain::TrafficThenWorkers, &ctx);
-    }
     assert!(
-        page_write_crashes > 0,
+        report.page_write_crashes > 0,
         "no crash landed on a page-write boundary: the row never tore a write-back"
     );
 }
@@ -915,7 +730,7 @@ fn get_served_from_not_yet_redone_page() {
             assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} served wrong");
         }
     });
-    verify_recovery(&crashed, cfg, &model, "on-demand-read");
+    recovers_to(&crashed, cfg, &model, "on-demand-read");
 }
 
 /// The shared tail of rows (h), (h-tsb) and (h-hb): with the REDO plan still

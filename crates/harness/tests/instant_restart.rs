@@ -27,37 +27,28 @@
 use pitree::{CrashableStore, PiTree, PiTreeConfig, Store};
 use pitree_hb::{HbConfig, HbTree, Point, Rect};
 use pitree_pagestore::PageId;
+use pitree_sim::crash::{self, Model};
 use pitree_tsb::{Time, TsbConfig, TsbTree};
 use pitree_wal::{InstantRecovery, RecoveryStats};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-type Model = BTreeMap<u64, Vec<u8>>;
 /// Per key, every committed version: `(start time, value or tombstone)`.
 type VersionModel = BTreeMap<u64, Vec<(Time, Option<Vec<u8>>)>>;
 
 fn key(k: u64) -> Vec<u8> {
-    k.to_be_bytes().to_vec()
+    crash::key_bytes(k)
 }
 
 fn val(k: u64, tag: &str) -> Vec<u8> {
     format!("{tag}-{k}").into_bytes()
 }
 
-/// Forced-commit upsert; the model records it only when the commit
-/// returns (a commit that returns is durable).
+/// Forced-commit upsert through the crash oracle's runner (the model
+/// records it only when the commit returns, and a commit that returns is
+/// durable).
 fn insert(tree: &PiTree, model: &mut Model, k: u64, tag: &str) {
-    let mut t = tree.begin();
-    tree.insert(&mut t, &key(k), &val(k, tag)).expect("insert");
-    t.commit().expect("commit");
-    model.insert(k, val(k, tag));
-}
-
-fn delete(tree: &PiTree, model: &mut Model, k: u64) {
-    let mut t = tree.begin();
-    tree.delete(&mut t, &key(k)).expect("delete");
-    t.commit().expect("commit");
-    model.remove(&k);
+    crash::insert(tree, model, k, &val(k, tag)).expect("insert");
 }
 
 /// Read every allocated page's logical image through the pool.
@@ -80,19 +71,7 @@ fn page_images(cs: &CrashableStore, max_pages: u64) -> Vec<(u64, Vec<u8>)> {
 }
 
 fn check_model(tree: &PiTree, model: &Model, ctx: &str) {
-    for (k, v) in model {
-        let got = tree
-            .get_unlocked(&key(*k))
-            .unwrap_or_else(|e| panic!("{ctx}: get {k}: {e}"));
-        assert_eq!(got.as_ref(), Some(v), "{ctx}: key {k} wrong");
-    }
-    let report = tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert!(
-        report.is_well_formed(),
-        "{ctx}: ill-formed: {:?}",
-        report.violations
-    );
-    assert_eq!(report.records, model.len(), "{ctx}: record count");
+    crash::check_model(tree, model).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
 /// Build a crash image with committed SMOs (splits + a consolidation), a
@@ -112,7 +91,7 @@ fn crashed_workload() -> (CrashableStore, Model) {
         insert(&tree, &mut model, k, "updated");
     }
     for k in (1..40).step_by(7) {
-        delete(&tree, &mut model, k);
+        crash::delete(&tree, &mut model, k).expect("delete");
     }
     // A loser: logged updates with no commit. The dead machine never
     // cleans it up (forget, not drop — drop would roll back politely).

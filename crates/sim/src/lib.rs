@@ -20,12 +20,14 @@
 //!   a held linger window, so group formation reproduces byte-for-byte
 //!   under a fixed seed.
 //! * [`crash`] and [`mod@shake`] — the two closed loops built from those parts:
-//!   a crash–recover–verify sweep that kills the system at every injected
-//!   boundary of a seeded workload and checks recovery against a `BTreeMap`
-//!   reference model (and, in a second property, kills the *recovery* at
-//!   each of its own durable writes), and a seeded multi-thread schedule
-//!   shaker for concurrent insert/delete/search + structure-change
-//!   interleavings.
+//!   the workspace's one crash oracle — a committed-model script runner, a
+//!   boundary sweep that kills the system at the sampled durable writes of
+//!   a workload (or of a *recovery*), and a recover-and-verify that checks
+//!   the survivor against a `BTreeMap` reference model, all reporting a
+//!   typed [`crash::Violation`]; `pitree-check`'s durability layer, the
+//!   scenario twins and the harness crash matrix call it rather than
+//!   restate it — and a seeded multi-thread schedule shaker for concurrent
+//!   insert/delete/search + structure-change interleavings.
 //!
 //! The crate sits *above* the system crates (pagestore, wal, txnlock, core)
 //! as a dev-dependency of each — the `FaultInjector` trait lives down in
@@ -39,9 +41,7 @@ pub mod rng;
 pub mod schedule;
 pub mod shake;
 
-pub use crash::{
-    crash_during_recovery, crash_recover_verify, CrashConfig, CrashReport, RecoveryCrashReport,
-};
+pub use crash::{crash_during_recovery, crash_recover_verify, SweepConfig, Violation, Workload};
 pub use fault::CrashPlan;
 pub use rng::SimRng;
 pub use schedule::{gen_schedule, run_schedule, CountingStore, ScheduleOutcome};

@@ -21,11 +21,14 @@ fn crash_recover_verify_64_seeds() {
     let boundary_space = AtomicU64::new(0);
     prop::run_cases("crash_recover_verify_sweep", 64, |rng| {
         let seed = rng.next_u64();
-        let cfg = crash::CrashConfig::default();
-        let report = crash::crash_recover_verify(seed, &cfg);
+        let report = crash::crash_recover_verify(
+            seed,
+            &crash::Workload::default(),
+            &crash::SweepConfig::default(),
+        );
         seeds.fetch_add(1, Ordering::Relaxed);
-        points.fetch_add(report.crash_points_tested, Ordering::Relaxed);
-        boundary_space.fetch_add(report.fault_points, Ordering::Relaxed);
+        points.fetch_add(report.points.len(), Ordering::Relaxed);
+        boundary_space.fetch_add(report.window.1, Ordering::Relaxed);
     });
     eprintln!(
         "crash sweep: {} seeds, {} crash points tested, {} durability boundaries seen",
@@ -56,19 +59,22 @@ fn crash_during_recovery_32_seeds() {
     let losers = AtomicUsize::new(0);
     prop::run_cases("crash_during_recovery_sweep", 32, |rng| {
         let seed = rng.next_u64();
-        let cfg = crash::CrashConfig {
+        let workload = crash::Workload {
             ops: 240,
             key_domain: 192,
+        };
+        let cfg = crash::SweepConfig {
             pool_frames: 16,
             max_crash_points: 16,
-            ..crash::CrashConfig::default()
+            ..crash::SweepConfig::default()
         };
-        let report = crash::crash_during_recovery(seed, &cfg);
-        points.fetch_add(report.crash_points_tested, Ordering::Relaxed);
+        let report = crash::crash_during_recovery(seed, &workload, &cfg);
+        let killed = report.sweep.points.len();
+        points.fetch_add(killed, Ordering::Relaxed);
         if report.instant {
-            instant_points.fetch_add(report.crash_points_tested, Ordering::Relaxed);
+            instant_points.fetch_add(killed, Ordering::Relaxed);
         }
-        page_writes.fetch_add(report.page_write_kills, Ordering::Relaxed);
+        page_writes.fetch_add(report.sweep.page_write_crashes, Ordering::Relaxed);
         losers.fetch_add(report.losers, Ordering::Relaxed);
     });
     let (tested, instant, page_writes) = (

@@ -61,13 +61,13 @@ cargo test --offline -q
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
-step "sim acceptance sweep (64 seeds crash-recover-verify, 32 seeds crash-during-recovery, shake)"
-cargo test --offline -q -p pitree-sim --test sim_sweep -- --nocapture
-
-step "pitree-check fixtures (each oracle must reject its seeded violation)"
+step "pitree-check fixtures (teeth first: every oracle must reject its seeded violation before a sweep trusts its green light)"
 cargo run --offline --release -q -p pitree-check -- --fixtures
 
-step "pitree-check sweep (differential + linearizability + durability, 8 seeds)"
+step "sim acceptance sweep (the same crash oracle: 64 seeds crash-recover-verify, 32 seeds crash-during-recovery; plus the shake)"
+cargo test --offline -q -p pitree-sim --test sim_sweep -- --nocapture
+
+step "pitree-check sweep (differential + linearizability + durability via the crash oracle, 8 seeds)"
 cargo run --offline --release -q -p pitree-check -- --sweep 8
 
 step "rustdoc gate (zero warnings, broken intra-doc links are errors)"
