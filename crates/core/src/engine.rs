@@ -174,6 +174,26 @@ pub fn set_header(
     Ok(())
 }
 
+/// Where a full node splits (§3.2.1 step 2 only asks for *a* partition of
+/// the directly-contained space): the slot of the first entry delegated to
+/// the new sibling, given the key of the entry waiting for room. When that
+/// entry continues an ascending run — it lands, in the upper half, directly
+/// after the node's two latest inserts — the split is where it lands: the
+/// run's node stays full, only what sorts after the run moves (the last
+/// entry when nothing does, so the sibling is never empty), and the run goes
+/// on in a node with room. Any other position splits in the middle, which
+/// keeps both halves at least half full.
+pub fn split_slot(page: &Page, pending_key: &[u8]) -> u16 {
+    let n = page.entry_count();
+    let mid = 1 + n / 2;
+    let (Ok(lands) | Err(lands)) = page.keyed_probe(pending_key);
+    if lands > mid && page.ends_ascending_run(lands - 1) {
+        lands.min(n)
+    } else {
+        mid
+    }
+}
+
 /// Move the keyed entries in `slots` of `from` into `to`: inserts first,
 /// then removes, each individually logged (§3.2.1 steps 3/4).
 pub fn move_entries(
@@ -184,14 +204,13 @@ pub fn move_entries(
     to_g: &mut XGuard<'_, Page>,
     slots: std::ops::RangeInclusive<u16>,
 ) -> StoreResult<()> {
-    let moved: Vec<Vec<u8>> = slots
-        .map(|s| from_g.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &moved {
-        chain.apply(to, to_g, PageOp::KeyedInsert { bytes: e.clone() })?;
+    let mut keys = Vec::with_capacity(slots.size_hint().0);
+    for slot in slots {
+        let bytes = from_g.get(slot)?.to_vec();
+        keys.push(Page::entry_key(&bytes).to_vec());
+        chain.apply(to, to_g, PageOp::KeyedInsert { bytes })?;
     }
-    for e in &moved {
-        let key = Page::entry_key(e).to_vec();
+    for key in keys {
         chain.apply(from, from_g, PageOp::KeyedRemove { key })?;
     }
     Ok(())

@@ -258,7 +258,7 @@ pub fn post_index_term(
         // was the root, which grows instead.
         let cur_level = NodeHeader::read(&cur_guard)?.level;
         TreeStats::bump(&stats.upper_exclusive); // the split's new node
-        match split_node(tree, &mut act, &cur_pin, &mut cur_guard)? {
+        match split_node(tree, &mut act, &cur_pin, &mut cur_guard, key)? {
             SplitCandidates::Normal {
                 new_pin,
                 new_guard,

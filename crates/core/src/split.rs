@@ -17,7 +17,7 @@
 
 use crate::bound::KeyBound;
 use crate::completion::Completion;
-use crate::engine::{lock_err, move_entries, new_node, set_header};
+use crate::engine::{lock_err, move_entries, new_node, set_header, split_slot};
 use crate::node::{IndexTerm, NodeHeader};
 use crate::stats::TreeStats;
 use crate::traverse::DescentTarget;
@@ -58,14 +58,16 @@ pub(crate) enum SplitCandidates<'a> {
     },
 }
 
-/// The raw §3.2.1 split of a non-root node: partition at the middle entry,
-/// move the upper half to a freshly allocated sibling, install the sibling
-/// term. Returns the new node (X-latched) and the partition key.
+/// The raw §3.2.1 split of a non-root node: partition at [`split_slot`]'s
+/// choice for the entry keyed `pending_key`, move the delegated entries to a
+/// freshly allocated sibling, install the sibling term. Returns the new node
+/// (X-latched) and the partition key.
 fn raw_split<'a>(
     tree: &'a PiTree,
     chain: &mut Txn<'_>,
     page: &PinnedPage<'a>,
     g: &mut XGuard<'a, Page>,
+    pending_key: &[u8],
 ) -> StoreResult<(PinnedPage<'a>, XGuard<'a, Page>, Vec<u8>, PageId)> {
     let hdr = NodeHeader::read(g)?;
     let n = g.entry_count();
@@ -75,9 +77,9 @@ fn raw_split<'a>(
             page.id()
         )));
     }
-    // Step 2: partition the directly-contained subspace at the middle entry.
-    let mid_slot = 1 + n / 2;
-    let split_key = Page::entry_key(g.get(mid_slot)?).to_vec();
+    // Step 2: partition the directly-contained subspace.
+    let first_moved = split_slot(g, pending_key);
+    let split_key = g.entry_key_at(first_moved).to_vec();
 
     // Step 1: allocate space for the new node; it inherits the old sibling
     // term (§3.2.1 step 3).
@@ -91,7 +93,7 @@ fn raw_split<'a>(
     let new_pid = new_pin.id();
 
     // Steps 3/4: move the delegated entries (records or index terms alike).
-    move_entries(chain, page, g, &new_pin, &mut ng, mid_slot..=n)?;
+    move_entries(chain, page, g, &new_pin, &mut ng, first_moved..=n)?;
 
     // Step 5: the sibling term — side pointer plus delegation boundary.
     let old_hdr = NodeHeader {
@@ -107,7 +109,8 @@ fn raw_split<'a>(
     Ok((new_pin, ng, split_key, new_pid))
 }
 
-/// Split `page` within `chain`. Handles the root case by growing the tree
+/// Split `page` within `chain` to make room for the entry keyed
+/// `pending_key`. Handles the root case by growing the tree
 /// ("the root does not move", §5.2.2): root contents move to a new node n1,
 /// n1 is split into n1/n2, and both index terms are posted to the root in
 /// the same atomic action (§5.3).
@@ -116,9 +119,11 @@ pub(crate) fn split_node<'a>(
     chain: &mut Txn<'_>,
     page: &PinnedPage<'a>,
     g: &mut XGuard<'a, Page>,
+    pending_key: &[u8],
 ) -> StoreResult<SplitCandidates<'a>> {
     if page.id() != tree.root_pid() {
-        let (new_pin, new_guard, split_key, new_pid) = raw_split(tree, chain, page, g)?;
+        let (new_pin, new_guard, split_key, new_pid) =
+            raw_split(tree, chain, page, g, pending_key)?;
         return Ok(SplitCandidates::Normal {
             new_pin,
             new_guard,
@@ -150,7 +155,7 @@ pub(crate) fn split_node<'a>(
     chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
 
     // n1 is as full as the root was: split it now and post the pair.
-    let (n2_pin, n2g, split_key, n2_pid) = raw_split(tree, chain, &n1_pin, &mut n1g)?;
+    let (n2_pin, n2g, split_key, n2_pid) = raw_split(tree, chain, &n1_pin, &mut n1g, pending_key)?;
     let bytes = IndexTerm::entry_for(&split_key, n2_pid);
     chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
     TreeStats::bump(&tree.stats().root_grows);
@@ -163,13 +168,14 @@ pub(crate) fn split_node<'a>(
     })
 }
 
-/// Split the leaf a blocked insert needs room in, under the policy matrix of
-/// §4.2.1 (see the module docs). Consumes the descent; the caller re-descends
-/// afterwards.
+/// Split the leaf the blocked insert of `key` needs room in, under the
+/// policy matrix of §4.2.1 (see the module docs). Consumes the descent; the
+/// caller re-descends afterwards.
 pub(crate) fn split_leaf_for_insert<'t>(
     tree: &'t PiTree,
     txn: &mut Txn<'_>,
     d: DescentTarget<'t>,
+    key: &[u8],
 ) -> StoreResult<()> {
     use crate::config::UndoPolicy;
     let leaf_pid = d.page.id();
@@ -229,7 +235,7 @@ pub(crate) fn split_leaf_for_insert<'t>(
     }
 
     if !in_txn {
-        let r = independent_split(tree, d);
+        let r = independent_split(tree, d, key);
         if took_move {
             txn.unlock(&page_name); // action-duration move lock
         }
@@ -239,7 +245,7 @@ pub(crate) fn split_leaf_for_insert<'t>(
     let mut g = d.guard.promote().into_x();
     {
         // ---- split inside the transaction (§4.2.1 second case) --------------
-        let cands = split_node(tree, txn, &d.page, &mut g)?;
+        let cands = split_node(tree, txn, &d.page, &mut g, key)?;
         TreeStats::bump(&tree.stats().splits_in_txn);
         // Move-lock every page that received moved (uncommitted) records,
         // held to end of transaction: undo of the move must stay possible,
@@ -284,15 +290,20 @@ pub(crate) fn split_leaf_for_insert<'t>(
     }
 }
 
-/// Split the node in `d` as an independent atomic action: the common case
-/// for every index node, for logical UNDO, and for §4.2.1's "independent of
-/// and before T" leaf splits. Consumes the descent.
-pub(crate) fn independent_split(tree: &PiTree, d: DescentTarget<'_>) -> StoreResult<()> {
+/// Split the node in `d`, to make room for the entry keyed `pending_key`, as
+/// an independent atomic action: the common case for every index node, for
+/// logical UNDO, and for §4.2.1's "independent of and before T" leaf splits.
+/// Consumes the descent.
+pub(crate) fn independent_split(
+    tree: &PiTree,
+    d: DescentTarget<'_>,
+    pending_key: &[u8],
+) -> StoreResult<()> {
     let level = d.level;
     let path = d.path.clone();
     let mut g = d.guard.promote().into_x();
     let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    let cands = match split_node(tree, &mut act, &d.page, &mut g) {
+    let cands = match split_node(tree, &mut act, &d.page, &mut g, pending_key) {
         Ok(c) => c,
         Err(e) => {
             act.abort(None)?;

@@ -325,7 +325,7 @@ impl PiTree {
             // lock (§4.2.1: the split happens "independent of and before T").
             let exists = d.guard.page().keyed_probe(key).is_ok();
             if !exists && node_full(d.guard.page(), entry.len(), self.config().max_leaf_entries) {
-                crate::split::split_leaf_for_insert(self, txn, d)?;
+                crate::split::split_leaf_for_insert(self, txn, d, key)?;
                 continue;
             }
             let locks = [(&page_name, LockMode::IX), (&key_name, LockMode::X)];

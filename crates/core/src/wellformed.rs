@@ -21,14 +21,80 @@
 use crate::bound::KeyBound;
 use crate::node::{IndexTerm, NodeHeader};
 use crate::tree::PiTree;
-use pitree_pagestore::page::{Page, PageType};
-use pitree_pagestore::{PageId, StoreResult};
+use pitree_pagestore::page::{Page, PageType, HEADER_SIZE};
+use pitree_pagestore::{PageId, StoreResult, PAGE_SIZE};
+
+/// How full one level of a tree is, as its pages say — not as the file size
+/// suggests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelFill {
+    /// The level (0 for data nodes).
+    pub level: u8,
+    /// Nodes on the level's side chain.
+    pub nodes: usize,
+    /// Their [`Page::used_space`], summed.
+    pub used_bytes: usize,
+    /// `(used bytes, keyed entries)` of the emptiest node other than the
+    /// chain's last, which is still filling; `None` for a one-node level.
+    pub emptiest: Option<(usize, usize)>,
+}
+
+impl LevelFill {
+    /// An empty tally for `level`.
+    pub fn new(level: u8) -> LevelFill {
+        LevelFill {
+            level,
+            nodes: 0,
+            used_bytes: 0,
+            emptiest: None,
+        }
+    }
+
+    /// Count `page`; `last` says it ends the level's chain.
+    pub fn add(&mut self, page: &Page, last: bool) {
+        let used = page.used_space();
+        self.nodes += 1;
+        self.used_bytes += used;
+        if !last && self.emptiest.is_none_or(|(u, _)| used < u) {
+            self.emptiest = Some((used, page.entry_count() as usize));
+        }
+    }
+
+    /// Mean fraction of the level's page capacity in use.
+    pub fn fill(&self) -> f64 {
+        self.used_bytes as f64 / (self.nodes.max(1) * (PAGE_SIZE - HEADER_SIZE)) as f64
+    }
+
+    /// Fraction of its page the [`LevelFill::emptiest`] node uses.
+    pub fn emptiest_fill(&self) -> Option<f64> {
+        let (used, _) = self.emptiest?;
+        Some(used as f64 / (PAGE_SIZE - HEADER_SIZE) as f64)
+    }
+}
+
+impl std::fmt::Display for LevelFill {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "L{} {} nodes {:.1}% full",
+            self.level,
+            self.nodes,
+            100.0 * self.fill()
+        )
+    }
+}
+
+/// The per-level fill of a tree on one line, root level first.
+pub fn fill_line(levels: &[LevelFill]) -> String {
+    let parts: Vec<String> = levels.iter().map(LevelFill::to_string).collect();
+    parts.join(", ")
+}
 
 /// The checker's findings.
 #[derive(Debug, Default)]
 pub struct WellFormedReport {
-    /// Number of nodes per level, root level first.
-    pub nodes_per_level: Vec<(u8, usize)>,
+    /// Node count and fill per level, root level first.
+    pub levels: Vec<LevelFill>,
     /// Total data records found on the leaf chain.
     pub records: usize,
     /// Nodes whose index term has not been posted yet (reachable only via a
@@ -75,7 +141,7 @@ pub fn check(tree: &PiTree) -> StoreResult<WellFormedReport> {
     let mut level = root_hdr.level;
     let node_budget = tree.store().space.allocated_count(pool)? as usize + 8;
     loop {
-        let mut count = 0usize;
+        let mut fill = LevelFill::new(level);
         let mut posted: Vec<(Vec<u8>, PageId)> = Vec::new(); // index terms of this level's parent
         if level < root_hdr.level {
             // Collect the parent level's index terms (posted children).
@@ -116,13 +182,13 @@ pub fn check(tree: &PiTree) -> StoreResult<WellFormedReport> {
                 ));
             }
             // Invariant 1/2: bounds form a contiguous partition of the space.
-            if hdr.low.cmp_bound(&prev_high) != std::cmp::Ordering::Equal && count > 0 {
+            if hdr.low.cmp_bound(&prev_high) != std::cmp::Ordering::Equal && fill.nodes > 0 {
                 violations.push(format!(
                     "node {cur}: low {} != previous node's high {}",
                     hdr.low, prev_high
                 ));
             }
-            if count == 0 && hdr.low != KeyBound::NegInf {
+            if fill.nodes == 0 && hdr.low != KeyBound::NegInf {
                 violations.push(format!(
                     "first node {cur} of level {level} has low {}",
                     hdr.low
@@ -195,13 +261,13 @@ pub fn check(tree: &PiTree) -> StoreResult<WellFormedReport> {
                             hdr.low
                         ));
                     }
-                    if count == 0 {
+                    if fill.nodes == 0 {
                         leftmost_child = IndexTerm::read(&g, 1)?.child;
                     }
                 }
             }
 
-            count += 1;
+            fill.add(&g, !hdr.side.is_valid());
             // Intermediate-state accounting: a non-first node is unposted if
             // the parent level lacks a term for it.
             if level < root_hdr.level && hdr.low != KeyBound::NegInf {
@@ -222,7 +288,7 @@ pub fn check(tree: &PiTree) -> StoreResult<WellFormedReport> {
             }
             cur = hdr.side;
         }
-        report.nodes_per_level.push((level, count));
+        report.levels.push(fill);
 
         if level == 0 {
             break;

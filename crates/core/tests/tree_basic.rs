@@ -178,12 +178,7 @@ fn consolidation_shrinks_node_count() {
     let (_cs, tree) = tree_with(cfg);
     insert_all(&tree, 0..300);
     let before = tree.validate().unwrap();
-    let leaves_before = before
-        .nodes_per_level
-        .iter()
-        .find(|(l, _)| *l == 0)
-        .unwrap()
-        .1;
+    let leaves_before = before.levels.last().unwrap().nodes;
     // Delete most keys; consolidations are scheduled and auto-run.
     for i in 0..300 {
         if i % 10 != 0 {
@@ -199,12 +194,7 @@ fn consolidation_shrinks_node_count() {
     let after = tree.validate().unwrap();
     assert!(after.is_well_formed(), "{:?}", after.violations);
     assert_eq!(after.records, 30);
-    let leaves_after = after
-        .nodes_per_level
-        .iter()
-        .find(|(l, _)| *l == 0)
-        .unwrap()
-        .1;
+    let leaves_after = after.levels.last().unwrap().nodes;
     assert!(
         leaves_after < leaves_before / 2,
         "consolidation must reclaim nodes: {leaves_before} -> {leaves_after}"

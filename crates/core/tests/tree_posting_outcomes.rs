@@ -77,10 +77,7 @@ fn posting_for_consolidated_node_terminates_node_gone() {
     // Record a real (node, low key) pair from the current structure by
     // probing leaf boundaries through the validator.
     let before = tree.validate().unwrap();
-    assert!(before
-        .nodes_per_level
-        .iter()
-        .any(|(l, n)| *l == 0 && *n > 2));
+    assert!(before.levels.last().unwrap().nodes > 2);
 
     // Delete most records so consolidations absorb leaves.
     for i in 0..30 {

@@ -14,11 +14,9 @@ use std::sync::Arc;
 fn leaves(tree: &PiTree) -> usize {
     tree.validate()
         .unwrap()
-        .nodes_per_level
-        .iter()
-        .find(|(l, _)| *l == 0)
-        .map(|(_, n)| *n)
-        .unwrap_or(0)
+        .levels
+        .last()
+        .map_or(0, |leaf| leaf.nodes)
 }
 
 fn main() {

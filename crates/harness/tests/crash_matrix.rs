@@ -54,6 +54,11 @@ struct Row {
     /// The `TreeStats` counter the trigger must advance — proof, from the
     /// probe run, that the SMO really happened inside the window.
     smo: &'static str,
+    /// For the split rows: entries in the emptiest leaf the trigger left
+    /// behind (the chain's last excluded) — proof that the split was the
+    /// append split (`engine::split_slot`), which moves one entry and leaves
+    /// `cap - 1`, not the middle split, which leaves `cap / 2`.
+    left_behind: Option<usize>,
 }
 
 fn stat(tree: &PiTree, name: &str) -> u64 {
@@ -75,6 +80,8 @@ fn rows() -> Vec<Row> {
 
     vec![
         Row {
+            // The full leaf is the root, so this is a `Grew`: contents move
+            // to n1, and n1's inner split is an append split.
             name: "leaf-split",
             cfg: manual,
             setup: |tree, model| (0..4).try_for_each(|k| insert(tree, model, k)),
@@ -83,6 +90,35 @@ fn rows() -> Vec<Row> {
                 tree.store().pool.flush_all()
             },
             smo: "splits",
+            left_behind: Some(3),
+        },
+        Row {
+            // A `Normal` split of the rightmost leaf [3,4,5,6]: key 6 alone
+            // moves to the new sibling, which then receives key 7.
+            name: "append-split",
+            cfg: manual,
+            setup: |tree, model| (0..7).try_for_each(|k| insert(tree, model, k)),
+            trigger: |tree, model| {
+                insert(tree, model, 7)?;
+                tree.store().pool.flush_all()
+            },
+            smo: "splits_independent",
+            left_behind: Some(3),
+        },
+        Row {
+            // The same split under page-oriented UNDO by a transaction that
+            // already updated the leaf: it runs inside the transaction under
+            // a move lock, and its posting waits for the commit (§4.2.2).
+            name: "append-split-in-txn",
+            cfg: manual.page_oriented(),
+            setup: |tree, model| (0..6).try_for_each(|k| insert(tree, model, k)),
+            trigger: |tree, model| {
+                crash::insert_batch(tree, model, &[(6, val(6)), (7, val(7))])?;
+                tree.run_completions()?; // the posting the commit released
+                tree.store().pool.flush_all()
+            },
+            smo: "splits_in_txn",
+            left_behind: Some(3),
         },
         Row {
             name: "post-index-term",
@@ -96,6 +132,7 @@ fn rows() -> Vec<Row> {
                 tree.store().pool.flush_all()
             },
             smo: "postings_done",
+            left_behind: None,
         },
         Row {
             name: "consolidate",
@@ -115,6 +152,7 @@ fn rows() -> Vec<Row> {
                 tree.store().pool.flush_all()
             },
             smo: "consolidations",
+            left_behind: None,
         },
     ]
 }
@@ -149,6 +187,16 @@ fn sweep_row(row: &Row) -> SweepReport {
             row.name,
             row.smo
         );
+        if let Some(entries) = row.left_behind {
+            let report = tree.validate()?;
+            let leaves = report.levels.last().expect("a leaf level");
+            assert_eq!(
+                leaves.emptiest.map(|(_, n)| n),
+                Some(entries),
+                "{}: {leaves:?}",
+                row.name
+            );
+        }
         Ok(())
     };
     let report = crash::sweep_workload(0, &cfg, Drain::Synchronous, &row.setup, &trigger)

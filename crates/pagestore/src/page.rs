@@ -198,14 +198,25 @@ impl Page {
         self.heap_top() - self.slots_end()
     }
 
-    /// Bytes occupied by live records plus their slot entries. A cheap
-    /// utilization measure used by the consolidation trigger (§3.3).
+    /// Bytes occupied by live records plus their slot entries: a header
+    /// read, the complement of [`Page::free_space`]. The utilization measure
+    /// of the consolidation trigger (§3.3), evaluated under the X latch on
+    /// every delete.
     pub fn used_space(&self) -> usize {
-        let mut used = 0;
-        for i in 0..self.slot_count() {
-            used += 4 + self.slot(i).1 as usize;
+        PAGE_SIZE - HEADER_SIZE - self.free_space()
+    }
+
+    /// Whether the records in slots `idx - 1` and `idx` were the last two
+    /// carved from the heap, in that order: the page's latest inserts ran
+    /// upward through `idx`. (A compaction lays the heap out in slot order,
+    /// and removing the newest record exposes the one before it, so this is
+    /// a hint about insert order, not a log of it.)
+    pub fn ends_ascending_run(&self, idx: u16) -> bool {
+        if idx == 0 || idx >= self.slot_count() {
+            return false;
         }
-        used
+        let (off, len) = self.slot(idx);
+        off as usize == self.heap_top() && self.slot(idx - 1).0 == off + len
     }
 
     // ---- slot operations ---------------------------------------------------
@@ -661,6 +672,59 @@ mod tests {
         for i in 0..5 {
             assert_eq!(p.get(i).unwrap(), &[(i + 5) as u8; 50]);
         }
+    }
+
+    #[test]
+    fn used_space_header_read_equals_slot_walk() {
+        fn walk(p: &Page) -> usize {
+            (0..p.slot_count()).map(|i| 4 + p.slot(i).1 as usize).sum()
+        }
+        let mut p = Page::new(PageType::Node);
+        assert_eq!(p.used_space(), 0);
+        // A fixed pseudo-random mix of inserts, removes (frontier and
+        // interior, so fragments build up), same-size and resizing updates,
+        // and explicit compactions.
+        let mut x = 0x9e37_79b9_u32;
+        for step in 0..4000 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let n = p.slot_count();
+            let len = 1 + (x >> 8) as usize % 90;
+            let idx = if n == 0 { 0 } else { (x >> 20) as u16 % n };
+            match x % 7 {
+                0..=2 if len + 4 <= p.free_space() => {
+                    p.insert(idx, &vec![step as u8; len]).unwrap()
+                }
+                3 | 4 if n > 0 => drop(p.remove(idx).unwrap()),
+                5 if n > 0 && len <= p.free_space() => {
+                    drop(p.update(idx, &vec![!(step as u8); len]).unwrap())
+                }
+                6 if step % 5 == 0 => p.compact(),
+                _ => {}
+            }
+            assert_eq!(p.used_space(), walk(&p), "step {step}");
+        }
+        assert!(p.slot_count() > 0);
+    }
+
+    #[test]
+    fn ends_ascending_run_reads_insert_order_off_the_heap() {
+        let mut p = Page::new(PageType::Node);
+        p.insert(0, b"header").unwrap();
+        for k in [b"b", b"d", b"f"] {
+            p.keyed_insert(&Page::make_entry(k, b"v")).unwrap();
+        }
+        // b, d, f arrived in order: the run ends at f (slot 3) only.
+        assert!(p.ends_ascending_run(3));
+        assert!(!p.ends_ascending_run(2) && !p.ends_ascending_run(0));
+        assert!(!p.ends_ascending_run(4), "past the last slot");
+        // c lands between b and d: it is the newest record, but the one
+        // before it in key order (b) is not the one before it in time (f).
+        p.keyed_insert(&Page::make_entry(b"c", b"v")).unwrap();
+        assert!(!p.ends_ascending_run(2) && !p.ends_ascending_run(4));
+        // A compaction lays the heap out in slot order: the hint then names
+        // the last slot, whatever order the records arrived in.
+        p.compact();
+        assert!(p.ends_ascending_run(4));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! matrix — is a call into the four pieces of this module:
 //!
 //! 1. **One vocabulary** ([`Op`]) and **one committed-model runner**
-//!    ([`insert`], [`delete`], [`run_script`]): each write is its
-//!    own forced-commit transaction, and the [`Model`] is updated only when
-//!    the commit *returns Ok*. Because every commit forces the log and
+//!    ([`insert`], [`insert_batch`], [`delete`], [`run_script`]): each write
+//!    (or batch) is its own forced-commit transaction, and the [`Model`] is
+//!    updated only when the commit *returns Ok*. Because every commit forces the log and
 //!    `MemLogStore::append` is all-or-nothing, a commit returns `Ok` iff its
 //!    commit record is durable — so the model at a crash is exactly the
 //!    committed data. After every commit the ack watermark is checked (an
@@ -230,8 +230,19 @@ fn committed<T>(
 
 /// Forced-commit upsert; the model records it only when the commit returns.
 pub fn insert(tree: &PiTree, model: &mut Model, k: u64, value: &[u8]) -> StoreResult<()> {
-    committed(tree, |t| tree.insert(t, &key_bytes(k), value))?;
-    model.insert(k, value.to_vec());
+    insert_batch(tree, model, &[(k, value.to_vec())])
+}
+
+/// Forced-commit upsert of several keys in *one* transaction — the way to
+/// reach what only a transaction that already updated a leaf can do to it
+/// (§4.2.1's in-transaction split). The model records the batch only when
+/// the commit returns.
+pub fn insert_batch(tree: &PiTree, model: &mut Model, kvs: &[(u64, Vec<u8>)]) -> StoreResult<()> {
+    committed(tree, |t| {
+        kvs.iter()
+            .try_for_each(|(k, v)| tree.insert(t, &key_bytes(*k), v).map(drop))
+    })?;
+    model.extend(kvs.iter().cloned());
     Ok(())
 }
 

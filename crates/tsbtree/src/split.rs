@@ -17,7 +17,7 @@ use crate::node::{split_version_key, version_key, Time, TsbHeader, TsbKind};
 use crate::tree::TsbEngine;
 use pitree::bound::KeyBound;
 use pitree::completion::Completion;
-use pitree::engine::{move_entries, new_node, set_header};
+use pitree::engine::{move_entries, new_node, set_header, split_slot};
 use pitree::node::{node_full, IndexTerm};
 use pitree::stats::TreeStats;
 use pitree::traverse::{DescentTarget, SavedPath};
@@ -42,9 +42,14 @@ fn distinct_keys(g: &Page) -> usize {
 }
 
 /// Split a full *current data node*, choosing between a time split and a key
-/// split (TSB heuristic: mostly-historical content → time split). One
-/// independent atomic action; the caller retries its insert afterwards.
-pub(crate) fn split_data_node(tree: &TsbEngine, d: DescentTarget<'_>) -> StoreResult<()> {
+/// split (TSB heuristic: mostly-historical content → time split), to make
+/// room for the version keyed `pending_vkey`. One independent atomic action;
+/// the caller retries its insert afterwards.
+pub(crate) fn split_data_node(
+    tree: &TsbEngine,
+    d: DescentTarget<'_>,
+    pending_vkey: &[u8],
+) -> StoreResult<()> {
     let hdr = TsbHeader::read(d.guard.page())?;
     debug_assert_eq!(hdr.kind, TsbKind::Current);
     let mut g = d.guard.promote().into_x();
@@ -61,10 +66,17 @@ pub(crate) fn split_data_node(tree: &TsbEngine, d: DescentTarget<'_>) -> StoreRe
         None
     } else if d.page.id() == tree.root_pid() {
         // Root growth posts both index terms inline.
-        grow_root(tree, &mut act, &d.page, &mut g)?;
+        grow_root(tree, &mut act, &d.page, &mut g, pending_vkey)?;
         None
     } else {
-        Some(key_split(tree, &mut act, &d.page, &mut g, &hdr)?)
+        Some(key_split(
+            tree,
+            &mut act,
+            &d.page,
+            &mut g,
+            &hdr,
+            pending_vkey,
+        )?)
     };
     drop(g);
     drop(d.page);
@@ -129,20 +141,23 @@ fn time_split(
     Ok(())
 }
 
-/// Key split of a non-root data node at a user-key boundary near the
-/// middle. Returns the split key and new node for index posting.
+/// Key split of a non-root data node at the user-key boundary at or before
+/// [`split_slot`]'s choice for the pending version. Returns the split key
+/// and new node for index posting.
 fn key_split(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
+    pending_vkey: &[u8],
 ) -> StoreResult<(Vec<u8>, PageId)> {
     let n = g.entry_count();
-    // Find the start of the middle entry's key group; when the middle entry
+    // Find the start of the chosen entry's key group; when that entry
     // belongs to the first key group (one key dominating the node), fall
     // forward to the next group so both halves stay non-empty.
-    let mut mid_key = split_version_key(g.entry_key_at(1 + n / 2)).0.to_vec();
+    let chosen = split_slot(g, pending_vkey);
+    let mut mid_key = split_version_key(g.entry_key_at(chosen)).0.to_vec();
     let mut first_slot = match g.keyed_find(&version_key(&mid_key, 0))? {
         Ok(s) | Err(s) => s,
     };
@@ -159,15 +174,17 @@ fn key_split(
     Ok((mid_key, new_pid))
 }
 
-/// Split a full *index node* at its middle term (plain B-link key split).
+/// Split a full *index node* to make room for the term keyed `pending_key`
+/// (plain B-link key split).
 fn index_split(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
+    pending_key: &[u8],
 ) -> StoreResult<(Vec<u8>, PageId)> {
     let hdr = TsbHeader::read(g)?;
-    let mid = 1 + g.entry_count() / 2;
+    let mid = split_slot(g, pending_key);
     let split_key = g.entry_key_at(mid).to_vec();
     let new_pid = split_off(tree, act, page, g, &hdr, mid, split_key.clone())?;
     Ok((split_key, new_pid))
@@ -205,13 +222,15 @@ fn split_off(
 }
 
 /// Grow the tree at the fixed root: contents move to n1, n1 splits into
-/// n1/n2 (by key — for a data root, at a user-key boundary), and both index
-/// terms are posted to the root inline.
+/// n1/n2 (by key — for a data root, at a user-key boundary) to make room
+/// for the entry keyed `pending_key`, and both index terms are posted to the
+/// root inline.
 fn grow_root(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
+    pending_key: &[u8],
 ) -> StoreResult<()> {
     let hdr = TsbHeader::read(g)?;
     let (n1_pin, mut n1g) = new_node(tree.store(), act, hdr.encode())?;
@@ -230,11 +249,11 @@ fn grow_root(
     // group cannot key-split: it time-splits instead, and the root keeps a
     // single child, which is fine.
     let (split_key, n2_pid) = if hdr.kind != TsbKind::Current {
-        index_split(tree, act, &n1_pin, &mut n1g)?
+        index_split(tree, act, &n1_pin, &mut n1g, pending_key)?
     } else if distinct_keys(&n1g) < 2 {
         return time_split(tree, act, &n1_pin, &mut n1g, &hdr);
     } else {
-        key_split(tree, act, &n1_pin, &mut n1g, &hdr)?
+        key_split(tree, act, &n1_pin, &mut n1g, &hdr, pending_key)?
     };
     let bytes = IndexTerm::entry_for(&split_key, n2_pid);
     act.apply(page, g, PageOp::KeyedInsert { bytes })?;
@@ -264,7 +283,7 @@ pub(crate) fn post_index_term(
     let term = IndexTerm::entry_for(key, node);
     while node_full(&cur_guard, term.len(), tree.config().max_index_entries) {
         if cur_pin.id() == tree.root_pid() {
-            grow_root(tree, &mut act, &cur_pin, &mut cur_guard)?;
+            grow_root(tree, &mut act, &cur_pin, &mut cur_guard, key)?;
             // Re-descend within the grown root: route to the child covering
             // `key` and continue the space test there.
             let slot = cur_guard.keyed_floor(key)?.ok_or_else(|| {
@@ -279,7 +298,7 @@ pub(crate) fn post_index_term(
             continue;
         }
         let cur_level = TsbHeader::read(&cur_guard)?.level;
-        let (split_key, new_pid) = index_split(tree, &mut act, &cur_pin, &mut cur_guard)?;
+        let (split_key, new_pid) = index_split(tree, &mut act, &cur_pin, &mut cur_guard, key)?;
         tree.schedule(Completion::Post {
             level: cur_level + 1,
             key: split_key.clone(),

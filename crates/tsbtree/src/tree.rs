@@ -398,7 +398,7 @@ impl TsbTree {
             let t = self.structure().clock.fetch_add(1, Ordering::SeqCst) + 1;
             let entry = version_entry(key, t, value);
             if node_full(d.guard.page(), entry.len(), self.config().max_leaf_entries) {
-                crate::split::split_data_node(self, d)?;
+                crate::split::split_data_node(self, d, Page::entry_key(&entry))?;
                 continue;
             }
             let mut g = d.guard.promote().into_x();

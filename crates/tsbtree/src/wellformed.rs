@@ -16,6 +16,7 @@ use crate::node::{split_version_key, Time, TsbHeader, TsbKind};
 use crate::tree::TsbTree;
 use pitree::bound::KeyBound;
 use pitree::node::IndexTerm;
+use pitree::wellformed::LevelFill;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, StoreResult};
 use std::collections::HashSet;
@@ -27,8 +28,9 @@ pub struct TsbReport {
     pub current_nodes: usize,
     /// History nodes reachable from current nodes.
     pub history_nodes: usize,
-    /// Index nodes per level (level, count), root first.
-    pub index_nodes: Vec<(u8, usize)>,
+    /// Node count and fill per level of the key dimension, root first:
+    /// the index levels, then the current data chain as level 0.
+    pub levels: Vec<LevelFill>,
     /// Total version entries across all reachable data nodes (with
     /// alive-at-split duplicates counted once per node).
     pub versions: usize,
@@ -77,7 +79,7 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
             cur = IndexTerm::read(&g, 1)?.child;
         }
         first_of_level = cur;
-        let mut count = 0;
+        let mut fill = LevelFill::new(level);
         let mut prev_high = KeyBound::NegInf;
         posted.clear();
         loop {
@@ -87,10 +89,10 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
             if hdr.kind != TsbKind::Index {
                 v.push(format!("node {cur} at level {level} is not an index node"));
             }
-            if count == 0 && hdr.key_low != KeyBound::NegInf {
+            if fill.nodes == 0 && hdr.key_low != KeyBound::NegInf {
                 v.push(format!("first index node {cur} low is {}", hdr.key_low));
             }
-            if count > 0 && hdr.key_low.cmp_bound(&prev_high) != std::cmp::Ordering::Equal {
+            if fill.nodes > 0 && hdr.key_low.cmp_bound(&prev_high) != std::cmp::Ordering::Equal {
                 v.push(format!("index chain gap at {cur}"));
             }
             for slot in 1..g.slot_count() {
@@ -106,6 +108,7 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
                     v.push(format!("index node {cur}: child low above term key"));
                 }
             }
+            fill.add(&g, !hdr.key_side.is_valid());
             prev_high = hdr.key_high.clone();
             if !hdr.key_side.is_valid() {
                 if hdr.key_high != KeyBound::PosInf {
@@ -117,25 +120,19 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
                 break;
             }
             cur = hdr.key_side;
-            count += 1;
         }
-        r.index_nodes.push((level, count + 1));
-        if level > 1 {
-            // Descend for the next level's first node.
-            let pin = pool.fetch(first_of_level)?;
-            let g = pin.s();
-            first_of_level = IndexTerm::read(&g, 1)?.child;
-        } else {
-            let pin = pool.fetch(first_of_level)?;
-            let g = pin.s();
-            first_of_level = IndexTerm::read(&g, 1)?.child;
-        }
+        r.levels.push(fill);
+        // Descend for the next level's first node.
+        let pin = pool.fetch(first_of_level)?;
+        let g = pin.s();
+        first_of_level = IndexTerm::read(&g, 1)?.child;
     }
 
     // Walk the current data chain.
     let mut cur = first_of_level;
     let mut prev_high = KeyBound::NegInf;
     let mut seen_hist: HashSet<PageId> = HashSet::new();
+    let mut fill = LevelFill::new(0);
     loop {
         let pin = pool.fetch(cur)?;
         let g = pin.s();
@@ -195,6 +192,7 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
             hist = hh.hist_side;
         }
         r.current_nodes += 1;
+        fill.add(&g, !hdr.key_side.is_valid());
         prev_high = hdr.key_high.clone();
         if !hdr.key_side.is_valid() {
             if hdr.key_high != KeyBound::PosInf {
@@ -208,6 +206,7 @@ pub fn check(tree: &TsbTree) -> StoreResult<TsbReport> {
         cur = hdr.key_side;
     }
 
+    r.levels.push(fill);
     r.violations = v;
     Ok(r)
 }

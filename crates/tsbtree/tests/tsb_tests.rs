@@ -1,6 +1,7 @@
 //! TSB-tree functional, structural (Figure 1), and recovery tests.
 
 use pitree::store::CrashableStore;
+use pitree::wellformed::{fill_line, LevelFill};
 use pitree_tsb::{TsbConfig, TsbHeader, TsbKind, TsbTree};
 use std::sync::Arc;
 
@@ -344,4 +345,51 @@ fn unposted_key_splits_complete_lazily() {
     let report2 = tree.validate().unwrap();
     assert!(report2.is_well_formed(), "{:?}", report2.violations);
     assert!(report2.unposted_nodes <= report.unposted_nodes);
+}
+
+#[test]
+fn sequential_puts_leave_full_nodes() {
+    // The TSB twin of `pitree`'s `fill.rs`: a stream of new ascending keys
+    // key-splits where it lands (`engine::split_slot`), at a key-group
+    // boundary, so every node left behind is full and nothing time-splits.
+    let (_cs, tree) = setup(TsbConfig::default());
+    for k in 0..20_000u64 {
+        put(&tree, &key(k), b"0123456789abcdef");
+    }
+    tree.run_completions().unwrap();
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.history_nodes, 0);
+    assert!(report.levels.len() >= 2);
+    let left_full = |l: &LevelFill| l.emptiest_fill() >= Some(0.95);
+    assert!(
+        report.levels.iter().skip(1).all(left_full),
+        "{}: {:?}",
+        fill_line(&report.levels),
+        report.levels
+    );
+}
+
+#[test]
+fn version_appends_to_one_key_still_time_split() {
+    // A hundred keys once, then a long version stream on the largest: the
+    // one key split it causes moves that key's group to its own node, and
+    // from there the time-split choice is what it always was.
+    let (_cs, tree) = setup(TsbConfig::default());
+    for k in 0..100u64 {
+        put(&tree, &key(k), b"once");
+    }
+    let stamps: Vec<u64> = (0..3_000u64)
+        .map(|i| put(&tree, &key(99), &i.to_be_bytes()))
+        .collect();
+    tree.run_completions().unwrap();
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.current_nodes, 2);
+    assert!(report.history_nodes >= 10, "{}", report.history_nodes);
+    for (i, ts) in stamps.iter().enumerate().step_by(97) {
+        let v = tree.get_as_of(&key(99), *ts).unwrap();
+        assert_eq!(v, Some((i as u64).to_be_bytes().to_vec()));
+    }
+    assert_eq!(tree.get_current(&key(42)).unwrap(), Some(b"once".to_vec()));
 }

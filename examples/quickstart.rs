@@ -49,9 +49,9 @@ fn main() {
     let report = tree.validate().expect("validate");
     assert!(report.is_well_formed(), "{:?}", report.violations);
     println!(
-        "tree: {} records, nodes per level {:?}, height {}",
+        "tree: {} records, {}, height {}",
         report.records,
-        report.nodes_per_level,
+        pitree::wellformed::fill_line(&report.levels),
         tree.height().expect("height"),
     );
 

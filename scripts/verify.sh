@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + sim sweeps + pitree-check oracles
+#                                # + fill gate + sim sweeps + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +57,9 @@ fi
 
 step "cargo test (workspace)"
 cargo test --offline -q
+
+step "fill gate (the split lands where the insert does: ascending and interleaved loads leave full nodes, random ones split as before)"
+cargo test --offline -q -p pitree --test fill -- --nocapture | grep -E 'fill: |^test result'
 
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
