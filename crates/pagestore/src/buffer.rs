@@ -5,6 +5,10 @@
 //! latches it in the mode its protocol requires; the borrow rules make it
 //! impossible to touch page bytes without an appropriate guard.
 //!
+//! A frame starts *vacant*: it has no page buffer until the first page is
+//! loaded or formatted into it, so the pool's memory follows the pages it
+//! holds (`buf.frames_materialised` × 4 KB), not the capacity it was given.
+//!
 //! The WAL protocol (§4.3.1) is enforced here: before a dirty page is written
 //! to durable storage (eviction, checkpoint, shutdown), the registered
 //! [`WalFlush`] hook is asked to force the log up to the page's LSN.
@@ -39,7 +43,7 @@
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
 use crate::ids::{Lsn, PageId};
-use crate::latch::{order, Latch, SGuard, UGuard, XGuard};
+use crate::latch::{order, Latch, LatchObs, SGuard, UGuard, XGuard};
 use crate::page::{Page, PageType};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
@@ -93,9 +97,9 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(rec: &Recorder) -> Frame {
+    fn new(obs: LatchObs) -> Frame {
         Frame {
-            latch: Latch::new_observed(Page::new(PageType::Free), order::UNRANKED, rec),
+            latch: Latch::new_observed(Page::vacant(), order::UNRANKED, obs),
             pid: Mutex::new(None),
             pin: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
@@ -217,6 +221,7 @@ pub struct BufferPool {
     shard_conflicts: Counter,
     evictions: Counter,
     writebacks: Counter,
+    frames_materialised: Counter,
     read_ns: Hist,
     writeback_ns: Hist,
 }
@@ -280,8 +285,9 @@ impl BufferPool {
                 }
             })
             .collect();
+        let obs = LatchObs::new(&rec);
         BufferPool {
-            frames: (0..capacity).map(|_| Frame::new(&rec)).collect(),
+            frames: (0..capacity).map(|_| Frame::new(obs.clone())).collect(),
             shards,
             disk,
             wal: OnceLock::new(),
@@ -292,6 +298,7 @@ impl BufferPool {
             shard_conflicts: rec.counter("buf.shard_conflicts"),
             evictions: rec.counter("buf.evictions"),
             writebacks: rec.counter("buf.writebacks"),
+            frames_materialised: rec.counter("buf.frames_materialised"),
             read_ns: rec.hist("buf.read_ns"),
             writeback_ns: rec.hist("buf.writeback_ns"),
             rec,
@@ -542,6 +549,9 @@ impl BufferPool {
             // frame; only a concurrent flush_all may briefly hold S, so a
             // blocking X is safe (we hold no locks).
             let mut g = frame.latch.x();
+            if g.is_vacant() {
+                self.frames_materialised.inc();
+            }
             *g = page;
         }
         *frame.pid.lock() = Some(pid);

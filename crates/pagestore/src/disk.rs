@@ -8,7 +8,9 @@
 //! system on the snapshot, discarding every in-memory structure.
 //!
 //! [`FileDisk`] provides the same interface over a real file for benchmarks
-//! that want to include I/O in the measured path.
+//! that want to include I/O in the measured path. Its page transfers are
+//! positional (`pread`/`pwrite` through [`FileExt`]): one syscall each, no
+//! shared file cursor and therefore no lock — Unix only.
 
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultSite, InjectorHandle};
@@ -16,12 +18,14 @@ use crate::ids::PageId;
 use crate::page::{Page, PAGE_SIZE};
 use crate::sync::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// Abstract durable page storage.
 pub trait DiskManager: Send + Sync {
-    /// Read a page image. Fails if the page was never written.
+    /// Read a page image. `PageNotFound` if the page was never written —
+    /// beyond the end of the store or a hole inside it alike.
     fn read_page(&self, pid: PageId) -> StoreResult<Page>;
     /// Durably write a page image (extends the store if needed).
     fn write_page(&self, pid: PageId, page: &Page) -> StoreResult<()>;
@@ -113,8 +117,13 @@ impl DiskManager for MemDisk {
 }
 
 /// File-backed page storage for benchmarks.
+///
+/// Transfers of different pages never interact. A read racing a write of
+/// the *same* page may return a mix of the two images (the kernel's page
+/// cache does not exclude them); the buffer pool never issues that pair —
+/// a page mid-write-back is `Busy` in its shard and fetchers wait.
 pub struct FileDisk {
-    file: Mutex<File>,
+    file: File,
 }
 
 impl std::fmt::Debug for FileDisk {
@@ -133,45 +142,38 @@ impl FileDisk {
             .truncate(false)
             .open(path)
             .map_err(|e| StoreError::Corrupt(format!("open {path:?}: {e}")))?;
-        Ok(FileDisk {
-            file: Mutex::new(file),
-        })
+        Ok(FileDisk { file })
     }
 }
 
 impl DiskManager for FileDisk {
     fn read_page(&self, pid: PageId) -> StoreResult<Page> {
-        let mut file = self.file.lock();
-        let off = pid.0 * PAGE_SIZE as u64;
-        let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-        if off + PAGE_SIZE as u64 > len {
-            return Err(StoreError::PageNotFound(pid));
+        let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        match self.file.read_exact_at(&mut buf, pid.0 * PAGE_SIZE as u64) {
+            Ok(()) => Page::adopt(buf).ok_or(StoreError::PageNotFound(pid)),
+            // Short read: the page lies at or past the end of the file.
+            Err(e) => Err(match e.kind() {
+                ErrorKind::UnexpectedEof => StoreError::PageNotFound(pid),
+                _ => StoreError::Corrupt(format!("read {pid}: {e}")),
+            }),
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        file.seek(SeekFrom::Start(off))
-            .and_then(|_| file.read_exact(&mut buf))
-            .map_err(|e| StoreError::Corrupt(format!("read {pid}: {e}")))?;
-        Page::from_bytes(&buf)
     }
 
     fn write_page(&self, pid: PageId, page: &Page) -> StoreResult<()> {
-        let mut file = self.file.lock();
-        let off = pid.0 * PAGE_SIZE as u64;
-        file.seek(SeekFrom::Start(off))
-            .and_then(|_| file.write_all(page.as_bytes()))
+        self.file
+            .write_all_at(page.as_bytes(), pid.0 * PAGE_SIZE as u64)
             .map_err(|e| StoreError::Corrupt(format!("write {pid}: {e}")))
     }
 
     fn num_pages(&self) -> u64 {
-        let file = self.file.lock();
-        file.metadata()
+        self.file
+            .metadata()
             .map(|m| m.len() / PAGE_SIZE as u64)
             .unwrap_or(0)
     }
 
     fn sync(&self) -> StoreResult<()> {
         self.file
-            .lock()
             .sync_data()
             .map_err(|e| StoreError::Corrupt(format!("sync: {e}")))
     }
@@ -227,7 +229,15 @@ mod tests {
         assert_eq!(d.num_pages(), 6);
         let q = d.read_page(PageId(5)).unwrap();
         assert_eq!(q.get(0).unwrap(), b"file-bytes");
-        assert!(d.read_page(PageId(6)).is_err());
+        // Beyond the end and inside a hole alike: never written.
+        assert!(matches!(
+            d.read_page(PageId(6)),
+            Err(StoreError::PageNotFound(_))
+        ));
+        assert!(matches!(
+            d.read_page(PageId(2)),
+            Err(StoreError::PageNotFound(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

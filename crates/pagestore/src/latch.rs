@@ -157,12 +157,13 @@ impl State {
     }
 }
 
-/// Per-latch observability handles, pre-resolved at construction so the
-/// hot path never touches the registry's name map. Buffer-pool frame
+/// Latch observability handles, resolved from the registry's name map once
+/// (per buffer pool) and cloned into each observed latch, so neither the
+/// hot path nor building a frame touches the map. Buffer-pool frame
 /// latches are observed ([`Latch::new_observed`]); ad-hoc latches are
 /// not and pay only an `Option` check.
 #[derive(Clone)]
-struct LatchObs {
+pub(crate) struct LatchObs {
     rec: Recorder,
     acq_s: Counter,
     acq_u: Counter,
@@ -173,7 +174,7 @@ struct LatchObs {
 }
 
 impl LatchObs {
-    fn new(rec: &Recorder) -> LatchObs {
+    pub(crate) fn new(rec: &Recorder) -> LatchObs {
         LatchObs {
             acq_s: rec.counter("latch.acquire_s"),
             acq_u: rec.counter("latch.acquire_u"),
@@ -246,15 +247,15 @@ impl<T> Latch<T> {
     }
 
     /// Wrap `value` in a latch that records every acquisition, wait, and
-    /// release into `rec` (`latch.*` counters, `latch.wait_ns` histogram,
+    /// release through `obs` (`latch.*` counters, `latch.wait_ns` histogram,
     /// `latch_*` events). The buffer pool observes its frame latches this
     /// way; unobserved latches pay only an `Option` check.
-    pub fn new_observed(value: T, rank: u64, rec: &Recorder) -> Latch<T> {
+    pub(crate) fn new_observed(value: T, rank: u64, obs: LatchObs) -> Latch<T> {
         Latch {
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
             rank,
-            obs: Some(LatchObs::new(rec)),
+            obs: Some(obs),
             data: UnsafeCell::new(value),
         }
     }

@@ -107,6 +107,31 @@ impl Page {
         self.put_u16(OFF_HEAP_TOP, PAGE_SIZE as u16);
     }
 
+    /// The bufferless state of a buffer-pool frame nothing has been loaded
+    /// into yet: no heap allocation, and every accessor would index out of
+    /// bounds. The pool installs a real page before the frame gets a page
+    /// id, so no `PinnedPage` ever latches one.
+    pub(crate) fn vacant() -> Page {
+        Page {
+            buf: Box::default(),
+        }
+    }
+
+    /// Whether this is the [`Page::vacant`] placeholder.
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Adopt a `PAGE_SIZE` buffer a device read filled, without copying.
+    /// `None` when the image was never written: [`Page::format`] sets the
+    /// heap top to `PAGE_SIZE` and no operation lowers it below the header,
+    /// so a zero there is a hole the file system filled in, not a page.
+    pub(crate) fn adopt(buf: Box<[u8]>) -> Option<Page> {
+        assert_eq!(buf.len(), PAGE_SIZE);
+        let page = Page { buf };
+        (page.heap_top() != 0).then_some(page)
+    }
+
     /// Construct a page from raw bytes (e.g. read from disk).
     pub fn from_bytes(bytes: &[u8]) -> StoreResult<Page> {
         if bytes.len() != PAGE_SIZE {

@@ -39,8 +39,9 @@ host="$(rustup run "$toolchain" rustc -vV | sed -n 's/^host: //p')"
 
 echo "==> ThreadSanitizer run on $toolchain ($host)"
 
-# Suites whose whole point is cross-thread interleaving: the latch table
-# and sharded buffer pool (pagestore), group commit and the durability
+# Suites whose whole point is cross-thread interleaving: the latch table,
+# the sharded buffer pool and the lock-free FileDisk under it (pagestore),
+# group commit and the durability
 # broadcast (wal), and two-phase locking (txnlock). Library unit tests of
 # the same crates ride along via --lib.
 run_tsan() {
@@ -56,6 +57,7 @@ run_tsan() {
 run_tsan pitree-pagestore --lib
 run_tsan pitree-pagestore --test latch_sim
 run_tsan pitree-pagestore --test shard_hammer
+run_tsan pitree-pagestore --test filedisk_concurrent
 run_tsan pitree-wal --lib
 run_tsan pitree-txnlock --lib
 

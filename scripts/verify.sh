@@ -4,7 +4,8 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill gate + sim sweeps + pitree-check oracles
+#                                # + fill, alloc and footprint gates + sim sweeps
+#                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +64,9 @@ cargo test --offline -q -p pitree --test fill -- --nocapture | grep -E 'fill: |^
 
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
+
+step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
+cargo test --offline --release -q -p pitree-pagestore --test pool_footprint -- --nocapture | grep -E 'pool_footprint: |^test result'
 
 step "pitree-check fixtures (teeth first: every oracle must reject its seeded violation before a sweep trusts its green light)"
 cargo run --offline --release -q -p pitree-check -- --fixtures
