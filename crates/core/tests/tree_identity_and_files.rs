@@ -44,8 +44,7 @@ fn smo_identity_variants_all_work() {
             .store
             .log
             .scan(None)
-            .expect("scan")
-            .into_iter()
+            .map(|r| r.expect("scan"))
             .filter(|r| matches!(r.kind, RecordKind::Begin { identity: id } if id == identity))
             .count();
         assert!(

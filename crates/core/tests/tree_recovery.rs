@@ -165,7 +165,12 @@ fn log_prefix_sweep_during_split_storm() {
     let full = cs.durable_log_len();
 
     // Collect record boundaries from the durable log.
-    let records = cs.store.log.scan(None).expect("scan");
+    let records: Vec<_> = cs
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .expect("scan");
     let mut cuts: Vec<u64> = records.iter().map(|r| r.lsn.0 - 1).collect();
     cuts.push(full);
     // Also a few torn (mid-record) positions.
@@ -219,7 +224,12 @@ fn log_prefix_sweep_with_consolidation() {
     }
     drop(tree);
     cs.store.log.force_all().unwrap();
-    let records = cs.store.log.scan(None).expect("scan");
+    let records: Vec<_> = cs
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .expect("scan");
     // Sweep every 3rd record boundary (consolidation logs are long).
     for (idx, rec) in records.iter().enumerate() {
         if idx % 3 != 0 {
@@ -317,7 +327,12 @@ fn page_oriented_log_prefix_sweep() {
     }
     drop(tree);
     cs.store.log.force_all().unwrap();
-    let records = cs.store.log.scan(None).expect("scan");
+    let records: Vec<_> = cs
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .expect("scan");
     for (idx, rec) in records.iter().enumerate() {
         if idx % 3 != 0 {
             continue;
@@ -362,7 +377,12 @@ fn log_prefix_sweep_with_page_flushes_and_checkpoint() {
     drop(tree);
     cs.store.log.force_all().unwrap();
 
-    let records = cs.store.log.scan(None).expect("scan");
+    let records: Vec<_> = cs
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .expect("scan");
     let cuts: Vec<u64> = records
         .iter()
         .map(|r| r.lsn.0 - 1)

@@ -40,7 +40,8 @@ fn main() {
         pages: HashSet<pitree_pagestore::PageId>,
     }
     let mut actions: HashMap<ActionId, Acc> = HashMap::new();
-    for rec in cs.store.log.scan(None).expect("scan") {
+    for rec in cs.store.log.scan(None) {
+        let rec = rec.expect("scan");
         match rec.kind {
             RecordKind::Begin { identity } => {
                 actions.insert(

@@ -59,7 +59,12 @@ fn main() {
         drop(tree);
         cs.store.log.force_all().unwrap();
 
-        let records = cs.store.log.scan(None).expect("scan");
+        let records: Vec<_> = cs
+            .store
+            .log
+            .scan(None)
+            .collect::<Result<_, _>>()
+            .expect("scan");
         let mut cuts: Vec<u64> = records
             .iter()
             .enumerate()

@@ -287,7 +287,12 @@ fn crash_between_batch_write_and_flushed_publish() {
     let crashed = cs.crash().unwrap();
     // The unacknowledged action is durable exactly once (the restart log
     // manager must not re-append the stale volatile tail).
-    let recs = crashed.store.log.scan(None).unwrap();
+    let recs: Vec<_> = crashed
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .unwrap();
     assert_eq!(
         recs.iter().filter(|r| r.action == a).count(),
         2,
@@ -361,9 +366,7 @@ fn crash_after_leader_woke_some_followers() {
         .store
         .log
         .scan(None)
-        .unwrap()
-        .iter()
-        .map(|r| r.lsn.0)
+        .map(|r| r.unwrap().lsn.0)
         .collect();
     for lsn in &acked {
         assert!(
@@ -528,7 +531,12 @@ fn crash_between_group_write_and_publish_with_dependent_txn() {
 
     drop(tree);
     let crashed = cs.crash().unwrap();
-    let recs = crashed.store.log.scan(None).unwrap();
+    let recs: Vec<_> = crashed
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .unwrap();
     for a in [a1, a2] {
         assert_eq!(
             recs.iter()

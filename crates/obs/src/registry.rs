@@ -231,11 +231,11 @@ impl Recorder {
             if let Some((_, _, ring)) = cache.iter().find(|(id, _, _)| *id == self.inner.id) {
                 return Arc::clone(ring);
             }
-            // Drop cache entries whose registry died (bounded growth when
-            // a thread outlives many registries, e.g. sim sweeps).
-            if cache.len() >= 16 {
-                cache.retain(|(_, weak, _)| weak.strong_count() > 0);
-            }
+            // A miss happens once per thread × registry, so this is where a
+            // dead registry's ring (`event_cap` × 40 B) is let go: a thread
+            // that opens stores in sequence holds one ring, not one per
+            // store it ever touched.
+            cache.retain(|(_, weak, _)| weak.strong_count() > 0);
             let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
             let ring = Arc::new(ThreadRing::new(tid, self.inner.event_cap));
             self.inner.rings.lock().unwrap().push(Arc::clone(&ring));

@@ -112,11 +112,11 @@ impl SpaceMap {
             let mut g = bm.x();
             g.format(PageType::SpaceMap);
             let lo = (j - 1) * bits_per;
-            // Reserve page ids 0..=bitmap_pages.
-            for b in 0..bits_per {
-                if lo + b <= bitmap_pages as u64 {
-                    g.sm_set_bit(b as usize, true);
-                }
+            // Reserve page ids 0..=bitmap_pages: this page's bits at or below
+            // that id.
+            let reserved = (bitmap_pages as u64 + 1).saturating_sub(lo).min(bits_per);
+            for b in 0..reserved {
+                g.sm_set_bit(b as usize, true);
             }
             // pitree-lint: allow(log-before-dirty) formatting a fresh store; the WAL does not exist yet
             bm.mark_dirty();
@@ -312,6 +312,25 @@ mod tests {
         let (bm, bit) = sm.locate(PageId(per + 7));
         assert_eq!(bm, PageId(2));
         assert_eq!(bit, 7);
+    }
+
+    /// `init` sets exactly the bits the per-bit rule "page id ≤
+    /// `bitmap_pages`" names, on every bitmap page, and nothing else — the
+    /// image is the one the bit-by-bit loop used to write.
+    #[test]
+    fn init_sets_exactly_the_reserved_bits() {
+        let pool = fresh_pool();
+        let per = Page::BITS_PER_SPACEMAP_PAGE as u64;
+        let sm = SpaceMap::init(&pool, per * 3 + 5).unwrap();
+        assert_eq!(sm.bitmap_pages(), 4);
+        for j in 1..=4u64 {
+            let bm = pool.fetch(PageId(j)).unwrap();
+            let g = bm.s();
+            for b in 0..per {
+                let reserved = (j - 1) * per + b <= 4;
+                assert_eq!(g.sm_get_bit(b as usize), reserved, "page {j} bit {b}");
+            }
+        }
     }
 
     #[test]

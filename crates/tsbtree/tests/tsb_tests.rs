@@ -283,7 +283,12 @@ fn crash_log_prefix_sweep() {
     }
     drop(tree);
     cs.store.log.force_all().unwrap();
-    let records = cs.store.log.scan(None).expect("scan");
+    let records: Vec<_> = cs
+        .store
+        .log
+        .scan(None)
+        .collect::<Result<_, _>>()
+        .expect("scan");
     for (idx, rec) in records.iter().enumerate() {
         if idx % 4 != 0 {
             continue;

@@ -379,8 +379,7 @@ mod tests {
         act.rollback(&pool, None).unwrap();
         let recs: Vec<_> = log
             .scan(None)
-            .expect("scan")
-            .into_iter()
+            .map(|r| r.expect("scan"))
             .filter(|r| r.action == id)
             .collect();
         // Begin, 2 updates, Abort, 2 CLRs, End.

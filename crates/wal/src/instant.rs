@@ -324,9 +324,13 @@ pub fn start_instant(
         on_demand: rec.counter("recovery.on_demand_redos"),
         redo_ns: rec.hist("recovery.redo_ns"),
     });
+    let mut plan_records = 0;
     for (pid, records) in analysis.redo {
+        plan_records += records.len() as u64;
         ir.shard_slot(pid)?.lock().insert(pid, records);
     }
+    // The plan is what a restart still holds that grows with the log suffix.
+    rec.counter("recovery.plan_records").add(plan_records);
     rec.hist("recovery.analysis_ns").record(timer.elapsed_ns());
 
     if pages > 0 {

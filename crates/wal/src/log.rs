@@ -1,4 +1,4 @@
-//! The log manager: append, group-commit force, and scan.
+//! The log manager: append, group-commit force, and streamed scan.
 //!
 //! LSNs are `offset + 1` where `offset` is the record frame's byte position,
 //! so `Lsn::ZERO` stays free as the null LSN. Frames are
@@ -42,7 +42,8 @@
 //!
 //! Only the unflushed suffix is retained in memory (`base` + tail), so log
 //! memory is O(unflushed); [`LogManager::read`] falls back to the store for
-//! already-forced LSNs. On the single-threaded paths every force drains
+//! already-forced LSNs, and [`LogManager::scan`] streams them one window at
+//! a time. On the single-threaded paths every force drains
 //! exactly the bytes the old design wrote, so the durable byte stream (and
 //! the crash-point sequence the sim kit counts) is unchanged.
 
@@ -54,7 +55,8 @@ use pitree_pagestore::fault::{FaultSite, InjectorHandle};
 use pitree_pagestore::sync::{Condvar, Mutex};
 use pitree_pagestore::{Lsn, StoreError, StoreResult};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,22 +73,11 @@ pub trait LogStore: Send + Sync {
     fn set_master(&self, lsn: Lsn);
     /// The recorded master LSN.
     fn master(&self) -> Lsn;
-    /// Read `len` bytes starting at byte `offset` of the durable log.
-    /// Backs [`LogManager::read`] for already-forced LSNs; implementations
-    /// should override the default whole-log copy with a ranged read.
-    fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
-        let all = self.durable_bytes()?;
-        let start = offset as usize;
-        let end = start.checked_add(len);
-        end.and_then(|e| all.get(start..e))
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "log range {offset}+{len} beyond durable end {}",
-                    all.len()
-                ))
-            })
-    }
+    /// Read `len` bytes starting at byte `offset` of the durable log — the
+    /// ranged read behind [`LogManager::read`] for already-forced LSNs and
+    /// behind every window of [`LogManager::scan`]. A range past the durable
+    /// end is a typed error, never a short read.
+    fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>>;
 }
 
 /// In-memory durable log used by tests and the crash harness.
@@ -196,8 +187,15 @@ impl LogStore for MemLogStore {
 
 /// File-backed log store for benchmarks. The master LSN lives in a sibling
 /// `.master` file.
+///
+/// Reads are positional (`pread` through [`FileExt`]) on the shared handle
+/// and take no lock: the file is opened `O_APPEND`, so appends never depended
+/// on the cursor, and a scan window or an undo-pass read never waits behind a
+/// leader's `write_all` + `sync_data`. Unix only, like `FileDisk`.
 pub struct FileLogStore {
-    file: Mutex<File>,
+    file: File,
+    /// Serialises appenders so one batch's `write_all` is contiguous.
+    appending: Mutex<()>,
     master_path: std::path::PathBuf,
     master: AtomicU64,
 }
@@ -223,7 +221,8 @@ impl FileLogStore {
             .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
             .unwrap_or(0);
         Ok(FileLogStore {
-            file: Mutex::new(file),
+            file,
+            appending: Mutex::new(()),
             master_path,
             master: AtomicU64::new(master),
         })
@@ -232,23 +231,19 @@ impl FileLogStore {
 
 impl LogStore for FileLogStore {
     fn append(&self, bytes: &[u8]) -> StoreResult<()> {
-        let mut f = self.file.lock();
-        f.write_all(bytes)
-            .and_then(|_| f.sync_data())
+        let _appending = self.appending.lock();
+        (&self.file)
+            .write_all(bytes)
+            .and_then(|_| self.file.sync_data())
             .map_err(|e| StoreError::Corrupt(format!("log append: {e}")))
     }
 
     fn durable_bytes(&self) -> StoreResult<Vec<u8>> {
-        let mut f = self.file.lock();
-        let mut out = Vec::new();
-        f.seek(SeekFrom::Start(0))
-            .and_then(|_| f.read_to_end(&mut out))
-            .map_err(|e| StoreError::Corrupt(format!("log read: {e}")))?;
-        Ok(out)
+        self.read_range(0, self.durable_len() as usize)
     }
 
     fn durable_len(&self) -> u64 {
-        self.file.lock().metadata().map(|m| m.len()).unwrap_or(0)
+        self.file.metadata().map(|m| m.len()).unwrap_or(0)
     }
 
     fn set_master(&self, lsn: Lsn) {
@@ -261,10 +256,9 @@ impl LogStore for FileLogStore {
     }
 
     fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
-        let mut f = self.file.lock();
         let mut out = vec![0u8; len];
-        f.seek(SeekFrom::Start(offset))
-            .and_then(|_| f.read_exact(&mut out))
+        self.file
+            .read_exact_at(&mut out, offset)
             .map_err(|e| StoreError::Corrupt(format!("log range {offset}+{len}: {e}")))?;
         Ok(out)
     }
@@ -357,6 +351,10 @@ pub struct LogManager {
     force_ns: Hist,
     group_size: Hist,
     linger_ns: Hist,
+    /// `recovery.scan_windows` / `recovery.scan_bytes`: ranged reads issued
+    /// by [`LogManager::scan`] and the durable bytes they returned.
+    scan_windows: Counter,
+    scan_bytes: Counter,
     actions: ActionCounters,
 }
 
@@ -416,6 +414,8 @@ impl LogManager {
             force_ns: rec.hist("wal.force_ns"),
             group_size: rec.hist("wal.group_size"),
             linger_ns: rec.hist("wal.linger_ns"),
+            scan_windows: rec.counter("recovery.scan_windows"),
+            scan_bytes: rec.counter("recovery.scan_bytes"),
             actions: ActionCounters {
                 begins: rec.counter("action.begins"),
                 commits: rec.counter("action.commits"),
@@ -792,32 +792,36 @@ impl LogManager {
         }
     }
 
-    /// Scan all records from `from` (or the start): the durable suffix
-    /// concatenated with the volatile tail. Stops at the first torn/corrupt
-    /// frame.
+    /// Stream every record from `from` (or the start): the durable suffix,
+    /// then the volatile tail as of this call. The scan ends cleanly at the
+    /// first frame that does not decode — a cut header, a frame running past
+    /// the end, a bad checksum: the committed prefix — while an `Err` from
+    /// [`LogStore::read_range`] is yielded as that error and is never taken
+    /// for a torn tail (a silently shorter log would drop committed work).
     ///
-    /// Only bytes from `from` onward are read from the store, so a scan
-    /// seeded at the master checkpoint costs O(log written since that
-    /// checkpoint), not O(total log) — the property that keeps restart
-    /// analysis time bounded by the checkpoint interval rather than the
-    /// age of the database (see `RECOVERY.md`).
-    pub fn scan(&self, from: Option<Lsn>) -> StoreResult<Vec<LogRecord>> {
+    /// Only `(durable end, a copy of the unflushed tail)` is captured under
+    /// the tail mutex. Durable bytes are immutable, so the suffix is then
+    /// read with no lock held, one 64 KiB window at a time, each byte
+    /// exactly once and in order: a scan seeded at the master checkpoint
+    /// costs O(log written since that checkpoint) in I/O and O(window) in
+    /// memory, whatever the age of the database (see `RECOVERY.md`).
+    pub fn scan(&self, from: Option<Lsn>) -> LogScan<'_> {
         let from_off = from.map_or(0, |l| l.0.saturating_sub(1));
         loop {
             let durable_len = self.store.durable_len();
             {
                 let tail = self.tail.lock();
                 if durable_len == tail.base {
-                    // The suffix starts inside the durable prefix (read
-                    // just that range) or inside the tail (read nothing).
-                    let base = from_off.min(tail.base);
-                    let mut all = if base < tail.base {
-                        self.store.read_range(base, (tail.base - base) as usize)?
-                    } else {
-                        Vec::new()
+                    let start = from_off.min(tail.base);
+                    return LogScan {
+                        log: self,
+                        buf: Vec::new(),
+                        base: start,
+                        off: from_off,
+                        next_read: start,
+                        durable_end: tail.base,
+                        tail: Some(tail.buf.clone()),
                     };
-                    all.extend_from_slice(&tail.buf);
-                    return Ok(scan_bytes_base(&all, base, from));
                 }
             }
             // A leader's batch is in flight between the snapshot and the
@@ -877,22 +881,139 @@ fn read_at_base(buf: &[u8], base: u64, lsn: Lsn) -> StoreResult<LogRecord> {
 /// Decode every complete record in `buf` starting at `from`; stops cleanly
 /// at a torn tail.
 pub fn scan_bytes(buf: &[u8], from: Option<Lsn>) -> Vec<LogRecord> {
-    scan_bytes_base(buf, 0, from)
-}
-
-/// [`scan_bytes`] against a buffer whose first byte sits at log offset
-/// `base` (a `from` below the buffer is clamped to its start).
-fn scan_bytes_base(buf: &[u8], base: u64, from: Option<Lsn>) -> Vec<LogRecord> {
     let mut out = Vec::new();
-    let mut lsn = from.unwrap_or(Lsn(base + 1)).max(Lsn(base + 1));
-    while let Ok(rec) = read_at_base(buf, base, lsn) {
-        let Some(len) = le_u32_at(buf, (lsn.0 - 1 - base) as usize) else {
-            break;
-        };
-        lsn = Lsn(lsn.0 + 8 + len as u64);
+    let mut off = from.map_or(0, |l| l.0.saturating_sub(1));
+    while let Frame::Whole(rec, next) = frame_at(buf, 0, off) {
         out.push(rec);
+        off = next;
     }
     out
+}
+
+/// One step of the frame walk every scan shares.
+enum Frame {
+    /// A record that decoded, and the log offset one past its frame.
+    Whole(LogRecord, u64),
+    /// The buffer ends inside the frame, which spans this many bytes from
+    /// its start (8 when even the header is cut).
+    Short(usize),
+    /// The whole frame is in the buffer and does not decode.
+    Bad,
+}
+
+/// Classify the frame at log offset `off` of a buffer whose first byte sits
+/// at log offset `base`.
+fn frame_at(buf: &[u8], base: u64, off: u64) -> Frame {
+    let rel = off
+        .checked_sub(base)
+        .and_then(|r| usize::try_from(r).ok())
+        .unwrap_or(usize::MAX);
+    let Some(len) = le_u32_at(buf, rel) else {
+        return Frame::Short(8);
+    };
+    let Some(span) = usize::try_from(len).ok().and_then(|l| l.checked_add(8)) else {
+        return Frame::Bad;
+    };
+    if buf.len().saturating_sub(rel) < span {
+        return Frame::Short(span);
+    }
+    match read_at_base(buf, base, Lsn(off.saturating_add(1))) {
+        Ok(rec) => Frame::Whole(rec, off.saturating_add(span as u64)),
+        Err(_) => Frame::Bad,
+    }
+}
+
+/// Durable bytes one [`LogStore::read_range`] of a scan asks for. A frame
+/// longer than this (a checkpoint with a large dirty-page table) grows that
+/// one read to the frame, so scan memory is O(window + largest frame).
+const SCAN_WINDOW: usize = 64 * 1024;
+
+/// The streamed log reader [`LogManager::scan`] returns: an iterator over the
+/// records of `durable suffix ++ tail snapshot`, holding one window of
+/// undecoded bytes at a time.
+pub struct LogScan<'a> {
+    log: &'a LogManager,
+    /// Undecoded bytes; `buf[0]` sits at log offset `base`.
+    buf: Vec<u8>,
+    base: u64,
+    /// Log offset of the next frame to decode.
+    off: u64,
+    /// Log offset of the next durable byte to read; done at `durable_end`.
+    next_read: u64,
+    durable_end: u64,
+    /// The tail snapshot, taken as the last refill.
+    tail: Option<Vec<u8>>,
+}
+
+impl std::fmt::Debug for LogScan<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogScan")
+            .field("off", &self.off)
+            .field("durable_end", &self.durable_end)
+            .finish_non_exhaustive()
+    }
+}
+
+impl LogScan<'_> {
+    /// Drop the decoded prefix of the buffer and append the next source
+    /// bytes — a durable window sized so the frame at `off` (which spans
+    /// `span` bytes) fits, or, once the durable suffix is exhausted, the tail
+    /// snapshot. `Ok(false)` when nothing is left to append.
+    fn refill(&mut self, span: usize) -> StoreResult<bool> {
+        let done = usize::try_from(self.off.saturating_sub(self.base))
+            .unwrap_or(usize::MAX)
+            .min(self.buf.len());
+        // Keep only the partial frame: the decoded window is freed before
+        // the next one is read.
+        self.buf = self.buf.split_off(done);
+        self.base += done as u64;
+        let left = self.durable_end.saturating_sub(self.next_read);
+        let more = if left > 0 {
+            let want = span.saturating_sub(self.buf.len()).max(SCAN_WINDOW);
+            let len = usize::try_from(left).map_or(want, |l| l.min(want));
+            let window = self.log.store.read_range(self.next_read, len)?;
+            self.next_read += len as u64;
+            self.log.scan_windows.inc();
+            self.log.scan_bytes.add(len as u64);
+            window
+        } else {
+            match self.tail.take() {
+                Some(tail) => tail,
+                None => return Ok(false),
+            }
+        };
+        if self.buf.is_empty() {
+            self.buf = more;
+        } else {
+            self.buf.extend_from_slice(&more);
+        }
+        Ok(true)
+    }
+}
+
+impl Iterator for LogScan<'_> {
+    type Item = StoreResult<LogRecord>;
+
+    fn next(&mut self) -> Option<StoreResult<LogRecord>> {
+        loop {
+            let more = match frame_at(&self.buf, self.base, self.off) {
+                Frame::Whole(rec, next) => {
+                    self.off = next;
+                    return Some(Ok(rec));
+                }
+                Frame::Short(span) => self.refill(span),
+                Frame::Bad => Ok(false),
+            };
+            if let Ok(true) = more {
+                continue;
+            }
+            // Fused: whatever ended the scan is its last word.
+            self.next_read = self.durable_end;
+            self.tail = None;
+            self.buf = Vec::new();
+            return more.err().map(Err);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -905,6 +1026,10 @@ mod tests {
         let store = Arc::new(MemLogStore::new());
         let log = LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap();
         (store, log)
+    }
+
+    fn scan(log: &LogManager, from: Option<Lsn>) -> Vec<LogRecord> {
+        log.scan(from).collect::<StoreResult<_>>().unwrap()
     }
 
     #[test]
@@ -1054,7 +1179,7 @@ mod tests {
             );
         }
         log.append(a, prev, RecordKind::Commit);
-        let recs = log.scan(None).unwrap();
+        let recs = scan(&log, None);
         assert_eq!(recs.len(), 7);
         // Chain integrity.
         for w in recs.windows(2) {
@@ -1069,7 +1194,7 @@ mod tests {
         let l1 = log.append(a, Lsn::ZERO, RecordKind::Commit);
         log.force_all().unwrap();
         log.append(a, l1, RecordKind::End);
-        let recs = log.scan(None).unwrap();
+        let recs = scan(&log, None);
         assert_eq!(recs.len(), 2);
         assert!(matches!(recs[1].kind, RecordKind::End));
     }
@@ -1101,10 +1226,10 @@ mod tests {
                 log.force_all().unwrap(); // records 0/1 durable, 2/3 volatile
             }
         }
-        let full = log.scan(None).unwrap();
+        let full = scan(&log, None);
         assert_eq!(full.len(), 4);
         for (i, &from) in lsns.iter().enumerate() {
-            let suffix = log.scan(Some(from)).unwrap();
+            let suffix = scan(&log, Some(from));
             assert_eq!(suffix.len(), 4 - i, "scan from record {i}");
             assert_eq!(suffix[0].lsn, from);
             assert_eq!(
@@ -1147,7 +1272,7 @@ mod tests {
         log.append(a, Lsn::ZERO, RecordKind::Commit);
         log.force_all().unwrap();
         let log2 = LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap();
-        assert_eq!(log2.scan(None).unwrap().len(), 1);
+        assert_eq!(scan(&log2, None).len(), 1);
         assert_eq!(log2.flushed_lsn().0, store.durable_len());
     }
 
@@ -1161,11 +1286,24 @@ mod tests {
     }
 
     #[test]
-    fn read_range_default_and_override_agree() {
-        let store = MemLogStore::new();
-        store.append(b"0123456789").unwrap();
-        assert_eq!(store.read_range(3, 4).unwrap(), b"3456");
-        assert!(store.read_range(8, 4).is_err());
+    fn a_ranged_read_past_the_durable_end_is_a_typed_error() {
+        let path = std::env::temp_dir().join(format!("pitree-wal-range-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let stores: [Box<dyn LogStore>; 2] = [
+            Box::new(MemLogStore::new()),
+            Box::new(FileLogStore::open(&path).unwrap()),
+        ];
+        for store in stores {
+            store.append(b"0123456789").unwrap();
+            assert_eq!(store.read_range(3, 4).unwrap(), b"3456");
+            assert_eq!(store.durable_bytes().unwrap(), b"0123456789");
+            assert!(matches!(
+                store.read_range(8, 4),
+                Err(StoreError::Corrupt(msg)) if msg.contains("log range 8+4")
+            ));
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(path.with_extension("master")).ok();
     }
 
     #[test]

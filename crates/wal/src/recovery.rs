@@ -12,11 +12,14 @@
 //!
 //! Recovery reads only the *durable* log: the group-commit tail
 //! (`crate::log`) buffers unforced records in memory, so after a crash they
-//! simply do not exist. A torn frame at the durable tail ends the scan at the
-//! last whole record (committed-prefix semantics), and a corrupt frame in the
-//! middle of the log surfaces as [`StoreError::Corrupt`] — recovery returns
-//! typed errors and never panics (`pitree-lint`'s `panic-free-recovery` rule
-//! enforces this mechanically).
+//! simply do not exist. Analysis streams the log ([`LogManager::scan`]): the
+//! first frame that does not decode — torn at the durable tail or corrupt in
+//! the middle — ends the scan at the last whole record before it
+//! (committed-prefix semantics; telling the two apart and repairing the
+//! second is ROADMAP item 7(b)), while a *device* error from a ranged read
+//! fails recovery with that error rather than shortening the log. Recovery
+//! returns typed errors and never panics (`pitree-lint`'s
+//! `panic-free-recovery` rule enforces this mechanically).
 //!
 //! There is one restart pipeline and one REDO engine: analysis emits a
 //! per-page redo plan, the plan is installed as the buffer pool's redo hook,
@@ -91,8 +94,10 @@ pub(crate) struct Analysis {
 /// Analysis pass: seed from the master checkpoint when present (falling back
 /// to a full scan if the master points at a torn or missing record — the
 /// master is only advanced *after* its checkpoint is durable, so a readable
-/// master always names a whole checkpoint), then scan forward once, building
-/// the active-action table and the redo plan.
+/// master always names a whole checkpoint), then stream forward once,
+/// building the active-action table and the redo plan. Each record's redo op
+/// moves into the plan as it is decoded, so analysis holds one scan window
+/// plus the plan — never the suffix.
 pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResult<Analysis> {
     let master = log.store().master();
     let mut active: HashMap<ActionId, (ActionIdentity, Lsn)> = HashMap::new();
@@ -120,7 +125,8 @@ pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResul
     // already accounts for them.
     let mut max_action = 0u64;
     let mut redo: HashMap<PageId, Vec<(Lsn, PageOp)>> = HashMap::new();
-    for rec in log.scan(Some(redo_start.min(scan_from)))? {
+    for rec in log.scan(Some(redo_start.min(scan_from))) {
+        let rec = rec?;
         if rec.lsn >= scan_from {
             stats.scanned += 1;
             max_action = max_action.max(rec.action.0);

@@ -75,7 +75,7 @@ fn concurrent_forces_are_durable_and_flushed_is_monotone() {
     });
     log.force_all().unwrap();
     assert_eq!(log.flushed_lsn().0 + 1, log.tail_lsn().0);
-    assert_eq!(log.scan(None).unwrap().len(), 8 * 200 * 2);
+    assert_eq!(log.scan(None).count(), 8 * 200 * 2);
 }
 
 #[test]
@@ -144,10 +144,7 @@ fn linger_forms_groups_of_at_least_half_the_threads() {
          absorb the committing cohort",
         THREADS / 2
     );
-    assert_eq!(
-        log.scan(None).unwrap().len(),
-        (THREADS * ROUNDS * 2) as usize
-    );
+    assert_eq!(log.scan(None).count(), (THREADS * ROUNDS * 2) as usize);
 }
 
 /// A store whose `append` blocks until the test opens a gate, so the test
@@ -199,6 +196,9 @@ impl LogStore for GateStore {
     }
     fn master(&self) -> Lsn {
         self.inner.master()
+    }
+    fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+        self.inner.read_range(offset, len)
     }
 }
 
@@ -252,6 +252,6 @@ fn followers_ride_the_leaders_batch() {
         2,
         "both waiting commits must share a single batch"
     );
-    assert_eq!(log.scan(None).unwrap().len(), 3);
+    assert_eq!(log.scan(None).count(), 3);
     assert_eq!(log.flushed_lsn().0 + 1, log.tail_lsn().0);
 }

@@ -99,7 +99,8 @@ fn plan_redo_matches_log_order_replay_byte_for_byte() {
     assert!(stats.redone > 0 && stats.redo_skipped > 0);
 
     let textbook = crash(&w);
-    for rec in textbook.log.scan(None).unwrap() {
+    for rec in textbook.log.scan(None) {
+        let rec = rec.unwrap();
         let (RecordKind::Update { pid, redo, .. } | RecordKind::Clr { pid, redo, .. }) = rec.kind
         else {
             continue;
@@ -180,14 +181,24 @@ impl LogStore for ReadLog {
 }
 
 /// Analysis reads the log once even when the checkpoint's redo horizon
-/// precedes the master: one scan from the horizon, not one from the master
-/// plus one from the horizon.
+/// precedes the master: after fetching the checkpoint record, its ranged
+/// reads tile `[redo horizon, end)` exactly once — ascending, no gap, no
+/// overlap. Not one pass from the master plus one from the horizon, and not
+/// one read of the whole suffix.
 #[test]
 fn analysis_scans_the_log_once_when_the_horizon_precedes_the_master() {
     let w = assemble(MemDisk::new(), MemLogStore::new());
     put(&w, PageId(7), 0, b"dirty at the checkpoint");
     let master = take_checkpoint(&w.pool, &w.log, vec![]).unwrap();
-    put(&w, PageId(8), 0, b"after the checkpoint");
+    let RecordKind::Checkpoint { dirty, .. } = w.log.read(master).unwrap().kind else {
+        panic!("the master names a checkpoint");
+    };
+    let horizon = dirty.iter().map(|&(_, l)| l.0 - 1).min().unwrap();
+    assert!(horizon < master.0 - 1);
+    // Enough log after the checkpoint for several scan windows.
+    for i in 0..30u64 {
+        put(&w, PageId(100 + i), 0, &[i as u8; 3900]);
+    }
 
     let store = Arc::new(ReadLog {
         inner: w.store.snapshot(),
@@ -199,18 +210,18 @@ fn analysis_scans_the_log_once_when_the_horizon_precedes_the_master() {
     let stats = recover(&pool, &log, None).unwrap();
 
     assert_eq!(stats.analysis_start, master);
-    assert_eq!(stats.redone, 4, "both pages: format + insert");
-    let end = store.durable_len();
+    assert_eq!(stats.redone, 2 + 60, "every page: format + insert");
     let reads = store.reads.lock();
-    let scans: Vec<_> = reads
-        .iter()
-        .filter(|&&(off, len)| off + len as u64 == end)
-        .collect();
-    assert_eq!(scans.len(), 1, "reads to the log's end: {reads:?}");
-    assert!(
-        scans[0].0 < master.0 - 1,
-        "the one scan must start at the redo horizon, below the master"
-    );
+    // Frame header, then body, of the master checkpoint; then the scan.
+    let (ckpt, windows) = reads.split_at(2);
+    assert_eq!(ckpt[0], (master.0 - 1, 8), "reads: {reads:?}");
+    assert!(windows.len() > 1, "several windows: {reads:?}");
+    let mut at = horizon;
+    for &(off, len) in windows {
+        assert_eq!(off, at, "reads: {reads:?}");
+        at += len as u64;
+    }
+    assert_eq!(at, store.durable_len(), "reads: {reads:?}");
 }
 
 /// Regression: a fuzzy checkpoint taken while the redo plan is still

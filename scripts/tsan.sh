@@ -41,9 +41,9 @@ echo "==> ThreadSanitizer run on $toolchain ($host)"
 
 # Suites whose whole point is cross-thread interleaving: the latch table,
 # the sharded buffer pool and the lock-free FileDisk under it (pagestore),
-# group commit and the durability
-# broadcast (wal), and two-phase locking (txnlock). Library unit tests of
-# the same crates ride along via --lib.
+# group commit, the durability broadcast and a lock-free streamed scan
+# racing four committers (wal), and two-phase locking (txnlock). Library
+# unit tests of the same crates ride along via --lib.
 run_tsan() {
   local pkg="$1"; shift
   echo "==> tsan: $pkg $*"
@@ -59,6 +59,7 @@ run_tsan pitree-pagestore --test latch_sim
 run_tsan pitree-pagestore --test shard_hammer
 run_tsan pitree-pagestore --test filedisk_concurrent
 run_tsan pitree-wal --lib
+run_tsan pitree-wal --test streamed_scan a_scan_racing_committers
 run_tsan pitree-txnlock --lib
 
 echo "tsan.sh: all ThreadSanitizer suites passed"

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, alloc and footprint gates + sim sweeps
+#                                # + fill, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -67,6 +67,9 @@ cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
 step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
 cargo test --offline --release -q -p pitree-pagestore --test pool_footprint -- --nocapture | grep -E 'pool_footprint: |^test result'
+
+step "recovery footprint gate (start_instant peaks a window over the plan it returns, the same at a 256 KB and a 1 MB suffix, over a mem and a file log)"
+cargo test --offline --release -q -p pitree-wal --test recovery_footprint -- --nocapture | grep -E 'recovery_footprint: |^test result'
 
 step "pitree-check fixtures (teeth first: every oracle must reject its seeded violation before a sweep trusts its green light)"
 cargo run --offline --release -q -p pitree-check -- --fixtures
