@@ -122,15 +122,30 @@ impl<S: Structure> std::fmt::Debug for Engine<S> {
 /// Allocate a fresh page through `chain`, logging the space-map bit. The
 /// allocation latch is ordered last (§4.1.1) and is held only across the
 /// find + logged set.
+///
+/// The first allocation in an extent also creates that extent's bitmap
+/// page (never written, so the pool hands out a fresh frame) and formats
+/// it, bit 0 — the bitmap itself — set, in the same action. Those two
+/// records are redo-only: a formatted, empty bitmap is a valid extent, and
+/// undoing the format would restore the blank page over bits that other
+/// actions set once this one released the latch. Rolling the action back
+/// clears only the bit it allocated.
 pub fn alloc_page<'a>(store: &'a Store, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
     let pid = {
         // pitree-lint: allow(no-wait) allocation latch ranks last in the §4.1.1 order (the flow graph proves no inverse alloc->page edge), so blocking here cannot deadlock a completion path
         let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
+        let free = alloc.find_free(&store.pool)?;
+        let bm = store.pool.fetch_or_create(free.bitmap, PageType::Free)?;
         let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
+        if free.format_bitmap {
+            let format = PageOp::Format {
+                ty: PageType::SpaceMap,
+            };
+            chain.apply_redo_only(&bm, &mut bmg, format)?;
+            chain.apply_redo_only(&bm, &mut bmg, PageOp::SetBit { bit: 0 })?;
+        }
+        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit: free.bit })?;
+        free.pid
     };
     store.pool.fetch_or_create(pid, PageType::Free)
 }

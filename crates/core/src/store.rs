@@ -232,10 +232,7 @@ mod tests {
         // mkfs flushed the meta/bitmap pages, so a crash immediately after
         // creation still opens.
         let cs2 = cs.crash().unwrap();
-        assert_eq!(
-            cs2.store.space.bitmap_pages(),
-            cs.store.space.bitmap_pages()
-        );
+        assert_eq!(cs2.store.space.capacity(), cs.store.space.capacity());
     }
 
     #[test]

@@ -116,7 +116,8 @@ impl WellFormedReport {
 pub fn check(tree: &PiTree) -> StoreResult<WellFormedReport> {
     let mut report = WellFormedReport::default();
     let pool = &tree.store().pool;
-    let mut violations = Vec::new();
+    // The space map the reachability checks below consult must itself hold.
+    let mut violations = tree.store().space.violations(pool)?;
 
     // Invariant 6: the root exists and is responsible for the whole space.
     let root_hdr = {

@@ -11,6 +11,7 @@
 //! Run with: `cargo run -p pitree-harness --bin fig2`
 
 use pitree::store::CrashableStore;
+use pitree::wellformed::fill_line;
 use pitree_harness::driver::commit;
 use pitree_hb::{Frag, HbConfig, HbHeader, HbTree, PtrKind, Rect};
 use std::sync::Arc;
@@ -129,9 +130,9 @@ fn main() {
         if root_is_split { "ok" } else { "FAIL" }
     );
     println!(
-        "\nwell-formed: {}  nodes per level {:?}  multi-parent nodes: {}",
+        "\nwell-formed: {}  {}  multi-parent nodes: {}",
         report.is_well_formed(),
-        report.nodes_per_level,
+        fill_line(&report.levels),
         report.multi_parent_nodes
     );
     assert!(any_index_sibling && root_is_split);

@@ -234,7 +234,11 @@ fn hb_point_reads_stay_under_their_measured_ceiling() {
     // fragment decode of every node on the path. The engine routes the
     // root once per descent instead of decoding it twice (210,176 when it
     // landed), so the count only went down; it must never go back up.
-    const HB_CEILING: u64 = 242_944;
+    // Since `HbConfig::default()` data nodes split when the page is full
+    // instead of at 64 records, the 4,096 points sit in fewer, fuller data
+    // nodes under fewer index levels, so each descent decodes fewer
+    // fragments: 156,672, the ceiling now.
+    const HB_CEILING: u64 = 156_672;
     assert!(
         n <= HB_CEILING,
         "hB point reads allocated {n} times over {} reads (ceiling {HB_CEILING})",

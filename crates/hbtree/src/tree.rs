@@ -25,9 +25,11 @@ use std::sync::Arc;
 /// hB-tree tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct HbConfig {
-    /// Cap on point records per data node.
+    /// Cap on point records per data node; `usize::MAX` (the default)
+    /// splits a data node when its page is full (§3.2.1).
     pub max_records: usize,
-    /// Cap on kd-fragment nodes per index node.
+    /// Cap on kd-fragment nodes per index node. Kept finite by default: it
+    /// bounds the header `route` decodes on every descent.
     pub max_frag_nodes: usize,
     /// Run completions inline after operations.
     pub auto_complete: bool,
@@ -38,7 +40,7 @@ pub struct HbConfig {
 impl Default for HbConfig {
     fn default() -> Self {
         HbConfig {
-            max_records: 64,
+            max_records: usize::MAX,
             max_frag_nodes: 48,
             auto_complete: true,
             smo_identity: ActionIdentity::SystemTransaction,

@@ -10,6 +10,7 @@
 use crate::geometry::{key_point, Frag, PtrKind, Rect};
 use crate::node::HbHeader;
 use crate::tree::HbTree;
+use pitree::wellformed::LevelFill;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, StoreResult};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -17,8 +18,10 @@ use std::collections::{HashMap, HashSet, VecDeque};
 /// The hB checker's findings.
 #[derive(Debug, Default)]
 pub struct HbReport {
-    /// Nodes per level, root level first.
-    pub nodes_per_level: Vec<(u8, usize)>,
+    /// Node count and fill per level, root level first. hB levels have no
+    /// chain end that is still filling, so only a lone node is left out of
+    /// [`LevelFill::emptiest`].
+    pub levels: Vec<LevelFill>,
     /// Total point records.
     pub records: usize,
     /// Children referenced by more than one parent (clipped terms).
@@ -150,11 +153,12 @@ pub fn check(tree: &HbTree) -> StoreResult<HbReport> {
     levels.sort_unstable_by(|a, b| b.cmp(a));
     for &level in &levels {
         let nodes = &by_level[&level];
-        r.nodes_per_level.push((level, nodes.len()));
+        let mut fill = LevelFill::new(level);
         let mut owned: Vec<Rect> = Vec::new();
         for &pid in nodes {
             let pin = pool.fetch(pid)?;
             let g = pin.s();
+            fill.add(&g, nodes.len() == 1);
             let hdr = HbHeader::read(&g)?;
             let mut leaves = Vec::new();
             hdr.frag.leaves(&hdr.rect, &mut leaves);
@@ -189,6 +193,7 @@ pub fn check(tree: &HbTree) -> StoreResult<HbReport> {
                 }
             }
         }
+        r.levels.push(fill);
     }
 
     // Multi-parent accounting (§3.3): every child referenced by 2+ parents

@@ -1,7 +1,8 @@
-//! hB-tree functional, structural (Figure 2), and recovery tests.
+//! hB-tree functional, structural (Figure 2), fill and recovery tests.
 
 use pitree::store::CrashableStore;
-use pitree_hb::{Frag, HbConfig, HbHeader, HbTree, Point, PtrKind, Rect};
+use pitree::wellformed::fill_line;
+use pitree_hb::{Frag, HbConfig, HbHeader, HbReport, HbTree, Point, PtrKind, Rect};
 use pitree_sim::SimRng;
 use std::sync::Arc;
 
@@ -61,9 +62,9 @@ fn splits_produce_multiple_levels() {
     assert!(report.is_well_formed(), "{:?}", report.violations);
     assert_eq!(report.records, 256);
     assert!(
-        report.nodes_per_level.len() >= 2,
-        "256 points in 6-record nodes must build index levels: {:?}",
-        report.nodes_per_level
+        report.levels.len() >= 2,
+        "256 points in 6-record nodes must build index levels: {}",
+        fill_line(&report.levels)
     );
     // All points still reachable.
     for p in &pts {
@@ -150,7 +151,7 @@ fn figure_2_structure() {
     }
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
-    assert!(report.nodes_per_level.len() >= 2);
+    assert!(report.levels.len() >= 2);
 
     // Find an index node whose fragment carries a sibling pointer.
     let pool = &cs.store.pool;
@@ -322,4 +323,67 @@ fn unposted_splits_complete_lazily() {
     let report2 = tree.validate().unwrap();
     assert!(report2.is_well_formed(), "{:?}", report2.violations);
     assert!(report2.unposted_nodes <= report.unposted_nodes);
+}
+
+/// `n` seeded points spread over a 2^20 × 2^20 space.
+fn random_points(n: usize, seed: u64) -> Vec<Point> {
+    let mut rng = SimRng::new(seed);
+    (0..n)
+        .map(|_| [rng.below(1 << 20), rng.below(1 << 20)])
+        .collect()
+}
+
+/// `core/tests/fill.rs`'s loader for hB: insert `points` in transactions of
+/// eight, drain the postings, and return the validated report and the
+/// split count.
+fn load(cfg: HbConfig, points: &[Point]) -> (HbReport, u64) {
+    let (_cs, tree) = setup(cfg);
+    for batch in points.chunks(8) {
+        let mut t = tree.begin();
+        for (i, p) in batch.iter().enumerate() {
+            tree.insert(&mut t, p, &(i as u64).to_be_bytes()).unwrap();
+        }
+        t.commit().unwrap();
+    }
+    while tree.pending_posts() > 0 {
+        tree.run_completions().unwrap();
+    }
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.unposted_nodes, 0);
+    (report, tree.stats().splits.get())
+}
+
+#[test]
+fn default_nodes_split_when_the_page_is_full() {
+    // A data node splits only when its page is full, so a random load
+    // settles well above half full, as B-tree leaves do (`fill.rs`).
+    let points = random_points(20_000, 0x5EED);
+    let (report, _) = load(HbConfig::default(), &points);
+    println!(
+        "hb fill: 20000 random points: {}",
+        fill_line(&report.levels)
+    );
+    assert_eq!(report.records, points.len());
+    let data = report.levels.last().unwrap();
+    assert!(data.fill() >= 0.60, "{}", fill_line(&report.levels));
+    // A kd-median split of a full node leaves both halves about half full.
+    assert!(
+        data.emptiest_fill() >= Some(0.40),
+        "{:?}: {}",
+        data.emptiest,
+        fill_line(&report.levels)
+    );
+}
+
+#[test]
+fn small_nodes_load_still_splits_where_it_did() {
+    // Counted on the same seeded load at the commit before hB data nodes
+    // split on bytes: a record cap still decides, exactly as before.
+    const PARENT_SPLITS: u64 = 416;
+    const PARENT_NODES: [usize; 5] = [1, 2, 12, 66, 340];
+    let (report, splits) = load(HbConfig::small_nodes(8, 16), &random_points(2_000, 0x5EED));
+    assert_eq!(splits, PARENT_SPLITS);
+    let nodes: Vec<usize> = report.levels.iter().map(|l| l.nodes).collect();
+    assert_eq!(nodes, PARENT_NODES, "{}", fill_line(&report.levels));
 }

@@ -553,10 +553,28 @@ impl Page {
         }
     }
 
-    /// Find the first clear bit at or after `from`, if any. Used by the
-    /// allocator's free-page scan.
+    /// Find the first clear bit at or after `from`, if any: the allocator's
+    /// free-page scan, a byte at a time over the page it has latched once.
     pub fn sm_find_clear(&self, from: usize) -> Option<usize> {
-        (from..Self::BITS_PER_SPACEMAP_PAGE).find(|&i| !self.sm_get_bit(i))
+        let bits = &self.buf[HEADER_SIZE..];
+        let mut i = from;
+        while i < Self::BITS_PER_SPACEMAP_PAGE {
+            // The bits of this byte below `i` count as set.
+            let byte = bits[i / 8] | ((1u8 << (i % 8)) - 1);
+            if byte != u8::MAX {
+                return Some(i / 8 * 8 + byte.trailing_ones() as usize);
+            }
+            i = (i / 8 + 1) * 8;
+        }
+        None
+    }
+
+    /// Number of set bits on a space-map page.
+    pub fn sm_count_set(&self) -> u64 {
+        self.buf[HEADER_SIZE..]
+            .iter()
+            .map(|b| u64::from(b.count_ones()))
+            .sum()
     }
 
     // ---- little-endian helpers --------------------------------------------

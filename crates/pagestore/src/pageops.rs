@@ -353,5 +353,22 @@ mod tests {
         assert_eq!(p.sm_find_clear(0), Some(5));
         assert_eq!(p.sm_find_clear(5), Some(5));
         assert_eq!(p.sm_find_clear(6), Some(6));
+        // Whole bytes set, a clear bit mid-byte, a start inside a set byte.
+        for i in 5..21 {
+            p.sm_set_bit(i, true);
+        }
+        p.sm_set_bit(23, true);
+        assert_eq!(p.sm_find_clear(0), Some(21));
+        assert_eq!(p.sm_find_clear(22), Some(22));
+        assert_eq!(p.sm_find_clear(23), Some(24));
+        assert_eq!(p.sm_count_set(), 22);
+        let last = Page::BITS_PER_SPACEMAP_PAGE - 1;
+        for i in 0..=last {
+            p.sm_set_bit(i, i != last);
+        }
+        assert_eq!(p.sm_find_clear(9), Some(last));
+        p.sm_set_bit(last, true);
+        assert_eq!(p.sm_find_clear(0), None);
+        assert_eq!(p.sm_count_set(), Page::BITS_PER_SPACEMAP_PAGE as u64);
     }
 }

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --example spatial_index`
 
 use pitree::store::CrashableStore;
+use pitree::wellformed::fill_line;
 use pitree_hb::{HbConfig, HbTree, Point, Rect};
 use pitree_sim::SimRng;
 use std::sync::Arc;
@@ -58,9 +59,10 @@ fn main() {
     let report = tree.validate().expect("validate");
     assert!(report.is_well_formed(), "{:?}", report.violations);
     println!(
-        "structure: nodes per level {:?}, {} multi-parent nodes (clipped terms), \
-         {} records",
-        report.nodes_per_level, report.multi_parent_nodes, report.records
+        "structure: {}, {} multi-parent nodes (clipped terms), {} records",
+        fill_line(&report.levels),
+        report.multi_parent_nodes,
+        report.records
     );
     println!("\nstructure-change activity:");
     for (name, value) in tree.stats().snapshot() {

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -61,6 +61,12 @@ cargo test --offline -q
 
 step "fill gate (the split lands where the insert does: ascending and interleaved loads leave full nodes, random ones split as before)"
 cargo test --offline -q -p pitree --test fill -- --nocapture | grep -E 'fill: |^test result'
+cargo test --offline -q -p pitree-hb --test hb_tests -- --nocapture \
+  default_nodes_split_when_the_page_is_full small_nodes_load_still_splits_where_it_did \
+  | grep -E 'hb fill: |^test result'
+
+step "image-fill gate (a multi_struct-shaped image through the public API: hB data nodes split when the page is full, >= 60% full)"
+cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'image_fill: |^test result'
 
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
