@@ -315,10 +315,11 @@ fn assigned_var(cx: &FileCx, i: usize, floor: usize) -> Option<String> {
 // ---- R2: no-wait (§4.2.2) ------------------------------------------------
 
 /// The files completing actions start in: the engine's completion queue
-/// and drain (every structure's completions run through it), the B-link
-/// posting and consolidation actions, and the TSB and hB posting/split
-/// actions. This rule checks the sites *inside* them; the flow tier
-/// ([`crate::flow`]) follows the call chains that leave them.
+/// and drain (every structure's completions run through it), the engine's
+/// split and posting actions, the B-link consolidation action, and the TSB
+/// and hB split geometry. This rule checks the sites *inside* them; the
+/// flow tier ([`crate::flow`]) follows the call chains that leave them —
+/// into every structure's hooks.
 pub const NO_WAIT_ENTRIES: [&str; 5] = [
     "crates/core/src/completion.rs",
     "crates/core/src/post.rs",

@@ -78,8 +78,8 @@ fn post_term(&self, parent: &Pin) {
 
 #[test]
 fn latch_order_quiet_when_earlier_guard_dropped() {
-    // The drop/refetch hop pattern from run_post: each re-latch is preceded
-    // by dropping the previous guard, so only one latch is live at promote.
+    // A drop/refetch hop pattern: each re-latch is preceded by dropping the
+    // previous guard, so only one latch is live at promote.
     let src = r#"
 fn walk_and_promote(&self, a: &Pin, b: &Pin) {
     let mut g = a.u();

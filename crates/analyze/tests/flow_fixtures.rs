@@ -402,6 +402,56 @@ fn flow_no_wait_quiet_when_the_structure_probes_conditionally() {
     );
 }
 
+/// The engine's posting driver in post.rs calling a structure's
+/// `Structure::install_term` hook; `probe` is the lock call the hook makes.
+fn posting_driver_into_hb_hook(probe: &str) -> analyze::Report {
+    let hb_tree = format!(
+        "fn install_term(eng: &E, act: &mut Txn, pin: &P, g: &mut G, post: &C, node: Id) {{\n\
+         \x20   let name = eng.key_lock(&post.key);\n\
+         \x20   act.{probe}(&name, LockMode::X);\n\
+         }}\n"
+    );
+    scan(&[
+        (
+            "crates/core/src/post.rs",
+            "pub fn post_index_term(&self, post: &C, probe: &A, node: Id) {\n\
+             \x20   let mut act = self.begin();\n\
+             \x20   self.post_in(&mut act, post, probe);\n\
+             }\n\
+             fn post_in(&self, act: &mut Txn, post: &C, probe: &A) {\n\
+             \x20   let (pin, mut g, node) = self.parent(post);\n\
+             \x20   S::install_term(self, act, &pin, &mut g, post, node);\n\
+             }\n",
+        ),
+        ("crates/hbtree/src/tree.rs", &hb_tree),
+    ])
+}
+
+#[test]
+fn flow_no_wait_follows_the_posting_driver_into_a_structure_hook() {
+    // The §5.3 loop is the engine's and the hooks are each structure's: a
+    // blocking lock inside a hook runs with the parent X-latched, so it is
+    // a completion-path violation even though no entry file contains it.
+    let report = posting_driver_into_hb_hook("lock");
+    let hit = report
+        .findings
+        .iter()
+        .find(|x| x.rule == RuleId::NoWait)
+        .unwrap_or_else(|| panic!("{:?}", report.findings));
+    assert_eq!(hit.path, "crates/hbtree/src/tree.rs");
+    assert!(hit.msg.contains("`post_in` -> `install_term`"), "{hit:?}");
+}
+
+#[test]
+fn flow_no_wait_quiet_when_the_hook_probes_conditionally() {
+    let report = posting_driver_into_hb_hook("try_lock");
+    assert!(
+        !rules_of(&report.findings).contains(&RuleId::NoWait),
+        "{:?}",
+        report.findings
+    );
+}
+
 #[test]
 fn flow_no_wait_suppressed_is_consumed_not_stale() {
     let report = scan(&[

@@ -63,9 +63,9 @@ fn workspace_suppressions_are_all_in_use() {
 
 /// Files the structural parser cannot follow today (19; 23 when measured at
 /// 226c2e8, before the crash oracles merged into `pitree_sim::crash`), so
-/// the flow tier's proofs skip them — the buffer pool and the
-/// WAL among them. ROADMAP item 6 owns making this list empty. A ceiling: a
-/// file may leave the list, none may join.
+/// the flow tier's proofs skip them — the buffer pool and the WAL among
+/// them. The ROADMAP's "finish the diet" direction owns making this list
+/// empty. A ceiling: a file may leave the list, none may join.
 const UNFOLLOWED_CEILING: &[&str] = &[
     "benchmark/src/pi.rs",
     "benchmark/src/run.rs",

@@ -13,6 +13,7 @@
 //! * **Atomic-action identity** (§4.3.2): separate transaction, system
 //!   transaction, or nested top action.
 
+use crate::engine::TreeConfig;
 use pitree_wal::ActionIdentity;
 
 /// How node de-allocation is treated (§5.2.2). Only meaningful when
@@ -117,6 +118,12 @@ impl Default for PiTreeConfig {
             min_utilization: 0.2,
             auto_complete: true,
         }
+    }
+}
+
+impl TreeConfig for PiTreeConfig {
+    fn smo_identity(&self) -> ActionIdentity {
+        self.smo_identity
     }
 }
 

@@ -16,7 +16,6 @@
 use crate::config::{ConsolidationPolicy, DeallocPolicy, UndoPolicy};
 use crate::engine::set_header;
 use crate::node::{utilization, Guarded, IndexTerm, NodeHeader};
-use crate::stats::TreeStats;
 use crate::tree::PiTree;
 use pitree_pagestore::page::{PageType, FLAG_FREED};
 use pitree_pagestore::{PageOp, StoreResult};
@@ -68,7 +67,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let slot = match parent_guard.page().keyed_find(key)? {
         Ok(s) => s,
         Err(_) => {
-            TreeStats::bump(&stats.consolidations_noop);
+            stats.consolidations_noop.inc();
             tree.recorder()
                 .event(pitree_obs::EventKind::SmoConsolidate, 0, 1);
             act.commit()?;
@@ -97,9 +96,9 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         Guarded::X(x) => x,
         Guarded::S(_) => unreachable!("consolidate descends with U at target"),
     };
-    TreeStats::bump(&stats.upper_exclusive);
+    stats.upper_exclusive.inc();
     if level > 0 {
-        TreeStats::add(&stats.upper_exclusive, 2); // container + contained
+        stats.upper_exclusive.add(2); // container + contained
     }
 
     // Latch container then contained ("containing nodes prior to the
@@ -131,7 +130,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let fits =
         move_bytes <= cg.free_space() && (cg.entry_count() + ng.entry_count()) as usize <= max;
     if !still_sparse || !fits {
-        TreeStats::bump(&stats.consolidations_noop);
+        stats.consolidations_noop.inc();
         tree.recorder()
             .event(pitree_obs::EventKind::SmoConsolidate, c_pin.id().0, 1);
         act.commit()?;
@@ -224,7 +223,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     drop(pg);
     drop(parent_pin);
     act.commit()?;
-    TreeStats::bump(&stats.consolidations);
+    stats.consolidations.inc();
     tree.recorder()
         .event(pitree_obs::EventKind::SmoConsolidate, container, 0);
     if parent_sparse && parent_level < root_level {

@@ -7,11 +7,13 @@
 //! terms*. A [`Structure`] says how one member of the family encodes those
 //! three things — it routes a search argument through a latched page, says
 //! what to schedule when a sibling term is crossed, and runs its own
-//! completing actions and logical-undo tags. The [`Engine`] owns the rest:
-//! the tree registry on the meta page, restart (stop-the-world and
-//! instant), the descent loop ([`crate::traverse`]), the completion drain
-//! ([`crate::completion`]), the undo handlers ([`crate::undo`]), page
-//! allocation and the No-Wait lock step.
+//! completing actions and logical-undo tags, and supplies the geometry of
+//! its structure changes: how a node splits, where a posting goes, how a
+//! term is installed. The [`Engine`] owns the rest: the tree registry on
+//! the meta page, restart (stop-the-world and instant), the descent loop
+//! ([`crate::traverse`]), the completion drain ([`crate::completion`]), the
+//! independent split and §5.3 posting actions ([`crate::post`]), the undo
+//! handlers ([`crate::undo`]), page allocation and the No-Wait lock step.
 
 use crate::completion::{CompletionQueue, Pending};
 use crate::stats::TreeStats;
@@ -24,6 +26,55 @@ use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
 use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::Arc;
+
+/// What the engine reads from every structure's configuration.
+pub trait TreeConfig: Copy + Send + Sync {
+    /// Recovery identity of the structure's SMO atomic actions (§4.3.2).
+    fn smo_identity(&self) -> ActionIdentity;
+}
+
+/// How a posting action terminated. Every arm is a legitimate outcome —
+/// "Before posting the index term, we test that the posting has not already
+/// been done and still needs to be done" (§5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PostOutcome {
+    /// The term was inserted.
+    Posted,
+    /// Another action already posted it (idempotent no-op).
+    AlreadyPosted,
+    /// The described node was consolidated away; nothing to post.
+    NodeGone,
+    /// A move lock covers the delegating node: the splitting transaction is
+    /// undecided, so posting must wait (§4.2.2).
+    MoveDeferred,
+}
+
+/// Where §5.3's Search and Verify Split leave a posting. (The target is
+/// moved once per posting, like every descent result; boxing it would only
+/// add an allocation.)
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum Verified<'a> {
+    /// Install the term for this node (the verified address, which §5.3
+    /// allows to differ from the scheduled one) into the U-latched parent.
+    Parent(DescentTarget<'a>, PageId),
+    /// The posting ends before touching a page.
+    Ends(PostOutcome),
+}
+
+/// What §5.3's Update Node step found in the X-latched parent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Install {
+    /// The term is in; split the node afterwards if it is `overfull`.
+    Posted {
+        /// The term fit the page, but the node is now over a cap.
+        overfull: bool,
+    },
+    /// The parent already routes the term's space to its node.
+    AlreadyPosted,
+    /// No room: make room, then retry in whichever node covers the probe.
+    Full,
+}
 
 /// What a latched node tells a descent to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +104,7 @@ pub struct Routed {
 /// methods are statically dispatched — the read path never sees a `dyn`.
 pub trait Structure: Sized + Send + Sync {
     /// The public tuning knobs this structure is built from.
-    type Config: Copy + Send + Sync;
+    type Config: TreeConfig;
     /// The search argument a descent routes by (a key, a point).
     type Arg: ?Sized;
     /// A pending completing action (§5.1).
@@ -92,6 +143,37 @@ pub trait Structure: Sized + Send + Sync {
     ) -> StoreResult<()>;
     /// Execute one completing atomic action.
     fn complete(eng: &Engine<Self>, c: Self::Completion) -> StoreResult<()>;
+    /// Make room in the X-latched node `pin` for the entry keyed `pending`
+    /// — split it (§3.2.1), or grow the tree if it is the root (§5.3) —
+    /// logging into `act`. Returns the index-term posting the split owes;
+    /// `path` is the saved path above the node.
+    fn split_node(
+        eng: &Engine<Self>,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        pending: &Self::Arg,
+        path: &SavedPath,
+    ) -> StoreResult<Option<Self::Completion>>;
+    /// §5.3 Search + Verify Split for the posting `post`, whose term covers
+    /// `probe`: find the parent, U-latched, or the outcome that ends it.
+    /// The returned target's path is what postings owed by splits of the
+    /// parent remember.
+    fn locate_post<'a>(
+        eng: &'a Engine<Self>,
+        post: &Self::Completion,
+        probe: &Self::Arg,
+    ) -> StoreResult<Verified<'a>>;
+    /// §5.3 Update Node: install `post`'s term for `node` into the
+    /// X-latched parent, logging into `act`, if it fits.
+    fn install_term(
+        eng: &Engine<Self>,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        post: &Self::Completion,
+        node: PageId,
+    ) -> StoreResult<Install>;
     /// Execute one logical-undo compensation (§4.2).
     fn undo(eng: &Engine<Self>, tag: u8, payload: &[u8]) -> StoreResult<()>;
     /// Hook run once a tree is opened (restore volatile state from disk).
@@ -409,7 +491,7 @@ impl<S: Structure> Engine<S> {
     /// Schedule a completing action (duplicates are suppressed).
     pub fn schedule(&self, c: S::Completion) {
         if self.completions.push(c) {
-            TreeStats::bump(&self.stats.postings_scheduled);
+            self.stats.postings_scheduled.inc();
         }
     }
 
@@ -480,7 +562,7 @@ impl<S: Structure> Engine<S> {
             Ok(()) => Ok(Some(d)),
             Err(LockError::WouldBlock) => {
                 drop(d);
-                TreeStats::bump(&self.stats.no_wait_restarts);
+                self.stats.no_wait_restarts.inc();
                 for (name, mode) in locks {
                     txn.lock(name, *mode).map_err(lock_err)?;
                 }

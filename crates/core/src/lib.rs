@@ -50,9 +50,8 @@ pub use bound::KeyBound;
 pub use completion::{Completion, CompletionQueue, Pending};
 pub use config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
 pub use consolidate::{consolidate, ConsolidateOutcome};
-pub use engine::{Engine, Routed, Step, Structure};
+pub use engine::{Engine, Install, PostOutcome, Routed, Step, Structure, TreeConfig, Verified};
 pub use node::{BoundRef, HeaderRef, IndexTerm, NodeHeader, NodeRef};
-pub use post::{post_index_term, PostOutcome};
 pub use stats::TreeStats;
 pub use store::{CrashableStore, Store};
 pub use traverse::{DescentTarget, PathEntry, SavedPath};

@@ -1,5 +1,5 @@
-//! Node splitting (§3.2) and root growth (§5.3 Space Test), as atomic
-//! actions.
+//! The B-link's node split (§3.2) and root growth (§5.3 Space Test), and
+//! the §4.2.1 policy for the leaf split an insert needs.
 //!
 //! A split follows the §3.2.1 steps exactly: allocate, partition the
 //! directly-contained space, move the delegated entries, install the sibling
@@ -7,7 +7,8 @@
 //! level — posting is a separate atomic action (§5).
 //!
 //! Leaf splits triggered by an insert follow §4.2.1:
-//! * logical UNDO — always an independent atomic action;
+//! * logical UNDO — always an independent atomic action
+//!   ([`crate::Engine::split_independent`]);
 //! * page-oriented UNDO, transaction has not updated this leaf — an
 //!   independent action run "independent of and before T", under a move
 //!   lock held for the action's duration;
@@ -18,9 +19,8 @@
 use crate::bound::KeyBound;
 use crate::completion::Completion;
 use crate::engine::{lock_err, move_entries, new_node, set_header, split_slot};
-use crate::node::{IndexTerm, NodeHeader};
-use crate::stats::TreeStats;
-use crate::traverse::DescentTarget;
+use crate::node::{HeaderRef, IndexTerm, NodeHeader};
+use crate::traverse::{DescentTarget, SavedPath};
 use crate::tree::PiTree;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
@@ -28,47 +28,28 @@ use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, Txn};
 
-/// What a split produced. For a non-root split the caller receives the new
-/// sibling (still X-latched); for a root split ("Grew") both new children —
-/// their index terms were already posted into the root within the same
-/// action, so nothing is left to schedule.
-pub(crate) enum SplitCandidates<'a> {
-    /// Ordinary split: `new` is the sibling that received the delegated
-    /// upper subspace.
-    Normal {
-        /// Pin on the new node.
-        new_pin: PinnedPage<'a>,
-        /// X guard on the new node.
-        new_guard: XGuard<'a, Page>,
-        /// The partition key: the new node's low bound.
-        split_key: Vec<u8>,
-        /// The new node's id.
-        new_pid: PageId,
-    },
+/// What a split produced.
+pub(crate) enum Split {
+    /// Ordinary split: `new_pid` received the delegated upper subspace, and
+    /// the split owes `post`, the posting of its index term.
+    Normal { new_pid: PageId, post: Completion },
     /// The node was the root: its contents moved to `n1`, which was then
     /// split into `n1`/`n2`, and both index terms were posted to the root
     /// inline (§5.3's "pair of index terms").
-    Grew {
-        /// The left child (old contents, lower subspace).
-        n1: (PinnedPage<'a>, XGuard<'a, Page>),
-        /// The right child (delegated upper subspace).
-        n2: (PinnedPage<'a>, XGuard<'a, Page>),
-        /// The partition key between them.
-        split_key: Vec<u8>,
-    },
+    Grew { n1: PageId, n2: PageId },
 }
 
 /// The raw §3.2.1 split of a non-root node: partition at [`split_slot`]'s
 /// choice for the entry keyed `pending_key`, move the delegated entries to a
-/// freshly allocated sibling, install the sibling term. Returns the new node
-/// (X-latched) and the partition key.
-fn raw_split<'a>(
-    tree: &'a PiTree,
+/// freshly allocated sibling, install the sibling term. Returns the
+/// partition key and the new node.
+fn raw_split(
+    tree: &PiTree,
     chain: &mut Txn<'_>,
-    page: &PinnedPage<'a>,
-    g: &mut XGuard<'a, Page>,
+    page: &PinnedPage<'_>,
+    g: &mut XGuard<'_, Page>,
     pending_key: &[u8],
-) -> StoreResult<(PinnedPage<'a>, XGuard<'a, Page>, Vec<u8>, PageId)> {
+) -> StoreResult<(Vec<u8>, PageId)> {
     let hdr = NodeHeader::read(g)?;
     let n = g.entry_count();
     if n < 2 {
@@ -103,33 +84,35 @@ fn raw_split<'a>(
         high: KeyBound::Key(split_key.clone()),
     };
     set_header(chain, page, g, old_hdr.encode())?;
-    TreeStats::bump(&tree.stats().splits);
+    tree.stats().splits.inc();
     tree.recorder()
         .event(pitree_obs::EventKind::SmoSplit, page.id().0, new_pid.0);
-    Ok((new_pin, ng, split_key, new_pid))
+    Ok((split_key, new_pid))
 }
 
 /// Split `page` within `chain` to make room for the entry keyed
-/// `pending_key`. Handles the root case by growing the tree
-/// ("the root does not move", §5.2.2): root contents move to a new node n1,
-/// n1 is split into n1/n2, and both index terms are posted to the root in
-/// the same atomic action (§5.3).
-pub(crate) fn split_node<'a>(
-    tree: &'a PiTree,
+/// `pending_key`; `path` is the saved path above it. Handles the root case
+/// by growing the tree ("the root does not move", §5.2.2): root contents
+/// move to a new node n1, n1 is split into n1/n2, and both index terms are
+/// posted to the root in the same atomic action (§5.3).
+pub(crate) fn split_node(
+    tree: &PiTree,
     chain: &mut Txn<'_>,
-    page: &PinnedPage<'a>,
-    g: &mut XGuard<'a, Page>,
+    page: &PinnedPage<'_>,
+    g: &mut XGuard<'_, Page>,
     pending_key: &[u8],
-) -> StoreResult<SplitCandidates<'a>> {
+    path: &SavedPath,
+) -> StoreResult<Split> {
     if page.id() != tree.root_pid() {
-        let (new_pin, new_guard, split_key, new_pid) =
-            raw_split(tree, chain, page, g, pending_key)?;
-        return Ok(SplitCandidates::Normal {
-            new_pin,
-            new_guard,
-            split_key,
-            new_pid,
-        });
+        let level = HeaderRef::read(g)?.level();
+        let (key, new_pid) = raw_split(tree, chain, page, g, pending_key)?;
+        let post = Completion::Post {
+            level: level + 1,
+            key,
+            node: new_pid,
+            path: Box::new(path.above(level)),
+        };
+        return Ok(Split::Normal { new_pid, post });
     }
 
     // ---- root growth ---------------------------------------------------------
@@ -140,7 +123,7 @@ pub(crate) fn split_node<'a>(
         ..NodeHeader::new_root_leaf()
     };
     let (n1_pin, mut n1g) = new_node(tree.store(), chain, n1_hdr.encode())?;
-    let n1_pid = n1_pin.id();
+    let n1 = n1_pin.id();
 
     // Move the root's contents wholesale into n1; the root rises one level
     // and indexes n1 for the whole space.
@@ -151,21 +134,17 @@ pub(crate) fn split_node<'a>(
         ..NodeHeader::new_root_leaf()
     };
     set_header(chain, page, g, root_hdr.encode())?;
-    let bytes = IndexTerm::entry_for(b"", n1_pid);
+    let bytes = IndexTerm::entry_for(b"", n1);
     chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
 
     // n1 is as full as the root was: split it now and post the pair.
-    let (n2_pin, n2g, split_key, n2_pid) = raw_split(tree, chain, &n1_pin, &mut n1g, pending_key)?;
-    let bytes = IndexTerm::entry_for(&split_key, n2_pid);
+    let (split_key, n2) = raw_split(tree, chain, &n1_pin, &mut n1g, pending_key)?;
+    let bytes = IndexTerm::entry_for(&split_key, n2);
     chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
-    TreeStats::bump(&tree.stats().root_grows);
+    tree.stats().root_grows.inc();
     tree.recorder()
         .event(pitree_obs::EventKind::SmoRootGrow, page.id().0, 0);
-    Ok(SplitCandidates::Grew {
-        n1: (n1_pin, n1g),
-        n2: (n2_pin, n2g),
-        split_key,
-    })
+    Ok(Split::Grew { n1, n2 })
 }
 
 /// Split the leaf the blocked insert of `key` needs room in, under the
@@ -180,8 +159,6 @@ pub(crate) fn split_leaf_for_insert<'t>(
     use crate::config::UndoPolicy;
     let leaf_pid = d.page.id();
     let page_name = tree.page_lock(leaf_pid);
-    let leaf_level = d.level;
-    let path = d.path.clone();
 
     let in_txn = match tree.config().undo {
         UndoPolicy::Logical => false,
@@ -222,7 +199,7 @@ pub(crate) fn split_leaf_for_insert<'t>(
                 // of the to-be-moved records to finish, then retry the whole
                 // insert (the caller loops).
                 drop(d);
-                TreeStats::bump(&tree.stats().no_wait_restarts);
+                tree.stats().no_wait_restarts.inc();
                 txn.lock(&page_name, LockMode::Move).map_err(lock_err)?;
                 if !in_txn {
                     // Action-duration only; the retry will re-take it.
@@ -235,99 +212,46 @@ pub(crate) fn split_leaf_for_insert<'t>(
     }
 
     if !in_txn {
-        let r = independent_split(tree, d, key);
+        let r = tree.split_independent(d, key);
         if took_move {
             txn.unlock(&page_name); // action-duration move lock
         }
         return r;
     }
 
+    // ---- split inside the transaction (§4.2.1 second case) ------------------
     let mut g = d.guard.promote().into_x();
-    {
-        // ---- split inside the transaction (§4.2.1 second case) --------------
-        let cands = split_node(tree, txn, &d.page, &mut g, key)?;
-        TreeStats::bump(&tree.stats().splits_in_txn);
-        // Move-lock every page that received moved (uncommitted) records,
-        // held to end of transaction: undo of the move must stay possible,
-        // so non-commuting updates to those pages are blocked (§4.2.2), and
-        // index-term postings into a move-locked node defer until T ends.
-        // The pages are freshly allocated, so the locks cannot conflict.
-        let lock_new = |pid: PageId| {
-            // Under the relation granule the single lock already covers the
-            // new pages (re-entrant no-op); per-page granule locks each.
-            let r = txn.try_lock(&tree.page_lock(pid), LockMode::Move);
-            debug_assert!(r.is_ok(), "fresh page cannot have conflicting holders");
-        };
-        match &cands {
-            SplitCandidates::Normal { new_pid, .. } => lock_new(*new_pid),
-            SplitCandidates::Grew { n1, n2, .. } => {
-                lock_new(n1.0.id());
-                lock_new(n2.0.id());
-            }
+    let split = split_node(tree, txn, &d.page, &mut g, key, &d.path)?;
+    tree.stats().splits_in_txn.inc();
+    // Move-lock every page that received moved (uncommitted) records, held
+    // to end of transaction: undo of the move must stay possible, so
+    // non-commuting updates to those pages are blocked (§4.2.2), and
+    // index-term postings into a move-locked node defer until T ends. The
+    // pages are freshly allocated, so the locks cannot conflict.
+    let lock_new = |pid: PageId| {
+        // Under the relation granule the single lock already covers the new
+        // pages (re-entrant no-op); per-page granule locks each.
+        let r = txn.try_lock(&tree.page_lock(pid), LockMode::Move);
+        debug_assert!(r.is_ok(), "fresh page cannot have conflicting holders");
+    };
+    match split {
+        Split::Grew { n1, n2 } => {
+            lock_new(n1);
+            lock_new(n2);
         }
-        if let SplitCandidates::Normal {
-            split_key, new_pid, ..
-        } = cands
-        {
+        Split::Normal { new_pid, post } => {
+            lock_new(new_pid);
             // "The posting of the index term for splits cannot occur until
             // and unless T commits" (§4.2.2) — defer via commit hook.
             let q = tree.completions_arc();
             let stats = tree.stats_arc();
-            let path = Box::new(path.above(leaf_level));
             txn.on_commit(move || {
-                if q.push(Completion::Post {
-                    level: leaf_level + 1,
-                    key: split_key,
-                    node: new_pid,
-                    path,
-                }) {
-                    TreeStats::bump(&stats.postings_scheduled);
+                if q.push(post) {
+                    stats.postings_scheduled.inc();
                 }
             });
         }
-        // Move lock stays with the transaction until it ends.
-        Ok(())
     }
-}
-
-/// Split the node in `d`, to make room for the entry keyed `pending_key`, as
-/// an independent atomic action: the common case for every index node, for
-/// logical UNDO, and for §4.2.1's "independent of and before T" leaf splits.
-/// Consumes the descent.
-pub(crate) fn independent_split(
-    tree: &PiTree,
-    d: DescentTarget<'_>,
-    pending_key: &[u8],
-) -> StoreResult<()> {
-    let level = d.level;
-    let path = d.path.clone();
-    let mut g = d.guard.promote().into_x();
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    let cands = match split_node(tree, &mut act, &d.page, &mut g, pending_key) {
-        Ok(c) => c,
-        Err(e) => {
-            act.abort(None)?;
-            return Err(e);
-        }
-    };
-    TreeStats::bump(&tree.stats().splits_independent);
-    let schedule = match &cands {
-        SplitCandidates::Normal {
-            split_key, new_pid, ..
-        } => Some((split_key.clone(), *new_pid)),
-        SplitCandidates::Grew { .. } => None,
-    };
-    drop(cands);
-    drop(g);
-    drop(d.page);
-    act.commit()?;
-    if let Some((split_key, new_pid)) = schedule {
-        tree.schedule(Completion::Post {
-            level: level + 1,
-            key: split_key,
-            node: new_pid,
-            path: Box::new(path.above(level)),
-        });
-    }
+    // Move lock stays with the transaction until it ends.
     Ok(())
 }

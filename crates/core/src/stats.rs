@@ -83,18 +83,6 @@ impl TreeStats {
         }
     }
 
-    /// Increment helper.
-    #[inline]
-    pub fn bump(counter: &Counter) {
-        counter.inc();
-    }
-
-    /// Add helper.
-    #[inline]
-    pub fn add(counter: &Counter, n: u64) {
-        counter.add(n);
-    }
-
     /// Snapshot all counters as (name, value) pairs, for table printing.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         vec![
@@ -130,14 +118,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let s = TreeStats::default();
-        TreeStats::bump(&s.splits);
-        TreeStats::add(&s.splits, 2);
-        assert_eq!(s.splits.get(), 3);
-    }
-
-    #[test]
     fn snapshot_names_are_unique() {
         let s = TreeStats::default();
         let snap = s.snapshot();
@@ -151,7 +131,7 @@ mod tests {
     fn registered_counters_show_in_registry_report() {
         let reg = pitree_obs::Registry::new();
         let s = TreeStats::new(&reg.recorder());
-        TreeStats::bump(&s.side_traversals);
+        s.side_traversals.inc();
         assert!(reg.report().contains("tree.side_traversals"));
     }
 }

@@ -19,7 +19,6 @@
 
 use crate::engine::{Engine, Routed, Step, Structure};
 use crate::node::Guarded;
-use crate::stats::TreeStats;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::{Lsn, PageId, PageType, StoreError, StoreResult};
 
@@ -269,7 +268,7 @@ impl<S: Structure> Engine<S> {
                     let want_u = update_at_target && level == target_level;
                     let sib = pool.fetch(side)?;
                     g = step_to(g, &sib, want_u, coupling);
-                    TreeStats::bump(&self.stats().side_traversals);
+                    self.stats().side_traversals.inc();
                     if schedule {
                         S::side_traversal(self, from, side, g.page(), &path)?;
                     }

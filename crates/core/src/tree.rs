@@ -14,15 +14,15 @@
 //! operation restarts (the **No-Wait Rule**).
 
 use crate::completion::Completion;
-use crate::config::{ConsolidationPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
-use crate::engine::{lock_err, Engine, Routed, Step, Structure};
+use crate::config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
+use crate::engine::{lock_err, Engine, Install, PostOutcome, Routed, Step, Structure, Verified};
 use crate::node::{node_full, utilization, HeaderRef, IndexTerm, NodeHeader};
-use crate::stats::TreeStats;
-use crate::traverse::{step_to, SavedPath};
+use crate::split::Split;
+use crate::traverse::{step_to, DescentTarget, SavedPath};
 use crate::undo::{TAG_UNDO_DELETE, TAG_UNDO_INSERT, TAG_UNDO_UPDATE};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
-use pitree_pagestore::page::Page;
+use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
 
@@ -135,7 +135,7 @@ impl Structure for BLink {
             .locks()
             .is_move_locked(&tree.page_lock(from))
         {
-            TreeStats::bump(&tree.stats().postings_move_deferred);
+            tree.stats().postings_move_deferred.inc();
             return Ok(());
         }
         let h = HeaderRef::read(to_page)?;
@@ -149,22 +149,192 @@ impl Structure for BLink {
     }
 
     fn complete(tree: &PiTree, c: Completion) -> StoreResult<()> {
-        match c {
-            Completion::Post {
-                level,
-                key,
-                node,
-                path,
-            } => crate::post::post_index_term(tree, level, &key, node, &path).map(drop),
+        match &c {
+            Completion::Post { key, node, .. } => tree.post_index_term(&c, key, *node).map(drop),
             Completion::Consolidate { level, key } => {
-                crate::consolidate::consolidate(tree, level, &key).map(drop)
+                crate::consolidate::consolidate(tree, *level, key).map(drop)
             }
         }
+    }
+
+    fn split_node(
+        tree: &PiTree,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        pending: &[u8],
+        path: &SavedPath,
+    ) -> StoreResult<Option<Completion>> {
+        let split = crate::split::split_node(tree, act, pin, g, pending, path)?;
+        Ok(match split {
+            Split::Normal { post, .. } => Some(post),
+            Split::Grew { .. } => None,
+        })
+    }
+
+    /// §5.3 Search from the saved path, then Verify Split under the
+    /// parent's U latch. The parent comes back remembering the posting's
+    /// saved path, which the postings of its own splits inherit.
+    fn locate_post<'a>(
+        tree: &'a PiTree,
+        post: &Completion,
+        key: &[u8],
+    ) -> StoreResult<Verified<'a>> {
+        let Completion::Post { level, path, .. } = post else {
+            return Err(StoreError::Corrupt(
+                "a consolidation is not a posting".into(),
+            ));
+        };
+        let mut d = locate_parent(tree, *level, key, path)?;
+        d.path = (**path).clone();
+        let move_locked = |pid| {
+            let locks = tree.store().txns.locks();
+            locks.is_move_locked(&tree.page_lock(pid))
+        };
+        // A move lock on the parent itself means its content is part of an
+        // undecided transaction's structure change (an in-transaction root
+        // growth): updating it now would break that transaction's
+        // page-oriented undo. Defer — traversals will re-detect the split.
+        if move_locked(d.page.id()) {
+            return Ok(Verified::Ends(PostOutcome::MoveDeferred));
+        }
+        // Verify Split: "If the index term has already been posted, the
+        // action is terminated."
+        if d.guard.page().keyed_probe(key).is_ok() {
+            return Ok(Verified::Ends(PostOutcome::AlreadyPosted));
+        }
+        // "Otherwise the child node with the largest index term key value
+        // smaller than the KEY is S latched," and we walk its side chain to
+        // see whether a sibling responsible for KEY's space still exists.
+        let Some(slot) = d.guard.page().keyed_floor(key)? else {
+            // No term at or below key: the parent's space was taken over
+            // since (transient under CP); treat as not-postable here.
+            return Ok(Verified::Ends(PostOutcome::NodeGone));
+        };
+        let pool = &tree.store().pool;
+        let mut pin = pool.fetch(IndexTerm::child_at(d.guard.page(), slot)?)?;
+        let mut g = pin.s();
+        let mut hdr = NodeHeader::read(&g)?;
+        while !hdr.contains(key) {
+            // Crossing this node's side pointer: §4.2.2 — a move lock means
+            // the split is by an undecided transaction; do not post.
+            if move_locked(pin.id()) {
+                return Ok(Verified::Ends(PostOutcome::MoveDeferred));
+            }
+            if !hdr.side.is_valid() {
+                return Ok(Verified::Ends(PostOutcome::NodeGone));
+            }
+            let next = pool.fetch(hdr.side)?;
+            let ng = next.s(); // latch coupling (CP-safe; harmless under CNS)
+            drop(g);
+            pin = next;
+            g = ng;
+            hdr = NodeHeader::read(&g)?;
+        }
+        // The chain reached key's space: the posting target is gone unless
+        // this *is* the node (low == key) — possibly at a new address, if
+        // the node was replaced (§5.3's "new ADDRESS" case). "The S latches
+        // are dropped."
+        if hdr.low.as_entry_key() != key {
+            return Ok(Verified::Ends(PostOutcome::NodeGone));
+        }
+        Ok(Verified::Parent(d, pin.id()))
+    }
+
+    fn install_term(
+        tree: &PiTree,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        post: &Completion,
+        node: PageId,
+    ) -> StoreResult<Install> {
+        crate::post::install_index_term(act, pin, g, post, node, tree.config().max_index_entries)
     }
 
     fn undo(tree: &PiTree, tag: u8, payload: &[u8]) -> StoreResult<()> {
         tree.compensate(tag, payload)
     }
+}
+
+/// Locate the parent node at `level` whose directly-contained space includes
+/// `key`, U-latched, exploiting saved state per §5.2.
+fn locate_parent<'a>(
+    tree: &'a PiTree,
+    level: u8,
+    key: &[u8],
+    path: &SavedPath,
+) -> StoreResult<DescentTarget<'a>> {
+    let stats = tree.stats();
+    let d = match tree.config().consolidation {
+        // CNS (§5.2.1): nodes are immortal — "re-traversals to find a parent
+        // always start with the remembered parent".
+        ConsolidationPolicy::Disabled => {
+            if let Some(e) = path.at_level(level) {
+                stats.saved_path_hits.inc();
+                tree.descend_from(e.pid, key, level, true, false)?
+            } else {
+                tree.descend(key, level, true, false)?
+            }
+        }
+        // §5.2.2(b): de-allocation bumps the state id, so climb the saved
+        // path from the deepest entry whose state id is unchanged.
+        ConsolidationPolicy::Enabled {
+            dealloc: DeallocPolicy::IsAnUpdate,
+        } => {
+            let mut start = None;
+            for e in path.entries().iter().rev().filter(|e| e.level >= level) {
+                // Climbing *up* the path violates the latch order, so only
+                // try-latches are permissible here.
+                let ok = match tree.store().pool.fetch(e.pid) {
+                    Ok(pin) => match pin.try_s() {
+                        Some(g) => {
+                            g.lsn() == e.lsn
+                                && !g.is_freed()
+                                && g.page_type().map(|t| t == PageType::Node).unwrap_or(false)
+                        }
+                        None => false,
+                    },
+                    Err(_) => false,
+                };
+                if ok {
+                    stats.saved_path_hits.inc();
+                    start = Some(e.pid);
+                    break;
+                }
+                stats.saved_path_misses.inc();
+            }
+            match start {
+                Some(pid) => tree.descend_from(pid, key, level, true, false)?,
+                None => tree.descend(key, level, true, false)?,
+            }
+        }
+        // §5.2.2(a): de-allocation is invisible to state ids, so only
+        // root-anchored traversals are safe. The saved path still pays: a
+        // node whose state id is unchanged needs no fresh in-node search —
+        // we account hits for the experiment's benefit.
+        ConsolidationPolicy::Enabled {
+            dealloc: DeallocPolicy::NotAnUpdate,
+        } => {
+            let d = tree.descend(key, level, true, false)?;
+            for e in d.path.entries() {
+                if path
+                    .entries()
+                    .iter()
+                    .any(|p| p.pid == e.pid && p.lsn == e.lsn)
+                {
+                    stats.saved_path_hits.inc();
+                } else {
+                    stats.saved_path_misses.inc();
+                }
+            }
+            d
+        }
+    };
+    stats
+        .posting_nodes_touched
+        .add(d.path.entries().len() as u64 + 1);
+    Ok(d)
 }
 
 /// A Π-tree (B-link instantiation) over a [`crate::Store`].
@@ -270,7 +440,7 @@ impl PiTree {
                 match txn.try_lock(&name, LockMode::S) {
                     Ok(()) => {}
                     Err(LockError::WouldBlock) => {
-                        TreeStats::bump(&self.stats().no_wait_restarts);
+                        self.stats().no_wait_restarts.inc();
                         txn.lock(&name, LockMode::S).map_err(lock_err)?;
                         continue 'rescan;
                     }

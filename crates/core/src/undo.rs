@@ -58,7 +58,7 @@ impl PiTree {
                 _ => return Ok(()), // testable state: nothing to compensate
             };
             if needs_split {
-                crate::split::independent_split(self, d, key)?;
+                self.split_independent(d, key)?;
                 continue; // re-descend and retry
             }
             let mut act = self

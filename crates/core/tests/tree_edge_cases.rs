@@ -1,8 +1,10 @@
 //! Edge-case tests: variable-length string keys, byte-limited (full-page)
-//! nodes, space exhaustion, buffer-pressure operation, and codec fuzzing at
-//! the tree level.
+//! nodes, space exhaustion, buffer-pressure operation, codec fuzzing at
+//! the tree level, and a well-formedness walker that rejects damage.
 
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree::{CrashableStore, IndexTerm, KeyBound, NodeHeader, PiTree, PiTreeConfig};
+use pitree_pagestore::{PageId, PageOp};
+use pitree_wal::ActionIdentity;
 use std::sync::Arc;
 
 #[test]
@@ -173,4 +175,98 @@ fn empty_tree_scan_and_delete() {
     assert!(!tree.delete(&mut txn, b"nothing").unwrap());
     txn.commit().unwrap();
     assert!(tree.validate().unwrap().is_well_formed());
+}
+
+// ---- the walker has teeth ----------------------------------------------------
+
+/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
+/// faulty structure change would.
+fn damage(tree: &PiTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+    let store = tree.store();
+    let pin = store.pool.fetch(pid).unwrap();
+    let mut g = pin.x();
+    let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
+    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
+        .unwrap();
+    drop(g);
+    act.commit().unwrap();
+}
+
+/// The first node of `level`, reached by leftmost index terms, with its
+/// header.
+fn leftmost(tree: &PiTree, level: u8) -> (PageId, NodeHeader) {
+    let mut pid = tree.root_pid();
+    loop {
+        let pin = tree.store().pool.fetch(pid).unwrap();
+        let g = pin.s();
+        let hdr = NodeHeader::read(&g).unwrap();
+        if hdr.level == level {
+            return (pid, hdr);
+        }
+        pid = IndexTerm::read(&g, 1).unwrap().child;
+    }
+}
+
+/// A posted four-level tree of 60 ascending keys.
+fn small_tree() -> (CrashableStore, PiTree) {
+    let cs = CrashableStore::create(256, 10_000).unwrap();
+    let tree = PiTree::create(Arc::clone(&cs.store), 1, PiTreeConfig::small_nodes(4, 4)).unwrap();
+    for i in 0..60u64 {
+        let mut txn = tree.begin();
+        tree.insert(&mut txn, &i.to_be_bytes(), b"v").unwrap();
+        txn.commit().unwrap();
+    }
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert!(tree.height().unwrap() >= 3);
+    (cs, tree)
+}
+
+fn violations(tree: &PiTree) -> Vec<String> {
+    let report = tree.validate().unwrap();
+    assert!(!report.is_well_formed(), "the damage went unnoticed");
+    report.violations
+}
+
+#[test]
+fn walker_rejects_a_gap_between_sibling_bounds() {
+    let (_cs, tree) = small_tree();
+    // Pull the first leaf's high bound down to just past its last entry:
+    // the space up to its sibling's low bound is now nobody's.
+    let (leaf, hdr) = leftmost(&tree, 0);
+    let mut high = {
+        let pin = tree.store().pool.fetch(leaf).unwrap();
+        let g = pin.s();
+        g.entry_key_at(g.entry_count()).to_vec()
+    };
+    high.push(0);
+    let gap = NodeHeader {
+        high: KeyBound::Key(high),
+        ..hdr
+    };
+    damage(&tree, leaf, 0, gap.encode());
+    let v = violations(&tree);
+    assert!(
+        v.iter().any(|v| v.contains("!= previous node's high")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_an_index_term_whose_child_is_at_the_wrong_level() {
+    let (_cs, tree) = small_tree();
+    // Re-aim the root's second term at the first leaf, levels below where
+    // its child belongs.
+    let root = tree.root_pid();
+    let (leaf, _) = leftmost(&tree, 0);
+    let term = {
+        let pin = tree.store().pool.fetch(root).unwrap();
+        let g = pin.s();
+        IndexTerm::read(&g, 2).unwrap()
+    };
+    damage(&tree, root, 2, IndexTerm::entry_for(&term.key, leaf));
+    let parent_level = tree.height().unwrap() - 1;
+    let want = format!("child {leaf} at level 0, parent at {parent_level}");
+    let v = violations(&tree);
+    assert!(v.iter().any(|v| v.contains(&want)), "{v:?}");
 }

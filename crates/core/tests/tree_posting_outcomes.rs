@@ -2,13 +2,24 @@
 //! posted, and "the node whose index term is being posted has already been
 //! deleted" (consolidated away) — plus posting deferral on move locks.
 
-use pitree::{
-    post_index_term, Completion, CrashableStore, PiTree, PiTreeConfig, PostOutcome, SavedPath,
-};
+use pitree::{Completion, CrashableStore, PiTree, PiTreeConfig, PostOutcome, SavedPath};
+use pitree_pagestore::PageId;
 use std::sync::Arc;
 
 fn key(i: u64) -> Vec<u8> {
     i.to_be_bytes().to_vec()
+}
+
+/// Run a stale posting of the level-1 term `(key, node 999)` through the
+/// engine's posting action.
+fn post_stale(tree: &PiTree, key: &[u8]) -> PostOutcome {
+    let post = Completion::Post {
+        level: 1,
+        key: key.to_vec(),
+        node: PageId(999),
+        path: Box::new(SavedPath::default()),
+    };
+    tree.post_index_term(&post, key, PageId(999)).unwrap()
 }
 
 fn setup(cfg: PiTreeConfig) -> (CrashableStore, PiTree) {
@@ -38,14 +49,8 @@ fn stale_posting_for_posted_node_is_already_posted() {
     assert_eq!(report.unposted_nodes, 0);
     // Fabricate a duplicate posting for an existing second-leaf boundary.
     // Find it by scanning: any key whose leaf low == that key.
-    let d_outcome = post_index_term(
-        &tree,
-        1,
-        &key(15), // routing keys came from splits around the middle
-        pitree_pagestore::PageId(999),
-        &SavedPath::default(),
-    )
-    .unwrap();
+    // Routing keys came from splits around the middle.
+    let d_outcome = post_stale(&tree, &key(15));
     // Whatever boundary key(15) is, the outcome must be a clean noop-class
     // result, never a double insert.
     assert!(
@@ -104,14 +109,7 @@ fn posting_for_consolidated_node_terminates_node_gone() {
     // and never corrupt the tree.
     let mut gone = 0;
     for i in 0..30u64 {
-        let out = post_index_term(
-            &tree,
-            1,
-            &key(i),
-            pitree_pagestore::PageId(999),
-            &SavedPath::default(),
-        )
-        .unwrap();
+        let out = post_stale(&tree, &key(i));
         if out == PostOutcome::NodeGone {
             gone += 1;
         }
@@ -144,7 +142,7 @@ fn queued_completions_survive_being_stale_en_masse() {
         tree.completions().push(Completion::Post {
             level: 1,
             key: key(i),
-            node: pitree_pagestore::PageId(2 + i),
+            node: PageId(2 + i),
             path: Box::new(SavedPath::default()),
         });
     }

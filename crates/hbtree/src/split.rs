@@ -1,12 +1,11 @@
 //! hB-tree structure changes: hyperplane splits of data and index nodes
-//! (with clipping), root growth, and the fragment-posting action.
+//! (with clipping) and root growth — the geometry the engine's independent
+//! split and posting actions run.
 
 use crate::geometry::{key_point, Frag, Point, PtrKind, Rect, DIMS};
 use crate::node::HbHeader;
-use crate::tree::{parent_hint, HbEngine, HbPost};
+use crate::tree::HbEngine;
 use pitree::engine::{move_entries, new_node, set_header};
-use pitree::stats::TreeStats;
-use pitree::traverse::DescentTarget;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
@@ -71,45 +70,13 @@ fn choose_index_cut(leaves: &[(Rect, bool)]) -> StoreResult<(usize, u64)> {
         .ok_or_else(|| StoreError::Corrupt("no viable index cut".into()))
 }
 
-/// Split the full data node in `d` as an independent atomic action; the
-/// caller retries its insert.
-pub(crate) fn split_data_node(tree: &HbEngine, d: DescentTarget<'_>) -> StoreResult<()> {
-    let hdr = HbHeader::read(d.guard.page())?;
-    let mut g = d.guard.promote().into_x();
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-
-    if d.page.id() == tree.root_pid() {
-        grow_root(tree, &mut act, &d.page, &mut g, &hdr)?;
-        drop(g);
-        drop(d.page);
-        act.commit()?;
-        TreeStats::bump(&tree.stats().splits_independent);
-        return Ok(());
-    }
-
-    let old = d.page.id();
-    let (new_pid, new_rect) = raw_split(tree, &mut act, &d.page, &mut g, &hdr)?;
-    drop(g);
-    drop(d.page);
-    act.commit()?;
-    TreeStats::bump(&tree.stats().splits_independent);
-    tree.schedule(HbPost {
-        parent: parent_hint(tree, &d.path),
-        level: 1,
-        old,
-        new: new_pid,
-        rect: new_rect,
-    });
-    Ok(())
-}
-
 /// §3.2.1 / §3.2.2 for hB nodes: cut the node's space by a hyperplane. A
 /// data node moves the records on the high side; an index node clips its
 /// straddling child terms into both halves (`clip` sets their multi-parent
 /// markers, §3.3). Either way the old fragment gains a split whose high
 /// side is the sibling term — Figure 2's "one child of the root points to
 /// the new sibling". Returns the new node and its rectangle.
-fn raw_split(
+pub(crate) fn raw_split(
     tree: &HbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
@@ -185,7 +152,7 @@ fn raw_split(
         },
     };
     set_header(act, page, g, old_hdr.encode())?;
-    TreeStats::bump(&tree.stats().splits);
+    tree.stats().splits.inc();
     Ok((new_pid, new_rect))
 }
 
@@ -193,7 +160,7 @@ fn raw_split(
 /// root, its records) move wholesale to a fresh child n1, the root rises one
 /// level holding a single child term, then n1 splits and the pair of index
 /// terms is posted inline (§5.3) — unless n1's fragment is too small to cut.
-fn grow_root(
+pub(crate) fn grow_root(
     tree: &HbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
@@ -216,105 +183,6 @@ fn grow_root(
         root_hdr.frag.post(&rect, n1_pid, n2_pid, &n2_rect);
         set_header(act, page, g, root_hdr.encode())?;
     }
-    TreeStats::bump(&tree.stats().root_grows);
+    tree.stats().root_grows.inc();
     Ok(())
-}
-
-/// The completing posting action: teach a parent fragment that `new` took
-/// over `rect` from `old` (§5.3 adapted to fragments). Testable — a parent
-/// that already routes `rect` to `new`, or that holds no term for `old`
-/// there, makes this a no-op. Splits the parent (or grows the root) within
-/// the action when the refined fragment no longer fits.
-pub(crate) fn run_post(tree: &HbEngine, post: HbPost) -> StoreResult<()> {
-    let HbPost {
-        parent,
-        level,
-        old,
-        new,
-        rect,
-    } = post;
-    let stats = tree.stats();
-    let max_frag = tree.config().max_frag_nodes;
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-
-    // Locate the parent at `level` whose fragment routes rect.lo — starting
-    // from the hint (immortal under CNS; a stale one below `level` restarts
-    // from the root).
-    let probe: Point = rect.lo;
-    let d = tree.descend_from(parent, &probe, level, true, false)?;
-    let mut pin = d.page;
-    let mut xg = d.guard.promote().into_x();
-    loop {
-        let hdr = HbHeader::read(&xg)?;
-        let is_root = pin.id() == tree.root_pid();
-        let mut frag = hdr.frag.clone();
-        if !frag.post(&hdr.rect, old, new, &rect) {
-            TreeStats::bump(&stats.postings_noop);
-            break;
-        }
-        let new_hdr = HbHeader {
-            level: hdr.level,
-            rect: hdr.rect.clone(),
-            frag,
-        };
-        let bytes = new_hdr.encode();
-        if bytes.len() <= xg.free_space() + xg.get(0)?.len() {
-            // Apply the posting whenever physically possible; the fragment
-            // cap is enforced by an opportunistic split *afterwards*, so a
-            // posting can never starve behind restructuring.
-            set_header(&mut act, &pin, &mut xg, bytes)?;
-            TreeStats::bump(&stats.postings_done);
-            if new_hdr.frag.size() > max_frag {
-                if is_root {
-                    grow_root(tree, &mut act, &pin, &mut xg, &new_hdr)?;
-                } else {
-                    split_index_node(tree, &mut act, &pin, &mut xg, &new_hdr)?;
-                }
-            }
-            break;
-        }
-        // The posted header does not physically fit: restructure, then retry
-        // on whichever node now routes the probe.
-        let next = if is_root {
-            grow_root(tree, &mut act, &pin, &mut xg, &hdr)?;
-            // The target-level node is now the root's child over the probe.
-            let grown = HbHeader::read(&xg)?;
-            match grown.frag.locate(&grown.rect, &probe).0 {
-                Frag::Ptr { pid, .. } => Some(*pid),
-                _ => return Err(StoreError::Corrupt("grown hB root has no child".into())),
-            }
-        } else {
-            let (new_sib, new_sib_rect) = split_index_node(tree, &mut act, &pin, &mut xg, &hdr)?;
-            new_sib_rect.contains(&probe).then_some(new_sib)
-        };
-        if let Some(next) = next {
-            drop(xg);
-            pin = tree.store().pool.fetch(next)?;
-            xg = pin.x();
-        }
-    }
-    drop(xg);
-    drop(pin);
-    act.commit()?;
-    Ok(())
-}
-
-/// Split a non-root index node inside a posting action and schedule the
-/// posting of its own new sibling one level up.
-fn split_index_node(
-    tree: &HbEngine,
-    act: &mut Txn<'_>,
-    page: &PinnedPage<'_>,
-    g: &mut XGuard<'_, Page>,
-    hdr: &HbHeader,
-) -> StoreResult<(PageId, Rect)> {
-    let (new_sib, rect) = raw_split(tree, act, page, g, hdr)?;
-    tree.schedule(HbPost {
-        parent: tree.root_pid(),
-        level: hdr.level + 1,
-        old: page.id(),
-        new: new_sib,
-        rect: rect.clone(),
-    });
-    Ok((new_sib, rect))
 }

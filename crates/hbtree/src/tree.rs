@@ -12,10 +12,12 @@ use crate::geometry::{key_point, point_key, Frag, Point, PtrKind, Rect};
 use crate::node::HbHeader;
 use crate::undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};
 use pitree::completion::Pending;
-use pitree::engine::{Engine, Routed, Step, Structure};
+use pitree::engine::{set_header, Engine, Install, Routed, Step, Structure, TreeConfig, Verified};
 use pitree::node::node_full;
 use pitree::store::Store;
 use pitree::traverse::SavedPath;
+use pitree_pagestore::buffer::PinnedPage;
+use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockMode, LockName, Txn};
@@ -45,6 +47,12 @@ impl Default for HbConfig {
             auto_complete: true,
             smo_identity: ActionIdentity::SystemTransaction,
         }
+    }
+}
+
+impl TreeConfig for HbConfig {
+    fn smo_identity(&self) -> ActionIdentity {
+        self.smo_identity
     }
 }
 
@@ -172,7 +180,74 @@ impl Structure for Hb {
     }
 
     fn complete(tree: &HbEngine, post: HbPost) -> StoreResult<()> {
-        crate::split::run_post(tree, post)
+        tree.post_index_term(&post, &post.rect.lo, post.new)
+            .map(drop)
+    }
+
+    /// Grow the tree at the root; otherwise cut the node and owe the
+    /// posting of the new sibling to the parent on the search path.
+    fn split_node(
+        tree: &HbEngine,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        _pending: &Point,
+        path: &SavedPath,
+    ) -> StoreResult<Option<HbPost>> {
+        let hdr = HbHeader::read(g)?;
+        if pin.id() == tree.root_pid() {
+            crate::split::grow_root(tree, act, pin, g, &hdr)?;
+            return Ok(None);
+        }
+        let (new, rect) = crate::split::raw_split(tree, act, pin, g, &hdr)?;
+        Ok(Some(HbPost {
+            parent: parent_hint(tree, path),
+            level: hdr.level + 1,
+            old: pin.id(),
+            new,
+            rect,
+        }))
+    }
+
+    /// The parent at `post.level` whose fragment routes the region's low
+    /// corner, found from the hint (immortal under CNS; a stale one below
+    /// the level restarts from the root). Whether the term is already there
+    /// is the fragment's to say.
+    fn locate_post<'a>(
+        tree: &'a HbEngine,
+        post: &HbPost,
+        probe: &Point,
+    ) -> StoreResult<Verified<'a>> {
+        let d = tree.descend_from(post.parent, probe, post.level, true, false)?;
+        Ok(Verified::Parent(d, post.new))
+    }
+
+    /// Teach the parent fragment that `new` took over `post.rect` from
+    /// `post.old` (§5.3 adapted to fragments). Testable: a parent that
+    /// already routes the region to `new`, or holds no term for `old` there,
+    /// changes nothing. The term goes in whenever the header physically
+    /// fits; the fragment cap is enforced by a split *afterwards*, so a
+    /// posting can never starve behind restructuring.
+    fn install_term(
+        tree: &HbEngine,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        post: &HbPost,
+        new: PageId,
+    ) -> StoreResult<Install> {
+        let mut hdr = HbHeader::read(g)?;
+        if !hdr.frag.post(&hdr.rect, post.old, new, &post.rect) {
+            return Ok(Install::AlreadyPosted);
+        }
+        let bytes = hdr.encode();
+        if bytes.len() > g.free_space() + g.get(0)?.len() {
+            return Ok(Install::Full);
+        }
+        set_header(act, pin, g, bytes)?;
+        Ok(Install::Posted {
+            overfull: hdr.frag.size() > tree.config().max_frag_nodes,
+        })
     }
 
     fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
@@ -322,7 +397,7 @@ impl HbTree {
             };
             let old = d.guard.page().keyed_lookup(&key).map(|(_, e)| e.to_vec());
             if old.is_none() && data_node_full(self, d.guard.page(), entry.len()) {
-                crate::split::split_data_node(self, d)?;
+                self.split_independent(d, p)?;
                 continue;
             }
             let created = old.is_none();

@@ -35,7 +35,7 @@ pub(crate) fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> 
             (_, false) => {
                 // Re-insert; splitting first if the node is packed.
                 if data_node_full(tree, d.guard.page(), payload.len()) {
-                    crate::split::split_data_node(tree, d)?;
+                    tree.split_independent(d, &p)?;
                     continue;
                 }
                 PageOp::KeyedInsert {

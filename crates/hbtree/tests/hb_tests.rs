@@ -2,8 +2,12 @@
 
 use pitree::store::CrashableStore;
 use pitree::wellformed::fill_line;
-use pitree_hb::{Frag, HbConfig, HbHeader, HbReport, HbTree, Point, PtrKind, Rect};
+use pitree::Structure;
+use pitree_hb::{point_key, Frag, Hb, HbConfig, HbHeader, HbReport, HbTree, Point, PtrKind, Rect};
+use pitree_pagestore::page::Page;
+use pitree_pagestore::{PageId, PageOp};
 use pitree_sim::SimRng;
+use pitree_wal::ActionIdentity;
 use std::sync::Arc;
 
 fn setup(cfg: HbConfig) -> (CrashableStore, HbTree) {
@@ -386,4 +390,188 @@ fn small_nodes_load_still_splits_where_it_did() {
     assert_eq!(splits, PARENT_SPLITS);
     let nodes: Vec<usize> = report.levels.iter().map(|l| l.nodes).collect();
     assert_eq!(nodes, PARENT_NODES, "{}", fill_line(&report.levels));
+}
+
+// ---- posting outcomes (core's `tree_posting_outcomes.rs`, for hB) ----------
+
+/// Every allocated page image, in page-id order.
+fn pages(cs: &CrashableStore) -> Vec<Vec<u8>> {
+    let (pool, space) = (&cs.store.pool, &cs.store.space);
+    let mut left = space.allocated_count(pool).unwrap();
+    let mut out = Vec::new();
+    for pid in 0.. {
+        if left == 0 {
+            break;
+        }
+        if space.is_allocated(pool, PageId(pid)).unwrap() {
+            left -= 1;
+            let pin = pool.fetch(PageId(pid)).unwrap();
+            out.push(pin.s().as_bytes().to_vec());
+        }
+    }
+    out
+}
+
+#[test]
+fn a_duplicate_posting_is_a_no_op() {
+    let cfg = HbConfig {
+        auto_complete: false,
+        ..HbConfig::small_nodes(4, 12)
+    };
+    let (cs, tree) = setup(cfg);
+    for p in grid_points(4, 100) {
+        put(&tree, p, b"v");
+    }
+    let post = tree.completions().pop().expect("a split owes a posting");
+    Hb::complete(&tree, post.clone()).unwrap();
+    while tree.pending_posts() > 0 {
+        tree.run_completions().unwrap();
+    }
+    let (noop, done) = (
+        tree.stats().postings_noop.get(),
+        tree.stats().postings_done.get(),
+    );
+    let before = pages(&cs);
+    Hb::complete(&tree, post).unwrap();
+    assert_eq!(tree.stats().postings_noop.get(), noop + 1);
+    assert_eq!(tree.stats().postings_done.get(), done);
+    assert!(pages(&cs) == before, "a no-op posting changed a page");
+}
+
+#[test]
+fn postings_split_a_full_parent_and_grow_a_full_root() {
+    let cfg = HbConfig {
+        auto_complete: false,
+        ..HbConfig::small_nodes(4, 5)
+    };
+    let (_cs, tree) = setup(cfg);
+    let (mut grew, mut split) = (0, 0);
+    for p in random_points(300, 0xB057) {
+        put(&tree, p, b"v");
+        // Run the owed postings one at a time, noting beforehand whether
+        // the parent's refined fragment overflows its cap and whether the
+        // parent is the root.
+        while let Some(post) = tree.completions().pop() {
+            let (full, root) = {
+                let d = tree
+                    .descend(&post.rect.lo, post.level, false, false)
+                    .unwrap();
+                let hdr = HbHeader::read(d.guard.page()).unwrap();
+                let mut frag = hdr.frag.clone();
+                let changed = frag.post(&hdr.rect, post.old, post.new, &post.rect);
+                let full = changed && frag.size() > cfg.max_frag_nodes;
+                (full, d.page.id() == tree.root_pid())
+            };
+            let s = tree.stats();
+            let (splits, grows) = (s.splits.get(), s.root_grows.get());
+            Hb::complete(&tree, post).unwrap();
+            match (full, root) {
+                (true, true) => {
+                    assert_eq!(s.root_grows.get(), grows + 1, "a full root must grow");
+                    grew += 1;
+                }
+                (true, false) => {
+                    assert_eq!(s.root_grows.get(), grows);
+                    assert_eq!(s.splits.get(), splits + 1, "a full parent must split");
+                    split += 1;
+                }
+                (false, _) => {
+                    assert_eq!((s.splits.get(), s.root_grows.get()), (splits, grows));
+                }
+            }
+        }
+    }
+    assert!(grew > 0 && split > 0, "grew {grew}, split {split}");
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.unposted_nodes, 0);
+}
+
+// ---- the walker has teeth ----------------------------------------------------
+
+/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
+/// faulty structure change would.
+fn damage(tree: &HbTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+    let store = tree.store();
+    let pin = store.pool.fetch(pid).unwrap();
+    let mut g = pin.x();
+    let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
+    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
+        .unwrap();
+    drop(g);
+    act.commit().unwrap();
+}
+
+/// A posted tree and one of its data nodes that delegated part of its
+/// rectangle to a sibling, with that node's header.
+fn tree_with_a_split_data_node() -> (CrashableStore, HbTree, PageId, HbHeader) {
+    let (cs, tree) = setup(HbConfig::small_nodes(4, 8));
+    for p in grid_points(4, 100) {
+        put(&tree, p, b"v");
+    }
+    assert!(tree.validate().unwrap().is_well_formed());
+    let mut stack = vec![tree.root_pid()];
+    while let Some(pid) = stack.pop() {
+        let pin = cs.store.pool.fetch(pid).unwrap();
+        let hdr = HbHeader::read(&pin.s()).unwrap();
+        if hdr.level == 0 && matches!(hdr.frag, Frag::Split { .. }) {
+            drop(pin);
+            return (cs, tree, pid, hdr);
+        }
+        let mut leaves = Vec::new();
+        hdr.frag.leaves(&hdr.rect, &mut leaves);
+        for (leaf, _) in leaves {
+            if let Frag::Ptr { pid, .. } = leaf {
+                stack.push(*pid);
+            }
+        }
+    }
+    panic!("no data node has split");
+}
+
+fn violations(tree: &HbTree) -> Vec<String> {
+    let report = tree.validate().unwrap();
+    assert!(!report.is_well_formed(), "the damage went unnoticed");
+    report.violations
+}
+
+#[test]
+fn walker_rejects_overlapping_owned_regions() {
+    let (_cs, tree, pid, hdr) = tree_with_a_split_data_node();
+    // Move the node's latest hyperplane one unit into the region it
+    // delegated: that strip is now owned twice.
+    let Frag::Split { dim, val, lo, hi } = hdr.frag else {
+        unreachable!("picked for its split")
+    };
+    let greedy = HbHeader {
+        frag: Frag::Split {
+            dim,
+            val: val + 1,
+            lo,
+            hi,
+        },
+        ..hdr
+    };
+    damage(&tree, pid, 0, greedy.encode());
+    let v = violations(&tree);
+    assert!(
+        v.iter().any(|v| v.contains("overlapping owned regions")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_record_outside_local_space() {
+    let (_cs, tree, pid, hdr) = tree_with_a_split_data_node();
+    // Move a record's point into the region the node delegated sideways.
+    let mut leaves = Vec::new();
+    hdr.frag.leaves(&hdr.rect, &mut leaves);
+    let away = leaves
+        .iter()
+        .find(|(leaf, _)| !matches!(leaf, Frag::Local))
+        .map(|(_, region)| region.lo)
+        .unwrap();
+    damage(&tree, pid, 1, Page::make_entry(&point_key(&away), b"v"));
+    let v = violations(&tree);
+    assert!(v.iter().any(|v| v.contains("outside Local space")), "{v:?}");
 }

@@ -1,5 +1,5 @@
-//! TSB-tree structure changes: time splits, key splits, index posting —
-//! each an independent atomic action, per the Π-tree protocol.
+//! TSB-tree structure changes: time splits, key splits and root growth —
+//! the geometry the engine's independent split and posting actions run.
 //!
 //! Figure 1's rules, implemented literally:
 //! * **time split** — a new *historic* node receives every version that
@@ -16,11 +16,8 @@
 use crate::node::{split_version_key, version_key, Time, TsbHeader, TsbKind};
 use crate::tree::TsbEngine;
 use pitree::bound::KeyBound;
-use pitree::completion::Completion;
 use pitree::engine::{move_entries, new_node, set_header, split_slot};
-use pitree::node::{node_full, IndexTerm};
-use pitree::stats::TreeStats;
-use pitree::traverse::{DescentTarget, SavedPath};
+use pitree::node::IndexTerm;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
@@ -28,7 +25,7 @@ use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
 
 /// Number of distinct user keys among a data node's version entries.
-fn distinct_keys(g: &Page) -> usize {
+pub(crate) fn distinct_keys(g: &Page) -> usize {
     let mut distinct = 0;
     let mut prev: Option<&[u8]> = None;
     for slot in 1..g.slot_count() {
@@ -41,60 +38,8 @@ fn distinct_keys(g: &Page) -> usize {
     distinct
 }
 
-/// Split a full *current data node*, choosing between a time split and a key
-/// split (TSB heuristic: mostly-historical content → time split), to make
-/// room for the version keyed `pending_vkey`. One independent atomic action;
-/// the caller retries its insert afterwards.
-pub(crate) fn split_data_node(
-    tree: &TsbEngine,
-    d: DescentTarget<'_>,
-    pending_vkey: &[u8],
-) -> StoreResult<()> {
-    let hdr = TsbHeader::read(d.guard.page())?;
-    debug_assert_eq!(hdr.kind, TsbKind::Current);
-    let mut g = d.guard.promote().into_x();
-
-    // Mostly historical versions → time split; so does a node full of
-    // versions of one key (a key split needs two distinct keys).
-    let n = g.entry_count() as usize;
-    let distinct = distinct_keys(&g);
-    let by_time = (distinct * 2 <= n && distinct < n) || distinct < 2;
-
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    let posting = if by_time {
-        time_split(tree, &mut act, &d.page, &mut g, &hdr)?;
-        None
-    } else if d.page.id() == tree.root_pid() {
-        // Root growth posts both index terms inline.
-        grow_root(tree, &mut act, &d.page, &mut g, pending_vkey)?;
-        None
-    } else {
-        Some(key_split(
-            tree,
-            &mut act,
-            &d.page,
-            &mut g,
-            &hdr,
-            pending_vkey,
-        )?)
-    };
-    drop(g);
-    drop(d.page);
-    act.commit()?;
-    TreeStats::bump(&tree.stats().splits_independent);
-    if let Some((split_key, new_pid)) = posting {
-        tree.schedule(Completion::Post {
-            level: 1,
-            key: split_key,
-            node: new_pid,
-            path: Box::new(d.path.above(0)),
-        });
-    }
-    Ok(())
-}
-
 /// Time split at `T = now + 1`: all existing versions started before `T`.
-fn time_split(
+pub(crate) fn time_split(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
@@ -137,26 +82,31 @@ fn time_split(
         ..hdr.clone()
     };
     set_header(act, page, g, new_hdr.encode())?;
-    TreeStats::bump(&tree.stats().splits);
+    tree.stats().splits.inc();
     Ok(())
 }
 
-/// Key split of a non-root data node at the user-key boundary at or before
-/// [`split_slot`]'s choice for the pending version. Returns the split key
-/// and new node for index posting.
-fn key_split(
+/// Key split at [`split_slot`]'s choice for the pending entry — in a data
+/// node, at the start of the chosen entry's user-key group. Returns the
+/// split key and new node for index posting.
+pub(crate) fn key_split(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
-    pending_vkey: &[u8],
+    pending: &[u8],
 ) -> StoreResult<(Vec<u8>, PageId)> {
-    let n = g.entry_count();
+    let chosen = split_slot(g, pending);
+    if hdr.kind != TsbKind::Current {
+        let split_key = g.entry_key_at(chosen).to_vec();
+        let new_pid = split_off(tree, act, page, g, hdr, chosen, split_key.clone())?;
+        return Ok((split_key, new_pid));
+    }
     // Find the start of the chosen entry's key group; when that entry
     // belongs to the first key group (one key dominating the node), fall
     // forward to the next group so both halves stay non-empty.
-    let chosen = split_slot(g, pending_vkey);
+    let n = g.entry_count();
     let mut mid_key = split_version_key(g.entry_key_at(chosen)).0.to_vec();
     let mut first_slot = match g.keyed_find(&version_key(&mid_key, 0))? {
         Ok(s) | Err(s) => s,
@@ -172,22 +122,6 @@ fn key_split(
     // of its key space.
     let new_pid = split_off(tree, act, page, g, hdr, first_slot, mid_key.clone())?;
     Ok((mid_key, new_pid))
-}
-
-/// Split a full *index node* to make room for the term keyed `pending_key`
-/// (plain B-link key split).
-fn index_split(
-    tree: &TsbEngine,
-    act: &mut Txn<'_>,
-    page: &PinnedPage<'_>,
-    g: &mut XGuard<'_, Page>,
-    pending_key: &[u8],
-) -> StoreResult<(Vec<u8>, PageId)> {
-    let hdr = TsbHeader::read(g)?;
-    let mid = split_slot(g, pending_key);
-    let split_key = g.entry_key_at(mid).to_vec();
-    let new_pid = split_off(tree, act, page, g, &hdr, mid, split_key.clone())?;
-    Ok((split_key, new_pid))
 }
 
 /// The key-dimension split both node kinds share (§3.2.1): entries from
@@ -217,22 +151,21 @@ fn split_off(
         ..hdr.clone()
     };
     set_header(act, page, g, old_hdr.encode())?;
-    TreeStats::bump(&tree.stats().splits);
+    tree.stats().splits.inc();
     Ok(new_pin.id())
 }
 
-/// Grow the tree at the fixed root: contents move to n1, n1 splits into
-/// n1/n2 (by key — for a data root, at a user-key boundary) to make room
-/// for the entry keyed `pending_key`, and both index terms are posted to the
-/// root inline.
-fn grow_root(
+/// Grow the tree at the fixed root: contents move to n1, n1 key-splits
+/// into n1/n2 to make room for the entry keyed `pending`, and both index
+/// terms are posted to the root inline (§5.3).
+pub(crate) fn grow_root(
     tree: &TsbEngine,
     act: &mut Txn<'_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
-    pending_key: &[u8],
+    hdr: &TsbHeader,
+    pending: &[u8],
 ) -> StoreResult<()> {
-    let hdr = TsbHeader::read(g)?;
     let (n1_pin, mut n1g) = new_node(tree.store(), act, hdr.encode())?;
     let n = g.entry_count();
     move_entries(act, page, g, &n1_pin, &mut n1g, 1..=n)?;
@@ -244,81 +177,9 @@ fn grow_root(
     set_header(act, page, g, root_hdr.encode())?;
     let bytes = IndexTerm::entry_for(b"", n1_pin.id());
     act.apply(page, g, PageOp::KeyedInsert { bytes })?;
-    TreeStats::bump(&tree.stats().root_grows);
-    // Split n1 and post the pair (§5.3). A data node holding a single key
-    // group cannot key-split: it time-splits instead, and the root keeps a
-    // single child, which is fine.
-    let (split_key, n2_pid) = if hdr.kind != TsbKind::Current {
-        index_split(tree, act, &n1_pin, &mut n1g, pending_key)?
-    } else if distinct_keys(&n1g) < 2 {
-        return time_split(tree, act, &n1_pin, &mut n1g, &hdr);
-    } else {
-        key_split(tree, act, &n1_pin, &mut n1g, &hdr, pending_key)?
-    };
+    tree.stats().root_grows.inc();
+    let (split_key, n2_pid) = key_split(tree, act, &n1_pin, &mut n1g, hdr, pending)?;
     let bytes = IndexTerm::entry_for(&split_key, n2_pid);
     act.apply(page, g, PageOp::KeyedInsert { bytes })?;
-    Ok(())
-}
-
-/// The completing index-term posting action for TSB key splits — the §5.3
-/// steps under the CNS invariant (remembered parents need no verification,
-/// but the posting is still testable and idempotent).
-pub(crate) fn post_index_term(
-    tree: &TsbEngine,
-    level: u8,
-    key: &[u8],
-    node: PageId,
-) -> StoreResult<()> {
-    let stats = tree.stats();
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    let d = tree.descend(key, level, true, false)?;
-    // Verify: already posted?
-    if d.guard.page().keyed_find(key)?.is_ok() {
-        TreeStats::bump(&stats.postings_noop);
-        act.commit()?;
-        return Ok(());
-    }
-    let mut cur_pin = d.page;
-    let mut cur_guard = d.guard.promote().into_x();
-    let term = IndexTerm::entry_for(key, node);
-    while node_full(&cur_guard, term.len(), tree.config().max_index_entries) {
-        if cur_pin.id() == tree.root_pid() {
-            grow_root(tree, &mut act, &cur_pin, &mut cur_guard, key)?;
-            // Re-descend within the grown root: route to the child covering
-            // `key` and continue the space test there.
-            let slot = cur_guard.keyed_floor(key)?.ok_or_else(|| {
-                StoreError::Corrupt("grown TSB root does not route the posted key".into())
-            })?;
-            let pin = tree
-                .store()
-                .pool
-                .fetch(IndexTerm::child_at(&cur_guard, slot)?)?;
-            cur_guard = pin.x();
-            cur_pin = pin;
-            continue;
-        }
-        let cur_level = TsbHeader::read(&cur_guard)?.level;
-        let (split_key, new_pid) = index_split(tree, &mut act, &cur_pin, &mut cur_guard, key)?;
-        tree.schedule(Completion::Post {
-            level: cur_level + 1,
-            key: split_key.clone(),
-            node: new_pid,
-            path: Box::new(SavedPath::default()),
-        });
-        if key >= split_key.as_slice() {
-            let pin = tree.store().pool.fetch(new_pid)?;
-            cur_guard = pin.x();
-            cur_pin = pin;
-        }
-    }
-    act.apply(
-        &cur_pin,
-        &mut cur_guard,
-        PageOp::KeyedInsert { bytes: term },
-    )?;
-    drop(cur_guard);
-    drop(cur_pin);
-    act.commit()?;
-    TreeStats::bump(&stats.postings_done);
     Ok(())
 }

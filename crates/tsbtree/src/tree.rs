@@ -10,14 +10,17 @@
 
 use crate::node::{
     find_version_probe, split_version_key, version_entry, version_key, version_value, Time,
-    TsbHeader, TsbHeaderRef,
+    TsbHeader, TsbHeaderRef, TsbKind,
 };
+use crate::split;
 use pitree::completion::Completion;
-use pitree::engine::{Engine, Routed, Step, Structure};
+use pitree::engine::{Engine, Install, PostOutcome, Routed, Step, Structure, TreeConfig, Verified};
 use pitree::node::{node_full, BoundRef, Guarded};
 use pitree::store::Store;
 use pitree::traverse::SavedPath;
 use pitree::tree::KeyRouting;
+use pitree_pagestore::buffer::PinnedPage;
+use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockMode, Txn};
@@ -46,6 +49,12 @@ impl Default for TsbConfig {
             auto_complete: true,
             smo_identity: ActionIdentity::SystemTransaction,
         }
+    }
+}
+
+impl TreeConfig for TsbConfig {
+    fn smo_identity(&self) -> ActionIdentity {
+        self.smo_identity
     }
 }
 
@@ -146,12 +155,76 @@ impl Structure for Tsb {
     }
 
     fn complete(tree: &TsbEngine, c: Completion) -> StoreResult<()> {
-        match c {
-            Completion::Post {
-                level, key, node, ..
-            } => crate::split::post_index_term(tree, level, &key, node),
+        match &c {
+            Completion::Post { key, node, .. } => tree.post_index_term(&c, key, *node).map(drop),
             Completion::Consolidate { .. } => Ok(()), // TSB never consolidates
         }
+    }
+
+    /// `pending` is a version key in a data node, a user key in an index
+    /// node. A current node of mostly historical versions time-splits (TSB
+    /// heuristic); the root grows; any other node key-splits and owes the
+    /// posting of its new sibling's index term.
+    fn split_node(
+        tree: &TsbEngine,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        pending: &[u8],
+        path: &SavedPath,
+    ) -> StoreResult<Option<Completion>> {
+        let hdr = TsbHeader::read(g)?;
+        if hdr.kind == TsbKind::Current {
+            // Mostly historical versions → time split; so does a node full
+            // of versions of one key (a key split needs two distinct keys).
+            let n = g.entry_count() as usize;
+            let distinct = split::distinct_keys(g);
+            if (distinct * 2 <= n && distinct < n) || distinct < 2 {
+                split::time_split(tree, act, pin, g, &hdr)?;
+                return Ok(None);
+            }
+        }
+        if pin.id() == tree.root_pid() {
+            split::grow_root(tree, act, pin, g, &hdr, pending)?;
+            return Ok(None);
+        }
+        let (key, node) = split::key_split(tree, act, pin, g, &hdr, pending)?;
+        Ok(Some(Completion::Post {
+            level: hdr.level + 1,
+            key,
+            node,
+            path: Box::new(path.above(hdr.level)),
+        }))
+    }
+
+    /// Under CNS a remembered parent needs no verification, but the
+    /// posting is still testable: a term already at `key` ends it.
+    fn locate_post<'a>(
+        tree: &'a TsbEngine,
+        post: &Completion,
+        key: &[u8],
+    ) -> StoreResult<Verified<'a>> {
+        let Completion::Post { level, node, .. } = post else {
+            return Err(StoreError::Corrupt(
+                "a consolidation is not a posting".into(),
+            ));
+        };
+        let d = tree.descend(key, *level, true, false)?;
+        if d.guard.page().keyed_find(key)?.is_ok() {
+            return Ok(Verified::Ends(PostOutcome::AlreadyPosted));
+        }
+        Ok(Verified::Parent(d, *node))
+    }
+
+    fn install_term(
+        tree: &TsbEngine,
+        act: &mut Txn<'_>,
+        pin: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        post: &Completion,
+        node: PageId,
+    ) -> StoreResult<Install> {
+        pitree::post::install_index_term(act, pin, g, post, node, tree.config().max_index_entries)
     }
 
     fn undo(tree: &TsbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
@@ -398,7 +471,7 @@ impl TsbTree {
             let t = self.structure().clock.fetch_add(1, Ordering::SeqCst) + 1;
             let entry = version_entry(key, t, value);
             if node_full(d.guard.page(), entry.len(), self.config().max_leaf_entries) {
-                crate::split::split_data_node(self, d, Page::entry_key(&entry))?;
+                self.split_independent(d, Page::entry_key(&entry))?;
                 continue;
             }
             let mut g = d.guard.promote().into_x();

@@ -2,7 +2,10 @@
 
 use pitree::store::CrashableStore;
 use pitree::wellformed::{fill_line, LevelFill};
-use pitree_tsb::{TsbConfig, TsbHeader, TsbKind, TsbTree};
+use pitree::{Completion, Structure};
+use pitree_pagestore::{PageId, PageOp};
+use pitree_tsb::{Tsb, TsbConfig, TsbHeader, TsbKind, TsbTree};
+use pitree_wal::ActionIdentity;
 use std::sync::Arc;
 
 fn key(i: u64) -> Vec<u8> {
@@ -397,4 +400,173 @@ fn version_appends_to_one_key_still_time_split() {
         assert_eq!(v, Some((i as u64).to_be_bytes().to_vec()));
     }
     assert_eq!(tree.get_current(&key(42)).unwrap(), Some(b"once".to_vec()));
+}
+
+// ---- posting outcomes (core's `tree_posting_outcomes.rs`, for TSB) ---------
+
+/// Every allocated page image, in page-id order.
+fn pages(cs: &CrashableStore) -> Vec<Vec<u8>> {
+    let (pool, space) = (&cs.store.pool, &cs.store.space);
+    let mut left = space.allocated_count(pool).unwrap();
+    let mut out = Vec::new();
+    for pid in 0.. {
+        if left == 0 {
+            break;
+        }
+        if space.is_allocated(pool, PageId(pid)).unwrap() {
+            left -= 1;
+            let pin = pool.fetch(PageId(pid)).unwrap();
+            out.push(pin.s().as_bytes().to_vec());
+        }
+    }
+    out
+}
+
+#[test]
+fn a_duplicate_posting_is_a_no_op() {
+    let cfg = TsbConfig {
+        auto_complete: false,
+        ..TsbConfig::small_nodes(4, 4)
+    };
+    let (cs, tree) = setup(cfg);
+    for k in 0..20u64 {
+        put(&tree, &key(k), b"v");
+    }
+    let post = tree
+        .completions()
+        .pop()
+        .expect("a key split owes a posting");
+    Tsb::complete(&tree, post.clone()).unwrap();
+    while !tree.completions().is_empty() {
+        tree.run_completions().unwrap();
+    }
+    let (noop, done) = (
+        tree.stats().postings_noop.get(),
+        tree.stats().postings_done.get(),
+    );
+    let before = pages(&cs);
+    Tsb::complete(&tree, post).unwrap();
+    assert_eq!(tree.stats().postings_noop.get(), noop + 1);
+    assert_eq!(tree.stats().postings_done.get(), done);
+    assert!(pages(&cs) == before, "a no-op posting changed a page");
+}
+
+#[test]
+fn postings_split_a_full_parent_and_grow_a_full_root() {
+    let cfg = TsbConfig {
+        auto_complete: false,
+        ..TsbConfig::small_nodes(4, 3)
+    };
+    let (_cs, tree) = setup(cfg);
+    let (mut grew, mut split) = (0, 0);
+    for k in 0..150u64 {
+        put(&tree, &key(k), b"v");
+        // Run the owed postings one at a time, noting beforehand whether
+        // the parent each one posts into is full and whether it is the root.
+        while let Some(post) = tree.completions().pop() {
+            let Completion::Post {
+                level, key: term, ..
+            } = &post
+            else {
+                panic!("TSB schedules only postings");
+            };
+            let (full, root) = {
+                let d = tree.descend(term, *level, false, false).unwrap();
+                let page = d.guard.page();
+                let posted = page.keyed_find(term).unwrap().is_ok();
+                let full = !posted && page.entry_count() as usize >= cfg.max_index_entries;
+                (full, d.page.id() == tree.root_pid())
+            };
+            let s = tree.stats();
+            let (splits, grows) = (s.splits.get(), s.root_grows.get());
+            Tsb::complete(&tree, post).unwrap();
+            match (full, root) {
+                (true, true) => {
+                    assert_eq!(s.root_grows.get(), grows + 1, "a full root must grow");
+                    grew += 1;
+                }
+                (true, false) => {
+                    assert_eq!(s.root_grows.get(), grows);
+                    assert_eq!(s.splits.get(), splits + 1, "a full parent must split");
+                    split += 1;
+                }
+                (false, _) => {
+                    assert_eq!((s.splits.get(), s.root_grows.get()), (splits, grows));
+                }
+            }
+        }
+    }
+    assert!(grew > 0 && split > 0, "grew {grew}, split {split}");
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.unposted_nodes, 0);
+}
+
+// ---- the walker has teeth ----------------------------------------------------
+
+/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
+/// faulty structure change would.
+fn damage(tree: &TsbTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+    let store = tree.store();
+    let pin = store.pool.fetch(pid).unwrap();
+    let mut g = pin.x();
+    let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
+    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
+        .unwrap();
+    drop(g);
+    act.commit().unwrap();
+}
+
+fn root_header(tree: &TsbTree) -> TsbHeader {
+    let pin = tree.store().pool.fetch(tree.root_pid()).unwrap();
+    let g = pin.s();
+    TsbHeader::read(&g).unwrap()
+}
+
+fn violations(tree: &TsbTree) -> Vec<String> {
+    let report = tree.validate().unwrap();
+    assert!(!report.is_well_formed(), "the damage went unnoticed");
+    report.violations
+}
+
+#[test]
+fn walker_rejects_a_time_gap_in_a_history_chain() {
+    let (_cs, tree) = setup(TsbConfig::small_nodes(4, 4));
+    for i in 0..4u64 {
+        put(&tree, b"k", &i.to_be_bytes());
+    }
+    // The fifth version time-splits the root; rolling it back leaves the
+    // root holding only the alive-at-split copy.
+    let mut t = tree.begin();
+    tree.put(&mut t, b"k", b"rolled back").unwrap();
+    t.abort(Some(&tree.undo_handler())).unwrap();
+    let hdr = root_header(&tree);
+    assert!(hdr.hist_side.is_valid(), "the root must have time-split");
+    assert!(tree.validate().unwrap().is_well_formed());
+    // Start the root's interval one tick later than its history ends.
+    let gap = TsbHeader {
+        t_lo: hdr.t_lo + 1,
+        ..hdr
+    };
+    damage(&tree, tree.root_pid(), 0, gap.encode());
+    let v = violations(&tree);
+    assert!(v.iter().any(|v| v.contains("history chain of")), "{v:?}");
+}
+
+#[test]
+fn walker_rejects_two_pre_t_lo_versions_of_one_key() {
+    let (_cs, tree) = setup(TsbConfig::default());
+    for i in 0..3u64 {
+        put(&tree, b"k", &i.to_be_bytes());
+    }
+    // Move the root's interval past two of the key's versions: only one
+    // alive-at-split copy may predate it.
+    let hdr = root_header(&tree);
+    let late = TsbHeader { t_lo: 3, ..hdr };
+    damage(&tree, tree.root_pid(), 0, late.encode());
+    let v = violations(&tree);
+    assert!(
+        v.iter().any(|v| v.contains("2 pre-t_lo versions of key")),
+        "{v:?}"
+    );
 }

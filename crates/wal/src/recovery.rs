@@ -16,9 +16,10 @@
 //! first frame that does not decode — torn at the durable tail or corrupt in
 //! the middle — ends the scan at the last whole record before it
 //! (committed-prefix semantics; telling the two apart and repairing the
-//! second is ROADMAP item 7(b)), while a *device* error from a ranged read
-//! fails recovery with that error rather than shortening the log. Recovery
-//! returns typed errors and never panics (`pitree-lint`'s
+//! second is the ROADMAP's self-verifying-pages direction), while a
+//! *device* error from a ranged read fails recovery with that error rather
+//! than shortening the log. Recovery returns typed errors and never panics
+//! (`pitree-lint`'s
 //! `panic-free-recovery` rule enforces this mechanically).
 //!
 //! There is one restart pipeline and one REDO engine: analysis emits a

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Size ledger (ROADMAP item 6): src and test lines per crate, and the delta
-# against the committed LOC.txt — so every PR states its size honestly and
-# "same gates, fewer lines" is visible in review. Report-only: this never
-# fails a build.
+# Size ledger (the ROADMAP's "finish the diet" direction): src and test
+# lines per crate, and the delta against the committed LOC.txt — so every
+# PR states its size honestly and "same gates, fewer lines" is visible in
+# review. Report-only: this never fails a build.
 #
 #   ./scripts/loc.sh           # print the table with deltas vs LOC.txt
 #   ./scripts/loc.sh --write   # also rewrite LOC.txt (commit it with the PR)

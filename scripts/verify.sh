@@ -68,6 +68,9 @@ cargo test --offline -q -p pitree-hb --test hb_tests -- --nocapture \
 step "image-fill gate (a multi_struct-shaped image through the public API: hB data nodes split when the page is full, >= 60% full)"
 cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'image_fill: |^test result'
 
+step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
+cargo test --offline -q -p pitree-harness --test smo_bytes
+
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
