@@ -303,8 +303,8 @@ pub fn move_entries(
 ) -> StoreResult<()> {
     let mut keys = Vec::with_capacity(slots.size_hint().0);
     for slot in slots {
-        let bytes = from_g.get(slot)?.to_vec();
-        keys.push(Page::entry_key(&bytes).to_vec());
+        keys.push(from_g.entry_key_at(slot).to_vec());
+        let bytes = from_g.entry_at(slot);
         chain.apply(to, to_g, PageOp::KeyedInsert { bytes })?;
     }
     for key in keys {
@@ -540,7 +540,7 @@ impl<S: Structure> Engine<S> {
             .guard
             .page()
             .keyed_lookup(key)
-            .map(|(_, e)| Page::entry_payload(e).to_vec());
+            .map(|(_, payload)| payload.to_vec());
         drop(d);
         self.maybe_autocomplete()?;
         Ok(out)

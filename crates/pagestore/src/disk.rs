@@ -150,7 +150,7 @@ impl DiskManager for FileDisk {
     fn read_page(&self, pid: PageId) -> StoreResult<Page> {
         let mut buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
         match self.file.read_exact_at(&mut buf, pid.0 * PAGE_SIZE as u64) {
-            Ok(()) => Page::adopt(buf).ok_or(StoreError::PageNotFound(pid)),
+            Ok(()) => Page::adopt(buf)?.ok_or(StoreError::PageNotFound(pid)),
             // Short read: the page lies at or past the end of the file.
             Err(e) => Err(match e.kind() {
                 ErrorKind::UnexpectedEof => StoreError::PageNotFound(pid),

@@ -3,9 +3,10 @@
 //! interleavings that a shared file cursor (seek, then read or write)
 //! would corrupt.
 //!
-//! Every image is one stamp byte repeated `PAGE_SIZE` times, encoding the
-//! page id and the writer, so a read that mixes two pages, two writers or
-//! a short transfer shows up in the bytes.
+//! Every image is a valid page whose LSN and one record filling the rest of
+//! the page repeat one stamp byte, encoding the page id and the writer, so a
+//! read that mixes two pages, two writers or a short transfer shows up in
+//! the bytes.
 //!
 //! What `FileDisk` does *not* promise is that a read racing a write of the
 //! **same** page sees one image whole: Linux's page cache copies in and
@@ -15,7 +16,8 @@
 //! with one small lock per shared page — never one for the store.
 
 use pitree_pagestore::disk::FileDisk;
-use pitree_pagestore::{BufferPool, DiskManager, Page, PageId, PageType, PAGE_SIZE};
+use pitree_pagestore::page::HEADER_SIZE;
+use pitree_pagestore::{BufferPool, DiskManager, Lsn, Page, PageId, PageType, PAGE_SIZE};
 use pitree_sim::SimRng;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
@@ -34,20 +36,24 @@ fn stamp(pid: u64, who: u64) -> u8 {
 }
 
 fn image(pid: u64, who: u64) -> Page {
-    let mut p = Page::new(PageType::Node);
-    p.set_bytes(&[stamp(pid, who); PAGE_SIZE]);
+    let s = stamp(pid, who);
+    let mut p = Page::new(PageType::Meta);
+    p.insert(0, &[s; PAGE_SIZE - HEADER_SIZE - 4]).unwrap();
+    p.set_lsn(Lsn(u64::from_le_bytes([s; 8])));
     p
 }
 
 /// The writer of a whole image of page `pid`; panics on anything else.
 fn writer_of(pid: u64, page: &Page) -> u64 {
-    let b = page.as_bytes();
+    let lsn = page.lsn().0.to_le_bytes();
+    let rec = page.get(0).unwrap();
     assert!(
-        b.iter().all(|&x| x == b[0]),
+        lsn.iter().chain(rec).all(|&x| x == lsn[0]),
         "page {pid}: torn image ({:#04x} .. {:#04x})",
-        b[0],
-        b[PAGE_SIZE - 1]
+        lsn[0],
+        rec[rec.len() - 1]
     );
+    let b = &lsn;
     let (class, who) = (u64::from(b[0]) / 16, u64::from(b[0]) % 16);
     assert!(
         class == pid % 15 && (1..=THREADS + 1).contains(&who),
