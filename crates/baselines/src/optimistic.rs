@@ -58,7 +58,7 @@ impl OptimisticCouplingTree {
                     cpin.mark_dirty();
                     return true;
                 }
-                if is_full(&cg, entry.len(), self.inner.max_entries()) {
+                if is_full(&cg, entry, self.inner.max_entries()) {
                     return false; // fall back to the pessimistic path
                 }
                 cg.keyed_insert(entry).unwrap();

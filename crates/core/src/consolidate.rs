@@ -124,12 +124,14 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     };
     let still_sparse = utilization(&ng, max) < tree.config().min_utilization
         || utilization(&cg, max) < tree.config().min_utilization;
-    let move_bytes: usize = (1..ng.slot_count())
-        .map(|s| ng.get(s).map(|e| e.len() + 4))
-        .sum::<StoreResult<usize>>()?;
-    let fits =
-        move_bytes <= cg.free_space() && (cg.entry_count() + ng.entry_count()) as usize <= max;
-    if !still_sparse || !fits {
+    // The move fits if the keyed inserts it will log succeed on a copy of
+    // the container: the page's own fit test, re-encoding included.
+    let entries: Vec<Vec<u8>> = (1..ng.slot_count()).map(|s| ng.entry_at(s)).collect();
+    let fits = still_sparse && (cg.entry_count() + ng.entry_count()) as usize <= max && {
+        let mut trial = (*cg).clone();
+        entries.iter().all(|e| trial.keyed_insert(e).is_ok())
+    };
+    if !fits {
         stats.consolidations_noop.inc();
         tree.recorder()
             .event(pitree_obs::EventKind::SmoConsolidate, c_pin.id().0, 1);
@@ -165,11 +167,8 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     }
 
     // ---- perform the merge (one atomic action, two levels: §5) ---------------
-    let entries: Vec<Vec<u8>> = (1..ng.slot_count())
-        .map(|s| ng.get(s).map(|e| e.to_vec()))
-        .collect::<StoreResult<_>>()?;
-    for e in &entries {
-        act.apply(&c_pin, &mut cg, PageOp::KeyedInsert { bytes: e.clone() })?;
+    for bytes in entries {
+        act.apply(&c_pin, &mut cg, PageOp::KeyedInsert { bytes })?;
     }
     let merged_hdr = NodeHeader {
         level: c_hdr.level,

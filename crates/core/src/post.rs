@@ -146,7 +146,7 @@ pub fn install_index_term(
         ));
     };
     let bytes = IndexTerm::entry_for(key, node);
-    if node_full(g, bytes.len(), max_entries) {
+    if node_full(g, &bytes, max_entries) {
         return Ok(Install::Full);
     }
     act.apply(pin, g, PageOp::KeyedInsert { bytes })?;

@@ -179,17 +179,33 @@ fn empty_tree_scan_and_delete() {
 
 // ---- the walker has teeth ----------------------------------------------------
 
-/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
-/// faulty structure change would.
-fn damage(tree: &PiTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+/// Apply `op` to node `pid` through the log, as a faulty structure change
+/// would.
+fn damage(tree: &PiTree, pid: PageId, op: PageOp) {
     let store = tree.store();
     let pin = store.pool.fetch(pid).unwrap();
     let mut g = pin.x();
     let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
-    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
-        .unwrap();
+    act.apply(&pin, &mut g, op).unwrap();
     drop(g);
     act.commit().unwrap();
+}
+
+/// Overwrite node `pid`'s slot-0 header.
+fn header(bytes: Vec<u8>) -> PageOp {
+    PageOp::UpdateSlot { slot: 0, bytes }
+}
+
+/// The raw slot write that stores node `pid`'s last keyed entry over its
+/// first: the first and last keys then share more than the stored prefix.
+fn copy_last_entry_over_first(tree: &PiTree, pid: PageId) -> PageOp {
+    let pin = tree.store().pool.fetch(pid).unwrap();
+    let g = pin.s();
+    assert!(g.entry_count() >= 2, "node {pid} needs two entries");
+    PageOp::UpdateSlot {
+        slot: 1,
+        bytes: g.get(g.slot_count() - 1).unwrap().to_vec(),
+    }
 }
 
 /// The first node of `level`, reached by leftmost index terms, with its
@@ -244,7 +260,7 @@ fn walker_rejects_a_gap_between_sibling_bounds() {
         high: KeyBound::Key(high),
         ..hdr
     };
-    damage(&tree, leaf, 0, gap.encode());
+    damage(&tree, leaf, header(gap.encode()));
     let v = violations(&tree);
     assert!(
         v.iter().any(|v| v.contains("!= previous node's high")),
@@ -264,9 +280,21 @@ fn walker_rejects_an_index_term_whose_child_is_at_the_wrong_level() {
         let g = pin.s();
         IndexTerm::read(&g, 2).unwrap()
     };
-    damage(&tree, root, 2, IndexTerm::entry_for(&term.key, leaf));
+    let bytes = IndexTerm::entry_for(&term.key, leaf);
+    damage(&tree, root, PageOp::KeyedUpdate { bytes });
     let parent_level = tree.height().unwrap() - 1;
     let want = format!("child {leaf} at level 0, parent at {parent_level}");
     let v = violations(&tree);
     assert!(v.iter().any(|v| v.contains(&want)), "{v:?}");
+}
+
+#[test]
+fn walker_rejects_a_key_prefix_the_keys_do_not_share() {
+    let (_cs, tree) = small_tree();
+    let (leaf, _) = leftmost(&tree, 0);
+    damage(&tree, leaf, copy_last_entry_over_first(&tree, leaf));
+    let v = violations(&tree);
+    let want =
+        format!("node {leaf}: stored key prefix of 7 bytes, but its first and last keys share 8");
+    assert!(v.iter().any(|v| v == &want), "{v:?}");
 }

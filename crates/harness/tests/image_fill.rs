@@ -6,9 +6,13 @@
 //!
 //! hB data nodes split when the page is full (§3.2.1), so the hB data level
 //! must stay at least 60% full.
+//!
+//! The prefix gate (`scripts/verify.sh` prints its `prefix:` lines) pins
+//! what keyed pages pay per entry now that they store key suffixes after
+//! the prefix their first and last keys share.
 
-use pitree::wellformed::fill_line;
-use pitree::CrashableStore;
+use pitree::wellformed::{fill_line, LevelFill};
+use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_hb::{HbConfig, HbTree, Point};
 use pitree_pagestore::PAGE_SIZE;
 use pitree_tsb::{TsbConfig, TsbTree};
@@ -97,6 +101,12 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
     assert!(report.is_well_formed(), "hb: {:?}", report.violations);
     let pages = store.space.allocated_count(&store.pool).expect("count");
     let user_bytes = (KEYS + KEYS / 10 + report.records as u64) * RECORD_BYTES;
+    let tsb_report = tsb.validate().expect("validate tsb");
+    println!(
+        "prefix: multi image: tsb data nodes {:.2} bytes per version, hb data nodes {:.2} bytes per record",
+        per_entry(&tsb_report.levels, tsb_report.versions),
+        per_entry(&report.levels, report.records)
+    );
     println!("image_fill: {loaded}");
     println!("image_fill: {waved}");
     println!(
@@ -115,4 +125,49 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
         100.0 * data.fill(),
         fill_line(&report.levels)
     );
+}
+
+/// Page bytes the data level (the last of `levels`) uses per entry it
+/// holds: slots, records, node headers and key prefixes.
+fn per_entry(levels: &[LevelFill], entries: usize) -> f64 {
+    let data = levels.last().expect("a data level");
+    data.used_bytes as f64 / entries as f64
+}
+
+/// The prefix gate, byte-exact: `benchmark/src/image.rs`'s `build_pi` image
+/// at 50k keys — ascending 8-byte big-endian keys, 16-byte values, 64
+/// records per transaction, the default configuration. A leaf entry stores
+/// only what its key does not share with the leaf's first and last keys: a
+/// 24-byte record costs at most 24 bytes (slot 4, key length 2, key suffix,
+/// value 16), and the image about its user bytes.
+#[test]
+fn sequential_image_pays_for_key_suffixes_only() {
+    const PI_KEYS: u64 = 50_000;
+    let cs = CrashableStore::create(8192, 1 << 22).expect("store");
+    let store = &cs.store;
+    let tree = PiTree::create(Arc::clone(store), 1, PiTreeConfig::default()).expect("tree");
+    for lo in (0..PI_KEYS).step_by(BATCH as usize) {
+        let mut txn = tree.begin();
+        for k in lo..(lo + BATCH).min(PI_KEYS) {
+            tree.insert(&mut txn, &k.to_be_bytes(), &value(k, 0))
+                .expect("load");
+        }
+        txn.commit().expect("commit");
+    }
+    while !tree.completions().is_empty() {
+        tree.run_completions().expect("completions");
+    }
+    let report = tree.validate().expect("validate");
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    assert_eq!(report.records as u64, PI_KEYS);
+    let leaf = per_entry(&report.levels, report.records);
+    let pages = store.space.allocated_count(&store.pool).expect("count");
+    let ratio = (pages * PAGE_SIZE as u64) as f64 / (PI_KEYS * RECORD_BYTES) as f64;
+    println!(
+        "prefix: {PI_KEYS} sequential keys: leaves {leaf:.2} bytes per entry, {pages} pages, \
+         {ratio:.4} page bytes per user byte ({})",
+        fill_line(&report.levels)
+    );
+    assert!(leaf <= 24.0, "{leaf:.2} leaf bytes per entry");
+    assert!(ratio <= 1.05, "{ratio:.4} page bytes per user byte");
 }

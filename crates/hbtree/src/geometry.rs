@@ -15,7 +15,7 @@
 //! hyperplane, a `Child` leaf whose region straddles the plane is **clipped**
 //! (§3.2.2): the term lands in both halves and is marked multi-parent.
 
-use pitree_pagestore::{PageId, StoreError, StoreResult};
+use pitree_pagestore::{KeyRef, PageId, StoreError, StoreResult};
 
 /// Number of attributes (dimensions).
 pub const DIMS: usize = 2;
@@ -32,12 +32,15 @@ pub fn point_key(p: &Point) -> Vec<u8> {
     v
 }
 
-/// Decode a record key back into a point.
-pub fn key_point(k: &[u8]) -> Point {
-    [
-        u64::from_be_bytes(k[0..8].try_into().unwrap()),
-        u64::from_be_bytes(k[8..16].try_into().unwrap()),
-    ]
+/// Decode a record key back into a point; a key of any length but 16 bytes
+/// is corrupt.
+pub fn key_point(k: KeyRef<'_>) -> StoreResult<Point> {
+    let b: [u8; 16] = k
+        .to_array()
+        .ok_or_else(|| StoreError::Corrupt(format!("point key of {} bytes", k.len())))?;
+    let (x, y) = b.split_at(8);
+    let half = |h: &[u8]| u64::from_be_bytes(h.try_into().expect("a 16-byte key halves into 8s"));
+    Ok([half(x), half(y)])
 }
 
 /// A half-open axis-aligned rectangle `lo ≤ p < hi`.
@@ -456,7 +459,8 @@ mod tests {
         let b = point_key(&[1, 3]);
         let c = point_key(&[2, 0]);
         assert!(a < b && b < c);
-        assert_eq!(key_point(&a), [1, 2]);
+        assert_eq!(key_point(KeyRef::new(&a)).unwrap(), [1, 2]);
+        assert!(key_point(KeyRef::new(&a[1..])).is_err());
     }
 
     #[test]

@@ -489,17 +489,33 @@ fn postings_split_a_full_parent_and_grow_a_full_root() {
 
 // ---- the walker has teeth ----------------------------------------------------
 
-/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
-/// faulty structure change would.
-fn damage(tree: &HbTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+/// Apply `op` to node `pid` through the log, as a faulty structure change
+/// would.
+fn damage(tree: &HbTree, pid: PageId, op: PageOp) {
     let store = tree.store();
     let pin = store.pool.fetch(pid).unwrap();
     let mut g = pin.x();
     let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
-    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
-        .unwrap();
+    act.apply(&pin, &mut g, op).unwrap();
     drop(g);
     act.commit().unwrap();
+}
+
+/// Overwrite node `pid`'s slot-0 header.
+fn header(bytes: Vec<u8>) -> PageOp {
+    PageOp::UpdateSlot { slot: 0, bytes }
+}
+
+/// The raw slot write that stores node `pid`'s last keyed entry over its
+/// first: the first and last keys then share more than the stored prefix.
+fn copy_last_entry_over_first(tree: &HbTree, pid: PageId) -> PageOp {
+    let pin = tree.store().pool.fetch(pid).unwrap();
+    let g = pin.s();
+    assert!(g.entry_count() >= 2, "node {pid} needs two entries");
+    PageOp::UpdateSlot {
+        slot: 1,
+        bytes: g.get(g.slot_count() - 1).unwrap().to_vec(),
+    }
 }
 
 /// A posted tree and one of its data nodes that delegated part of its
@@ -552,7 +568,7 @@ fn walker_rejects_overlapping_owned_regions() {
         },
         ..hdr
     };
-    damage(&tree, pid, 0, greedy.encode());
+    damage(&tree, pid, header(greedy.encode()));
     let v = violations(&tree);
     assert!(
         v.iter().any(|v| v.contains("overlapping owned regions")),
@@ -571,7 +587,21 @@ fn walker_rejects_a_record_outside_local_space() {
         .find(|(leaf, _)| !matches!(leaf, Frag::Local))
         .map(|(_, region)| region.lo)
         .unwrap();
-    damage(&tree, pid, 1, Page::make_entry(&point_key(&away), b"v"));
+    let bytes = Page::make_entry(&point_key(&away), b"v");
+    damage(&tree, pid, PageOp::KeyedInsert { bytes });
     let v = violations(&tree);
     assert!(v.iter().any(|v| v.contains("outside Local space")), "{v:?}");
+}
+
+#[test]
+fn walker_rejects_a_key_prefix_the_keys_do_not_share() {
+    let (_cs, tree, pid, _) = tree_with_a_split_data_node();
+    damage(&tree, pid, copy_last_entry_over_first(&tree, pid));
+    let v = violations(&tree);
+    let want = format!("node {pid}: stored key prefix of");
+    assert!(
+        v.iter()
+            .any(|v| v.starts_with(&want) && v.ends_with("share 16")),
+        "{v:?}"
+    );
 }

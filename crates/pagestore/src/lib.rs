@@ -37,6 +37,6 @@ pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultSite};
 pub use ids::{Lsn, PageId};
 pub use latch::{Latch, LatchMode, SGuard, UGuard, XGuard};
-pub use page::{Page, PageType, PAGE_SIZE};
+pub use page::{KeyRef, Page, PageType, PAGE_SIZE};
 pub use pageops::PageOp;
 pub use space::SpaceMap;

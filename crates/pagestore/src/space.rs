@@ -35,7 +35,7 @@ use crate::ids::PageId;
 use crate::latch::{Latch, XGuard};
 use crate::page::{Page, PageType};
 
-const META_MAGIC: u32 = 0x5049_5332; // "PIS2": strided, self-formatting bitmaps
+const META_MAGIC: u32 = 0x5049_5333; // "PIS3": strided, self-formatting bitmaps; 18-byte page header
 
 /// Pages per extent: one bitmap page describes this many page ids.
 const EXTENT: u64 = Page::BITS_PER_SPACEMAP_PAGE as u64;

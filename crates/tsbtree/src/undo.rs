@@ -6,7 +6,7 @@
 //! alive-at-T versions, so undo removes **every** copy. The compensation is
 //! testable and idempotent: absent copies are skipped.
 
-use crate::node::{split_version_key, TsbHeaderRef};
+use crate::node::TsbHeaderRef;
 use crate::tree::TsbEngine;
 use pitree_pagestore::{PageOp, StoreError, StoreResult};
 use pitree_wal::ActionIdentity;
@@ -26,7 +26,7 @@ pub(crate) fn undo(tree: &TsbEngine, tag: u8, payload: &[u8]) -> StoreResult<()>
 /// current node, then down the history chain — a time split may have left
 /// a copy there too. Each removal is its own system atomic action.
 fn remove_version(tree: &TsbEngine, vkey: &[u8]) -> StoreResult<()> {
-    let (key, _t) = split_version_key(vkey);
+    let (key, _time) = vkey.split_at(vkey.len().saturating_sub(8));
     let d = tree.descend(key, 0, true, false)?;
     let mut pin = d.page;
     let mut g = d.guard.promote().into_x();

@@ -504,17 +504,33 @@ fn postings_split_a_full_parent_and_grow_a_full_root() {
 
 // ---- the walker has teeth ----------------------------------------------------
 
-/// Overwrite slot `slot` of node `pid` through a logged `UpdateSlot`, as a
-/// faulty structure change would.
-fn damage(tree: &TsbTree, pid: PageId, slot: u16, bytes: Vec<u8>) {
+/// Apply `op` to node `pid` through the log, as a faulty structure change
+/// would.
+fn damage(tree: &TsbTree, pid: PageId, op: PageOp) {
     let store = tree.store();
     let pin = store.pool.fetch(pid).unwrap();
     let mut g = pin.x();
     let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
-    act.apply(&pin, &mut g, PageOp::UpdateSlot { slot, bytes })
-        .unwrap();
+    act.apply(&pin, &mut g, op).unwrap();
     drop(g);
     act.commit().unwrap();
+}
+
+/// Overwrite node `pid`'s slot-0 header.
+fn header(bytes: Vec<u8>) -> PageOp {
+    PageOp::UpdateSlot { slot: 0, bytes }
+}
+
+/// The raw slot write that stores node `pid`'s last keyed entry over its
+/// first: the first and last keys then share more than the stored prefix.
+fn copy_last_entry_over_first(tree: &TsbTree, pid: PageId) -> PageOp {
+    let pin = tree.store().pool.fetch(pid).unwrap();
+    let g = pin.s();
+    assert!(g.entry_count() >= 2, "node {pid} needs two entries");
+    PageOp::UpdateSlot {
+        slot: 1,
+        bytes: g.get(g.slot_count() - 1).unwrap().to_vec(),
+    }
 }
 
 fn root_header(tree: &TsbTree) -> TsbHeader {
@@ -548,7 +564,7 @@ fn walker_rejects_a_time_gap_in_a_history_chain() {
         t_lo: hdr.t_lo + 1,
         ..hdr
     };
-    damage(&tree, tree.root_pid(), 0, gap.encode());
+    damage(&tree, tree.root_pid(), header(gap.encode()));
     let v = violations(&tree);
     assert!(v.iter().any(|v| v.contains("history chain of")), "{v:?}");
 }
@@ -563,10 +579,26 @@ fn walker_rejects_two_pre_t_lo_versions_of_one_key() {
     // alive-at-split copy may predate it.
     let hdr = root_header(&tree);
     let late = TsbHeader { t_lo: 3, ..hdr };
-    damage(&tree, tree.root_pid(), 0, late.encode());
+    damage(&tree, tree.root_pid(), header(late.encode()));
     let v = violations(&tree);
     assert!(
         v.iter().any(|v| v.contains("2 pre-t_lo versions of key")),
         "{v:?}"
     );
+}
+
+#[test]
+fn walker_rejects_a_key_prefix_the_keys_do_not_share() {
+    let (_cs, tree) = setup(TsbConfig::default());
+    for i in 0..3u64 {
+        put(&tree, b"k", &i.to_be_bytes());
+    }
+    // Three versions of one key: the prefix is the key and the start
+    // times' seven high bytes.
+    let root = tree.root_pid();
+    damage(&tree, root, copy_last_entry_over_first(&tree, root));
+    let v = violations(&tree);
+    let want =
+        format!("node {root}: stored key prefix of 8 bytes, but its first and last keys share 9");
+    assert!(v.iter().any(|v| v == &want), "{v:?}");
 }

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, image-fill, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -67,6 +67,9 @@ cargo test --offline -q -p pitree-hb --test hb_tests -- --nocapture \
 
 step "image-fill gate (a multi_struct-shaped image through the public API: hB data nodes split when the page is full, >= 60% full)"
 cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'image_fill: |^test result'
+
+step "prefix gate (keyed pages store key suffixes after their first and last key's common prefix: build_pi's shape at 50k keys <= 24 leaf bytes per entry and <= 1.05 page bytes per user byte; B-link, TSB and hB bytes per entry)"
+cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'prefix: |^test result'
 
 step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
 cargo test --offline -q -p pitree-harness --test smo_bytes
