@@ -410,16 +410,19 @@ fn log_before_dirty(cx: &FileCx, out: &mut Vec<Finding>) {
 /// and a torn frame there must surface as `StoreError::Corrupt`. So is the
 /// instant-restart module: on-demand redo runs inside every post-crash
 /// fetch, where a panic would take down the serving store, not a recovery
-/// tool.
+/// tool. So is the well-formedness walk: it verifies every recovered image,
+/// whose damage it must report, not crash on.
 fn panic_free_recovery(cx: &FileCx, out: &mut Vec<Finding>) {
     // Restart runs through the WAL's recovery engines, the Π-tree engine's
     // lifecycle (`recover`, `recover_instant`, the lazily opening undo
-    // handler's `open`), and each structure's undo module.
+    // handler's `open`), and each structure's undo module; the walk and
+    // each structure's node description live in `wellformed.rs` files.
     let scoped = cx.path == "crates/wal/src/recovery.rs"
         || cx.path == "crates/wal/src/log.rs"
         || cx.path == "crates/wal/src/instant.rs"
         || cx.path == "crates/core/src/engine.rs"
-        || cx.path.ends_with("/undo.rs");
+        || cx.path.ends_with("/undo.rs")
+        || cx.path.ends_with("/wellformed.rs");
     if !scoped {
         return;
     }

@@ -293,6 +293,44 @@ fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
 }
 
 #[test]
+fn panic_free_covers_the_wellformedness_walk() {
+    // The walk verifies every recovered image, so a damaged node it reaches
+    // is an input to report, in any structure's `wellformed.rs`.
+    let fires = r#"
+fn tiling(owned: &[(PageId, Rect)]) -> Vec<String> {
+    let total: u128 = owned.iter().map(|(_, r)| r.area()).sum();
+    let first = owned[0].1.area();
+    assert!(first <= total);
+    Vec::new()
+}
+"#;
+    for path in [
+        "crates/core/src/wellformed.rs",
+        "crates/hbtree/src/wellformed.rs",
+    ] {
+        assert!(
+            rules_of(path, fires).contains(&RuleId::PanicFreeRecovery),
+            "indexing + assert! in the walk must fire in {path}"
+        );
+    }
+
+    let quiet = r#"
+fn tiling(owned: &[(PageId, Rect)]) -> Vec<String> {
+    let total = owned.iter().try_fold(0u128, |sum, (_, r)| sum.checked_add(area(r)));
+    let first = owned.first().map_or(0, |(_, r)| area(r));
+    if total.is_none_or(|t| first > t) {
+        return vec![format!("owned regions overflow the space")];
+    }
+    Vec::new()
+}
+"#;
+    assert!(
+        !rules_of("crates/tsbtree/src/wellformed.rs", quiet).contains(&RuleId::PanicFreeRecovery),
+        "checked arithmetic reported as a violation is the sanctioned shape"
+    );
+}
+
+#[test]
 fn panic_free_covers_instant_restart() {
     // On-demand redo runs inside every post-crash fetch: a panic there
     // takes down the *serving* store, not a recovery tool, so the

@@ -9,16 +9,19 @@
 //! what to schedule when a sibling term is crossed, and runs its own
 //! completing actions and logical-undo tags, and supplies the geometry of
 //! its structure changes: how a node splits, where a posting goes, how a
-//! term is installed. The [`Engine`] owns the rest: the tree registry on
-//! the meta page, restart (stop-the-world and instant), the descent loop
+//! term is installed — and describes one node for the well-formedness walk.
+//! The [`Engine`] owns the rest: the tree registry on the meta page,
+//! restart (stop-the-world and instant), the descent loop
 //! ([`crate::traverse`]), the completion drain ([`crate::completion`]), the
 //! independent split and §5.3 posting actions ([`crate::post`]), the undo
-//! handlers ([`crate::undo`]), page allocation and the No-Wait lock step.
+//! handlers ([`crate::undo`]), the well-formedness walk
+//! ([`crate::wellformed`]), page allocation and the No-Wait lock step.
 
 use crate::completion::{CompletionQueue, Pending};
 use crate::stats::TreeStats;
 use crate::store::Store;
 use crate::traverse::{DescentTarget, SavedPath};
+use crate::wellformed::{Description, Space};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
@@ -109,6 +112,8 @@ pub trait Structure: Sized + Send + Sync {
     type Arg: ?Sized;
     /// A pending completing action (§5.1).
     type Completion: Pending + Send;
+    /// The regions its nodes and terms name.
+    type Space: Space;
     /// Magic tagging this structure's tree-registry records on the meta page.
     const META_MAGIC: u32;
 
@@ -176,6 +181,10 @@ pub trait Structure: Sized + Send + Sync {
     ) -> StoreResult<Install>;
     /// Execute one logical-undo compensation (§4.2).
     fn undo(eng: &Engine<Self>, tag: u8, payload: &[u8]) -> StoreResult<()>;
+    /// Describe the node `page` (id `pid`) for the well-formedness walk
+    /// ([`Engine::validate`]): its level, region and terms, and what is
+    /// wrong with its own entries.
+    fn describe(page: &Page, pid: PageId) -> StoreResult<Description<Self::Space>>;
     /// Hook run once a tree is opened (restore volatile state from disk).
     fn opened(_eng: &Engine<Self>) -> StoreResult<()> {
         Ok(())

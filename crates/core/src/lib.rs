@@ -56,4 +56,4 @@ pub use stats::TreeStats;
 pub use store::{CrashableStore, Store};
 pub use traverse::{DescentTarget, PathEntry, SavedPath};
 pub use tree::{BLink, PiTree};
-pub use wellformed::{check, WellFormedReport};
+pub use wellformed::{Description, KeyRange, Space, Term, TermKind, WellFormedReport};

@@ -20,6 +20,7 @@ use crate::node::{node_full, utilization, HeaderRef, IndexTerm, NodeHeader};
 use crate::split::Split;
 use crate::traverse::{step_to, DescentTarget, SavedPath};
 use crate::undo::{TAG_UNDO_DELETE, TAG_UNDO_INSERT, TAG_UNDO_UPDATE};
+use crate::wellformed::{describe_keyed, Description, KeyRange};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
@@ -83,6 +84,7 @@ impl Structure for BLink {
     type Config = PiTreeConfig;
     type Arg = [u8];
     type Completion = Completion;
+    type Space = KeyRange;
     const META_MAGIC: u32 = 0x5049_5452; // "PITR"
 
     fn new(cfg: PiTreeConfig) -> BLink {
@@ -254,6 +256,12 @@ impl Structure for BLink {
 
     fn undo(tree: &PiTree, tag: u8, payload: &[u8]) -> StoreResult<()> {
         tree.compensate(tag, payload)
+    }
+
+    /// A node directly contains `[low, high)`.
+    fn describe(page: &Page, pid: PageId) -> StoreResult<Description<KeyRange>> {
+        let h = NodeHeader::read(page)?;
+        describe_keyed(page, pid, h.level, KeyRange::new(h.low, h.high), h.side, 0)
     }
 }
 
@@ -565,11 +573,5 @@ impl PiTree {
             self.maybe_autocomplete()?;
             return Ok(true);
         }
-    }
-
-    /// Check the well-formedness invariants of §2.1.3. See
-    /// [`crate::wellformed`].
-    pub fn validate(&self) -> StoreResult<crate::wellformed::WellFormedReport> {
-        crate::wellformed::check(self)
     }
 }

@@ -266,6 +266,35 @@ fn walker_rejects_a_gap_between_sibling_bounds() {
         v.iter().any(|v| v.contains("!= previous node's high")),
         "{v:?}"
     );
+    let named = format!("node {leaf}: sibling");
+    assert!(v.iter().any(|v| v.starts_with(&named)), "{v:?}");
+}
+
+#[test]
+fn walker_rejects_a_sibling_term_back_to_its_own_node() {
+    let (_cs, tree) = small_tree();
+    let (leaf, hdr) = leftmost(&tree, 0);
+    assert!(hdr.side.is_valid(), "the first leaf has a sibling");
+    let cycle = NodeHeader { side: leaf, ..hdr };
+    damage(&tree, leaf, header(cycle.encode()));
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {leaf}: its sibling terms lead back to it")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_reachable_node_the_space_map_does_not_allocate() {
+    let (_cs, tree) = small_tree();
+    let (leaf, _) = leftmost(&tree, 0);
+    let (bitmap, bit) = tree.store().space.locate(leaf);
+    damage(&tree, bitmap, PageOp::ClearBit { bit });
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {leaf} is not allocated in the space map")),
+        "{v:?}"
+    );
 }
 
 #[test]
@@ -283,7 +312,7 @@ fn walker_rejects_an_index_term_whose_child_is_at_the_wrong_level() {
     let bytes = IndexTerm::entry_for(&term.key, leaf);
     damage(&tree, root, PageOp::KeyedUpdate { bytes });
     let parent_level = tree.height().unwrap() - 1;
-    let want = format!("child {leaf} at level 0, parent at {parent_level}");
+    let want = format!("node {root} at level {parent_level}: child {leaf} at 0");
     let v = violations(&tree);
     assert!(v.iter().any(|v| v.contains(&want)), "{v:?}");
 }

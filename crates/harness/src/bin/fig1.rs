@@ -11,6 +11,7 @@
 //! Run with: `cargo run -p pitree-harness --bin fig1`
 
 use pitree::store::CrashableStore;
+use pitree::wellformed::fill_line;
 use pitree_harness::driver::commit;
 use pitree_harness::workload::key;
 use pitree_pagestore::PageId;
@@ -167,11 +168,11 @@ fn main() {
 
     let report = tree.validate().unwrap();
     println!(
-        "\nwell-formed: {}  ({} current, {} history, {} versions)",
+        "\nwell-formed: {}  {}  history nodes: {}  versions: {}",
         report.is_well_formed(),
-        report.current_nodes,
+        fill_line(&report.levels),
         report.history_nodes,
-        report.versions
+        report.records
     );
     assert!(claims_ok && ok1 && ok2 && ok3 && ok4 && report.is_well_formed());
     println!("\nFigure 1 reproduced: all caption claims hold.");

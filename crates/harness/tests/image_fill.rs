@@ -61,7 +61,7 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
         assert!(r.is_well_formed(), "tsb {when}: {:?}", r.violations);
         format!(
             "tsb {when} ({} current, {} history nodes): {}",
-            r.current_nodes,
+            r.levels.last().expect("tsb data level").nodes,
             r.history_nodes,
             fill_line(&r.levels)
         )
@@ -104,7 +104,7 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
     let tsb_report = tsb.validate().expect("validate tsb");
     println!(
         "prefix: multi image: tsb data nodes {:.2} bytes per version, hb data nodes {:.2} bytes per record",
-        per_entry(&tsb_report.levels, tsb_report.versions),
+        per_entry(&tsb_report.levels, tsb_report.records),
         per_entry(&report.levels, report.records)
     );
     println!("image_fill: {loaded}");

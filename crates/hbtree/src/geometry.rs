@@ -81,10 +81,11 @@ impl Rect {
         (0..DIMS).any(|d| self.lo[d] >= self.hi[d])
     }
 
-    /// Area as u128 (exact for the test domains used here).
+    /// Area, exact in u128 for two dimensions; an inverted side counts as
+    /// empty.
     pub fn area(&self) -> u128 {
         (0..DIMS)
-            .map(|d| (self.hi[d] - self.lo[d]) as u128)
+            .map(|d| u128::from(self.hi[d].saturating_sub(self.lo[d])))
             .product()
     }
 
@@ -394,6 +395,9 @@ impl Frag {
                     return Err(StoreError::Corrupt("truncated kd split".into()));
                 }
                 let dim = bytes[*pos];
+                if usize::from(dim) >= DIMS {
+                    return Err(StoreError::Corrupt(format!("kd split on dimension {dim}")));
+                }
                 *pos += 1;
                 let val = u64::from_le_bytes(bytes[*pos..*pos + 8].try_into().unwrap());
                 *pos += 8;

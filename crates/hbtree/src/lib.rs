@@ -16,9 +16,10 @@
 //! to the parent on the detecting search path, other parents lazily.
 //!
 //! The protocol itself — descent, registry, restart, completion drain, undo
-//! handlers — is `pitree::Engine`; this crate supplies the [`Hb`] structure
-//! (routing through kd fragments) plus its geometry, split policy and undo
-//! tags.
+//! handlers, the well-formedness walk — is `pitree::Engine`; this crate
+//! supplies the [`Hb`] structure (routing through kd fragments, how the
+//! walk sees a node and compares rectangles) plus its geometry, split
+//! policy and undo tags.
 //!
 //! Scope (see DESIGN.md): two attributes; node consolidation omitted — the
 //! paper itself defers hB consolidation to its reference \[3\]
@@ -29,10 +30,9 @@ pub mod node;
 pub mod split;
 pub mod tree;
 pub mod undo;
-pub mod wellformed;
+mod wellformed;
 
 pub use geometry::{point_key, Frag, Point, PtrKind, Rect, DIMS};
 pub use node::HbHeader;
 pub use tree::{Hb, HbConfig, HbPost, HbTree};
 pub use undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};
-pub use wellformed::HbReport;

@@ -96,5 +96,17 @@ mod tests {
         let mut ok = HbHeader::new_root_leaf().encode();
         ok.push(0);
         assert!(HbHeader::decode(&ok).is_err());
+        // A kd split on a dimension the space does not have.
+        let split = Frag::Split {
+            dim: 2,
+            val: 1,
+            lo: Box::new(Frag::Local),
+            hi: Box::new(Frag::Local),
+        };
+        let bad = HbHeader {
+            frag: split,
+            ..HbHeader::new_root_leaf()
+        };
+        assert!(HbHeader::decode(&bad.encode()).is_err());
     }
 }

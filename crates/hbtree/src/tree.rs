@@ -16,6 +16,7 @@ use pitree::engine::{set_header, Engine, Install, Routed, Step, Structure, TreeC
 use pitree::node::node_full;
 use pitree::store::Store;
 use pitree::traverse::SavedPath;
+use pitree::wellformed::Description;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
@@ -102,6 +103,7 @@ impl Structure for Hb {
     type Config = HbConfig;
     type Arg = Point;
     type Completion = HbPost;
+    type Space = Rect;
     const META_MAGIC: u32 = 0x4842_5452; // "HBTR"
 
     fn new(cfg: HbConfig) -> Hb {
@@ -252,6 +254,10 @@ impl Structure for Hb {
 
     fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
         crate::undo::undo(tree, tag, payload)
+    }
+
+    fn describe(page: &Page, pid: PageId) -> StoreResult<Description<Rect>> {
+        crate::wellformed::describe(page, pid)
     }
 }
 
@@ -435,10 +441,5 @@ impl HbTree {
             self.maybe_autocomplete()?;
             return Ok(true);
         }
-    }
-
-    /// Structural validation; see [`crate::wellformed`].
-    pub fn validate(&self) -> StoreResult<crate::wellformed::HbReport> {
-        crate::wellformed::check(self)
     }
 }

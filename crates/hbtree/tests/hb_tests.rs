@@ -1,9 +1,9 @@
 //! hB-tree functional, structural (Figure 2), fill and recovery tests.
 
 use pitree::store::CrashableStore;
-use pitree::wellformed::fill_line;
+use pitree::wellformed::{fill_line, WellFormedReport};
 use pitree::Structure;
-use pitree_hb::{point_key, Frag, Hb, HbConfig, HbHeader, HbReport, HbTree, Point, PtrKind, Rect};
+use pitree_hb::{point_key, Frag, Hb, HbConfig, HbHeader, HbTree, Point, PtrKind, Rect};
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp};
 use pitree_sim::SimRng;
@@ -340,7 +340,7 @@ fn random_points(n: usize, seed: u64) -> Vec<Point> {
 /// `core/tests/fill.rs`'s loader for hB: insert `points` in transactions of
 /// eight, drain the postings, and return the validated report and the
 /// split count.
-fn load(cfg: HbConfig, points: &[Point]) -> (HbReport, u64) {
+fn load(cfg: HbConfig, points: &[Point]) -> (WellFormedReport, u64) {
     let (_cs, tree) = setup(cfg);
     for batch in points.chunks(8) {
         let mut t = tree.begin();
@@ -570,8 +570,80 @@ fn walker_rejects_overlapping_owned_regions() {
     };
     damage(&tree, pid, header(greedy.encode()));
     let v = violations(&tree);
+    let named = format!("of node {pid}");
     assert!(
-        v.iter().any(|v| v.contains("overlapping owned regions")),
+        v.iter()
+            .any(|v| v.contains("overlapping owned regions") && v.contains(&named)),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_wide_overlap() {
+    let (_cs, tree, pid, hdr) = tree_with_a_split_data_node();
+    // Move the node's latest hyperplane halfway into the region it
+    // delegated: the area owned twice makes the level's areas sum past
+    // what any u128 holds.
+    let Frag::Split { dim, val, lo, hi } = hdr.frag else {
+        unreachable!("picked for its split")
+    };
+    let far = hdr.rect.hi[usize::from(dim)];
+    let greedy = HbHeader {
+        frag: Frag::Split {
+            dim,
+            val: val + (far - val) / 2,
+            lo,
+            hi,
+        },
+        ..hdr
+    };
+    damage(&tree, pid, header(greedy.encode()));
+    let v = violations(&tree);
+    assert!(
+        v.iter()
+            .any(|v| v.starts_with("level 0: owned regions cover more than 2^128")),
+        "{v:?}"
+    );
+    let named = format!("of node {pid}");
+    assert!(
+        v.iter()
+            .any(|v| v.contains("overlapping owned regions") && v.contains(&named)),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_sibling_term_back_to_its_own_node() {
+    let (_cs, tree, pid, hdr) = tree_with_a_split_data_node();
+    // Aim the node's latest sibling term at the node itself.
+    let Frag::Split { dim, val, lo, .. } = hdr.frag else {
+        unreachable!("picked for its split")
+    };
+    let cycle = HbHeader {
+        frag: Frag::Split {
+            dim,
+            val,
+            lo,
+            hi: Box::new(Frag::sibling(pid)),
+        },
+        ..hdr
+    };
+    damage(&tree, pid, header(cycle.encode()));
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {pid}: its sibling terms lead back to it")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_reachable_node_the_space_map_does_not_allocate() {
+    let (_cs, tree, pid, _) = tree_with_a_split_data_node();
+    let (bitmap, bit) = tree.store().space.locate(pid);
+    damage(&tree, bitmap, PageOp::ClearBit { bit });
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {pid} is not allocated in the space map")),
         "{v:?}"
     );
 }

@@ -12,8 +12,8 @@
 //! crash recovery takes no special measures. The protocol itself —
 //! descent, registry, restart, completion drain, undo handlers — is
 //! `pitree::Engine`; this crate supplies the [`Tsb`] structure (routing over
-//! the key dimension, the two sibling terms) plus its split policy, undo
-//! tag and versioned operations.
+//! the key dimension, the two sibling terms, how the well-formedness walk
+//! sees a node) plus its split policy, undo tag and versioned operations.
 //!
 //! Scope note (see DESIGN.md): index nodes route by key over *current*
 //! nodes; history nodes are reached exclusively through history sibling
@@ -25,9 +25,8 @@ pub mod node;
 pub mod split;
 pub mod tree;
 pub mod undo;
-pub mod wellformed;
+mod wellformed;
 
 pub use node::{Time, TsbHeader, TsbKind};
 pub use tree::{Tsb, TsbConfig, TsbTree};
 pub use undo::TAG_TSB_REMOVE_VERSION;
-pub use wellformed::TsbReport;

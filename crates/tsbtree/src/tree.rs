@@ -19,6 +19,7 @@ use pitree::node::{node_full, BoundRef, Guarded};
 use pitree::store::Store;
 use pitree::traverse::SavedPath;
 use pitree::tree::KeyRouting;
+use pitree::wellformed::{Description, KeyRange};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
@@ -91,6 +92,7 @@ impl Structure for Tsb {
     type Config = TsbConfig;
     type Arg = [u8];
     type Completion = Completion;
+    type Space = KeyRange;
     const META_MAGIC: u32 = 0x5453_4254; // "TSBT"
 
     fn new(cfg: TsbConfig) -> Tsb {
@@ -229,6 +231,10 @@ impl Structure for Tsb {
 
     fn undo(tree: &TsbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> {
         crate::undo::undo(tree, tag, payload)
+    }
+
+    fn describe(page: &Page, pid: PageId) -> StoreResult<Description<KeyRange>> {
+        crate::wellformed::describe(page, pid)
     }
 
     /// Restore the logical clock from the newest version reachable on the
@@ -486,10 +492,5 @@ impl TsbTree {
             self.maybe_autocomplete()?;
             return Ok(t);
         }
-    }
-
-    /// Structural validation; see [`crate::wellformed`].
-    pub fn validate(&self) -> StoreResult<crate::wellformed::TsbReport> {
-        crate::wellformed::check(self)
     }
 }

@@ -1,5 +1,6 @@
 //! TSB-tree functional, structural (Figure 1), and recovery tests.
 
+use pitree::node::IndexTerm;
 use pitree::store::CrashableStore;
 use pitree::wellformed::{fill_line, LevelFill};
 use pitree::{Completion, Structure};
@@ -134,7 +135,10 @@ fn key_splits_preserve_history_access() {
     tree.run_completions().unwrap();
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
-    assert!(report.current_nodes > 1, "key spread must have key-split");
+    assert!(
+        report.levels.last().unwrap().nodes > 1,
+        "key spread must have key-split"
+    );
     assert!(report.history_nodes > 0, "churn must have time-split");
     for &(k, round, ts) in &stamps {
         assert_eq!(
@@ -164,7 +168,7 @@ fn figure_1_topology() {
     tree.run_completions().unwrap();
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
-    assert!(report.current_nodes >= 2 && report.history_nodes >= 1);
+    assert!(report.levels.last().unwrap().nodes >= 2 && report.history_nodes >= 1);
 
     // Structural assertions: walk the current chain; every current node
     // whose key space intersects the original (time-split) range must reach
@@ -393,7 +397,7 @@ fn version_appends_to_one_key_still_time_split() {
     tree.run_completions().unwrap();
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
-    assert_eq!(report.current_nodes, 2);
+    assert_eq!(report.levels.last().unwrap().nodes, 2);
     assert!(report.history_nodes >= 10, "{}", report.history_nodes);
     for (i, ts) in stamps.iter().enumerate().step_by(97) {
         let v = tree.get_as_of(&key(99), *ts).unwrap();
@@ -533,6 +537,32 @@ fn copy_last_entry_over_first(tree: &TsbTree, pid: PageId) -> PageOp {
     }
 }
 
+/// The first current node of `level`, reached by leftmost index terms, with
+/// its header.
+fn leftmost(tree: &TsbTree, level: u8) -> (PageId, TsbHeader) {
+    let mut pid = tree.root_pid();
+    loop {
+        let pin = tree.store().pool.fetch(pid).unwrap();
+        let g = pin.s();
+        let hdr = TsbHeader::read(&g).unwrap();
+        if hdr.level == level {
+            return (pid, hdr);
+        }
+        pid = IndexTerm::read(&g, 1).unwrap().child;
+    }
+}
+
+/// A posted tree of 20 keys whose first current node has a key sibling.
+fn key_split_tree() -> (CrashableStore, TsbTree) {
+    let (cs, tree) = setup(TsbConfig::small_nodes(4, 4));
+    for k in 0..20u64 {
+        put(&tree, &key(k), b"v");
+    }
+    tree.run_completions().unwrap();
+    assert!(tree.validate().unwrap().is_well_formed());
+    (cs, tree)
+}
+
 fn root_header(tree: &TsbTree) -> TsbHeader {
     let pin = tree.store().pool.fetch(tree.root_pid()).unwrap();
     let g = pin.s();
@@ -566,7 +596,12 @@ fn walker_rejects_a_time_gap_in_a_history_chain() {
     };
     damage(&tree, tree.root_pid(), header(gap.encode()));
     let v = violations(&tree);
-    assert!(v.iter().any(|v| v.contains("history chain of")), "{v:?}");
+    let want = format!("node {}: history node {}", tree.root_pid(), hdr.hist_side);
+    assert!(
+        v.iter()
+            .any(|v| v.starts_with(&want) && v.contains("is not responsible")),
+        "{v:?}"
+    );
 }
 
 #[test]
@@ -601,4 +636,68 @@ fn walker_rejects_a_key_prefix_the_keys_do_not_share() {
     let want =
         format!("node {root}: stored key prefix of 8 bytes, but its first and last keys share 9");
     assert!(v.iter().any(|v| v == &want), "{v:?}");
+}
+
+#[test]
+fn walker_rejects_a_sibling_term_back_to_its_own_node() {
+    let (_cs, tree) = key_split_tree();
+    // Aim the first current node's key side pointer at itself: a walk down
+    // the current chain would never end.
+    let (pid, hdr) = leftmost(&tree, 0);
+    assert!(
+        hdr.key_side.is_valid(),
+        "the first current node has a sibling"
+    );
+    let cycle = TsbHeader {
+        key_side: pid,
+        ..hdr
+    };
+    damage(&tree, pid, header(cycle.encode()));
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {pid}: its sibling terms lead back to it")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_a_reachable_node_the_space_map_does_not_allocate() {
+    let (_cs, tree) = key_split_tree();
+    let (pid, _) = leftmost(&tree, 0);
+    let (bitmap, bit) = tree.store().space.locate(pid);
+    damage(&tree, bitmap, PageOp::ClearBit { bit });
+    let v = violations(&tree);
+    assert!(
+        v.contains(&format!("node {pid} is not allocated in the space map")),
+        "{v:?}"
+    );
+}
+
+#[test]
+fn walker_rejects_an_index_term_aimed_at_a_history_node() {
+    let (_cs, tree) = key_split_tree();
+    // Version key 0 until the first current node time-splits: its history
+    // node then has the same key range, and only its time ends.
+    while !leftmost(&tree, 0).1.hist_side.is_valid() {
+        put(&tree, &key(0), b"w");
+    }
+    assert!(tree.validate().unwrap().is_well_formed());
+    let hist = leftmost(&tree, 0).1.hist_side;
+    // Re-aim the leftmost index term at the history node: the current node
+    // drops out of reach, and the history node takes its place on level 0.
+    let (parent, _) = leftmost(&tree, 1);
+    let term = {
+        let pin = tree.store().pool.fetch(parent).unwrap();
+        let g = pin.s();
+        IndexTerm::read(&g, 1).unwrap()
+    };
+    let bytes = IndexTerm::entry_for(&term.key, hist);
+    damage(&tree, parent, PageOp::KeyedUpdate { bytes });
+    let v = violations(&tree);
+    let want = format!("node {parent}: child {hist}");
+    assert!(
+        v.iter()
+            .any(|v| v.starts_with(&want) && v.contains("is not responsible")),
+        "{v:?}"
+    );
 }

@@ -8,6 +8,7 @@
 //! Run with: `cargo run --example versioned_store`
 
 use pitree::store::CrashableStore;
+use pitree::wellformed::fill_line;
 use pitree_tsb::{TsbConfig, TsbTree};
 use std::sync::Arc;
 
@@ -81,7 +82,9 @@ fn main() {
     let report = tree.validate().expect("validate");
     assert!(report.is_well_formed(), "{:?}", report.violations);
     println!(
-        "structure: {} current nodes, {} history nodes, {} versions",
-        report.current_nodes, report.history_nodes, report.versions
+        "structure: {}, {} history nodes, {} versions",
+        fill_line(&report.levels),
+        report.history_nodes,
+        report.records
     );
 }

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, image-fill, prefix, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, smo-bytes, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -73,6 +73,15 @@ cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | gre
 
 step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
 cargo test --offline -q -p pitree-harness --test smo_bytes
+
+step "walker gate (one well-formedness walk for B-link, TSB and hB: every walker_rejects_* test damages a page and the walk must report it)"
+walker_out="$(cargo test --offline -q -p pitree -p pitree-tsb -p pitree-hb walker_rejects_ 2>&1)"
+walkers="$(awk '/^test result: ok\./ { n += $4 } END { print n + 0 }' <<<"$walker_out")"
+echo "walker gate: $walkers walker_rejects_* tests passed"
+if [[ "$walkers" -lt 17 ]]; then
+  echo "only $walkers walker_rejects_* tests ran (17 at the unified walk); the walk lost teeth" >&2
+  exit 1
+fi
 
 step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
