@@ -11,8 +11,8 @@
 //! stream and drives it, [`differential_twin`] drives a stream the scenario
 //! harness generated.
 
-use crate::index::CheckIndex;
 use crate::model::Model;
+use pitree_baselines::ConcurrentIndex;
 use pitree_sim::crash::{key_bytes, val_bytes, Op};
 use pitree_sim::SimRng;
 
@@ -87,11 +87,15 @@ pub fn gen_ops(seed: u64, cfg: DiffConfig) -> Vec<Op> {
 }
 
 /// Replay an explicit op stream against `index`, comparing every observable
-/// result with the [`Model`] (scans are skipped by indexes that do not
-/// expose them; `Flush` / `Checkpoint` have no differential meaning — the
-/// crash sweep covers them), then sweep a point read over every key up to
-/// the largest the stream names, whether or not the stream read it.
-pub fn drive(index: &dyn CheckIndex, ops: &[Op], seed: u64) -> Result<DiffReport, DiffViolation> {
+/// result with the [`Model`] (`Flush` / `Checkpoint` have no differential
+/// meaning — the crash sweep covers them), then sweep a point read over
+/// every key up to the largest the stream names, whether or not the stream
+/// read it.
+pub fn drive(
+    index: &dyn ConcurrentIndex,
+    ops: &[Op],
+    seed: u64,
+) -> Result<DiffReport, DiffViolation> {
     let mut model = Model::new();
     let fail = |op: usize, detail: String| DiffViolation {
         index: index.name(),
@@ -103,12 +107,11 @@ pub fn drive(index: &dyn CheckIndex, ops: &[Op], seed: u64) -> Result<DiffReport
         match *op {
             Op::Insert(k) => {
                 let (key, val) = (key_bytes(k), val_bytes(k, i));
-                let got = index.insert(&key, &val);
-                let want = model.insert(&key, &val);
-                if let Some(created) = got.filter(|created| *created != want) {
+                let (got, want) = (index.insert(&key, &val), model.insert(&key, &val));
+                if got != want {
                     return Err(fail(
                         i,
-                        format!("insert({k}) created={created}, model says {want}"),
+                        format!("insert({k}) created={got}, model says {want}"),
                     ));
                 }
             }
@@ -131,18 +134,16 @@ pub fn drive(index: &dyn CheckIndex, ops: &[Op], seed: u64) -> Result<DiffReport
             }
             Op::Scan(lo, hi) => {
                 let (lo_b, hi_b) = (key_bytes(lo), key_bytes(hi));
-                if let Some(got) = index.scan(&lo_b, &hi_b) {
-                    let want = model.scan(&lo_b, &hi_b);
-                    if got != want {
-                        return Err(fail(
-                            i,
-                            format!(
-                                "scan([{lo},{hi})) returned {} pairs, model has {}",
-                                got.len(),
-                                want.len()
-                            ),
-                        ));
-                    }
+                let (got, want) = (index.scan(&lo_b, &hi_b), model.scan(&lo_b, &hi_b));
+                if got != want {
+                    return Err(fail(
+                        i,
+                        format!(
+                            "scan([{lo},{hi})) returned {} pairs, model has {}",
+                            got.len(),
+                            want.len()
+                        ),
+                    ));
                 }
             }
             Op::Flush | Op::Checkpoint => {}
@@ -172,7 +173,7 @@ pub fn drive(index: &dyn CheckIndex, ops: &[Op], seed: u64) -> Result<DiffReport
 /// Run one seeded differential workload against `index`: generate the
 /// seed's stream, then [`drive`] it.
 pub fn run_differential(
-    index: &dyn CheckIndex,
+    index: &dyn ConcurrentIndex,
     seed: u64,
     cfg: DiffConfig,
 ) -> Result<DiffReport, DiffViolation> {

@@ -11,8 +11,8 @@
 //!   keys are small integers from the harness key domain.
 //! - `b` on invoke = argument (the value being inserted; 0 otherwise).
 //! - `b` on return = result: for [`OpKind::Get`], `0` for absent else
-//!   `value + 1`; for [`OpKind::Insert`], `2` for "flag unknown", else
-//!   the created flag; for [`OpKind::Delete`], the existed flag.
+//!   `value + 1`; for [`OpKind::Insert`], the created flag; for
+//!   [`OpKind::Delete`], the existed flag.
 
 use pitree_obs::{Event, EventKind, Recorder, Registry};
 
@@ -49,8 +49,6 @@ impl OpKind {
 /// The result an operation reported, as carried in the return event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpRet {
-    /// Insert with an unknown created flag (baseline-style interfaces).
-    InsertedUnknown,
     /// Insert reporting whether the key was new.
     Inserted(bool),
     /// Delete reporting whether the key existed.
@@ -146,7 +144,6 @@ impl OpRecorder {
     /// Record the return edge.
     pub fn ret(&self, kind: OpKind, key: u64, ret: OpRet) {
         let b = match ret {
-            OpRet::InsertedUnknown => 2,
             OpRet::Inserted(created) => u64::from(created),
             OpRet::Deleted(existed) => u64::from(existed),
             OpRet::Got(None) => 0,
@@ -235,10 +232,7 @@ pub fn decode(events: Vec<Event>) -> Result<Vec<Call>, HistoryError> {
                 let kind = OpKind::from_code(code).ok_or(HistoryError::BadOpCode { code })?;
                 let key = ev.a & ((1 << 56) - 1);
                 let ret = match kind {
-                    OpKind::Insert => match ev.b {
-                        2 => OpRet::InsertedUnknown,
-                        f => OpRet::Inserted(f != 0),
-                    },
+                    OpKind::Insert => OpRet::Inserted(ev.b != 0),
                     OpKind::Delete => OpRet::Deleted(ev.b != 0),
                     OpKind::Get => OpRet::Got(ev.b.checked_sub(1)),
                 };

@@ -1,12 +1,6 @@
-//! The surface the checkers drive, adapters for every tree in the
-//! workspace, and the deliberately broken fixtures the acceptance tests
-//! feed to each layer.
-//!
-//! [`CheckIndex`] is wider than `pitree_baselines::ConcurrentIndex`: it
-//! reports the insert's created/replaced flag when the implementation
-//! knows it, and exposes range scans when the implementation has them —
-//! the model covers both, and the checkers constrain exactly as much as
-//! an implementation claims.
+//! Π-tree adapters and the deliberately broken fixtures the acceptance
+//! tests feed to each layer, all on the one surface the checkers drive,
+//! [`ConcurrentIndex`] (the baselines implement it themselves).
 
 use crate::model::Model;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
@@ -14,23 +8,6 @@ use pitree_baselines::ConcurrentIndex;
 use pitree_pagestore::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One key/record index under check.
-pub trait CheckIndex: Send + Sync {
-    /// Upsert; `Some(created)` when the implementation reports whether the
-    /// key was new, `None` when it cannot (the baselines' interface).
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool>;
-    /// Point read.
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
-    /// Delete; returns whether the key existed.
-    fn delete(&self, key: &[u8]) -> bool;
-    /// Range scan of `[from, to)`; `None` when unsupported.
-    fn scan(&self, _from: &[u8], _to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        None
-    }
-    /// Name for report tables.
-    fn name(&self) -> &'static str;
-}
 
 /// A Π-tree with its store, autocommitting one forced transaction per
 /// operation: reads take S record locks, so every completed operation's
@@ -64,12 +41,12 @@ impl PiCheckIndex {
     }
 }
 
-impl CheckIndex for PiCheckIndex {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
+impl ConcurrentIndex for PiCheckIndex {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
         let run = self.tree.autocommit(|t| self.tree.insert(t, key, value));
         let (txn, created) = run.expect("insert");
         txn.commit().expect("commit");
-        Some(created)
+        created
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -86,8 +63,8 @@ impl CheckIndex for PiCheckIndex {
         existed
     }
 
-    fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        Some(self.tree.scan(from, to).expect("scan"))
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.tree.scan(from, to).expect("scan")
     }
 
     fn name(&self) -> &'static str {
@@ -127,12 +104,12 @@ impl PiElrIndex {
     }
 }
 
-impl CheckIndex for PiElrIndex {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
+impl ConcurrentIndex for PiElrIndex {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
         let run = self.tree.autocommit(|t| self.tree.insert(t, key, value));
         let (txn, created) = run.expect("insert");
         txn.commit_publish().wait_durable().expect("ack");
-        Some(created)
+        created
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -149,8 +126,8 @@ impl CheckIndex for PiElrIndex {
         existed
     }
 
-    fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        Some(self.tree.scan(from, to).expect("scan"))
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.tree.scan(from, to).expect("scan")
     }
 
     fn name(&self) -> &'static str {
@@ -158,40 +135,16 @@ impl CheckIndex for PiElrIndex {
     }
 }
 
-/// Adapter lifting any baseline [`ConcurrentIndex`] to the check surface
-/// (no created flag, no scan — the checkers constrain accordingly).
-#[derive(Debug)]
-pub struct BaselineIndex<T: ConcurrentIndex>(pub T);
-
-impl<T: ConcurrentIndex> CheckIndex for BaselineIndex<T> {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
-        self.0.insert(key, value);
-        None
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.0.get(key)
-    }
-
-    fn delete(&self, key: &[u8]) -> bool {
-        self.0.delete(key)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
-/// A reference implementation of [`CheckIndex`] over the [`Model`] itself
+/// A reference implementation of [`ConcurrentIndex`] over the [`Model`] itself
 /// (sanity fixture: every checker must accept it).
 #[derive(Debug, Default)]
 pub struct ModelIndex {
     inner: Mutex<Model>,
 }
 
-impl CheckIndex for ModelIndex {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
-        Some(self.inner.lock().insert(key, value))
+impl ConcurrentIndex for ModelIndex {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
+        self.inner.lock().insert(key, value)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -202,8 +155,8 @@ impl CheckIndex for ModelIndex {
         self.inner.lock().delete(key)
     }
 
-    fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
-        Some(self.inner.lock().scan(from, to))
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.inner.lock().scan(from, to)
     }
 
     fn name(&self) -> &'static str {
@@ -215,19 +168,19 @@ impl CheckIndex for ModelIndex {
 
 /// Broken-on-purpose wrapper: silently drops every `drop_every`-th insert
 /// while claiming it happened. The differential oracle must reject it.
-pub struct LostWriteIndex<T: CheckIndex> {
+pub struct LostWriteIndex<T: ConcurrentIndex> {
     inner: T,
     drop_every: u64,
     writes: pitree_obs::Counter,
 }
 
-impl<T: CheckIndex> std::fmt::Debug for LostWriteIndex<T> {
+impl<T: ConcurrentIndex> std::fmt::Debug for LostWriteIndex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LostWriteIndex").finish_non_exhaustive()
     }
 }
 
-impl<T: CheckIndex> LostWriteIndex<T> {
+impl<T: ConcurrentIndex> LostWriteIndex<T> {
     /// Wrap `inner`, dropping every `drop_every`-th insert (1-based).
     pub fn new(inner: T, drop_every: u64) -> LostWriteIndex<T> {
         assert!(drop_every > 0);
@@ -239,13 +192,13 @@ impl<T: CheckIndex> LostWriteIndex<T> {
     }
 }
 
-impl<T: CheckIndex> CheckIndex for LostWriteIndex<T> {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
+impl<T: ConcurrentIndex> ConcurrentIndex for LostWriteIndex<T> {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
         self.writes.inc();
         if self.writes.get().is_multiple_of(self.drop_every) {
             // The lie: report "created" based on current state but never
             // perform the write.
-            return Some(self.inner.get(key).is_none());
+            return self.inner.get(key).is_none();
         }
         self.inner.insert(key, value)
     }
@@ -258,7 +211,7 @@ impl<T: CheckIndex> CheckIndex for LostWriteIndex<T> {
         self.inner.delete(key)
     }
 
-    fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.inner.scan(from, to)
     }
 
@@ -271,18 +224,18 @@ impl<T: CheckIndex> CheckIndex for LostWriteIndex<T> {
 /// its most recent overwrite and serves that stale value on reads. The
 /// linearizability checker must reject histories it produces (a read that
 /// begins after an overwrite's return cannot observe the older value).
-pub struct StaleReadIndex<T: CheckIndex> {
+pub struct StaleReadIndex<T: ConcurrentIndex> {
     inner: T,
     stale: Mutex<HashMap<Vec<u8>, Option<Vec<u8>>>>,
 }
 
-impl<T: CheckIndex> std::fmt::Debug for StaleReadIndex<T> {
+impl<T: ConcurrentIndex> std::fmt::Debug for StaleReadIndex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StaleReadIndex").finish_non_exhaustive()
     }
 }
 
-impl<T: CheckIndex> StaleReadIndex<T> {
+impl<T: ConcurrentIndex> StaleReadIndex<T> {
     /// Wrap `inner`.
     pub fn new(inner: T) -> StaleReadIndex<T> {
         StaleReadIndex {
@@ -292,8 +245,8 @@ impl<T: CheckIndex> StaleReadIndex<T> {
     }
 }
 
-impl<T: CheckIndex> CheckIndex for StaleReadIndex<T> {
-    fn insert(&self, key: &[u8], value: &[u8]) -> Option<bool> {
+impl<T: ConcurrentIndex> ConcurrentIndex for StaleReadIndex<T> {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
         let old = self.inner.get(key);
         let ret = self.inner.insert(key, value);
         self.stale.lock().insert(key.to_vec(), old);
@@ -318,7 +271,7 @@ impl<T: CheckIndex> CheckIndex for StaleReadIndex<T> {
         self.inner.delete(key)
     }
 
-    fn scan(&self, from: &[u8], to: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.inner.scan(from, to)
     }
 
@@ -334,10 +287,10 @@ mod tests {
     #[test]
     fn pi_adapter_roundtrip() {
         let idx = PiCheckIndex::new(256, PiTreeConfig::small_nodes(8, 8));
-        assert_eq!(idx.insert(b"k", b"v"), Some(true));
-        assert_eq!(idx.insert(b"k", b"w"), Some(false));
+        assert!(idx.insert(b"k", b"v"));
+        assert!(!idx.insert(b"k", b"w"));
         assert_eq!(idx.get(b"k"), Some(b"w".to_vec()));
-        assert_eq!(idx.scan(b"a", b"z").unwrap().len(), 1);
+        assert_eq!(idx.scan(b"a", b"z").len(), 1);
         assert!(idx.delete(b"k"));
         assert!(!idx.delete(b"k"));
     }
@@ -345,8 +298,8 @@ mod tests {
     #[test]
     fn elr_adapter_roundtrip() {
         let idx = PiElrIndex::new(256, PiTreeConfig::small_nodes(8, 8));
-        assert_eq!(idx.insert(b"k", b"v"), Some(true));
-        assert_eq!(idx.insert(b"k", b"w"), Some(false));
+        assert!(idx.insert(b"k", b"v"));
+        assert!(!idx.insert(b"k", b"w"));
         assert_eq!(idx.get(b"k"), Some(b"w".to_vec()));
         assert!(idx.delete(b"k"));
         assert!(!idx.delete(b"k"));

@@ -2,9 +2,10 @@
 //!
 //! Three oracles, one sequential model:
 //!
-//! 1. **Differential** ([`differential`]) — drive the Π-tree and the
-//!    `baselines` trees with identical seeded single-threaded workloads
-//!    and demand op-for-op agreement with the [`model`] spec.
+//! 1. **Differential** ([`differential`]) — drive the Π-tree and the three
+//!    `baselines` protocols with identical seeded single-threaded workloads
+//!    and demand op-for-op agreement with the [`model`] spec: every created
+//!    and existed flag, every read and every scan window.
 //! 2. **Linearizability** ([`linear`]) — concurrent harness threads record
 //!    invoke/return events through the `pitree-obs` logical-clock rings
 //!    ([`history`]); a Wing–Gong search with per-key partition pruning
@@ -45,33 +46,38 @@ pub use differential::{
 };
 pub use durability::{ack_before_durable_violation, elr_chain_violation};
 pub use history::{Call, HistoryLog, OpKind, OpRet};
-pub use index::{BaselineIndex, CheckIndex, ModelIndex, PiCheckIndex, PiElrIndex};
+pub use index::{ModelIndex, PiCheckIndex, PiElrIndex};
 pub use linear::{check_history, run_linearizability, LinConfig, LinReport, LinViolation};
 pub use model::Model;
 
+pub use pitree_baselines::ConcurrentIndex;
+
 use pitree::PiTreeConfig;
-use pitree_baselines::{LockCouplingTree, OptimisticCouplingTree, SerialSmoTree};
+use pitree_baselines::{Baseline, Protocol};
 
 /// Every index the differential layer compares against the model: the
 /// Π-tree (small nodes, so the workload crosses split/post/consolidate
-/// paths) and the three baseline trees.
-pub fn all_indexes() -> Vec<Box<dyn CheckIndex>> {
+/// paths) and the three baseline protocols over the same small nodes.
+pub fn all_indexes() -> Vec<Box<dyn ConcurrentIndex>> {
+    let cfg = PiTreeConfig::small_nodes(4, 4);
+    let baseline = |p| Box::new(Baseline::new(128, p, cfg)) as Box<dyn ConcurrentIndex>;
     vec![
-        Box::new(PiCheckIndex::new(128, PiTreeConfig::small_nodes(4, 4))),
-        Box::new(BaselineIndex(LockCouplingTree::new(128, 4))),
-        Box::new(BaselineIndex(OptimisticCouplingTree::new(128, 4))),
-        Box::new(BaselineIndex(SerialSmoTree::new(128, 4))),
+        Box::new(PiCheckIndex::new(128, cfg)),
+        baseline(Protocol::LockCoupling),
+        baseline(Protocol::Optimistic),
+        baseline(Protocol::SerialSmo),
     ]
 }
 
 /// The concurrent targets the linearizability layer drives: the Π-tree
 /// with per-op forced commits, the same tree under early lock release
 /// (commits published before they are durable, acks at the watermark),
-/// and a baseline.
-pub fn lin_targets() -> Vec<Box<dyn CheckIndex>> {
+/// and the lock-coupling baseline.
+pub fn lin_targets() -> Vec<Box<dyn ConcurrentIndex>> {
+    let cfg = PiTreeConfig::small_nodes(4, 4);
     vec![
-        Box::new(PiCheckIndex::new(256, PiTreeConfig::small_nodes(4, 4))),
-        Box::new(PiElrIndex::new(256, PiTreeConfig::small_nodes(4, 4))),
-        Box::new(BaselineIndex(LockCouplingTree::new(256, 4))),
+        Box::new(PiCheckIndex::new(256, cfg)),
+        Box::new(PiElrIndex::new(256, cfg)),
+        Box::new(Baseline::new(256, Protocol::LockCoupling, cfg)),
     ]
 }

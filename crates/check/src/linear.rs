@@ -12,7 +12,7 @@
 //! below the factorial frontier for the bounded harness histories.
 
 use crate::history::{Call, HistoryLog, OpKind, OpRet};
-use crate::index::CheckIndex;
+use pitree_baselines::ConcurrentIndex;
 use pitree_sim::SimRng;
 use std::collections::{BTreeMap, HashSet};
 
@@ -133,7 +133,6 @@ fn dfs(
 /// result is inconsistent with the state.
 fn apply(c: &Call, state: Option<u64>) -> Option<Option<u64>> {
     match (c.kind, c.ret) {
-        (OpKind::Insert, OpRet::InsertedUnknown) => Some(Some(c.arg)),
         (OpKind::Insert, OpRet::Inserted(created)) => {
             (created == state.is_none()).then_some(Some(c.arg))
         }
@@ -201,7 +200,7 @@ fn decode_value(bytes: &[u8]) -> u64 {
 /// Values are unique per (thread, op) — `tid << 32 | op` — so a stale
 /// read is distinguishable from a legal one.
 pub fn run_linearizability(
-    index: &(impl CheckIndex + ?Sized),
+    index: &(impl ConcurrentIndex + ?Sized),
     seed: u64,
     cfg: LinConfig,
 ) -> Result<LinReport, LinError> {
@@ -222,11 +221,8 @@ pub fn run_linearizability(
                         0..=49 => {
                             let v = (t as u64) << 32 | i as u64;
                             rec.invoke(OpKind::Insert, key, v);
-                            let ret = match index.insert(&kb, &value_bytes(v)) {
-                                Some(created) => OpRet::Inserted(created),
-                                None => OpRet::InsertedUnknown,
-                            };
-                            rec.ret(OpKind::Insert, key, ret);
+                            let created = index.insert(&kb, &value_bytes(v));
+                            rec.ret(OpKind::Insert, key, OpRet::Inserted(created));
                         }
                         50..=69 => {
                             rec.invoke(OpKind::Delete, key, 0);

@@ -21,7 +21,7 @@ use pitree_check::durability::{
 use pitree_check::index::{LostWriteIndex, ModelIndex, StaleReadIndex};
 use pitree_check::shrink::{shrink_durability, shrink_tail_drop};
 use pitree_check::{
-    all_indexes, lin_targets, run_differential, run_linearizability, CheckIndex, DiffConfig,
+    all_indexes, lin_targets, run_differential, run_linearizability, ConcurrentIndex, DiffConfig,
     LinConfig,
 };
 use pitree_sim::crash::{sweep_script, SweepConfig, Violation, Workload};
@@ -173,8 +173,9 @@ fn sweep(n: usize) -> ExitCode {
         }
     }
 
-    // Layer 3: durability across the crash-point sweep (Π-tree only; the
-    // baselines have no recovery story — that's the paper's point).
+    // Layer 3: durability across the crash-point sweep. It drives the
+    // Π-tree's own operations; the baselines log into the same WAL and
+    // restart through the same recovery (baselines/tests/substrate.rs).
     let cfg = sweep_config();
     let tested = (0..n).try_fold(0usize, |tested, i| {
         let seed = case_seed("pitree-check.dur", i);

@@ -1,5 +1,5 @@
-//! Adapters exposing the Π-tree through the baseline [`ConcurrentIndex`]
-//! surface, so experiment E1 drives all three protocols identically.
+//! Adapters exposing the Π-tree through the [`ConcurrentIndex`] surface the
+//! baseline protocols implement, so experiment E1 drives them identically.
 
 use crate::driver::commit;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
@@ -7,9 +7,8 @@ use pitree_baselines::ConcurrentIndex;
 use pitree_obs::{Hist, Stopwatch};
 use std::sync::Arc;
 
-/// A Π-tree with its store, autocommitting one transaction per operation
-/// (the same per-operation cost model the baselines have — minus their
-/// missing WAL, which biases *against* the Π-tree; see DESIGN.md).
+/// A Π-tree with its store, autocommitting one forced transaction per
+/// operation — the same per-operation cost model the baselines have.
 ///
 /// Whole-operation latencies (including [`commit`]'s deadlock retries)
 /// land in the store's registry as the `op.insert_ns` / `op.get_ns` /
@@ -51,10 +50,11 @@ impl PiTreeIndex {
 }
 
 impl ConcurrentIndex for PiTreeIndex {
-    fn insert(&self, key: &[u8], value: &[u8]) {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
         let t = Stopwatch::start();
-        commit(&self.tree, |txn| self.tree.insert(txn, key, value));
+        let created = commit(&self.tree, |txn| self.tree.insert(txn, key, value));
         self.op_insert_ns.record(t.elapsed_ns());
+        created
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -71,6 +71,10 @@ impl ConcurrentIndex for PiTreeIndex {
         hit
     }
 
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.tree.scan(from, to).expect("scan")
+    }
+
     fn name(&self) -> &'static str {
         "pi-tree"
     }
@@ -83,7 +87,7 @@ mod tests {
     #[test]
     fn adapter_roundtrip() {
         let idx = PiTreeIndex::new(256, PiTreeConfig::small_nodes(8, 8));
-        idx.insert(b"k", b"v");
+        assert!(idx.insert(b"k", b"v"));
         assert_eq!(idx.get(b"k"), Some(b"v".to_vec()));
         assert!(idx.delete(b"k"));
         assert!(!idx.delete(b"k"));

@@ -10,105 +10,48 @@
 //! deterministic property of the protocol (this harness host has a single
 //! CPU core, making parallel-throughput comparisons meaningless).
 //!
+//! Every protocol runs over the same B-link pages, pool and WAL
+//! ([`pitree_harness::footprint`]), committing one forced transaction per
+//! operation:
+//!
 //! * Π-tree: interior nodes are X-latched only inside short, independent
 //!   atomic actions (index-term postings, index splits, consolidations) —
 //!   §1 point 3.
-//! * Lock coupling (pessimistic Bayer–Schkolnick): every write X-latches its
-//!   entire root-to-leaf path while descending.
+//! * Lock coupling (pessimistic Bayer–Schkolnick): every write X-latches
+//!   its path from the root down to the first node that cannot split.
+//! * Optimistic coupling: X at the leaf only, except on a splitting insert,
+//!   which reruns as lock coupling.
 //! * Serial SMOs (ARIES/IM-flavored): every split takes a tree-wide
 //!   exclusive latch, quiescing everything.
 //!
 //! Run with: `cargo run --release -p pitree-harness --bin exp1`
 
-use pitree::PiTreeConfig;
-use pitree_baselines::{ConcurrentIndex, LockCouplingTree, OptimisticCouplingTree, SerialSmoTree};
-use pitree_harness::{KeyDist, PiTreeIndex, Table, Workload};
-use pitree_obs::Stopwatch;
+use pitree_harness::footprint::{measure, MIXES};
+use pitree_harness::Table;
 
 const OPS: u64 = 20_000;
-
-fn drive(idx: &dyn ConcurrentIndex, dist: KeyDist, read_frac: f64) -> f64 {
-    let mut w = Workload::new(dist, 1 << 20, 7);
-    for _ in 0..1_000 {
-        idx.insert(&w.next_key(), b"preload");
-    }
-    let start = Stopwatch::start();
-    let mut w = Workload::new(dist, 1 << 20, 1001);
-    for _ in 0..OPS {
-        if w.is_read(read_frac) {
-            let _ = idx.get(&w.next_key());
-        } else {
-            idx.insert(&w.next_key(), b"value-xxxxxxxx");
-        }
-    }
-    OPS as f64 / (start.elapsed_ns() as f64 / 1e9)
-}
 
 fn main() {
     println!(
         "E1: exclusive-latch footprint above the data level, per 1000 operations\n\
          (lower = more admissible concurrency; single-core host, so ops/s is context only)\n"
     );
-    for (mix_name, read_frac, dist, fanout) in [
-        ("insert-only / uniform", 0.0, KeyDist::Uniform, 24usize),
-        ("50% read / uniform", 0.5, KeyDist::Uniform, 24),
-        (
-            "insert-only / sequential (append storm)",
-            0.0,
-            KeyDist::Sequential,
-            24,
-        ),
-        (
-            "insert-only / uniform, small fanout (split storm)",
-            0.0,
-            KeyDist::Uniform,
-            8,
-        ),
-    ] {
-        println!("workload: {mix_name}");
+    for mix in MIXES {
+        println!("workload: {}", mix.name);
         let mut table = Table::new(&[
             "protocol",
             "interior X/1k ops",
             "tree-wide X/1k ops",
             "ops/s (context)",
         ]);
-
-        let pi = PiTreeIndex::new(8192, PiTreeConfig::small_nodes(fanout, fanout));
-        let tput = drive(&pi, dist, read_frac);
-        let upper = pi.tree().stats().upper_exclusive.get();
-        table.row(&[
-            "pi-tree".into(),
-            format!("{:.1}", upper as f64 * 1000.0 / OPS as f64),
-            "0.0".into(),
-            format!("{tput:.0}"),
-        ]);
-
-        let lc = LockCouplingTree::new(8192, fanout);
-        let tput = drive(&lc, dist, read_frac);
-        table.row(&[
-            "lock-coupling".into(),
-            format!("{:.1}", lc.upper_exclusive() as f64 * 1000.0 / OPS as f64),
-            "0.0".into(),
-            format!("{tput:.0}"),
-        ]);
-
-        let oc = OptimisticCouplingTree::new(8192, fanout);
-        let tput = drive(&oc, dist, read_frac);
-        table.row(&[
-            "optimistic-coupling".into(),
-            format!("{:.1}", oc.upper_exclusive() as f64 * 1000.0 / OPS as f64),
-            "0.0".into(),
-            format!("{tput:.0}"),
-        ]);
-
-        let ss = SerialSmoTree::new(8192, fanout);
-        let tput = drive(&ss, dist, read_frac);
-        table.row(&[
-            "serial-smo".into(),
-            "0.0".into(),
-            format!("{:.1}", ss.tree_exclusive() as f64 * 1000.0 / OPS as f64),
-            format!("{tput:.0}"),
-        ]);
+        for row in measure(mix, OPS) {
+            table.row(&[
+                row.protocol.into(),
+                format!("{:.1}", row.interior_x),
+                format!("{:.1}", row.tree_x),
+                format!("{:.0}", row.ops_per_s),
+            ]);
+        }
         table.print();
         println!();
     }
@@ -116,9 +59,9 @@ fn main() {
         "expected shape (paper §1/§6): pessimistic lock coupling X-latches ~height\n\
          interior nodes on EVERY write (thousands per 1k ops); the optimistic variant\n\
          avoids that except on splitting descents but still X-couples whole paths for\n\
-         them; serial SMOs quiesce the whole tree once per split; the pi-tree touches\n\
-         interior nodes exclusively only for the occasional short posting action —\n\
-         and never tree-wide. Each tree-wide X excludes ALL concurrent work, so\n\
-         serial-smo's column understates its cost."
+         them; serial SMOs do the same and also quiesce the whole tree once per split;\n\
+         the pi-tree touches interior nodes exclusively only for the occasional short\n\
+         posting action — and never tree-wide. Each tree-wide X excludes ALL concurrent\n\
+         work, so serial-smo's column understates its cost."
     );
 }

@@ -29,15 +29,14 @@
 //!   write-back, and I/O scheduling are live in every measured op. The
 //!   `throughput` row instead holds its whole image in the pool: there
 //!   the log force is the shared resource under test.
-//! - The in-memory baselines run over the **same** `BufferPool`
-//!   machinery (MemDisk-backed) at the same frame count: pool pressure
-//!   applies to them too, only durability is off — which biases ops/s
-//!   *for* the baselines and makes the Π-tree's showing conservative.
-//!   Baselines have no range scan; a scan op is modeled as `scan_len`
-//!   point gets (recorded in the JSON as `baseline_scan_model`).
+//! - The lock-coupling row recovers a copy of the Π-tree's image — the
+//!   baselines run on the same B-link pages, pool and WAL — and drives it
+//!   through `Baseline::over`: same pool size, same range scans.
 //! - Writes on the Π-tree are pipelined publish/ack commits (depth 8);
 //!   every published commit is acked before the clock stops, so ops/s
-//!   is durable throughput.
+//!   is durable throughput. The lock-coupling row's writes each commit one
+//!   forced transaction before the next op starts (pipeline depth 1): its
+//!   ops/s is durable throughput too.
 //!
 //! `--smoke` shrinks the population and deadlines so CI can gate the
 //! matrix (JSON shape + twin verdicts) in seconds; `--only NAME` runs a
@@ -46,7 +45,7 @@
 //! Run with: `cargo run --release -p pitree-harness --bin scenarios`
 
 use pitree::{PiTree, PiTreeConfig, Store};
-use pitree_baselines::{ConcurrentIndex, LockCouplingTree};
+use pitree_baselines::{Baseline, ConcurrentIndex, Protocol};
 use pitree_check::differential_twin;
 use pitree_harness::driver::{
     commit, copy_image, data_pages, engine_row, fence, key_bytes, load, publish, run_phase,
@@ -68,10 +67,6 @@ const VERSION: u32 = 1;
 
 /// Page capacity of every image's space map.
 const MAX_PAGES: u64 = 1 << 22;
-
-/// Baseline node fanout (entries per node) — roughly a 4 KB page of
-/// small records, so baseline tree depth matches the Π-tree's.
-const BASELINE_FANOUT: usize = 64;
 
 struct Config {
     load_keys: u64,
@@ -160,8 +155,7 @@ fn build_image(dir: PathBuf, engine: Engine, keys: u64, cfg: &Config) -> Image {
     let mut t_past = 0;
     let rec = store.recorder();
     match engine {
-        Engine::Lc => unreachable!("the baseline is MemDisk-backed; it has no image"),
-        Engine::Pi | Engine::PiXy => {
+        Engine::Pi | Engine::Lc | Engine::PiXy => {
             let tree = PiTree::create(Arc::clone(&store), 1, PiTreeConfig::default()).expect("pi");
             load(rec, 0..keys, |k| {
                 let key = match engine {
@@ -203,7 +197,7 @@ fn build_image(dir: PathBuf, engine: Engine, keys: u64, cfg: &Config) -> Image {
 enum Engine {
     /// Π-tree over 8-byte keys.
     Pi,
-    /// Lock-coupling baseline: MemDisk-backed, no WAL, no image.
+    /// Lock-coupling baseline over a Π-tree image.
     Lc,
     Tsb,
     Hb,
@@ -219,6 +213,15 @@ impl Engine {
             Engine::Tsb => "tsb-tree",
             Engine::Hb => "hb-tree",
             Engine::PiXy => "pi-tree-xy",
+        }
+    }
+
+    /// The engine whose image this one opens: the baseline runs on the
+    /// Π-tree's pages.
+    fn image(self) -> Engine {
+        match self {
+            Engine::Lc => Engine::Pi,
+            e => e,
         }
     }
 }
@@ -243,31 +246,25 @@ fn reopen(img: &Image, pool: usize, cx: &Cx<'_>) -> (Arc<Store>, Recorder) {
     (store, rec)
 }
 
-/// Open `engine` — recovered over a copy of `img` at `pool` frames; the
-/// baseline over a fresh MemDisk pool of `pool` frames, no WAL — and run
+/// Open `engine` recovered over a copy of `img` at `pool` frames and run
 /// the scenario's measured phase on it. Returns the phase with the
 /// recorder that holds its histograms.
 fn measure(engine: Engine, img: &Image, pool: usize, cx: &Cx<'_>) -> (Recorder, PhaseRun) {
     let phase = &cx.phase;
     match engine {
-        Engine::Pi | Engine::PiXy => {
+        Engine::Pi | Engine::Lc | Engine::PiXy => {
             let (store, rec) = reopen(img, pool, cx);
             let tree = PiTree::recover(store, 1, PiTreeConfig::default())
                 .expect("recover")
                 .0;
             let run = match engine {
                 Engine::Pi => run_phase(&rec, phase, || pi_ops(&tree, cx)),
+                Engine::Lc => {
+                    let lc = Baseline::over(tree, Protocol::LockCoupling);
+                    run_phase(&rec, phase, || lc_ops(&lc, cx))
+                }
                 _ => run_phase(&rec, phase, || pi_xy_ops(&tree, cx)),
             };
-            (rec, run)
-        }
-        Engine::Lc => {
-            let lc = LockCouplingTree::new(pool, BASELINE_FANOUT);
-            for k in 0..cx.pop.load_keys {
-                lc.insert(&key_bytes(k), &value_bytes(k, cx.cfg.value_len));
-            }
-            let rec = lc.pool().recorder().clone();
-            let run = run_phase(&rec, phase, || lc_ops(&lc, cx));
             (rec, run)
         }
         Engine::Tsb => {
@@ -315,9 +312,9 @@ fn pi_ops<'t>(tree: &'t PiTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Do
     }
 }
 
-/// Lock-coupling baseline: same mix; scans are modeled as `scan_len`
-/// point gets (the baselines expose no range scan), counted as one op.
-fn lc_ops<'t>(lc: &'t LockCouplingTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
+/// Lock-coupling baseline: the same mix; every write commits (forced)
+/// inside the op.
+fn lc_ops<'t>(lc: &'t Baseline, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRng) -> Done<'t> {
     let (mix, value_len) = (cx.spec.mix, cx.cfg.value_len);
     let mut stream = KeyStream::new(cx.spec.access, cx.pop.key_space, cx.pop.load_keys);
     move |rng| match mix.draw(&mut stream, rng) {
@@ -334,9 +331,7 @@ fn lc_ops<'t>(lc: &'t LockCouplingTree, cx: &'t Cx<'_>) -> impl FnMut(&mut SimRn
             (OpKind::Delete, None)
         }
         MixOp::Scan(lo) => {
-            for k in lo..lo + mix.scan_len {
-                let _ = lc.get(&key_bytes(k));
-            }
+            let _ = lc.scan(&key_bytes(lo), &key_bytes(lo + mix.scan_len));
             (OpKind::Scan, None)
         }
     }
@@ -505,9 +500,7 @@ fn scenario_doc(cx: &Cx<'_>, pool_frames: usize, pages: u64, rows: &[Obj], twin:
         .num("deadline_ns", cfg.deadline_ns)
         .text("mix", &spec.mix.describe())
         .text("access", &spec.access.describe())
-        .num("pipeline_depth", PIPELINE_DEPTH)
-        .num("baseline_fanout", BASELINE_FANOUT)
-        .text("baseline_scan_model", "scan_len point gets");
+        .num("pipeline_depth", PIPELINE_DEPTH);
     Obj::new()
         .text("bench", "scenario")
         .text("scenario", spec.name)
@@ -584,18 +577,13 @@ fn main() {
             },
             dir: &run_dir,
         };
-        // Each engine's pool is ≤ 1% of *its own* image (the baseline, which
-        // has none, borrows the lead engine's); the scaling row's pool holds
-        // its image whole.
+        // Each engine's pool is ≤ 1% of its own image; the scaling row's
+        // pool holds its image whole.
         let mut sized = |engine: Engine| {
-            let shape = if engine == Engine::Lc {
-                lineup[0]
-            } else {
-                engine
-            };
-            let dir = scratch.join(format!("img-{}-{}", shape.name(), pop.load_keys));
-            let build = || build_image(dir, shape, pop.load_keys, &cfg);
-            let img = images.entry((shape, pop.load_keys)).or_insert_with(build);
+            let engine = engine.image();
+            let dir = scratch.join(format!("img-{}-{}", engine.name(), pop.load_keys));
+            let build = || build_image(dir, engine, pop.load_keys, &cfg);
+            let img = images.entry((engine, pop.load_keys)).or_insert_with(build);
             let pool = if scaling {
                 cfg.scaling_pool
             } else {

@@ -1,0 +1,103 @@
+//! Experiment E1's measurement: the exclusive-latch footprint of the
+//! Π-tree and the three baseline protocols over the same pages, pool and
+//! WAL. The `exp1` bin prints it; `tests/paper_claims.rs` gates its shape.
+
+use crate::{KeyDist, PiTreeIndex, Workload};
+use pitree::{PiTree, PiTreeConfig};
+use pitree_baselines::{Baseline, ConcurrentIndex, Protocol, TREE_EXCLUSIVE};
+use pitree_obs::Stopwatch;
+
+/// One E1 workload.
+#[derive(Debug, Clone, Copy)]
+pub struct Mix {
+    /// Row heading.
+    pub name: &'static str,
+    /// Fraction of operations that are point reads; the rest insert.
+    pub read_frac: f64,
+    /// Key distribution.
+    pub dist: KeyDist,
+    /// Entries per node, leaf and index alike.
+    pub fanout: usize,
+}
+
+/// The four E1 mixes.
+pub const MIXES: [Mix; 4] = [
+    Mix {
+        name: "insert-only / uniform",
+        read_frac: 0.0,
+        dist: KeyDist::Uniform,
+        fanout: 24,
+    },
+    Mix {
+        name: "50% read / uniform",
+        read_frac: 0.5,
+        dist: KeyDist::Uniform,
+        fanout: 24,
+    },
+    Mix {
+        name: "insert-only / sequential (append storm)",
+        read_frac: 0.0,
+        dist: KeyDist::Sequential,
+        fanout: 24,
+    },
+    Mix {
+        name: "insert-only / uniform, small fanout (split storm)",
+        read_frac: 0.0,
+        dist: KeyDist::Uniform,
+        fanout: 8,
+    },
+];
+
+/// One protocol's footprint on one mix, per 1000 measured operations.
+#[derive(Debug, Clone, Copy)]
+pub struct Footprint {
+    /// The index's report name.
+    pub protocol: &'static str,
+    /// Interior-node X latchings (`tree.upper_exclusive`).
+    pub interior_x: f64,
+    /// Tree-wide X latchings ([`TREE_EXCLUSIVE`]).
+    pub tree_x: f64,
+    /// Throughput, for context only (WAL forces included).
+    pub ops_per_s: f64,
+}
+
+/// Run `mix` — a 1,000-insert preload, then `ops` measured operations — on
+/// the Π-tree and on each baseline protocol, in that order.
+pub fn measure(mix: Mix, ops: u64) -> Vec<Footprint> {
+    let cfg = PiTreeConfig::small_nodes(mix.fanout, mix.fanout);
+    let pi = PiTreeIndex::new(8192, cfg);
+    let mut rows = vec![drive(&pi, pi.tree(), mix, ops)];
+    for p in [
+        Protocol::LockCoupling,
+        Protocol::Optimistic,
+        Protocol::SerialSmo,
+    ] {
+        let b = Baseline::new(8192, p, cfg);
+        rows.push(drive(&b, b.tree(), mix, ops));
+    }
+    rows
+}
+
+fn drive(idx: &dyn ConcurrentIndex, tree: &PiTree, mix: Mix, ops: u64) -> Footprint {
+    let mut w = Workload::new(mix.dist, 1 << 20, 7);
+    for _ in 0..1_000 {
+        idx.insert(&w.next_key(), b"preload");
+    }
+    let start = Stopwatch::start();
+    let mut w = Workload::new(mix.dist, 1 << 20, 1001);
+    for _ in 0..ops {
+        if w.is_read(mix.read_frac) {
+            let _ = idx.get(&w.next_key());
+        } else {
+            idx.insert(&w.next_key(), b"value-xxxxxxxx");
+        }
+    }
+    let secs = start.elapsed_ns() as f64 / 1e9;
+    let per_k = |n: u64| n as f64 * 1000.0 / ops as f64;
+    Footprint {
+        protocol: idx.name(),
+        interior_x: per_k(tree.stats().upper_exclusive.get()),
+        tree_x: per_k(tree.recorder().counter(TREE_EXCLUSIVE).get()),
+        ops_per_s: ops as f64 / secs,
+    }
+}

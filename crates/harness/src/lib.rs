@@ -11,6 +11,9 @@
 //! (`op.insert_ns` / `op.get_ns` / `op.delete_ns`) into the store's
 //! registry.
 //!
+//! [`footprint`] is experiment E1's measurement, shared by the `exp1` bin
+//! and the E1 gate in `tests/paper_claims.rs`.
+//!
 //! [`driver`] is the one bench driver under the `scenarios` and `mttr`
 //! bins: flag parsing, the autocommit/commit-pipeline protocol, durable
 //! image handling, the timed phase loop, and the `BENCH_*.json` schema.
@@ -18,6 +21,7 @@
 pub mod adapters;
 pub mod completer;
 pub mod driver;
+pub mod footprint;
 pub mod obsdemo;
 pub mod scenario;
 pub mod table;

@@ -170,8 +170,8 @@ impl Access {
 /// Engines a scenario compares (the bin maps these to drivers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSet {
-    /// Π-tree (file-backed, WAL, pipelined commits) vs. the in-memory
-    /// lock-coupling baseline at the same pool size.
+    /// Π-tree (pipelined commits) vs. the lock-coupling baseline (forced
+    /// commits), each over its copy of the same file-backed image.
     PointVsBaselines,
     /// TSB-tree as-of reads/puts vs. Π-tree current-version ops vs.
     /// lock-coupling — the temporal scenario.

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, image-fill, prefix, smo-bytes, walker, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, smo-bytes, E1, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -73,6 +73,9 @@ cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | gre
 
 step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
 cargo test --offline -q -p pitree-harness --test smo_bytes
+
+step "E1 gate (the paper's §1/§6 claim at reduced scale over one substrate: interior X per 1k ops orders pi-tree < optimistic < lock coupling in every mix; only serial SMO latches the whole tree)"
+cargo test --offline -q -p pitree-harness --test paper_claims -- --nocapture | grep -E '^e1 |^test result'
 
 step "walker gate (one well-formedness walk for B-link, TSB and hB: every walker_rejects_* test damages a page and the walk must report it)"
 walker_out="$(cargo test --offline -q -p pitree -p pitree-tsb -p pitree-hb walker_rejects_ 2>&1)"

@@ -1,11 +1,15 @@
 //! Integration tests of the harness utilities plus end-to-end protocol
-//! comparisons: the Π-tree and both baselines produce identical results on
-//! identical workloads.
+//! comparisons: the Π-tree and the baseline protocols produce identical
+//! results on identical workloads.
 
 use pitree::PiTreeConfig;
-use pitree_baselines::{ConcurrentIndex, LockCouplingTree, SerialSmoTree};
+use pitree_baselines::{Baseline, ConcurrentIndex, Protocol};
 use pitree_harness::{KeyDist, PiTreeIndex, Workload};
 use std::sync::Arc;
+
+fn baseline(frames: usize, protocol: Protocol) -> Baseline {
+    Baseline::new(frames, protocol, PiTreeConfig::small_nodes(8, 8))
+}
 
 fn run_workload(idx: &dyn ConcurrentIndex, dist: KeyDist, n: u64) -> Vec<Option<Vec<u8>>> {
     let mut w = Workload::new(dist, 1000, 99);
@@ -19,8 +23,8 @@ fn run_workload(idx: &dyn ConcurrentIndex, dist: KeyDist, n: u64) -> Vec<Option<
 #[test]
 fn all_protocols_agree_on_uniform_workload() {
     let pi = PiTreeIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
-    let lc = LockCouplingTree::new(1024, 8);
-    let ss = SerialSmoTree::new(1024, 8);
+    let lc = baseline(1024, Protocol::LockCoupling);
+    let ss = baseline(1024, Protocol::SerialSmo);
     let a = run_workload(&pi, KeyDist::Uniform, 800);
     let b = run_workload(&lc, KeyDist::Uniform, 800);
     let c = run_workload(&ss, KeyDist::Uniform, 800);
@@ -32,7 +36,7 @@ fn all_protocols_agree_on_uniform_workload() {
 #[test]
 fn all_protocols_agree_on_sequential_workload() {
     let pi = PiTreeIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
-    let lc = LockCouplingTree::new(1024, 8);
+    let lc = baseline(1024, Protocol::LockCoupling);
     let a = run_workload(&pi, KeyDist::Sequential, 600);
     let b = run_workload(&lc, KeyDist::Sequential, 600);
     assert_eq!(a, b);
@@ -41,7 +45,7 @@ fn all_protocols_agree_on_sequential_workload() {
 #[test]
 fn protocols_agree_under_concurrency() {
     let pi = Arc::new(PiTreeIndex::new(2048, PiTreeConfig::small_nodes(8, 8)));
-    let lc = Arc::new(LockCouplingTree::new(2048, 8));
+    let lc = Arc::new(baseline(2048, Protocol::LockCoupling));
     for idx_run in 0..2 {
         let run = |idx: Arc<dyn ConcurrentIndex>| {
             std::thread::scope(|s| {
