@@ -331,24 +331,40 @@ fn page_oriented_inserts_with_splits_roll_back() {
 
 #[test]
 fn in_txn_split_counting_page_oriented() {
-    // A transaction that updates a leaf and then forces it to split must use
-    // the in-transaction split path (§4.2.1 second case).
-    let (_cs, tree) = tree_with(PiTreeConfig::small_nodes(6, 6).page_oriented());
-    let mut t = tree.begin();
-    for i in 0..30 {
-        tree.insert(&mut t, &key(i), &val(i)).unwrap();
-    }
-    t.commit().unwrap();
-    let in_txn = tree.stats().splits_in_txn.get();
-    assert!(
-        in_txn > 0,
-        "same-transaction fill must trigger in-txn splits"
-    );
-    // Deferred postings ran at commit; tree is complete and well-formed.
-    tree.run_completions().unwrap();
-    assert!(tree.validate().unwrap().is_well_formed());
-    for i in 0..30 {
-        assert_eq!(tree.get_unlocked(&key(i)).unwrap(), Some(val(i)));
+    // Under page-oriented UNDO, a transaction that updates a leaf and then
+    // forces it to split must use the in-transaction split path (§4.2.1
+    // second case). Under logical UNDO the same transactions' splits all
+    // run as independent atomic actions and no posting waits on a move
+    // lock (§6: "even data node splitting" leaves the transaction).
+    // Pinned per policy: (splits in a transaction, independent splits,
+    // postings deferred by a move lock).
+    let cfg = PiTreeConfig::small_nodes(6, 6);
+    for (cfg, placement) in [(cfg.page_oriented(), (5, 0, 28)), (cfg, (0, 5, 0))] {
+        let (_cs, tree) = tree_with(cfg);
+        for batch in 0..3 {
+            let mut t = tree.begin();
+            for i in batch * 10..(batch + 1) * 10 {
+                tree.insert(&mut t, &key(i), &val(i)).unwrap();
+            }
+            t.commit().unwrap();
+        }
+        let stats = tree.stats();
+        let (in_txn, independent) = (stats.splits_in_txn.get(), stats.splits_independent.get());
+        assert_eq!(
+            in_txn + independent,
+            stats.splits.get(),
+            "every split ran in the transaction or independently"
+        );
+        assert_eq!(
+            (in_txn, independent, stats.postings_move_deferred.get()),
+            placement
+        );
+        // Deferred postings ran at commit; tree is complete and well-formed.
+        tree.run_completions().unwrap();
+        assert!(tree.validate().unwrap().is_well_formed());
+        for i in 0..30 {
+            assert_eq!(tree.get_unlocked(&key(i)).unwrap(), Some(val(i)));
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! at arbitrary points — including truncating the log at every record
 //! boundary during a split storm — and recovers each snapshot.
 
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree::{ConsolidationPolicy, CrashableStore, PiTree, PiTreeConfig};
 use std::sync::Arc;
 
 fn key(i: u64) -> Vec<u8> {
@@ -153,56 +153,97 @@ fn crash_between_split_and_posting_completes_lazily() {
 fn log_prefix_sweep_during_split_storm() {
     // The exhaustive version of the paper's claim: crash with the durable
     // log truncated at EVERY record boundary during a workload full of
-    // splits, postings, and root growth. Every prefix must recover to a
-    // well-formed tree containing exactly the committed keys.
-    let cfg = PiTreeConfig::small_nodes(4, 4);
-    let (cs, tree) = setup(cfg);
-    for i in 0..48 {
-        commit_insert(&tree, i);
-    }
-    drop(tree);
-    cs.store.log.force_all().unwrap();
-    let full = cs.durable_log_len();
+    // splits, postings, and root growth, with completion lagging (drained
+    // every 16 inserts only) so unposted splits reach the log. Every prefix
+    // must recover to a well-formed tree containing exactly the committed
+    // keys; some must carry an unposted split through the crash, and
+    // ordinary traversals plus a drain must finish every one (§5.1). Logical
+    // UNDO under CP and CNS, and page-oriented UNDO; the last two cut at
+    // every second boundary. Pinned per config: the cuts that recover a
+    // tree, those that recover unposted splits, and the most in one cut.
+    let mut cns = PiTreeConfig::small_nodes(4, 4);
+    cns.consolidation = ConsolidationPolicy::Disabled;
+    for (mut cfg, stride, pinned) in [
+        (PiTreeConfig::small_nodes(4, 4), 1, (454, 387, 7)),
+        (cns, 2, (228, 195, 7)),
+        (
+            PiTreeConfig::small_nodes(4, 4).page_oriented(),
+            2,
+            (228, 195, 7),
+        ),
+    ] {
+        cfg.auto_complete = false;
+        let (cs, tree) = setup(cfg);
+        for i in 0..64 {
+            commit_insert(&tree, i);
+            if i % 16 == 0 {
+                tree.run_completions().unwrap();
+            }
+        }
+        drop(tree);
+        cs.store.log.force_all().unwrap();
+        let full = cs.durable_log_len();
 
-    // Collect record boundaries from the durable log.
-    let records: Vec<_> = cs
-        .store
-        .log
-        .scan(None)
-        .collect::<Result<_, _>>()
-        .expect("scan");
-    let mut cuts: Vec<u64> = records.iter().map(|r| r.lsn.0 - 1).collect();
-    cuts.push(full);
-    // Also a few torn (mid-record) positions.
-    cuts.extend([full.saturating_sub(3), 17, 1]);
-
-    for &cut in &cuts {
-        let cs2 = cs.crash_with_log_prefix(cut).unwrap();
-        // Cuts before the tree-creation commit legitimately recover to a
-        // store with no tree.
-        let Ok((tree2, _stats)) = PiTree::recover(Arc::clone(&cs2.store), 1, cfg) else {
-            continue;
-        };
-        let report = tree2.validate().unwrap();
-        assert!(
-            report.is_well_formed(),
-            "cut={cut}: violations {:?}",
-            report.violations
-        );
-        // Every commit is forced, so the set of surviving keys must be a
-        // prefix 0..k of the inserted keys.
-        let present: Vec<bool> = (0..48)
-            .map(|i| tree2.get_unlocked(&key(i)).unwrap().is_some())
+        // Collect record boundaries from the durable log.
+        let records: Vec<_> = cs
+            .store
+            .log
+            .scan(None)
+            .collect::<Result<_, _>>()
+            .expect("scan");
+        let mut cuts: Vec<u64> = records
+            .iter()
+            .step_by(stride)
+            .map(|r| r.lsn.0 - 1)
             .collect();
-        let k = present.iter().take_while(|&&p| p).count();
+        cuts.push(full);
+        // Also a few torn (mid-record) positions.
+        cuts.extend([full.saturating_sub(3), 17, 1]);
+
+        let (mut recovered, mut interrupted, mut max_unposted) = (0, 0, 0);
+        for &cut in &cuts {
+            let cs2 = cs.crash_with_log_prefix(cut).unwrap();
+            // Cuts before the tree-creation commit legitimately recover to a
+            // store with no tree.
+            let Ok((tree2, _stats)) = PiTree::recover(Arc::clone(&cs2.store), 1, cfg) else {
+                continue;
+            };
+            let report = tree2.validate().unwrap();
+            assert!(
+                report.is_well_formed(),
+                "cut={cut}: violations {:?}",
+                report.violations
+            );
+            recovered += 1;
+            if report.unposted_nodes > 0 {
+                interrupted += 1;
+            }
+            max_unposted = max_unposted.max(report.unposted_nodes);
+            // Every commit is forced, so the set of surviving keys must be a
+            // prefix 0..k of the inserted keys.
+            let present: Vec<bool> = (0..64)
+                .map(|i| tree2.get_unlocked(&key(i)).unwrap().is_some())
+                .collect();
+            let k = present.iter().take_while(|&&p| p).count();
+            assert!(
+                present[k..].iter().all(|&p| !p),
+                "cut={cut}: non-prefix survivor set {present:?}"
+            );
+            assert_eq!(report.records, k, "cut={cut}");
+            // The traversals above scheduled the missing postings; a drain
+            // completes them and the tree stays fully usable.
+            for _ in 0..4 {
+                tree2.run_completions().unwrap();
+            }
+            let after = tree2.validate().unwrap();
+            assert!(after.is_well_formed(), "cut={cut}: {:?}", after.violations);
+            assert_eq!(after.unposted_nodes, 0, "cut={cut}: left unposted");
+        }
         assert!(
-            present[k..].iter().all(|&p| !p),
-            "cut={cut}: non-prefix survivor set {present:?}"
+            interrupted > 0,
+            "no cut recovered an unposted split; completion is not lazy here"
         );
-        assert_eq!(report.records, k, "cut={cut}");
-        // And the recovered tree remains fully usable.
-        tree2.run_completions().unwrap();
-        assert!(tree2.validate().unwrap().is_well_formed(), "cut={cut}");
+        assert_eq!((recovered, interrupted, max_unposted), pinned);
     }
 }
 

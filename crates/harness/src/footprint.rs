@@ -1,11 +1,10 @@
 //! Experiment E1's measurement: the exclusive-latch footprint of the
 //! Π-tree and the three baseline protocols over the same pages, pool and
-//! WAL. The `exp1` bin prints it; `tests/paper_claims.rs` gates its shape.
+//! WAL. `tests/paper_claims.rs` gates its shape.
 
 use crate::{KeyDist, PiTreeIndex, Workload};
 use pitree::{PiTree, PiTreeConfig};
 use pitree_baselines::{Baseline, ConcurrentIndex, Protocol, TREE_EXCLUSIVE};
-use pitree_obs::Stopwatch;
 
 /// One E1 workload.
 #[derive(Debug, Clone, Copy)]
@@ -57,8 +56,6 @@ pub struct Footprint {
     pub interior_x: f64,
     /// Tree-wide X latchings ([`TREE_EXCLUSIVE`]).
     pub tree_x: f64,
-    /// Throughput, for context only (WAL forces included).
-    pub ops_per_s: f64,
 }
 
 /// Run `mix` — a 1,000-insert preload, then `ops` measured operations — on
@@ -83,7 +80,6 @@ fn drive(idx: &dyn ConcurrentIndex, tree: &PiTree, mix: Mix, ops: u64) -> Footpr
     for _ in 0..1_000 {
         idx.insert(&w.next_key(), b"preload");
     }
-    let start = Stopwatch::start();
     let mut w = Workload::new(mix.dist, 1 << 20, 1001);
     for _ in 0..ops {
         if w.is_read(mix.read_frac) {
@@ -92,12 +88,10 @@ fn drive(idx: &dyn ConcurrentIndex, tree: &PiTree, mix: Mix, ops: u64) -> Footpr
             idx.insert(&w.next_key(), b"value-xxxxxxxx");
         }
     }
-    let secs = start.elapsed_ns() as f64 / 1e9;
     let per_k = |n: u64| n as f64 * 1000.0 / ops as f64;
     Footprint {
         protocol: idx.name(),
         interior_x: per_k(tree.stats().upper_exclusive.get()),
         tree_x: per_k(tree.recorder().counter(TREE_EXCLUSIVE).get()),
-        ops_per_s: ops as f64 / secs,
     }
 }

@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
-//! Experiment harness: workload generators, index adapters, and the table
-//! printer used by the `exp*` and `fig*` binaries that regenerate every
-//! entry in `EXPERIMENTS.md`.
+//! Experiment harness: workload generators, index adapters, and the
+//! cross-crate suites that gate the paper's claims (`tests/paper_claims.rs`
+//! and the figure and crash tests it points to; `EXPERIMENTS.md` maps each
+//! claim to its test).
 //!
 //! The harness also hosts the observability demo ([`obsdemo`]) and its
 //! `obstop` binary, which runs a deterministic seeded workload across
@@ -11,24 +12,20 @@
 //! (`op.insert_ns` / `op.get_ns` / `op.delete_ns`) into the store's
 //! registry.
 //!
-//! [`footprint`] is experiment E1's measurement, shared by the `exp1` bin
-//! and the E1 gate in `tests/paper_claims.rs`.
+//! [`footprint`] is experiment E1's measurement, gated by
+//! `tests/paper_claims.rs`.
 //!
 //! [`driver`] is the one bench driver under the `scenarios` and `mttr`
 //! bins: flag parsing, the autocommit/commit-pipeline protocol, durable
 //! image handling, the timed phase loop, and the `BENCH_*.json` schema.
 
 pub mod adapters;
-pub mod completer;
 pub mod driver;
 pub mod footprint;
 pub mod obsdemo;
 pub mod scenario;
-pub mod table;
 pub mod workload;
 
 pub use adapters::PiTreeIndex;
-pub use completer::CompletionWorker;
 pub use scenario::{matrix, Access, EngineSet, KeyStream, Mix, MixOp, Population, ScenarioSpec};
-pub use table::Table;
 pub use workload::{KeyDist, Workload};

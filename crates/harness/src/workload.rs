@@ -184,8 +184,7 @@ pub enum KeyDist {
     /// Uniform over the key domain.
     Uniform,
     /// Skewed: ~80% of accesses hit ~20% of the domain (approximate Zipf via
-    /// nested uniform ranges). Kept for the legacy `exp*` drivers; new code
-    /// should use [`KeyDist::Zipfian`].
+    /// nested uniform ranges). New code should use [`KeyDist::Zipfian`].
     Skewed,
     /// Real bounded Zipf over the domain with the given skew, hot ranks
     /// scrambled across the key space ([`scramble`]).
@@ -270,11 +269,6 @@ impl Workload {
     pub fn is_read(&mut self, read_fraction: f64) -> bool {
         self.rng.chance(read_fraction)
     }
-}
-
-/// Encode a u64 key the way the harness does everywhere.
-pub fn key(i: u64) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
 }
 
 #[cfg(test)]

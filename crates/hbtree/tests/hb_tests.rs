@@ -163,6 +163,7 @@ fn figure_2_structure() {
     let mut seen = std::collections::HashSet::new();
     let mut sib_in_index = 0;
     let mut kd_splits_in_index = 0;
+    let mut subject: Option<(usize, bool)> = None;
     while let Some(pid) = stack.pop() {
         if !seen.insert(pid) {
             continue;
@@ -173,19 +174,26 @@ fn figure_2_structure() {
         let mut leaves = Vec::new();
         hdr.frag.leaves(&hdr.rect, &mut leaves);
         if hdr.level > 0 {
-            if matches!(hdr.frag, Frag::Split { .. }) {
+            let root_is_split = matches!(hdr.frag, Frag::Split { .. });
+            if root_is_split {
                 kd_splits_in_index += 1;
             }
-            for (leaf, _) in &leaves {
-                if matches!(
-                    leaf,
-                    Frag::Ptr {
-                        kind: PtrKind::Sibling,
-                        ..
-                    }
-                ) {
-                    sib_in_index += 1;
-                }
+            let siblings = leaves
+                .iter()
+                .filter(|(leaf, _)| {
+                    matches!(
+                        leaf,
+                        Frag::Ptr {
+                            kind: PtrKind::Sibling,
+                            ..
+                        }
+                    )
+                })
+                .count();
+            sib_in_index += siblings;
+            // The figure's subject: the largest fragment with a sibling term.
+            if siblings > 0 && subject.is_none_or(|(size, _)| hdr.frag.size() > size) {
+                subject = Some((hdr.frag.size(), root_is_split));
             }
         }
         for (leaf, _) in &leaves {
@@ -202,6 +210,13 @@ fn figure_2_structure() {
         sib_in_index > 0,
         "at least one index node must carry a sibling pointer in its fragment \
          (Figure 2's replaced External markers)"
+    );
+    // A hyperplane split keeps the local kd root, "one child of the root
+    // points to the new sibling" (§2.2.3).
+    assert_eq!(
+        subject.map(|(_, root_is_split)| root_is_split),
+        Some(true),
+        "the subject's fragment root must be a kd split"
     );
 }
 

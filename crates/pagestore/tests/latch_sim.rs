@@ -4,7 +4,6 @@
 
 use pitree_pagestore::latch::{order, Latch};
 use pitree_sim::{prop, SimRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
@@ -143,8 +142,12 @@ fn seeded_mixed_mode_storm_stays_consistent() {
     });
 }
 
+// The order check is a debug assertion; release builds compile it out.
+#[cfg(debug_assertions)]
 #[test]
 fn latch_order_violation_panics_in_debug() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     let parent = Latch::new_ordered(0u8, 10);
     let child = Latch::new_ordered(0u8, 20);
     // In order: parent (10) then child (20) — fine.
@@ -162,14 +165,10 @@ fn latch_order_violation_panics_in_debug() {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let _p = parent.s();
     }));
-    if cfg!(debug_assertions) {
-        assert!(
-            result.is_err(),
-            "blocking out-of-order acquisition must panic in debug"
-        );
-    } else {
-        assert!(result.is_ok());
-    }
+    assert!(
+        result.is_err(),
+        "blocking out-of-order acquisition must panic in debug"
+    );
     drop(c);
 }
 

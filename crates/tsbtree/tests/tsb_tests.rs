@@ -155,27 +155,38 @@ fn figure_1_topology() {
     // key split, then another time split — and verify the pointer copies the
     // figure shows.
     let (cs, tree) = setup(TsbConfig::small_nodes(6, 8));
-    // Fill with versions of two keys → time split (history node H1).
-    for round in 0..3u64 {
-        for k in [1u64, 2] {
-            put(&tree, &key(k), format!("r{round}").as_bytes());
+    let churn = |rounds: std::ops::Range<u64>| {
+        for round in rounds {
+            for k in [1u64, 2] {
+                put(&tree, &key(k), format!("r{round}").as_bytes());
+            }
         }
-    }
+    };
+    // Fill with versions of two keys → time split (history node H1).
+    churn(0..3);
     // Spread keys → key split (new current node).
     for k in 3..12u64 {
         put(&tree, &key(k), b"spread");
     }
+    // More versions → a time split of the key-split current node, whose new
+    // history node copies the history pointer to H1.
+    churn(3..6);
     tree.run_completions().unwrap();
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
-    assert!(report.levels.last().unwrap().nodes >= 2 && report.history_nodes >= 1);
+    assert!(report.levels.last().unwrap().nodes >= 2 && report.history_nodes >= 2);
 
     // Structural assertions: walk the current chain; every current node
     // whose key space intersects the original (time-split) range must reach
     // H-nodes through its history pointer — i.e. key splits copied it.
     let pool = &cs.store.pool;
+    let header = |pid: PageId| {
+        let pin = pool.fetch(pid).unwrap();
+        let g = pin.s();
+        TsbHeader::read(&g).unwrap()
+    };
     let mut cur = {
-        // leftmost data node via the validator's счёт — re-derive by descent
+        // The leftmost data node, by descent through each first index term.
         let mut pid = tree.root_pid();
         loop {
             let pin = pool.fetch(pid).unwrap();
@@ -187,19 +198,23 @@ fn figure_1_topology() {
             pid = pitree::node::IndexTerm::read(&g, 1).unwrap().child;
         }
     };
-    let mut with_history = 0;
+    let (mut currents, mut with_history, mut chains_back) = (0, 0, false);
     loop {
-        let pin = pool.fetch(cur).unwrap();
-        let g = pin.s();
-        let hdr = TsbHeader::read(&g).unwrap();
+        let hdr = header(cur);
         assert_eq!(hdr.kind, TsbKind::Current);
+        currents += 1;
         if hdr.hist_side.is_valid() {
             with_history += 1;
-            let hp = pool.fetch(hdr.hist_side).unwrap();
-            let hg = hp.s();
-            let hh = TsbHeader::read(&hg).unwrap();
-            assert_eq!(hh.kind, TsbKind::History);
+            let hh = header(hdr.hist_side);
             assert_eq!(hh.t_hi, hdr.t_lo, "history node ends where current begins");
+            // New historic nodes contain copies of old history pointers.
+            let mut older = hh;
+            while older.hist_side.is_valid() {
+                chains_back = true;
+                assert_eq!(older.kind, TsbKind::History);
+                older = header(older.hist_side);
+            }
+            assert_eq!(older.kind, TsbKind::History);
         }
         if !hdr.key_side.is_valid() {
             break;
@@ -207,11 +222,21 @@ fn figure_1_topology() {
         cur = hdr.key_side;
     }
     assert!(
-        with_history >= 2,
-        "after a key split of a time-split node, BOTH current nodes must hold \
-         history pointers (Figure 1), found {with_history}"
+        currents >= 2 && with_history == currents,
+        "after a key split of a time-split node, EVERY current node must hold \
+         a history pointer (Figure 1): {with_history} of {currents}"
     );
-    // And old versions remain reachable through them.
+    assert!(chains_back, "no history node chains further back");
+    // Current nodes are responsible for all previous time: every version of
+    // the churned key is reachable through them.
+    let versions: Vec<_> = tree
+        .history(&key(1))
+        .unwrap()
+        .into_iter()
+        .map(|(_, v)| v)
+        .collect();
+    let want: Vec<_> = (0..6).map(|r| Some(format!("r{r}").into_bytes())).collect();
+    assert_eq!(versions, want);
     assert_eq!(tree.get_as_of(&key(1), 1).unwrap(), Some(b"r0".to_vec()));
 }
 

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
-#                                # + fill, image-fill, prefix, smo-bytes, E1, walker, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -74,8 +74,11 @@ cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | gre
 step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
 cargo test --offline -q -p pitree-harness --test smo_bytes
 
-step "E1 gate (the paper's §1/§6 claim at reduced scale over one substrate: interior X per 1k ops orders pi-tree < optimistic < lock coupling in every mix; only serial SMO latches the whole tree)"
-cargo test --offline -q -p pitree-harness --test paper_claims -- --nocapture | grep -E '^e1 |^test result'
+step "paper-claims gate (deterministic, pinned: E1 interior X orders pi-tree < optimistic < lock coupling, only serial SMO goes tree-wide; E2 SMO actions touch <= 4 pages; E5/E6 postings latch 1 node unless they re-traverse; E7 consolidation reclaims, stale completions are no-ops. F1/F2, E3 and E4 ran in the workspace tests above: figure_1_topology, figure_2_structure, log_prefix_sweep_during_split_storm, in_txn_split_counting_page_oriented)"
+# One test at a time keeps each claim's lines together; a test's first line
+# follows the previous test's progress dot, which sed strips.
+cargo test --offline -q -p pitree-harness --test paper_claims -- --nocapture --test-threads 1 \
+  | sed 's/^\.*//' | grep -E '^e1 |^e2 |^e6 |^e7 |^test result'
 
 step "walker gate (one well-formedness walk for B-link, TSB and hB: every walker_rejects_* test damages a page and the walk must report it)"
 walker_out="$(cargo test --offline -q -p pitree -p pitree-tsb -p pitree-hb walker_rejects_ 2>&1)"
