@@ -1,5 +1,5 @@
 //! Per-file analysis context: the token stream plus the light structure the
-//! rules need — brace depth per token, `fn` body spans, and test regions
+//! rules need — `fn` body spans and test regions
 //! (`#[cfg(test)] mod`, `#[test]`/`#[bench]` functions, `tests/`, `benches/`
 //! and `examples/` paths).
 
@@ -25,8 +25,6 @@ pub struct FileCx {
     pub tokens: Vec<Token>,
     /// Captured comments, for `pitree-lint:` directives.
     pub comments: Vec<Comment>,
-    /// Brace depth *before* each token (`{` itself sits at the outer depth).
-    pub depth: Vec<u32>,
     /// Function body spans, in source order (outermost first for nested fns).
     pub fns: Vec<FnSpan>,
     /// Per-token flag: true inside test-only code.
@@ -37,14 +35,12 @@ impl FileCx {
     /// Lex and structure `src` as the file at workspace-relative `path`.
     pub fn new(path: &str, src: &str) -> FileCx {
         let (tokens, comments) = lex(src);
-        let depth = brace_depths(&tokens);
         let fns = fn_spans(&tokens);
-        let is_test = test_flags(path, &tokens, &fns);
+        let is_test = test_flags(path, &tokens);
         FileCx {
             path: path.replace('\\', "/"),
             tokens,
             comments,
-            depth,
             fns,
             is_test,
         }
@@ -74,22 +70,6 @@ impl FileCx {
             && self.tokens[i - 2].is_punct(':')
             && self.tokens[i - 3].is_ident(prefix)
     }
-}
-
-/// Brace depth before each token.
-fn brace_depths(tokens: &[Token]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(tokens.len());
-    let mut d = 0u32;
-    for t in tokens {
-        if t.is_punct('}') {
-            d = d.saturating_sub(1);
-        }
-        out.push(d);
-        if t.is_punct('{') {
-            d += 1;
-        }
-    }
-    out
 }
 
 /// Find `fn` bodies. Trait-method declarations (`fn f(...);`) have no body
@@ -159,7 +139,7 @@ pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
 /// Mark tokens that are test-only: whole files under `tests/`, `benches/`
 /// or `examples/`, bodies of `#[cfg(test)] mod`, and `#[test]`/`#[bench]`
 /// functions.
-fn test_flags(path: &str, tokens: &[Token], fns: &[FnSpan]) -> Vec<bool> {
+fn test_flags(path: &str, tokens: &[Token]) -> Vec<bool> {
     let mut flags = vec![false; tokens.len()];
     let p = path.replace('\\', "/");
     if p.contains("/tests/")
@@ -218,7 +198,6 @@ fn test_flags(path: &str, tokens: &[Token], fns: &[FnSpan]) -> Vec<bool> {
         }
         i += 1;
     }
-    let _ = fns;
     flags
 }
 

@@ -1,6 +1,6 @@
 //! Scan driver: walks the workspace, runs the flow analyses and the
-//! token-tier rules, resolves `// pitree-lint:` suppressions, and audits
-//! the suppressions themselves.
+//! lexical rules, resolves `// pitree-lint:` suppressions, and audits the
+//! suppressions themselves.
 //!
 //! Suppression grammar (inside any comment):
 //!
@@ -15,10 +15,10 @@
 //! violation it excused is gone and the annotation must go with it.
 //!
 //! The scan is whole-workspace because the flow rules are interprocedural:
-//! the call graph, the latch-order graph, and the log-before-dirty
-//! summaries all need every file at once. Token rules still apply
-//! per-file afterwards, with the linear log-before-dirty scan re-armed
-//! only for files the structural parser could not follow.
+//! the call graph, the latch-order graph, the log-before-dirty summaries
+//! and the no-wait reachability all need every file at once. The lexical
+//! rules apply per file afterwards. There is one tier: a function the
+//! parser cannot follow is a finding, not a fall-back to token heuristics.
 
 use crate::context::FileCx;
 use crate::flow;
@@ -52,10 +52,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
-    /// Files the structural parser could not follow: the flow tier
-    /// (latch-cycle, guard-lifetime, flow log-before-dirty proofs) skips
-    /// them and only the token tier covers them. Sorted by path.
-    pub unfollowed: Vec<String>,
     /// Per-rule surviving finding counts.
     pub fired: BTreeMap<RuleId, usize>,
     /// Per-rule suppressed finding counts.
@@ -88,7 +84,7 @@ impl Report {
                 rule.describe()
             ));
         }
-        for rule in [RuleId::LintAllow, RuleId::StaleAllow] {
+        for rule in [RuleId::Unfollowed, RuleId::LintAllow, RuleId::StaleAllow] {
             let n = self.fired.get(&rule).copied().unwrap_or(0);
             if n > 0 {
                 s.push_str(&format!(
@@ -100,11 +96,7 @@ impl Report {
                 ));
             }
         }
-        s.push_str(&format!(
-            "files scanned: {} (flow tier followed {})\n",
-            self.files,
-            self.files - self.unfollowed.len()
-        ));
+        s.push_str(&format!("files scanned: {}\n", self.files));
         s
     }
 }
@@ -137,10 +129,8 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     };
     findings.extend(flow_findings);
 
-    // Token tier. The linear log-before-dirty scan only re-arms for files
-    // the structural parser could not follow.
     for (i, cx) in cxs.iter().enumerate() {
-        for f in run_token(cx, !asts[i].parsed) {
+        for f in run_token(cx) {
             if let Some(a) = allows[i].iter_mut().find(|a| a.covers(f.rule, f.line)) {
                 a.used += 1;
                 *allowed.entry(f.rule).or_insert(0) += 1;
@@ -173,11 +163,9 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
     for f in &findings {
         *fired.entry(f.rule).or_insert(0) += 1;
     }
-    let unfollowed = cxs.iter().zip(&asts).filter(|(_, ast)| !ast.parsed);
     Report {
         findings,
         files: cxs.len(),
-        unfollowed: unfollowed.map(|(cx, _)| cx.path.clone()).collect(),
         fired,
         allowed,
         latch_dot,

@@ -1,25 +1,34 @@
 //! pitree-flow: path-sensitive dataflow rules over per-function CFGs and
 //! the whole-workspace call graph.
 //!
-//! Four analyses run here, each a forward dataflow fixpoint over
-//! [`crate::cfg::Cfg`] blocks followed by a single reporting pass:
+//! Every rule that needs control flow runs here, each a forward dataflow
+//! fixpoint over [`crate::cfg::Cfg`] blocks followed by a single reporting
+//! pass, on every function of every file:
 //!
-//! 1. **Latch-acquisition order graph** (paper §4.1) — the set of held
-//!    latch *classes* is tracked through every path; each acquisition made
-//!    while something is held adds an edge `held-class → new-class`. The
-//!    graph is emitted as a DOT artifact, and a cycle among blocking
-//!    (non-`try_`) edges in the quotient graph (page-role classes
-//!    collapsed, since ordering *within* the page family is the runtime
-//!    search-order argument) is a hard failure: deadlock freedom as a
-//!    checked theorem.
+//! 1. **Latch order** (paper §4.1) — the set of held latch *classes* is
+//!    tracked through every path; a guard pushed into a collection
+//!    (`path.push((node, g))`, lock coupling's descent) is held by the
+//!    collection until `pop`, `drain` or `drop` releases it. Each
+//!    acquisition made while something is held adds an edge
+//!    `held-class → new-class`. The graph is emitted as a DOT artifact, and
+//!    a cycle among blocking (non-`try_`) edges in the quotient graph
+//!    (page-role classes collapsed, since ordering *within* the page family
+//!    is the runtime search-order argument) is a hard failure: deadlock
+//!    freedom as a checked theorem. Over the same state, a blocking
+//!    acquisition after a `.rev()` climb over a saved path, and a
+//!    `promote()` while another blocking guard is held, are `latch-order`
+//!    findings.
 //! 2. **Guard lifetime** — a latch guard leaked via `forget`, held across
 //!    a blocking wait on any path, or dropped twice on some path.
 //! 3. **Log-before-dirty** (paper §4.3.1) — every path to a page-dirtying
 //!    call must pass a WAL append first, in the same function or in a
 //!    caller (interprocedural, via always-appends call-graph summaries).
-//! 4. **Interprocedural no-wait** (paper §4.2.2) — a blocking lock
-//!    acquisition reachable through any call chain from an SMO
-//!    completion/post/consolidate entry point.
+//! 4. **No-wait** (paper §4.2.2) — a blocking lock acquisition in an SMO
+//!    completion/post/consolidate entry, or reachable through any call
+//!    chain from one.
+//!
+//! A function the parser could not follow is itself a finding
+//! (`unfollowed`): no rule falls back to token heuristics.
 //!
 //! The `sanction` callback consults `// pitree-lint: allow(...)`
 //! directives: it returns `true` when a would-be finding at
@@ -28,8 +37,28 @@
 use crate::callgraph::CallGraph;
 use crate::cfg::{lower, Cfg};
 use crate::parse::{Event, FileAst, FnDef};
-use crate::rules::{Finding, RuleId, NO_WAIT_ENTRIES, STRUCTURE_SRC};
+use crate::rules::{Finding, RuleId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// The files completing actions start in: the engine's completion queue
+/// and drain (every structure's completions run through it), the engine's
+/// split and posting actions, the B-link consolidation action, and the TSB
+/// and hB split geometry. Every function in them is a no-wait entry.
+const NO_WAIT_ENTRIES: [&str; 5] = [
+    "crates/core/src/completion.rs",
+    "crates/core/src/post.rs",
+    "crates/core/src/consolidate.rs",
+    "crates/tsbtree/src/split.rs",
+    "crates/hbtree/src/split.rs",
+];
+
+/// Source trees a completing action's call chain can run through: the
+/// engine and the three structures built on it.
+const STRUCTURE_SRC: [&str; 3] = [
+    "crates/core/src/",
+    "crates/tsbtree/src/",
+    "crates/hbtree/src/",
+];
 
 /// Files whose internals implement the latch/buffer machinery itself;
 /// their acquisitions are the mechanism, not uses of the discipline.
@@ -52,9 +81,22 @@ struct FlowFn<'a> {
 /// (suppressions already applied via `sanction`) and the latch-order
 /// graph in DOT form.
 pub fn analyze(asts: &[FileAst], sanction: &mut Sanction<'_>) -> (Vec<Finding>, String) {
+    let mut findings = Vec::new();
     let mut fns: Vec<FlowFn<'_>> = Vec::new();
     for (fi, ast) in asts.iter().enumerate() {
-        if !ast.parsed || EXEMPT.contains(&ast.path.as_str()) {
+        for def in ast.fns.iter().filter(|d| !d.followed) {
+            findings.push(Finding {
+                path: ast.path.clone(),
+                line: def.line,
+                rule: RuleId::Unfollowed,
+                msg: format!(
+                    "the flow rules cannot follow `{}`: the parser does not model a \
+                     construct in its body; rewrite it or teach `parse.rs` the construct",
+                    def.name
+                ),
+            });
+        }
+        if EXEMPT.contains(&ast.path.as_str()) {
             continue;
         }
         for def in &ast.fns {
@@ -74,7 +116,6 @@ pub fn analyze(asts: &[FileAst], sanction: &mut Sanction<'_>) -> (Vec<Finding>, 
             .collect::<Vec<_>>(),
     );
 
-    let mut findings = Vec::new();
     let dot = latch_order_graph(asts, &fns, &cg, sanction, &mut findings);
     guard_lifetime(asts, &fns, sanction, &mut findings);
     log_before_dirty(asts, &fns, &cg, sanction, &mut findings);
@@ -141,7 +182,7 @@ fn visit_events<S: Clone>(
     }
 }
 
-// ---- rule 1: latch-acquisition order graph (§4.1) -------------------------
+// ---- rule 1: latch order and its graph (§4.1) ------------------------------
 
 /// Latch class of an acquisition receiver, from the workspace's naming
 /// conventions (guard/pin variables name their role in the SMO).
@@ -193,40 +234,77 @@ fn cycle_relevant(from: &str, to: &str) -> bool {
     !(quot(from) == "page" && quot(to) == "page")
 }
 
-/// Held latch guards: (variable, class).
-type Held = BTreeSet<(String, String)>;
+/// Latch-order state at a program point.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Latches {
+    /// Held guards as (binding, class, blocking). A collection binding
+    /// holds the class of every guard pushed into it.
+    held: BTreeSet<(String, String, bool)>,
+    /// A `.rev()` climb over a saved path ran on some path to here.
+    climbing: bool,
+}
 
-fn held_step(s: &Held, e: &Event) -> Held {
+fn latch_join(a: &Latches, b: &Latches) -> Latches {
+    Latches {
+        held: a.held.union(&b.held).cloned().collect(),
+        climbing: a.climbing || b.climbing,
+    }
+}
+
+fn latch_step(s: &Latches, e: &Event) -> Latches {
     let mut s = s.clone();
+    let held = &mut s.held;
     match e {
         Event::Acquire {
-            var: Some(v), recv, ..
+            var: Some(v),
+            recv,
+            blocking,
+            ..
         } => {
-            s.retain(|(x, _)| x != v);
-            s.insert((v.clone(), latch_class(recv.as_deref()).to_string()));
+            held.retain(|(x, ..)| x != v);
+            held.insert((
+                v.clone(),
+                latch_class(recv.as_deref()).to_string(),
+                *blocking,
+            ));
         }
         Event::Promote { recv, var, .. } => {
-            let cls = recv
+            let (cls, blocking) = recv
                 .as_deref()
-                .and_then(|r| s.iter().find(|(x, _)| x == r).map(|(_, c)| c.clone()))
-                .unwrap_or_else(|| "node".to_string());
+                .and_then(|r| held.iter().find(|(x, ..)| x == r))
+                .map_or(("node".to_string(), true), |(_, c, b)| (c.clone(), *b));
             if let Some(r) = recv {
-                s.retain(|(x, _)| x != r);
+                held.retain(|(x, ..)| x != r);
             }
             if let Some(v) = var {
-                s.retain(|(x, _)| x != v);
-                s.insert((v.clone(), cls));
+                held.retain(|(x, ..)| x != v);
+                held.insert((v.clone(), cls, blocking));
             }
         }
-        Event::DropVar { var, .. } => s.retain(|(x, _)| x != var),
+        Event::DropVar { var, .. } => held.retain(|(x, ..)| x != var),
         Event::AssignVar { dst, src, .. } => {
-            let src_cls = s.iter().find(|(x, _)| x == src).map(|(_, c)| c.clone());
-            s.retain(|(x, _)| x != dst && x != src);
-            if let Some(c) = src_cls {
-                s.insert((dst.clone(), c));
+            let moved: Vec<_> = held.iter().filter(|(x, ..)| x == src).cloned().collect();
+            held.retain(|(x, ..)| x != dst && x != src);
+            held.extend(moved.into_iter().map(|(_, c, b)| (dst.clone(), c, b)));
+        }
+        Event::Call {
+            name, recv, moved, ..
+        } => {
+            let taken: Vec<_> = held
+                .iter()
+                .filter(|(x, ..)| moved.contains(x))
+                .cloned()
+                .collect();
+            held.retain(|(x, ..)| !moved.contains(x));
+            match (name.as_str(), recv) {
+                ("push", Some(c)) => {
+                    held.extend(taken.into_iter().map(|(_, cls, b)| (c.clone(), cls, b)));
+                }
+                ("pop" | "drain", Some(c)) => held.retain(|(x, ..)| x != c),
+                _ => {}
             }
         }
-        Event::Call { moved, .. } => s.retain(|(x, _)| !moved.contains(x)),
+        Event::Climb { .. } => s.climbing = true,
         _ => {}
     }
     s
@@ -315,18 +393,15 @@ fn latch_order_graph(
         }
     }
 
-    // Collect edges: (from-class, to-class, blocking) → info.
+    // Collect edges: (from-class, to-class, blocking) → info, and the
+    // climb / promotion violations over the same state.
     let mut edges: BTreeMap<(String, String, bool), EdgeInfo> = BTreeMap::new();
     for f in fns {
-        let input = fixpoint(
-            &f.cfg,
-            Held::new(),
-            |a, b| a.union(b).cloned().collect(),
-            held_step,
-        );
-        visit_events(&f.cfg, &input, held_step, |s, e| {
+        let input = fixpoint(&f.cfg, Latches::default(), latch_join, latch_step);
+        let mut order: Vec<(u32, String)> = Vec::new();
+        visit_events(&f.cfg, &input, latch_step, |s, e| {
             let mut record = |to: &str, blocking: bool, line: u32| {
-                for (_, from) in s.iter() {
+                for (_, from, _) in s.held.iter() {
                     let key = (from.clone(), to.to_string(), blocking);
                     let relevant = blocking && cycle_relevant(from, to);
                     let ok = relevant && sanction(f.file, line, RuleId::LatchCycle);
@@ -344,18 +419,50 @@ fn latch_order_graph(
             };
             match e {
                 Event::Acquire {
+                    mode,
                     recv,
                     blocking,
                     line,
                     ..
-                } => record(latch_class(recv.as_deref()), *blocking, *line),
+                } => {
+                    record(latch_class(recv.as_deref()), *blocking, *line);
+                    if *blocking && s.climbing {
+                        order.push((
+                            *line,
+                            format!(
+                                "blocking {}-latch acquisition while climbing a saved path \
+                                 in `{}`; climbs go up the search order and must use try_* \
+                                 (paper 4.1 / 5.2.2b)",
+                                mode.name(),
+                                f.def.name
+                            ),
+                        ));
+                    }
+                }
+                Event::Promote { recv, line, .. } => {
+                    let other = s
+                        .held
+                        .iter()
+                        .find(|(x, _, blocking)| *blocking && Some(x) != recv.as_ref());
+                    if let Some((x, class, _)) = other {
+                        order.push((
+                            *line,
+                            format!(
+                                "U->X promotion in `{}` while blocking {class} latch `{x}` \
+                                 may still be held; promote before latching later-ordered \
+                                 nodes (paper 4.1.1)",
+                                f.def.name
+                            ),
+                        ));
+                    }
+                }
                 Event::Call {
                     name,
                     args,
                     method,
                     line,
                     ..
-                } if !s.is_empty() => {
+                } if !s.held.is_empty() => {
                     // Same unambiguous-resolution restriction as the
                     // summary fixpoint above.
                     if let [c] = cg.resolve(name, *args, *method)[..] {
@@ -367,6 +474,16 @@ fn latch_order_graph(
                 _ => {}
             }
         });
+        for (line, msg) in order {
+            if !sanction(f.file, line, RuleId::LatchOrder) {
+                findings.push(Finding {
+                    path: asts[f.file].path.clone(),
+                    line,
+                    rule: RuleId::LatchOrder,
+                    msg,
+                });
+            }
+        }
     }
 
     // Quotient cycle check over blocking, non-exempt, cycle-relevant edges.
@@ -801,7 +918,7 @@ fn logged_step(s: bool, e: &Event, cg: &CallGraph, always: &[bool]) -> bool {
     }
 }
 
-// ---- rule 4: interprocedural no-wait (§4.2.2) -----------------------------
+// ---- rule 4: no-wait (§4.2.2) --------------------------------------------
 
 fn no_wait_reach(
     asts: &[FileAst],
@@ -810,7 +927,6 @@ fn no_wait_reach(
     sanction: &mut Sanction<'_>,
     findings: &mut Vec<Finding>,
 ) {
-    let is_entry_file = |fi: usize| NO_WAIT_ENTRIES.contains(&asts[fi].path.as_str());
     let in_scope = |fi: usize| STRUCTURE_SRC.iter().any(|p| asts[fi].path.starts_with(p));
 
     // BFS from every entry function over call edges that stay inside the
@@ -819,7 +935,7 @@ fn no_wait_reach(
     let mut entry_of: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for (i, f) in fns.iter().enumerate() {
-        if is_entry_file(f.file) {
+        if NO_WAIT_ENTRIES.contains(&asts[f.file].path.as_str()) {
             entry_of.insert(i, i);
             queue.push_back(i);
         }
@@ -846,10 +962,6 @@ fn no_wait_reach(
     let mut reported: BTreeSet<(usize, u32)> = BTreeSet::new();
     for (&i, &entry) in &entry_of {
         let f = &fns[i];
-        // Sites inside the entry files belong to the token rule.
-        if is_entry_file(f.file) {
-            continue;
-        }
         for blk in &f.cfg.blocks {
             for e in &blk.events {
                 let Event::BlockingLock { what, line } = e else {

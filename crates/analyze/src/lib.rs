@@ -9,19 +9,18 @@
 //! violations on the interleavings we happen to execute; this analyzer
 //! catches the violating *code shapes* on every path.
 //!
-//! No `syn`, no dependencies. Two tiers:
-//!
-//! - **flow tier** ([`parse`] → [`mod@cfg`] → [`callgraph`] → [`flow`]): a
-//!   recursive-descent structural parser over the token stream builds
-//!   per-function CFGs (branches, loops, match arms, early returns, `?`)
-//!   and a whole-workspace call graph, and abstract interpretation over
-//!   latch-guard states proves the latch-order, guard-lifetime,
-//!   log-before-dirty, and no-wait disciplines on *every* path — including
-//!   through helper calls. The latch-acquisition order graph is emitted as
-//!   a DOT artifact with cycle detection.
-//! - **token tier** ([`rules`]): the original per-file pattern rules,
-//!   which also serve as the fallback when a file defeats the structural
-//!   parser — the gate never weakens.
+//! No `syn`, no dependencies, and one tier. A recursive-descent structural
+//! parser ([`parse`]) over the token stream builds per-function CFGs
+//! ([`mod@cfg`]: branches, loops, match arms and their guards, early
+//! returns, `?`) and a whole-workspace call graph ([`callgraph`]), and
+//! abstract interpretation over latch-guard states ([`flow`]) proves the
+//! latch-order, latch-cycle, guard-lifetime, log-before-dirty and no-wait
+//! disciplines on *every* path of every file — including through helper
+//! calls. The latch-acquisition order graph is emitted as a DOT artifact
+//! with cycle detection. A function the parser cannot follow is a finding,
+//! never a silent fall-back. Beside the flow rules, [`rules`] holds the
+//! three lexical rules (panic-free recovery, sync hygiene, determinism),
+//! which check exact token facts and approximate no control flow.
 //!
 //! See [`rules`] for the rule catalogue and DESIGN.md §8 for the
 //! rule-to-paper-section map.

@@ -6,10 +6,13 @@
 //! `continue`), and lexical scopes with their guard bindings — and reduces
 //! everything else to a flat stream of protocol-relevant [`Event`]s:
 //! latch acquisitions, guard drops/moves, WAL appends, page dirtying,
-//! blocking lock acquisition, blocking waits, and calls (for the call
-//! graph). Unknown constructs degrade to "no event", never to a parse
-//! abort; a function we cannot follow sets `FileAst::parsed = false`,
-//! which re-arms the token-tier fallback rules for that file.
+//! blocking lock acquisition, blocking waits, climbs over a saved path, and
+//! calls (for the call graph). A guard-position `if` (a match-arm guard, or
+//! the `P if g` of `matches!`) is read as more events, not as a branch, and
+//! a loop header may hold an `if … else …` expression.
+//! Unknown constructs degrade to "no event", never to a parse abort; a
+//! function the parser still cannot follow is marked `followed = false`,
+//! and [`crate::flow`] reports it as a finding.
 
 use crate::context::{matching_brace, matching_bracket, FileCx};
 use crate::lexer::{TokKind, Token};
@@ -52,6 +55,12 @@ pub enum Event {
         recv: Option<String>,
         /// Guard binding, when assigned to a variable.
         var: Option<String>,
+        /// Source line.
+        line: u32,
+    },
+    /// `.rev()` over a saved `path`/`entries`: the walk climbs back up the
+    /// search order (§5.2.2b), where only `try_*` acquisition is allowed.
+    Climb {
         /// Source line.
         line: u32,
     },
@@ -118,10 +127,13 @@ pub enum Event {
         line: u32,
     },
     /// Any other call, kept for call-graph resolution. `moved` lists plain
-    /// by-value identifier arguments (guards moved into the callee).
+    /// by-value identifier arguments (guards moved into the callee, or into
+    /// the receiver collection of a `push`).
     Call {
         /// Callee name (method name or free-function name).
         name: String,
+        /// Receiver identifier of a method call.
+        recv: Option<String>,
         /// Argument count (including the receiver-position argument for
         /// UFCS-style `Type::f(&x, ...)` free calls).
         args: usize,
@@ -170,6 +182,8 @@ pub struct FnDef {
     pub line: u32,
     /// Inside test-only code.
     pub is_test: bool,
+    /// False when some construct in the body could not be followed.
+    pub followed: bool,
     /// Structured body.
     pub body: Node,
 }
@@ -181,16 +195,12 @@ pub struct FileAst {
     pub path: String,
     /// All functions (including test functions, flagged).
     pub fns: Vec<FnDef>,
-    /// False when some construct could not be followed; the token-tier
-    /// fallback rules re-arm for this file.
-    pub parsed: bool,
 }
 
 /// Parse every function in `cx`.
 pub fn parse_file(cx: &FileCx) -> FileAst {
     let sigs = signatures(&cx.tokens);
     let mut fns = Vec::new();
-    let mut parsed = true;
     for span in &cx.fns {
         let (params, has_self, line) = sigs.get(&span.body_start).copied().unwrap_or((
             0,
@@ -203,22 +213,19 @@ pub fn parse_file(cx: &FileCx) -> FileAst {
         };
         let mut binds = Vec::new();
         let body = p.stmts(span.body_start + 1, span.body_end, &mut binds);
-        if !p.ok {
-            parsed = false;
-        }
         fns.push(FnDef {
             name: span.name.clone(),
             params,
             has_self,
             line,
             is_test: cx.is_test[span.body_start],
+            followed: p.ok,
             body: Node::Scope(Box::new(body), binds),
         });
     }
     FileAst {
         path: cx.path.clone(),
         fns,
-        parsed,
     }
 }
 
@@ -386,7 +393,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                     "while" | "for" => {
-                        let Some(open) = self.find_d0(i + 1, end, b'{') else {
+                        let Some(open) = self.loop_body(i + 1, end) else {
                             self.ok = false;
                             i += 1;
                             continue;
@@ -426,6 +433,14 @@ impl<'a> Parser<'a> {
                     "fn" => {
                         // Nested fn item: parsed as its own FnDef; skip here.
                         i = self.skip_fn_item(i, end);
+                    }
+                    "matches"
+                        if self.toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+                            && self.toks.get(i + 2).is_some_and(|t| t.is_punct('(')) =>
+                    {
+                        let close = self.find_d0(i + 3, end, b')').unwrap_or(end);
+                        out.push(self.guarded(i + 3, close, binds));
+                        i = close + 1;
                     }
                     _ => {
                         if let Some((evs, ni, nb)) = self.events_at(i, end) {
@@ -498,7 +513,7 @@ impl<'a> Parser<'a> {
                 break;
             };
             let mut abinds = Vec::new();
-            let pat = self.stmts(j, arrow, &mut abinds);
+            let pat = self.guarded(j, arrow, &mut abinds);
             let mut k = arrow + 2;
             let body;
             if k < close && self.toks[k].is_punct('{') {
@@ -522,6 +537,36 @@ impl<'a> Parser<'a> {
         (Node::Seq(vec![scrut, Node::Branch(arms)]), close + 1)
     }
 
+    /// Parse `[i, end)`, a pattern that may end in a guard: a depth-0 `if`
+    /// (a match-arm guard, or the `P if g` of `matches!`) starts more events
+    /// — the guard is evaluated on the way in — not a branch.
+    fn guarded(&mut self, i: usize, end: usize, binds: &mut Vec<String>) -> Node {
+        match self.find_d0_by(i, end, |t| t.is_ident("if")) {
+            Some(k) => Node::Seq(vec![self.stmts(i, k, binds), self.stmts(k + 1, end, binds)]),
+            None => self.stmts(i, end, binds),
+        }
+    }
+
+    /// The `{` opening the body of a `while`/`for` whose header starts at
+    /// `i`, past any `if … else …` expression in the header
+    /// (`for _ in 0..if t { 1 } else { n } {`).
+    fn loop_body(&self, mut i: usize, end: usize) -> Option<usize> {
+        loop {
+            let open = self.find_d0_by(i, end, |t| t.is_punct('{') || t.is_ident("if"))?;
+            if self.toks[open].is_punct('{') {
+                return Some(open);
+            }
+            i = open;
+            loop {
+                let block = self.find_d0(i + 1, end, b'{')?;
+                i = matching_brace(self.toks, block) + 1;
+                if !(i < end && self.toks[i].is_ident("else")) {
+                    break;
+                }
+            }
+        }
+    }
+
     /// Skip a nested `fn` item (signature + body or `;`).
     fn skip_fn_item(&mut self, i: usize, end: usize) -> usize {
         let mut j = i + 2;
@@ -543,17 +588,25 @@ impl<'a> Parser<'a> {
     }
 
     /// Find punct `target` at paren/bracket/brace depth 0 within `[i, end)`.
-    fn find_d0(&self, mut i: usize, end: usize, target: u8) -> Option<usize> {
+    fn find_d0(&self, i: usize, end: usize, target: u8) -> Option<usize> {
+        self.find_d0_by(i, end, |t| {
+            t.kind == TokKind::Punct && t.text.as_bytes().first() == Some(&target)
+        })
+    }
+
+    /// Find a token matching `hit` at paren/bracket/brace depth 0 within
+    /// `[i, end)`; `None` if a closing delimiter ends the group first.
+    fn find_d0_by(&self, mut i: usize, end: usize, hit: impl Fn(&Token) -> bool) -> Option<usize> {
         let mut paren = 0i32;
         let mut brack = 0i32;
         let mut brace = 0i32;
         while i < end {
             let t = &self.toks[i];
+            if paren == 0 && brack == 0 && brace == 0 && hit(t) {
+                return Some(i);
+            }
             if t.kind == TokKind::Punct {
                 let c = t.text.as_bytes().first().copied().unwrap_or(b' ');
-                if paren == 0 && brack == 0 && brace == 0 && c == target {
-                    return Some(i);
-                }
                 match c {
                     b'(' => paren += 1,
                     b')' => paren -= 1,
@@ -720,6 +773,13 @@ impl<'a> Parser<'a> {
                 "append" => {
                     return Some((vec![Event::Append { line }], open + 1, Vec::new()));
                 }
+                "rev"
+                    if self.toks[i.saturating_sub(8)..i]
+                        .iter()
+                        .any(|t| t.is_ident("path") || t.is_ident("entries")) =>
+                {
+                    return Some((vec![Event::Climb { line }], open + 1, Vec::new()));
+                }
                 "mark_dirty" | "mark_dirty_at" | "data_mut" => {
                     return Some((
                         vec![Event::Dirty {
@@ -765,6 +825,7 @@ impl<'a> Parser<'a> {
                     return Some((
                         vec![Event::Call {
                             name: nm.to_string(),
+                            recv,
                             args,
                             method: true,
                             moved,
@@ -848,6 +909,7 @@ impl<'a> Parser<'a> {
             return Some((
                 vec![Event::Call {
                     name: t.text.clone(),
+                    recv: None,
                     args,
                     method: false,
                     moved,
@@ -862,20 +924,28 @@ impl<'a> Parser<'a> {
     }
 
     /// Count call arguments in the paren group at `open` and collect plain
-    /// by-value identifier arguments (potential guard moves). Closure
-    /// parameter pipes suspend comma counting.
+    /// by-value identifier arguments (potential guard moves), also inside a
+    /// tuple argument (`path.push((node, g))`). Closure parameter pipes
+    /// suspend comma counting.
     fn call_args(&self, open: usize) -> (usize, Vec<String>) {
         let mut depth = 0i32;
         let mut commas = 0usize;
         let mut any = false;
         let mut pipe = false;
+        let mut tuple = false;
         let mut moved = Vec::new();
         let mut i = open;
         while i < self.toks.len() {
             let t = &self.toks[i];
             if t.kind == TokKind::Punct {
                 match t.text.as_bytes().first().copied().unwrap_or(b' ') {
-                    b'(' | b'[' | b'{' => depth += 1,
+                    b'(' | b'[' | b'{' => {
+                        depth += 1;
+                        if depth == 2 {
+                            let prev = &self.toks[i - 1];
+                            tuple = t.is_punct('(') && (prev.is_punct('(') || prev.is_punct(','));
+                        }
+                    }
                     b')' | b']' | b'}' => {
                         depth -= 1;
                         if depth == 0 {
@@ -890,7 +960,7 @@ impl<'a> Parser<'a> {
                 if depth >= 1 {
                     any = true;
                 }
-                if t.kind == TokKind::Ident && depth == 1 {
+                if t.kind == TokKind::Ident && (depth == 1 || depth == 2 && tuple) {
                     // A bare identifier argument (delimiters on both sides,
                     // no `&` borrow) moves its value into the call.
                     let prev_delim =
@@ -1129,6 +1199,25 @@ mod tests {
             assert_eq!(*args, 3);
             assert_eq!(moved, &vec!["g".to_string()]);
         }
+    }
+
+    #[test]
+    fn guards_and_header_ifs_are_followed() {
+        let src = "fn f(&self, c: Option<u32>, t: bool) { \
+                   match c { Some(n) if n.hot() => a(), _ => b() } \
+                   let m = matches!(c, Some(n) if n.cold()); \
+                   for _ in 0..if t { 1 } else { 2 } { e.step(); } }";
+        let ast = parse(src);
+        assert!(ast.fns[0].followed);
+        let evs = all_events(src);
+        for name in ["hot", "a", "cold", "step"] {
+            assert!(
+                evs.iter()
+                    .any(|e| matches!(e, Event::Call { name: n, .. } if n == name)),
+                "{name}: {evs:?}"
+            );
+        }
+        assert!(!parse("fn f(&self) { let y = if x; }").fns[0].followed);
     }
 
     #[test]

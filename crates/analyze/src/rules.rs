@@ -1,13 +1,13 @@
-//! The Π-tree protocol rules. Each rule is a pure function over a
-//! [`FileCx`]; scoping (which files a rule patrols) is part of the rule.
+//! The rule catalogue ([`RuleId`], [`Finding`]) and the lexical rules.
 //!
-//! These are *static approximations* of the paper's runtime disciplines: a
-//! token-level analysis cannot prove latch order, but it can reject the
-//! code shapes that violate it, on **every** path rather than only the
-//! interleavings a test happens to execute. False positives are expected to
-//! be rare and are silenced with `// pitree-lint: allow(rule-id) <reason>`,
-//! which requires a reason and is itself audited (stale allows fail the
-//! build).
+//! Every rule that needs control flow — latch order, no-wait,
+//! log-before-dirty, latch cycles, guard lifetimes — is a path-sensitive
+//! analysis in [`crate::flow`]. What stays here checks exact token facts
+//! and approximates no control flow: `panic-free-recovery`, `sync-hygiene`
+//! and `determinism`, each a pure function over a [`FileCx`] whose scoping
+//! (which files it patrols) is part of the rule. A finding is silenced with
+//! `// pitree-lint: allow(rule-id) <reason>`, which requires a reason and is
+//! itself audited (stale allows fail the build).
 
 use crate::context::FileCx;
 use crate::lexer::TokKind;
@@ -16,15 +16,15 @@ use std::fmt;
 /// Identifier of a lint rule (or of the linter's own meta-diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RuleId {
-    /// R1 §4.1: latches are acquired in search order, top-down; climbing a
-    /// saved path uses conditional (`try_*`) acquisition only, and U→X
-    /// promotion happens before any later-ordered latch is taken.
+    /// R1 §4.1 (flow): latches are acquired in search order, top-down;
+    /// climbing a saved path uses conditional (`try_*`) acquisition only,
+    /// and U→X promotion happens while no other blocking latch is held.
     LatchOrder,
-    /// R2 §4.2.2: SMO completion paths never block on locks — only `try_`
-    /// variants are permitted in `core::{completion,post,consolidate}`.
+    /// R2 §4.2.2 (flow): a completing action never blocks on a lock — no
+    /// blocking lock acquisition is reachable from a completion entry.
     NoWait,
-    /// R3 §4.3.1: a function that dirties a page must have logged first
-    /// (WAL: log-before-dirty).
+    /// R3 §4.3.1 (flow): every path to a page dirtying passes a WAL append
+    /// first (log-before-dirty).
     LogBeforeDirty,
     /// R4 §4.3.2: redo/undo code must be panic-free — recovery running into
     /// a torn log tail or unexpected page state must return an error, not
@@ -44,6 +44,9 @@ pub enum RuleId {
     /// F2 (flow): latch-guard lifetime — leaked via `forget`, held across a
     /// blocking wait on some path, or dropped twice.
     GuardLifetime,
+    /// Meta: a function the structural parser cannot follow, so no flow
+    /// rule can check it.
+    Unfollowed,
     /// Meta: malformed suppression (missing reason, unknown rule).
     LintAllow,
     /// Meta: a suppression that no longer suppresses anything.
@@ -74,6 +77,7 @@ impl RuleId {
             RuleId::Determinism => "determinism",
             RuleId::LatchCycle => "latch-cycle",
             RuleId::GuardLifetime => "guard-lifetime",
+            RuleId::Unfollowed => "unfollowed",
             RuleId::LintAllow => "lint-allow",
             RuleId::StaleAllow => "stale-allow",
         }
@@ -95,6 +99,7 @@ impl RuleId {
             RuleId::Determinism => "sim kit and sim tests are clock/entropy/env free",
             RuleId::LatchCycle => "workspace latch-acquisition order graph is acyclic (paper 4.1)",
             RuleId::GuardLifetime => "guards are not leaked, double-dropped, or held over waits",
+            RuleId::Unfollowed => "every function is followed by the flow rules",
             RuleId::LintAllow => "suppressions carry a rule id and a reason",
             RuleId::StaleAllow => "suppressions that fire nothing are removed",
         }
@@ -130,17 +135,9 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Run the token-tier rules over `cx`. The linear log-before-dirty scan is
-/// subsumed by the path-sensitive flow analysis and only runs as a
-/// fallback (`include_log_before_dirty`) when the file failed structural
-/// parsing, so the gate never weakens mid-transition.
-pub fn run_token(cx: &FileCx, include_log_before_dirty: bool) -> Vec<Finding> {
+/// Run the lexical rules over `cx`.
+pub fn run_token(cx: &FileCx) -> Vec<Finding> {
     let mut out = Vec::new();
-    latch_order(cx, &mut out);
-    no_wait(cx, &mut out);
-    if include_log_before_dirty {
-        log_before_dirty(cx, &mut out);
-    }
     panic_free_recovery(cx, &mut out);
     sync_hygiene(cx, &mut out);
     determinism(cx, &mut out);
@@ -154,251 +151,6 @@ fn finding(out: &mut Vec<Finding>, cx: &FileCx, line: u32, rule: RuleId, msg: St
         rule,
         msg,
     });
-}
-
-/// Blocking latch-acquisition method call at `i`: `.s()`, `.u()`, `.x()`
-/// with an empty argument list (the `Latch`/`PinnedPage` acquire API).
-fn blocking_latch_call(cx: &FileCx, i: usize) -> Option<&'static str> {
-    let name = cx.method_call_at(i)?;
-    let mode = match name {
-        "s" => "S",
-        "u" => "U",
-        "x" => "X",
-        _ => return None,
-    };
-    if cx.tokens.get(i + 3)?.is_punct(')') {
-        Some(mode)
-    } else {
-        None
-    }
-}
-
-// ---- R1: latch-order (§4.1) ----------------------------------------------
-
-/// Two checks per function:
-///
-/// 1. after an upward walk over a saved path (`path`/`entries ... .rev()`),
-///    only `try_*` acquisition is allowed — climbing with a blocking latch
-///    is the deadlock the paper's search-order argument excludes;
-/// 2. `promote()` must not run while a blocking latch acquired in a
-///    still-open scope is held: §4.1.1 permits promotion only when no
-///    later-ordered latch is held.
-fn latch_order(cx: &FileCx, out: &mut Vec<Finding>) {
-    if cx.path == "crates/pagestore/src/latch.rs" {
-        return; // the latch implementation itself
-    }
-    for f in &cx.fns {
-        if cx.is_test[f.body_start] {
-            continue;
-        }
-        let mut climbing = false;
-        // Blocking acquisitions whose guard is plausibly still live: popped
-        // when their scope closes, their guard variable is `drop`ped, or
-        // they are themselves the promotion receiver.
-        struct Held {
-            depth: u32,
-            mode: &'static str,
-            line: u32,
-            var: Option<String>,
-        }
-        let mut held: Vec<Held> = Vec::new();
-        for i in f.body_start..=f.body_end.min(cx.tokens.len() - 1) {
-            let d = cx.depth[i];
-            while held.last().is_some_and(|h| h.depth > d) {
-                held.pop();
-            }
-            if cx.method_call_at(i) == Some("rev") {
-                let lookback = i.saturating_sub(8);
-                if cx.tokens[lookback..i]
-                    .iter()
-                    .any(|t| t.is_ident("path") || t.is_ident("entries"))
-                {
-                    climbing = true;
-                }
-            }
-            // `drop(g)` releases g's latch.
-            if cx.tokens[i].is_ident("drop")
-                && cx.tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                && cx.tokens.get(i + 3).is_some_and(|t| t.is_punct(')'))
-            {
-                if let Some(v) = cx.tokens.get(i + 2).filter(|t| t.kind == TokKind::Ident) {
-                    if let Some(pos) = held.iter().rposition(|h| h.var.as_deref() == Some(&v.text))
-                    {
-                        held.remove(pos);
-                    }
-                }
-            }
-            if let Some(mode) = blocking_latch_call(cx, i) {
-                if climbing {
-                    finding(
-                        out,
-                        cx,
-                        cx.tokens[i].line,
-                        RuleId::LatchOrder,
-                        format!(
-                            "blocking {mode}-latch acquisition while climbing a saved path \
-                             in `{}`; climbs go up the search order and must use try_* \
-                             (paper 4.1 / 5.2.2b)",
-                            f.name
-                        ),
-                    );
-                } else {
-                    held.push(Held {
-                        depth: d,
-                        mode,
-                        line: cx.tokens[i].line,
-                        var: assigned_var(cx, i, f.body_start),
-                    });
-                }
-            }
-            if cx.method_call_at(i) == Some("promote") {
-                // The receiver's own latch is the one being promoted; it is
-                // not "held after" itself.
-                if i >= 1 && cx.tokens[i - 1].kind == TokKind::Ident {
-                    let recv = &cx.tokens[i - 1].text;
-                    if let Some(pos) = held.iter().rposition(|h| h.var.as_deref() == Some(recv)) {
-                        held.remove(pos);
-                    }
-                }
-                if let Some(h) = held.last() {
-                    finding(
-                        out,
-                        cx,
-                        cx.tokens[i].line,
-                        RuleId::LatchOrder,
-                        format!(
-                            "U->X promotion in `{}` while a blocking {}-latch from \
-                             line {} may still be held; promote before latching \
-                             later-ordered nodes (paper 4.1.1)",
-                            f.name, h.mode, h.line
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The variable a blocking acquisition at token `i` is assigned to:
-/// `let [mut] NAME = recv.x();` or `NAME = recv.x();`. `None` when the
-/// guard is consumed inline (passed to a call, returned, ...).
-fn assigned_var(cx: &FileCx, i: usize, floor: usize) -> Option<String> {
-    // Walk back to the start of the statement.
-    let mut j = i;
-    while j > floor {
-        let t = &cx.tokens[j - 1];
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',') {
-            break;
-        }
-        j -= 1;
-    }
-    // Find a single `=` in the statement prefix; the ident before it is the
-    // binding. `==`-family comparisons have a neighbouring `=`/`<`/`>`/`!`.
-    for k in j..i {
-        if cx.tokens[k].is_punct('=') {
-            let prevp = k > j && {
-                let p = &cx.tokens[k - 1];
-                p.is_punct('=') || p.is_punct('<') || p.is_punct('>') || p.is_punct('!')
-            };
-            let nextp = cx.tokens.get(k + 1).is_some_and(|p| p.is_punct('='));
-            if prevp || nextp {
-                continue;
-            }
-            if k > j && cx.tokens[k - 1].kind == TokKind::Ident {
-                return Some(cx.tokens[k - 1].text.clone());
-            }
-        }
-    }
-    None
-}
-
-// ---- R2: no-wait (§4.2.2) ------------------------------------------------
-
-/// The files completing actions start in: the engine's completion queue
-/// and drain (every structure's completions run through it), the engine's
-/// split and posting actions, the B-link consolidation action, and the TSB
-/// and hB split geometry. This rule checks the sites *inside* them; the
-/// flow tier ([`crate::flow`]) follows the call chains that leave them —
-/// into every structure's hooks.
-pub const NO_WAIT_ENTRIES: [&str; 5] = [
-    "crates/core/src/completion.rs",
-    "crates/core/src/post.rs",
-    "crates/core/src/consolidate.rs",
-    "crates/tsbtree/src/split.rs",
-    "crates/hbtree/src/split.rs",
-];
-
-/// Source trees a completing action's call chain can run through: the
-/// engine and the three structures built on it.
-pub const STRUCTURE_SRC: [&str; 3] = [
-    "crates/core/src/",
-    "crates/tsbtree/src/",
-    "crates/hbtree/src/",
-];
-
-/// In SMO completion paths, every lock acquisition must be conditional:
-/// a completing action already holds latches, and blocking on a lock while
-/// latched is the latch-lock deadlock the No-Wait Rule exists to prevent.
-fn no_wait(cx: &FileCx, out: &mut Vec<Finding>) {
-    if !NO_WAIT_ENTRIES.contains(&cx.path.as_str()) {
-        return;
-    }
-    for i in 0..cx.tokens.len() {
-        if cx.is_test[i] {
-            continue;
-        }
-        if let Some(name) = cx.method_call_at(i) {
-            if matches!(name, "lock" | "acquire" | "lock_alloc") {
-                finding(
-                    out,
-                    cx,
-                    cx.tokens[i].line,
-                    RuleId::NoWait,
-                    format!(
-                        "blocking `{name}(...)` in an SMO completion path; the No-Wait \
-                         Rule allows only try_-variant acquisition here (paper 4.2.2)"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-// ---- R3: log-before-dirty (§4.3.1) ---------------------------------------
-
-/// A function that dirties a page (`mark_dirty` / `mark_dirty_at` /
-/// `data_mut`) must have a WAL `append` earlier in the same function: the
-/// log record describing a change must exist before the change is visible
-/// to the buffer manager's write-back.
-fn log_before_dirty(cx: &FileCx, out: &mut Vec<Finding>) {
-    if cx.path == "crates/pagestore/src/buffer.rs" {
-        return; // defines the dirtying primitive itself
-    }
-    for f in &cx.fns {
-        if cx.is_test[f.body_start] {
-            continue;
-        }
-        let mut logged = false;
-        for i in f.body_start..=f.body_end.min(cx.tokens.len() - 1) {
-            match cx.method_call_at(i) {
-                Some("append") => logged = true,
-                Some(m @ ("mark_dirty" | "mark_dirty_at" | "data_mut")) if !logged => {
-                    finding(
-                        out,
-                        cx,
-                        cx.tokens[i].line,
-                        RuleId::LogBeforeDirty,
-                        format!(
-                            "`{}` calls `{m}` with no earlier WAL append in the same \
-                             function; log before dirtying (paper 4.3.1)",
-                            f.name
-                        ),
-                    );
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 // ---- R4: panic-free recovery (§4.3.2) ------------------------------------

@@ -80,21 +80,21 @@ fn post_term(&self, parent: &Pin, child: &Pin) {
     assert_fix_silences(RuleId::LatchOrder, "crates/core/src/fake.rs", broken, fixed);
 }
 
-/// R2 fix: a completion path replaces blocking `lock()` with the
-/// `try_lock()` probe the No-Wait Rule demands, handling refusal by
+/// R2 fix: a completion path replaces a blocking `lock(..)` with the
+/// `try_lock(..)` probe the No-Wait Rule demands, handling refusal by
 /// giving up (paper 4.2.2).
 #[test]
 fn no_wait_fix_is_try_variant() {
     let broken = r#"
-fn complete(&self) -> StoreResult<()> {
-    let guard = self.table.lock();
+fn complete(&self, owner: Owner, key: &[u8]) -> StoreResult<()> {
+    let guard = self.table.lock(owner, key, LockMode::X);
     guard.use_it();
     Ok(())
 }
 "#;
     let fixed = r#"
-fn complete(&self) -> StoreResult<()> {
-    let Ok(guard) = self.table.try_lock() else {
+fn complete(&self, owner: Owner, key: &[u8]) -> StoreResult<()> {
+    let Ok(guard) = self.table.try_lock(owner, key, LockMode::X) else {
         return Ok(()); // refused: leave the SMO for a later completion
     };
     guard.use_it();

@@ -113,8 +113,8 @@ fn scoped(&self, a: &Pin, b: &Pin) {
 #[test]
 fn no_wait_fires_on_blocking_lock_in_completion_path() {
     let src = r#"
-fn complete(&self) {
-    let guard = self.table.lock();
+fn complete(&self, owner: Owner, key: &[u8], mode: LockMode) {
+    let guard = self.table.lock(owner, key, mode);
     guard.use_it();
 }
 "#;
@@ -129,7 +129,7 @@ fn complete(&self) {
     ] {
         assert!(
             rules_of(path, src).contains(&RuleId::NoWait),
-            "blocking lock() must fire in {path}"
+            "blocking lock(..) must fire in {path}"
         );
     }
 }

@@ -1,12 +1,12 @@
-//! Fixture triplets for the four pitree-flow rules: each rule has a firing
-//! case (fails the gate if the check is ever stubbed out — the
-//! no-blind-oracle discipline), a quiet case (the disciplined shape), and
-//! a suppressed case (`allow(...)` consumes the finding and is itself
-//! marked used, so it does not go stale).
+//! Fixture triplets for the pitree-flow rules: each rule has a firing case
+//! (fails the gate if the check is ever stubbed out — the no-blind-oracle
+//! discipline), a quiet case (the disciplined shape), and a suppressed case
+//! (`allow(...)` consumes the finding and is itself marked used, so it does
+//! not go stale).
 //!
-//! The firing cases are chosen so the *token* tier cannot see them: the
-//! violation hides behind a branch, a call chain, or a guard move —
-//! exactly what the CFG + call-graph analysis exists to catch.
+//! The firing cases hide the violation behind a branch, a call chain, a
+//! guard move or a guard collection — exactly what the CFG + call-graph
+//! analysis exists to catch, and what a linear token scan cannot see.
 
 use analyze::{lint_source, scan_sources, RuleId};
 
@@ -28,8 +28,7 @@ fn rules_of(findings: &[analyze::Finding]) -> Vec<RuleId> {
 fn latch_cycle_fires_on_inverted_acquisition_order() {
     // One function latches page-then-alloc, another alloc-then-page: no
     // global acquisition order exists, which is a potential deadlock no
-    // single function exhibits. Each function alone passes every token
-    // rule.
+    // single function exhibits.
     let report = scan(&[(
         "crates/core/src/fake.rs",
         "pub fn forward(pin: &Pin, store: &Store) {\n\
@@ -208,7 +207,7 @@ fn guard_lifetime_suppressed_is_consumed_not_stale() {
 
 #[test]
 fn flow_lbd_fires_on_branch_conditional_append() {
-    // The token rule sees an append earlier in the token stream and stays
+    // A linear scan sees an append earlier in the token stream and stays
     // quiet; only path-sensitivity sees the unlogged else-path.
     let f = lint_source(
         "crates/core/src/fake.rs",
@@ -290,8 +289,8 @@ fn flow_lbd_suppressed_is_consumed_not_stale() {
 
 #[test]
 fn flow_no_wait_fires_through_a_cross_file_call_chain() {
-    // completion.rs itself is clean under the token rule; the blocking
-    // probe hides two calls away in another core file.
+    // completion.rs itself takes no lock; the blocking probe hides two
+    // calls away in another core file.
     let report = scan(&[
         (
             "crates/core/src/completion.rs",
@@ -473,7 +472,7 @@ fn flow_no_wait_suppressed_is_consumed_not_stale() {
     assert_eq!(report.allowed.get(&RuleId::NoWait), Some(&1));
 }
 
-// ---- artifact + fallback tier ---------------------------------------------
+// ---- artifact and parse coverage -------------------------------------------
 
 #[test]
 fn dot_artifact_has_header_edges_and_sites() {
@@ -506,17 +505,111 @@ fn raw_identifiers_do_not_blind_the_scan() {
 }
 
 #[test]
-fn token_lbd_rearms_when_the_parser_gives_up() {
-    // A file the structural parser cannot follow falls back to the token
-    // tier, so the gate never weakens: an unbalanced-brace construct plus
-    // an unlogged dirty must still fire via the linear scan.
+fn unfollowed_function_is_a_finding() {
+    // There is no fallback tier: a body the parser cannot follow is itself
+    // reported, so no rule silently skips it.
     let src = "pub fn weird(pin: &Pin) { if x { pin.mark_dirty(); } }";
     // Sanity: this parses, so the flow rule owns it...
     assert!(
         rules_of(&lint_source("crates/core/src/fake.rs", src)).contains(&RuleId::LogBeforeDirty)
     );
-    // ...and a parse-defeating body still reports through the fallback.
-    let broken = "pub fn weird(pin: &Pin) { match x { }; pin.mark_dirty(); }";
+    // ...and a parse-defeating body (an `if` with no block) is a finding
+    // naming the function.
+    let broken = "pub fn weird(pin: &Pin) { let y = if x; pin.mark_dirty(); }";
     let f = lint_source("crates/core/src/fake.rs", broken);
-    assert!(rules_of(&f).contains(&RuleId::LogBeforeDirty), "{f:?}");
+    let hit = f
+        .iter()
+        .find(|x| x.rule == RuleId::Unfollowed)
+        .unwrap_or_else(|| panic!("{f:?}"));
+    assert_eq!(hit.line, 1);
+    assert!(hit.msg.contains("`weird`"), "{hit:?}");
+}
+
+// ---- constructs the parser follows -----------------------------------------
+
+#[test]
+fn guard_lifetime_fires_past_a_match_arm_guard() {
+    // A match arm with an `if` guard: the guard is read as events, so the
+    // leak later in the same function is still seen.
+    let f = lint_source(
+        "crates/core/src/fake.rs",
+        "pub fn leak(pin: &Pin, c: Option<u32>) {\n\
+         \x20   let g = pin.x();\n\
+         \x20   match c {\n\
+         \x20       Some(n) if n > 0 => g.touch(),\n\
+         \x20       _ => {}\n\
+         \x20   }\n\
+         \x20   forget(g);\n\
+         }\n",
+    );
+    assert!(rules_of(&f).contains(&RuleId::GuardLifetime), "{f:?}");
+    assert!(!rules_of(&f).contains(&RuleId::Unfollowed), "{f:?}");
+}
+
+#[test]
+fn guard_lifetime_fires_past_a_matches_guard() {
+    let f = lint_source(
+        "crates/core/src/fake.rs",
+        "pub fn leak(pin: &Pin, c: Option<u32>) -> bool {\n\
+         \x20   let g = pin.x();\n\
+         \x20   let hot = matches!(c, Some(n) if n > 0);\n\
+         \x20   forget(g);\n\
+         \x20   hot\n\
+         }\n",
+    );
+    assert!(rules_of(&f).contains(&RuleId::GuardLifetime), "{f:?}");
+    assert!(!rules_of(&f).contains(&RuleId::Unfollowed), "{f:?}");
+}
+
+// ---- guards held in a collection -----------------------------------------
+
+/// Lock coupling's shape: the root's guard is pushed onto the descent path,
+/// `release` runs, and then the leaf is latched and promoted.
+fn coupled_descent(release: &str) -> analyze::Report {
+    scan(&[(
+        "crates/baselines/src/fake.rs",
+        &format!(
+            "pub fn descend(root: &Pin, leaf: &Pin) {{\n\
+             \x20   let mut path = Vec::new();\n\
+             \x20   let g = root.u();\n\
+             \x20   path.push((root, g));\n\
+             \x20   {release}\n\
+             \x20   let lg = leaf.u();\n\
+             \x20   let xg = lg.promote();\n\
+             \x20   write(xg);\n\
+             }}\n"
+        ),
+    )])
+}
+
+#[test]
+fn latch_order_sees_guards_held_in_a_collection() {
+    // The path holds the root's U latch when the leaf is promoted: the
+    // promotion fires, and the graph gets the root -> node edge.
+    let report = coupled_descent("");
+    let hit = report
+        .findings
+        .iter()
+        .find(|x| x.rule == RuleId::LatchOrder)
+        .unwrap_or_else(|| panic!("{:?}", report.findings));
+    assert_eq!(hit.line, 7);
+    assert!(hit.msg.contains("`path`"), "{hit:?}");
+    assert!(
+        report.latch_dot.contains("\"root\" -> \"node\""),
+        "{}",
+        report.latch_dot
+    );
+}
+
+#[test]
+fn latch_order_quiet_once_the_collection_releases() {
+    for release in ["drop(path);", "path.pop();", "path.drain(..);"] {
+        let report = coupled_descent(release);
+        assert!(report.clean(), "{release}: {:?}", report.findings);
+        assert!(
+            !report.latch_dot.contains(" -> "),
+            "{release}: {}",
+            report.latch_dot
+        );
+    }
 }

@@ -99,7 +99,6 @@ impl<C> std::fmt::Debug for CompletionQueue<C> {
 impl<C: Pending> CompletionQueue<C> {
     /// Schedule `c` unless an equivalent completion is already queued.
     pub fn push(&self, c: C) -> bool {
-        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         let mut q = self.q.lock();
         if q.iter().any(|e| e.duplicates(&c)) {
             return false;
@@ -110,19 +109,16 @@ impl<C: Pending> CompletionQueue<C> {
 
     /// Take the next pending completion.
     pub fn pop(&self) -> Option<C> {
-        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         self.q.lock().pop_front()
     }
 
     /// Number of pending completions.
     pub fn len(&self) -> usize {
-        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         self.q.lock().len()
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        // pitree-lint: allow(no-wait) queue mutex is local and never held across a latch or lock acquisition
         self.q.lock().is_empty()
     }
 }

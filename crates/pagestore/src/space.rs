@@ -110,15 +110,22 @@ fn first_data_bit(k: u64) -> u64 {
 
 /// Pin the bitmap page `pid` if it has been formatted; `None` for an extent
 /// no allocation has reached yet (never written, or — the pool's fresh frame
-/// for a page the caller then did not format — not a bitmap).
+/// for a page the caller then did not format — still `Free`). Any other page
+/// type in a bitmap slot is corruption, not a wholly free extent.
 fn formatted_bitmap(pool: &BufferPool, pid: PageId) -> StoreResult<Option<PinnedPage<'_>>> {
     let bm = match pool.fetch(pid) {
         Ok(bm) => bm,
         Err(StoreError::PageNotFound(_)) => return Ok(None),
         Err(e) => return Err(e),
     };
-    let is_bitmap = bm.s().page_type()? == PageType::SpaceMap;
-    Ok(is_bitmap.then_some(bm))
+    let ty = bm.s().page_type()?;
+    match ty {
+        PageType::SpaceMap => Ok(Some(bm)),
+        PageType::Free => Ok(None),
+        _ => Err(StoreError::Corrupt(format!(
+            "extent bitmap slot {pid} holds a {ty:?} page"
+        ))),
+    }
 }
 
 /// A free page [`AllocGuard::find_free`] chose.
@@ -522,6 +529,32 @@ mod tests {
         // Every id below the cap but the meta page and the three bitmaps.
         assert_eq!(got, cap - 4);
         assert_eq!(sm.allocated_count(&pool).unwrap(), cap);
+    }
+
+    /// A page of another type in extent 1's bitmap slot is corruption: the
+    /// scan that reaches it returns a typed error instead of reading the
+    /// extent as wholly free and handing out its pages.
+    #[test]
+    fn a_foreign_page_in_a_bitmap_slot_is_corrupt() {
+        let pool = fresh_pool();
+        let sm = SpaceMap::init(&pool, 3 * B).unwrap();
+        let node = pool.fetch_or_create(PageId(B), PageType::Node).unwrap();
+        node.x().format(PageType::Node);
+        drop(node);
+        fill_extent(&pool, 0);
+        let mut alloc = sm.lock_alloc();
+        assert!(
+            matches!(alloc.find_free(&pool), Err(StoreError::Corrupt(_))),
+            "a Node page at k·B must not read as an unformatted bitmap"
+        );
+        assert!(matches!(
+            sm.is_allocated(&pool, PageId(B + 1)),
+            Err(StoreError::Corrupt(_))
+        ));
+        // An unformatted (Free) frame in the slot is still a fresh extent.
+        pool.fetch(PageId(B)).unwrap().x().format(PageType::Free);
+        let free = alloc.find_free(&pool).unwrap();
+        assert_eq!((free.pid, free.format_bitmap), (PageId(B + 1), true));
     }
 
     #[test]
