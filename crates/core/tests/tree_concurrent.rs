@@ -1,11 +1,18 @@
 //! Concurrency tests: many threads over one tree, exercising latch
 //! coupling, U→X promotion, the No-Wait Rule, move locks, deadlock
 //! detection, and concurrent structure changes ("our techniques permit
-//! multiple concurrent structure changes", §6).
+//! multiple concurrent structure changes", §6). The last tests pin the
+//! client side: pipelined publish/ack commits from many threads, and
+//! `Engine::autocommit`'s retry contract.
 
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree::{CrashableStore, PiTree, PiTreeConfig, Store};
+use pitree_pagestore::{BufferPool, MemDisk, SpaceMap, StoreError};
+use pitree_txnlock::TxnManager;
+use pitree_wal::{LogManager, MemLogStore};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn key(i: u64) -> Vec<u8> {
     i.to_be_bytes().to_vec()
@@ -189,7 +196,7 @@ fn concurrent_page_oriented_with_move_locks() {
                             let k = (batch * 10 + j) * threads + t;
                             match tree.insert(&mut txn, &key(k), &val(k)) {
                                 Ok(_) => {}
-                                Err(pitree_pagestore::StoreError::LockFailed { .. }) => {
+                                Err(StoreError::LockFailed { .. }) => {
                                     deadlocks.fetch_add(1, Ordering::Relaxed);
                                     txn.abort(None).unwrap();
                                     continue 'retry;
@@ -241,10 +248,7 @@ fn record_deadlock_is_detected_and_recoverable() {
                     Err(e) => {
                         // Deadlock victim: abort and count.
                         assert!(
-                            matches!(
-                                e,
-                                pitree_pagestore::StoreError::LockFailed { deadlock: true }
-                            ),
+                            matches!(e, StoreError::LockFailed { deadlock: true }),
                             "{e}"
                         );
                         deadlocks.fetch_add(1, Ordering::Relaxed);
@@ -292,4 +296,132 @@ fn completions_run_from_many_threads() {
     let report = tree.validate().unwrap();
     assert!(report.is_well_formed(), "{:?}", report.violations);
     assert_eq!(report.records, 900);
+}
+
+/// Pipelined commits from many threads: each writer publishes its commits
+/// (locks released at log append, §4.2.2's early release) and holds at most
+/// 7 unacked before it waits for the oldest one's durable ack. After the
+/// drain every published commit is durable, every write released its locks
+/// early exactly once, and the tree holds what the writers' model says.
+#[test]
+fn pipelined_publish_and_ack_from_many_threads() {
+    let (cs, tree) = setup(PiTreeConfig::small_nodes(8, 8));
+    let tree = &*tree;
+    let elr = cs.store.recorder().counter("txn.elr_released");
+    let elr_before = elr.get();
+    let threads = 4u64;
+    // Per writer: the LSNs it published and the records it left behind.
+    let writers: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let (mut window, mut published) = (VecDeque::new(), Vec::new());
+                    let mut model = BTreeMap::new();
+                    for i in 0..120u64 {
+                        // Interleaved keys: the threads share leaves and
+                        // splits. Every fourth write deletes the key
+                        // written three back.
+                        let (k, write) = match i % 4 {
+                            3 => ((i - 3) * threads + t, None),
+                            _ => (i * threads + t, Some(val(i * threads + t))),
+                        };
+                        let (txn, _) = tree
+                            .autocommit(|txn| match &write {
+                                Some(v) => tree.insert(txn, &key(k), v),
+                                None => tree.delete(txn, &key(k)),
+                            })
+                            .unwrap();
+                        let commit = txn.commit_publish();
+                        published.push(commit.lsn());
+                        window.push_back(commit);
+                        if window.len() > 7 {
+                            window.pop_front().unwrap().wait_durable().unwrap();
+                        }
+                        match write {
+                            Some(v) => model.insert(key(k), v),
+                            None => model.remove(&key(k)),
+                        };
+                    }
+                    for commit in window {
+                        commit.wait_durable().unwrap();
+                    }
+                    (published, model)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let durable = cs.store.log.flushed_lsn();
+    let published: Vec<_> = writers.iter().flat_map(|(lsns, _)| lsns).collect();
+    assert_eq!(published.len(), 480);
+    assert!(published.iter().all(|lsn| **lsn <= durable));
+    assert_eq!(elr.get() - elr_before, 480, "one early release per write");
+    for _ in 0..4 {
+        tree.run_completions().unwrap();
+    }
+    let report = tree.validate().unwrap();
+    assert!(report.is_well_formed(), "{:?}", report.violations);
+    let want: BTreeMap<_, _> = writers.into_iter().flat_map(|(_, m)| m).collect();
+    let want: Vec<_> = want.into_iter().collect();
+    assert_eq!(tree.scan(&key(0), &key(u64::MAX)).unwrap(), want);
+}
+
+/// `Store::assemble` with a lock-wait timeout short enough to test.
+fn store_with_lock_timeout(timeout: Duration) -> Arc<Store> {
+    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
+    let log = Arc::new(LogManager::open(Arc::new(MemLogStore::new())).unwrap());
+    pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
+    let space = SpaceMap::init(&pool, 1 << 16).unwrap();
+    let txns = TxnManager::new(Arc::clone(&log), Arc::clone(&pool), timeout);
+    Arc::new(Store {
+        pool,
+        log,
+        txns,
+        space,
+    })
+}
+
+#[test]
+fn autocommit_retries_after_a_lock_failure() {
+    let store = store_with_lock_timeout(Duration::from_millis(20));
+    let tree = PiTree::create(store, 1, PiTreeConfig::default()).unwrap();
+    // A conflicting holder: an uncommitted insert keeps the key X-locked.
+    let mut holder = tree.begin();
+    tree.insert(&mut holder, b"k", b"held").unwrap();
+    let mut holder = Some(holder);
+    let mut attempts = 0;
+    let (txn, created) = tree
+        .autocommit(|t| {
+            attempts += 1;
+            if attempts == 2 {
+                // The first attempt timed out on the holder's lock.
+                holder.take().unwrap().commit().unwrap();
+            }
+            tree.insert(t, b"k", b"mine")
+        })
+        .unwrap();
+    assert_eq!(attempts, 2);
+    assert!(!created, "the holder's insert committed first");
+    txn.commit().unwrap();
+    assert_eq!(tree.get_unlocked(b"k").unwrap(), Some(b"mine".to_vec()));
+}
+
+#[test]
+fn autocommit_returns_any_other_error_unchanged() {
+    let (_cs, tree) = setup(PiTreeConfig::small_nodes(8, 8));
+    let mut attempts = 0;
+    let err = tree
+        .autocommit(|t| {
+            attempts += 1;
+            tree.insert(t, b"k", b"v")?;
+            Err::<(), _>(StoreError::Corrupt("boom".into()))
+        })
+        .unwrap_err();
+    assert_eq!(attempts, 1);
+    assert_eq!(err.to_string(), "corrupt data: boom");
+    // The failed transaction was rolled back and holds no lock.
+    assert_eq!(tree.get_unlocked(b"k").unwrap(), None);
+    let (txn, created) = tree.autocommit(|t| tree.insert(t, b"k", b"v")).unwrap();
+    assert!(created);
+    txn.commit().unwrap();
 }

@@ -1,11 +1,21 @@
 //! Adapters exposing the Π-tree through the [`ConcurrentIndex`] surface the
 //! baseline protocols implement, so experiment E1 drives them identically.
 
-use crate::driver::commit;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_baselines::ConcurrentIndex;
 use pitree_obs::{Hist, Stopwatch};
+use pitree_pagestore::StoreResult;
+use pitree_txnlock::Txn;
 use std::sync::Arc;
+
+/// One autocommitted operation, forced: run `op` under
+/// [`Engine::autocommit`](pitree::Engine::autocommit) (deadlock victims
+/// retry), commit, and wait for the durable ack. Returns `op`'s value.
+pub fn commit<'t, T>(tree: &'t PiTree, op: impl FnMut(&mut Txn<'t>) -> StoreResult<T>) -> T {
+    let (txn, v) = tree.autocommit(op).expect("autocommitted op");
+    txn.commit().expect("commit");
+    v
+}
 
 /// A Π-tree with its store, autocommitting one forced transaction per
 /// operation — the same per-operation cost model the baselines have.

@@ -14,12 +14,25 @@
 //! `OBSERVABILITY.md` documents every line of the output.
 
 use pitree::{PiTree, PiTreeConfig};
-use pitree_harness::driver::Cli;
 use pitree_harness::obsdemo;
 use std::sync::Arc;
 
+/// The `--jsonl PATH` flag, if given; any other argument prints the usage
+/// line and exits with status 2.
+fn jsonl_path() -> Option<String> {
+    let mut args = std::env::args().skip(1);
+    match (args.next().as_deref(), args.next(), args.next()) {
+        (None, ..) => None,
+        (Some("--jsonl"), Some(path), None) => Some(path),
+        _ => {
+            eprintln!("usage: obstop [--jsonl PATH]");
+            std::process::exit(2)
+        }
+    }
+}
+
 fn main() {
-    let cli = Cli::from_env("obstop", &["--jsonl PATH"]);
+    let jsonl = jsonl_path();
 
     let seed = obsdemo::seed_from_env();
     println!(
@@ -39,9 +52,9 @@ fn main() {
     println!("---- workload registry ----");
     print!("{}", registry.report());
 
-    if let Some(path) = cli.value("--jsonl") {
+    if let Some(path) = jsonl {
         let dump = registry.events_jsonl();
-        std::fs::write(path, &dump).expect("write jsonl");
+        std::fs::write(&path, &dump).expect("write jsonl");
         println!(
             "\nevent dump: {} events -> {path} (newest-first ring survivors, clock order)",
             dump.lines().count()

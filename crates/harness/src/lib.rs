@@ -15,17 +15,17 @@
 //! [`footprint`] is experiment E1's measurement, gated by
 //! `tests/paper_claims.rs`.
 //!
-//! [`driver`] is the one bench driver under the `scenarios` and `mttr`
-//! bins: flag parsing, the autocommit/commit-pipeline protocol, durable
-//! image handling, the timed phase loop, and the `BENCH_*.json` schema.
+//! [`scenario`] holds the scenario matrix's generators, which `benchmark/`
+//! draws its op streams from; `tests/scenario_twins.rs` gates every
+//! scenario with its deterministic oracle twins. Timings live in
+//! `benchmark/` alone.
 
 pub mod adapters;
-pub mod driver;
 pub mod footprint;
 pub mod obsdemo;
 pub mod scenario;
 pub mod workload;
 
 pub use adapters::PiTreeIndex;
-pub use scenario::{matrix, Access, EngineSet, KeyStream, Mix, MixOp, Population, ScenarioSpec};
+pub use scenario::{matrix, Access, EngineSet, KeyStream, Mix, MixOp, ScenarioSpec};
 pub use workload::{KeyDist, Workload};

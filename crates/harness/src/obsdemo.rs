@@ -14,7 +14,6 @@
 //! no timing-dependent decisions. `tests/obs_determinism.rs` holds the
 //! gate; `PITREE_SIM_SEED` replays a specific run.
 
-use crate::driver::key_bytes;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_sim::SimRng;
 use std::sync::Arc;
@@ -79,7 +78,7 @@ pub fn run(seed: u64) -> DemoRun {
     rng.shuffle(&mut keys);
     for k in &keys {
         let mut txn = tree.begin();
-        tree.insert(&mut txn, &key_bytes(*k), format!("v{k}").as_bytes())
+        tree.insert(&mut txn, &k.to_be_bytes(), format!("v{k}").as_bytes())
             .expect("load insert");
         txn.commit().expect("load commit");
     }
@@ -89,16 +88,17 @@ pub fn run(seed: u64) -> DemoRun {
         let k = rng.below(LOAD_KEYS);
         match rng.below(10) {
             0..=4 => {
-                let _ = tree.get_unlocked(&key_bytes(k)).expect("get");
+                let _ = tree.get_unlocked(&k.to_be_bytes()).expect("get");
             }
             5..=7 => {
                 let mut txn = tree.begin();
-                tree.delete(&mut txn, &key_bytes(k)).expect("delete");
+                tree.delete(&mut txn, &k.to_be_bytes()).expect("delete");
                 txn.commit().expect("delete commit");
             }
             _ => {
                 let mut txn = tree.begin();
-                tree.insert(&mut txn, &key_bytes(k), b"vv").expect("insert");
+                tree.insert(&mut txn, &k.to_be_bytes(), b"vv")
+                    .expect("insert");
                 txn.commit().expect("churn commit");
             }
         }

@@ -1,12 +1,9 @@
-//! The million-key scenario matrix: workload shapes, population/pool
-//! sizing, and the deterministic oracle twins that gate each scenario.
+//! The scenario matrix: workload shapes and the deterministic oracle
+//! twins that gate each scenario.
 //!
-//! The paper's §1 claim is *comparative* — the Π-tree's latch/lock/log
-//! discipline wins under real contention — and contention only exists
-//! when the buffer pool is a small fraction of the data (EXPERIMENTS.md
-//! S7 caps it at ≤ 1%). This module is the spec side of that experiment:
-//! the `scenarios` bin consumes [`ScenarioSpec`]s from [`matrix`], drives
-//! each engine with [`KeyStream`] samples, and gates every scenario with
+//! A [`ScenarioSpec`] from [`matrix`] is an op [`Mix`] aimed by a
+//! [`KeyStream`]. `benchmark/` draws its op streams from the same [`Mix`]
+//! and [`KeyStream`] code. `tests/scenario_twins.rs` gates every spec with
 //! [`twin_ops`] streams through `pitree-check`'s
 //! [`differential_twin`](pitree_check::differential_twin) and the crash
 //! oracle's [`sweep_script`](pitree_sim::crash::sweep_script), plus the
@@ -14,51 +11,12 @@
 //!
 //! Every sampler runs on [`SimRng`] + the deterministic
 //! [`Zipf`] generator, so a scenario is a pure
-//! function of its seed: the bench stream at 1M keys and the twin stream
+//! function of its seed: a stream over 1M keys and the twin stream
 //! at domain ~100 are the *same shape* drawn from the same code.
 
 use crate::workload::{scramble, Zipf};
 use pitree_sim::crash::Op;
 use pitree_sim::SimRng;
-
-/// Key population of a scenario store: how many keys are preloaded and
-/// how wide the key space the workload draws from is. Keeping the two in
-/// one struct (instead of loose `load_keys` / `key_space` knobs) makes
-/// the miss ratio explicit — `key_space > load_keys` means a known
-/// fraction of point reads miss — and gives BENCH JSON one self-
-/// describing config block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Population {
-    /// Keys preloaded before the measured phase.
-    pub load_keys: u64,
-    /// Workload keys are drawn from `0..key_space`.
-    pub key_space: u64,
-}
-
-impl Population {
-    /// Every drawn key was preloaded: reads hit unless deleted.
-    pub fn dense(n: u64) -> Population {
-        Population {
-            load_keys: n,
-            key_space: n,
-        }
-    }
-
-    /// A sparse population: `key_space > load_keys`, so point reads miss
-    /// at a known rate and inserts grow the tree.
-    pub fn sparse(load_keys: u64, key_space: u64) -> Population {
-        assert!(key_space >= load_keys);
-        Population {
-            load_keys,
-            key_space,
-        }
-    }
-
-    /// Expected fraction of uniform point reads that find a key.
-    pub fn hit_fraction(&self) -> f64 {
-        self.load_keys as f64 / self.key_space as f64
-    }
-}
 
 /// Operation mix in percent (must sum to 100). Scans carry their length.
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +48,7 @@ impl Mix {
     }
 
     /// Draw the next operation: roll the mix, then aim it with `stream`.
-    /// The bench phases and the oracle twins share this, so a twin is the
+    /// The benchmark and the oracle twins share this, so a twin is the
     /// same op sequence as its scenario, scaled down.
     pub fn draw(&self, stream: &mut KeyStream, rng: &mut SimRng) -> MixOp {
         let roll = rng.below(100) as u32;
@@ -103,22 +61,6 @@ impl Mix {
         } else {
             MixOp::Scan(stream.next_existing(rng))
         }
-    }
-
-    /// Human-readable form for the JSON config block.
-    pub fn describe(&self) -> String {
-        let mut parts = Vec::new();
-        for (pct, what) in [
-            (self.get, "get".to_string()),
-            (self.insert, "insert".to_string()),
-            (self.delete, "delete".to_string()),
-            (self.scan, format!("scan({})", self.scan_len)),
-        ] {
-            if pct > 0 {
-                parts.push(format!("{pct}% {what}"));
-            }
-        }
-        parts.join(" / ")
     }
 }
 
@@ -155,23 +97,10 @@ pub enum Access {
     Sequential,
 }
 
-impl Access {
-    /// Human-readable form for the JSON config block.
-    pub fn describe(&self) -> String {
-        match self {
-            Access::Uniform => "uniform".into(),
-            Access::Zipf(t) => format!("zipf({t})"),
-            Access::HotBand { width } => format!("hot-band({width})"),
-            Access::Sequential => "sequential".into(),
-        }
-    }
-}
-
-/// Engines a scenario compares (the bin maps these to drivers).
+/// Engines a scenario compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSet {
-    /// Π-tree (pipelined commits) vs. the lock-coupling baseline (forced
-    /// commits), each over its copy of the same file-backed image.
+    /// Π-tree vs. the lock-coupling baseline on point and range ops.
     PointVsBaselines,
     /// TSB-tree as-of reads/puts vs. Π-tree current-version ops vs.
     /// lock-coupling — the temporal scenario.
@@ -180,23 +109,16 @@ pub enum EngineSet {
     /// key (x-slab scan + y filter), the classic composite-index strawman
     /// the hB-tree paper argues against.
     MultiAttr,
-    /// The Π-tree alone, one measured phase per worker-thread count, over
-    /// a small half-dense population that fits its pool — so the log
-    /// force, not the pool, is what the workers share. Written as
-    /// `BENCH_throughput.json` (EXPERIMENTS.md S4/S5).
-    PiScaling {
-        /// Worker-thread counts, one measured phase each.
-        threads: &'static [usize],
-    },
+    /// The Π-tree alone across worker threads: the commit-path row
+    /// (EXPERIMENTS.md S4/S5).
+    PiScaling,
 }
 
 /// One scenario of the matrix.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioSpec {
-    /// JSON/file name suffix (`BENCH_scenario_<name>.json`).
+    /// Scenario name.
     pub name: &'static str,
-    /// One-line description for the JSON.
-    pub what: &'static str,
     /// Operation mix.
     pub mix: Mix,
     /// Key access shape.
@@ -213,86 +135,69 @@ pub fn matrix() -> Vec<ScenarioSpec> {
     vec![
         ScenarioSpec {
             name: "ycsb-a",
-            what: "update-heavy: 50% reads / 50% upserts, zipf(0.99)",
             mix: Mix::new(50, 50, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-b",
-            what: "read-mostly: 95% reads / 5% upserts, zipf(0.99)",
             mix: Mix::new(95, 5, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-c",
-            what: "read-only: 100% reads, zipf(0.99)",
             mix: Mix::new(100, 0, 0, 0, 0),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "ycsb-e",
-            what: "short scans: 95% scans(50) / 5% inserts, zipf(0.99) start keys",
             mix: Mix::new(0, 5, 0, 95, 50),
             access: Access::Zipf(0.99),
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "scan-range",
-            what: "scan-heavy: 60% scans(500) / 30% reads / 10% upserts, uniform",
             mix: Mix::new(30, 10, 0, 60, 500),
             access: Access::Uniform,
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "hot-storm",
-            what: "adversarial write storm on one subtree: 45% inserts / 45% deletes \
-                   / 10% reads in an unscrambled hot band",
             mix: Mix::new(10, 45, 45, 0, 0),
             access: Access::HotBand { width: 512 },
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "seq-append",
-            what: "append storm: 80% sequential inserts / 20% reads of the appended \
-                   prefix (rightmost-leaf contention)",
             mix: Mix::new(20, 80, 0, 0, 0),
             access: Access::Sequential,
             engines: EngineSet::PointVsBaselines,
         },
         ScenarioSpec {
             name: "tsb-asof",
-            what: "temporal: 70% as-of reads / 10% as-of scans(50) / 20% puts; \
-                   TSB-tree vs current-version Π-tree and lock-coupling",
             mix: Mix::new(70, 20, 0, 10, 50),
             access: Access::Zipf(0.99),
             engines: EngineSet::Temporal,
         },
         ScenarioSpec {
             name: "hb-multiattr",
-            what: "multi-attribute: 70% window queries / 30% point inserts; hB-tree \
-                   vs Π-tree over the concatenated (x,y) key",
             mix: Mix::new(0, 30, 0, 70, 16), // window edge length in attribute units
             access: Access::Uniform,
             engines: EngineSet::MultiAttr,
         },
         ScenarioSpec {
             name: "throughput",
-            what: "commit-path scaling: 50% reads / 40% upserts / 10% deletes, uniform over \
-                   a half-dense key space that fits its pool, at 1/4/8 worker threads",
             mix: Mix::new(50, 40, 10, 0, 0),
             access: Access::Uniform,
-            engines: EngineSet::PiScaling {
-                threads: &[1, 4, 8],
-            },
+            engines: EngineSet::PiScaling,
         },
     ]
 }
 
 /// Seeded key sampler for one scenario over a given key space — the same
-/// shape at 1M keys (bench) and at domain ~100 (oracle twin).
+/// shape at 1M keys and at domain ~100 (oracle twin).
 #[derive(Debug)]
 pub struct KeyStream {
     access: Access,
@@ -574,12 +479,6 @@ mod tests {
             let k = s.next(&mut rng);
             assert!((499_744..500_256).contains(&k), "escaped the band: {k}");
         }
-    }
-
-    #[test]
-    fn population_describes_hit_rate() {
-        assert_eq!(Population::dense(100).hit_fraction(), 1.0);
-        assert_eq!(Population::sparse(50, 100).hit_fraction(), 0.5);
     }
 
     #[test]

@@ -23,14 +23,21 @@
 //! a crash that lands after several checkpoints must still recover the
 //! committed state exactly (analysis now starts at the checkpoint, not
 //! the log head).
+//!
+//! The last test is instant restart's claim as a counter: the first op
+//! after `recover_instant` redoes one root-to-leaf path on demand, not the
+//! plan. Its timing (`ttfo_ms` / `replay_ms` / `drain_ms`) is measured by
+//! `benchmark/`'s `restart` workload.
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig, Store};
 use pitree_hb::{HbConfig, HbTree, Point, Rect};
 use pitree_pagestore::PageId;
 use pitree_sim::crash::{self, Model};
+use pitree_sim::SimRng;
 use pitree_tsb::{Time, TsbConfig, TsbTree};
+use pitree_txnlock::PendingCommit;
 use pitree_wal::{InstantRecovery, RecoveryStats};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Per key, every committed version: `(start time, value or tombstone)`.
@@ -355,4 +362,105 @@ fn auto_checkpoint_trigger_advances_master_under_load() {
     assert!(stats2.analysis_start >= master);
     plan.drive(&crashed2.store.pool, 2).expect("drive");
     check_model(&tree2, &model, "post-checkpoint instant");
+}
+
+/// Publish a forced upsert of `k` at version `ver` with a 256-byte value,
+/// holding at most 7 commits in flight: the 8th waits for the oldest ack.
+fn upsert_pipelined<'t>(
+    tree: &'t PiTree,
+    window: &mut VecDeque<PendingCommit<'t>>,
+    k: u64,
+    ver: u64,
+) {
+    let value = versioned_value(k, ver);
+    let (txn, _) = tree
+        .autocommit(|t| tree.insert(t, &key(k), &value))
+        .expect("upsert");
+    window.push_back(txn.commit_publish());
+    if window.len() == 8 {
+        let oldest = window.pop_front().expect("non-empty window");
+        oldest.wait_durable().expect("ack");
+    }
+}
+
+fn versioned_value(k: u64, ver: u64) -> Vec<u8> {
+    let mut v = vec![b'v'; 256];
+    v[..8].copy_from_slice(&k.to_be_bytes());
+    v[8..16].copy_from_slice(&ver.to_be_bytes());
+    v
+}
+
+/// The crash image of the first-op gate: 3,000 keys with 256-byte values,
+/// a flush + checkpoint fence, 128 KiB of pipelined upserts of random keys,
+/// a crash with no loser. Returns the store, every key's committed version
+/// and the last key updated.
+fn fenced_image_with_upserts() -> (CrashableStore, Vec<u64>, u64) {
+    const KEYS: u64 = 3_000;
+    const POST_FENCE_BYTES: u64 = 128 << 10;
+    let cs = CrashableStore::create(8192, 1 << 20).expect("store");
+    let tree = PiTree::create(Arc::clone(&cs.store), 1, PiTreeConfig::default()).expect("tree");
+    let mut versions = vec![0u64; KEYS as usize];
+    let mut window = VecDeque::new();
+    for k in 0..KEYS {
+        upsert_pipelined(&tree, &mut window, k, 0);
+    }
+    let ack_all = |w: &mut VecDeque<PendingCommit<'_>>| {
+        w.drain(..)
+            .try_for_each(|c| c.wait_durable().map(drop))
+            .expect("ack");
+    };
+    ack_all(&mut window);
+    cs.store.pool.flush_all().expect("flush");
+    cs.store.txns.checkpoint().expect("checkpoint");
+
+    let base = cs.store.log.flushed_lsn().0;
+    let mut rng = SimRng::new(0x9177 ^ POST_FENCE_BYTES);
+    let mut last = 0;
+    while cs.store.log.flushed_lsn().0 - base < POST_FENCE_BYTES {
+        last = rng.below(KEYS);
+        versions[last as usize] += 1;
+        upsert_pipelined(&tree, &mut window, last, versions[last as usize]);
+    }
+    ack_all(&mut window);
+    (cs.crash().expect("crash"), versions, last)
+}
+
+/// Time to first op is O(analysis + one path), not O(plan): on a crash
+/// image whose plan owes well over a hundred pages, one `get` of a key
+/// whose leaf the plan owes redoes at least that leaf and at most one page
+/// per level plus one, and leaves the rest of the plan to the drain.
+#[test]
+fn first_op_after_instant_restart_redoes_a_path_not_the_plan() {
+    let (crashed, versions, last) = fenced_image_with_upserts();
+    let cfg = PiTreeConfig::default();
+    let (tree, plan, stats) =
+        PiTree::recover_instant(Arc::clone(&crashed.store), 1, cfg).expect("instant recover");
+    assert!(stats.losers.is_empty(), "every upsert was acked");
+    let on_demand = crashed.store.recorder().counter("recovery.on_demand_redos");
+    let owed = plan.pending_page_count();
+    let before = on_demand.get();
+    let got = tree.get_unlocked(&key(last)).expect("first get");
+    let redone = on_demand.get() - before;
+    let height = u64::from(tree.height().expect("height"));
+    assert_eq!(got, Some(versioned_value(last, versions[last as usize])));
+    println!(
+        "instant_restart: the first get redid {redone} page(s) on demand (height {height}); \
+         the plan owed {owed} pages and holds {} for the drain",
+        plan.pending_page_count()
+    );
+    assert!(
+        (1..=height + 1).contains(&redone),
+        "the first get redid {redone} pages; its path is {height} pages"
+    );
+    assert!(
+        plan.pending_page_count() >= 100,
+        "the plan must still owe the drain its pages"
+    );
+
+    plan.drive(&crashed.store.pool, 2).expect("drain");
+    assert!(plan.is_complete());
+    for (k, ver) in (0..).zip(&versions) {
+        let got = tree.get_unlocked(&key(k)).expect("get");
+        assert_eq!(got, Some(versioned_value(k, *ver)), "key {k}");
+    }
 }

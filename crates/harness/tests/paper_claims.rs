@@ -28,7 +28,7 @@
 use pitree::{
     Completion, ConsolidationPolicy, CrashableStore, DeallocPolicy, PiTree, PiTreeConfig,
 };
-use pitree_harness::driver::commit;
+use pitree_harness::adapters::commit;
 use pitree_harness::footprint::{measure, MIXES};
 use pitree_pagestore::{PageId, PageOp, PageType};
 use pitree_wal::{ActionId, ActionIdentity, RecordKind};

@@ -5,6 +5,7 @@
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
 #                                # + fill, image-fill, prefix, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracles
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
@@ -124,77 +125,12 @@ for i in 1 2; do
     seeded_schedule >/dev/null
 done
 
-mttr_out="$(mktemp)"
-scen_dir="$(mktemp -d)"
-trap 'rm -f "$mttr_out"; rm -rf "$scen_dir"' EXIT
+step "scenario-twins gate (every scenario::matrix() spec's oracle twins at 8 seeds: differential + durability sweep + TSB/hB model twin; totals pinned per spec)"
+cargo test --offline -q -p pitree-harness --test scenario_twins -- --nocapture | grep -E 'scenario_twins: |^test result'
 
-step "mttr smoke (instant restart: first op must beat stop-the-world replay)"
-cargo run --offline --release -q --bin mttr -- --smoke --out "$mttr_out" >/dev/null
-for key in '"bench": "mttr"' '"mode": "smoke"' '"first_op_ns"' '"full_replay_ns"' \
-           '"ttfo_speedup"' '"full_recovery_ns"' '"redo_pages"' \
-           '"on_demand_redos"' '"post_checkpoint_bytes"'; do
-  grep -q "$key" "$mttr_out" || { echo "mttr smoke output missing $key" >&2; exit 1; }
-done
-# Instant restart must answer its first op well before a full replay
-# would: gate at 2x so the check is robust to warm-cache CI machines
-# (the committed full-mode BENCH_mttr.json shows the cold-cache margin).
-while read -r full first; do
-  if (( first * 2 > full )); then
-    echo "first_op_ns=$first vs full_replay_ns=$full: instant restart is not instant" >&2
-    exit 1
-  fi
-done < <(sed -n 's/.*"full_replay_ns": \([0-9]*\),.*"first_op_ns": \([0-9]*\),.*/\1 \2/p' "$mttr_out")
-
-step "scenario smoke (matrix runs end to end; every oracle twin must pass; groups must form)"
-scen_start=$SECONDS
-cargo run --offline --release -q --bin scenarios -- --smoke --out-dir "$scen_dir" >/dev/null
-scen_elapsed=$(( SECONDS - scen_start ))
-if [[ "$scen_elapsed" -ge 120 ]]; then
-  echo "scenarios --smoke took ${scen_elapsed}s (budget 120s)" >&2
-  exit 1
-fi
-# The matrix's multi-thread `throughput` row lands in BENCH_throughput.json.
-tp_out="$scen_dir/BENCH_throughput.json"
-for key in '"bench": "throughput"' '"mode": "smoke"' '"threads"' '"ops_per_sec"' \
-           '"wal_group_size_p50"' '"ack_p95_ns"' '"txn_elr_released"' \
-           '"wal_linger_p50_ns"' '"wal_force_waiters"' '"buf_shard_conflicts"'; do
-  grep -q "$key" "$tp_out" || { echo "throughput smoke output missing $key" >&2; exit 1; }
-done
-# Group commit must actually group: at >= 4 threads the median commits per
-# forced batch must be at least 2 (the regression this gate exists for
-# measured p50 = 1 at every thread count).
-while read -r threads p50; do
-  if [[ "$threads" -ge 4 && "$p50" -lt 2 ]]; then
-    echo "wal_group_size_p50 = $p50 at $threads threads: group commit is not grouping" >&2
-    exit 1
-  fi
-done < <(sed -n 's/.*"threads": \([0-9]*\),.*"wal_group_size_p50": \([0-9]*\),.*/\1 \2/p' "$tp_out")
-scen_count=$(ls "$scen_dir"/BENCH_scenario_*.json 2>/dev/null | wc -l)
-if [[ "$scen_count" -lt 6 ]]; then
-  echo "scenarios --smoke emitted only $scen_count BENCH files (need >= 6)" >&2
-  exit 1
-fi
-for f in "$scen_dir"/BENCH_scenario_*.json; do
-  for key in '"bench": "scenario"' '"version"' '"pool_pct"' '"ops_per_sec"' \
-             '"evictions"' '"writebacks"' '"oracle_twin"'; do
-    grep -q "$key" "$f" || { echo "$(basename "$f") missing $key" >&2; exit 1; }
-  done
-  grep -q '"oracle_twin": {"status": "pass"' "$f" || {
-    echo "$(basename "$f"): oracle twin did not pass" >&2
-    sed -n 's/.*"oracle_twin".*/&/p' "$f" >&2
-    exit 1
-  }
-done
-# Zero-copy read-path sanity: the pi-tree's fully-cached smoke p50 for the
-# read-only mix sits at ~2 us; a p50 above 8191 ns means the hot path grew
-# allocations or per-probe decodes back (two full histogram buckets of
-# headroom for slow CI machines).
-ycsbc_p50="$(sed -n 's/.*"name": "pi-tree",[^}]*"p50_ns": \([0-9]*\).*/\1/p' \
-  "$scen_dir"/BENCH_scenario_ycsb_c.json | head -1)"
-if [[ -z "$ycsbc_p50" || "$ycsbc_p50" -gt 8191 ]]; then
-  echo "ycsb-c smoke p50_ns=${ycsbc_p50:-missing} (bound 8191): read hot path regressed" >&2
-  exit 1
-fi
+step "first-op gate (instant restart: the first get after recover_instant redoes its leaf's path on demand, not the plan)"
+cargo test --offline -q -p pitree-harness --test instant_restart -- --nocapture \
+  first_op_after_instant_restart_redoes_a_path_not_the_plan | grep -E 'instant_restart: |^test result'
 
 step "ThreadSanitizer suites (skips cleanly without an instrumented nightly)"
 ./scripts/tsan.sh
