@@ -40,7 +40,8 @@ impl Default for DiffConfig {
 pub struct DiffViolation {
     /// The index that diverged.
     pub index: &'static str,
-    /// Seed of the failing run (replayable via `pitree-check --replay`).
+    /// Seed of the failing run: [`run_differential`] with this seed
+    /// replays it.
     pub seed: u64,
     /// Zero-based operation index at which the divergence was observed
     /// (`usize::MAX` for the final sweep).
@@ -207,7 +208,7 @@ mod tests {
         assert_eq!(report.ops, 400);
     }
 
-    /// Replay stability: seed → stream is part of `--replay`'s contract.
+    /// Replay stability: seed → stream is part of the replay contract.
     /// Pinned against the generator as it stood when it was fused with the
     /// driver loop.
     #[test]

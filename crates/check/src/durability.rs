@@ -2,8 +2,8 @@
 //! crash oracle, [`pitree_sim::crash`].
 //!
 //! The sweep itself — script runner, boundary sweep, recover-and-verify,
-//! the typed [`Violation`] — lives in the sim kit; the CLI calls
-//! [`crash::sweep_script`] on the seed's script, and the
+//! the typed [`Violation`] — lives in the sim kit; `tests/check_props.rs`
+//! calls [`crash::sweep_script`] on each seed's script, and the
 //! [shrinker](crate::shrink) re-drives candidate scripts through the same
 //! function while minimizing. What lives here:
 //!

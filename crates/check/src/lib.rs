@@ -27,9 +27,11 @@
 //! publish, before the durable watermark covered it) and
 //! [`durability::stale_read_violation`] (a read the committed model
 //! contradicts) —
-//! so the gate in `scripts/verify.sh` proves the oracles have teeth
-//! before trusting their green light. The `pitree-check` binary fronts
-//! all of this over replayable seeds (see `--help`).
+//! so the tests prove the oracles have teeth before trusting their green
+//! light. `tests/check_props.rs` is the gate: every layer over a fixed
+//! seed corpus, with pinned durability totals (`scripts/verify.sh` runs
+//! it). A failure panics with its seed; calling the same oracle function
+//! with that seed replays it.
 
 #![warn(missing_docs)]
 

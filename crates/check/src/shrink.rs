@@ -40,7 +40,8 @@ pub fn ddmin<T: Clone, F: Fn(&[T]) -> bool>(input: &[T], fails: F) -> Vec<T> {
 
 /// Shrink a script that fails the full crash-point sweep, preserving the
 /// failure as judged by [`sweep_script`]. Expensive (each candidate
-/// re-sweeps), so intended for one-off replay investigation, not gates.
+/// re-sweeps), so it runs only once a sweep has already failed: the
+/// durability gate in `tests/check_props.rs` panics with its result.
 pub fn shrink_durability(script: &[Op], seed: u64, cfg: &SweepConfig) -> Vec<Op> {
     ddmin(script, |cand| sweep_script(cand, seed, cfg).is_err())
 }

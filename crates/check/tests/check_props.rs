@@ -1,29 +1,60 @@
-//! Property sweeps: the check oracles driven from the sim kit's fixed,
-//! replayable seed corpus, plus the seeded-violation rejection gates.
+//! The oracles' gate: the differential, linearizability and durability
+//! layers over a fixed seed corpus, plus the seeded-violation rejection
+//! tests that prove each layer has teeth.
+//!
+//! The corpus is 8 seeds per layer, `case_seed("pitree-check.<layer>", i)`.
+//! The durability layers pin their coverage totals and print them
+//! (`check_props: ` lines, which `scripts/verify.sh` shows): a refactor
+//! that moves a total changed what the oracle crashes. Every failure
+//! panics with its seed; a durability failure also carries the minimal
+//! failing script from [`shrink_durability`]. To replay a seed, call the
+//! same oracle function with it.
 //!
 //! Determinism contract: everything below derives from `pitree_sim`
 //! seeds — no clocks, no entropy, no environment reads (enforced by
 //! pitree-lint's determinism rule, which covers this file).
 
-use pitree_check::durability::{fixture_script, tail_drop_violation};
+use pitree_check::durability::{elr_chain_violation, fixture_script, tail_drop_violation};
 use pitree_check::index::{LostWriteIndex, ModelIndex, StaleReadIndex};
-use pitree_check::shrink::shrink_tail_drop;
+use pitree_check::shrink::{shrink_durability, shrink_tail_drop};
 use pitree_check::{
     all_indexes, lin_targets, run_differential, run_linearizability, DiffConfig, LinConfig,
 };
 use pitree_sim::crash::{sweep_script, SweepConfig, Workload};
-use pitree_sim::{prop, SimRng};
+use pitree_sim::prop::{self, case_seed};
+use pitree_sim::SimRng;
+
+/// Seeds per layer.
+const SEEDS: usize = 8;
+
+/// The script each durability seed generates.
+const WORKLOAD: Workload = Workload {
+    ops: 40,
+    key_domain: 32,
+};
+
+/// The durability sweep over [`WORKLOAD`]: 8 crash points per seed.
+fn sweep_config() -> SweepConfig {
+    SweepConfig {
+        max_crash_points: 8,
+        ..SweepConfig::default()
+    }
+}
+
+/// The corpus of one layer.
+fn corpus(layer: &str) -> impl Iterator<Item = u64> + '_ {
+    (0..SEEDS).map(move |i| case_seed(layer, i))
+}
 
 #[test]
 fn differential_all_indexes_match_model() {
-    prop::run_cases("check.diff.all-indexes", 8, |rng| {
-        let seed = rng.next_u64();
+    for seed in corpus("pitree-check.diff") {
         for idx in all_indexes() {
             if let Err(v) = run_differential(idx.as_ref(), seed, DiffConfig::default()) {
                 panic!("{v}");
             }
         }
-    });
+    }
 }
 
 #[test]
@@ -37,14 +68,13 @@ fn differential_rejects_lost_write_fixture() {
 
 #[test]
 fn linearizability_of_concurrent_targets() {
-    prop::run_cases("check.linear.targets", 4, |rng| {
-        let seed = rng.next_u64();
+    for seed in corpus("pitree-check.linear") {
         for idx in lin_targets() {
             if let Err(e) = run_linearizability(idx.as_ref(), seed, LinConfig::default()) {
-                panic!("{}: {e}", idx.name());
+                panic!("{} (seed {seed:#x}): {e}", idx.name());
             }
         }
-    });
+    }
 }
 
 #[test]
@@ -83,21 +113,34 @@ fn linearizability_rejects_stale_read_fixture() {
 
 #[test]
 fn durability_sweep_recovers_committed_state() {
-    prop::run_cases("check.dur.sweep", 2, |rng| {
-        let seed = rng.next_u64();
-        let workload = Workload {
-            ops: 24,
-            key_domain: 32,
-        };
-        let cfg = SweepConfig {
-            max_crash_points: 5,
-            ..SweepConfig::default()
-        };
-        match sweep_script(&workload.script(&mut SimRng::new(seed)), seed, &cfg) {
-            Ok(report) => assert!(report.window.1 > 0, "workload crossed no boundary"),
+    let cfg = sweep_config();
+    let mut points = 0;
+    for seed in corpus("pitree-check.dur") {
+        let script = WORKLOAD.script(&mut SimRng::new(seed));
+        match sweep_script(&script, seed, &cfg) {
+            Ok(report) => points += report.points.len(),
+            Err(v) => {
+                let min = shrink_durability(&script, seed, &cfg);
+                panic!("{v}\nminimal failing script ({} op(s)): {min:?}", min.len());
+            }
+        }
+    }
+    println!("check_props: durability, {SEEDS} seeds: {points} crash points");
+    assert_eq!(points, 77, "crash points swept over the corpus");
+}
+
+#[test]
+fn durability_elr_chains_recover_the_covered_commits() {
+    let cfg = sweep_config();
+    let mut cuts = 0;
+    for seed in corpus("pitree-check.elr") {
+        match elr_chain_violation(seed, WORKLOAD.key_domain, &cfg) {
+            Ok(c) => cuts += c,
             Err(v) => panic!("{v}"),
         }
-    });
+    }
+    println!("check_props: durability-elr, {SEEDS} seeds: {cuts} prefix cuts");
+    assert_eq!(cuts, 72, "log-prefix cuts over the corpus");
 }
 
 #[test]

@@ -111,6 +111,24 @@ impl<'a> BoundRef<'a> {
         }
     }
 
+    /// Parse a node's `low` then `high` bound from `bytes[*pos..]`, as
+    /// [`BoundRef::parse`] does. Also rejects a `+∞` low and a `−∞` high:
+    /// no node is ever written with either, and the read path would panic
+    /// on one ([`BoundRef::as_entry_key`]).
+    pub fn parse_interval(
+        bytes: &'a [u8],
+        pos: &mut usize,
+    ) -> StoreResult<(BoundRef<'a>, BoundRef<'a>)> {
+        let low = BoundRef::parse(bytes, pos)?;
+        let high = BoundRef::parse(bytes, pos)?;
+        if low == BoundRef::PosInf || high == BoundRef::NegInf {
+            return Err(StoreError::Corrupt(
+                "node bound: +inf low or -inf high".into(),
+            ));
+        }
+        Ok((low, high))
+    }
+
     /// `self ≤ key` when used as a low bound.
     #[inline]
     pub fn le_key(&self, key: &[u8]) -> bool {
@@ -181,7 +199,7 @@ pub struct HeaderRef<'a> {
 
 impl<'a> HeaderRef<'a> {
     /// Parse slot-0 record bytes. Rejects a short header, a bad bound tag, a
-    /// truncated bound and trailing bytes.
+    /// truncated bound, a `+∞` low or `−∞` high bound and trailing bytes.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<HeaderRef<'a>> {
         if bytes.len() < 9 {
             return Err(StoreError::Corrupt("node header too short".into()));
@@ -189,8 +207,7 @@ impl<'a> HeaderRef<'a> {
         let level = bytes[0];
         let side = PageId(u64::from_le_bytes(bytes[1..9].try_into().unwrap()));
         let mut pos = 9;
-        let low = BoundRef::parse(bytes, &mut pos)?;
-        let high = BoundRef::parse(bytes, &mut pos)?;
+        let (low, high) = BoundRef::parse_interval(bytes, &mut pos)?;
         if pos != bytes.len() {
             return Err(StoreError::Corrupt("trailing bytes in node header".into()));
         }

@@ -12,10 +12,11 @@ use pitree_pagestore::PageId;
 use pitree_sim::prop::run;
 use pitree_sim::rng::SimRng;
 
-fn arb_bound(rng: &mut SimRng) -> KeyBound {
-    match rng.below(4) {
-        0 => KeyBound::NegInf,
-        1 => KeyBound::PosInf,
+/// A valid bound at one end: `infinity` (`NegInf` for a low bound,
+/// `PosInf` for a high one) or a key.
+fn arb_bound(rng: &mut SimRng, infinity: KeyBound) -> KeyBound {
+    match rng.below(3) {
+        0 => infinity,
         // Bias toward short keys (the tree's own keys are 8-32 bytes) but
         // include empty and long ones.
         _ => {
@@ -33,8 +34,8 @@ fn arb_header(rng: &mut SimRng) -> NodeHeader {
         } else {
             PageId(rng.next_u64())
         },
-        low: arb_bound(rng),
-        high: arb_bound(rng),
+        low: arb_bound(rng, KeyBound::NegInf),
+        high: arb_bound(rng, KeyBound::PosInf),
     }
 }
 
@@ -123,4 +124,11 @@ fn header_view_rejects_known_corruptions() {
     }
     .encode();
     assert!(HeaderRef::parse(&keyed[..keyed.len() - 1]).is_err());
+    // A +inf low bound and a -inf high bound (tags at bytes 9 and 10).
+    let mut low_pos_inf = valid.clone();
+    low_pos_inf[9] = 2;
+    assert!(HeaderRef::parse(&low_pos_inf).is_err());
+    let mut high_neg_inf = valid;
+    high_neg_inf[10] = 0;
+    assert!(HeaderRef::parse(&high_neg_inf).is_err());
 }

@@ -2,9 +2,11 @@
 //! Π-tree and the three baseline protocols over the same pages, pool and
 //! WAL. `tests/paper_claims.rs` gates its shape.
 
-use crate::{KeyDist, PiTreeIndex, Workload};
+use crate::{Access, KeyStream};
 use pitree::{PiTree, PiTreeConfig};
 use pitree_baselines::{Baseline, ConcurrentIndex, Protocol, TREE_EXCLUSIVE};
+use pitree_check::PiCheckIndex;
+use pitree_sim::SimRng;
 
 /// One E1 workload.
 #[derive(Debug, Clone, Copy)]
@@ -13,8 +15,8 @@ pub struct Mix {
     pub name: &'static str,
     /// Fraction of operations that are point reads; the rest insert.
     pub read_frac: f64,
-    /// Key distribution.
-    pub dist: KeyDist,
+    /// Which keys the operations aim at.
+    pub access: Access,
     /// Entries per node, leaf and index alike.
     pub fanout: usize,
 }
@@ -24,25 +26,25 @@ pub const MIXES: [Mix; 4] = [
     Mix {
         name: "insert-only / uniform",
         read_frac: 0.0,
-        dist: KeyDist::Uniform,
+        access: Access::Uniform,
         fanout: 24,
     },
     Mix {
         name: "50% read / uniform",
         read_frac: 0.5,
-        dist: KeyDist::Uniform,
+        access: Access::Uniform,
         fanout: 24,
     },
     Mix {
         name: "insert-only / sequential (append storm)",
         read_frac: 0.0,
-        dist: KeyDist::Sequential,
+        access: Access::Sequential,
         fanout: 24,
     },
     Mix {
         name: "insert-only / uniform, small fanout (split storm)",
         read_frac: 0.0,
-        dist: KeyDist::Uniform,
+        access: Access::Uniform,
         fanout: 8,
     },
 ];
@@ -62,7 +64,7 @@ pub struct Footprint {
 /// the Π-tree and on each baseline protocol, in that order.
 pub fn measure(mix: Mix, ops: u64) -> Vec<Footprint> {
     let cfg = PiTreeConfig::small_nodes(mix.fanout, mix.fanout);
-    let pi = PiTreeIndex::new(8192, cfg);
+    let pi = PiCheckIndex::new(8192, cfg);
     let mut rows = vec![drive(&pi, pi.tree(), mix, ops)];
     for p in [
         Protocol::LockCoupling,
@@ -76,16 +78,19 @@ pub fn measure(mix: Mix, ops: u64) -> Vec<Footprint> {
 }
 
 fn drive(idx: &dyn ConcurrentIndex, tree: &PiTree, mix: Mix, ops: u64) -> Footprint {
-    let mut w = Workload::new(mix.dist, 1 << 20, 7);
+    // Each phase draws from its own seed and restarts a sequential
+    // stream at key 0.
+    let phase = |seed| (KeyStream::new(mix.access, 1 << 20, 0), SimRng::new(seed));
+    let (mut keys, mut rng) = phase(7);
     for _ in 0..1_000 {
-        idx.insert(&w.next_key(), b"preload");
+        idx.insert(&keys.next(&mut rng).to_be_bytes(), b"preload");
     }
-    let mut w = Workload::new(mix.dist, 1 << 20, 1001);
+    let (mut keys, mut rng) = phase(1001);
     for _ in 0..ops {
-        if w.is_read(mix.read_frac) {
-            let _ = idx.get(&w.next_key());
+        if rng.chance(mix.read_frac) {
+            let _ = idx.get(&keys.next(&mut rng).to_be_bytes());
         } else {
-            idx.insert(&w.next_key(), b"value-xxxxxxxx");
+            idx.insert(&keys.next(&mut rng).to_be_bytes(), b"value-xxxxxxxx");
         }
     }
     let per_k = |n: u64| n as f64 * 1000.0 / ops as f64;

@@ -10,11 +10,11 @@
 //! engine-specific [`tsb_twin`] / [`hb_twin`] model checks here.
 //!
 //! Every sampler runs on [`SimRng`] + the deterministic
-//! [`Zipf`] generator, so a scenario is a pure
+//! [`Zipf`](crate::workload::Zipf) generator, so a scenario is a pure
 //! function of its seed: a stream over 1M keys and the twin stream
 //! at domain ~100 are the *same shape* drawn from the same code.
 
-use crate::workload::{scramble, Zipf};
+use crate::workload::{Access, KeyStream};
 use pitree_sim::crash::Op;
 use pitree_sim::SimRng;
 
@@ -76,25 +76,6 @@ pub enum MixOp {
     Delete(u64),
     /// Range scan starting here.
     Scan(u64),
-}
-
-/// Which keys the ops aim at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Access {
-    /// Uniform over the key space.
-    Uniform,
-    /// Bounded Zipf with skew θ, hot ranks scrambled across the space.
-    Zipf(f64),
-    /// Adversarial hot band: every op lands in a `width`-key window at
-    /// the middle of the space, *unscrambled* — so inserts and deletes
-    /// hammer one subtree with repeated splits and consolidations.
-    HotBand {
-        /// Window width in keys.
-        width: u64,
-    },
-    /// Monotonically increasing appends past the preloaded range
-    /// (rightmost-leaf contention; reads sample the appended prefix).
-    Sequential,
 }
 
 /// Engines a scenario compares.
@@ -194,67 +175,6 @@ pub fn matrix() -> Vec<ScenarioSpec> {
             engines: EngineSet::PiScaling,
         },
     ]
-}
-
-/// Seeded key sampler for one scenario over a given key space — the same
-/// shape at 1M keys and at domain ~100 (oracle twin).
-#[derive(Debug)]
-pub struct KeyStream {
-    access: Access,
-    key_space: u64,
-    zipf: Option<Zipf>,
-    next_seq: u64,
-}
-
-impl KeyStream {
-    /// Build a sampler; `append_base` seeds the sequential cursor (the
-    /// preloaded high-water mark, so appends extend the tree).
-    pub fn new(access: Access, key_space: u64, append_base: u64) -> KeyStream {
-        let zipf = match access {
-            Access::Zipf(theta) => Some(Zipf::new(key_space, theta)),
-            _ => None,
-        };
-        KeyStream {
-            access,
-            key_space,
-            zipf,
-            next_seq: append_base,
-        }
-    }
-
-    /// Next target key.
-    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
-        match self.access {
-            Access::Uniform => rng.below(self.key_space),
-            Access::Zipf(_) => {
-                let rank = self
-                    .zipf
-                    .as_ref()
-                    .expect("zipf access has a sampler")
-                    .sample(rng);
-                scramble(rank, self.key_space)
-            }
-            Access::HotBand { width } => {
-                let w = width.min(self.key_space);
-                let base = (self.key_space - w) / 2;
-                base + rng.below(w.max(1))
-            }
-            Access::Sequential => {
-                let k = self.next_seq;
-                self.next_seq += 1;
-                k
-            }
-        }
-    }
-
-    /// A key known to exist already (for reads in append scenarios):
-    /// uniform over `[0, current sequential cursor)`, else [`Self::next`].
-    pub fn next_existing(&mut self, rng: &mut SimRng) -> u64 {
-        match self.access {
-            Access::Sequential => rng.below(self.next_seq.max(1)),
-            _ => self.next(rng),
-        }
-    }
 }
 
 /// Generate a scenario's deterministic twin stream: the same mix and

@@ -2,7 +2,9 @@
 //! of Srinivasan & Carey \[18\] that motivate the paper's concurrency claims
 //! (substitution documented in DESIGN.md §2.7).
 //!
-//! The scenario harness (EXPERIMENTS.md S7) draws from the bounded-[`Zipf`]
+//! [`KeyStream`] is the workspace's one key generator: the scenario matrix,
+//! its oracle twins, E1's footprint and `benchmark/` all aim their
+//! operations with it. Its skewed shape is the bounded-[`Zipf`]
 //! generator here: the Gray et al. incremental-CDF method ("Quickly
 //! Generating Billion-Record Synthetic Databases", SIGMOD '94), the same
 //! construction YCSB uses. All transcendental math ([`det_ln`]/[`det_exp`]/
@@ -176,83 +178,72 @@ pub fn scramble(rank: u64, domain: u64) -> u64 {
     rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % domain.max(1)
 }
 
-// ---- workload streams ------------------------------------------------------
+// ---- key streams -----------------------------------------------------------
 
-/// Key distribution shapes.
+/// Which keys the ops aim at.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDist {
-    /// Uniform over the key domain.
+pub enum Access {
+    /// Uniform over the key space.
     Uniform,
-    /// Skewed: ~80% of accesses hit ~20% of the domain (approximate Zipf via
-    /// nested uniform ranges). New code should use [`KeyDist::Zipfian`].
-    Skewed,
-    /// Real bounded Zipf over the domain with the given skew, hot ranks
-    /// scrambled across the key space ([`scramble`]).
-    Zipfian {
-        /// Skew θ in (0,1); YCSB uses 0.99.
-        theta: f64,
+    /// Bounded Zipf with skew θ, hot ranks scrambled across the space.
+    Zipf(f64),
+    /// Adversarial hot band: every op lands in a `width`-key window at
+    /// the middle of the space, *unscrambled* — so inserts and deletes
+    /// hammer one subtree with repeated splits and consolidations.
+    HotBand {
+        /// Window width in keys.
+        width: u64,
     },
-    /// Monotonically increasing (append-heavy; maximizes rightmost-node
-    /// contention).
+    /// Monotonically increasing appends past the preloaded range
+    /// (rightmost-leaf contention; reads sample the appended prefix).
     Sequential,
 }
 
-/// A reproducible stream of keys.
-pub struct Workload {
-    dist: KeyDist,
-    domain: u64,
-    rng: SimRng,
-    next_seq: u64,
+/// Seeded key sampler over a given key space — the same shape at 1M keys
+/// and at domain ~100 (oracle twin). The caller owns the [`SimRng`], so a
+/// stream's draws interleave with the caller's own rolls.
+#[derive(Debug)]
+pub struct KeyStream {
+    access: Access,
+    key_space: u64,
     zipf: Option<Zipf>,
+    next_seq: u64,
 }
 
-impl std::fmt::Debug for Workload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Workload").finish_non_exhaustive()
-    }
-}
-
-impl Workload {
-    /// A workload over keys `0..domain` with a fixed seed.
-    pub fn new(dist: KeyDist, domain: u64, seed: u64) -> Workload {
-        let zipf = match dist {
-            KeyDist::Zipfian { theta } => Some(Zipf::new(domain, theta)),
+impl KeyStream {
+    /// Build a sampler; `append_base` seeds the sequential cursor (the
+    /// preloaded high-water mark, so appends extend the tree).
+    pub fn new(access: Access, key_space: u64, append_base: u64) -> KeyStream {
+        let zipf = match access {
+            Access::Zipf(theta) => Some(Zipf::new(key_space, theta)),
             _ => None,
         };
-        Workload {
-            dist,
-            domain,
-            rng: SimRng::new(seed),
-            next_seq: 0,
+        KeyStream {
+            access,
+            key_space,
             zipf,
+            next_seq: append_base,
         }
     }
 
-    /// The next key, as a u64.
-    pub fn next_key_u64(&mut self) -> u64 {
-        match self.dist {
-            KeyDist::Uniform => self.rng.below(self.domain),
-            KeyDist::Skewed => {
-                let mut span = self.domain;
-                // 80/20 nesting, three levels deep.
-                for _ in 0..3 {
-                    if self.rng.chance(0.8) {
-                        span = (span / 5).max(1);
-                    } else {
-                        break;
-                    }
-                }
-                self.rng.below(span.max(1))
-            }
-            KeyDist::Zipfian { .. } => {
+    /// Next target key.
+    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
+        match self.access {
+            Access::Uniform => rng.below(self.key_space),
+            Access::Zipf(_) => {
                 let rank = self
                     .zipf
                     .as_ref()
-                    .expect("Zipfian workload has a sampler")
-                    .sample(&mut self.rng);
-                scramble(rank, self.domain)
+                    .expect("zipf access has a sampler")
+                    .sample(rng);
+                scramble(rank, self.key_space)
             }
-            KeyDist::Sequential => {
+            Access::HotBand { width } => {
+                let w = width.min(self.key_space);
+                let base = (self.key_space - w) / 2;
+                base + rng.below(w.max(1))
+            }
+            Access::Sequential => {
                 let k = self.next_seq;
                 self.next_seq += 1;
                 k
@@ -260,14 +251,13 @@ impl Workload {
         }
     }
 
-    /// The next key, encoded big-endian (the byte order the trees sort by).
-    pub fn next_key(&mut self) -> Vec<u8> {
-        self.next_key_u64().to_be_bytes().to_vec()
-    }
-
-    /// Whether the next operation is a read, for a given read fraction.
-    pub fn is_read(&mut self, read_fraction: f64) -> bool {
-        self.rng.chance(read_fraction)
+    /// A key known to exist already (for reads in append scenarios):
+    /// uniform over `[0, current sequential cursor)`, else [`Self::next`].
+    pub fn next_existing(&mut self, rng: &mut SimRng) -> u64 {
+        match self.access {
+            Access::Sequential => rng.below(self.next_seq.max(1)),
+            _ => self.next(rng),
+        }
     }
 }
 
@@ -276,40 +266,46 @@ mod tests {
     use super::*;
     use pitree_sim::prop;
 
+    /// `n` keys drawn from a fresh stream over `key_space` at `seed`.
+    fn draw(access: Access, key_space: u64, seed: u64, n: usize) -> Vec<u64> {
+        let mut keys = KeyStream::new(access, key_space, 0);
+        let mut rng = SimRng::new(seed);
+        (0..n).map(|_| keys.next(&mut rng)).collect()
+    }
+
     #[test]
     fn workloads_are_reproducible() {
-        let mut a = Workload::new(KeyDist::Uniform, 1000, 42);
-        let mut b = Workload::new(KeyDist::Uniform, 1000, 42);
-        for _ in 0..50 {
-            assert_eq!(a.next_key_u64(), b.next_key_u64());
-        }
+        assert_eq!(
+            draw(Access::Uniform, 1000, 42, 50),
+            draw(Access::Uniform, 1000, 42, 50)
+        );
     }
 
     #[test]
     fn sequential_is_monotonic() {
-        let mut w = Workload::new(KeyDist::Sequential, u64::MAX, 0);
-        let ks: Vec<u64> = (0..10).map(|_| w.next_key_u64()).collect();
+        let ks = draw(Access::Sequential, u64::MAX, 0, 10);
         assert!(ks.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn skew_concentrates_mass() {
-        let mut w = Workload::new(KeyDist::Skewed, 100_000, 7);
-        let hits = (0..10_000).filter(|_| w.next_key_u64() < 20_000).count();
-        assert!(hits > 6_000, "skewed hits in the hot fifth: {hits}/10000");
+        // The keys the 1,000 hottest ranks scramble to carry ~60% of the
+        // draws over 100k keys (zeta(1000)/zeta(100000) at θ = 0.99).
+        let hot: std::collections::HashSet<u64> =
+            (0..1_000).map(|r| scramble(r, 100_000)).collect();
+        let keys = draw(Access::Zipf(0.99), 100_000, 7, 10_000);
+        let hits = keys.iter().filter(|k| hot.contains(k)).count();
+        assert!(hits > 5_000, "zipf hits on the hot keys: {hits}/10000");
     }
 
     #[test]
     fn keys_are_in_domain() {
-        for dist in [
-            KeyDist::Uniform,
-            KeyDist::Skewed,
-            KeyDist::Zipfian { theta: 0.99 },
+        for access in [
+            Access::Uniform,
+            Access::Zipf(0.99),
+            Access::HotBand { width: 64 },
         ] {
-            let mut w = Workload::new(dist, 500, 3);
-            for _ in 0..1000 {
-                assert!(w.next_key_u64() < 500);
-            }
+            assert!(draw(access, 500, 3, 1000).iter().all(|&k| k < 500));
         }
     }
 
@@ -408,11 +404,8 @@ mod tests {
 
     #[test]
     fn zipfian_workload_stream_is_reproducible() {
-        let mut a = Workload::new(KeyDist::Zipfian { theta: 0.99 }, 100_000, 0x5eed);
-        let mut b = Workload::new(KeyDist::Zipfian { theta: 0.99 }, 100_000, 0x5eed);
-        let xs: Vec<Vec<u8>> = (0..256).map(|_| a.next_key()).collect();
-        let ys: Vec<Vec<u8>> = (0..256).map(|_| b.next_key()).collect();
-        assert_eq!(xs, ys);
+        let xs = draw(Access::Zipf(0.99), 100_000, 0x5eed, 256);
+        assert_eq!(xs, draw(Access::Zipf(0.99), 100_000, 0x5eed, 256));
     }
 
     #[test]

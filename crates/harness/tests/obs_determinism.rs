@@ -4,7 +4,9 @@
 //! demo workload makes no timing-dependent decisions. This is what makes
 //! `obstop --jsonl` dumps replayable/diffable under `PITREE_SIM_SEED`.
 
+use pitree::{PiTree, PiTreeConfig};
 use pitree_harness::obsdemo;
+use std::sync::Arc;
 
 #[test]
 fn same_seed_runs_emit_byte_identical_event_streams() {
@@ -61,4 +63,53 @@ fn counters_match_across_same_seed_runs() {
         );
     }
     assert!(report_a.contains("tree.splits"));
+}
+
+/// The counter and histogram names in a registry report.
+fn metric_names(report: &str) -> Vec<String> {
+    report
+        .lines()
+        .take_while(|line| !line.starts_with("== events =="))
+        .filter(|line| !line.starts_with("==") && !line.starts_with("name "))
+        .filter_map(|line| line.split_whitespace().next())
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn every_registered_metric_is_documented() {
+    let doc = include_str!("../../../OBSERVABILITY.md");
+    let run = obsdemo::run(0xD0C5);
+    let mut names = metric_names(&run.tree.recorder().report());
+    // One recovery, so the `recovery.*` names register in the survivor.
+    let survivor = run.store.crash().unwrap();
+    let (tree, _) = PiTree::recover(
+        Arc::clone(&survivor.store),
+        1,
+        PiTreeConfig::small_nodes(8, 8),
+    )
+    .unwrap();
+    names.extend(metric_names(&tree.recorder().report()));
+    assert!(names.iter().any(|n| n.starts_with("recovery.")));
+    let undocumented: Vec<&String> = names
+        .iter()
+        .filter(|name| {
+            // Per-shard roll-ups are documented by their pattern.
+            let shard = name
+                .strip_prefix("buf.shard")
+                .filter(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+            let pattern = match shard {
+                Some(rest) => format!(
+                    "buf.shardNN{}",
+                    rest.trim_start_matches(|c: char| c.is_ascii_digit())
+                ),
+                None => name.to_string(),
+            };
+            !doc.contains(&format!("`{pattern}`"))
+        })
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "metrics missing from OBSERVABILITY.md: {undocumented:?}"
+    );
 }

@@ -6,7 +6,7 @@
 //! commit force — leaves a state from which generic ARIES-style recovery
 //! produces a well-formed tree containing exactly the committed data. Every
 //! crash test in the workspace — the seeded sweeps here, `pitree-check`'s
-//! durability layer and shrinker, the scenario twins, the harness crash
+//! durability tests and shrinker, the scenario twins, the harness crash
 //! matrix — is a call into the four pieces of this module:
 //!
 //! 1. **One vocabulary** ([`Op`]) and **one committed-model runner**
@@ -36,7 +36,7 @@
 //!    the same checks again.
 //! 4. **One failure type** ([`Violation`]): seed, crash point, fault site and
 //!    what went wrong. Nothing in the engine asserts; the panicking wrappers
-//!    below and `pitree-check`'s `replay:` line are built from the value.
+//!    below and `pitree-check`'s failure messages are built from the value.
 //!
 //! [`crash_recover_verify`] and [`crash_during_recovery`] are the engine
 //! plus "panic with the violation". The second turns the sweep on recovery

@@ -24,7 +24,7 @@
 //!   boundary sweep that kills the system at the sampled durable writes of
 //!   a workload (or of a *recovery*), and a recover-and-verify that checks
 //!   the survivor against a `BTreeMap` reference model, all reporting a
-//!   typed [`crash::Violation`]; `pitree-check`'s durability layer, the
+//!   typed [`crash::Violation`]; `pitree-check`'s durability tests, the
 //!   scenario twins and the harness crash matrix call it rather than
 //!   restate it — and a seeded multi-thread schedule shaker for concurrent
 //!   insert/delete/search + structure-change interleavings.

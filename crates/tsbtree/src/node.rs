@@ -137,7 +137,8 @@ pub struct TsbHeaderRef<'a> {
 
 impl<'a> TsbHeaderRef<'a> {
     /// Parse slot-0 record bytes. Rejects a short header, a bad node kind,
-    /// and a bad or truncated key bound.
+    /// a bad or truncated key bound, a `+∞` low or `−∞` high key bound and
+    /// trailing bytes.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<TsbHeaderRef<'a>> {
         if bytes.len() < 34 {
             return Err(StoreError::Corrupt("TSB header too short".into()));
@@ -149,8 +150,10 @@ impl<'a> TsbHeaderRef<'a> {
         let t_lo = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
         let t_hi = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
         let mut pos = 34;
-        let key_low = BoundRef::parse(bytes, &mut pos)?;
-        let key_high = BoundRef::parse(bytes, &mut pos)?;
+        let (key_low, key_high) = BoundRef::parse_interval(bytes, &mut pos)?;
+        if pos != bytes.len() {
+            return Err(StoreError::Corrupt("trailing bytes in TSB header".into()));
+        }
         Ok(TsbHeaderRef {
             kind,
             level,
@@ -426,8 +429,20 @@ mod tests {
                 assert_eq!(v.contains_time(t), h.contains_time(t));
             }
         }
+        // Trailing bytes, and a +inf low or -inf high key bound (the bound
+        // tags follow 34 fixed bytes: 0 is -inf, 2 is +inf).
+        let root = TsbHeader::new_root_leaf().encode();
+        let mut trailing = root.clone();
+        trailing.push(0);
+        let (mut low_pos_inf, mut high_neg_inf) = (root.clone(), root);
+        low_pos_inf[34] = 2;
+        high_neg_inf[35] = 0;
         // Empty, too short, bad kind byte.
-        for bad in [&[][..], &[0, 0, 1][..], &[9; 40][..]] {
+        for bad in [&[][..], &[0, 0, 1][..], &[9; 40][..]].into_iter().chain([
+            &trailing[..],
+            &low_pos_inf,
+            &high_neg_inf,
+        ]) {
             assert!(TsbHeaderRef::parse(bad).is_err(), "accepted {bad:02x?}");
         }
     }

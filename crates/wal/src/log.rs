@@ -31,7 +31,7 @@
 //!   leader.
 //!
 //! A freshly elected leader does not drain immediately: it **lingers** for a
-//! bounded adaptive window (see [`LogManager::linger_budget_ns`]) so commits
+//! bounded adaptive window (capped at `LINGER_MAX_DEFAULT_NS`) so commits
 //! already in flight register and ride its batch instead of the next one —
 //! eager election produced degenerate groups of one whenever the first
 //! committer won the race. The budget starts at zero, doubles while batches
@@ -290,7 +290,7 @@ struct ForceState {
     linger_hold: bool,
 }
 
-/// Default cap on the adaptive linger window: long enough to absorb a
+/// Cap on the adaptive linger window: long enough to absorb a
 /// committing cohort already in flight, short enough to bound the latency a
 /// leader adds to its own commit.
 const LINGER_MAX_DEFAULT_NS: u64 = 200_000;
@@ -340,8 +340,6 @@ pub struct LogManager {
     /// single-threaded behaviour — and the cold-start value, so sequential
     /// runs never take a timed wait and stay byte-deterministic).
     linger_cur: AtomicU64,
-    /// Upper bound the adaptation may grow `linger_cur` to.
-    linger_max: AtomicU64,
     /// Whether the budget adapts; pinned by [`LogManager::pin_linger_ns`].
     linger_adaptive: AtomicBool,
     rec: Recorder,
@@ -406,7 +404,6 @@ impl LogManager {
             next_action: AtomicU64::new(1),
             ckpt_end: AtomicU64::new(durable),
             linger_cur: AtomicU64::new(0),
-            linger_max: AtomicU64::new(LINGER_MAX_DEFAULT_NS),
             linger_adaptive: AtomicBool::new(true),
             appends: rec.counter("wal.appends"),
             forces: rec.counter("wal.forces"),
@@ -636,8 +633,8 @@ impl LogManager {
                 // with a quiet queue says halve it back toward zero.
                 let cur = self.linger_cur.load(Ordering::Relaxed);
                 let next = if group >= 2 || st.pending > group {
-                    let max = self.linger_max.load(Ordering::Relaxed);
-                    cur.saturating_mul(2).max(LINGER_STEP_NS).min(max)
+                    cur.saturating_mul(2)
+                        .clamp(LINGER_STEP_NS, LINGER_MAX_DEFAULT_NS)
                 } else {
                     cur / 2
                 };
@@ -720,17 +717,6 @@ impl LogManager {
     pub fn pin_linger_ns(&self, ns: u64) {
         self.linger_adaptive.store(false, Ordering::Relaxed);
         self.linger_cur.store(ns, Ordering::Relaxed);
-    }
-
-    /// Cap the adaptive linger window; `0` disables lingering entirely.
-    pub fn set_max_linger_ns(&self, ns: u64) {
-        self.linger_max.store(ns, Ordering::Relaxed);
-        self.linger_cur.fetch_min(ns, Ordering::Relaxed);
-    }
-
-    /// The current linger budget in nanoseconds (adaptive unless pinned).
-    pub fn linger_budget_ns(&self) -> u64 {
-        self.linger_cur.load(Ordering::Relaxed)
     }
 
     /// Leader: drain the **whole** tail as of drain time, write one batch,

@@ -6,7 +6,7 @@
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
 #                                # + fill, image-fill, prefix, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
-#                                # + pitree-check oracles
+#                                # + pitree-check oracle gate (tests/check_props.rs)
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,14 +99,12 @@ cargo test --offline --release -q -p pitree-pagestore --test pool_footprint -- -
 step "recovery footprint gate (start_instant peaks a window over the plan it returns, the same at a 256 KB and a 1 MB suffix, over a mem and a file log)"
 cargo test --offline --release -q -p pitree-wal --test recovery_footprint -- --nocapture | grep -E 'recovery_footprint: |^test result'
 
-step "pitree-check fixtures (teeth first: every oracle must reject its seeded violation before a sweep trusts its green light)"
-cargo run --offline --release -q -p pitree-check -- --fixtures
-
 step "sim acceptance sweep (the same crash oracle: 64 seeds crash-recover-verify, 32 seeds crash-during-recovery; plus the shake)"
 cargo test --offline -q -p pitree-sim --test sim_sweep -- --nocapture
 
-step "pitree-check sweep (differential + linearizability + durability via the crash oracle, 8 seeds)"
-cargo run --offline --release -q -p pitree-check -- --sweep 8
+step "pitree-check oracle gate (differential + linearizability + durability via the crash oracle, 8 seeds a layer, durability totals pinned; the lost-write, stale-read and lost-commit fixtures rejected here, ack-before-durable and the durability stale read in the workspace tests above)"
+cargo test --offline --release -q -p pitree-check --test check_props -- --nocapture \
+  | sed 's/^\.*//' | grep -E '^check_props: |^test result'
 
 step "rustdoc gate (zero warnings, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D warnings" \

@@ -4,17 +4,19 @@
 
 use pitree::PiTreeConfig;
 use pitree_baselines::{Baseline, ConcurrentIndex, Protocol};
-use pitree_harness::{KeyDist, PiTreeIndex, Workload};
+use pitree_check::PiCheckIndex;
+use pitree_harness::{Access, KeyStream};
+use pitree_sim::SimRng;
 use std::sync::Arc;
 
 fn baseline(frames: usize, protocol: Protocol) -> Baseline {
     Baseline::new(frames, protocol, PiTreeConfig::small_nodes(8, 8))
 }
 
-fn run_workload(idx: &dyn ConcurrentIndex, dist: KeyDist, n: u64) -> Vec<Option<Vec<u8>>> {
-    let mut w = Workload::new(dist, 1000, 99);
+fn run_workload(idx: &dyn ConcurrentIndex, access: Access, n: u64) -> Vec<Option<Vec<u8>>> {
+    let (mut keys, mut rng) = (KeyStream::new(access, 1000, 0), SimRng::new(99));
     for i in 0..n {
-        let k = w.next_key();
+        let k = keys.next(&mut rng).to_be_bytes();
         idx.insert(&k, format!("v{i}").as_bytes());
     }
     (0..1000u64).map(|i| idx.get(&i.to_be_bytes())).collect()
@@ -22,12 +24,12 @@ fn run_workload(idx: &dyn ConcurrentIndex, dist: KeyDist, n: u64) -> Vec<Option<
 
 #[test]
 fn all_protocols_agree_on_uniform_workload() {
-    let pi = PiTreeIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
+    let pi = PiCheckIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
     let lc = baseline(1024, Protocol::LockCoupling);
     let ss = baseline(1024, Protocol::SerialSmo);
-    let a = run_workload(&pi, KeyDist::Uniform, 800);
-    let b = run_workload(&lc, KeyDist::Uniform, 800);
-    let c = run_workload(&ss, KeyDist::Uniform, 800);
+    let a = run_workload(&pi, Access::Uniform, 800);
+    let b = run_workload(&lc, Access::Uniform, 800);
+    let c = run_workload(&ss, Access::Uniform, 800);
     assert_eq!(a, b, "pi-tree vs lock-coupling");
     assert_eq!(a, c, "pi-tree vs serial-smo");
     assert!(pi.tree().validate().unwrap().is_well_formed());
@@ -35,16 +37,16 @@ fn all_protocols_agree_on_uniform_workload() {
 
 #[test]
 fn all_protocols_agree_on_sequential_workload() {
-    let pi = PiTreeIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
+    let pi = PiCheckIndex::new(1024, PiTreeConfig::small_nodes(8, 8));
     let lc = baseline(1024, Protocol::LockCoupling);
-    let a = run_workload(&pi, KeyDist::Sequential, 600);
-    let b = run_workload(&lc, KeyDist::Sequential, 600);
+    let a = run_workload(&pi, Access::Sequential, 600);
+    let b = run_workload(&lc, Access::Sequential, 600);
     assert_eq!(a, b);
 }
 
 #[test]
 fn protocols_agree_under_concurrency() {
-    let pi = Arc::new(PiTreeIndex::new(2048, PiTreeConfig::small_nodes(8, 8)));
+    let pi = Arc::new(PiCheckIndex::new(2048, PiTreeConfig::small_nodes(8, 8)));
     let lc = Arc::new(baseline(2048, Protocol::LockCoupling));
     for idx_run in 0..2 {
         let run = |idx: Arc<dyn ConcurrentIndex>| {
@@ -75,7 +77,7 @@ fn protocols_agree_under_concurrency() {
 
 #[test]
 fn pitree_adapter_handles_deletes() {
-    let pi = PiTreeIndex::new(512, PiTreeConfig::small_nodes(8, 8));
+    let pi = PiCheckIndex::new(512, PiTreeConfig::small_nodes(8, 8));
     for i in 0..100u64 {
         pi.insert(&i.to_be_bytes(), b"x");
     }
