@@ -51,7 +51,7 @@ pub use completion::{Completion, CompletionQueue, Pending};
 pub use config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
 pub use consolidate::{consolidate, ConsolidateOutcome};
 pub use engine::{Engine, Install, PostOutcome, Routed, Step, Structure, TreeConfig, Verified};
-pub use node::{BoundRef, HeaderRef, IndexTerm, NodeHeader, NodeRef};
+pub use node::{BoundRef, HeaderRef, IndexTerm, NodeHeader};
 pub use stats::TreeStats;
 pub use store::{CrashableStore, Store};
 pub use traverse::{DescentTarget, PathEntry, SavedPath};

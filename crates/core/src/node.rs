@@ -296,43 +296,6 @@ impl<'a> HeaderRef<'a> {
     }
 }
 
-/// A node page plus its parsed header view: one validation, then borrowed
-/// access to both the header and the keyed entries.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRef<'a> {
-    page: &'a Page,
-    hdr: HeaderRef<'a>,
-}
-
-impl<'a> NodeRef<'a> {
-    /// View a latched node page.
-    #[inline]
-    pub fn new(page: &'a Page) -> StoreResult<NodeRef<'a>> {
-        Ok(NodeRef {
-            page,
-            hdr: HeaderRef::read(page)?,
-        })
-    }
-
-    /// The parsed header view.
-    #[inline]
-    pub fn header(&self) -> HeaderRef<'a> {
-        self.hdr
-    }
-
-    /// The underlying page.
-    #[inline]
-    pub fn page(&self) -> &'a Page {
-        self.page
-    }
-
-    /// Borrow the payload for `key`, if present in this node's entries.
-    #[inline]
-    pub fn lookup_payload(&self, key: &[u8]) -> Option<&'a [u8]> {
-        self.page.keyed_lookup(key).map(|(_, payload)| payload)
-    }
-}
-
 /// A decoded index term (§2.1.2): child pointer plus the key from which the
 /// child is responsible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -365,14 +328,6 @@ impl IndexTerm {
             multi_parent: false,
         }
         .to_entry()
-    }
-
-    /// Decode from a keyed entry.
-    pub fn from_entry(entry: &[u8]) -> StoreResult<IndexTerm> {
-        IndexTerm::from_parts(
-            Page::entry_key(entry)?.to_vec(),
-            Page::entry_payload(entry)?,
-        )
     }
 
     fn from_parts(key: Vec<u8>, payload: &[u8]) -> StoreResult<IndexTerm> {
@@ -458,14 +413,6 @@ impl<'a> Guarded<'a> {
         }
     }
 
-    /// The X guard, if in X mode.
-    pub fn as_x(&mut self) -> Option<&mut XGuard<'a, Page>> {
-        match self {
-            Guarded::X(g) => Some(g),
-            _ => None,
-        }
-    }
-
     /// Unwrap into the X guard (panics otherwise).
     pub fn into_x(self) -> XGuard<'a, Page> {
         match self {
@@ -535,6 +482,16 @@ mod tests {
         assert!(h.is_leaf());
     }
 
+    /// A node page holding `entries` after the root-leaf header.
+    fn node_with(entries: &[Vec<u8>]) -> Page {
+        let mut p = Page::new(PageType::Node);
+        p.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
+        for e in entries {
+            p.keyed_insert(e).unwrap();
+        }
+        p
+    }
+
     #[test]
     fn index_term_codec() {
         let t = IndexTerm {
@@ -542,14 +499,14 @@ mod tests {
             child: PageId(77),
             multi_parent: true,
         };
-        let e = t.to_entry();
-        assert_eq!(IndexTerm::from_entry(&e).unwrap(), t);
         let t2 = IndexTerm {
             key: vec![],
             child: PageId(1),
             multi_parent: false,
         };
-        assert_eq!(IndexTerm::from_entry(&t2.to_entry()).unwrap(), t2);
+        let p = node_with(&[t.to_entry(), t2.to_entry()]);
+        assert_eq!(IndexTerm::read(&p, 1).unwrap(), t2);
+        assert_eq!(IndexTerm::read(&p, 2).unwrap(), t);
     }
 
     #[test]
@@ -562,10 +519,7 @@ mod tests {
 
     #[test]
     fn fullness_by_count_and_bytes() {
-        let mut p = Page::new(PageType::Node);
-        p.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
-        p.keyed_insert(&Page::make_entry(b"a", b"v")).unwrap();
-        p.keyed_insert(&Page::make_entry(b"b", b"v")).unwrap();
+        let p = node_with(&[Page::make_entry(b"a", b"v"), Page::make_entry(b"b", b"v")]);
         let entry = Page::make_entry(b"c", b"v");
         assert!(node_full(&p, &entry, 2), "count cap reached");
         assert!(!node_full(&p, &entry, 100));
@@ -575,15 +529,14 @@ mod tests {
 
     #[test]
     fn utilization_by_count() {
-        let mut p = Page::new(PageType::Node);
-        p.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
-        p.keyed_insert(&Page::make_entry(b"a", b"v")).unwrap();
+        let p = node_with(&[Page::make_entry(b"a", b"v")]);
         assert!((utilization(&p, 4) - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn index_term_rejects_short_payload() {
-        assert!(IndexTerm::from_entry(&Page::make_entry(b"k", b"short")).is_err());
+        let p = node_with(&[Page::make_entry(b"k", b"short")]);
+        assert!(IndexTerm::read(&p, 1).is_err());
     }
 
     #[test]
@@ -646,31 +599,11 @@ mod tests {
 
     #[test]
     fn index_child_at_matches_full_decode() {
-        let mut p = Page::new(PageType::Node);
-        p.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
-        let t = IndexTerm {
-            key: b"sep".to_vec(),
-            child: PageId(77),
-            multi_parent: true,
-        };
-        p.keyed_insert(&t.to_entry()).unwrap();
+        let p = node_with(&[IndexTerm::entry_for(b"sep", PageId(77))]);
         assert_eq!(IndexTerm::child_at(&p, 1).unwrap(), PageId(77));
         assert_eq!(IndexTerm::read(&p, 1).unwrap().child, PageId(77));
         // Corrupt payload length is rejected in place too.
-        let mut q = Page::new(PageType::Node);
-        q.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
-        q.keyed_insert(&Page::make_entry(b"k", b"short")).unwrap();
+        let q = node_with(&[Page::make_entry(b"k", b"short")]);
         assert!(IndexTerm::child_at(&q, 1).is_err());
-    }
-
-    #[test]
-    fn node_ref_lookup_payload() {
-        let mut p = Page::new(PageType::Node);
-        p.insert(0, &NodeHeader::new_root_leaf().encode()).unwrap();
-        p.keyed_insert(&Page::make_entry(b"k1", b"v1")).unwrap();
-        let n = NodeRef::new(&p).unwrap();
-        assert!(n.header().is_leaf());
-        assert_eq!(n.lookup_payload(b"k1"), Some(&b"v1"[..]));
-        assert_eq!(n.lookup_payload(b"k2"), None);
     }
 }

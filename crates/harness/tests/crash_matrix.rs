@@ -388,11 +388,12 @@ fn crash_after_leader_woke_some_followers() {
 // batch. In every case: unacknowledged commits may vanish, acknowledged
 // ones may not, and a dependent commit can never outlive its predecessor.
 
-/// (c) Crash during the linger window with an undrained tail. A committer
-/// has published its commit (locks released — a successor can already
-/// update the same key) and parked behind the held window; the machine
-/// dies before any batch is drained. Neither transaction was acknowledged,
-/// so recovery must show neither.
+/// (c) Crash during the linger window with an undrained tail: the commits
+/// a lingering leader has not drained yet. T1 has published its commit
+/// (locks released, no batch drained), so a successor
+/// jumps its key lock and the dependent T3 publishes an update to the same
+/// key; the machine dies before any force drains either. Neither
+/// transaction was acknowledged, so recovery must show neither.
 #[test]
 fn crash_during_linger_with_undrained_tail() {
     use pitree_txnlock::LockMode;
@@ -405,46 +406,31 @@ fn crash_during_linger_with_undrained_tail() {
         insert(&tree, &mut model, k).unwrap();
     }
 
-    let log = &cs.store.log;
-    log.set_linger_hold(true);
-    let crashed = std::thread::scope(|s| {
-        // T1 commits key 50 through the full ack path: its publish releases
-        // the locks, then its force elects it leader and parks in the held
-        // linger window.
-        let t1 = s.spawn(|| {
-            let mut t = tree.begin();
-            tree.insert(&mut t, &key(50), b"t1-linger").unwrap();
-            t.commit()
-        });
-        while log.pending_forces() < 1 {
-            std::thread::yield_now();
-        }
-        // Early lock release is what makes this window interesting: while
-        // T1's commit is parked short of durability, T2 jumps the released
-        // key lock and publishes a dependent update.
-        let t2 = tree.begin();
-        t2.try_lock(&tree.key_lock(&key(50)), LockMode::X)
-            .expect("T1 published: its key lock must already be free");
-        drop(t2.commit_publish());
-        let mut t3 = tree.begin();
-        tree.insert(&mut t3, &key(50), b"t2-linger").unwrap();
-        let pc = t3.commit_publish();
-        assert!(
-            !pc.is_durable(),
-            "nothing can be durable while the window is held"
-        );
-        drop(pc);
+    // T1 publishes key 50: its locks go at log-append, its ack never comes.
+    let mut t1 = tree.begin();
+    tree.insert(&mut t1, &key(50), b"t1-linger").unwrap();
+    let pc1 = t1.commit_publish();
+    // Early lock release is what makes this window interesting: while T1's
+    // commit is short of durability, T2 jumps the released key lock and the
+    // dependent T3 publishes an update to the same key.
+    let t2 = tree.begin();
+    t2.try_lock(&tree.key_lock(&key(50)), LockMode::X)
+        .expect("T1 published: its key lock must already be free");
+    drop(t2.commit_publish());
+    let mut t3 = tree.begin();
+    tree.insert(&mut t3, &key(50), b"t2-linger").unwrap();
+    let pc3 = t3.commit_publish();
+    assert!(
+        !pc1.is_durable() && !pc3.is_durable(),
+        "no batch may have drained the published commits"
+    );
+    drop((pc1, pc3));
 
-        // The machine dies mid-linger: both commits live only in the
-        // undrained volatile tail.
-        let crashed = cs.crash().unwrap();
-        // Release the (simulated-past) window so T1's thread can finish
-        // against the original, still-running store.
-        log.set_linger_hold(false);
-        t1.join().expect("t1 thread").expect("t1 commit");
-        crashed
-    });
-    // Neither T1 nor T2 was acknowledged; the model keeps neither.
+    // The machine dies: both commits live only in the undrained volatile
+    // tail.
+    drop(tree);
+    let crashed = cs.crash().unwrap();
+    // Neither T1 nor T3 was acknowledged; the model keeps neither.
     recovers_to(&crashed, cfg, &model, "linger-undrained-tail");
 }
 

@@ -618,6 +618,7 @@ mod tests {
             let u = l.u();
             let s = l.s();
             scope.spawn(|| {
+                // A sleep, not a signal: no per-latch count moves before a latch blocks.
                 std::thread::sleep(Duration::from_millis(20));
                 reader_done.store(1, Ordering::SeqCst);
                 drop(s);
@@ -642,7 +643,7 @@ mod tests {
                 let _x = u.promote();
                 promoted.store(1, Ordering::SeqCst);
             });
-            // Give the promoter time to register.
+            // Let the promoter block: a sleep, as no per-latch count moves first.
             std::thread::sleep(Duration::from_millis(20));
             assert!(
                 l.try_s().is_none(),
@@ -709,6 +710,7 @@ mod tests {
             scope.spawn(|| {
                 let _x = l.x(); // must wait for the reader
             });
+            // A sleep, not a signal: no per-latch count moves before a latch blocks.
             std::thread::sleep(std::time::Duration::from_millis(20));
             drop(g);
         });

@@ -433,12 +433,6 @@ impl Page {
         PageType::from_u8(self.buf[OFF_TYPE])
     }
 
-    /// Change the stored page type (used when allocating a free page as a
-    /// node, and when freeing).
-    pub fn set_page_type(&mut self, ty: PageType) {
-        self.buf[OFF_TYPE] = ty as u8;
-    }
-
     /// Header flag byte.
     pub fn flags(&self) -> u8 {
         self.buf[OFF_FLAGS]

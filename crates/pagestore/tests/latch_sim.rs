@@ -76,6 +76,7 @@ fn promotion_waits_for_readers_and_blocks_new_ones() {
             *x = 1;
             promoted.store(1, Ordering::SeqCst);
         });
+        // A sleep, not a signal: no per-latch count moves before a latch blocks.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(
             promoted.load(Ordering::SeqCst),

@@ -16,9 +16,9 @@
 //!   log append). After firing, every subsequent durable write also fails:
 //!   the machine is dead, the durable image is frozen.
 //! * [`schedule`] — a deterministic commit-schedule rig for the
-//!   group-commit WAL: scripted committer-arrival schedules executed behind
-//!   a held linger window, so group formation reproduces byte-for-byte
-//!   under a fixed seed.
+//!   group-commit WAL: scripted committer-arrival schedules whose leader
+//!   parks at a gated [`schedule::CountingStore`], so group formation
+//!   reproduces byte-for-byte under a fixed seed.
 //! * [`crash`] and [`mod@shake`] — the two closed loops built from those parts:
 //!   the workspace's one crash oracle — a committed-model script runner, a
 //!   boundary sweep that kills the system at the sampled durable writes of

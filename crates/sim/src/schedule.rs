@@ -3,16 +3,17 @@
 //! Group formation is a race — committers arrive while a leader decides
 //! whether to drain — so real-time tests of it are inherently flaky and
 //! cannot pin down *which* batch a commit lands in. This rig removes the
-//! clock from the protocol instead of the protocol from the test:
+//! clock from the protocol instead of the protocol from the test, and it
+//! does so at the [`LogStore`] seam, with no hook inside the log manager:
 //!
-//! 1. [`LogManager::set_linger_hold`] freezes the linger window, so an
-//!    elected leader parks on the condvar rather than a timeout.
-//! 2. The driver thread appends every committer's `Begin`+`Commit` records
+//! 1. The driver thread appends every committer's `Begin`+`Commit` records
 //!    itself, in script order — record bytes never depend on the OS
 //!    scheduler.
+//! 2. The [`CountingStore`]'s gate is shut, so whichever worker is elected
+//!    leader drains the whole group and parks inside [`LogStore::append`].
 //! 3. One worker thread per committer registers a `force_to`; the driver
-//!    releases the hold only after [`LogManager::pending_forces`] shows the
-//!    whole cohort parked behind the window.
+//!    opens the gate only after `wal.force_waiters` shows the rest of the
+//!    cohort queued behind that leader.
 //!
 //! The result: each scripted group drains as exactly one
 //! [`LogStore::append`], and the durable byte stream, batch boundaries, and
@@ -20,7 +21,7 @@
 //! reproducible under a fixed seed, which is what the crash windows opened
 //! by early lock release need from their gate.
 
-use pitree_pagestore::sync::Mutex;
+use pitree_pagestore::sync::{Mutex, MutexGuard};
 use pitree_pagestore::{Lsn, StoreError, StoreResult};
 use pitree_wal::{ActionId, ActionIdentity, LogManager, LogStore, MemLogStore, RecordKind};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,16 +29,20 @@ use std::sync::Arc;
 
 use crate::SimRng;
 
-/// One scripted group: committer ids whose commits arrive within a single
-/// held linger window and must land in one [`LogStore::append`].
+/// One scripted group: committer ids whose commits queue behind a single
+/// parked leader and must land in one [`LogStore::append`].
 pub type Group = Vec<u64>;
 
 /// A [`LogStore`] wrapper that counts appends and records each batch's
 /// byte length, so schedule tests can assert exactly how commits grouped.
+/// While a test holds its [`CountingStore::gate`], every `append` parks,
+/// which holds a group-commit leader short of durability.
 pub struct CountingStore {
     inner: MemLogStore,
     appends: AtomicU64,
+    entered: AtomicU64,
     batch_lens: Mutex<Vec<usize>>,
+    gate: Mutex<()>,
 }
 
 impl std::fmt::Debug for CountingStore {
@@ -52,8 +57,21 @@ impl CountingStore {
         CountingStore {
             inner: MemLogStore::new(),
             appends: AtomicU64::new(0),
+            entered: AtomicU64::new(0),
             batch_lens: Mutex::new(Vec::new()),
+            gate: Mutex::new(()),
         }
+    }
+
+    /// Shut the gate until the returned guard drops: appends that arrive
+    /// meanwhile park.
+    pub fn gate(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock()
+    }
+
+    /// Number of appends that have entered the store, parked ones included.
+    pub fn entered(&self) -> u64 {
+        self.entered.load(Ordering::SeqCst)
     }
 
     /// Number of batches appended so far.
@@ -75,6 +93,8 @@ impl Default for CountingStore {
 
 impl LogStore for CountingStore {
     fn append(&self, bytes: &[u8]) -> StoreResult<()> {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        drop(self.gate.lock());
         self.inner.append(bytes)?;
         self.appends.fetch_add(1, Ordering::SeqCst);
         self.batch_lens.lock().push(bytes.len());
@@ -128,18 +148,20 @@ pub fn gen_schedule(seed: u64, groups: usize, max_group: usize) -> Vec<Group> {
 }
 
 /// Execute `schedule` against a fresh [`LogManager`] over a
-/// [`CountingStore`], one held linger window per group, and check that
+/// [`CountingStore`], one parked leader per group, and check that
 /// every group drained as a single store append. Returns the run's
 /// [`ScheduleOutcome`] for byte-for-byte comparison.
 pub fn run_schedule(schedule: &[Group]) -> StoreResult<ScheduleOutcome> {
     let store = Arc::new(CountingStore::new());
     let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>)?);
+    let waiters = log.recorder().counter("wal.force_waiters");
     for group in schedule {
         if group.is_empty() {
             continue;
         }
         let before = store.appends();
-        log.set_linger_hold(true);
+        let queued = waiters.get() + group.len() as u64 - 1;
+        let shut = store.gate();
         // The driver appends all records itself: byte order is script order.
         let lsns: Vec<Lsn> = group
             .iter()
@@ -163,11 +185,12 @@ pub fn run_schedule(schedule: &[Group]) -> StoreResult<ScheduleOutcome> {
                     s.spawn(move || log.force_to(lsn))
                 })
                 .collect();
-            // Open the window only once the whole cohort is parked behind it.
-            while log.pending_forces() < group.len() as u64 {
+            // Open the gate only once the rest of the cohort is queued
+            // behind the parked leader.
+            while waiters.get() < queued {
                 std::thread::yield_now();
             }
-            log.set_linger_hold(false);
+            drop(shut);
             for w in workers {
                 w.join()
                     .map_err(|_| StoreError::Corrupt("schedule worker panicked".into()))??;

@@ -319,13 +319,6 @@ pub fn find_version_probe<'a>(page: &'a Page, key: &[u8], t: Time) -> Option<(u1
     (ek.len() == key.len() + 8 && ek.starts_with(key)).then(|| (slot, page.entry_payload_at(slot)))
 }
 
-/// Find, within a data node, the slot of the version of `key` valid at `t`
-/// (the greatest start time ≤ `t`). Returns `None` if no version of `key`
-/// starts at or before `t` in this node.
-pub fn find_version_at(page: &Page, key: &[u8], t: Time) -> StoreResult<Option<u16>> {
-    Ok(find_version_probe(page, key, t).map(|(slot, _)| slot))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,9 +493,14 @@ mod tests {
             (b"", 50),
             (b"zz", 50),
         ] {
-            let via_slot = find_version_at(&p, key, t).unwrap();
+            // The slot a linear scan picks: the last version of `key`
+            // starting at or before `t`.
+            let via_scan = (1..p.slot_count()).rev().find(|&slot| {
+                let (k, start) = split_version_key(p.entry_key_at(slot));
+                k.to_vec() == key && start <= t
+            });
             let via_probe = find_version_probe(&p, key, t);
-            assert_eq!(via_probe.map(|(s, _)| s), via_slot, "key {key:?} t {t}");
+            assert_eq!(via_probe.map(|(s, _)| s), via_scan, "key {key:?} t {t}");
             if let Some((slot, payload)) = via_probe {
                 assert_eq!(payload, p.entry_payload_at(slot));
             }
@@ -510,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn find_version_at_picks_floor() {
+    fn find_version_probe_picks_floor() {
         let mut p = Page::new(PageType::Node);
         p.insert(0, &TsbHeader::new_root_leaf().encode()).unwrap();
         for t in [10u64, 20, 30] {
@@ -518,17 +516,15 @@ mod tests {
         }
         p.keyed_insert(&version_entry(b"m", 15, Some(b"v")))
             .unwrap();
-        let slot = find_version_at(&p, b"k", 25).unwrap().unwrap();
+        let slot_at = |key: &[u8], t| find_version_probe(&p, key, t).map(|(slot, _)| slot);
+        let slot = slot_at(b"k", 25).unwrap();
         let (k, t) = split_version_key(p.entry_key_at(slot));
         assert_eq!((k.to_vec(), t), (b"k".to_vec(), 20));
-        assert!(
-            find_version_at(&p, b"k", 5).unwrap().is_none(),
-            "before first version"
-        );
-        let slot = find_version_at(&p, b"k", 30).unwrap().unwrap();
+        assert!(slot_at(b"k", 5).is_none(), "before first version");
+        let slot = slot_at(b"k", 30).unwrap();
         assert_eq!(split_version_key(p.entry_key_at(slot)).1, 30);
-        assert!(find_version_at(&p, b"zz", 50).unwrap().is_none());
+        assert!(slot_at(b"zz", 50).is_none());
         // A key that is a prefix of another must not match it.
-        assert!(find_version_at(&p, b"", 50).unwrap().is_none());
+        assert!(slot_at(b"", 50).is_none());
     }
 }

@@ -473,6 +473,14 @@ mod tests {
         LockName::Key(k.as_bytes().to_vec())
     }
 
+    /// Spin until `n` acquisitions have blocked: `acquire` counts a wait under
+    /// the table mutex, before it enqueues and adds its wait-for edge.
+    fn await_waits(lt: &LockTable, n: u64) {
+        while lt.wait_count() < n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shared_grants_coexist() {
         let lt = LockTable::default();
@@ -530,7 +538,7 @@ mod tests {
                 lt.acquire(t(2), &key("a"), X).unwrap();
                 got.store(1, Ordering::SeqCst);
             });
-            std::thread::sleep(Duration::from_millis(30));
+            await_waits(&lt, 1);
             assert_eq!(got.load(Ordering::SeqCst), 0);
             lt.release(t(1), &key("a"));
         });
@@ -548,7 +556,7 @@ mod tests {
                 lt.acquire(t(1), &key("b"), X).unwrap();
                 lt.release(t(1), &key("b"));
             });
-            std::thread::sleep(Duration::from_millis(30));
+            await_waits(&lt, 1);
             // T2 requesting a closes the cycle: T2 must be denied.
             assert_eq!(lt.acquire(t(2), &key("a"), X), Err(LockError::Deadlock));
             lt.release_all(t(2)); // T2 gives up, T1 proceeds
@@ -570,7 +578,7 @@ mod tests {
                     lt.release_all(t(1));
                 }
             });
-            std::thread::sleep(Duration::from_millis(30));
+            await_waits(&lt, 1);
             let r2 = lt.acquire(t(2), &key("a"), X);
             assert_eq!(r2, Err(LockError::Deadlock));
             lt.release_all(t(2));
@@ -588,14 +596,14 @@ mod tests {
                 order.lock().push(2);
                 lt.release(t(2), &key("a"));
             });
-            std::thread::sleep(Duration::from_millis(30));
+            await_waits(&lt, 1);
             s.spawn(|| {
                 // A later S request must NOT jump the queued X.
                 lt.acquire(t(3), &key("a"), S).unwrap();
                 order.lock().push(3);
                 lt.release(t(3), &key("a"));
             });
-            std::thread::sleep(Duration::from_millis(30));
+            await_waits(&lt, 2);
             lt.release(t(1), &key("a"));
         });
         assert_eq!(*order.lock(), vec![2, 3]);
@@ -633,7 +641,7 @@ mod tests {
                 lt.acquire(t(2), &key("a"), S).unwrap();
                 lt.acquire(t(2), &key("b"), S).unwrap();
             });
-            std::thread::sleep(Duration::from_millis(20));
+            await_waits(&lt, 1);
             lt.release_all(t(1));
         });
         assert_eq!(lt.holders(&key("a")), vec![(t(2), S)]);

@@ -38,7 +38,6 @@ pub struct AtomicAction<'a> {
     id: ActionId,
     identity: ActionIdentity,
     last: Lsn,
-    updates: u64,
 }
 
 impl std::fmt::Debug for AtomicAction<'_> {
@@ -60,7 +59,6 @@ impl<'a> AtomicAction<'a> {
             id,
             identity,
             last,
-            updates: 0,
         }
     }
 
@@ -77,11 +75,6 @@ impl<'a> AtomicAction<'a> {
     /// LSN of the action's most recent record.
     pub fn last_lsn(&self) -> Lsn {
         self.last
-    }
-
-    /// Number of page updates applied so far.
-    pub fn update_count(&self) -> u64 {
-        self.updates
     }
 
     /// Log and apply `op` to the X-latched page, with page-oriented
@@ -151,7 +144,6 @@ impl<'a> AtomicAction<'a> {
         op.apply(g)?;
         g.set_lsn(lsn);
         self.last = lsn;
-        self.updates += 1;
         Ok(lsn)
     }
 

@@ -113,6 +113,11 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Whether all input was consumed.
     pub fn is_done(&self) -> bool {
         self.pos == self.buf.len()

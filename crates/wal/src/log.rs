@@ -37,8 +37,7 @@
 //! committer won the race. The budget starts at zero, doubles while batches
 //! actually group (or late arrivals keep queuing), and halves after solo
 //! batches, so single-threaded runs never take a timed wait and stay
-//! byte-deterministic. Deterministic tests can freeze the window with
-//! [`LogManager::set_linger_hold`].
+//! byte-deterministic.
 //!
 //! Only the unflushed suffix is retained in memory (`base` + tail), so log
 //! memory is O(unflushed); [`LogManager::read`] falls back to the store for
@@ -283,11 +282,8 @@ struct ForceState {
     /// A leader is currently draining/writing a batch.
     leader: bool,
     /// Force calls currently inside the slow path (cohort accounting for
-    /// the linger adaptation and the scripted-schedule rig).
+    /// the linger adaptation).
     pending: u64,
-    /// Scripted-schedule freeze: while set, an elected leader parks inside
-    /// its linger window until [`LogManager::set_linger_hold`] releases it.
-    linger_hold: bool,
 }
 
 /// Cap on the adaptive linger window: long enough to absorb a
@@ -395,7 +391,6 @@ impl LogManager {
             force: Mutex::new(ForceState {
                 leader: false,
                 pending: 0,
-                linger_hold: false,
             }),
             force_cv: Condvar::new(),
             flushed: AtomicU64::new(durable),
@@ -657,22 +652,16 @@ impl LogManager {
     /// the cohort has assembled) or when the budget runs out; with a zero
     /// budget (the cold-start and single-threaded steady state) no timed
     /// wait is taken at all, keeping sequential runs byte-deterministic.
-    /// While [`LogManager::set_linger_hold`] holds the window open, the
-    /// leader parks on the condvar instead of the clock, which lets
-    /// scripted commit schedules assemble a cohort deterministically.
     fn linger<'g>(
         &self,
         mut st: pitree_pagestore::sync::MutexGuard<'g, ForceState>,
     ) -> pitree_pagestore::sync::MutexGuard<'g, ForceState> {
         let budget = self.linger_cur.load(Ordering::Relaxed);
-        if budget == 0 && !st.linger_hold {
+        if budget == 0 {
             return st;
         }
         let timer = Stopwatch::start();
         loop {
-            while st.linger_hold {
-                st = self.force_cv.wait(st);
-            }
             let spent = timer.elapsed_ns();
             if spent >= budget {
                 break;
@@ -683,9 +672,6 @@ impl LogManager {
                 .force_cv
                 .wait_timeout(st, std::time::Duration::from_nanos(slice));
             st = g;
-            if st.linger_hold {
-                continue;
-            }
             if st.pending <= before {
                 break; // quiet slice: waiters are no longer trending up
             }
@@ -694,26 +680,10 @@ impl LogManager {
         st
     }
 
-    /// Number of force calls currently registered in the group-commit slow
-    /// path. Test instrumentation: scripted schedules use it to know when a
-    /// cohort has fully assembled behind a held linger window.
-    pub fn pending_forces(&self) -> u64 {
-        self.force.lock().pending
-    }
-
-    /// Hold every elected leader inside its linger window (`true`) or
-    /// release it (`false`). With the window held, commits and force
-    /// registrations proceed but no batch is drained — the deterministic
-    /// freeze the commit-schedule rig and the linger-crash tests build on.
-    pub fn set_linger_hold(&self, hold: bool) {
-        let mut st = self.force.lock();
-        st.linger_hold = hold;
-        drop(st);
-        self.force_cv.notify_all();
-    }
-
-    /// Pin the linger budget to `ns` and disable adaptation (benchmarks and
-    /// tests that need a fixed window).
+    /// Pin the linger budget to `ns` and disable adaptation. The one caller
+    /// is the group-formation test, which needs a window wider than the
+    /// adaptive cap: without the pin its cohort misses the window on a
+    /// loaded machine, and only a virtual clock could replace it.
     pub fn pin_linger_ns(&self, ns: u64) {
         self.linger_adaptive.store(false, Ordering::Relaxed);
         self.linger_cur.store(ns, Ordering::Relaxed);

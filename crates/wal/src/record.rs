@@ -331,8 +331,10 @@ impl LogRecord {
                 undo_next: Lsn(r.u64()?),
             },
             7 => {
+                // Unvalidated counts reserve no more entries than the rest of
+                // the body can hold (an active entry is >= 17 bytes, dirty 16).
                 let na = r.u32()?;
-                let mut active = Vec::with_capacity(na as usize);
+                let mut active = Vec::with_capacity((na as usize).min(r.remaining() / 17));
                 for _ in 0..na {
                     let a = ActionId(r.u64()?);
                     let id = get_identity(&mut r)?;
@@ -340,7 +342,7 @@ impl LogRecord {
                     active.push((a, id, l));
                 }
                 let nd = r.u32()?;
-                let mut dirty = Vec::with_capacity(nd as usize);
+                let mut dirty = Vec::with_capacity((nd as usize).min(r.remaining() / 16));
                 for _ in 0..nd {
                     dirty.push((PageId(r.u64()?), Lsn(r.u64()?)));
                 }
@@ -445,6 +447,27 @@ mod tests {
             active: vec![],
             dirty: vec![],
         });
+    }
+
+    #[test]
+    fn checkpoint_counts_past_the_body_are_corrupt() {
+        // An empty checkpoint whose active (byte 17) or dirty (byte 21)
+        // entry count reads u32::MAX: the checksum would still pass.
+        for at in [17, 21] {
+            let mut body = LogRecord {
+                lsn: Lsn(1),
+                prev: Lsn::ZERO,
+                action: ActionId(1),
+                kind: RecordKind::Checkpoint {
+                    active: vec![],
+                    dirty: vec![],
+                },
+            }
+            .encode_body();
+            body[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let res = LogRecord::decode_body(Lsn(1), &body);
+            assert!(matches!(res, Err(StoreError::Corrupt(_))), "count at {at}");
+        }
     }
 
     #[test]

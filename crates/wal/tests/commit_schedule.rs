@@ -1,8 +1,9 @@
 //! Scripted commit-schedule tests (§4.3.1 group commit, deterministically).
 //!
 //! These drive the `pitree_sim::schedule` rig: committer arrivals are a
-//! script, the linger window is held open until the whole cohort has
-//! registered, and each group must drain as exactly ONE `LogStore::append`.
+//! script, the elected leader parks at the rig's gated store until the rest
+//! of the cohort has queued behind it, and each group must drain as exactly
+//! ONE `LogStore::append`.
 //! Because the driver thread appends every record in script order, the
 //! durable byte stream and the batch boundaries are a pure function of the
 //! schedule — asserted byte-for-byte across two runs of the same seed.
@@ -14,7 +15,7 @@ use pitree_wal::RecordKind;
 #[test]
 fn scripted_cohort_lands_in_single_appends() {
     // Four windows: a trio, a solo, a pair, and a quartet. Every committer
-    // in a window arrives while the leader lingers; the batch must carry
+    // in a window queues while the leader is parked; the batch must carry
     // them all.
     let schedule = vec![vec![1, 2, 3], vec![4], vec![5, 6], vec![7, 8, 9, 10]];
     let out = run_schedule(&schedule).unwrap();

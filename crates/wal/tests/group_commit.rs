@@ -17,11 +17,10 @@
 //!    arrival drained only its own bytes.
 
 use pitree_obs::Registry;
-use pitree_pagestore::sync::{Condvar, Mutex};
-use pitree_pagestore::{Lsn, StoreResult};
-use pitree_sim::SimRng;
+use pitree_pagestore::Lsn;
+use pitree_sim::{CountingStore, SimRng};
 use pitree_wal::{ActionId, ActionIdentity, LogManager, LogStore, MemLogStore, RecordKind};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn begin() -> RecordKind {
@@ -147,64 +146,12 @@ fn linger_forms_groups_of_at_least_half_the_threads() {
     assert_eq!(log.scan(None).count(), (THREADS * ROUNDS * 2) as usize);
 }
 
-/// A store whose `append` blocks until the test opens a gate, so the test
-/// can deterministically pile commits up behind an in-flight force.
-struct GateStore {
-    inner: MemLogStore,
-    open: Mutex<bool>,
-    cv: Condvar,
-    entered: AtomicU64,
-    appends: AtomicU64,
-}
-
-impl GateStore {
-    fn new() -> GateStore {
-        GateStore {
-            inner: MemLogStore::new(),
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-            entered: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-        }
-    }
-
-    fn open_gate(&self) {
-        *self.open.lock() = true;
-        self.cv.notify_all();
-    }
-}
-
-impl LogStore for GateStore {
-    fn append(&self, bytes: &[u8]) -> StoreResult<()> {
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.open.lock();
-        while !*open {
-            open = self.cv.wait(open);
-        }
-        drop(open);
-        self.appends.fetch_add(1, Ordering::SeqCst);
-        self.inner.append(bytes)
-    }
-    fn durable_bytes(&self) -> StoreResult<Vec<u8>> {
-        self.inner.durable_bytes()
-    }
-    fn durable_len(&self) -> u64 {
-        self.inner.durable_len()
-    }
-    fn set_master(&self, lsn: Lsn) {
-        self.inner.set_master(lsn)
-    }
-    fn master(&self) -> Lsn {
-        self.inner.master()
-    }
-    fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
-        self.inner.read_range(offset, len)
-    }
-}
-
 #[test]
 fn followers_ride_the_leaders_batch() {
-    let store = Arc::new(GateStore::new());
+    // The rig's store, gate shut: the first append parks, so the test can
+    // deterministically pile commits up behind an in-flight force.
+    let store = Arc::new(CountingStore::new());
+    let shut = store.gate();
     let reg = Registry::new();
     let log = Arc::new(
         LogManager::open_observed(Arc::clone(&store) as Arc<dyn LogStore>, reg.recorder()).unwrap(),
@@ -218,7 +165,7 @@ fn followers_ride_the_leaders_batch() {
             s.spawn(move || log.force_to(l1))
         };
         // Wait until the leader is inside the (gated) store append.
-        while store.entered.load(Ordering::SeqCst) < 1 {
+        while store.entered() < 1 {
             std::thread::yield_now();
         }
         // These commits arrive while the leader's batch is in flight; their
@@ -237,18 +184,18 @@ fn followers_ride_the_leaders_batch() {
             std::thread::yield_now();
         }
         assert_eq!(
-            store.entered.load(Ordering::SeqCst),
+            store.entered(),
             1,
             "followers must not start their own store I/O"
         );
-        store.open_gate();
+        drop(shut);
         leader.join().unwrap().unwrap();
         f2.join().unwrap().unwrap();
         f3.join().unwrap().unwrap();
     });
     // First batch carried r1; the next leader drained r2+r3 in ONE append.
     assert_eq!(
-        store.appends.load(Ordering::SeqCst),
+        store.appends(),
         2,
         "both waiting commits must share a single batch"
     );
