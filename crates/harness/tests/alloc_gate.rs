@@ -3,11 +3,11 @@
 //! within two allocations per returned pair plus a constant.
 //!
 //! All three structures read through the one engine descent
-//! (`pitree::Engine::descend`), so the gate covers each: Π-tree `get` and
-//! TSB `get_as_of` are pinned at exactly 1 per hit / 0 per miss, and hB
-//! point `get` — whose routing still materializes the kd fragment of every
-//! node on the path — is pinned at its measured count as a ceiling, so the
-//! shared loop cannot quietly start allocating for any of them.
+//! (`pitree::Engine::descend`), so the gate covers each: Π-tree `get`, TSB
+//! `get_as_of` and hB point `get` — which routes through a borrowed view of
+//! each node's kd fragment (`pitree_hb::HbView`) — are pinned at exactly 1
+//! per hit / 0 per miss, so the shared loop cannot quietly start
+//! allocating for any of them.
 //!
 //! The counter is a wrapping [`GlobalAlloc`] that tallies allocations made
 //! by the *measuring thread only* (thread-local flag), so background work —
@@ -199,7 +199,7 @@ fn tsb_as_of_reads_allocate_only_the_returned_value() {
 }
 
 #[test]
-fn hb_point_reads_stay_under_their_measured_ceiling() {
+fn hb_point_reads_allocate_only_the_returned_value() {
     let store = CrashableStore::create(4096, 1_000_000).expect("create store");
     let tree =
         HbTree::create(Arc::clone(&store.store), 3, HbConfig::default()).expect("create tree");
@@ -221,7 +221,7 @@ fn hb_point_reads_stay_under_their_measured_ceiling() {
         for x in 0..SIDE {
             for y in 0..SIDE {
                 let v = tree.get(&[x, y]).expect("get");
-                std::hint::black_box(&v);
+                assert!(v.is_some(), "point ({x}, {y}) must be present");
             }
         }
     };
@@ -229,19 +229,17 @@ fn hb_point_reads_stay_under_their_measured_ceiling() {
         read_all();
     }
     let n = count_allocs(read_all);
-    // Measured at the commit before the shared engine (hB's own descent
-    // loop): 242,944 allocations for these SIDE*SIDE reads, the owned
-    // fragment decode of every node on the path. The engine routes the
-    // root once per descent instead of decoding it twice (210,176 when it
-    // landed), so the count only went down; it must never go back up.
-    // Since `HbConfig::default()` data nodes split when the page is full
-    // instead of at 64 records, the 4,096 points sit in fewer, fuller data
-    // nodes under fewer index levels, so each descent decodes fewer
-    // fragments: 156,672, the ceiling now.
-    const HB_CEILING: u64 = 156_672;
-    assert!(
-        n <= HB_CEILING,
-        "hB point reads allocated {n} times over {} reads (ceiling {HB_CEILING})",
+    assert_eq!(
+        n,
+        SIDE * SIDE,
+        "steady-state hB get must allocate exactly once per hit (the \
+         returned Vec); counted {n} over {} reads",
         SIDE * SIDE
     );
+    let n = count_allocs(|| {
+        for x in 0..SIDE {
+            assert!(tree.get(&[x, SIDE + x]).expect("get").is_none());
+        }
+    });
+    assert_eq!(n, 0, "an hB miss returns None without touching the heap");
 }

@@ -24,12 +24,12 @@ pub const DIMS: usize = 2;
 pub type Point = [u64; DIMS];
 
 /// Encode a point as a sortable record key.
-pub fn point_key(p: &Point) -> Vec<u8> {
-    let mut v = Vec::with_capacity(16);
-    for c in p {
-        v.extend_from_slice(&c.to_be_bytes());
+pub fn point_key(p: &Point) -> [u8; 16] {
+    let mut k = [0; 16];
+    for (half, c) in k.chunks_exact_mut(8).zip(p) {
+        half.copy_from_slice(&c.to_be_bytes());
     }
-    v
+    k
 }
 
 /// Decode a record key back into a point; a key of any length but 16 bytes
@@ -182,7 +182,9 @@ impl Frag {
     }
 
     /// Resolve `p` (inside `rect`) to the leaf owning it, returning the leaf
-    /// and its region.
+    /// and its region. Only tests call this: it is the reference the header
+    /// sweep checks [`crate::HbView::locate`] against, which every read path
+    /// uses.
     pub fn locate(&self, rect: &Rect, p: &Point) -> (&Frag, Rect) {
         match self {
             Frag::Split { dim, val, lo, hi } => {

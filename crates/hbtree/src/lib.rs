@@ -33,6 +33,6 @@ pub mod undo;
 mod wellformed;
 
 pub use geometry::{point_key, Frag, Point, PtrKind, Rect, DIMS};
-pub use node::HbHeader;
+pub use node::{HbHeader, HbView, KdLeaf};
 pub use tree::{Hb, HbConfig, HbPost, HbTree};
 pub use undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};

@@ -8,8 +8,8 @@
 //! hB-tree runs under the CNS invariant: nodes are immortal, one latch at a
 //! time, remembered parents need no verification.
 
-use crate::geometry::{key_point, point_key, Frag, Point, PtrKind, Rect};
-use crate::node::HbHeader;
+use crate::geometry::{key_point, point_key, Point, PtrKind, Rect};
+use crate::node::{HbHeader, HbView, KdLeaf};
 use crate::undo::{TAG_HB_REMOVE, TAG_HB_RESTORE};
 use pitree::completion::Pending;
 use pitree::engine::{set_header, Engine, Install, Routed, Step, Structure, TreeConfig, Verified};
@@ -32,7 +32,8 @@ pub struct HbConfig {
     /// splits a data node when its page is full (§3.2.1).
     pub max_records: usize,
     /// Cap on kd-fragment nodes per index node. Kept finite by default: it
-    /// bounds the header `route` decodes on every descent.
+    /// bounds the fragment each `route` walks, and a validating walk reads
+    /// the whole fragment (EXPERIMENTS.md S14).
     pub max_frag_nodes: usize,
     /// Run completions inline after operations.
     pub auto_complete: bool,
@@ -127,35 +128,30 @@ impl Structure for Hb {
     }
 
     fn route(&self, page: &Page, pid: PageId, p: &Point, target: u8) -> StoreResult<Routed> {
-        let hdr = HbHeader::read(page)?;
-        let level = hdr.level;
-        let step = match hdr.frag.locate(&hdr.rect, p).0 {
-            Frag::Ptr {
+        let hdr = HbView::read(page)?;
+        let level = hdr.level();
+        let step = match hdr.locate(p)?.0 {
+            KdLeaf::Ptr {
                 kind: PtrKind::Sibling,
                 pid: side,
                 ..
-            } => Step::Side(*side),
-            Frag::Ptr { pid: child, .. } => {
+            } => Step::Side(side),
+            KdLeaf::Ptr { pid: child, .. } => {
                 if level == target {
                     Step::Arrived
                 } else {
-                    Step::Child(*child)
+                    Step::Child(child)
                 }
             }
             // Local space belongs to data nodes, and a descent never goes
             // below its target level.
-            Frag::Local => {
+            KdLeaf::Local => {
                 if level != 0 {
                     return Err(StoreError::Corrupt(format!(
                         "index node {pid} has Local space at {p:?}"
                     )));
                 }
                 Step::Arrived
-            }
-            Frag::Split { .. } => {
-                return Err(StoreError::Corrupt(format!(
-                    "hB node {pid}: fragment lookup did not end at a leaf"
-                )));
             }
         };
         Ok(Routed { level, step })
@@ -170,13 +166,13 @@ impl Structure for Hb {
         to_page: &Page,
         path: &SavedPath,
     ) -> StoreResult<()> {
-        let sib = HbHeader::read(to_page)?;
+        let sib = HbView::read(to_page)?;
         tree.schedule(HbPost {
             parent: parent_hint(tree, path),
-            level: sib.level + 1,
+            level: sib.level() + 1,
             old: from,
             new: to,
-            rect: sib.rect,
+            rect: sib.rect().clone(),
         });
         Ok(())
     }
@@ -359,28 +355,25 @@ impl HbTree {
             }
             let pin = self.store().pool.fetch(pid)?;
             let g = pin.s();
-            let hdr = HbHeader::read(&g)?;
-            let mut leaves = Vec::new();
-            hdr.frag.leaves(&hdr.rect, &mut leaves);
-            for (leaf, region) in leaves {
+            let hdr = HbView::read(&g)?;
+            hdr.leaves(|leaf, region| {
                 if !region.intersects(window) {
-                    continue;
+                    return Ok(());
                 }
                 match leaf {
-                    Frag::Local => {
-                        if hdr.level == 0 {
-                            for slot in 1..g.slot_count() {
-                                let p = key_point(g.entry_key_at(slot))?;
-                                if window.contains(&p) && region.contains(&p) {
-                                    out.push((p, g.entry_payload_at(slot).to_vec()));
-                                }
+                    KdLeaf::Local if hdr.level() == 0 => {
+                        for slot in 1..g.slot_count() {
+                            let p = key_point(g.entry_key_at(slot))?;
+                            if window.contains(&p) && region.contains(&p) {
+                                out.push((p, g.entry_payload_at(slot).to_vec()));
                             }
                         }
                     }
-                    Frag::Ptr { pid, .. } => stack.push(*pid),
-                    Frag::Split { .. } => unreachable!("leaves() yields leaves"),
+                    KdLeaf::Local => {}
+                    KdLeaf::Ptr { pid, .. } => stack.push(pid),
                 }
-            }
+                Ok(())
+            })?;
         }
         out.sort();
         out.dedup_by(|a, b| a.0 == b.0);
@@ -408,7 +401,11 @@ impl HbTree {
             let created = old.is_none();
             let (op, tag, undo) = match old {
                 Some(old) => (PageOp::KeyedUpdate { bytes: entry }, TAG_HB_RESTORE, old),
-                None => (PageOp::KeyedInsert { bytes: entry }, TAG_HB_REMOVE, key),
+                None => (
+                    PageOp::KeyedInsert { bytes: entry },
+                    TAG_HB_REMOVE,
+                    key.into(),
+                ),
             };
             let mut g = d.guard.promote().into_x();
             txn.apply_logical(&d.page, &mut g, op, tag, undo)?;
@@ -434,7 +431,7 @@ impl HbTree {
                 return Ok(false);
             };
             let mut g = d.guard.promote().into_x();
-            let op = PageOp::KeyedRemove { key };
+            let op = PageOp::KeyedRemove { key: key.into() };
             txn.apply_logical(&d.page, &mut g, op, TAG_HB_RESTORE, old)?;
             drop(g);
             drop(d.page);

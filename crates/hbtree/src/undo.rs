@@ -3,7 +3,7 @@
 //! wherever they now live.
 
 use crate::geometry::key_point;
-use crate::node::HbHeader;
+use crate::node::HbView;
 use crate::tree::{data_node_full, HbEngine};
 use pitree_pagestore::page::{KeyRef, Page};
 use pitree_pagestore::{PageOp, StoreError, StoreResult};
@@ -47,7 +47,7 @@ pub(crate) fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> 
         let mut g = d.guard.promote().into_x();
         act.apply(&d.page, &mut g, op)?;
         // Sanity: the record belongs to this node's space.
-        debug_assert!(HbHeader::read(&g)?.rect.contains(&p));
+        debug_assert!(HbView::read(&g)?.rect().contains(&p));
         drop(g);
         drop(d.page);
         act.commit()?;

@@ -4,8 +4,8 @@
 //! of an index node) and sibling terms. Each level must tile the whole
 //! space exactly: areas sum in checked `u128`, and no two pieces meet.
 
-use crate::geometry::{key_point, Frag, PtrKind, Rect};
-use crate::node::HbHeader;
+use crate::geometry::{key_point, PtrKind, Rect};
+use crate::node::{HbView, KdLeaf};
 use pitree::wellformed::{Description, Space, TermKind};
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, StoreResult};
@@ -16,56 +16,51 @@ fn total<'a>(rects: impl IntoIterator<Item = &'a Rect>) -> Option<u128> {
     rects.try_fold(0u128, |sum, r| sum.checked_add(r.area()))
 }
 
-/// Describe the hB node `page` (id `pid`); its records must lie in `Local`
-/// space.
+/// Describe the hB node `page` (id `pid`) through its borrowed header; its
+/// records must lie in `Local` space.
 pub(crate) fn describe(page: &Page, pid: PageId) -> StoreResult<Description<Rect>> {
-    let h = HbHeader::read(page)?;
-    let (mut leaves, mut f, mut owns, mut terms) = (vec![], vec![], vec![], vec![]);
-    h.frag.leaves(&h.rect, &mut leaves);
-    if total(leaves.iter().map(|(_, r)| r)) != Some(h.rect.area()) {
-        f.push(format!("node {pid}: fragment areas do not sum to the rect"));
-    }
-    for (leaf, region) in leaves {
+    let h = HbView::read(page)?;
+    let (mut f, mut owns, mut terms) = (vec![], vec![], vec![]);
+    let mut area = Some(0u128);
+    h.leaves(|leaf, region| {
+        area = area.and_then(|sum| sum.checked_add(region.area()));
         if region.is_empty() {
             f.push(format!("node {pid}: empty fragment region"));
         }
         match leaf {
-            Frag::Local => {
-                if h.level == 0 {
-                    owns.push(region);
-                } else {
-                    f.push(format!("index node {pid} has Local space"));
-                }
-            }
-            Frag::Ptr {
+            KdLeaf::Local if h.level() == 0 => owns.push(region),
+            KdLeaf::Local => f.push(format!("index node {pid} has Local space")),
+            KdLeaf::Ptr {
                 kind: PtrKind::Child,
                 pid,
                 multi_parent,
             } => {
                 owns.push(region.clone());
-                terms.push(TermKind::Child(*multi_parent).to(*pid, region));
+                terms.push(TermKind::Child(multi_parent).to(pid, region));
             }
-            Frag::Ptr { pid, .. } => terms.push(TermKind::Side.to(*pid, region)),
-            Frag::Split { .. } => {} // `leaves` yields leaves only
+            KdLeaf::Ptr { pid, .. } => terms.push(TermKind::Side.to(pid, region)),
         }
+        Ok(())
+    })?;
+    if area != Some(h.rect().area()) {
+        f.push(format!("node {pid}: fragment areas do not sum to the rect"));
     }
-    let records = if h.level == 0 { page.slot_count() } else { 1 };
+    let records = if h.level() == 0 { page.slot_count() } else { 1 };
     for slot in 1..records {
         let p = key_point(page.entry_key_at(slot))?;
-        if !matches!(h.frag.locate(&h.rect, &p).0, Frag::Local) {
+        if h.locate(&p)?.0 != KdLeaf::Local {
             f.push(format!("node {pid}: record {p:?} outside Local space"));
         }
-        if !h.rect.contains(&p) {
+        if !h.rect().contains(&p) {
             f.push(format!("node {pid}: record {p:?} outside node rect"));
         }
     }
-    let (level, region, findings) = (h.level, h.rect, f);
     Ok(Description {
-        level,
-        region,
+        level: h.level(),
+        region: h.rect().clone(),
         owns,
         terms,
-        findings,
+        findings: f,
     })
 }
 

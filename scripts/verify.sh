@@ -90,7 +90,7 @@ if [[ "$walkers" -lt 17 ]]; then
   exit 1
 fi
 
-step "alloc gate (Π-tree get and TSB get_as_of allocate exactly once; hB get under its ceiling)"
+step "alloc gate (Π-tree get, TSB get_as_of and hB get allocate exactly once per hit, never on a miss)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
 step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
