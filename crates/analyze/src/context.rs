@@ -45,31 +45,6 @@ impl FileCx {
             is_test,
         }
     }
-
-    /// Whether token `i` starts a method call `.name(`; returns the name.
-    pub fn method_call_at(&self, i: usize) -> Option<&str> {
-        if !self.tokens[i].is_punct('.') {
-            return None;
-        }
-        let name = self.tokens.get(i + 1)?;
-        if name.kind != TokKind::Ident {
-            return None;
-        }
-        if !self.tokens.get(i + 2)?.is_punct('(') {
-            return None;
-        }
-        Some(&name.text)
-    }
-
-    /// Whether the identifier at `i` is part of the path `a::b` ending here
-    /// (i.e. tokens `a` `::` ... `b` with `b` at `i`).
-    pub fn path_prefix_is(&self, i: usize, prefix: &str) -> bool {
-        // tokens[i] is an ident; check tokens[i-2] == prefix with `::` between.
-        i >= 3
-            && self.tokens[i - 1].is_punct(':')
-            && self.tokens[i - 2].is_punct(':')
-            && self.tokens[i - 3].is_ident(prefix)
-    }
 }
 
 /// Find `fn` bodies. Trait-method declarations (`fn f(...);`) have no body
@@ -263,14 +238,5 @@ mod tests {
         let live = cx.fns.iter().find(|f| f.name == "live").unwrap();
         assert!(cx.is_test[t.body_start]);
         assert!(!cx.is_test[live.body_start]);
-    }
-
-    #[test]
-    fn method_call_detection() {
-        let cx = FileCx::new("crates/x/src/lib.rs", "fn f() { a.lock(); a.lock; }");
-        let calls: Vec<usize> = (0..cx.tokens.len())
-            .filter(|&i| cx.method_call_at(i) == Some("lock"))
-            .collect();
-        assert_eq!(calls.len(), 1);
     }
 }

@@ -1,6 +1,5 @@
-//! Scan driver: walks the workspace, runs the flow analyses and the
-//! lexical rules, resolves `// pitree-lint:` suppressions, and audits the
-//! suppressions themselves.
+//! Scan driver: walks the workspace, runs the flow analyses, resolves
+//! `// pitree-lint:` suppressions, and audits the suppressions themselves.
 //!
 //! Suppression grammar (inside any comment):
 //!
@@ -16,14 +15,14 @@
 //!
 //! The scan is whole-workspace because the flow rules are interprocedural:
 //! the call graph, the latch-order graph, the log-before-dirty summaries
-//! and the no-wait reachability all need every file at once. The lexical
-//! rules apply per file afterwards. There is one tier: a function the
-//! parser cannot follow is a finding, not a fall-back to token heuristics.
+//! and the no-wait reachability all need every file at once. There is one
+//! tier: a function the parser cannot follow is a finding, not a fall-back
+//! to token heuristics.
 
 use crate::context::FileCx;
 use crate::flow;
 use crate::parse::{parse_file, FileAst};
-use crate::rules::{run_token, Finding, RuleId};
+use crate::rules::{Finding, RuleId};
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -128,17 +127,6 @@ pub fn scan_sources(files: &[(String, String)]) -> Report {
         flow::analyze(&asts, &mut sanction)
     };
     findings.extend(flow_findings);
-
-    for (i, cx) in cxs.iter().enumerate() {
-        for f in run_token(cx) {
-            if let Some(a) = allows[i].iter_mut().find(|a| a.covers(f.rule, f.line)) {
-                a.used += 1;
-                *allowed.entry(f.rule).or_insert(0) += 1;
-            } else {
-                findings.push(f);
-            }
-        }
-    }
 
     // Stale-suppression audit.
     for (i, cx) in cxs.iter().enumerate() {

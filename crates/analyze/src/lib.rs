@@ -3,9 +3,8 @@
 //!
 //! The correctness of the paper's protocol (Lomet & Salzberg, SIGMOD 1992)
 //! rests on conventions a compiler cannot see: top-down latch order with
-//! U→X promotion (§4.1), the No-Wait Rule for completion paths (§4.2.2),
-//! log-before-dirty WAL discipline (§4.3.1), and panic-free redo/undo
-//! (§4.3.2). The runtime debug checks (latch rank stack, sim sweeps) catch
+//! U→X promotion (§4.1), the No-Wait Rule for completion paths (§4.2.2)
+//! and log-before-dirty WAL discipline (§4.3.1). The runtime debug checks (latch rank stack, sim sweeps) catch
 //! violations on the interleavings we happen to execute; this analyzer
 //! catches the violating *code shapes* on every path.
 //!
@@ -18,9 +17,9 @@
 //! disciplines on *every* path of every file — including through helper
 //! calls. The latch-acquisition order graph is emitted as a DOT artifact
 //! with cycle detection. A function the parser cannot follow is a finding,
-//! never a silent fall-back. Beside the flow rules, [`rules`] holds the
-//! three lexical rules (panic-free recovery, sync hygiene, determinism),
-//! which check exact token facts and approximate no control flow.
+//! never a silent fall-back. The token facts that need no control flow
+//! (panic-free recovery, sync hygiene, determinism) are clippy
+//! configuration, not rules here: `clippy.toml` at the workspace root.
 //!
 //! See [`rules`] for the rule catalogue and DESIGN.md §8 for the
 //! rule-to-paper-section map.

@@ -1,15 +1,21 @@
 //! Negative-path fixtures: for every rule, a broken source that fires and
 //! the *remediated* source — the fix the diagnostic message prescribes,
-//! never a `pitree-lint: allow` suppression — shown to be quiet.
+//! never a `pitree-lint: allow` or clippy `expect` suppression — shown to
+//! be quiet.
 //!
 //! `fixtures.rs` proves each rule has teeth; this file proves the advice
 //! in each rule's message is actually sufficient to silence it. If a rule
 //! tightens until its own prescribed fix no longer passes, these tests
-//! catch the contradiction. All sources live in raw strings so the
+//! catch the contradiction. The clippy-enforced disciplines run clippy over
+//! a throwaway crate (`support`). All sources live in raw strings so the
 //! live-workspace scan (which lints this file too, with string literals
 //! stripped) never sees them as real code.
 
+mod support;
+
 use analyze::{lint_source, RuleId};
+use std::sync::OnceLock;
+use support::{clippy_fixture, lints_in, plain, recovery, Lint, Module};
 
 /// Assert `broken` fires `rule` at `path` and `fixed` does not. The fixed
 /// source must not lean on the suppression grammar.
@@ -136,85 +142,126 @@ fn apply(&self, page: &mut Guard) -> StoreResult<()> {
     );
 }
 
+// ---- Clippy-enforced disciplines ------------------------------------------
+//
+// Panic-free recovery, sync hygiene and determinism are clippy
+// configuration; their broken and fixed fixtures are modules of one
+// throwaway crate that clippy checks under the workspace's configuration.
+
+static CLIPPY: OnceLock<Vec<Lint>> = OnceLock::new();
+
+const MODULES: &[Module] = &[
+    recovery(
+        "panic_broken",
+        r#"
+pub fn read_header(buf: &[u8], decode: impl Fn(u8) -> Option<u64>) -> u64 {
+    let first = buf[0];
+    decode(first).unwrap()
+}
+"#,
+    ),
+    recovery(
+        "panic_fixed",
+        r#"
+#[derive(Debug)]
+pub enum WalError {
+    TornRecord,
+}
+
+pub fn read_header(buf: &[u8], decode: impl Fn(u8) -> Option<u64>) -> Result<u64, WalError> {
+    let first = buf.first().copied().ok_or(WalError::TornRecord)?;
+    decode(first).ok_or(WalError::TornRecord)
+}
+"#,
+    ),
+    plain(
+        "sync_broken",
+        r#"
+use std::sync::Mutex;
+use std::time::Instant;
+
+pub fn timed(inner: &Mutex<u8>) -> u64 {
+    let started = Instant::now();
+    drop(inner.lock());
+    started.elapsed().as_nanos() as u64
+}
+"#,
+    ),
+    plain(
+        "sync_fixed",
+        r#"
+use pitree_obs::Stopwatch;
+use pitree_pagestore::sync::Mutex;
+
+pub fn timed(inner: &Mutex<u8>) -> u64 {
+    let started = Stopwatch::start();
+    drop(inner.lock());
+    started.elapsed_ns()
+}
+"#,
+    ),
+    plain(
+        "det_broken",
+        r#"
+pub fn pick_seed(i: u64) -> u64 {
+    match std::env::var("EXTRA_SEED") {
+        Ok(s) => s.parse().unwrap_or(i),
+        Err(_) => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    }
+}
+"#,
+    ),
+    plain(
+        "det_fixed",
+        r#"
+pub fn pick_seed(i: u64) -> u64 {
+    i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+"#,
+    ),
+];
+
+/// Assert clippy reports `lint` in module `broken` and nothing at all in
+/// `fixed`. The fixed source must not lean on a suppression.
+fn assert_clippy_fix_silences(lint: &str, broken: &str, fixed: &str) {
+    let lints = CLIPPY.get_or_init(|| clippy_fixture("fix_fixtures", MODULES));
+    let src = |name: &str| MODULES.iter().find(|m| m.name == name).map(|m| m.src);
+    assert!(
+        src(fixed).is_some_and(|s| !s.contains("allow(") && !s.contains("expect(")),
+        "fixed fixture for {lint} must apply the fix, not a suppression"
+    );
+    let fired = lints_in(lints, broken);
+    assert!(
+        fired.iter().any(|l| l.lint == lint),
+        "broken fixture for {lint} did not fire: {fired:?}"
+    );
+    let still = lints_in(lints, fixed);
+    assert!(
+        still.is_empty(),
+        "the prescribed fix did not silence {lint}: {still:?}"
+    );
+}
+
 /// R4 fix: recovery code swaps `.unwrap()` and direct indexing for typed
 /// errors and `.get(...)` (paper 4.3.2 — a torn tail is an input, not a
 /// bug).
 #[test]
 fn panic_free_recovery_fix_is_typed_errors() {
-    let broken = r#"
-fn read_header(&self, buf: &Bytes) -> Lsn {
-    let first = buf[0];
-    self.decode(first).unwrap()
-}
-"#;
-    let fixed = r#"
-fn read_header(&self, buf: &Bytes) -> Result<Lsn, WalError> {
-    let first = buf.get(0).copied().ok_or(WalError::TornRecord)?;
-    self.decode(first).ok_or(WalError::TornRecord)
-}
-"#;
-    assert_fix_silences(
-        RuleId::PanicFreeRecovery,
-        "crates/wal/src/recovery.rs",
-        broken,
-        fixed,
-    );
+    assert_clippy_fix_silences("clippy::unwrap_used", "panic_broken", "panic_fixed");
+    assert_clippy_fix_silences("clippy::indexing_slicing", "panic_broken", "panic_fixed");
 }
 
 /// R5 fix: `std::sync::Mutex` becomes the poison-free wrapper and
-/// `Instant` timing becomes a `Stopwatch`, exactly as the diagnostics
-/// prescribe.
+/// `Instant` timing becomes a `Stopwatch`, exactly as `clippy.toml`'s
+/// reasons prescribe.
 #[test]
 fn sync_hygiene_fix_is_workspace_wrappers() {
-    let broken = r#"
-use std::sync::Mutex;
-use std::time::Instant;
-
-fn timed(&self) -> u64 {
-    let started = Instant::now();
-    let _g = self.inner.lock();
-    started.elapsed().as_nanos() as u64
-}
-"#;
-    let fixed = r#"
-use pitree_pagestore::sync::Mutex;
-use pitree_obs::Stopwatch;
-
-fn timed(&self, clock: &Stopwatch) -> u64 {
-    let started = clock.start();
-    let _g = self.inner.lock();
-    clock.elapsed_ns(started)
-}
-"#;
-    assert_fix_silences(
-        RuleId::SyncHygiene,
-        "crates/core/src/fake.rs",
-        broken,
-        fixed,
-    );
+    assert_clippy_fix_silences("clippy::disallowed_types", "sync_broken", "sync_fixed");
 }
 
-/// R6 fix: a sim-driven test stops reading the environment and wall clock
-/// and derives everything from the seed corpus instead.
+/// R6 fix: a sim-driven test stops reading the environment and derives
+/// everything from the seed instead.
 #[test]
 fn determinism_fix_is_seed_derived() {
-    let broken = r#"
-fn pick_seed(i: usize) -> u64 {
-    match std::env::var("EXTRA_SEED") {
-        Ok(s) => s.parse().unwrap(),
-        Err(_) => pitree_sim::prop::case_seed("sweep", i),
-    }
-}
-"#;
-    let fixed = r#"
-fn pick_seed(i: usize) -> u64 {
-    pitree_sim::prop::case_seed("sweep", i)
-}
-"#;
-    assert_fix_silences(
-        RuleId::Determinism,
-        "crates/sim/tests/fake.rs",
-        broken,
-        fixed,
-    );
+    assert_clippy_fix_silences("clippy::disallowed_methods", "det_broken", "det_fixed");
 }

@@ -1,10 +1,19 @@
 //! Per-rule fixtures: every rule has at least one firing and one quiet
 //! case, plus the suppression grammar's own contract (reason mandatory,
-//! stale allows reported, `allow-file` scope). All sources live in raw
-//! strings so the live-workspace scan (which lints this file too, with
-//! string literals stripped) never sees them as real code.
+//! stale allows reported, `allow-file` scope). The clippy-enforced
+//! disciplines' fixtures run clippy over a throwaway crate (`support`).
+//! All sources live in raw strings so the live-workspace scan (which lints
+//! this file too, with string literals stripped) never sees them as real
+//! code.
+
+mod support;
 
 use analyze::{lint_source, RuleId};
+use std::sync::OnceLock;
+use support::{
+    clippy_fixture, contains_squashed, fires, is_panic_free, lints_in, plain, recovery,
+    workspace_root, Lint, Module, PANIC_LINTS,
+};
 
 fn rules_of(path: &str, src: &str) -> Vec<RuleId> {
     lint_source(path, src).into_iter().map(|f| f.rule).collect()
@@ -176,61 +185,287 @@ fn poke(&self, page: &Pin) {
     assert!(!rules_of("crates/core/src/fake.rs", src).contains(&RuleId::LogBeforeDirty));
 }
 
-// ---- R4: panic-free-recovery ---------------------------------------------
+// ---- Clippy-enforced: panic-free recovery, sync hygiene, determinism ----
+//
+// These three disciplines are clippy configuration (`clippy.toml` and the
+// `#![deny(...)]` each recovery file opens with). Their fixtures are one
+// throwaway crate checked by clippy under that configuration.
 
-#[test]
-fn panic_free_fires_on_unwrap_macro_and_indexing() {
-    let src = r#"
-fn redo(&self, m: &Map, v: &[u8]) -> u8 {
-    let rec = self.read(self.cursor).unwrap();
-    if rec.bad() {
+static CLIPPY: OnceLock<Vec<Lint>> = OnceLock::new();
+
+/// Every fixture module, checked by one clippy run.
+const MODULES: &[Module] = &[
+    recovery(
+        "redo_fires",
+        r#"
+use std::collections::BTreeMap;
+
+pub fn redo(m: &BTreeMap<u8, u8>, cursor: Option<u8>, v: &[u8]) -> u8 {
+    let rec = cursor.unwrap();
+    if rec == 0 {
         panic!("torn tail");
     }
     let first = v[0];
-    m.apply(rec, first)
+    debug_assert!(first != 0);
+    m.get(&rec).copied().unwrap_or(first)
 }
-"#;
-    let rules = rules_of("crates/wal/src/recovery.rs", src);
-    let hits = rules
-        .iter()
-        .filter(|r| **r == RuleId::PanicFreeRecovery)
-        .count();
-    assert!(
-        hits >= 3,
-        "unwrap + panic! + v[0] should all fire: {rules:?}"
-    );
-    // Same shapes fire in any */undo.rs.
-    assert!(rules_of("crates/hbtree/src/undo.rs", src).contains(&RuleId::PanicFreeRecovery));
+"#,
+    ),
+    recovery(
+        "redo_quiet",
+        r#"
+pub fn redo(cursor: Option<u8>, v: &[u8]) -> Result<u8, String> {
+    let rec = cursor.ok_or("no record")?;
+    let first = v.first().copied().ok_or_else(|| "empty".to_string())?;
+    Ok(rec ^ first)
+}
+
+#[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
+mod tests {
+    #[test]
+    fn torn_tail() {
+        let v = [1u8];
+        assert_eq!(v.first().copied().unwrap(), v[0]);
+    }
+}
+"#,
+    ),
+    plain(
+        "out_of_scope",
+        r#"
+pub fn f(o: Option<u8>, v: &[u8]) -> u8 {
+    assert!(!v.is_empty());
+    o.unwrap() ^ v[0]
+}
+"#,
+    ),
+    recovery(
+        "log_fires",
+        r#"
+pub fn frame_len(buf: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
+}
+"#,
+    ),
+    recovery(
+        "log_quiet",
+        r#"
+pub fn frame_len(buf: &[u8], off: usize) -> Result<u32, String> {
+    let Some(len) = buf.get(off..).and_then(|b| b.first_chunk::<4>()) else {
+        return Err(format!("torn volatile tail at {off}"));
+    };
+    Ok(u32::from_le_bytes(*len))
+}
+"#,
+    ),
+    recovery(
+        "open_fires",
+        r#"
+pub fn open(rec: &[u8]) -> u64 {
+    u64::from_le_bytes(rec[8..16].try_into().expect("registry record"))
+}
+"#,
+    ),
+    recovery(
+        "open_quiet",
+        r#"
+pub fn open(rec: &[u8], tree_id: u32) -> Result<u64, String> {
+    rec.get(8..16)
+        .and_then(|b| b.try_into().ok())
+        .map(u64::from_le_bytes)
+        .ok_or_else(|| format!("tree {tree_id} not registered"))
+}
+"#,
+    ),
+    recovery(
+        "walk_fires",
+        r#"
+pub fn tiling(owned: &[(u32, u64)]) -> Vec<String> {
+    let total: u64 = owned.iter().map(|(_, a)| a).sum();
+    let first = owned[0].1;
+    assert!(first <= total);
+    Vec::new()
+}
+"#,
+    ),
+    recovery(
+        "walk_quiet",
+        r#"
+pub fn tiling(owned: &[(u32, u64)]) -> Vec<String> {
+    let total = owned.iter().try_fold(0u64, |sum, (_, a)| sum.checked_add(*a));
+    let first = owned.first().map_or(0, |(_, a)| *a);
+    if total.is_none_or(|t| first > t) {
+        return vec!["owned regions overflow the space".to_string()];
+    }
+    Vec::new()
+}
+"#,
+    ),
+    recovery(
+        "instant_fires",
+        r#"
+use std::collections::BTreeMap;
+
+pub fn redo_page(plan: &[BTreeMap<u64, Vec<u8>>], page: u64) -> Vec<u8> {
+    let shard = &plan[page as usize % plan.len()];
+    shard.get(&page).cloned().unwrap()
+}
+"#,
+    ),
+    recovery(
+        "instant_quiet",
+        r#"
+use std::collections::BTreeMap;
+
+pub fn redo_page(plan: &[BTreeMap<u64, Vec<u8>>], page: u64) -> Result<Vec<u8>, String> {
+    let slot = plan
+        .get(page as usize % plan.len().max(1))
+        .ok_or_else(|| format!("no plan shard for page {page}"))?;
+    Ok(slot.get(&page).cloned().unwrap_or_default())
+}
+"#,
+    ),
+    plain(
+        "sync_path",
+        r#"
+use std::sync::Mutex;
+
+pub fn f(m: &Mutex<u8>) -> bool {
+    m.try_lock().is_ok()
+}
+"#,
+    ),
+    plain(
+        "sync_group",
+        r#"
+use std::sync::{Arc, Mutex};
+
+pub fn f(m: Arc<Mutex<u8>>) -> Arc<Mutex<u8>> {
+    m
+}
+"#,
+    ),
+    plain(
+        "sync_instant",
+        r#"
+use std::time::Instant;
+
+pub fn f() -> Instant {
+    Instant::now()
+}
+"#,
+    ),
+    plain(
+        "sync_wrappers",
+        r#"
+use pitree_obs::Stopwatch;
+use pitree_pagestore::sync::{Condvar, Mutex};
+use std::sync::Arc;
+
+pub fn f(m: &Arc<Mutex<u8>>, c: &Condvar) -> u64 {
+    let clock = Stopwatch::start();
+    drop(m.lock());
+    c.notify_all();
+    clock.elapsed_ns()
+}
+"#,
+    ),
+    plain(
+        "sync_sanctioned",
+        r#"
+#![expect(clippy::disallowed_types, reason = "the wrappers' own home")]
+
+use std::sync::Mutex;
+use std::time::Instant;
+
+pub struct Timed(pub Mutex<u8>, pub Instant);
+"#,
+    ),
+    plain(
+        "det_sim",
+        r#"
+pub fn seed() -> u64 {
+    let t = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let salt = std::env::var("SALT").unwrap_or_default();
+    t ^ salt.len() as u64
+}
+"#,
+    ),
+    plain(
+        "det_test",
+        r#"
+#[cfg(test)]
+mod tests {
+    use std::hash::{BuildHasher, Hasher};
+
+    #[test]
+    fn shaky() {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        h.write_u64(42);
+        let salt = std::hash::RandomState::new().hash_one(7u8);
+        let _ = h.finish() ^ salt;
+    }
+}
+"#,
+    ),
+];
+
+fn clippy() -> &'static [Lint] {
+    CLIPPY.get_or_init(|| clippy_fixture("rule_fixtures", MODULES))
+}
+
+/// The panic-free lints clippy reports in `module`.
+fn panic_lints(module: &str) -> Vec<&'static Lint> {
+    lints_in(clippy(), module)
+        .into_iter()
+        .filter(|l| PANIC_LINTS.contains(&l.lint.as_str()))
+        .collect()
+}
+
+#[test]
+fn panic_free_fires_on_unwrap_macro_and_indexing() {
+    let found = panic_lints("redo_fires");
+    for lint in [
+        "clippy::unwrap_used",
+        "clippy::panic",
+        "clippy::indexing_slicing",
+        "clippy::disallowed_macros",
+    ] {
+        assert!(
+            found.iter().any(|l| l.lint == lint),
+            "unwrap + panic! + v[0] + debug_assert! should all fire, {lint} missing: {found:?}"
+        );
+    }
+    // The same shapes fire in any */undo.rs: each carries the deny line.
+    for path in [
+        "crates/core/src/undo.rs",
+        "crates/tsbtree/src/undo.rs",
+        "crates/hbtree/src/undo.rs",
+        "crates/wal/src/recovery.rs",
+    ] {
+        assert!(is_panic_free(path), "{path} lost its panic-free deny line");
+    }
 }
 
 #[test]
 fn panic_free_quiet_on_typed_errors_and_tests() {
-    let src = r#"
-fn redo(&self, v: &[u8]) -> StoreResult<u8> {
-    let rec = self.read(self.cursor)?;
-    let first = v.first().copied().ok_or_else(|| StoreError::Corrupt("empty".to_string()))?;
-    Ok(first)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn torn_tail() {
-        let v = vec![1u8];
-        assert_eq!(v.first().copied().unwrap(), v[0]);
-    }
-}
-"#;
+    let found = lints_in(clippy(), "redo_quiet");
     assert!(
-        !rules_of("crates/wal/src/recovery.rs", src).contains(&RuleId::PanicFreeRecovery),
-        "typed-error production code and unwrap-happy tests are both fine"
+        found.is_empty(),
+        "typed-error production code and unwrap-happy tests are both fine: {found:?}"
     );
 }
 
 #[test]
 fn panic_free_out_of_scope_elsewhere() {
-    let src = "fn f(o: Option<u8>) -> u8 { o.unwrap() }";
-    assert!(!rules_of("crates/core/src/tree.rs", src).contains(&RuleId::PanicFreeRecovery));
+    let found = panic_lints("out_of_scope");
+    assert!(
+        found.is_empty(),
+        "a file without the deny line may unwrap, index and assert: {found:?}"
+    );
 }
 
 #[test]
@@ -238,28 +473,17 @@ fn panic_free_covers_log_manager() {
     // The group-commit log manager parses volatile tail frames in
     // `force_to`; a torn frame is an input, so unwrap-class aborts are
     // protocol violations there just as in recovery.rs.
-    let fires = r#"
-fn force_to(&self, lsn: Lsn) -> StoreResult<()> {
-    let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-    self.force_until(len as u64, Some(lsn))
-}
-"#;
+    assert!(is_panic_free("crates/wal/src/log.rs"));
+    let fires = panic_lints("log_fires");
     assert!(
-        rules_of("crates/wal/src/log.rs", fires).contains(&RuleId::PanicFreeRecovery),
-        "unwrap on a torn tail frame must fire in log.rs"
+        fires.iter().any(|l| l.lint == "clippy::unwrap_used")
+            && fires.iter().any(|l| l.lint == "clippy::indexing_slicing"),
+        "unwrap on a torn tail frame must fire: {fires:?}"
     );
-
-    let quiet = r#"
-fn force_to(&self, lsn: Lsn) -> StoreResult<()> {
-    let Some(len) = le_u32_at(&tail.buf, off) else {
-        return Err(StoreError::Corrupt(format!("torn volatile tail at {lsn}")));
-    };
-    self.force_until(len as u64, Some(lsn))
-}
-"#;
+    let quiet = lints_in(clippy(), "log_quiet");
     assert!(
-        !rules_of("crates/wal/src/log.rs", quiet).contains(&RuleId::PanicFreeRecovery),
-        "checked parsing with typed errors is the sanctioned shape"
+        quiet.is_empty(),
+        "checked parsing with typed errors is the sanctioned shape: {quiet:?}"
     );
 }
 
@@ -268,27 +492,17 @@ fn panic_free_covers_the_engine_lifecycle() {
     // `Engine::open` runs inside restart for every structure — from
     // `recover`/`recover_instant` and from the lazily opening undo handler —
     // and reads meta-page records that a crash may have left in any state.
-    let fires = r#"
-fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
-    let rec = store.meta_record(tree_id)?;
-    Ok(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())))
-}
-"#;
+    assert!(is_panic_free("crates/core/src/engine.rs"));
+    let fires = panic_lints("open_fires");
     assert!(
-        rules_of("crates/core/src/engine.rs", fires).contains(&RuleId::PanicFreeRecovery),
-        "indexing + unwrap on a registry record must fire in engine.rs"
+        fires.iter().any(|l| l.lint == "clippy::expect_used")
+            && fires.iter().any(|l| l.lint == "clippy::indexing_slicing"),
+        "slicing + expect on a registry record must fire: {fires:?}"
     );
-
-    let quiet = r#"
-fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
-    let rec = store.meta_record(tree_id)?;
-    registry_root(rec, MAGIC, tree_id)
-        .ok_or_else(|| StoreError::Corrupt(format!("tree {tree_id} not registered")))
-}
-"#;
+    let quiet = lints_in(clippy(), "open_quiet");
     assert!(
-        !rules_of("crates/core/src/engine.rs", quiet).contains(&RuleId::PanicFreeRecovery),
-        "checked decoding with typed errors is the sanctioned shape"
+        quiet.is_empty(),
+        "checked decoding with typed errors is the sanctioned shape: {quiet:?}"
     );
 }
 
@@ -296,37 +510,23 @@ fn open(store: Arc<Store>, tree_id: u32) -> StoreResult<PageId> {
 fn panic_free_covers_the_wellformedness_walk() {
     // The walk verifies every recovered image, so a damaged node it reaches
     // is an input to report, in any structure's `wellformed.rs`.
-    let fires = r#"
-fn tiling(owned: &[(PageId, Rect)]) -> Vec<String> {
-    let total: u128 = owned.iter().map(|(_, r)| r.area()).sum();
-    let first = owned[0].1.area();
-    assert!(first <= total);
-    Vec::new()
-}
-"#;
     for path in [
         "crates/core/src/wellformed.rs",
+        "crates/tsbtree/src/wellformed.rs",
         "crates/hbtree/src/wellformed.rs",
     ] {
-        assert!(
-            rules_of(path, fires).contains(&RuleId::PanicFreeRecovery),
-            "indexing + assert! in the walk must fire in {path}"
-        );
+        assert!(is_panic_free(path), "{path} lost its panic-free deny line");
     }
-
-    let quiet = r#"
-fn tiling(owned: &[(PageId, Rect)]) -> Vec<String> {
-    let total = owned.iter().try_fold(0u128, |sum, (_, r)| sum.checked_add(area(r)));
-    let first = owned.first().map_or(0, |(_, r)| area(r));
-    if total.is_none_or(|t| first > t) {
-        return vec![format!("owned regions overflow the space")];
-    }
-    Vec::new()
-}
-"#;
+    let fires = panic_lints("walk_fires");
     assert!(
-        !rules_of("crates/tsbtree/src/wellformed.rs", quiet).contains(&RuleId::PanicFreeRecovery),
-        "checked arithmetic reported as a violation is the sanctioned shape"
+        fires.iter().any(|l| l.lint == "clippy::indexing_slicing")
+            && fires.iter().any(|l| l.lint == "clippy::disallowed_macros"),
+        "indexing + assert! in the walk must fire: {fires:?}"
+    );
+    let quiet = lints_in(clippy(), "walk_quiet");
+    assert!(
+        quiet.is_empty(),
+        "checked arithmetic reported as a violation is the sanctioned shape: {quiet:?}"
     );
 }
 
@@ -335,112 +535,89 @@ fn panic_free_covers_instant_restart() {
     // On-demand redo runs inside every post-crash fetch: a panic there
     // takes down the *serving* store, not a recovery tool, so the
     // instant-restart module is held to the same standard.
-    let fires = r#"
-fn redo_page(&self, page: &PinnedPage<'_>) -> StoreResult<()> {
-    let shard = &self.plan[page_shard(page.id(), self.plan.len())];
-    let records = shard.lock().remove(&page.id()).unwrap();
-    self.replay(page, records)
-}
-"#;
+    assert!(is_panic_free("crates/wal/src/instant.rs"));
+    let fires = panic_lints("instant_fires");
     assert!(
-        rules_of("crates/wal/src/instant.rs", fires).contains(&RuleId::PanicFreeRecovery),
-        "indexing + unwrap in the redo plan must fire in instant.rs"
+        fires.iter().any(|l| l.lint == "clippy::unwrap_used")
+            && fires.iter().any(|l| l.lint == "clippy::indexing_slicing"),
+        "indexing + unwrap in the redo plan must fire: {fires:?}"
     );
-
-    let quiet = r#"
-fn redo_page(&self, page: &PinnedPage<'_>) -> StoreResult<()> {
-    let slot = self.shard_slot(page.id())?;
-    let records = match slot.lock().remove(&page.id()) {
-        Some(r) => r,
-        None => return Ok(()),
-    };
-    self.replay(page, records)
-}
-"#;
+    let quiet = lints_in(clippy(), "instant_quiet");
     assert!(
-        !rules_of("crates/wal/src/instant.rs", quiet).contains(&RuleId::PanicFreeRecovery),
-        "checked shard lookup with typed errors is the sanctioned shape"
+        quiet.is_empty(),
+        "checked shard lookup with typed errors is the sanctioned shape: {quiet:?}"
     );
 }
-
-// ---- R5: sync-hygiene -----------------------------------------------------
 
 #[test]
 fn sync_hygiene_fires_on_std_sync_and_instant() {
-    let path_form = "use std::sync::Mutex;\nfn f() {}";
-    assert!(rules_of("crates/core/src/fake.rs", path_form).contains(&RuleId::SyncHygiene));
-
-    let group_form = "use std::sync::{Arc, Mutex};\nfn f() {}";
-    let found = lint_source("crates/core/src/fake.rs", group_form);
-    assert_eq!(
-        found
-            .iter()
-            .filter(|f| f.rule == RuleId::SyncHygiene)
-            .count(),
-        1,
-        "Mutex fires, Arc in the same group does not: {found:?}"
+    let disallowed = |module: &str| -> Vec<String> {
+        lints_in(clippy(), module)
+            .into_iter()
+            .filter(|l| l.lint == "clippy::disallowed_types")
+            .map(|l| l.message.clone())
+            .collect()
+    };
+    let path_form = disallowed("sync_path");
+    assert!(
+        path_form.iter().any(|m| m.contains("std::sync::Mutex")),
+        "{path_form:?}"
     );
-
-    let instant = "use std::time::Instant;\nfn f() -> Instant { Instant::now() }";
-    assert!(rules_of("crates/core/src/fake.rs", instant).contains(&RuleId::SyncHygiene));
+    let group_form = disallowed("sync_group");
+    assert!(
+        group_form.iter().any(|m| m.contains("std::sync::Mutex"))
+            && !group_form.iter().any(|m| m.contains("Arc")),
+        "Mutex fires, Arc in the same group does not: {group_form:?}"
+    );
+    let instant = disallowed("sync_instant");
+    assert!(
+        instant.iter().any(|m| m.contains("std::time::Instant")),
+        "{instant:?}"
+    );
 }
 
 #[test]
 fn sync_hygiene_quiet_on_wrappers_and_sanctioned_files() {
-    let wrapper = "use pitree_pagestore::sync::{Condvar, Mutex};\nfn f() {}";
-    assert!(!rules_of("crates/core/src/fake.rs", wrapper).contains(&RuleId::SyncHygiene));
-
-    let arc_only = "use std::sync::Arc;\nfn f() {}";
-    assert!(!rules_of("crates/core/src/fake.rs", arc_only).contains(&RuleId::SyncHygiene));
-
-    // The wrapper module and the observability crate define the primitives.
-    let raw = "use std::sync::Mutex;\nuse std::time::Instant;\nfn f() {}";
-    assert!(!rules_of("crates/pagestore/src/sync.rs", raw).contains(&RuleId::SyncHygiene));
-    assert!(!rules_of("crates/obs/src/lib.rs", raw).contains(&RuleId::SyncHygiene));
+    for module in ["sync_wrappers", "sync_sanctioned"] {
+        let found = lints_in(clippy(), module);
+        assert!(
+            found.is_empty(),
+            "the wrappers, and a file that expects the lint, are quiet: {found:?}"
+        );
+    }
+    // The wrapper module and the observability crate define the primitives,
+    // and each says so once.
+    for path in ["crates/pagestore/src/sync.rs", "crates/obs/src/lib.rs"] {
+        let src = std::fs::read_to_string(workspace_root().join(path)).expect(path);
+        assert!(
+            contains_squashed(&src, "#![expect(clippy::disallowed_types,"),
+            "{path} is a sanctioned home of the raw primitives"
+        );
+    }
 }
-
-// ---- R6: determinism ------------------------------------------------------
 
 #[test]
 fn determinism_fires_in_sim_code() {
-    let src = r#"
-fn seed(&self) -> u64 {
-    let t = SystemTime::now();
-    let salt = std::env::var("SALT").unwrap_or_default();
-    mix(t, salt)
-}
-"#;
-    let rules = rules_of("crates/sim/src/fake.rs", src);
+    let found = lints_in(clippy(), "det_sim");
     assert!(
-        rules.iter().filter(|r| **r == RuleId::Determinism).count() >= 2,
-        "SystemTime and env::var must both fire in crates/sim: {rules:?}"
+        fires(clippy(), "det_sim", "clippy::disallowed_types")
+            && fires(clippy(), "det_sim", "clippy::disallowed_methods"),
+        "SystemTime and env::var must both fire: {found:?}"
     );
 }
 
 #[test]
 fn determinism_applies_to_sim_driven_tests_including_test_code() {
-    let src = r#"
-use pitree_sim::SimRng;
-
-#[test]
-fn shaky() {
-    let mut h = DefaultHasher::new();
-    let mut rng = SimRng::new(42);
-    drive(&mut h, &mut rng);
-}
-"#;
+    let found: Vec<&str> = lints_in(clippy(), "det_test")
+        .into_iter()
+        .filter(|l| l.lint == "clippy::disallowed_types")
+        .map(|l| l.message.as_str())
+        .collect();
     assert!(
-        rules_of("crates/core/tests/fake_sim.rs", src).contains(&RuleId::Determinism),
-        "sim-driven tests are in scope even inside #[test] fns"
+        found.iter().any(|m| m.contains("DefaultHasher"))
+            && found.iter().any(|m| m.contains("RandomState")),
+        "seeded hashers fire inside #[test] fns, through the hash_map alias too: {found:?}"
     );
-}
-
-#[test]
-fn determinism_quiet_outside_sim() {
-    // DefaultHasher is only R6's concern, and this file is neither in
-    // crates/sim nor a sim-driven test.
-    let src = "fn f() { let h = DefaultHasher::new(); use_it(h); }";
-    assert!(lint_source("crates/core/src/fake.rs", src).is_empty());
 }
 
 // ---- Suppressions ---------------------------------------------------------

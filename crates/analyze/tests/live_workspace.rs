@@ -3,9 +3,15 @@
 //! This is the same check `scripts/verify.sh` runs via the `pitree-lint`
 //! binary; having it as a test means plain `cargo test` also refuses
 //! protocol violations, stale suppressions and functions the flow rules
-//! cannot follow anywhere in the tree.
+//! cannot follow anywhere in the tree. The clippy-enforced disciplines
+//! (panic-free recovery, sync hygiene, determinism) run here too: one
+//! `cargo clippy -D warnings` over the workspace.
+
+mod support;
 
 use std::path::Path;
+use std::process::Command;
+use support::{is_panic_free, workspace_root, PANIC_FREE_FILES};
 
 #[test]
 fn workspace_is_clean_with_no_stale_allows() {
@@ -66,5 +72,55 @@ fn workspace_suppressions_are_all_in_use() {
     assert!(
         suppressed > 0,
         "the workspace documents its deliberate exceptions via reasoned allows"
+    );
+}
+
+#[test]
+fn workspace_passes_the_clippy_gate() {
+    // The configuration must still name every banned path and every
+    // recovery file must still deny the panicking lints; otherwise a clean
+    // clippy run below would pass vacuously.
+    let root = workspace_root();
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for path in [
+        "std::sync::Mutex",
+        "std::sync::RwLock",
+        "std::sync::Condvar",
+        "std::time::Instant",
+        "std::time::SystemTime",
+        "std::hash::RandomState",
+        "std::hash::DefaultHasher",
+        "std::env::var",
+        "std::env::var_os",
+        "std::assert",
+        "std::assert_eq",
+        "std::assert_ne",
+    ] {
+        assert!(
+            toml.contains(&format!("path = \"{path}\"")),
+            "clippy.toml no longer bans {path}"
+        );
+    }
+    let unscoped: Vec<&str> = PANIC_FREE_FILES
+        .into_iter()
+        .filter(|f| !is_panic_free(f))
+        .collect();
+    assert!(
+        unscoped.is_empty(),
+        "recovery files without the panic-free deny line: {unscoped:?}"
+    );
+
+    // The same command `scripts/verify.sh` used to run as its own step.
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "--workspace", "--all-targets"])
+        .args(["--", "-D", "warnings"])
+        .current_dir(&root)
+        .env("CARGO_TARGET_DIR", root.join("target/clippy"))
+        .output()
+        .expect("spawning cargo clippy (the gate needs clippy installed)");
+    assert!(
+        out.status.success(),
+        "cargo clippy --workspace --all-targets -- -D warnings failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }

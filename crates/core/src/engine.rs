@@ -17,6 +17,17 @@
 //! handlers ([`crate::undo`]), the well-formedness walk
 //! ([`crate::wellformed`]), page allocation and the No-Wait lock step.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::completion::{CompletionQueue, Pending};
 use crate::stats::TreeStats;
 use crate::store::Store;

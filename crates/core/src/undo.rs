@@ -7,6 +7,17 @@
 //! present / insert if absent), so a crash between a compensation and its
 //! CLR marker is harmless — recovery simply re-runs it.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::engine::{Engine, Structure};
 use crate::node::node_full;
 use crate::store::Store;

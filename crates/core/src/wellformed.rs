@@ -18,6 +18,17 @@
 //! children of several index terms, all of which must carry §3.3's
 //! multi-parent marker.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::bound::KeyBound;
 use crate::engine::{Engine, Structure};
 use crate::node::IndexTerm;

@@ -33,6 +33,10 @@ pub const CHURN_OPS: u64 = 900;
 
 /// Resolve the demo seed: `PITREE_SIM_SEED` (decimal or `0x`-hex, same
 /// convention as the sim kit) or [`DEFAULT_SEED`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "PITREE_SIM_SEED is the demo's explicit replay knob; the run is seed-pure when unset"
+)]
 pub fn seed_from_env() -> u64 {
     match std::env::var("PITREE_SIM_SEED") {
         Ok(s) => {

@@ -2,6 +2,17 @@
 //! point through the fragment graph, so records moved by splits are found
 //! wherever they now live.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::geometry::key_point;
 use crate::node::HbView;
 use crate::tree::{data_node_full, HbEngine};
@@ -43,11 +54,17 @@ pub(crate) fn undo(tree: &HbEngine, tag: u8, payload: &[u8]) -> StoreResult<()> 
                 }
             }
         };
+        // The descent must have landed on the node whose space holds the
+        // point; a node that does not is damage to report, not to write.
+        if !HbView::read(d.guard.page())?.rect().contains(&p) {
+            return Err(StoreError::Corrupt(format!(
+                "hB undo: page {} does not contain the record's point",
+                d.page.id()
+            )));
+        }
         let mut act = tree.store().txns.begin(ActionIdentity::SystemTransaction);
         let mut g = d.guard.promote().into_x();
         act.apply(&d.page, &mut g, op)?;
-        // Sanity: the record belongs to this node's space.
-        debug_assert!(HbView::read(&g)?.rect().contains(&p));
         drop(g);
         drop(d.page);
         act.commit()?;

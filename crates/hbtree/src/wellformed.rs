@@ -4,6 +4,17 @@
 //! of an index node) and sibling terms. Each level must tile the whole
 //! space exactly: areas sum in checked `u128`, and no two pieces meet.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::geometry::{key_point, PtrKind, Rect};
 use crate::node::{HbView, KdLeaf};
 use pitree::wellformed::{Description, Space, TermKind};

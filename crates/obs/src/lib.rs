@@ -46,6 +46,10 @@
 //! the same seeded workload must serialize to identical JSONL.
 
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the observability crate owns the wall clock behind Stopwatch and its own registry locks"
+)]
 
 mod counter;
 mod event;

@@ -29,6 +29,17 @@
 //! The allocation latch is ordered *after* every tree-node latch, matching
 //! §4.1.1: "Space management information can be ordered last."
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::buffer::{BufferPool, PinnedPage};
 use crate::error::{StoreError, StoreResult};
 use crate::ids::PageId;
@@ -76,14 +87,14 @@ impl MetaRecord {
 
     /// Decode from the meta page record.
     pub fn decode(bytes: &[u8]) -> StoreResult<MetaRecord> {
-        if bytes.len() != Self::LEN {
-            return Err(StoreError::Corrupt("meta record wrong length".into()));
-        }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+        let wrong_len = || StoreError::Corrupt("meta record wrong length".into());
+        let (magic, max_pages) = bytes.split_first_chunk::<4>().ok_or_else(wrong_len)?;
+        let max_pages: [u8; 8] = max_pages.try_into().map_err(|_| wrong_len())?;
+        let magic = u32::from_le_bytes(*magic);
         if magic != META_MAGIC {
             return Err(StoreError::Corrupt(format!("bad meta magic {magic:#x}")));
         }
-        let max_pages = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
+        let max_pages = u64::from_le_bytes(max_pages);
         if max_pages < 2 {
             return Err(StoreError::Corrupt(format!(
                 "meta record caps the store at {max_pages} pages"
@@ -331,6 +342,7 @@ impl AllocGuard<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
     use crate::disk::MemDisk;

@@ -7,6 +7,11 @@
 //! and lock-table invariants are maintained by explicit state counters, not
 //! by unwinding, so poison carries no information here.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the poison-free wrappers are the one home of the raw std::sync primitives"
+)]
+
 use std::sync::{LockResult, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 

@@ -8,13 +8,16 @@
 //! no out-of-bounds slice. The in-frame accessors are unchecked on purpose
 //! (they sit on the read hot path); the validation a page gets once, when it
 //! is adopted, is what makes them safe, and every operation on an accepted
-//! page leaves one on which they stay total.
+//! page leaves one on which they stay total. The store's meta record
+//! (`MetaRecord::decode`, read at every open) gets an exhaustive bit-flip
+//! and truncation sweep of its own.
 //!
 //! Runs on the pitree-sim property runner: fixed seed corpus, replayable
 //! with `PITREE_SIM_SEED=<seed>`.
 
 use pitree_pagestore::disk::FileDisk;
 use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::space::MetaRecord;
 use pitree_pagestore::{DiskManager, PageId, PageOp, StoreError, PAGE_SIZE};
 use pitree_sim::{prop, SimRng};
 use std::path::{Path, PathBuf};
@@ -266,4 +269,44 @@ fn a_prefix_overlapping_the_slot_directory_is_a_typed_error() {
     // Short of the slot directory, the prefix still overlaps the records.
     set_prefix_len(&mut img, 100);
     assert_corrupt(&img, "overlapping the records");
+}
+
+/// The meta record every open decodes: each bit flip and each truncation
+/// of an encoded record is a typed error or a record that re-encodes to
+/// the same bytes, and a flipped magic is always an error.
+#[test]
+fn meta_record_flips_and_truncations_are_typed_errors_or_the_same_bytes() {
+    let bytes = MetaRecord { max_pages: 1 << 20 }.encode();
+    let mut accepted = 0;
+    for bit in 0..bytes.len() * 8 {
+        let mut m = bytes.clone();
+        m[bit / 8] ^= 1 << (bit % 8);
+        match MetaRecord::decode(&m) {
+            Ok(rec) => {
+                assert!(bit >= 32, "bit {bit} of the magic flipped and was accepted");
+                assert_eq!(rec.encode(), m, "bit {bit}");
+                accepted += 1;
+            }
+            Err(StoreError::Corrupt(_)) => {}
+            Err(e) => panic!("bit {bit}: {e:?}"),
+        }
+    }
+    assert_eq!(
+        accepted, 63,
+        "every max_pages flip but the one leaving it < 2"
+    );
+    for len in 0..bytes.len() {
+        assert!(
+            matches!(
+                MetaRecord::decode(&bytes[..len]),
+                Err(StoreError::Corrupt(_))
+            ),
+            "cut to {len} bytes"
+        );
+    }
+    let long = [&bytes[..], &[0]].concat();
+    assert!(matches!(
+        MetaRecord::decode(&long),
+        Err(StoreError::Corrupt(_))
+    ));
 }

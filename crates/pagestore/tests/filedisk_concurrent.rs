@@ -17,10 +17,11 @@
 
 use pitree_pagestore::disk::FileDisk;
 use pitree_pagestore::page::HEADER_SIZE;
+use pitree_pagestore::sync::Mutex;
 use pitree_pagestore::{BufferPool, DiskManager, Lsn, Page, PageId, PageType, PAGE_SIZE};
 use pitree_sim::SimRng;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 
 const THREADS: u64 = 8;
 
@@ -101,7 +102,7 @@ fn interleaved_transfers_through_one_filedisk_stay_whole() {
                         }
                     } else {
                         let pid = rng.below(SHARED);
-                        let _page = shared[pid as usize].lock().unwrap();
+                        let _page = shared[pid as usize].lock();
                         if write {
                             disk.write_page(PageId(pid), &image(pid, who)).unwrap();
                         } else {

@@ -51,14 +51,21 @@ pub fn run(name: &str, f: impl Fn(&mut SimRng)) {
 /// failing seed and the replay command, then re-raises the panic so the
 /// test still fails normally.
 pub fn run_cases(name: &str, cases: usize, f: impl Fn(&mut SimRng)) {
-    // pitree-lint: allow(determinism) PITREE_SIM_SEED is the explicit replay knob; runs are seed-pure when unset
-    if let Ok(s) = std::env::var("PITREE_SIM_SEED") {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PITREE_SIM_SEED is the explicit replay knob; runs are seed-pure when unset"
+    )]
+    let replay = std::env::var("PITREE_SIM_SEED");
+    if let Ok(s) = replay {
         let seed = parse_seed(&s);
         eprintln!("[pitree-sim] '{name}': replaying single seed {seed} (0x{seed:016x})");
         f(&mut SimRng::new(seed));
         return;
     }
-    // pitree-lint: allow(determinism) PITREE_SIM_CASES is the explicit corpus-size knob; runs are seed-pure when unset
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PITREE_SIM_CASES is the explicit corpus-size knob; runs are seed-pure when unset"
+    )]
     let cases = match std::env::var("PITREE_SIM_CASES") {
         Ok(n) => n.trim().parse().expect("PITREE_SIM_CASES: bad count"),
         Err(_) => cases,
@@ -98,8 +105,13 @@ mod tests {
         });
         // PITREE_SIM_SEED / PITREE_SIM_CASES may legitimately alter the
         // count when set by a replaying developer; only assert the default.
-        // pitree-lint: allow(determinism) reads the replay knobs only to skip a count assertion during manual replays
-        if std::env::var("PITREE_SIM_SEED").is_err() && std::env::var("PITREE_SIM_CASES").is_err() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reads the replay knobs only to skip a count assertion during manual replays"
+        )]
+        let replaying =
+            std::env::var("PITREE_SIM_SEED").is_ok() || std::env::var("PITREE_SIM_CASES").is_ok();
+        if !replaying {
             assert_eq!(n.load(Ordering::Relaxed), 10);
         }
     }

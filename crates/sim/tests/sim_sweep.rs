@@ -9,8 +9,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Acceptance floors hold only for the full default corpus: replaying one
 /// seed or scaling the case count legitimately changes what a sweep covers.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads the replay knobs only to skip acceptance floors during manual replays"
+)]
 fn full_corpus() -> bool {
-    // pitree-lint: allow(determinism) reads the replay knobs only to skip acceptance floors during manual replays
     std::env::var("PITREE_SIM_SEED").is_err() && std::env::var("PITREE_SIM_CASES").is_err()
 }
 

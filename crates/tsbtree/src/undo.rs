@@ -6,6 +6,17 @@
 //! alive-at-T versions, so undo removes **every** copy. The compensation is
 //! testable and idempotent: absent copies are skipped.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::node::TsbHeaderRef;
 use crate::tree::TsbEngine;
 use pitree_pagestore::{PageOp, StoreError, StoreResult};

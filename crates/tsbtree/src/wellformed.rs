@@ -5,6 +5,17 @@
 //! A data node's versions start before `t_hi`, and it keeps at most one
 //! version per key from before its `t_lo` (the alive-at-split copy).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::node::{split_version_key, TsbHeader, TsbKind};
 use pitree::wellformed::{describe_keyed, Description, KeyRange, TermKind};
 use pitree_pagestore::page::Page;

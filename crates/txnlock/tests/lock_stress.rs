@@ -133,7 +133,10 @@ fn mixed_modes_with_move_locks_drain() {
 fn no_wait_try_acquire_never_blocks() {
     let lt = LockTable::new(Duration::from_secs(30));
     lt.acquire(ActionId(1), &key(0), LockMode::X).unwrap();
-    // pitree-lint: allow(determinism) wall-clock upper bound on the no-wait loop; asserts a ceiling, not a timing
+    #[expect(
+        clippy::disallowed_types,
+        reason = "wall-clock upper bound on the no-wait loop; asserts a ceiling, not a timing"
+    )]
     let start = std::time::Instant::now();
     for _ in 0..10_000 {
         assert_eq!(

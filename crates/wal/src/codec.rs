@@ -4,6 +4,17 @@
 //! checksummed, self-delimiting frames, which is simpler to guarantee by
 //! writing the bytes ourselves than through a general serializer.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use pitree_pagestore::{StoreError, StoreResult};
 
 /// Append-only byte writer.
@@ -75,36 +86,47 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> StoreResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        let end = self.pos.saturating_add(n);
+        let Some(s) = self.buf.get(self.pos..end) else {
             return Err(StoreError::Corrupt(format!(
                 "log decode overrun: need {n} bytes at {}, have {}",
                 self.pos,
                 self.buf.len()
             )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        self.pos = end;
         Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> StoreResult<[u8; N]> {
+        let s = self.take(N)?;
+        s.try_into().map_err(|_| {
+            StoreError::Corrupt(format!(
+                "log decode: {} bytes for a {N}-byte field",
+                s.len()
+            ))
+        })
     }
 
     /// Read a byte.
     pub fn u8(&mut self) -> StoreResult<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian u16.
     pub fn u16(&mut self) -> StoreResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian u32.
     pub fn u32(&mut self) -> StoreResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian u64.
     pub fn u64(&mut self) -> StoreResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read a length-prefixed byte string.
@@ -135,6 +157,7 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
 

@@ -52,6 +52,17 @@
 //! taken mid-drain, and reads served against a half-recovered store.
 //! `RECOVERY.md` has the full walkthrough.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::log::LogManager;
 use crate::recovery::{analyze, undo_pass, LogicalUndoHandler, RecoveryStats};
 use pitree_obs::{Counter, Hist, Stopwatch};
@@ -350,6 +361,7 @@ pub fn start_instant(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
     use crate::action::AtomicAction;

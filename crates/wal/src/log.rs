@@ -46,6 +46,17 @@
 //! exactly the bytes the old design wrote, so the durable byte stream (and
 //! the crash-point sequence the sim kit counts) is unchanged.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::codec::checksum;
 use crate::record::{ActionId, LogRecord, RecordKind};
 use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
@@ -973,6 +984,7 @@ impl Iterator for LogScan<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
     use crate::record::{ActionIdentity, UndoInfo};

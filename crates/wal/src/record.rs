@@ -6,6 +6,17 @@
 //! `pitree-pagestore`, keeping the log (and therefore recovery) ignorant of
 //! tree semantics.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::codec::{Reader, Writer};
 use pitree_pagestore::page::PageType;
 use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
@@ -363,6 +374,7 @@ impl LogRecord {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
 

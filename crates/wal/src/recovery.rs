@@ -35,6 +35,17 @@
 //! [`take_checkpoint`] writes the fuzzy checkpoint (dirty-page table +
 //! active-action table) that bounds both analysis and the redo horizon.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::disallowed_macros
+)]
+
 use crate::instant::start_instant;
 use crate::log::LogManager;
 use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
@@ -303,6 +314,7 @@ pub fn take_checkpoint(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_macros, reason = "test assertions")]
 mod tests {
     use super::*;
     use crate::action::AtomicAction;
