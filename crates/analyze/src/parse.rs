@@ -362,7 +362,7 @@ impl<'a> Parser<'a> {
                         i += 1;
                     }
                     _ => {
-                        if let Some((evs, ni, nb)) = self.events_at(i, end) {
+                        if let Some((evs, ni, nb)) = self.read_events_at(i, end) {
                             out.extend(evs.into_iter().map(Node::Event));
                             binds.extend(nb);
                             i = ni;
@@ -443,7 +443,7 @@ impl<'a> Parser<'a> {
                         i = close + 1;
                     }
                     _ => {
-                        if let Some((evs, ni, nb)) = self.events_at(i, end) {
+                        if let Some((evs, ni, nb)) = self.read_events_at(i, end) {
                             out.extend(evs.into_iter().map(Node::Event));
                             binds.extend(nb);
                             i = ni;
@@ -664,7 +664,7 @@ impl<'a> Parser<'a> {
     /// Try to read one or more events starting at token `i`.
     /// Returns (events, next index, newly declared bindings).
     #[allow(clippy::type_complexity)]
-    fn events_at(&mut self, i: usize, end: usize) -> Option<(Vec<Event>, usize, Vec<String>)> {
+    fn read_events_at(&mut self, i: usize, end: usize) -> Option<(Vec<Event>, usize, Vec<String>)> {
         let t = &self.toks[i];
         let line = t.line;
 
@@ -1086,12 +1086,12 @@ mod tests {
         parse_file(&FileCx::new("crates/core/src/fake.rs", src))
     }
 
-    fn events(n: &Node, out: &mut Vec<Event>) {
+    fn collect_events(n: &Node, out: &mut Vec<Event>) {
         match n {
-            Node::Seq(v) | Node::Branch(v) => v.iter().for_each(|n| events(n, out)),
+            Node::Seq(v) | Node::Branch(v) => v.iter().for_each(|n| collect_events(n, out)),
             Node::Event(e) => out.push(e.clone()),
-            Node::Loop(b) => events(b, out),
-            Node::Scope(b, _) => events(b, out),
+            Node::Loop(b) => collect_events(b, out),
+            Node::Scope(b, _) => collect_events(b, out),
             _ => {}
         }
     }
@@ -1100,7 +1100,7 @@ mod tests {
         let ast = parse(src);
         let mut out = Vec::new();
         for f in &ast.fns {
-            events(&f.body, &mut out);
+            collect_events(&f.body, &mut out);
         }
         out
     }

@@ -6,8 +6,8 @@
 //!    `baselines` protocols with identical seeded single-threaded workloads
 //!    and demand op-for-op agreement with the [`model`] spec: every created
 //!    and existed flag, every read and every scan window.
-//! 2. **Linearizability** ([`linear`]) — concurrent harness threads record
-//!    invoke/return events through the `pitree-obs` logical-clock rings
+//! 2. **Linearizability** ([`linear`]) — concurrent harness threads stamp
+//!    each call's invoke and return from one shared logical clock
 //!    ([`history`]); a Wing–Gong search with per-key partition pruning
 //!    decides whether some linear order of the history is a legal run of
 //!    the model. This is the executable form of the paper's claim that
@@ -47,7 +47,7 @@ pub use differential::{
     differential_twin, run_differential, DiffConfig, DiffReport, DiffViolation,
 };
 pub use durability::{ack_before_durable_violation, elr_chain_violation};
-pub use history::{Call, HistoryLog, OpKind, OpRet};
+pub use history::{Call, HistoryClock, OpKind, OpRet};
 pub use index::{ModelIndex, PiCheckIndex, PiElrIndex};
 pub use linear::{check_history, run_linearizability, LinConfig, LinReport, LinViolation};
 pub use model::Model;

@@ -11,7 +11,7 @@
 //! `(done-set, register state)` pairs, which keeps the worst case far
 //! below the factorial frontier for the bounded harness histories.
 
-use crate::history::{Call, HistoryLog, OpKind, OpRet};
+use crate::history::{Call, HistoryClock, OpKind, OpRet};
 use pitree_baselines::ConcurrentIndex;
 use pitree_sim::SimRng;
 use std::collections::{BTreeMap, HashSet};
@@ -75,7 +75,7 @@ pub fn check_history(calls: &[Call]) -> Result<LinReport, LinViolation> {
 }
 
 /// Wing–Gong DFS over one key's sub-history. `calls` is sorted by invoke
-/// clock (the decoder guarantees it).
+/// clock ([`check_history`]'s caller guarantees it).
 fn key_linearizable(calls: &[Call]) -> bool {
     let n = calls.len();
     assert!(n <= 128, "per-key sub-history too large for the bitmask");
@@ -165,37 +165,23 @@ impl Default for LinConfig {
     }
 }
 
-/// Errors from a live linearizability run.
-#[derive(Debug)]
-pub enum LinError {
-    /// The recorded history could not be decoded.
-    History(crate::history::HistoryError),
-    /// The history decoded but has no linearization.
-    Violation(LinViolation),
-}
-
-impl std::fmt::Display for LinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinError::History(e) => write!(f, "history decode failed: {e}"),
-            LinError::Violation(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 fn value_bytes(v: u64) -> Vec<u8> {
     v.to_be_bytes().to_vec()
 }
 
-fn decode_value(bytes: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    u64::from_be_bytes(b)
+/// What a point read reported: a value the harness could have written is
+/// 8 bytes; any other length is [`OpRet::Malformed`].
+fn read_ret(got: Option<Vec<u8>>) -> OpRet {
+    match got.map(|bytes| <[u8; 8]>::try_from(bytes.as_slice())) {
+        None => OpRet::Got(None),
+        Some(Ok(b)) => OpRet::Got(Some(u64::from_be_bytes(b))),
+        Some(Err(_)) => OpRet::Malformed,
+    }
 }
 
 /// Drive `index` from `cfg.threads` concurrent workers with seeded
-/// per-thread op streams, recording every operation through a dedicated
-/// [`HistoryLog`], then check the resulting history.
+/// per-thread op streams, stamping every operation from one shared
+/// [`HistoryClock`], then check the resulting history.
 ///
 /// Values are unique per (thread, op) — `tid << 32 | op` — so a stale
 /// read is distinguishable from a legal one.
@@ -203,45 +189,46 @@ pub fn run_linearizability(
     index: &(impl ConcurrentIndex + ?Sized),
     seed: u64,
     cfg: LinConfig,
-) -> Result<LinReport, LinError> {
-    let log = HistoryLog::new();
+) -> Result<LinReport, LinViolation> {
+    let clock = HistoryClock::default();
     let mut root = SimRng::new(seed);
     let seeds: Vec<u64> = (0..cfg.threads).map(|_| root.next_u64()).collect();
 
-    std::thread::scope(|scope| {
-        for (t, tseed) in seeds.into_iter().enumerate() {
-            let log = &log;
-            scope.spawn(move || {
-                let rec = log.recorder();
-                let mut rng = SimRng::new(tseed);
-                for i in 0..cfg.ops_per_thread {
-                    let key = rng.below(cfg.key_domain);
-                    let kb = key.to_be_bytes();
-                    match rng.below(100) {
-                        0..=49 => {
-                            let v = (t as u64) << 32 | i as u64;
-                            rec.invoke(OpKind::Insert, key, v);
-                            let created = index.insert(&kb, &value_bytes(v));
-                            rec.ret(OpKind::Insert, key, OpRet::Inserted(created));
-                        }
-                        50..=69 => {
-                            rec.invoke(OpKind::Delete, key, 0);
-                            let existed = index.delete(&kb);
-                            rec.ret(OpKind::Delete, key, OpRet::Deleted(existed));
-                        }
-                        _ => {
-                            rec.invoke(OpKind::Get, key, 0);
-                            let got = index.get(&kb).map(|bytes| decode_value(&bytes));
-                            rec.ret(OpKind::Get, key, OpRet::Got(got));
-                        }
+    let mut calls: Vec<Call> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0u32..)
+            .zip(seeds)
+            .map(|(t, tseed)| {
+                let clock = &clock;
+                scope.spawn(move || {
+                    let mut rng = SimRng::new(tseed);
+                    let mut calls = Vec::with_capacity(cfg.ops_per_thread);
+                    for i in 0..cfg.ops_per_thread {
+                        let key = rng.below(cfg.key_domain);
+                        let kb = key.to_be_bytes();
+                        calls.push(match rng.below(100) {
+                            0..=49 => {
+                                let v = u64::from(t) << 32 | i as u64;
+                                clock.call(t, OpKind::Insert, key, v, || {
+                                    OpRet::Inserted(index.insert(&kb, &value_bytes(v)))
+                                })
+                            }
+                            50..=69 => clock.call(t, OpKind::Delete, key, 0, || {
+                                OpRet::Deleted(index.delete(&kb))
+                            }),
+                            _ => clock.call(t, OpKind::Get, key, 0, || read_ret(index.get(&kb))),
+                        });
                     }
-                }
-            });
-        }
+                    calls
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("harness worker panicked"))
+            .collect()
     });
-
-    let calls = log.take_history().map_err(LinError::History)?;
-    check_history(&calls).map_err(LinError::Violation)
+    calls.sort_by_key(|c| c.invoke);
+    check_history(&calls)
 }
 
 #[cfg(test)]

@@ -12,13 +12,15 @@
 //!
 //! Determinism contract: everything below derives from `pitree_sim`
 //! seeds — no clocks, no entropy, no environment reads (enforced by
-//! pitree-lint's determinism rule, which covers this file).
+//! `clippy.toml`'s determinism bans, which the clippy gate applies to
+//! this file).
 
 use pitree_check::durability::{elr_chain_violation, fixture_script, tail_drop_violation};
 use pitree_check::index::{LostWriteIndex, ModelIndex, StaleReadIndex};
 use pitree_check::shrink::{shrink_durability, shrink_tail_drop};
 use pitree_check::{
-    all_indexes, lin_targets, run_differential, run_linearizability, DiffConfig, LinConfig,
+    all_indexes, lin_targets, run_differential, run_linearizability, ConcurrentIndex, DiffConfig,
+    LinConfig,
 };
 use pitree_sim::crash::{sweep_script, SweepConfig, Workload};
 use pitree_sim::prop::{self, case_seed};
@@ -108,6 +110,57 @@ fn linearizability_rejects_stale_read_fixture() {
         let stale = StaleReadIndex::new(ModelIndex::default());
         run_linearizability(&stale, rng.next_u64(), cfg)
             .expect_err("oracle must reject a stale-reading index");
+    });
+}
+
+/// Broken-on-purpose wrapper: reads of one key come back truncated to 4
+/// bytes, a value no harness thread wrote.
+#[derive(Debug, Default)]
+struct TruncatingIndex {
+    inner: ModelIndex,
+}
+
+/// The key whose reads [`TruncatingIndex`] truncates.
+const TRUNCATED_KEY: u64 = 3;
+
+impl ConcurrentIndex for TruncatingIndex {
+    fn insert(&self, key: &[u8], value: &[u8]) -> bool {
+        self.inner.insert(key, value)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        let mut value = self.inner.get(key)?;
+        if key == TRUNCATED_KEY.to_be_bytes() {
+            value.truncate(4);
+        }
+        Some(value)
+    }
+
+    fn delete(&self, key: &[u8]) -> bool {
+        self.inner.delete(key)
+    }
+
+    fn scan(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.inner.scan(from, to)
+    }
+
+    fn name(&self) -> &'static str {
+        "truncating"
+    }
+}
+
+#[test]
+fn linearizability_rejects_truncated_value_fixture() {
+    prop::run_cases("check.linear.truncated", 4, |rng| {
+        let cfg = LinConfig {
+            threads: 1,
+            ops_per_thread: 64,
+            key_domain: 4,
+        };
+        let v = run_linearizability(&TruncatingIndex::default(), rng.next_u64(), cfg)
+            .expect_err("oracle must reject a read of a malformed value");
+        assert_eq!(v.key, TRUNCATED_KEY);
+        assert!(v.to_string().contains(&format!("on key {TRUNCATED_KEY}:")));
     });
 }
 

@@ -68,8 +68,6 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         Ok(s) => s,
         Err(_) => {
             stats.consolidations_noop.inc();
-            tree.recorder()
-                .event(pitree_obs::EventKind::SmoConsolidate, 0, 1);
             act.commit()?;
             return Ok(ConsolidateOutcome::NotNeeded);
         }
@@ -133,8 +131,6 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     };
     if !fits {
         stats.consolidations_noop.inc();
-        tree.recorder()
-            .event(pitree_obs::EventKind::SmoConsolidate, c_pin.id().0, 1);
         act.commit()?;
         return Ok(ConsolidateOutcome::NotNeeded);
     }
@@ -214,7 +210,6 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let parent_low = NodeHeader::read(&pg)?.low.as_entry_key().to_vec();
     let parent_level = level + 1;
 
-    let container = c_pin.id().0;
     drop(ng);
     drop(n_pin);
     drop(cg);
@@ -223,8 +218,6 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     drop(parent_pin);
     act.commit()?;
     stats.consolidations.inc();
-    tree.recorder()
-        .event(pitree_obs::EventKind::SmoConsolidate, container, 0);
     if parent_sparse && parent_level < root_level {
         tree.completions()
             .push(crate::completion::Completion::Consolidate {

@@ -487,8 +487,8 @@ impl<S: Structure> Engine<S> {
         &self.stats
     }
 
-    /// The store's observability recorder (for `op.*` latency histograms,
-    /// SMO events, and `Registry::report`).
+    /// The store's observability recorder (for `op.*` latency histograms
+    /// and `Registry::report`).
     pub fn recorder(&self) -> &pitree_obs::Recorder {
         self.store.recorder()
     }

@@ -14,7 +14,6 @@ use crate::completion::Completion;
 use crate::engine::{Engine, Install, PostOutcome, Step, Structure, TreeConfig, Verified};
 use crate::node::{node_full, IndexTerm};
 use crate::traverse::DescentTarget;
-use pitree_obs::EventKind;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
@@ -54,24 +53,22 @@ impl<S: Structure> Engine<S> {
         Ok(())
     }
 
-    /// Run the posting `post` — the term for `node`, covering `probe` — as
-    /// one atomic action (§5.3), and count how it ended.
+    /// Run the posting `post` — the term covering `probe` — as one atomic
+    /// action (§5.3), and count how it ended.
     pub fn post_index_term(
         &self,
         post: &S::Completion,
         probe: &S::Arg,
-        node: PageId,
     ) -> StoreResult<PostOutcome> {
         let outcome = self.smo_action(|act| self.post_in(act, post, probe))?;
         let stats = self.stats();
-        let (counter, code) = match outcome {
-            PostOutcome::Posted => (&stats.postings_done, 0),
-            PostOutcome::AlreadyPosted => (&stats.postings_noop, 1),
-            PostOutcome::NodeGone => (&stats.postings_node_gone, 2),
-            PostOutcome::MoveDeferred => (&stats.postings_move_deferred, 3),
+        let counter = match outcome {
+            PostOutcome::Posted => &stats.postings_done,
+            PostOutcome::AlreadyPosted => &stats.postings_noop,
+            PostOutcome::NodeGone => &stats.postings_node_gone,
+            PostOutcome::MoveDeferred => &stats.postings_move_deferred,
         };
         counter.inc();
-        self.recorder().event(EventKind::SmoPost, node.0, code);
         Ok(outcome)
     }
 

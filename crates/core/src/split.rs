@@ -85,8 +85,6 @@ fn raw_split(
     };
     set_header(chain, page, g, old_hdr.encode())?;
     tree.stats().splits.inc();
-    tree.recorder()
-        .event(pitree_obs::EventKind::SmoSplit, page.id().0, new_pid.0);
     Ok((split_key, new_pid))
 }
 
@@ -142,8 +140,6 @@ pub(crate) fn split_node(
     let bytes = IndexTerm::entry_for(&split_key, n2);
     chain.apply(page, g, PageOp::KeyedInsert { bytes })?;
     tree.stats().root_grows.inc();
-    tree.recorder()
-        .event(pitree_obs::EventKind::SmoRootGrow, page.id().0, 0);
     Ok(Split::Grew { n1, n2 })
 }
 

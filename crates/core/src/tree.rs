@@ -152,7 +152,7 @@ impl Structure for BLink {
 
     fn complete(tree: &PiTree, c: Completion) -> StoreResult<()> {
         match &c {
-            Completion::Post { key, node, .. } => tree.post_index_term(&c, key, *node).map(drop),
+            Completion::Post { key, .. } => tree.post_index_term(&c, key).map(drop),
             Completion::Consolidate { level, key } => {
                 crate::consolidate::consolidate(tree, *level, key).map(drop)
             }

@@ -19,7 +19,7 @@ fn post_stale(tree: &PiTree, key: &[u8]) -> PostOutcome {
         node: PageId(999),
         path: Box::new(SavedPath::default()),
     };
-    tree.post_index_term(&post, key, PageId(999)).unwrap()
+    tree.post_index_term(&post, key).unwrap()
 }
 
 fn setup(cfg: PiTreeConfig) -> (CrashableStore, PiTree) {

@@ -7,7 +7,7 @@
 //! land in the survivor's registry.
 //!
 //! ```text
-//! cargo run --release --bin obstop [-- --jsonl events.jsonl]
+//! cargo run --release --bin obstop
 //! PITREE_SIM_SEED=42 cargo run --release --bin obstop
 //! ```
 //!
@@ -17,22 +17,13 @@ use pitree::{PiTree, PiTreeConfig};
 use pitree_harness::obsdemo;
 use std::sync::Arc;
 
-/// The `--jsonl PATH` flag, if given; any other argument prints the usage
-/// line and exits with status 2.
-fn jsonl_path() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    match (args.next().as_deref(), args.next(), args.next()) {
-        (None, ..) => None,
-        (Some("--jsonl"), Some(path), None) => Some(path),
-        _ => {
-            eprintln!("usage: obstop [--jsonl PATH]");
-            std::process::exit(2)
-        }
-    }
-}
-
 fn main() {
-    let jsonl = jsonl_path();
+    // The report is the whole interface: any argument prints the usage
+    // line and exits with status 2.
+    if std::env::args().len() > 1 {
+        eprintln!("usage: obstop");
+        std::process::exit(2)
+    }
 
     let seed = obsdemo::seed_from_env();
     println!(
@@ -48,18 +39,8 @@ fn main() {
         run.records
     );
 
-    let registry = run.tree.recorder().registry();
     println!("---- workload registry ----");
-    print!("{}", registry.report());
-
-    if let Some(path) = jsonl {
-        let dump = registry.events_jsonl();
-        std::fs::write(&path, &dump).expect("write jsonl");
-        println!(
-            "\nevent dump: {} events -> {path} (newest-first ring survivors, clock order)",
-            dump.lines().count()
-        );
-    }
+    print!("{}", run.tree.recorder().report());
 
     // ---- crash + recover: the survivor registry shows the restart cost ----
     println!("\n---- crash + recover ----");

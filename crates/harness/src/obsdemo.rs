@@ -1,4 +1,4 @@
-//! The deterministic workload behind `obstop` and the event-stream
+//! The deterministic workload behind `obstop` and the counter
 //! determinism gate.
 //!
 //! One seeded, single-threaded run that deliberately exercises every
@@ -8,11 +8,10 @@
 //! WAL records under database locks; a fuzzy checkpoint caps the run.
 //!
 //! Determinism contract: given the same seed, two runs in the same
-//! process emit **byte-identical** event streams
-//! ([`pitree_obs::Registry::events_jsonl`]) — events are stamped with
-//! the registry's logical clock, never wall time, and the workload makes
-//! no timing-dependent decisions. `tests/obs_determinism.rs` holds the
-//! gate; `PITREE_SIM_SEED` replays a specific run.
+//! process render a **byte-identical** `== counters ==` section of
+//! [`pitree_obs::Registry::report`] — the workload makes no
+//! timing-dependent decisions. `tests/obs_determinism.rs` holds the gate;
+//! `PITREE_SIM_SEED` replays a specific run.
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_sim::SimRng;
@@ -69,8 +68,8 @@ impl std::fmt::Debug for DemoRun {
     }
 }
 
-/// Run the seeded workload. Single-threaded and deterministic: the event
-/// stream depends only on `seed`.
+/// Run the seeded workload. Single-threaded and deterministic: every
+/// counter depends only on `seed`.
 pub fn run(seed: u64) -> DemoRun {
     let store = CrashableStore::create(POOL_FRAMES, 1 << 20).expect("store");
     let cfg = PiTreeConfig::small_nodes(8, 8);

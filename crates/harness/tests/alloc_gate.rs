@@ -12,10 +12,8 @@
 //! The counter is a wrapping [`GlobalAlloc`] that tallies allocations made
 //! by the *measuring thread only* (thread-local flag), so background work —
 //! the group-commit daemon, other test threads — cannot perturb the count.
-//! Steady state means: the buffer pool already caches the touched nodes and
-//! the per-thread observability event ring has grown to capacity (it
-//! allocates amortized until full, then overwrites in place), so the test
-//! warms both before counting.
+//! Steady state means: the buffer pool already caches the touched nodes,
+//! so the test warms it before counting.
 
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_hb::{HbConfig, HbTree};
@@ -90,9 +88,8 @@ fn steady_state_reads_are_allocation_free() {
     }
     txn.commit().expect("commit");
 
-    // Warm: fault every node into the pool and grow this thread's event
-    // ring to capacity (8192 events by default) so neither allocates during
-    // the measured window.
+    // Warm: fault every node into the pool so none is read during the
+    // measured window.
     for round in 0..6 {
         for i in 0..KEYS {
             let v = tree.get_unlocked(&i.to_be_bytes()).expect("get");
@@ -169,8 +166,8 @@ fn tsb_as_of_reads_allocate_only_the_returned_value() {
             assert!(v.is_some(), "key {i} must be visible at {t}");
         }
     };
-    // Warm the pool, this thread's event ring, and the completion queue
-    // (side traversals found by the first reads get their postings done).
+    // Warm the pool and the completion queue (side traversals found by the
+    // first reads get their postings done).
     for _ in 0..6 {
         stamps.iter().for_each(|t| read_all(*t));
     }

@@ -178,8 +178,7 @@ impl Structure for Hb {
     }
 
     fn complete(tree: &HbEngine, post: HbPost) -> StoreResult<()> {
-        tree.post_index_term(&post, &post.rect.lo, post.new)
-            .map(drop)
+        tree.post_index_term(&post, &post.rect.lo).map(drop)
     }
 
     /// Grow the tree at the root; otherwise cut the node and owe the

@@ -79,7 +79,7 @@ impl Hist {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all samples (saturating in the extreme).
+    /// Sum of all samples, modulo 2^64 (`fetch_add` wraps on overflow).
     pub fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Relaxed)
     }

@@ -9,7 +9,7 @@
 //! (`tree.no_wait_restarts`, §4.1.2), relative durability
 //! (`wal.forces` vs `action.commits`, §4.3.1), recovery pass cost
 //! (`recovery.*_ns`), and so on. `OBSERVABILITY.md` at the workspace
-//! root documents every exported metric and event.
+//! root documents every exported metric.
 //!
 //! Like the rest of the workspace, the crate is std-only by design
 //! (see DESIGN.md §5): no external dependencies, nothing to install.
@@ -17,10 +17,8 @@
 //! # Architecture
 //!
 //! * [`Registry`] — one metric namespace, typically one per assembled
-//!   store. Owns counters, histograms, the logical event clock, and the
-//!   per-thread event rings. [`Registry::report`] renders a stable,
-//!   diffable text table; [`Registry::drain_events`] /
-//!   [`Registry::events_jsonl`] export the event trace.
+//!   store. Owns counters and histograms; [`Registry::report`] renders a
+//!   stable, diffable text table.
 //! * [`Recorder`] — a cheap, cloneable handle onto a registry, held by
 //!   every instrumented component. [`Recorder::counter`] /
 //!   [`Recorder::hist`] get-or-create named instruments once at setup;
@@ -28,22 +26,18 @@
 //! * [`Counter`] — a sharded, lock-free monotonic counter.
 //! * [`Hist`] — a log2-bucket histogram with exact max and approximate
 //!   p50/p95/p99, for latencies in nanoseconds.
-//! * [`Event`] / [`EventKind`] — fixed-size trace records stamped with a
-//!   per-thread sequence number and a registry-wide **logical** clock
-//!   (never wall time), so a single-threaded run under a fixed
-//!   `pitree-sim` seed produces a byte-identical event stream every
-//!   time. Each thread writes into its own bounded ring
-//!   ([`Registry::with_event_capacity`]); when a ring wraps, the oldest
-//!   events are dropped and counted, never silently lost.
+//!
+//! There is no event trace: no reader needed one (DESIGN.md §7).
 //!
 //! # Determinism contract
 //!
-//! Events carry no wall-clock data — ordering comes from the logical
-//! clock, identity from the per-thread sequence number. Histograms *do*
-//! observe wall time ([`Stopwatch`]); they are aggregate-only and are
-//! excluded from the determinism contract. The sim-gate test in
-//! `pitree-harness` (`obs_determinism.rs`) holds the line: two runs of
-//! the same seeded workload must serialize to identical JSONL.
+//! Counters carry no wall-clock data, so a single-threaded run under a
+//! fixed `pitree-sim` seed reports identical counters every time.
+//! Histograms *do* observe wall time ([`Stopwatch`]); they are
+//! aggregate-only and are excluded from the determinism contract. The
+//! sim-gate test in `pitree-harness` (`obs_determinism.rs`) holds the
+//! line: two runs of the same seeded workload must render a
+//! byte-identical `== counters ==` section.
 
 #![warn(missing_docs)]
 #![expect(
@@ -52,12 +46,10 @@
 )]
 
 mod counter;
-mod event;
 mod hist;
 mod registry;
 
 pub use counter::Counter;
-pub use event::{Event, EventKind};
 pub use hist::Hist;
 pub use registry::{Recorder, Registry};
 

@@ -46,7 +46,7 @@ use crate::ids::{Lsn, PageId};
 use crate::latch::{order, Latch, LatchObs, SGuard, UGuard, XGuard};
 use crate::page::{Page, PageType};
 use crate::sync::{Condvar, Mutex, MutexGuard};
-use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
+use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -243,9 +243,9 @@ impl BufferPool {
     }
 
     /// Create a pool of `capacity` frames over `disk`, recording `buf.*`
-    /// metrics and buffer/latch events into `rec`'s registry. The store
-    /// assembly passes one registry through pool, log, lock table, and
-    /// tree so a whole workload reports in one place.
+    /// and `latch.*` metrics into `rec`'s registry. The store assembly
+    /// passes one registry through pool, log, lock table, and tree so a
+    /// whole workload reports in one place.
     ///
     /// The shard count defaults to `capacity / 16` clamped to `1..=16`, so
     /// every shard keeps at least 16 frames of clock headroom and tiny test
@@ -411,7 +411,6 @@ impl BufferPool {
                     drop(st);
                     self.stats.hits.inc();
                     shard.hits.inc();
-                    self.rec.event(EventKind::BufHit, pid.0, 0);
                     let pinned = PinnedPage {
                         pool: self,
                         frame: idx,
@@ -434,7 +433,6 @@ impl BufferPool {
         // entries to Busy, and do all I/O with the shard lock released.
         self.stats.misses.inc();
         shard.misses.inc();
-        self.rec.event(EventKind::BufMiss, pid.0, 0);
         let victim = loop {
             match self.pick_victim(shard, &mut st) {
                 VictimScan::Found(idx) => break idx,
@@ -494,7 +492,6 @@ impl BufferPool {
                         *frame.pid.lock() = None;
                         frame.dirty.store(false, Ordering::SeqCst);
                         self.stats.dirty_evictions.inc();
-                        self.rec.event(EventKind::BufEvictDirty, old.0, 0);
                         let mut st = self.lock_shard(shard);
                         st.table.remove(&old);
                         drop(st);
@@ -649,7 +646,6 @@ impl BufferPool {
                 // happens under the X latch, excluded by our S guard.
                 frame.dirty.store(false, Ordering::SeqCst);
                 self.flushes.inc();
-                self.rec.event(EventKind::BufFlush, pid.0, 0);
             }
         }
         Ok(())

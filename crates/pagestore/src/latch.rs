@@ -23,7 +23,7 @@
 //! holding no latch ordered after this one.
 
 use crate::sync::{Condvar, Mutex};
-use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
+use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,7 +164,6 @@ impl State {
 /// not and pay only an `Option` check.
 #[derive(Clone)]
 pub(crate) struct LatchObs {
-    rec: Recorder,
     acq_s: Counter,
     acq_u: Counter,
     acq_x: Counter,
@@ -182,21 +181,15 @@ impl LatchObs {
             promotes: rec.counter("latch.promotes"),
             waits: rec.counter("latch.waits"),
             wait_ns: rec.hist("latch.wait_ns"),
-            rec: rec.clone(),
         }
     }
 
-    fn acquired(&self, kind: EventKind, counter: &Counter, waited: Option<Stopwatch>, rank: u64) {
+    fn acquired(&self, counter: &Counter, waited: Option<Stopwatch>) {
         counter.inc();
         if let Some(t) = waited {
             self.waits.inc();
             self.wait_ns.record(t.elapsed_ns());
         }
-        self.rec.event(kind, waited.is_some() as u64, rank);
-    }
-
-    fn released(&self, mode: u64, rank: u64) {
-        self.rec.event(EventKind::LatchRelease, mode, rank);
     }
 }
 
@@ -246,10 +239,10 @@ impl<T> Latch<T> {
         }
     }
 
-    /// Wrap `value` in a latch that records every acquisition, wait, and
-    /// release through `obs` (`latch.*` counters, `latch.wait_ns` histogram,
-    /// `latch_*` events). The buffer pool observes its frame latches this
-    /// way; unobserved latches pay only an `Option` check.
+    /// Wrap `value` in a latch that records every acquisition and wait
+    /// through `obs` (`latch.*` counters, `latch.wait_ns` histogram). The
+    /// buffer pool observes its frame latches this way; unobserved latches
+    /// pay only an `Option` check.
     pub(crate) fn new_observed(value: T, rank: u64, obs: LatchObs) -> Latch<T> {
         Latch {
             state: Mutex::new(State::default()),
@@ -280,7 +273,7 @@ impl<T> Latch<T> {
         st.readers += 1;
         drop(st);
         if let Some(o) = &self.obs {
-            o.acquired(EventKind::LatchAcquireS, &o.acq_s, waited, self.rank);
+            o.acquired(&o.acq_s, waited);
         }
         SGuard { latch: self }
     }
@@ -293,7 +286,7 @@ impl<T> Latch<T> {
             drop(st);
             order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
-                o.acquired(EventKind::LatchAcquireS, &o.acq_s, None, self.rank);
+                o.acquired(&o.acq_s, None);
             }
             Some(SGuard { latch: self })
         } else {
@@ -317,7 +310,7 @@ impl<T> Latch<T> {
         st.u_held = true;
         drop(st);
         if let Some(o) = &self.obs {
-            o.acquired(EventKind::LatchAcquireU, &o.acq_u, waited, self.rank);
+            o.acquired(&o.acq_u, waited);
         }
         UGuard { latch: self }
     }
@@ -330,7 +323,7 @@ impl<T> Latch<T> {
             drop(st);
             order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
-                o.acquired(EventKind::LatchAcquireU, &o.acq_u, None, self.rank);
+                o.acquired(&o.acq_u, None);
             }
             Some(UGuard { latch: self })
         } else {
@@ -355,7 +348,7 @@ impl<T> Latch<T> {
         st.x_held = true;
         drop(st);
         if let Some(o) = &self.obs {
-            o.acquired(EventKind::LatchAcquireX, &o.acq_x, waited, self.rank);
+            o.acquired(&o.acq_x, waited);
         }
         XGuard { latch: self }
     }
@@ -368,7 +361,7 @@ impl<T> Latch<T> {
             drop(st);
             order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
-                o.acquired(EventKind::LatchAcquireX, &o.acq_x, None, self.rank);
+                o.acquired(&o.acq_x, None);
             }
             Some(XGuard { latch: self })
         } else {
@@ -417,9 +410,6 @@ impl<T> Drop for SGuard<'_, T> {
         st.readers -= 1;
         drop(st);
         order::pop(self.latch.rank);
-        if let Some(o) = &self.latch.obs {
-            o.released(0, self.latch.rank);
-        }
         self.latch.cv.notify_all();
     }
 }
@@ -461,7 +451,7 @@ impl<'a, T> UGuard<'a, T> {
             st.x_held = true;
         }
         if let Some(o) = &latch.obs {
-            o.acquired(EventKind::LatchPromote, &o.promotes, waited, latch.rank);
+            o.acquired(&o.promotes, waited);
         }
         std::mem::forget(self); // state already transferred to the X guard
         XGuard { latch }
@@ -496,9 +486,6 @@ impl<T> Drop for UGuard<'_, T> {
         st.u_held = false;
         drop(st);
         order::pop(self.latch.rank);
-        if let Some(o) = &self.latch.obs {
-            o.released(1, self.latch.rank);
-        }
         self.latch.cv.notify_all();
     }
 }
@@ -552,9 +539,6 @@ impl<T> Drop for XGuard<'_, T> {
         st.x_held = false;
         drop(st);
         order::pop(self.latch.rank);
-        if let Some(o) = &self.latch.obs {
-            o.released(2, self.latch.rank);
-        }
         self.latch.cv.notify_all();
     }
 }

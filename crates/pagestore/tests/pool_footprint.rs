@@ -111,10 +111,9 @@ fn live_pages() -> i64 {
     TALLY.with(|t| t.get().live_pages)
 }
 
-/// A pool whose registry keeps no event ring, so the only thing that grows
-/// on a fetch is the pool itself.
+/// A pool over `disk` with its own registry.
 fn pool_over(disk: Arc<dyn DiskManager>, frames: usize) -> BufferPool {
-    BufferPool::with_recorder(disk, frames, Registry::with_event_capacity(0).recorder())
+    BufferPool::with_recorder(disk, frames, Registry::new().recorder())
 }
 
 fn mem_pool(frames: usize) -> BufferPool {

@@ -158,7 +158,7 @@ impl Structure for Tsb {
 
     fn complete(tree: &TsbEngine, c: Completion) -> StoreResult<()> {
         match &c {
-            Completion::Post { key, node, .. } => tree.post_index_term(&c, key, *node).map(drop),
+            Completion::Post { key, .. } => tree.post_index_term(&c, key).map(drop),
             Completion::Consolidate { .. } => Ok(()), // TSB never consolidates
         }
     }

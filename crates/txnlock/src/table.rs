@@ -11,26 +11,13 @@
 //! [`LockError::WouldBlock`] releases its latches before blocking for real.
 
 use crate::modes::LockMode;
-use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
+use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use pitree_pagestore::sync::{Condvar, Mutex};
 use pitree_pagestore::PageId;
 use pitree_wal::ActionId;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Duration;
-
-/// Stable numeric code for a lock mode, used as the `b` payload of
-/// [`EventKind::LockGrant`] / [`EventKind::LockWait`] events.
-pub fn mode_code(mode: LockMode) -> u64 {
-    match mode {
-        LockMode::IS => 0,
-        LockMode::IX => 1,
-        LockMode::S => 2,
-        LockMode::U => 3,
-        LockMode::X => 4,
-        LockMode::Move => 5,
-    }
-}
 
 /// What a database lock protects.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -127,7 +114,6 @@ pub struct LockTable {
     inner: Mutex<TableInner>,
     cv: Condvar,
     timeout: Duration,
-    rec: Recorder,
     acquires: Counter,
     waits: Counter,
     deadlocks: Counter,
@@ -154,7 +140,7 @@ impl LockTable {
         LockTable::with_recorder(timeout, Recorder::detached())
     }
 
-    /// [`LockTable::new`] recording `lock.*` metrics and lock events into
+    /// [`LockTable::new`] recording `lock.*` metrics into
     /// `rec`'s registry.
     pub fn with_recorder(timeout: Duration, rec: Recorder) -> LockTable {
         LockTable {
@@ -169,7 +155,6 @@ impl LockTable {
             deadlocks: rec.counter("lock.deadlocks"),
             timeouts: rec.counter("lock.timeouts"),
             wait_ns: rec.hist("lock.wait_ns"),
-            rec,
         }
     }
 
@@ -210,7 +195,7 @@ impl LockTable {
             match entry.granted.iter().position(|g| g.owner == owner) {
                 Some(pos) if entry.granted[pos].mode.covers(mode) => {
                     entry.granted[pos].count += 1;
-                    self.granted_obs(owner, mode);
+                    self.acquires.inc();
                     return Ok(());
                 }
                 Some(pos) => {
@@ -218,7 +203,7 @@ impl LockTable {
                     if entry.grantable(owner, target, true) {
                         entry.granted[pos].mode = target;
                         entry.granted[pos].count += 1;
-                        self.granted_obs(owner, target);
+                        self.acquires.inc();
                         return Ok(());
                     }
                     (target, true)
@@ -230,7 +215,7 @@ impl LockTable {
                             mode,
                             count: 1,
                         });
-                        self.granted_obs(owner, mode);
+                        self.acquires.inc();
                         return Ok(());
                     }
                     (mode, false)
@@ -242,8 +227,6 @@ impl LockTable {
             return Err(LockError::WouldBlock);
         }
         self.waits.inc();
-        self.rec
-            .event(EventKind::LockWait, owner.0, mode_code(target));
         let wait_timer = Stopwatch::start();
 
         // Enqueue (converters at the front, behind other converters).
@@ -267,7 +250,6 @@ impl LockTable {
         if self.find_cycle(&inner, owner) {
             self.remove_waiter(&mut inner, owner, name);
             self.deadlocks.inc();
-            self.rec.event(EventKind::LockDeadlock, owner.0, 0);
             return Err(LockError::Deadlock);
         }
 
@@ -303,23 +285,16 @@ impl LockTable {
                     });
                 }
                 self.wait_ns.record(wait_timer.elapsed_ns());
-                self.granted_obs(owner, target);
+                self.acquires.inc();
                 return Ok(());
             }
             if timed_out {
                 self.remove_waiter(&mut inner, owner, name);
                 self.wait_ns.record(wait_timer.elapsed_ns());
                 self.timeouts.inc();
-                self.rec.event(EventKind::LockTimeout, owner.0, 0);
                 return Err(LockError::Timeout);
             }
         }
-    }
-
-    fn granted_obs(&self, owner: ActionId, mode: LockMode) {
-        self.acquires.inc();
-        self.rec
-            .event(EventKind::LockGrant, owner.0, mode_code(mode));
     }
 
     fn remove_waiter(&self, inner: &mut TableInner, owner: ActionId, name: &LockName) {

@@ -15,22 +15,10 @@
 use crate::log::LogManager;
 use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
 use crate::recovery::LogicalUndoHandler;
-use pitree_obs::EventKind;
 use pitree_pagestore::buffer::{BufferPool, PinnedPage};
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{Lsn, PageOp, StoreError, StoreResult};
-
-/// Stable numeric code for an action identity, used as the `b` payload of
-/// [`EventKind::ActionBegin`] events.
-pub fn identity_code(identity: &ActionIdentity) -> u64 {
-    match identity {
-        ActionIdentity::Transaction => 0,
-        ActionIdentity::SeparateTransaction => 1,
-        ActionIdentity::SystemTransaction => 2,
-        ActionIdentity::NestedTopAction { .. } => 3,
-    }
-}
 
 /// A live atomic action: owns a log chain; applies and logs page operations.
 pub struct AtomicAction<'a> {
@@ -52,8 +40,6 @@ impl<'a> AtomicAction<'a> {
         let id = log.next_action_id();
         let last = log.append(id, Lsn::ZERO, RecordKind::Begin { identity });
         log.action_counters().begins.inc();
-        let rec = log.recorder();
-        rec.event(EventKind::ActionBegin, id.0, identity_code(&identity));
         AtomicAction {
             log,
             id,
@@ -151,25 +137,18 @@ impl<'a> AtomicAction<'a> {
     pub fn commit(mut self) -> Lsn {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
         self.log.action_counters().commits.inc();
-        let rec = self.log.recorder();
-        rec.event(EventKind::ActionCommit, self.id.0, 0);
         self.last
     }
 
-    /// Commit for the pipelined path: append the `Commit` record and emit
-    /// the commit event, but do not wait for a force. Past this point the
-    /// action can no longer abort — it is *committed in the log* — yet it
-    /// is not durable: callers acknowledge only once
-    /// [`LogManager::flushed_lsn`] covers the returned LSN (early lock
-    /// release over the §4.3.1 durable-watermark discipline). The event
-    /// payload still distinguishes forced-class commits so observability
-    /// matches [`AtomicAction::commit`] / [`AtomicAction::commit_force`].
+    /// Commit for the pipelined path: append the `Commit` record but do
+    /// not wait for a force. Past this point the action can no longer
+    /// abort — it is *committed in the log* — yet it is not durable:
+    /// callers acknowledge only once [`LogManager::flushed_lsn`] covers the
+    /// returned LSN (early lock release over the §4.3.1 durable-watermark
+    /// discipline).
     pub fn commit_append(mut self) -> Lsn {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
         self.log.action_counters().commits.inc();
-        let rec = self.log.recorder();
-        let forced_class = matches!(self.identity, ActionIdentity::Transaction);
-        rec.event(EventKind::ActionCommit, self.id.0, u64::from(forced_class));
         self.last
     }
 
@@ -180,8 +159,6 @@ impl<'a> AtomicAction<'a> {
         self.last = self.log.append(self.id, self.last, RecordKind::Commit);
         self.log.force_to(self.last)?;
         self.log.action_counters().commits.inc();
-        let rec = self.log.recorder();
-        rec.event(EventKind::ActionCommit, self.id.0, 1);
         Ok(self.last)
     }
 
@@ -195,8 +172,6 @@ impl<'a> AtomicAction<'a> {
     ) -> StoreResult<()> {
         self.last = self.log.append(self.id, self.last, RecordKind::Abort);
         self.log.action_counters().aborts.inc();
-        let rec = self.log.recorder();
-        rec.event(EventKind::ActionAbort, self.id.0, 0);
         let mut cursor = self.last;
         while cursor != Lsn::ZERO {
             let rec = self.log.read(cursor)?;

@@ -59,7 +59,7 @@
 
 use crate::codec::checksum;
 use crate::record::{ActionId, LogRecord, RecordKind};
-use pitree_obs::{Counter, EventKind, Hist, Recorder, Stopwatch};
+use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::fault::{FaultSite, InjectorHandle};
 use pitree_pagestore::sync::{Condvar, Mutex};
@@ -307,21 +307,6 @@ const LINGER_STEP_NS: u64 = 25_000;
 /// below this are dominated by wakeup jitter).
 const LINGER_SLICE_MIN_NS: u64 = 20_000;
 
-/// Stable numeric code for a record kind, used as the `b` payload of
-/// [`EventKind::WalAppend`] events (documented in `OBSERVABILITY.md`).
-pub fn record_kind_code(kind: &RecordKind) -> u64 {
-    match kind {
-        RecordKind::Begin { .. } => 0,
-        RecordKind::Commit => 1,
-        RecordKind::Abort => 2,
-        RecordKind::End => 3,
-        RecordKind::Update { .. } => 4,
-        RecordKind::Clr { .. } => 5,
-        RecordKind::LogicalClr { .. } => 6,
-        RecordKind::Checkpoint { .. } => 7,
-    }
-}
-
 /// Little-endian u32 at `off`, or `None` when the slice is too short.
 fn le_u32_at(buf: &[u8], off: usize) -> Option<u32> {
     let bytes: [u8; 4] = buf.get(off..off.checked_add(4)?)?.try_into().ok()?;
@@ -388,7 +373,7 @@ impl LogManager {
         LogManager::open_observed(store, Recorder::detached())
     }
 
-    /// [`LogManager::open`] recording `wal.*` metrics and WAL events into
+    /// [`LogManager::open`] recording `wal.*` metrics into
     /// `rec`'s registry (the store assembly shares one registry across all
     /// layers).
     pub fn open_observed(store: Arc<dyn LogStore>, rec: Recorder) -> StoreResult<LogManager> {
@@ -479,7 +464,6 @@ impl LogManager {
             action,
             kind,
         };
-        let kind_code = record_kind_code(&rec.kind);
         let is_commit = matches!(rec.kind, RecordKind::Commit);
         let body = rec.encode_body();
         let mut tail = self.tail.lock();
@@ -495,7 +479,6 @@ impl LogManager {
         self.tail_end.store(end, Ordering::Release);
         drop(tail);
         self.appends.inc();
-        self.rec.event(EventKind::WalAppend, lsn.0, kind_code);
         lsn
     }
 
@@ -589,18 +572,18 @@ impl LogManager {
                 end
             }
         };
-        self.force_until(target, Some(lsn))
+        self.force_until(target)
     }
 
     /// Force the entire log.
     pub fn force_all(&self) -> StoreResult<()> {
         let target = self.tail_end.load(Ordering::Acquire);
-        self.force_until(target, None)
+        self.force_until(target)
     }
 
     /// Group-commit slow path: make bytes `< target` durable, either by
     /// leading a batch or by riding a concurrent leader's.
-    fn force_until(&self, target: u64, lsn_for_event: Option<Lsn>) -> StoreResult<()> {
+    fn force_until(&self, target: u64) -> StoreResult<()> {
         if self.flushed.load(Ordering::Acquire) >= target {
             return Ok(());
         }
@@ -630,7 +613,7 @@ impl LogManager {
             // covers everyone who arrived during it.
             let group = st.pending;
             drop(st);
-            let res = self.lead_force(lsn_for_event);
+            let res = self.lead_force();
             st = self.force.lock();
             st.leader = false;
             if self.linger_adaptive.load(Ordering::Relaxed) {
@@ -706,7 +689,7 @@ impl LogManager {
     /// atomic under the tail mutex) and it is what makes pipelined commits
     /// group: the oldest ack's force carries every commit published behind
     /// it. Runs with **no** lock held across the store write.
-    fn lead_force(&self, lsn_for_event: Option<Lsn>) -> StoreResult<()> {
+    fn lead_force(&self) -> StoreResult<()> {
         let (batch_base, batch, batch_commits) = {
             let mut tail = self.tail.lock();
             let end = tail.base + tail.buf.len() as u64;
@@ -735,9 +718,6 @@ impl LogManager {
                 if !batch_commits.is_empty() {
                     self.group_size.record(batch_commits.len() as u64);
                 }
-                let event_lsn = lsn_for_event.map_or(end, |l| l.0);
-                self.rec
-                    .event(EventKind::WalForce, event_lsn, batch.len() as u64);
                 Ok(())
             }
             Err(e) => {

@@ -19,8 +19,8 @@
 //! second is the ROADMAP's self-verifying-pages direction), while a
 //! *device* error from a ranged read fails recovery with that error rather
 //! than shortening the log. Recovery returns typed errors and never panics
-//! (`pitree-lint`'s
-//! `panic-free-recovery` rule enforces this mechanically).
+//! (the `#![deny]` line below, with `clippy.toml`'s `disallowed-macros`,
+//! enforces this mechanically under the clippy gate).
 //!
 //! There is one restart pipeline and one REDO engine: analysis emits a
 //! per-page redo plan, the plan is installed as the buffer pool's redo hook,
@@ -49,7 +49,7 @@
 use crate::instant::start_instant;
 use crate::log::LogManager;
 use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
-use pitree_obs::{EventKind, Stopwatch};
+use pitree_obs::Stopwatch;
 use pitree_pagestore::buffer::BufferPool;
 use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
 use std::collections::HashMap;
@@ -309,7 +309,6 @@ pub fn take_checkpoint(
     log.note_checkpoint();
     rec.counter("wal.ckpt_taken").inc();
     rec.hist("wal.ckpt_ns").record(timer.elapsed_ns());
-    rec.event(EventKind::WalCheckpoint, lsn.0, 0);
     Ok(lsn)
 }
 

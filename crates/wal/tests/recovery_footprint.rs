@@ -12,7 +12,7 @@
 //! only* (the pattern of `pagestore/tests/pool_footprint.rs`): bytes live,
 //! and their peak.
 
-use pitree_obs::{Recorder, Registry};
+use pitree_obs::Registry;
 use pitree_pagestore::buffer::BufferPool;
 use pitree_pagestore::page::PageType;
 use pitree_pagestore::{MemDisk, PageId, PageOp};
@@ -82,14 +82,8 @@ fn metered<R>(f: impl FnOnce() -> R) -> (R, i64, i64) {
 
 const PAGES: u64 = 256;
 
-/// A recorder that keeps no event ring, so the registry does not grow
-/// while the meter runs.
-fn quiet() -> Recorder {
-    Registry::with_event_capacity(0).recorder()
-}
-
 fn assemble(disk: &Arc<MemDisk>, store: Arc<dyn LogStore>) -> (BufferPool, Arc<LogManager>) {
-    let rec = quiet();
+    let rec = Registry::new().recorder();
     let pool =
         BufferPool::with_recorder(Arc::clone(disk) as Arc<_>, 2 * PAGES as usize, rec.clone());
     let log = Arc::new(LogManager::open_observed(store, rec).unwrap());

@@ -102,7 +102,7 @@ cargo test --offline --release -q -p pitree-wal --test recovery_footprint -- --n
 step "sim acceptance sweep (the same crash oracle: 64 seeds crash-recover-verify, 32 seeds crash-during-recovery; plus the shake)"
 cargo test --offline -q -p pitree-sim --test sim_sweep -- --nocapture
 
-step "pitree-check oracle gate (differential + linearizability + durability via the crash oracle, 8 seeds a layer, durability totals pinned; the lost-write, stale-read and lost-commit fixtures rejected here, ack-before-durable and the durability stale read in the workspace tests above)"
+step "pitree-check oracle gate (differential + linearizability + durability via the crash oracle, 8 seeds a layer, durability totals pinned; the lost-write, stale-read, truncated-value and lost-commit fixtures rejected here, ack-before-durable and the durability stale read in the workspace tests above)"
 cargo test --offline --release -q -p pitree-check --test check_props -- --nocapture \
   | sed 's/^\.*//' | grep -E '^check_props: |^test result'
 
@@ -110,7 +110,7 @@ step "rustdoc gate (zero warnings, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D warnings" \
   cargo doc --offline --no-deps --workspace
 
-step "obstop smoke (observability report + deterministic event stream)"
+step "obstop smoke (observability report)"
 out="$(cargo run --offline --release -q --bin obstop)"
 for metric in latch.acquire_s buf.misses wal.appends lock.acquires \
               tree.splits recovery.redo_ns; do
