@@ -84,7 +84,9 @@ pub trait RedoHook: Send + Sync {
 
 struct Frame {
     latch: Latch<Page>,
-    pid: Mutex<Option<PageId>>,
+    /// Id of the page the frame holds, or [`NO_PAGE`]; read through
+    /// [`Frame::pid`].
+    pid: AtomicU64,
     pin: AtomicU32,
     dirty: AtomicBool,
     /// LSN of the first update that dirtied the page since it was last clean
@@ -97,10 +99,10 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(obs: LatchObs) -> Frame {
+    fn new(obs: Arc<LatchObs>) -> Frame {
         Frame {
             latch: Latch::new_observed(Page::vacant(), order::UNRANKED, obs),
-            pid: Mutex::new(None),
+            pid: AtomicU64::new(NO_PAGE),
             pin: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
             rec_lsn: AtomicU64::new(0),
@@ -108,7 +110,23 @@ impl Frame {
             io_pending: AtomicBool::new(false),
         }
     }
+
+    /// The page this frame holds, if any.
+    fn pid(&self) -> Option<PageId> {
+        match self.pid.load(Ordering::SeqCst) {
+            NO_PAGE => None,
+            p => Some(PageId(p)),
+        }
+    }
+
+    fn set_pid(&self, pid: Option<PageId>) {
+        self.pid
+            .store(pid.map_or(NO_PAGE, |p| p.0), Ordering::SeqCst);
+    }
 }
+
+/// [`Frame::pid`]'s "no page": page ids are dense file indexes, far below it.
+const NO_PAGE: u64 = u64::MAX;
 
 /// Where a table entry's page currently lives.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -285,9 +303,11 @@ impl BufferPool {
                 }
             })
             .collect();
-        let obs = LatchObs::new(&rec);
+        let obs = Arc::new(LatchObs::new(&rec));
         BufferPool {
-            frames: (0..capacity).map(|_| Frame::new(obs.clone())).collect(),
+            frames: (0..capacity)
+                .map(|_| Frame::new(Arc::clone(&obs)))
+                .collect(),
             shards,
             disk,
             wal: OnceLock::new(),
@@ -448,7 +468,7 @@ impl BufferPool {
         // `dirty_pages()`; clearing first would open a window where a dirty
         // page is invisible to the checkpoint's dirty-page table and its
         // records sit below the recovered redo horizon.
-        let old_pid = *frame.pid.lock();
+        let old_pid = frame.pid();
         let old_dirty = old_pid.is_some() && frame.dirty.load(Ordering::SeqCst);
         if old_pid.is_some() {
             // A resident page is being displaced (clean or dirty): this is
@@ -466,7 +486,7 @@ impl BufferPool {
                 );
             } else {
                 st.table.remove(&old);
-                *frame.pid.lock() = None;
+                frame.set_pid(None);
             }
         }
         st.table.insert(
@@ -489,7 +509,7 @@ impl BufferPool {
                     Ok(()) => {
                         // Only now — image durably written — may the frame
                         // forget the old page and drop its dirty flag.
-                        *frame.pid.lock() = None;
+                        frame.set_pid(None);
                         frame.dirty.store(false, Ordering::SeqCst);
                         self.stats.dirty_evictions.inc();
                         let mut st = self.lock_shard(shard);
@@ -551,7 +571,7 @@ impl BufferPool {
             }
             *g = page;
         }
-        *frame.pid.lock() = Some(pid);
+        frame.set_pid(Some(pid));
         frame.pin.store(1, Ordering::SeqCst);
         frame.referenced.store(true, Ordering::Relaxed);
         frame.io_pending.store(false, Ordering::SeqCst);
@@ -627,7 +647,7 @@ impl BufferPool {
     /// Write every dirty page back to disk (checkpoint / clean shutdown).
     pub fn flush_all(&self) -> StoreResult<()> {
         for frame in self.frames.iter() {
-            let pid = match *frame.pid.lock() {
+            let pid = match frame.pid() {
                 Some(p) => p,
                 None => continue,
             };
@@ -637,7 +657,7 @@ impl BufferPool {
             let g = frame.latch.s();
             // Re-check identity under the latch: the frame may have been
             // re-used between the peek and the S acquisition.
-            if *frame.pid.lock() == Some(pid) {
+            if frame.pid() == Some(pid) {
                 self.write_back(pid, &g)?;
                 // Clear only after the write succeeds: a concurrent fuzzy
                 // checkpoint must keep seeing the page as dirty until its
@@ -667,7 +687,7 @@ impl BufferPool {
         let owed = !out.is_empty();
         for frame in self.frames.iter() {
             if frame.dirty.load(Ordering::SeqCst) {
-                if let Some(pid) = *frame.pid.lock() {
+                if let Some(pid) = frame.pid() {
                     out.push((pid, Lsn(frame.rec_lsn.load(Ordering::SeqCst))));
                 }
             }

@@ -26,7 +26,7 @@ use crate::sync::{Condvar, Mutex};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Debug-build latch-ordering checks.
 ///
@@ -94,30 +94,6 @@ pub mod order {
     }
 }
 
-/// Process-wide latch-contention counters, for the concurrency experiments:
-/// on a single-core host, wall-clock throughput cannot expose blocking, but
-/// the number of acquisitions that had to *wait* can.
-pub mod contention {
-    use super::*;
-
-    static WAITS: AtomicU64 = AtomicU64::new(0);
-
-    #[inline]
-    pub(super) fn record_wait() {
-        WAITS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total latch acquisitions that blocked since the last [`reset`].
-    pub fn waits() -> u64 {
-        WAITS.load(Ordering::Relaxed)
-    }
-
-    /// Zero the counter.
-    pub fn reset() {
-        WAITS.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Latch acquisition modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LatchMode {
@@ -158,11 +134,11 @@ impl State {
 }
 
 /// Latch observability handles, resolved from the registry's name map once
-/// (per buffer pool) and cloned into each observed latch, so neither the
-/// hot path nor building a frame touches the map. Buffer-pool frame
+/// (per buffer pool) and shared by every observed latch through one `Arc`,
+/// so neither the hot path nor building a frame touches the map, and a
+/// frame carries one pointer rather than six handles. Buffer-pool frame
 /// latches are observed ([`Latch::new_observed`]); ad-hoc latches are
 /// not and pay only an `Option` check.
-#[derive(Clone)]
 pub(crate) struct LatchObs {
     acq_s: Counter,
     acq_u: Counter,
@@ -198,7 +174,7 @@ pub struct Latch<T> {
     state: Mutex<State>,
     cv: Condvar,
     rank: u64,
-    obs: Option<LatchObs>,
+    obs: Option<Arc<LatchObs>>,
     data: UnsafeCell<T>,
 }
 
@@ -243,7 +219,7 @@ impl<T> Latch<T> {
     /// through `obs` (`latch.*` counters, `latch.wait_ns` histogram). The
     /// buffer pool observes its frame latches this way; unobserved latches
     /// pay only an `Option` check.
-    pub(crate) fn new_observed(value: T, rank: u64, obs: LatchObs) -> Latch<T> {
+    pub(crate) fn new_observed(value: T, rank: u64, obs: Arc<LatchObs>) -> Latch<T> {
         Latch {
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
@@ -264,7 +240,6 @@ impl<T> Latch<T> {
         let mut st = self.state.lock();
         let mut waited = None;
         if !st.can_s() {
-            contention::record_wait();
             waited = Some(Stopwatch::start());
             while !st.can_s() {
                 st = self.cv.wait(st);
@@ -301,7 +276,6 @@ impl<T> Latch<T> {
         let mut st = self.state.lock();
         let mut waited = None;
         if !st.can_u() {
-            contention::record_wait();
             waited = Some(Stopwatch::start());
             while !st.can_u() {
                 st = self.cv.wait(st);
@@ -338,7 +312,6 @@ impl<T> Latch<T> {
         st.x_waiting += 1;
         let mut waited = None;
         if !st.can_x() {
-            contention::record_wait();
             waited = Some(Stopwatch::start());
             while !st.can_x() {
                 st = self.cv.wait(st);
@@ -373,6 +346,13 @@ impl<T> Latch<T> {
     pub fn is_held(&self) -> bool {
         let st = self.state.lock();
         st.x_held || st.u_held || st.readers > 0
+    }
+
+    /// Threads blocked in an acquisition or a promotion of this latch
+    /// (diagnostics only; racy like [`Latch::is_held`]). Tests use it to
+    /// know a thread has blocked instead of sleeping.
+    pub fn parked(&self) -> u32 {
+        self.cv.parked()
     }
 
     /// Get the protected value without latching. Only sound when the caller
@@ -440,7 +420,6 @@ impl<'a, T> UGuard<'a, T> {
             let mut st = latch.state.lock();
             st.promoting = true;
             if st.readers > 0 || st.x_held {
-                contention::record_wait();
                 waited = Some(Stopwatch::start());
                 while st.readers > 0 || st.x_held {
                     st = latch.cv.wait(st);
@@ -548,7 +527,6 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn s_is_shared() {
@@ -602,8 +580,9 @@ mod tests {
             let u = l.u();
             let s = l.s();
             scope.spawn(|| {
-                // A sleep, not a signal: no per-latch count moves before a latch blocks.
-                std::thread::sleep(Duration::from_millis(20));
+                while l.parked() == 0 {
+                    std::thread::yield_now();
+                }
                 reader_done.store(1, Ordering::SeqCst);
                 drop(s);
             });
@@ -627,8 +606,9 @@ mod tests {
                 let _x = u.promote();
                 promoted.store(1, Ordering::SeqCst);
             });
-            // Let the promoter block: a sleep, as no per-latch count moves first.
-            std::thread::sleep(Duration::from_millis(20));
+            while l.parked() == 0 {
+                std::thread::yield_now();
+            }
             assert!(
                 l.try_s().is_none(),
                 "pending promotion must block new readers"
@@ -676,29 +656,31 @@ mod tests {
 
     #[test]
     fn contention_counter_records_blocking() {
-        contention::reset();
-        let l = Latch::new(0u32);
+        let rec = Recorder::detached();
+        let l = Latch::new_observed(0u32, order::UNRANKED, Arc::new(LatchObs::new(&rec)));
+        let waits = rec.counter("latch.waits");
         {
             let _s = l.s();
             assert!(l.try_x().is_none());
         }
         // Uncontended acquisitions do not count.
-        let before = contention::waits();
         drop(l.s());
         drop(l.u());
         drop(l.x());
-        assert_eq!(contention::waits(), before);
+        assert_eq!(waits.get(), 0);
         // A blocked X does.
         std::thread::scope(|scope| {
             let g = l.s();
             scope.spawn(|| {
                 let _x = l.x(); // must wait for the reader
             });
-            // A sleep, not a signal: no per-latch count moves before a latch blocks.
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            while l.parked() == 0 {
+                std::thread::yield_now();
+            }
             drop(g);
         });
-        assert!(contention::waits() > before);
+        assert_eq!(waits.get(), 1);
+        assert_eq!(l.parked(), 0);
     }
 
     #[test]

@@ -6,12 +6,34 @@
 //! external dependencies. A poisoned mutex is simply re-entered: the latch
 //! and lock-table invariants are maintained by explicit state counters, not
 //! by unwinding, so poison carries no information here.
+//!
+//! # The wake contract
+//!
+//! [`Condvar`] counts the threads parked in [`Condvar::wait`] and
+//! [`Condvar::wait_timeout`], and a notify with nobody parked returns
+//! without a syscall (std's futex condvar issues a `FUTEX_WAKE` on every
+//! notify, waiter or not). A waiter bumps the count while it still holds
+//! the paired mutex, before it sleeps, and drops it once it is awake and
+//! holds the mutex again. So the rule every caller keeps is:
+//!
+//! **Any predicate a waiter tests must change under the paired mutex** (or
+//! be published before the notifier's critical section on that mutex).
+//!
+//! Then a notifier that changed the predicate either ran its critical
+//! section before the waiter tested it (and the waiter sees the change) or
+//! after the waiter's increment (and the mutex hand-off makes the notifier
+//! see a non-zero count). A notifier that changes state with no mutex at
+//! all could lose a wakeup here — but so could it with std's condvar, whose
+//! waiter may test the predicate before the change and sleep after it.
+//!
+//! DESIGN.md §8 audits every wait site in the store against this rule.
 
 #![expect(
     clippy::disallowed_types,
     reason = "the poison-free wrappers are the one home of the raw std::sync primitives"
 )]
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{LockResult, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
@@ -71,12 +93,22 @@ impl<T: Default> Default for Mutex<T> {
     }
 }
 
-/// A condition variable paired with [`Mutex`].
+/// A condition variable paired with [`Mutex`], whose notifies skip the
+/// syscall when no thread is parked (see the module docs' wake contract).
 ///
 /// Unlike `parking_lot`, waiting consumes and returns the guard
 /// (`guard = cv.wait(guard)`), matching `std`'s move-based API.
 #[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    cv: std::sync::Condvar,
+    /// Threads inside `wait`/`wait_timeout`. Changed only while the paired
+    /// mutex is held: a waiter's increment is sequenced before `wait`
+    /// releases the mutex, and a notifier reads the count after acquiring
+    /// it, so the mutex's release/acquire pair orders the two and `Relaxed`
+    /// suffices. The count publishes no other data. A `u32` keeps the
+    /// condvar at 8 bytes: every buffer-pool frame's latch carries one.
+    parked: AtomicU32,
+}
 
 impl std::fmt::Debug for Condvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -87,12 +119,18 @@ impl std::fmt::Debug for Condvar {
 impl Condvar {
     /// A new condition variable.
     pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
+        Condvar {
+            cv: std::sync::Condvar::new(),
+            parked: AtomicU32::new(0),
+        }
     }
 
     /// Block until notified; returns the re-acquired guard.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        strip(self.0.wait(guard))
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let guard = strip(self.cv.wait(guard));
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        guard
     }
 
     /// Block until notified or `timeout` elapses.
@@ -101,23 +139,37 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        strip(self.0.wait_timeout(guard, timeout))
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let woke = strip(self.cv.wait_timeout(guard, timeout));
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        woke
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter, if any is parked.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.parked() != 0 {
+            self.cv.notify_one();
+        }
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters, if any is parked.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.parked() != 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Threads parked in `wait`/`wait_timeout` right now. Exact under the
+    /// paired mutex; a diagnostic (racy) read without it.
+    pub fn parked(&self) -> u32 {
+        self.parked.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     #[test]
@@ -162,12 +214,14 @@ mod tests {
                 g = cv.wait(g);
             }
         });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
+        let (m, cv) = &*pair;
+        while cv.parked() == 0 {
+            std::thread::yield_now();
         }
+        *m.lock() = true;
+        cv.notify_all();
         h.join().unwrap();
+        assert_eq!(cv.parked(), 0, "a notified waiter unparks");
     }
 
     #[test]
@@ -176,5 +230,60 @@ mod tests {
         let cv = Condvar::new();
         let (_g, res) = cv.wait_timeout(m.lock(), Duration::from_millis(10));
         assert!(res.timed_out());
+        assert_eq!(cv.parked(), 0, "a timed-out waiter unparks");
+    }
+
+    /// Lost-wakeup stress: each round the notifier bumps a generation under
+    /// the mutex while the waiters are on their way back into `wait` for it
+    /// (each after a spin of a different length, so a bump finds anywhere
+    /// from none to all of them parked). A skipped notify that was owed
+    /// shows up as a 10 s timeout, which ends the run and fails the test.
+    #[test]
+    fn no_lost_wakeup_under_generation_churn() {
+        const WAITERS: u64 = 3;
+        const ROUNDS: u64 = 10_000;
+        let gen = Mutex::new(0u64);
+        let cv = Condvar::new();
+        let seen = AtomicU64::new(0);
+        let lost_in_round = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WAITERS {
+                let (gen, cv, seen, lost_in_round) = (&gen, &cv, &seen, &lost_in_round);
+                s.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        for _ in 0..(round * (w + 1)) % 64 {
+                            std::hint::spin_loop();
+                        }
+                        let mut g = gen.lock();
+                        while *g < round {
+                            let (woke, res) = cv.wait_timeout(g, Duration::from_secs(10));
+                            if res.timed_out() {
+                                lost_in_round.store(round, Ordering::SeqCst);
+                                return;
+                            }
+                            g = woke;
+                        }
+                        drop(g);
+                        seen.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+            'rounds: for round in 1..=ROUNDS {
+                // Wait for every waiter to have seen the previous round, so
+                // the next bump races their return into `wait`.
+                while seen.load(Ordering::SeqCst) < WAITERS * (round - 1) {
+                    if lost_in_round.load(Ordering::SeqCst) != 0 {
+                        break 'rounds;
+                    }
+                    std::thread::yield_now();
+                }
+                *gen.lock() = round;
+                cv.notify_all();
+            }
+        });
+        let lost = lost_in_round.load(Ordering::SeqCst);
+        assert_eq!(lost, 0, "a waiter timed out in round {lost}: lost wakeup");
+        assert_eq!(seen.load(Ordering::SeqCst), WAITERS * ROUNDS);
+        assert_eq!(cv.parked(), 0);
     }
 }

@@ -76,12 +76,17 @@ fn promotion_waits_for_readers_and_blocks_new_ones() {
             *x = 1;
             promoted.store(1, Ordering::SeqCst);
         });
-        // A sleep, not a signal: no per-latch count moves before a latch blocks.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        while latch.parked() == 0 {
+            std::thread::yield_now(); // the updater has not blocked yet
+        }
         assert_eq!(
             promoted.load(Ordering::SeqCst),
             0,
             "promotion cannot finish under S"
+        );
+        assert!(
+            latch.try_s().is_none(),
+            "a pending promotion bars new readers"
         );
         drop(reader);
         h.join().unwrap();

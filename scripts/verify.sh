@@ -4,6 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + pitree-lint + build + tests
+#                                # + wake gate (seam + latch wake tests in release)
 #                                # + fill, image-fill, prefix, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracle gate (tests/check_props.rs)
@@ -59,6 +60,10 @@ fi
 
 step "cargo test (workspace; includes the clippy -D warnings gate)"
 cargo test --offline -q
+
+step "wake gate (release, where a lost wakeup's window is narrowest: the sync seam's parked-count and lost-wakeup stress tests, and the latch tests that wait on Latch::parked)"
+cargo test --offline --release -q -p pitree-pagestore --lib -- sync:: latch::
+cargo test --offline --release -q -p pitree-pagestore --test latch_sim
 
 step "fill gate (the split lands where the insert does: ascending and interleaved loads leave full nodes, random ones split as before)"
 cargo test --offline -q -p pitree --test fill -- --nocapture | grep -E 'fill: |^test result'
