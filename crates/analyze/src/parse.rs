@@ -98,7 +98,8 @@ pub enum Event {
         /// Source line.
         line: u32,
     },
-    /// WAL `.append(...)`.
+    /// WAL `.append(...)` / `.append_in(...)` (the log manager's two
+    /// append entry points).
     Append {
         /// Source line.
         line: u32,
@@ -770,7 +771,7 @@ impl<'a> Parser<'a> {
                         binds,
                     ));
                 }
-                "append" => {
+                "append" | "append_in" => {
                     return Some((vec![Event::Append { line }], open + 1, Vec::new()));
                 }
                 "rev"

@@ -257,6 +257,23 @@ fn flow_lbd_quiet_when_append_dominates_every_path() {
 }
 
 #[test]
+fn flow_lbd_takes_append_in_for_an_append() {
+    // The log manager's buffer-reusing entry point logs like `append`.
+    let src = |append: &str| {
+        format!(
+            "pub fn apply(wal: &Wal, pin: &Pin, frame: &mut Vec<u8>) {{\n\
+             \x20   wal.{append}(frame, rec);\n\
+             \x20   pin.mark_dirty();\n\
+             }}\n"
+        )
+    };
+    let f = lint_source("crates/core/src/fake.rs", &src("append_in"));
+    assert!(f.is_empty(), "{f:?}");
+    let f = lint_source("crates/core/src/fake.rs", &src("encode"));
+    assert!(f.iter().any(|x| x.rule == RuleId::LogBeforeDirty), "{f:?}");
+}
+
+#[test]
 fn flow_lbd_quiet_when_a_caller_discharges_the_obligation() {
     // Interprocedural: the only caller appends first, so the helper's
     // dirty is logged on every real path.

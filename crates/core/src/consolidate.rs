@@ -163,8 +163,8 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     }
 
     // ---- perform the merge (one atomic action, two levels: §5) ---------------
-    for bytes in entries {
-        act.apply(&c_pin, &mut cg, PageOp::KeyedInsert { bytes })?;
+    if !entries.is_empty() {
+        act.apply(&c_pin, &mut cg, PageOp::KeyedInsertMany { entries })?;
     }
     let merged_hdr = NodeHeader {
         level: c_hdr.level,

@@ -311,8 +311,9 @@ pub fn split_slot(page: &Page, pending_key: &[u8]) -> u16 {
     }
 }
 
-/// Move the keyed entries in `slots` of `from` into `to`: inserts first,
-/// then removes, each individually logged (§3.2.1 steps 3/4).
+/// Move the keyed entries in `slots` of `from` into `to` (§3.2.1 steps
+/// 3/4): one logged `KeyedInsertMany` into `to`, then one `KeyedRemoveMany`
+/// from `from`. Each applies entry by entry, in slot order.
 pub fn move_entries(
     chain: &mut Txn<'_>,
     from: &PinnedPage<'_>,
@@ -321,15 +322,14 @@ pub fn move_entries(
     to_g: &mut XGuard<'_, Page>,
     slots: std::ops::RangeInclusive<u16>,
 ) -> StoreResult<()> {
-    let mut keys = Vec::with_capacity(slots.size_hint().0);
-    for slot in slots {
-        keys.push(from_g.entry_key_at(slot).to_vec());
-        let bytes = from_g.entry_at(slot);
-        chain.apply(to, to_g, PageOp::KeyedInsert { bytes })?;
+    let (entries, keys): (Vec<_>, Vec<_>) = slots
+        .map(|slot| (from_g.entry_at(slot), from_g.entry_key_at(slot).to_vec()))
+        .unzip();
+    if entries.is_empty() {
+        return Ok(());
     }
-    for key in keys {
-        chain.apply(from, from_g, PageOp::KeyedRemove { key })?;
-    }
+    chain.apply(to, to_g, PageOp::KeyedInsertMany { entries })?;
+    chain.apply(from, from_g, PageOp::KeyedRemoveMany { keys })?;
     Ok(())
 }
 

@@ -164,12 +164,12 @@ fn log_prefix_sweep_during_split_storm() {
     let mut cns = PiTreeConfig::small_nodes(4, 4);
     cns.consolidation = ConsolidationPolicy::Disabled;
     for (mut cfg, stride, pinned) in [
-        (PiTreeConfig::small_nodes(4, 4), 1, (454, 387, 7)),
-        (cns, 2, (228, 195, 7)),
+        (PiTreeConfig::small_nodes(4, 4), 1, (442, 381, 7)),
+        (cns, 2, (222, 192, 7)),
         (
             PiTreeConfig::small_nodes(4, 4).page_oriented(),
             2,
-            (228, 195, 7),
+            (222, 192, 7),
         ),
     ] {
         cfg.auto_complete = false;

@@ -9,6 +9,12 @@
 //! per hit / 0 per miss, so the shared loop cannot quietly start
 //! allocating for any of them.
 //!
+//! The write row pins the insert path the same way, to an exact count: a
+//! Π-tree insert allocates in the lock table, for its entry and for its
+//! undo, and appending its log records allocates nothing (each atomic
+//! action encodes its records into one reused frame buffer, and the log
+//! tail reuses the buffer of the batch it last forced).
+//!
 //! The counter is a wrapping [`GlobalAlloc`] that tallies allocations made
 //! by the *measuring thread only* (thread-local flag), so background work —
 //! the group-commit daemon, other test threads — cannot perturb the count.
@@ -140,6 +146,41 @@ fn steady_state_reads_are_allocation_free() {
          for the output vector's growth)"
     );
 }
+
+#[test]
+fn steady_state_inserts_allocate_a_pinned_count() {
+    let store = CrashableStore::create(4096, 1_000_000).expect("create store");
+    let tree =
+        PiTree::create(Arc::clone(&store.store), 1, PiTreeConfig::default()).expect("create tree");
+    // Ascending 8-byte keys with 16-byte values, committed 64 to a
+    // transaction: the benchmark images' load.
+    const KEYS: u64 = 4_096;
+    const TXN: u64 = 64;
+    let load = |keys: std::ops::Range<u64>| {
+        for lo in keys.step_by(TXN as usize) {
+            let mut txn = tree.begin();
+            for k in lo..lo + TXN {
+                tree.insert(&mut txn, &k.to_be_bytes(), &[k as u8; 16])
+                    .expect("insert");
+            }
+            txn.commit().expect("commit");
+        }
+    };
+    // Warm: the pool, the lock table and the log tail have grown to size.
+    load(0..KEYS);
+    let n = count_allocs(|| load(KEYS..2 * KEYS));
+    assert_eq!(
+        n,
+        INSERT_ALLOCS,
+        "{KEYS} ascending inserts in transactions of {TXN} allocated {n} times \
+         ({:.2} per insert); pinned {INSERT_ALLOCS}",
+        n as f64 / KEYS as f64
+    );
+}
+
+/// Allocations of `steady_state_inserts_allocate_a_pinned_count`'s 4,096
+/// inserts.
+const INSERT_ALLOCS: u64 = 21_704;
 
 #[test]
 fn tsb_as_of_reads_allocate_only_the_returned_value() {

@@ -10,12 +10,19 @@
 //! The prefix gate (`scripts/verify.sh` prints its `prefix:` lines) pins
 //! what keyed pages pay per entry now that they store key suffixes after
 //! the prefix their first and last keys share.
+//!
+//! The log-table gate (`scripts/verify.sh` prints its `log_table:` lines)
+//! prints both images' log byte tables — records and bytes per record kind
+//! × redo `PageOp` × undo kind, from a scan of the log — and pins their
+//! totals. Neither image may log a `FullImage`: every page an image formats
+//! is fresh, so its `Format` undoes with a `Format`.
 
 use pitree::wellformed::{fill_line, LevelFill};
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_hb::{HbConfig, HbTree, Point};
 use pitree_pagestore::PAGE_SIZE;
 use pitree_tsb::{TsbConfig, TsbTree};
+use pitree_wal::ByteTable;
 use std::sync::Arc;
 
 /// Keys of the TSB-tree and points of the hB-tree (`MULTI_KEYS`).
@@ -118,6 +125,7 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
         "image_fill: {pages} pages, {:.3} page bytes per user byte",
         (pages * PAGE_SIZE as u64) as f64 / user_bytes as f64
     );
+    assert_eq!(log_table(&cs, "multi"), (148_537, 22_293_443));
     let data = report.levels.last().expect("hb data level");
     assert!(
         data.fill() >= 0.60,
@@ -125,6 +133,21 @@ fn multi_struct_image_keeps_hb_data_nodes_full() {
         100.0 * data.fill(),
         fill_line(&report.levels)
     );
+}
+
+/// Print `image`'s log byte table as `log_table:` lines, check it holds no
+/// `FullImage`, and return its `(records, bytes)` total.
+fn log_table(cs: &CrashableStore, image: &str) -> (u64, u64) {
+    let table = ByteTable::of(cs.store.log.scan(None)).expect("scan the log");
+    for line in table.to_string().lines() {
+        println!("log_table: {image}: {line}");
+    }
+    assert_eq!(
+        table.sum(|r| r.redo == "FullImage" || r.undo == "FullImage"),
+        (0, 0),
+        "the {image} image logged a page's full image"
+    );
+    table.sum(|_| true)
 }
 
 /// Page bytes the data level (the last of `levels`) uses per entry it
@@ -170,4 +193,5 @@ fn sequential_image_pays_for_key_suffixes_only() {
     );
     assert!(leaf <= 24.0, "{leaf:.2} leaf bytes per entry");
     assert!(ratio <= 1.05, "{ratio:.4} page bytes per user byte");
+    assert_eq!(log_table(&cs, "pi"), (54_834, 4_142_997));
 }

@@ -4,12 +4,13 @@
 //! structure change it has — splits, root growth, postings that split their
 //! parent, consolidations, aborts, one loser — then crashes and recovers,
 //! serves every key once (which detects and completes what the crash left
-//! unposted), and forces the log. The test pins three values, captured at
-//! the commit before the engine took over the split and posting drivers:
-//! the durable log length, a hash of the durable log bytes, and a hash of
-//! every allocated page image. It also pins the per-structure SMO counters
-//! before the crash and after recovery. A refactor of the drivers that moves
-//! one log byte or one page byte fails here.
+//! unposted), and forces the log. The test pins four values: the durable
+//! log length, a hash of the durable log bytes, a hash of every allocated
+//! page image, and a hash of the same images without their LSN field. It
+//! also pins the per-structure SMO counters before the crash and after
+//! recovery. A refactor of the drivers that moves one log byte or one page
+//! byte fails here. A change to what the log writes moves the first three
+//! (page LSNs are log offsets) and must leave the content hash alone.
 //!
 //! The pool holds every page the scripts touch, so no eviction happens and
 //! the bytes depend only on what the structure changes log.
@@ -29,6 +30,9 @@ struct Golden {
     log_len: u64,
     log_hash: u64,
     page_hash: u64,
+    /// A hash of the same page images without their LSN field: what the
+    /// pages hold, apart from where in the log their last update sits.
+    content_hash: u64,
     /// `[splits, root_grows, splits_independent, postings_done, postings_noop]`
     /// before the crash.
     before: [u64; 5],
@@ -45,6 +49,9 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
 }
 
 const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The page LSN: the first eight bytes of every page image.
+const LSN_BYTES: usize = 8;
 
 fn counters(s: &TreeStats) -> [u64; 5] {
     [
@@ -63,6 +70,7 @@ fn seal(cs: &CrashableStore, before: [u64; 5], after: [u64; 5]) -> Golden {
     let mut log_hash = FNV_START;
     fnv(&mut log_hash, &log);
     let mut page_hash = FNV_START;
+    let mut content_hash = FNV_START;
     let space = &cs.store.space;
     let mut left = space.allocated_count(&cs.store.pool).expect("space map");
     for pid in 0.. {
@@ -76,12 +84,15 @@ fn seal(cs: &CrashableStore, before: [u64; 5], after: [u64; 5]) -> Golden {
             let g = page.s();
             fnv(&mut page_hash, &pid.to_le_bytes());
             fnv(&mut page_hash, g.as_bytes());
+            fnv(&mut content_hash, &pid.to_le_bytes());
+            fnv(&mut content_hash, &g.as_bytes()[LSN_BYTES..]);
         }
     }
     Golden {
         log_len: log.len() as u64,
         log_hash,
         page_hash,
+        content_hash,
         before,
         after,
     }
@@ -438,67 +449,83 @@ fn hb_deferred_completions_bytes_are_pinned() {
 // The log hashes moved only for the three CP configurations, whose
 // consolidations log the freed page's full before-image. No log length and
 // no SMO counter moved: entry caps, not bytes, fill these scripts' nodes.
+//
+// Log lengths, log hashes and page hashes re-captured when a structure
+// change began to log each entry move as one range record
+// (`KeyedInsertMany` / `KeyedRemoveMany`) and a `Format` of a fresh page
+// began to log a `Format` as its undo instead of the 4 KB image. The
+// content hashes were captured on the commit before that change and did
+// not move: pages land the same bytes. No SMO counter moved.
 
 const BLINK_LOGICAL_CP: Golden = Golden {
-    log_len: 569_892,
-    log_hash: 0xb4f0ff0e333302c1,
-    page_hash: 0xba805afedd35790c,
+    log_len: 150_618,
+    log_hash: 0x2db1c1b41cf5ff01,
+    page_hash: 0x4eb11e579e7a88be,
+    content_hash: 0x43e21dfd90d2b997,
     before: [98, 4, 68, 94, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_LOGICAL_CP_NOT_AN_UPDATE: Golden = Golden {
-    log_len: 523_967,
-    log_hash: 0xd754ad8c04d6506e,
-    page_hash: 0xc6eab28c93d37fc1,
+    log_len: 104_693,
+    log_hash: 0x7a25a7fde8525e02,
+    page_hash: 0xb4bfbf3b16a31074,
+    content_hash: 0x43e21dfd90d2b997,
     before: [98, 4, 68, 94, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_PAGE_ORIENTED_CP: Golden = Golden {
-    log_len: 570_687,
-    log_hash: 0x7d2a26a41726c6fb,
-    page_hash: 0x3f802345f3e18446,
+    log_len: 159_739,
+    log_hash: 0xff22123cde80a5b2,
+    page_hash: 0x4a4e336a2182516b,
+    content_hash: 0x01ed380b21ebb32a,
     before: [95, 4, 63, 87, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_LOGICAL_CNS: Golden = Golden {
-    log_len: 520_645,
-    log_hash: 0x9d96b1bd3360f064,
-    page_hash: 0x1e3531d9bd06bfc3,
+    log_len: 97_272,
+    log_hash: 0xe1bcee42e3966a62,
+    page_hash: 0x31f2a19d9485fda1,
+    content_hash: 0x1891ff74d4f11bc0,
     before: [98, 4, 68, 93, 0],
     after: [0, 0, 0, 1, 0],
 };
 const BLINK_PAGE_ORIENTED_CNS: Golden = Golden {
-    log_len: 520_930,
-    log_hash: 0x2e8cc6492e779d47,
-    page_hash: 0xa478238857f30553,
+    log_len: 93_586,
+    log_hash: 0xbdb3c07453e6ba8c,
+    page_hash: 0xfc2c57c700490a93,
+    content_hash: 0x412b7bb34b46279f,
     before: [95, 4, 63, 87, 0],
     after: [0, 0, 0, 0, 0],
 };
 const TSB: Golden = Golden {
-    log_len: 691_491,
-    log_hash: 0xb009f43981e2a382,
-    page_hash: 0x8a89e459a4f180f3,
+    log_len: 139_904,
+    log_hash: 0x7de0839269f7f9cc,
+    page_hash: 0x5d448629ca833fd3,
+    content_hash: 0x44872e475dae01fa,
     before: [128, 4, 96, 116, 0],
     after: [0, 0, 0, 0, 0],
 };
 const TSB_DEFERRED: Golden = Golden {
-    log_len: 750_094,
-    log_hash: 0xee7f70326c739123,
-    page_hash: 0x8097d47cb6a0835c,
+    log_len: 147_243,
+    log_hash: 0x62ee7d97c8ecd951,
+    page_hash: 0x767fc71cdea182e7,
+    content_hash: 0x428517fa4ed9552a,
     before: [101, 2, 70, 65, 0],
     after: [37, 4, 0, 63, 0],
 };
 const HB: Golden = Golden {
-    log_len: 2_367_394,
-    log_hash: 0xa1962f7c699cef8,
-    page_hash: 0xf495e0c98aea96ec,
+    log_len: 478_962,
+    log_hash: 0x32fc609cdbea0657,
+    page_hash: 0x6431686b6f212636,
+    content_hash: 0xf642a997b8597331,
     before: [444, 11, 148, 419, 13],
     after: [0, 0, 0, 1, 0],
 };
 const HB_DEFERRED: Golden = Golden {
-    log_len: 1_847_452,
-    log_hash: 0x363ac9eef27445e3,
-    page_hash: 0x4c505e8272d74060,
+    log_len: 409_910,
+    log_hash: 0x37bd582bcb1d83bd,
+    page_hash: 0x851ef45cb56dc002,
+    content_hash: 0x68ed357b1bb2b131,
     before: [245, 2, 148, 145, 133],
     after: [92, 6, 0, 184, 0],
 };
@@ -509,7 +536,9 @@ const HB_DEFERRED: Golden = Golden {
 /// record it logs carries whole keys and entries, so its durable log must be
 /// the bytes it was before keyed pages stored key suffixes. Pins "the log
 /// format did not change" (captured at the commit before prefix
-/// truncation).
+/// truncation; re-captured when the `Format` of each tree's fresh root page
+/// began to log a `Format` as its undo instead of the page's 4 KB image —
+/// no user record changed).
 #[test]
 fn unsplit_script_logs_the_parents_bytes() {
     let cs = CrashableStore::create(POOL, MAX_PAGES).expect("store");
@@ -552,5 +581,5 @@ fn unsplit_script_logs_the_parents_bytes() {
     assert_eq!((log.len(), log_hash), (UNSPLIT_LOG_LEN, UNSPLIT_LOG_HASH));
 }
 
-const UNSPLIT_LOG_LEN: usize = 28_512;
-const UNSPLIT_LOG_HASH: u64 = 0x2147ae6deb89d678;
+const UNSPLIT_LOG_LEN: usize = 16_215;
+const UNSPLIT_LOG_HASH: u64 = 0xb77903d3ed56b2af;

@@ -130,11 +130,9 @@ pub(crate) fn raw_split(
         .filter(|(_, p)| p[dim] >= val)
         .map(|(s, _)| (g.entry_key_at(s).to_vec(), g.entry_at(s)))
         .unzip();
-    for bytes in entries {
-        act.apply(&new_pin, &mut ng, PageOp::KeyedInsert { bytes })?;
-    }
-    for key in keys {
-        act.apply(page, g, PageOp::KeyedRemove { key })?;
+    if !entries.is_empty() {
+        act.apply(&new_pin, &mut ng, PageOp::KeyedInsertMany { entries })?;
+        act.apply(page, g, PageOp::KeyedRemoveMany { keys })?;
     }
     let old_hdr = HbHeader {
         level: hdr.level,

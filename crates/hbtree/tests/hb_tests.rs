@@ -6,7 +6,7 @@ use pitree::Structure;
 use pitree_hb::{point_key, Frag, Hb, HbConfig, HbHeader, HbTree, Point, PtrKind, Rect};
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp};
-use pitree_sim::SimRng;
+use pitree_sim::{crash, SimRng};
 use pitree_wal::ActionIdentity;
 use std::sync::Arc;
 
@@ -289,10 +289,22 @@ fn crash_recovery_preserves_committed_points() {
 
 #[test]
 fn crash_log_prefix_sweep() {
+    // Crash with the durable log cut at every record boundary of a workload
+    // full of splits, clipped postings and root growth, and inside every
+    // range record. Every cut past the tree's creation must recover a
+    // well-formed tree holding exactly the points whose commits the cut
+    // kept; a drain must then finish every split the cut left unposted.
+    // Pinned: the cuts that recover a tree and those that recover an
+    // unposted split.
     let cfg = HbConfig::small_nodes(4, 10);
     let (cs, tree) = setup(cfg);
-    for p in grid_points(6, 64) {
-        put(&tree, p, b"s");
+    let created = cs.durable_log_len();
+    // (point, value, durable log end once its commit was forced)
+    let mut puts = Vec::new();
+    for (i, p) in grid_points(6, 64).into_iter().enumerate() {
+        let v = format!("p{i}").into_bytes();
+        put(&tree, p, &v);
+        puts.push((p, v, cs.durable_log_len()));
     }
     drop(tree);
     cs.store.log.force_all().unwrap();
@@ -302,14 +314,29 @@ fn crash_log_prefix_sweep() {
         .scan(None)
         .collect::<Result<_, _>>()
         .expect("scan");
-    for (idx, rec) in records.iter().enumerate() {
-        if idx % 5 != 0 {
-            continue;
-        }
-        let cut = rec.lsn.0 - 1;
+    let cuts = crash::log_cuts(&records, cs.durable_log_len());
+    // A split moves its high side's records: one `KeyedInsertMany` into the
+    // new node, one `KeyedRemoveMany` of the same keys from the old one.
+    let splits: Vec<u64> = crash::range_moves(&records)
+        .into_iter()
+        .filter(|(moved, removed, _)| moved == removed)
+        .map(|(.., between)| between)
+        .collect();
+    assert!(
+        splits.iter().any(|c| cuts.contains(c)),
+        "no cut inside a split's entry move"
+    );
+
+    let (mut recovered, mut interrupted) = (0, 0);
+    for &cut in &cuts {
         let cs2 = cs.crash_with_log_prefix(cut).unwrap();
-        let Ok((tree2, _)) = HbTree::recover(Arc::clone(&cs2.store), 1, cfg) else {
-            continue;
+        let (tree2, _) = match HbTree::recover(Arc::clone(&cs2.store), 1, cfg) {
+            Ok(r) => r,
+            // Only a cut before the creation commit leaves no tree.
+            Err(e) => {
+                assert!(cut < created, "cut={cut}: recovery failed: {e}");
+                continue;
+            }
         };
         let report = tree2.validate().unwrap();
         assert!(
@@ -317,7 +344,27 @@ fn crash_log_prefix_sweep() {
             "cut={cut}: {:?}",
             report.violations
         );
+        recovered += 1;
+        if report.unposted_nodes > 0 {
+            interrupted += 1;
+        }
+        for (p, v, end) in &puts {
+            let kept = (*end <= cut).then(|| v.clone());
+            assert_eq!(tree2.get(p).unwrap(), kept, "cut={cut}: point {p:?}");
+        }
+        assert_eq!(
+            report.records,
+            puts.iter().filter(|(.., end)| *end <= cut).count(),
+            "cut={cut}"
+        );
+        for _ in 0..4 {
+            tree2.run_completions().unwrap();
+        }
+        let after = tree2.validate().unwrap();
+        assert!(after.is_well_formed(), "cut={cut}: {:?}", after.violations);
+        assert_eq!(after.unposted_nodes, 0, "cut={cut}: left unposted");
     }
+    assert_eq!((recovered, interrupted), (327, 91));
 }
 
 #[test]

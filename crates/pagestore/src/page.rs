@@ -454,6 +454,18 @@ impl Page {
         self.flags() & FLAG_FREED != 0
     }
 
+    /// The page's type when every byte but the LSN is what
+    /// [`Page::format`] leaves for that type — no flag, slot, bit or heap
+    /// byte set — else `None`.
+    pub fn fresh_type(&self) -> Option<PageType> {
+        let ty = self.page_type().ok()?;
+        let zero = |bytes: &[u8]| bytes.iter().all(|&b| b == 0);
+        (self.get_u16(OFF_HEAP_TOP) == PAGE_SIZE as u16
+            && zero(&self.buf[OFF_FLAGS..OFF_HEAP_TOP])
+            && zero(&self.buf[OFF_FRAG..]))
+        .then_some(ty)
+    }
+
     /// Number of live slots.
     pub fn slot_count(&self) -> u16 {
         self.get_u16(OFF_SLOT_COUNT)

@@ -59,8 +59,8 @@ pub enum PageOp {
         /// Bit index within the bitmap page.
         bit: u32,
     },
-    /// Restore a complete page image. Produced as the inverse of `Format`,
-    /// never written directly by tree code.
+    /// Restore a complete page image. Produced as the inverse of a `Format`
+    /// of a page that holds something, never written directly by tree code.
     FullImage {
         /// The full page image.
         bytes: Vec<u8>,
@@ -82,6 +82,18 @@ pub enum PageOp {
     KeyedUpdate {
         /// The full replacement entry bytes.
         bytes: Vec<u8>,
+    },
+    /// Insert several keyed entries, in order: one record for the run of
+    /// `KeyedInsert`s a structure change would otherwise log.
+    KeyedInsertMany {
+        /// The full entry bytes, in the order they are inserted.
+        entries: Vec<Vec<u8>>,
+    },
+    /// Remove several keyed entries, in order; the inverse of
+    /// `KeyedInsertMany`.
+    KeyedRemoveMany {
+        /// The entry keys, in the order they are removed.
+        keys: Vec<Vec<u8>>,
     },
 }
 
@@ -113,6 +125,12 @@ impl PageOp {
             PageOp::KeyedInsert { bytes } => page.keyed_insert(bytes).map(|_| ()),
             PageOp::KeyedRemove { key } => page.keyed_remove(key).map(|_| ()),
             PageOp::KeyedUpdate { bytes } => page.keyed_update(bytes).map(|_| ()),
+            PageOp::KeyedInsertMany { entries } => entries
+                .iter()
+                .try_for_each(|e| page.keyed_insert(e).map(|_| ())),
+            PageOp::KeyedRemoveMany { keys } => keys
+                .iter()
+                .try_for_each(|k| page.keyed_remove(k).map(|_| ())),
         }
     }
 
@@ -120,10 +138,18 @@ impl PageOp {
     ///
     /// `invert` then `apply` of the inverse restores the page content exactly
     /// (modulo internal heap layout, which is not semantically visible).
+    /// A range op's inverse undoes its entries in reverse order, so undoing
+    /// it changes the page exactly as undoing the single-entry records would.
+    /// A `Format` of a page that is still freshly formatted inverts to a
+    /// `Format` of its type: every byte but the LSN comes back, and undo
+    /// stamps the LSN of its compensation record anyway.
     pub fn invert(&self, before: &Page) -> StoreResult<PageOp> {
         Ok(match self {
-            PageOp::Format { .. } => PageOp::FullImage {
-                bytes: before.as_bytes().to_vec(),
+            PageOp::Format { .. } => match before.fresh_type() {
+                Some(ty) => PageOp::Format { ty },
+                None => PageOp::FullImage {
+                    bytes: before.as_bytes().to_vec(),
+                },
             },
             PageOp::InsertSlot { slot, .. } => PageOp::RemoveSlot { slot: *slot },
             PageOp::RemoveSlot { slot } => PageOp::InsertSlot {
@@ -145,28 +171,57 @@ impl PageOp {
             PageOp::KeyedInsert { bytes } => PageOp::KeyedRemove {
                 key: Page::entry_key(bytes)?.to_vec(),
             },
-            PageOp::KeyedRemove { key } => {
-                let slot = before.keyed_find(key)?.map_err(|_| {
-                    crate::error::StoreError::Corrupt(format!(
-                        "inverting removal of absent key {key:02x?}"
-                    ))
-                })?;
-                PageOp::KeyedInsert {
-                    bytes: before.entry_at(slot),
-                }
-            }
-            PageOp::KeyedUpdate { bytes } => {
-                let key = Page::entry_key(bytes)?;
-                let slot = before.keyed_find(key)?.map_err(|_| {
-                    crate::error::StoreError::Corrupt(format!(
-                        "inverting update of absent key {key:02x?}"
-                    ))
-                })?;
-                PageOp::KeyedUpdate {
-                    bytes: before.entry_at(slot),
-                }
-            }
+            PageOp::KeyedRemove { key } => PageOp::KeyedInsert {
+                bytes: entry_under(before, key, "removal")?,
+            },
+            PageOp::KeyedUpdate { bytes } => PageOp::KeyedUpdate {
+                bytes: entry_under(before, Page::entry_key(bytes)?, "update")?,
+            },
+            PageOp::KeyedInsertMany { entries } => PageOp::KeyedRemoveMany {
+                keys: entries
+                    .iter()
+                    .rev()
+                    .map(|e| Page::entry_key(e).map(<[u8]>::to_vec))
+                    .collect::<StoreResult<_>>()?,
+            },
+            PageOp::KeyedRemoveMany { keys } => PageOp::KeyedInsertMany {
+                entries: keys
+                    .iter()
+                    .rev()
+                    .map(|key| entry_under(before, key, "removal"))
+                    .collect::<StoreResult<_>>()?,
+            },
         })
+    }
+
+    /// The variant's name, for reports such as the log's byte table.
+    pub fn name(&self) -> &'static str {
+        match self {
+            PageOp::Format { .. } => "Format",
+            PageOp::InsertSlot { .. } => "InsertSlot",
+            PageOp::RemoveSlot { .. } => "RemoveSlot",
+            PageOp::UpdateSlot { .. } => "UpdateSlot",
+            PageOp::SetFlags { .. } => "SetFlags",
+            PageOp::SetBit { .. } => "SetBit",
+            PageOp::ClearBit { .. } => "ClearBit",
+            PageOp::FullImage { .. } => "FullImage",
+            PageOp::KeyedInsert { .. } => "KeyedInsert",
+            PageOp::KeyedRemove { .. } => "KeyedRemove",
+            PageOp::KeyedUpdate { .. } => "KeyedUpdate",
+            PageOp::KeyedInsertMany { .. } => "KeyedInsertMany",
+            PageOp::KeyedRemoveMany { .. } => "KeyedRemoveMany",
+        }
+    }
+}
+
+/// The entry `before` holds under `key`, which the op being inverted (a
+/// `what`) changes; an absent key means the log and the page disagree.
+fn entry_under(before: &Page, key: &[u8], what: &str) -> StoreResult<Vec<u8>> {
+    match before.keyed_find(key)? {
+        Ok(slot) => Ok(before.entry_at(slot)),
+        Err(_) => Err(crate::error::StoreError::Corrupt(format!(
+            "inverting {what} of absent key {key:02x?}"
+        ))),
     }
 }
 
@@ -296,6 +351,99 @@ mod tests {
                 bytes: Page::make_entry(b"dd", b"changed"),
             },
         );
+    }
+
+    #[test]
+    fn range_ops_invert() {
+        let entries: Vec<Vec<u8>> = ["aa", "cc", "ee"]
+            .iter()
+            .map(|k| Page::make_entry(k.as_bytes(), b"moved"))
+            .collect();
+        check_roundtrip(keyed_page(), PageOp::KeyedInsertMany { entries });
+        let keys = vec![b"bb".to_vec(), b"ff".to_vec()];
+        check_roundtrip(keyed_page(), PageOp::KeyedRemoveMany { keys });
+    }
+
+    /// A range op and its inverse land the bytes the single-entry records
+    /// they replace land, the inverse undoing them last first.
+    #[test]
+    fn range_ops_land_the_single_records_bytes() {
+        let entries: Vec<Vec<u8>> = ["aa", "ee", "gg"]
+            .iter()
+            .map(|k| Page::make_entry(k.as_bytes(), b"v"))
+            .collect();
+        let keys = vec![b"bb".to_vec(), b"dd".to_vec()];
+        let ranges = [
+            PageOp::KeyedInsertMany {
+                entries: entries.clone(),
+            },
+            PageOp::KeyedRemoveMany { keys: keys.clone() },
+        ];
+        let singles: [Vec<PageOp>; 2] = [
+            entries
+                .into_iter()
+                .map(|bytes| PageOp::KeyedInsert { bytes })
+                .collect(),
+            keys.into_iter()
+                .map(|key| PageOp::KeyedRemove { key })
+                .collect(),
+        ];
+        for (range, singles) in ranges.iter().zip(singles) {
+            let (mut a, mut b) = (keyed_page(), keyed_page());
+            let undo = range.invert(&a).unwrap();
+            range.apply(&mut a).unwrap();
+            let mut undos = Vec::new();
+            for op in &singles {
+                undos.push(op.invert(&b).unwrap());
+                op.apply(&mut b).unwrap();
+            }
+            assert_eq!(a.as_bytes(), b.as_bytes(), "{range:?}");
+            undo.apply(&mut a).unwrap();
+            for op in undos.iter().rev() {
+                op.apply(&mut b).unwrap();
+            }
+            assert_eq!(a.as_bytes(), b.as_bytes(), "undo of {range:?}");
+        }
+    }
+
+    #[test]
+    fn format_of_a_fresh_page_inverts_to_a_format() {
+        let format = PageOp::Format { ty: PageType::Node };
+        for ty in [PageType::Free, PageType::Node, PageType::SpaceMap] {
+            let mut fresh = Page::new(ty);
+            fresh.set_lsn(crate::Lsn(77));
+            assert_eq!(format.invert(&fresh).unwrap(), PageOp::Format { ty });
+            // Undo lands every byte the page had but its LSN.
+            let mut page = fresh.clone();
+            format.apply(&mut page).unwrap();
+            format.invert(&fresh).unwrap().apply(&mut page).unwrap();
+            assert_eq!(page.as_bytes()[8..], fresh.as_bytes()[8..]);
+        }
+    }
+
+    #[test]
+    fn format_of_a_used_page_keeps_the_full_image() {
+        let format = PageOp::Format { ty: PageType::Node };
+        // A freed tombstone (§5.2.2(b)): formatted free, flag set.
+        let mut tombstone = Page::new(PageType::Free);
+        PageOp::SetFlags {
+            flags: crate::page::FLAG_FREED,
+        }
+        .apply(&mut tombstone)
+        .unwrap();
+        // A node freed without an update keeps its content.
+        let freed_node = keyed_page();
+        let mut space_map = Page::new(PageType::SpaceMap);
+        space_map.sm_set_bit(0, true);
+        for before in [tombstone, freed_node, space_map] {
+            let inv = format.invert(&before).unwrap();
+            assert_eq!(
+                inv,
+                PageOp::FullImage {
+                    bytes: before.as_bytes().to_vec()
+                }
+            );
+        }
     }
 
     #[test]

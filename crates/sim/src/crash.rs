@@ -45,13 +45,19 @@
 //! write-backs while the redo plan drains, the CLR/`End` force after undo —
 //! are the crash points, and a clean recovery of the twice-crashed image
 //! must still yield exactly the committed data.
+//!
+//! The log-prefix sweeps of the structure crates cut a finished run's
+//! durable log instead: [`log_cuts`] says where, and [`range_moves`] finds
+//! the structure changes' entry moves among the records, so a sweep can
+//! show that it cut inside one.
 
 use crate::fault::CrashPlan;
 use crate::rng::SimRng;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_pagestore::fault::{is_injected, InjectorHandle};
-use pitree_pagestore::{Lsn, StoreError, StoreResult};
+use pitree_pagestore::{Lsn, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
+use pitree_wal::{LogRecord, RecordKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -645,6 +651,57 @@ fn recovery_sweep(
 /// [`CrashPlan`] by hand).
 pub fn assert_injected(err: &StoreError) {
     assert!(is_injected(err), "expected injected crash, got: {err}");
+}
+
+// ---- log-prefix cuts -------------------------------------------------------------
+
+/// Where a log-prefix sweep cuts a durable log of `len` bytes that holds
+/// `records`: at every record boundary, at the end, and in the middle of
+/// every range record (a force torn inside a structure change's entry
+/// move).
+pub fn log_cuts(records: &[LogRecord], len: u64) -> Vec<u64> {
+    let starts: Vec<u64> = records.iter().map(|r| r.lsn.0 - 1).collect();
+    let ends = starts.iter().skip(1).copied().chain([len]);
+    let torn = records
+        .iter()
+        .zip(starts.iter().zip(ends))
+        .filter(|(r, _)| range_op(r).is_some())
+        .map(|(_, (start, end))| start + (end - start) / 2);
+    let mut cuts: Vec<u64> = starts.iter().copied().chain([len]).chain(torn).collect();
+    cuts.sort_unstable();
+    cuts
+}
+
+/// The entry moves among `records`: a `KeyedInsertMany` directly followed
+/// by a `KeyedRemoveMany` of the same action, as `(entries inserted, keys
+/// removed, the boundary between the two records)`. A split removes every
+/// entry it inserted; a TSB time split removes only the dead versions.
+pub fn range_moves(records: &[LogRecord]) -> Vec<(usize, usize, u64)> {
+    records
+        .windows(2)
+        .filter_map(|w| {
+            let [a, b] = w else { return None };
+            match (range_op(a)?, range_op(b)?) {
+                (PageOp::KeyedInsertMany { entries }, PageOp::KeyedRemoveMany { keys })
+                    if a.action == b.action =>
+                {
+                    Some((entries.len(), keys.len(), b.lsn.0 - 1))
+                }
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// The redo of an update record that is a range op.
+fn range_op(rec: &LogRecord) -> Option<&PageOp> {
+    match &rec.kind {
+        RecordKind::Update {
+            redo: op @ (PageOp::KeyedInsertMany { .. } | PageOp::KeyedRemoveMany { .. }),
+            ..
+        } => Some(op),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

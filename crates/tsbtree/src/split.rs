@@ -59,19 +59,24 @@ pub(crate) fn time_split(
 
     // Copy everything (all versions started before T).
     let slots = 1..g.slot_count();
-    let keys: Vec<Vec<u8>> = slots.clone().map(|s| g.entry_key_at(s).to_vec()).collect();
-    for bytes in slots.map(|s| g.entry_at(s)).collect::<Vec<_>>() {
-        act.apply(&hist_pin, &mut hg, PageOp::KeyedInsert { bytes })?;
+    let entries: Vec<_> = slots.clone().map(|s| g.entry_at(s)).collect();
+    if !entries.is_empty() {
+        act.apply(&hist_pin, &mut hg, PageOp::KeyedInsertMany { entries })?;
     }
     // Remove from the current node every version that is dead at T (has a
     // successor version of the same key). The alive-at-T versions remain —
     // they now exist in both nodes, which is what makes as-of queries in
     // either rectangle self-contained.
-    for w in keys.windows(2) {
-        if split_version_key(KeyRef::new(&w[0])).0 == split_version_key(KeyRef::new(&w[1])).0 {
-            let key = w[0].clone();
-            act.apply(page, g, PageOp::KeyedRemove { key })?;
-        }
+    let dead: Vec<Vec<u8>> = slots
+        .filter(|&s| {
+            s + 1 < g.slot_count()
+                && split_version_key(g.entry_key_at(s)).0
+                    == split_version_key(g.entry_key_at(s + 1)).0
+        })
+        .map(|s| g.entry_key_at(s).to_vec())
+        .collect();
+    if !dead.is_empty() {
+        act.apply(page, g, PageOp::KeyedRemoveMany { keys: dead })?;
     }
     let new_hdr = TsbHeader {
         hist_side: hist_pin.id(),

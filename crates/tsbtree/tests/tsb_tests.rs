@@ -5,6 +5,7 @@ use pitree::store::CrashableStore;
 use pitree::wellformed::{fill_line, LevelFill};
 use pitree::{Completion, Structure};
 use pitree_pagestore::{PageId, PageOp};
+use pitree_sim::crash;
 use pitree_tsb::{Tsb, TsbConfig, TsbHeader, TsbKind, TsbTree};
 use pitree_wal::ActionIdentity;
 use std::sync::Arc;
@@ -306,11 +307,23 @@ fn crash_recovery_preserves_committed_versions() {
 
 #[test]
 fn crash_log_prefix_sweep() {
+    // Crash with the durable log cut at every record boundary of a workload
+    // that time-splits, key-splits and grows the root, and inside every
+    // range record. Every cut past the tree's creation must recover a
+    // well-formed tree that serves, as of its own time, exactly the
+    // versions whose commits the cut kept; a drain must then finish every
+    // split the cut left unposted. Pinned: the cuts that recover a tree and
+    // those that recover an unposted split.
     let cfg = TsbConfig::small_nodes(6, 6);
     let (cs, tree) = setup(cfg);
+    let created = cs.durable_log_len();
+    // (key, value, time, durable log end once its commit was forced)
+    let mut puts = Vec::new();
     for round in 0..4u64 {
         for k in 0..8u64 {
-            put(&tree, &key(k), format!("r{round}").as_bytes());
+            let v = format!("r{round}").into_bytes();
+            let t = put(&tree, &key(k), &v);
+            puts.push((k, v, t, cs.durable_log_len()));
         }
     }
     drop(tree);
@@ -321,14 +334,30 @@ fn crash_log_prefix_sweep() {
         .scan(None)
         .collect::<Result<_, _>>()
         .expect("scan");
-    for (idx, rec) in records.iter().enumerate() {
-        if idx % 4 != 0 {
-            continue;
-        }
-        let cut = rec.lsn.0 - 1;
+    let cuts = crash::log_cuts(&records, cs.durable_log_len());
+    // A time split copies every version into the history node, then removes
+    // the dead ones from the current node: fewer keys than entries. The
+    // sweep cuts between the two records.
+    let time_splits: Vec<u64> = crash::range_moves(&records)
+        .into_iter()
+        .filter(|(copied, removed, _)| removed < copied)
+        .map(|(.., between)| between)
+        .collect();
+    assert!(
+        time_splits.iter().any(|c| cuts.contains(c)),
+        "no cut between a time split's copy and its removal of dead versions"
+    );
+
+    let (mut recovered, mut interrupted) = (0, 0);
+    for &cut in &cuts {
         let cs2 = cs.crash_with_log_prefix(cut).unwrap();
-        let Ok((tree2, _)) = TsbTree::recover(Arc::clone(&cs2.store), 1, cfg) else {
-            continue;
+        let (tree2, _) = match TsbTree::recover(Arc::clone(&cs2.store), 1, cfg) {
+            Ok(r) => r,
+            // Only a cut before the creation commit leaves no tree.
+            Err(e) => {
+                assert!(cut < created, "cut={cut}: recovery failed: {e}");
+                continue;
+            }
         };
         let report = tree2.validate().unwrap();
         assert!(
@@ -336,7 +365,32 @@ fn crash_log_prefix_sweep() {
             "cut={cut}: {:?}",
             report.violations
         );
+        recovered += 1;
+        if report.unposted_nodes > 0 {
+            interrupted += 1;
+        }
+        // As of each put's time, its key reads the newest version the cut
+        // kept at or before that put: the put itself when its commit is in.
+        for (i, (k, _, t, _)) in puts.iter().enumerate() {
+            let kept = puts[..=i]
+                .iter()
+                .rev()
+                .find(|(k2, .., end)| k2 == k && *end <= cut)
+                .map(|(_, v, ..)| v.clone());
+            assert_eq!(
+                tree2.get_as_of(&key(*k), *t).unwrap(),
+                kept,
+                "cut={cut}: key {k} as of {t}"
+            );
+        }
+        for _ in 0..4 {
+            tree2.run_completions().unwrap();
+        }
+        let after = tree2.validate().unwrap();
+        assert!(after.is_well_formed(), "cut={cut}: {:?}", after.violations);
+        assert_eq!(after.unposted_nodes, 0, "cut={cut}: left unposted");
     }
+    assert_eq!((recovered, interrupted), (180, 4));
 }
 
 #[test]

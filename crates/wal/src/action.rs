@@ -13,12 +13,16 @@
 //! assumption, as the paper notes).
 
 use crate::log::LogManager;
-use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
+use crate::record::{ActionId, ActionIdentity, RecordKind, RecordRef, UndoInfo};
 use crate::recovery::LogicalUndoHandler;
 use pitree_pagestore::buffer::{BufferPool, PinnedPage};
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{Lsn, PageOp, StoreError, StoreResult};
+
+/// Bytes an action's frame buffer starts with: a `Begin`, a `Commit` and
+/// an update carrying a small entry fit, so most actions allocate it once.
+const FRAME_CAPACITY: usize = 128;
 
 /// A live atomic action: owns a log chain; applies and logs page operations.
 pub struct AtomicAction<'a> {
@@ -26,6 +30,8 @@ pub struct AtomicAction<'a> {
     id: ActionId,
     identity: ActionIdentity,
     last: Lsn,
+    /// Every record of the chain is encoded here ([`LogManager::append_in`]).
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for AtomicAction<'_> {
@@ -37,15 +43,24 @@ impl std::fmt::Debug for AtomicAction<'_> {
 impl<'a> AtomicAction<'a> {
     /// Begin an action with the given recovery identity.
     pub fn begin(log: &'a LogManager, identity: ActionIdentity) -> AtomicAction<'a> {
-        let id = log.next_action_id();
-        let last = log.append(id, Lsn::ZERO, RecordKind::Begin { identity });
-        log.action_counters().begins.inc();
-        AtomicAction {
+        let mut act = AtomicAction {
             log,
-            id,
+            id: log.next_action_id(),
             identity,
-            last,
-        }
+            last: Lsn::ZERO,
+            frame: Vec::with_capacity(FRAME_CAPACITY),
+        };
+        act.log_record(RecordRef::Kind(&RecordKind::Begin { identity }));
+        log.action_counters().begins.inc();
+        act
+    }
+
+    /// Append `body` as the chain's next record.
+    fn log_record(&mut self, body: RecordRef<'_>) -> Lsn {
+        self.last = self
+            .log
+            .append_in(&mut self.frame, self.id, self.last, body);
+        self.last
     }
 
     /// This action's id.
@@ -118,24 +133,19 @@ impl<'a> AtomicAction<'a> {
         // append below, and write-back forces the log to the page LSN.
         // pitree-lint: allow(log-before-dirty) conservative pre-append dirty marking closes the fuzzy-checkpoint DPT race; content changes only after the append
         page.mark_dirty_at(self.log.tail_lsn());
-        let lsn = self.log.append(
-            self.id,
-            self.last,
-            RecordKind::Update {
-                pid: page.id(),
-                redo: op.clone(),
-                undo,
-            },
-        );
+        let lsn = self.log_record(RecordRef::Update {
+            pid: page.id(),
+            redo: &op,
+            undo: &undo,
+        });
         op.apply(g)?;
         g.set_lsn(lsn);
-        self.last = lsn;
         Ok(lsn)
     }
 
     /// Commit without forcing the log — relative durability (§4.3.1).
     pub fn commit(mut self) -> Lsn {
-        self.last = self.log.append(self.id, self.last, RecordKind::Commit);
+        self.log_record(RecordRef::Kind(&RecordKind::Commit));
         self.log.action_counters().commits.inc();
         self.last
     }
@@ -147,7 +157,7 @@ impl<'a> AtomicAction<'a> {
     /// returned LSN (early lock release over the §4.3.1 durable-watermark
     /// discipline).
     pub fn commit_append(mut self) -> Lsn {
-        self.last = self.log.append(self.id, self.last, RecordKind::Commit);
+        self.log_record(RecordRef::Kind(&RecordKind::Commit));
         self.log.action_counters().commits.inc();
         self.last
     }
@@ -156,7 +166,7 @@ impl<'a> AtomicAction<'a> {
     /// earlier in the log — including unforced atomic-action commits whose
     /// results this transaction may depend on — becomes durable with it.
     pub fn commit_force(mut self) -> StoreResult<Lsn> {
-        self.last = self.log.append(self.id, self.last, RecordKind::Commit);
+        self.log_record(RecordRef::Kind(&RecordKind::Commit));
         self.log.force_to(self.last)?;
         self.log.action_counters().commits.inc();
         Ok(self.last)
@@ -170,7 +180,7 @@ impl<'a> AtomicAction<'a> {
         pool: &BufferPool,
         handler: Option<&dyn LogicalUndoHandler>,
     ) -> StoreResult<()> {
-        self.last = self.log.append(self.id, self.last, RecordKind::Abort);
+        self.log_record(RecordRef::Kind(&RecordKind::Abort));
         self.log.action_counters().aborts.inc();
         let mut cursor = self.last;
         while cursor != Lsn::ZERO {
@@ -184,18 +194,13 @@ impl<'a> AtomicAction<'a> {
                             // Same pre-append marking as `apply_with_undo`:
                             // the CLR must be in the checkpoint's redo range.
                             page.mark_dirty_at(self.log.tail_lsn());
-                            let clr = self.log.append(
-                                self.id,
-                                self.last,
-                                RecordKind::Clr {
-                                    pid,
-                                    redo: inv.clone(),
-                                    undo_next: rec.prev,
-                                },
-                            );
+                            let clr = self.log_record(RecordRef::Kind(&RecordKind::Clr {
+                                pid,
+                                redo: inv.clone(),
+                                undo_next: rec.prev,
+                            }));
                             inv.apply(&mut g)?;
                             g.set_lsn(clr);
-                            self.last = clr;
                         }
                         UndoInfo::Logical { tag, payload } => {
                             let h = handler.ok_or_else(|| {
@@ -205,13 +210,9 @@ impl<'a> AtomicAction<'a> {
                                 )
                             })?;
                             h.undo(tag, &payload)?;
-                            self.last = self.log.append(
-                                self.id,
-                                self.last,
-                                RecordKind::LogicalClr {
-                                    undo_next: rec.prev,
-                                },
-                            );
+                            self.log_record(RecordRef::Kind(&RecordKind::LogicalClr {
+                                undo_next: rec.prev,
+                            }));
                         }
                         UndoInfo::None => {}
                     }
@@ -225,7 +226,7 @@ impl<'a> AtomicAction<'a> {
                 _ => cursor = rec.prev,
             }
         }
-        self.log.append(self.id, self.last, RecordKind::End);
+        self.log_record(RecordRef::Kind(&RecordKind::End));
         Ok(())
     }
 }

@@ -17,27 +17,22 @@
 
 use pitree_pagestore::{StoreError, StoreResult};
 
-/// Append-only byte writer.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Append-only byte writer over a caller's buffer, so a buffer that is
+/// reused record after record stops allocating once it is large enough.
+pub struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl std::fmt::Debug for Writer {
+impl std::fmt::Debug for Writer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Writer").finish_non_exhaustive()
     }
 }
 
-impl Writer {
-    /// Fresh empty writer.
-    pub fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-
-    /// Consume and return the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+impl<'a> Writer<'a> {
+    /// Append to the end of `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Writer<'a> {
+        Writer { buf }
     }
 
     /// Append a byte.
@@ -64,6 +59,14 @@ impl Writer {
     pub fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Append a count-prefixed list of byte strings.
+    pub fn byte_list(&mut self, items: &[Vec<u8>]) {
+        self.u32(items.len() as u32);
+        for item in items {
+            self.bytes(item);
+        }
     }
 }
 
@@ -135,6 +138,18 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Read a count-prefixed list of byte strings. The count is not
+    /// trusted: it reserves no more items than the rest of the input can
+    /// hold (each is at least its 4-byte length).
+    pub fn byte_list(&mut self) -> StoreResult<Vec<Vec<u8>>> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(n.min(self.remaining() / 4));
+        for _ in 0..n {
+            items.push(self.bytes()?);
+        }
+        Ok(items)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -163,19 +178,21 @@ mod tests {
 
     #[test]
     fn scalar_roundtrip() {
-        let mut w = Writer::new();
+        let mut bytes = Vec::new();
+        let mut w = Writer::new(&mut bytes);
         w.u8(0xab);
         w.u16(0x1234);
         w.u32(0xdead_beef);
         w.u64(0x0102_0304_0506_0708);
         w.bytes(b"payload");
-        let bytes = w.into_bytes();
+        w.byte_list(&[b"one".to_vec(), Vec::new()]);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xab);
         assert_eq!(r.u16().unwrap(), 0x1234);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(r.bytes().unwrap(), b"payload");
+        assert_eq!(r.byte_list().unwrap(), [b"one".to_vec(), Vec::new()]);
         assert!(r.is_done());
     }
 
@@ -183,6 +200,9 @@ mod tests {
     fn overrun_is_an_error() {
         let mut r = Reader::new(&[1, 2]);
         assert!(r.u32().is_err());
+        // A list claiming four billion items over eight bytes of input.
+        let mut r = Reader::new(&[0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0]);
+        assert!(r.byte_list().is_err());
     }
 
     #[test]

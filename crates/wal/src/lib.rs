@@ -20,6 +20,8 @@
 //!   and undo the store opens for traffic, with redo running per page on
 //!   first pin and/or in the background partitioned by buffer-pool shard
 //!   ([`instant::InstantRecovery::drive`]). See `RECOVERY.md`.
+//! * **The byte table** ([`table::ByteTable`]) — a log's records and bytes
+//!   per record kind, redo operation and undo kind, from a scan.
 //!
 //! Everything here is tree-agnostic: log payloads are the physiological
 //! [`pitree_pagestore::PageOp`]s, so the same recovery code serves the
@@ -31,11 +33,13 @@ pub mod instant;
 pub mod log;
 pub mod record;
 pub mod recovery;
+pub mod table;
 #[cfg(test)]
 mod testkit;
 
 pub use action::AtomicAction;
 pub use instant::{start_instant, InstantRecovery};
 pub use log::{FileLogStore, LogManager, LogStore, MemLogStore};
-pub use record::{ActionId, ActionIdentity, LogRecord, RecordKind, UndoInfo};
+pub use record::{ActionId, ActionIdentity, LogRecord, RecordKind, RecordRef, UndoInfo};
 pub use recovery::{recover, take_checkpoint, LogicalUndoHandler, RecoveryStats};
+pub use table::ByteTable;

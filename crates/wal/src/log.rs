@@ -58,7 +58,7 @@
 )]
 
 use crate::codec::checksum;
-use crate::record::{ActionId, LogRecord, RecordKind};
+use crate::record::{encode_frame, ActionId, LogRecord, RecordKind, RecordRef};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::fault::{FaultSite, InjectorHandle};
@@ -286,6 +286,10 @@ struct LogTail {
     /// force made durable, which is the group-commit size whether the
     /// committers are blocking on the force or have published and moved on.
     commit_ends: Vec<u64>,
+    /// The buffers of the last batch a leader wrote, emptied and handed
+    /// back: the next drain swaps them in, so `buf` and `commit_ends` do not
+    /// regrow from nothing after every force.
+    spare: (Vec<u8>, Vec<u64>),
 }
 
 /// Leader/follower election state for the group-commit force path.
@@ -383,6 +387,7 @@ impl LogManager {
                 base: durable,
                 buf: Vec::new(),
                 commit_ends: Vec::new(),
+                spare: (Vec::new(), Vec::new()),
             }),
             force: Mutex::new(ForceState {
                 leader: false,
@@ -455,23 +460,31 @@ impl LogManager {
             .saturating_sub(self.ckpt_end.load(Ordering::Acquire))
     }
 
-    /// Append a record, returning its LSN. Does not force. The tail mutex
-    /// is held only for the in-memory copy — never across I/O.
+    /// Append a record, returning its LSN. Does not force. The frame is
+    /// encoded into a buffer of its own; a caller appending record after
+    /// record reuses one through [`LogManager::append_in`].
     pub fn append(&self, action: ActionId, prev: Lsn, kind: RecordKind) -> Lsn {
-        let rec = LogRecord {
-            lsn: Lsn::ZERO,
-            prev,
-            action,
-            kind,
-        };
-        let is_commit = matches!(rec.kind, RecordKind::Commit);
-        let body = rec.encode_body();
+        self.append_in(&mut Vec::new(), action, prev, RecordRef::Kind(&kind))
+    }
+
+    /// Append the record `(action, prev, body)`, returning its LSN. Does
+    /// not force. The frame is encoded and checksummed into `frame`, whose
+    /// contents it replaces, before the tail mutex is taken: the mutex is
+    /// held only for the copy — never across encoding or I/O — and a
+    /// `frame` reused across appends makes the append allocation-free once
+    /// it has grown to the largest record.
+    pub fn append_in(
+        &self,
+        frame: &mut Vec<u8>,
+        action: ActionId,
+        prev: Lsn,
+        body: RecordRef<'_>,
+    ) -> Lsn {
+        let is_commit = matches!(body, RecordRef::Kind(RecordKind::Commit));
+        encode_frame(frame, prev, action, body);
         let mut tail = self.tail.lock();
         let lsn = Lsn(tail.base + tail.buf.len() as u64 + 1);
-        tail.buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        tail.buf.extend_from_slice(&checksum(&body).to_le_bytes());
-        tail.buf.extend_from_slice(&body);
+        tail.buf.extend_from_slice(frame);
         let end = tail.base + tail.buf.len() as u64;
         if is_commit {
             tail.commit_ends.push(end);
@@ -696,12 +709,13 @@ impl LogManager {
             if end <= tail.base {
                 return Ok(()); // covered by an earlier batch
             }
-            let batch = std::mem::take(&mut tail.buf);
+            let (spare, spare_ends) = std::mem::take(&mut tail.spare);
+            let batch = std::mem::replace(&mut tail.buf, spare);
             let batch_base = tail.base;
             tail.base = end;
             // Commit frames ending inside the batch are the ones this force
             // makes durable (batches end on frame boundaries).
-            let batch_commits = std::mem::take(&mut tail.commit_ends);
+            let batch_commits = std::mem::replace(&mut tail.commit_ends, spare_ends);
             (batch_base, batch, batch_commits)
         };
         let timer = Stopwatch::start();
@@ -718,6 +732,10 @@ impl LogManager {
                 if !batch_commits.is_empty() {
                     self.group_size.record(batch_commits.len() as u64);
                 }
+                let (mut spare, mut spare_ends) = (batch, batch_commits);
+                spare.clear();
+                spare_ends.clear();
+                self.tail.lock().spare = (spare, spare_ends);
                 Ok(())
             }
             Err(e) => {

@@ -17,7 +17,7 @@
     clippy::disallowed_macros
 )]
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{checksum, Reader, Writer};
 use pitree_pagestore::page::PageType;
 use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
 use std::fmt;
@@ -143,7 +143,7 @@ pub struct LogRecord {
 
 // ---- PageOp codec ----------------------------------------------------------
 
-fn put_pageop(w: &mut Writer, op: &PageOp) {
+fn put_pageop(w: &mut Writer<'_>, op: &PageOp) {
     match op {
         PageOp::Format { ty } => {
             w.u8(0);
@@ -191,6 +191,14 @@ fn put_pageop(w: &mut Writer, op: &PageOp) {
             w.u8(10);
             w.bytes(bytes);
         }
+        PageOp::KeyedInsertMany { entries } => {
+            w.u8(11);
+            w.byte_list(entries);
+        }
+        PageOp::KeyedRemoveMany { keys } => {
+            w.u8(12);
+            w.byte_list(keys);
+        }
     }
 }
 
@@ -215,11 +223,17 @@ fn get_pageop(r: &mut Reader<'_>) -> StoreResult<PageOp> {
         8 => PageOp::KeyedInsert { bytes: r.bytes()? },
         9 => PageOp::KeyedRemove { key: r.bytes()? },
         10 => PageOp::KeyedUpdate { bytes: r.bytes()? },
+        11 => PageOp::KeyedInsertMany {
+            entries: r.byte_list()?,
+        },
+        12 => PageOp::KeyedRemoveMany {
+            keys: r.byte_list()?,
+        },
         t => return Err(StoreError::Corrupt(format!("bad PageOp tag {t}"))),
     })
 }
 
-fn put_identity(w: &mut Writer, id: &ActionIdentity) {
+fn put_identity(w: &mut Writer<'_>, id: &ActionIdentity) {
     match id {
         ActionIdentity::Transaction => w.u8(0),
         ActionIdentity::SeparateTransaction => w.u8(1),
@@ -243,67 +257,125 @@ fn get_identity(r: &mut Reader<'_>) -> StoreResult<ActionIdentity> {
     })
 }
 
+/// A record body to encode, borrowing its payload: what
+/// [`crate::LogManager::append_in`] writes.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordRef<'a> {
+    /// Any record kind.
+    Kind(&'a RecordKind),
+    /// An update whose redo operation and undo information the caller
+    /// keeps: the atomic action applies the very op it logged.
+    Update {
+        /// Page the redo applies to.
+        pid: PageId,
+        /// Redo operation.
+        redo: &'a PageOp,
+        /// Undo information.
+        undo: &'a UndoInfo,
+    },
+}
+
+impl<'a> From<&'a RecordKind> for RecordRef<'a> {
+    fn from(kind: &'a RecordKind) -> RecordRef<'a> {
+        RecordRef::Kind(kind)
+    }
+}
+
+fn put_update(w: &mut Writer<'_>, pid: PageId, redo: &PageOp, undo: &UndoInfo) {
+    w.u8(4);
+    w.u64(pid.0);
+    put_pageop(w, redo);
+    match undo {
+        UndoInfo::Physiological(op) => {
+            w.u8(0);
+            put_pageop(w, op);
+        }
+        UndoInfo::Logical { tag, payload } => {
+            w.u8(1);
+            w.u8(*tag);
+            w.bytes(payload);
+        }
+        UndoInfo::None => w.u8(2),
+    }
+}
+
+/// Append the frame body of the record `(prev, action, body)` to `buf`.
+fn put_body(buf: &mut Vec<u8>, prev: Lsn, action: ActionId, body: RecordRef<'_>) {
+    let mut w = Writer::new(buf);
+    w.u64(prev.0);
+    w.u64(action.0);
+    let kind = match body {
+        RecordRef::Update { pid, redo, undo } => return put_update(&mut w, pid, redo, undo),
+        RecordRef::Kind(kind) => kind,
+    };
+    match kind {
+        RecordKind::Begin { identity } => {
+            w.u8(0);
+            put_identity(&mut w, identity);
+        }
+        RecordKind::Commit => w.u8(1),
+        RecordKind::Abort => w.u8(2),
+        RecordKind::End => w.u8(3),
+        RecordKind::Update { pid, redo, undo } => put_update(&mut w, *pid, redo, undo),
+        RecordKind::Clr {
+            pid,
+            redo,
+            undo_next,
+        } => {
+            w.u8(5);
+            w.u64(pid.0);
+            put_pageop(&mut w, redo);
+            w.u64(undo_next.0);
+        }
+        RecordKind::LogicalClr { undo_next } => {
+            w.u8(6);
+            w.u64(undo_next.0);
+        }
+        RecordKind::Checkpoint { active, dirty } => {
+            w.u8(7);
+            w.u32(active.len() as u32);
+            for (a, id, l) in active {
+                w.u64(a.0);
+                put_identity(&mut w, id);
+                w.u64(l.0);
+            }
+            w.u32(dirty.len() as u32);
+            for (p, l) in dirty {
+                w.u64(p.0);
+                w.u64(l.0);
+            }
+        }
+    }
+}
+
+/// Encode the whole frame of `(prev, action, body)` — `[len u32][checksum
+/// u32][body]` — into `frame`, replacing what it held. A frame buffer that
+/// is reused keeps its capacity, so encoding stops allocating.
+pub fn encode_frame(frame: &mut Vec<u8>, prev: Lsn, action: ActionId, body: RecordRef<'_>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 8]);
+    put_body(frame, prev, action, body);
+    let body = frame.get(8..).unwrap_or_default();
+    let (len, sum) = (
+        (body.len() as u32).to_le_bytes(),
+        checksum(body).to_le_bytes(),
+    );
+    for (dst, src) in frame.iter_mut().zip(len.iter().chain(&sum)) {
+        *dst = *src;
+    }
+}
+
 impl LogRecord {
     /// Encode the frame body (everything but the length/checksum envelope).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.prev.0);
-        w.u64(self.action.0);
-        match &self.kind {
-            RecordKind::Begin { identity } => {
-                w.u8(0);
-                put_identity(&mut w, identity);
-            }
-            RecordKind::Commit => w.u8(1),
-            RecordKind::Abort => w.u8(2),
-            RecordKind::End => w.u8(3),
-            RecordKind::Update { pid, redo, undo } => {
-                w.u8(4);
-                w.u64(pid.0);
-                put_pageop(&mut w, redo);
-                match undo {
-                    UndoInfo::Physiological(op) => {
-                        w.u8(0);
-                        put_pageop(&mut w, op);
-                    }
-                    UndoInfo::Logical { tag, payload } => {
-                        w.u8(1);
-                        w.u8(*tag);
-                        w.bytes(payload);
-                    }
-                    UndoInfo::None => w.u8(2),
-                }
-            }
-            RecordKind::Clr {
-                pid,
-                redo,
-                undo_next,
-            } => {
-                w.u8(5);
-                w.u64(pid.0);
-                put_pageop(&mut w, redo);
-                w.u64(undo_next.0);
-            }
-            RecordKind::LogicalClr { undo_next } => {
-                w.u8(6);
-                w.u64(undo_next.0);
-            }
-            RecordKind::Checkpoint { active, dirty } => {
-                w.u8(7);
-                w.u32(active.len() as u32);
-                for (a, id, l) in active {
-                    w.u64(a.0);
-                    put_identity(&mut w, id);
-                    w.u64(l.0);
-                }
-                w.u32(dirty.len() as u32);
-                for (p, l) in dirty {
-                    w.u64(p.0);
-                    w.u64(l.0);
-                }
-            }
-        }
-        w.into_bytes()
+        let mut body = Vec::new();
+        put_body(
+            &mut body,
+            self.prev,
+            self.action,
+            RecordRef::Kind(&self.kind),
+        );
+        body
     }
 
     /// Decode a frame body. `lsn` is supplied by the caller (it is the
@@ -510,6 +582,13 @@ mod tests {
             PageOp::KeyedUpdate {
                 bytes: vec![1, 0, b'z', 7],
             },
+            PageOp::KeyedInsertMany {
+                entries: vec![vec![1, 0, b'a', 5], vec![1, 0, b'b']],
+            },
+            PageOp::KeyedRemoveMany {
+                keys: vec![b"a".to_vec(), Vec::new()],
+            },
+            PageOp::KeyedRemoveMany { keys: Vec::new() },
         ] {
             roundtrip(RecordKind::Update {
                 pid: PageId(1),

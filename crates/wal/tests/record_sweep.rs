@@ -8,11 +8,57 @@
 //! panic. An accepted body re-encodes to exactly its bytes: fields are
 //! fixed-width or length-prefixed and trailing bytes are rejected, so the
 //! encoding has no redundant forms, and no strict prefix of a body decodes.
+//!
+//! A range op's item count is not trusted either: a count the body cannot
+//! hold is a typed error, and it never sizes an allocation larger than the
+//! body itself could fill.
 
 use pitree_pagestore::page::PageType;
 use pitree_pagestore::{Lsn, PageId, PageOp};
 use pitree_wal::{ActionId, ActionIdentity, LogRecord, RecordKind, UndoInfo};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+std::thread_local! {
+    static WATCHING: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Tracks the largest allocation the watching thread asks for.
+struct WatchingAlloc;
+
+impl WatchingAlloc {
+    fn note(size: usize) {
+        // `try_with`: the allocator also runs during TLS teardown.
+        let _ = WATCHING.try_with(|w| {
+            if w.get() {
+                let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+            }
+        });
+    }
+}
+
+unsafe impl GlobalAlloc for WatchingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: WatchingAlloc = WatchingAlloc;
 
 const IDENTITIES: [ActionIdentity; 4] = [
     ActionIdentity::Transaction,
@@ -50,6 +96,12 @@ fn page_ops() -> Vec<PageOp> {
         },
         PageOp::KeyedUpdate {
             bytes: b"\x01\x00kv".to_vec(),
+        },
+        PageOp::KeyedInsertMany {
+            entries: vec![b"\x01\x00av".to_vec(), b"\x02\x00bbw".to_vec()],
+        },
+        PageOp::KeyedRemoveMany {
+            keys: vec![b"a".to_vec(), b"bb".to_vec()],
         },
     ]
 }
@@ -158,4 +210,46 @@ fn bit_flips_and_truncations_end_in_a_typed_error_or_the_same_bytes() {
          to its bytes), {cuts} truncations rejected",
         records().len()
     );
+}
+
+#[test]
+fn a_corrupt_item_count_is_an_error_and_sizes_no_allocation() {
+    let ops = [
+        PageOp::KeyedInsertMany {
+            entries: vec![b"\x01\x00av".to_vec(); 3],
+        },
+        PageOp::KeyedRemoveMany {
+            keys: vec![b"a".to_vec(); 3],
+        },
+    ];
+    for op in ops {
+        let body = LogRecord {
+            lsn: Lsn(1),
+            prev: Lsn(2),
+            action: ActionId(3),
+            kind: RecordKind::Update {
+                pid: PageId(4),
+                redo: op.clone(),
+                undo: UndoInfo::None,
+            },
+        }
+        .encode_body();
+        // prev, action, record tag, page id, op tag: the count follows.
+        let at = 8 + 8 + 1 + 8 + 1;
+        for count in [4, 1 << 20, u32::MAX] {
+            let mut m = body.clone();
+            m[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            LARGEST.with(|l| l.set(0));
+            WATCHING.with(|w| w.set(true));
+            let got = LogRecord::decode_body(Lsn(1), &m);
+            WATCHING.with(|w| w.set(false));
+            assert!(got.is_err(), "{op:?} with count {count} decoded");
+            let largest = LARGEST.with(Cell::get);
+            assert!(
+                largest <= 8 * body.len(),
+                "{op:?} with count {count}: a {largest}-byte allocation for a {}-byte body",
+                body.len()
+            );
+        }
+    }
 }

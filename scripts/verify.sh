@@ -5,7 +5,7 @@
 #
 #   ./scripts/verify.sh          # fmt + pitree-lint + build + tests
 #                                # + wake gate (seam + latch wake tests in release)
-#                                # + fill, image-fill, prefix, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracle gate (tests/check_props.rs)
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt (e.g. toolchain lacks rustfmt)
@@ -77,7 +77,10 @@ cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | gre
 step "prefix gate (keyed pages store key suffixes after their first and last key's common prefix: build_pi's shape at 50k keys <= 24 leaf bytes per entry and <= 1.05 page bytes per user byte; B-link, TSB and hB bytes per entry)"
 cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'prefix: |^test result'
 
-step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash and SMO counters per structure script)"
+step "log-table gate (the log's records and bytes per record kind x redo PageOp x undo kind, from a scan of both benchmark-shaped images' logs: totals pinned, no FullImage)"
+cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'log_table: |^test result'
+
+step "smo-bytes gate (the engine's split and posting drivers write the parent's bytes: log length, log hash, page hash, LSN-free page content hash and SMO counters per structure script)"
 cargo test --offline -q -p pitree-harness --test smo_bytes
 
 step "paper-claims gate (deterministic, pinned: E1 interior X orders pi-tree < optimistic < lock coupling, only serial SMO goes tree-wide; E2 SMO actions touch <= 4 pages; E5/E6 postings latch 1 node unless they re-traverse; E7 consolidation reclaims, stale completions are no-ops. F1/F2, E3 and E4 ran in the workspace tests above: figure_1_topology, figure_2_structure, log_prefix_sweep_during_split_storm, in_txn_split_counting_page_oriented)"
@@ -95,7 +98,7 @@ if [[ "$walkers" -lt 17 ]]; then
   exit 1
 fi
 
-step "alloc gate (Π-tree get, TSB get_as_of and hB get allocate exactly once per hit, never on a miss)"
+step "alloc gate (Π-tree get, TSB get_as_of and hB get allocate exactly once per hit, never on a miss; 4,096 ascending inserts allocate a pinned count, none in the log append)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
 step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
