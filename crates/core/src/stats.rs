@@ -52,6 +52,12 @@ pub struct TreeStats {
     pub saved_path_hits: Counter,
     /// Saved-path entries invalidated by a changed state identifier.
     pub saved_path_misses: Counter,
+    /// B-link writes that started at the last leaf a write changed, with no
+    /// descent (§5.2).
+    pub write_hint_hits: Counter,
+    /// Writes that consulted that leaf and went down from the root instead:
+    /// its state id changed, it no longer contains the key, or it is full.
+    pub write_hint_misses: Counter,
     /// Exclusive (X) latch acquisitions on nodes *above* the data level —
     /// the paper's §1(3) footprint: in the Π-tree these happen only inside
     /// short independent atomic actions (postings, index splits,
@@ -79,6 +85,8 @@ impl TreeStats {
             posting_nodes_touched: rec.counter("tree.posting_nodes_touched"),
             saved_path_hits: rec.counter("tree.saved_path_hits"),
             saved_path_misses: rec.counter("tree.saved_path_misses"),
+            write_hint_hits: rec.counter("tree.write_hint_hits"),
+            write_hint_misses: rec.counter("tree.write_hint_misses"),
             upper_exclusive: rec.counter("tree.upper_exclusive"),
         }
     }
@@ -102,6 +110,8 @@ impl TreeStats {
             ("posting_nodes_touched", self.posting_nodes_touched.get()),
             ("saved_path_hits", self.saved_path_hits.get()),
             ("saved_path_misses", self.saved_path_misses.get()),
+            ("write_hint_hits", self.write_hint_hits.get()),
+            ("write_hint_misses", self.write_hint_misses.get()),
             ("upper_exclusive", self.upper_exclusive.get()),
         ]
     }

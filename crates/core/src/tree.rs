@@ -7,16 +7,21 @@
 //! UNDO forces it, §4.2.1); index-term postings and node consolidations are
 //! always independent actions scheduled through the completion queue (§5.1).
 //!
-//! Database locking follows §4.1.2/§4.2.2: record updates take an IX page
-//! lock plus an X key lock, readers take an S key lock only (readers are
+//! Database locking follows §4.1.2/§4.2.2: record updates take an X key
+//! lock, plus an IX page lock under page-oriented UNDO (the only policy that
+//! takes move locks); readers take an S key lock only (readers are
 //! compatible with move locks), and all lock acquisition under a latch uses
 //! `try_lock` — on conflict the latch is released before blocking, then the
 //! operation restarts (the **No-Wait Rule**).
+//!
+//! A write starts at the last leaf a write changed when §5.2.2's trust rule
+//! and the leaf's unchanged state identifier allow it ([`BLink`]'s write
+//! hint); otherwise it descends from the root.
 
 use crate::completion::Completion;
 use crate::config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
 use crate::engine::{lock_err, Engine, Install, PostOutcome, Routed, Step, Structure, Verified};
-use crate::node::{node_full, utilization, HeaderRef, IndexTerm, NodeHeader};
+use crate::node::{node_full, utilization, Guarded, HeaderRef, IndexTerm, NodeHeader};
 use crate::split::Split;
 use crate::traverse::{step_to, DescentTarget, SavedPath};
 use crate::undo::{TAG_UNDO_DELETE, TAG_UNDO_INSERT, TAG_UNDO_UPDATE};
@@ -24,8 +29,9 @@ use crate::wellformed::{describe_keyed, Description, KeyRange};
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
-use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
+use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// What the header of a key-partitioned node — directly-contained space
 /// `[low, high)`, sibling term `side` — says about one search key. The
@@ -76,9 +82,85 @@ impl KeyRouting {
 
 /// The B-link structure: nodes directly contain a key interval, the
 /// sibling term is the header's side pointer + high bound, index terms are
-/// keyed `(low key, child)` entries.
+/// keyed `(low key, child)` entries. It remembers the last leaf a write
+/// changed, which the next write starts from (§5.2).
 #[derive(Debug)]
-pub struct BLink(PiTreeConfig);
+pub struct BLink {
+    cfg: PiTreeConfig,
+    hint: WriteHint,
+}
+
+/// The last data node a write changed and its state identifier after that
+/// write: a saved path one node long (§5.2). Two atomics and no lock;
+/// `Relaxed` suffices because the pair publishes no other data — a reader
+/// checks it against the node under the node's own latch. A torn read —
+/// one write's node with another's state id — fails that check, since an
+/// LSN names one log record and a record changes one page: a node whose
+/// state id equals a write's LSN is that write's node.
+#[derive(Debug, Default)]
+struct WriteHint {
+    pid: AtomicU64,
+    /// The state id, or 0 while the hint is disarmed.
+    lsn: AtomicU64,
+}
+
+impl WriteHint {
+    /// The remembered node and state id, unless disarmed.
+    fn get(&self) -> Option<(PageId, Lsn)> {
+        let lsn = self.lsn.load(Relaxed);
+        (lsn != 0).then(|| (PageId(self.pid.load(Relaxed)), Lsn(lsn)))
+    }
+
+    /// A write left the node `pid` at state id `lsn`. The hint arms only
+    /// when two consecutive writes land in one node: writers without
+    /// locality pay this comparison, not a fetch.
+    fn note(&self, pid: PageId, lsn: Lsn) {
+        if self.pid.load(Relaxed) == pid.0 {
+            self.lsn.store(lsn.0, Relaxed);
+        } else {
+            self.pid.store(pid.0, Relaxed);
+            self.lsn.store(0, Relaxed);
+        }
+    }
+
+    fn disarm(&self) {
+        self.lsn.store(0, Relaxed);
+    }
+}
+
+/// How far a remembered node — a saved-path entry, or the last leaf a write
+/// changed — may be trusted as the start of a traversal (§5.2.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trust {
+    /// CNS: nodes are immortal, so a remembered node is always a node of
+    /// this tree whose space still includes what it did.
+    Immortal,
+    /// De-allocation is an update: a node whose state id is unchanged was
+    /// not freed (or re-used) since it was remembered.
+    Unchanged,
+    /// De-allocation is not an update: a freed node keeps its state id, so
+    /// only root traversals are safe.
+    Never,
+}
+
+/// §5.2.2's trust rule for remembered nodes under `policy`.
+fn trust(policy: ConsolidationPolicy) -> Trust {
+    match policy {
+        ConsolidationPolicy::Disabled => Trust::Immortal,
+        ConsolidationPolicy::Enabled {
+            dealloc: DeallocPolicy::IsAnUpdate,
+        } => Trust::Unchanged,
+        ConsolidationPolicy::Enabled {
+            dealloc: DeallocPolicy::NotAnUpdate,
+        } => Trust::Never,
+    }
+}
+
+/// Whether the latched node `page`, remembered at state id `lsn`, is
+/// unchanged since: same state id, not freed, still a node.
+fn unchanged(page: &Page, lsn: Lsn) -> bool {
+    page.lsn() == lsn && !page.is_freed() && page.page_type().is_ok_and(|t| t == PageType::Node)
+}
 
 impl Structure for BLink {
     type Config = PiTreeConfig;
@@ -88,11 +170,14 @@ impl Structure for BLink {
     const META_MAGIC: u32 = 0x5049_5452; // "PITR"
 
     fn new(cfg: PiTreeConfig) -> BLink {
-        BLink(cfg)
+        BLink {
+            cfg,
+            hint: WriteHint::default(),
+        }
     }
 
     fn config(&self) -> &PiTreeConfig {
-        &self.0
+        &self.cfg
     }
 
     fn root_leaf_header() -> Vec<u8> {
@@ -100,11 +185,11 @@ impl Structure for BLink {
     }
 
     fn couples_latches(&self) -> bool {
-        self.0.consolidation.couples_latches()
+        self.cfg.consolidation.couples_latches()
     }
 
     fn auto_complete(&self) -> bool {
-        self.0.auto_complete
+        self.cfg.auto_complete
     }
 
     #[inline]
@@ -274,10 +359,10 @@ fn locate_parent<'a>(
     path: &SavedPath,
 ) -> StoreResult<DescentTarget<'a>> {
     let stats = tree.stats();
-    let d = match tree.config().consolidation {
-        // CNS (§5.2.1): nodes are immortal — "re-traversals to find a parent
-        // always start with the remembered parent".
-        ConsolidationPolicy::Disabled => {
+    let d = match trust(tree.config().consolidation) {
+        // CNS (§5.2.1): "re-traversals to find a parent always start with
+        // the remembered parent".
+        Trust::Immortal => {
             if let Some(e) = path.at_level(level) {
                 stats.saved_path_hits.inc();
                 tree.descend_from(e.pid, key, level, true, false)?
@@ -285,24 +370,15 @@ fn locate_parent<'a>(
                 tree.descend(key, level, true, false)?
             }
         }
-        // §5.2.2(b): de-allocation bumps the state id, so climb the saved
-        // path from the deepest entry whose state id is unchanged.
-        ConsolidationPolicy::Enabled {
-            dealloc: DeallocPolicy::IsAnUpdate,
-        } => {
+        // §5.2.2(b): climb the saved path from the deepest entry whose
+        // state id is unchanged.
+        Trust::Unchanged => {
             let mut start = None;
             for e in path.entries().iter().rev().filter(|e| e.level >= level) {
                 // Climbing *up* the path violates the latch order, so only
                 // try-latches are permissible here.
                 let ok = match tree.store().pool.fetch(e.pid) {
-                    Ok(pin) => match pin.try_s() {
-                        Some(g) => {
-                            g.lsn() == e.lsn
-                                && !g.is_freed()
-                                && g.page_type().map(|t| t == PageType::Node).unwrap_or(false)
-                        }
-                        None => false,
-                    },
+                    Ok(pin) => pin.try_s().is_some_and(|g| unchanged(&g, e.lsn)),
                     Err(_) => false,
                 };
                 if ok {
@@ -317,13 +393,10 @@ fn locate_parent<'a>(
                 None => tree.descend(key, level, true, false)?,
             }
         }
-        // §5.2.2(a): de-allocation is invisible to state ids, so only
-        // root-anchored traversals are safe. The saved path still pays: a
-        // node whose state id is unchanged needs no fresh in-node search —
-        // we account hits for the experiment's benefit.
-        ConsolidationPolicy::Enabled {
-            dealloc: DeallocPolicy::NotAnUpdate,
-        } => {
+        // §5.2.2(a): only root-anchored traversals are safe. The saved path
+        // still pays: a node whose state id is unchanged needs no fresh
+        // in-node search — we account hits for the experiment's benefit.
+        Trust::Never => {
             let d = tree.descend(key, level, true, false)?;
             for e in d.path.entries() {
                 if path
@@ -482,39 +555,120 @@ impl PiTree {
         Ok(())
     }
 
+    /// Take a record update's locks on the key `key_name` in the leaf `d`
+    /// holds latched, to end of transaction and under the No-Wait Rule:
+    /// X on the key, after IX on the leaf under page-oriented UNDO. IX
+    /// conflicts only with move locks (§4.2.2), and only page-oriented UNDO
+    /// takes those. A `hinted` leaf that keeps its latch is a hint hit.
+    fn lock_update<'a>(
+        &self,
+        txn: &Txn<'_>,
+        d: DescentTarget<'a>,
+        key_name: &LockName,
+        hinted: bool,
+    ) -> StoreResult<Option<DescentTarget<'a>>> {
+        let page_name = self.page_lock(d.page.id());
+        let locks = [(&page_name, LockMode::IX), (key_name, LockMode::X)];
+        let locks = match self.config().undo {
+            UndoPolicy::PageOriented => &locks[..],
+            UndoPolicy::Logical => &locks[1..],
+        };
+        let d = self.lock_no_wait(txn, d, locks)?;
+        if hinted && d.is_some() {
+            self.stats().write_hint_hits.inc();
+        }
+        Ok(d)
+    }
+
+    /// The leaf a write of `key` starts at, U-latched, and whether it is the
+    /// last leaf a write changed (§5.2). That leaf is used when `hint` is
+    /// set, the hint is armed (never under NotAnUpdate, see
+    /// [`PiTree::wrote`]), its state id is unchanged and it directly
+    /// contains `key`; the write never follows a side pointer from there.
+    /// Otherwise it descends from the root.
+    fn write_leaf(&self, key: &[u8], hint: bool) -> StoreResult<(DescentTarget<'_>, bool)> {
+        let remembered = hint.then(|| self.structure().hint.get()).flatten();
+        if let Some((pid, lsn)) = remembered {
+            let page = self.store().pool.fetch(pid)?;
+            let g = page.u();
+            let arrived = unchanged(&g, lsn)
+                && matches!(
+                    self.structure().route(&g, pid, key, 0),
+                    Ok(Routed {
+                        level: 0,
+                        step: Step::Arrived
+                    })
+                );
+            if arrived {
+                let d = DescentTarget {
+                    page,
+                    guard: Guarded::U(g),
+                    level: 0,
+                    path: SavedPath::default(),
+                };
+                return Ok((d, true));
+            }
+            drop(g);
+            self.write_missed();
+        }
+        Ok((self.descend(key, 0, true, true)?, false))
+    }
+
+    /// The hinted leaf could not take the write: count it and disarm the
+    /// hint until writes show locality again.
+    fn write_missed(&self) {
+        self.structure().hint.disarm();
+        self.stats().write_hint_misses.inc();
+    }
+
+    /// A write left the X-latched leaf `pid` at state id `lsn`: remember it
+    /// for the next write, unless the trust rule never consults it.
+    fn wrote(&self, pid: PageId, lsn: Lsn) {
+        if trust(self.config().consolidation) != Trust::Never {
+            self.structure().hint.note(pid, lsn);
+        }
+    }
+
     /// Transactional upsert. Returns `true` if the key was new, `false` if
     /// an existing record was replaced.
     ///
-    /// Locking: IX on the leaf page (so move locks conflict, §4.2.2) + X on
-    /// the key, both to end of transaction. Splitting follows §4.2.1: under
-    /// logical UNDO (and under page-oriented UNDO when this transaction has
-    /// not updated this leaf) the split is an independent atomic action;
-    /// otherwise it runs inside the transaction under a move lock, with the
-    /// index-term posting deferred to commit.
+    /// Locking: X on the key, and under page-oriented UNDO IX on the leaf
+    /// page (so move locks conflict, §4.2.2), both to end of transaction.
+    /// Splitting follows §4.2.1: under logical UNDO (and under
+    /// page-oriented UNDO when this transaction has not updated this leaf)
+    /// the split is an independent atomic action; otherwise it runs inside
+    /// the transaction under a move lock, with the index-term posting
+    /// deferred to commit.
     pub fn insert(&self, txn: &mut Txn<'_>, key: &[u8], value: &[u8]) -> StoreResult<bool> {
         let entry = Page::make_entry(key, value);
         let key_name = self.key_lock(key);
+        let mut hint = true;
         loop {
-            let d = self.descend(key, 0, true, true)?;
-            let page_name = self.page_lock(d.page.id());
+            let (d, hinted) = self.write_leaf(key, std::mem::take(&mut hint))?;
 
             // Split first if needed, before taking record locks, so an
             // independent split's move lock cannot collide with our own page
             // lock (§4.2.1: the split happens "independent of and before T").
-            let exists = d.guard.page().keyed_probe(key).is_ok();
-            if !exists && node_full(d.guard.page(), &entry, self.config().max_leaf_entries) {
+            let probe = d.guard.page().keyed_probe(key);
+            if probe.is_err() && node_full(d.guard.page(), &entry, self.config().max_leaf_entries) {
+                if hinted {
+                    // The split owes a posting along the saved path, which
+                    // only a descent from the root leaves.
+                    drop(d);
+                    self.write_missed();
+                    continue;
+                }
                 crate::split::split_leaf_for_insert(self, txn, d, key)?;
                 continue;
             }
-            let locks = [(&page_name, LockMode::IX), (&key_name, LockMode::X)];
-            let Some(d) = self.lock_no_wait(txn, d, &locks)? else {
+            let Some(d) = self.lock_update(txn, d, &key_name, hinted)? else {
                 continue;
             };
 
-            // The guard was held across the checks above, so `exists` and
+            // The U latch was held since the probe, so the probe's slot and
             // the space check are still valid under the locks we now hold.
             let mut g = d.guard.promote().into_x();
-            let (op, tag, undo) = match g.keyed_probe(key) {
+            let (op, tag, undo) = match probe {
                 Ok(slot) => (
                     PageOp::KeyedUpdate { bytes: entry },
                     TAG_UNDO_UPDATE,
@@ -527,21 +681,22 @@ impl PiTree {
                 ),
             };
             self.apply_update(txn, &d.page, &mut g, op, tag, undo)?;
+            self.wrote(d.page.id(), g.lsn());
             drop(g);
             drop(d.page);
             self.maybe_autocomplete()?;
-            return Ok(!exists);
+            return Ok(probe.is_err());
         }
     }
 
-    /// Transactional delete. Returns `true` if the key existed.
+    /// Transactional delete. Returns `true` if the key existed. Locks and
+    /// starts like [`PiTree::insert`].
     pub fn delete(&self, txn: &mut Txn<'_>, key: &[u8]) -> StoreResult<bool> {
         let key_name = self.key_lock(key);
+        let mut hint = true;
         loop {
-            let d = self.descend(key, 0, true, true)?;
-            let page_name = self.page_lock(d.page.id());
-            let locks = [(&page_name, LockMode::IX), (&key_name, LockMode::X)];
-            let Some(d) = self.lock_no_wait(txn, d, &locks)? else {
+            let (d, hinted) = self.write_leaf(key, std::mem::take(&mut hint))?;
+            let Some(d) = self.lock_update(txn, d, &key_name, hinted)? else {
                 continue;
             };
             let page = d.guard.page();
@@ -553,6 +708,7 @@ impl PiTree {
             let mut g = d.guard.promote().into_x();
             let op = PageOp::KeyedRemove { key: key.to_vec() };
             self.apply_update(txn, &d.page, &mut g, op, TAG_UNDO_DELETE, old)?;
+            self.wrote(d.page.id(), g.lsn());
             // Consolidation trigger (§3.3): schedule when under-utilized.
             let low_key = HeaderRef::read(&g)?.low_entry_key().to_vec();
             let underutilized =

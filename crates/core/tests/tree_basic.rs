@@ -337,9 +337,11 @@ fn in_txn_split_counting_page_oriented() {
     // run as independent atomic actions and no posting waits on a move
     // lock (§6: "even data node splitting" leaves the transaction).
     // Pinned per policy: (splits in a transaction, independent splits,
-    // postings deferred by a move lock).
+    // postings deferred by a move lock). A deferral is a descent crossing
+    // a move-locked sibling pointer, which a write that starts at the last
+    // leaf written never does.
     let cfg = PiTreeConfig::small_nodes(6, 6);
-    for (cfg, placement) in [(cfg.page_oriented(), (5, 0, 28)), (cfg, (0, 5, 0))] {
+    for (cfg, placement) in [(cfg.page_oriented(), (5, 0, 14)), (cfg, (0, 5, 0))] {
         let (_cs, tree) = tree_with(cfg);
         for batch in 0..3 {
             let mut t = tree.begin();

@@ -9,11 +9,12 @@
 //! per hit / 0 per miss, so the shared loop cannot quietly start
 //! allocating for any of them.
 //!
-//! The write row pins the insert path the same way, to an exact count: a
-//! Π-tree insert allocates in the lock table, for its entry and for its
-//! undo, and appending its log records allocates nothing (each atomic
-//! action encodes its records into one reused frame buffer, and the log
-//! tail reuses the buffer of the batch it last forced).
+//! The write row pins the insert path the same way, to exact counts of
+//! pool fetches, latches, locks and allocations: a Π-tree insert allocates
+//! in the lock table, for its entry and for its undo, and appending its log
+//! records allocates nothing (each atomic action encodes its records into
+//! one reused frame buffer, and the log tail reuses the buffer of the batch
+//! it last forced).
 //!
 //! The counter is a wrapping [`GlobalAlloc`] that tallies allocations made
 //! by the *measuring thread only* (thread-local flag), so background work —
@@ -147,6 +148,24 @@ fn steady_state_reads_are_allocation_free() {
     );
 }
 
+/// What one run of the loader's shape costs: the first write row of the
+/// per-operation ledger. Every field is an exact count over the measured
+/// 4,096 inserts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LoadCost {
+    /// Buffer-pool fetches (`buf.hits` + `buf.misses`).
+    fetches: u64,
+    /// Page-latch acquisitions by mode, and U-to-X promotions.
+    latch_s: u64,
+    latch_u: u64,
+    latch_x: u64,
+    promotes: u64,
+    /// Database locks granted (`lock.acquires`).
+    locks: u64,
+    /// Heap allocations by the measuring thread.
+    allocs: u64,
+}
+
 #[test]
 fn steady_state_inserts_allocate_a_pinned_count() {
     let store = CrashableStore::create(4096, 1_000_000).expect("create store");
@@ -167,20 +186,64 @@ fn steady_state_inserts_allocate_a_pinned_count() {
         }
     };
     // Warm: the pool, the lock table and the log tail have grown to size.
+    // The lock table is a `HashMap` whose hasher is seeded per process, so
+    // when churn first makes it grow depends on the seed; a transaction
+    // holding more locks than any measured one grows it past that point.
     load(0..KEYS);
-    let n = count_allocs(|| load(KEYS..2 * KEYS));
+    let txn = tree.begin();
+    for k in 0..4 * TXN {
+        tree.get(&txn, &k.to_be_bytes()).expect("get");
+    }
+    txn.commit().expect("commit");
+    let rec = tree.recorder();
+    let read = |name| rec.counter(name).get();
+    let counts = || {
+        [
+            read("buf.hits") + read("buf.misses"),
+            read("latch.acquire_s"),
+            read("latch.acquire_u"),
+            read("latch.acquire_x"),
+            read("latch.promotes"),
+            read("lock.acquires"),
+        ]
+    };
+    let before = counts();
+    let allocs = count_allocs(|| load(KEYS..2 * KEYS));
+    let after = counts();
+    let [fetches, latch_s, latch_u, latch_x, promotes, locks] =
+        std::array::from_fn(|i| after[i] - before[i]);
+    let cost = LoadCost {
+        fetches,
+        latch_s,
+        latch_u,
+        latch_x,
+        promotes,
+        locks,
+        allocs,
+    };
     assert_eq!(
-        n,
-        INSERT_ALLOCS,
-        "{KEYS} ascending inserts in transactions of {TXN} allocated {n} times \
-         ({:.2} per insert); pinned {INSERT_ALLOCS}",
-        n as f64 / KEYS as f64
+        cost,
+        LOAD_COST,
+        "{KEYS} ascending inserts in transactions of {TXN} cost {cost:?} \
+         ({:.2} fetches, {:.2} allocations per insert); pinned {LOAD_COST:?}",
+        cost.fetches as f64 / KEYS as f64,
+        cost.allocs as f64 / KEYS as f64
     );
 }
 
-/// Allocations of `steady_state_inserts_allocate_a_pinned_count`'s 4,096
-/// inserts.
-const INSERT_ALLOCS: u64 = 21_704;
+/// The cost of `steady_state_inserts_allocate_a_pinned_count`'s 4,096
+/// inserts. Each insert starts at the leaf the previous one changed (one
+/// fetch, one U latch, no S latch of the root) unless it must split, and
+/// takes only its key lock under logical UNDO.
+const LOAD_COST: LoadCost = LoadCost {
+    fetches: 4_408,
+    latch_s: 216,
+    latch_u: 4_192,
+    latch_x: 72,
+    promotes: 4_144,
+    locks: 4_096,
+    allocs: 21_616,
+};
 
 #[test]
 fn tsb_as_of_reads_allocate_only_the_returned_value() {

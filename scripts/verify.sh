@@ -5,7 +5,7 @@
 #
 #   ./scripts/verify.sh          # fmt + pitree-lint + build + tests
 #                                # + wake gate (seam + latch wake tests in release)
-#                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, alloc, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, alloc, write-hint, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracle gate (tests/check_props.rs)
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt (e.g. toolchain lacks rustfmt)
@@ -101,6 +101,10 @@ fi
 step "alloc gate (Π-tree get, TSB get_as_of and hB get allocate exactly once per hit, never on a miss; 4,096 ascending inserts allocate a pinned count, none in the log append)"
 cargo test --offline --release -q -p pitree-harness --test alloc_gate
 
+step "write-hint gate (a B-link write starts at the last leaf written only when the trust rule and the leaf's unchanged state id allow it: a consolidated leaf under NotAnUpdate, a freed and re-used page under IsAnUpdate, interleaved appenders, page locks per UNDO policy; and the loader's cost row, 4,096 ascending inserts' fetches, latches, locks and allocations pinned)"
+cargo test --offline --release -q -p pitree --test write_hint
+cargo test --offline --release -q -p pitree-harness --test alloc_gate steady_state_inserts_allocate_a_pinned_count
+
 step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
 cargo test --offline --release -q -p pitree-pagestore --test pool_footprint -- --nocapture | grep -E 'pool_footprint: |^test result'
 
@@ -121,7 +125,8 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D warnings" \
 step "obstop smoke (observability report)"
 out="$(cargo run --offline --release -q --bin obstop)"
 for metric in latch.acquire_s buf.misses wal.appends lock.acquires \
-              tree.splits recovery.redo_ns; do
+              tree.splits tree.write_hint_hits tree.write_hint_misses \
+              recovery.redo_ns; do
   grep -q "$metric" <<<"$out" || { echo "obstop report missing $metric" >&2; exit 1; }
 done
 
