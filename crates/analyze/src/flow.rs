@@ -216,9 +216,10 @@ fn latch_class(recv: Option<&str>) -> &'static str {
 }
 
 /// Quotient for the cycle check: the page-role classes collapse into one
-/// node, because ordering among tree pages is the *runtime* search-order
-/// argument (checked by the latch rank assertions), not a static total
-/// order between roles.
+/// node, because ordering among tree pages is the *runtime* search order,
+/// not a static total order between roles. Within the page family the
+/// `latch-order` rule (a climb up a saved path may only use `try_*`) and
+/// the concurrent oracles cover it.
 fn quot(class: &str) -> &'static str {
     match class {
         "alloc" => "alloc",
@@ -352,8 +353,8 @@ fn latch_order_graph(
     // name/arity matching, a popular name (`apply`, `insert`) resolves to
     // many unrelated functions and would union every class into every
     // call site, saturating the graph into uselessness. Dropping ambiguous
-    // edges under-approximates; the runtime latch-rank checker still
-    // covers what the static graph cannot see.
+    // edges under-approximates; the concurrent oracles exercise what the
+    // static graph cannot see.
     let callees: Vec<Vec<usize>> = fns
         .iter()
         .map(|f| {

@@ -4,9 +4,9 @@
 //! The correctness of the paper's protocol (Lomet & Salzberg, SIGMOD 1992)
 //! rests on conventions a compiler cannot see: top-down latch order with
 //! U→X promotion (§4.1), the No-Wait Rule for completion paths (§4.2.2)
-//! and log-before-dirty WAL discipline (§4.3.1). The runtime debug checks (latch rank stack, sim sweeps) catch
-//! violations on the interleavings we happen to execute; this analyzer
-//! catches the violating *code shapes* on every path.
+//! and log-before-dirty WAL discipline (§4.3.1). The concurrent oracles and
+//! sim sweeps catch violations on the interleavings they happen to execute;
+//! this analyzer catches the violating *code shapes* on every path.
 //!
 //! No `syn`, no dependencies, and one tier. A recursive-descent structural
 //! parser ([`parse`]) over the token stream builds per-function CFGs

@@ -377,25 +377,26 @@ fn crash_after_leader_woke_some_followers() {
     recovers_to(&crashed, cfg, &model, "leader-woke-some-followers");
 }
 
-// ---- Linger / early-lock-release crash windows ------------------------------
+// ---- Early-lock-release / group-force crash windows -------------------------
 //
-// The adaptive linger window and commit pipelining open three more windows:
-// (c) a crash during the linger itself, with committed-in-log transactions
-// sitting in the undrained tail; (d) a crash after a transaction released
+// Early lock release and commit pipelining open three more windows:
+// (c) a crash while published, committed-in-log transactions sit in the
+// undrained tail, before any force; (d) a crash after a transaction released
 // its locks at log-append but before the group's force completed; and
 // (e) a crash after the group's batch is durably written but before the
 // watermark publish, with a *dependent* pipelined transaction in the same
 // batch. In every case: unacknowledged commits may vanish, acknowledged
 // ones may not, and a dependent commit can never outlive its predecessor.
 
-/// (c) Crash during the linger window with an undrained tail: the commits
-/// a lingering leader has not drained yet. T1 has published its commit
-/// (locks released, no batch drained), so a successor
+/// (c) Crash with published commits in the undrained tail: no force runs
+/// between the publishes and the crash (the test is single-threaded, so
+/// no leader is elected and the linger budget stays 0). T1 has published
+/// its commit (locks released, no batch drained), so a successor
 /// jumps its key lock and the dependent T3 publishes an update to the same
 /// key; the machine dies before any force drains either. Neither
 /// transaction was acknowledged, so recovery must show neither.
 #[test]
-fn crash_during_linger_with_undrained_tail() {
+fn crash_with_published_commits_in_undrained_tail() {
     use pitree_txnlock::LockMode;
 
     let cfg = PiTreeConfig::small_nodes(4, 4);
@@ -431,7 +432,7 @@ fn crash_during_linger_with_undrained_tail() {
     drop(tree);
     let crashed = cs.crash().unwrap();
     // Neither T1 nor T3 was acknowledged; the model keeps neither.
-    recovers_to(&crashed, cfg, &model, "linger-undrained-tail");
+    recovers_to(&crashed, cfg, &model, "published-commits-undrained-tail");
 }
 
 /// (d) Crash after early lock release, before the group's force completes:

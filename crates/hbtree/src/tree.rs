@@ -330,17 +330,6 @@ impl HbTree {
         self.finish_get(d, &point_key(p))
     }
 
-    /// Transactional point lookup (S record lock).
-    pub fn get_locked(&self, txn: &Txn<'_>, p: &Point) -> StoreResult<Option<Vec<u8>>> {
-        let name = self.point_lock(p);
-        loop {
-            let d = self.descend(p, 0, false, true)?;
-            if let Some(d) = self.lock_no_wait(txn, d, &[(&name, LockMode::S)])? {
-                return self.finish_get(d, &point_key(p));
-            }
-        }
-    }
-
     /// All records whose points fall in `window` (latch-only region query).
     /// Walks every data node whose directly-contained space intersects the
     /// window, via the fragment graph.

@@ -43,7 +43,7 @@
 use crate::disk::DiskManager;
 use crate::error::{StoreError, StoreResult};
 use crate::ids::{Lsn, PageId};
-use crate::latch::{order, Latch, LatchObs, SGuard, UGuard, XGuard};
+use crate::latch::{Latch, LatchObs, SGuard, UGuard, XGuard};
 use crate::page::{Page, PageType};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
@@ -101,7 +101,7 @@ struct Frame {
 impl Frame {
     fn new(obs: Arc<LatchObs>) -> Frame {
         Frame {
-            latch: Latch::new_observed(Page::vacant(), order::UNRANKED, obs),
+            latch: Latch::new_observed(Page::vacant(), obs),
             pid: AtomicU64::new(NO_PAGE),
             pin: AtomicU32::new(0),
             dirty: AtomicBool::new(false),

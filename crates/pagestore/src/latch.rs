@@ -21,89 +21,18 @@
 //! X" are enforced by the type system. A [`UGuard`] can be promoted in place
 //! with [`UGuard::promote`]; per the paper, callers must only promote while
 //! holding no latch ordered after this one.
+//!
+//! A latch does not check the order it is taken in. `pitree-lint`'s
+//! `latch-order` flow rule does, statically: a climb up a saved path may
+//! only use `try_*` (§5.2.2(b)), and `promote` may not run while another
+//! blocking guard is held. The concurrent oracles (`pitree-check`) cover
+//! the interleavings.
 
 use crate::sync::{Condvar, Mutex};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// Debug-build latch-ordering checks.
-///
-/// The deadlock-freedom argument of §4.1 rests on every thread acquiring
-/// latches in search order. Latches constructed with [`Latch::new_ordered`]
-/// carry a *rank* encoding that order (parents rank ≤ children, containing
-/// nodes ≤ contained, space management last); in debug builds a thread-local
-/// stack of held ranks is maintained and any blocking acquisition whose rank
-/// is **below** the highest rank currently held by the same thread panics
-/// immediately instead of risking an undetectable latch deadlock.
-/// `try_*` acquisitions are exempt: conditional acquisition is exactly the
-/// protocol's escape hatch for climbing *up* a saved path (§5.2.2(b)).
-/// Unranked latches (plain [`Latch::new`]) are never checked.
-pub mod order {
-    use std::cell::RefCell;
-
-    thread_local! {
-        static HELD: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Rank meaning "not participating in order checking".
-    pub const UNRANKED: u64 = u64::MAX;
-
-    pub(super) fn check_and_push(rank: u64) {
-        if rank == UNRANKED || !cfg!(debug_assertions) {
-            return;
-        }
-        HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(&max) = held.iter().max() {
-                assert!(
-                    rank >= max,
-                    "latch order violation: blocking acquisition of rank {rank} \
-                     while holding rank {max} (acquire in search order, or use try_*)"
-                );
-            }
-            held.push(rank);
-        });
-    }
-
-    /// Record a `try_*` acquisition: tracked (so later blocking acquisitions
-    /// see it) but never checked itself.
-    pub(super) fn push_unchecked(rank: u64) {
-        if rank == UNRANKED || !cfg!(debug_assertions) {
-            return;
-        }
-        HELD.with(|h| h.borrow_mut().push(rank));
-    }
-
-    pub(super) fn pop(rank: u64) {
-        if rank == UNRANKED || !cfg!(debug_assertions) {
-            return;
-        }
-        HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|&r| r == rank) {
-                held.remove(pos);
-            }
-        });
-    }
-
-    /// Ranks currently held by this thread (diagnostics / tests).
-    pub fn held_ranks() -> Vec<u64> {
-        HELD.with(|h| h.borrow().clone())
-    }
-}
-
-/// Latch acquisition modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatchMode {
-    /// Shared.
-    S,
-    /// Update: read access now, intent to possibly promote to X.
-    U,
-    /// Exclusive.
-    X,
-}
 
 #[derive(Default)]
 struct State {
@@ -173,7 +102,6 @@ impl LatchObs {
 pub struct Latch<T> {
     state: Mutex<State>,
     cv: Condvar,
-    rank: u64,
     obs: Option<Arc<LatchObs>>,
     data: UnsafeCell<T>,
 }
@@ -185,31 +113,16 @@ unsafe impl<T: Send + Sync> Sync for Latch<T> {}
 
 impl<T> std::fmt::Debug for Latch<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Latch")
-            .field("rank", &self.rank)
-            .finish_non_exhaustive()
+        f.debug_struct("Latch").finish_non_exhaustive()
     }
 }
 
 impl<T> Latch<T> {
-    /// Wrap `value` in a latch that does not participate in order checking.
+    /// Wrap `value` in an unobserved latch.
     pub fn new(value: T) -> Latch<T> {
         Latch {
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
-            rank: order::UNRANKED,
-            obs: None,
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    /// Wrap `value` in a latch with an ordering `rank`; debug builds panic
-    /// on blocking acquisitions that violate search order (see [`order`]).
-    pub fn new_ordered(value: T, rank: u64) -> Latch<T> {
-        Latch {
-            state: Mutex::new(State::default()),
-            cv: Condvar::new(),
-            rank,
             obs: None,
             data: UnsafeCell::new(value),
         }
@@ -219,24 +132,17 @@ impl<T> Latch<T> {
     /// through `obs` (`latch.*` counters, `latch.wait_ns` histogram). The
     /// buffer pool observes its frame latches this way; unobserved latches
     /// pay only an `Option` check.
-    pub(crate) fn new_observed(value: T, rank: u64, obs: Arc<LatchObs>) -> Latch<T> {
+    pub(crate) fn new_observed(value: T, obs: Arc<LatchObs>) -> Latch<T> {
         Latch {
             state: Mutex::new(State::default()),
             cv: Condvar::new(),
-            rank,
             obs: Some(obs),
             data: UnsafeCell::new(value),
         }
     }
 
-    /// This latch's ordering rank ([`order::UNRANKED`] when unchecked).
-    pub fn rank(&self) -> u64 {
-        self.rank
-    }
-
     /// Acquire in S mode, blocking.
     pub fn s(&self) -> SGuard<'_, T> {
-        order::check_and_push(self.rank);
         let mut st = self.state.lock();
         let mut waited = None;
         if !st.can_s() {
@@ -259,7 +165,6 @@ impl<T> Latch<T> {
         if st.can_s() {
             st.readers += 1;
             drop(st);
-            order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
                 o.acquired(&o.acq_s, None);
             }
@@ -272,7 +177,6 @@ impl<T> Latch<T> {
     /// Acquire in U mode, blocking. U allows concurrent S readers but
     /// excludes other U and X holders.
     pub fn u(&self) -> UGuard<'_, T> {
-        order::check_and_push(self.rank);
         let mut st = self.state.lock();
         let mut waited = None;
         if !st.can_u() {
@@ -295,7 +199,6 @@ impl<T> Latch<T> {
         if st.can_u() {
             st.u_held = true;
             drop(st);
-            order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
                 o.acquired(&o.acq_u, None);
             }
@@ -307,7 +210,6 @@ impl<T> Latch<T> {
 
     /// Acquire in X mode, blocking.
     pub fn x(&self) -> XGuard<'_, T> {
-        order::check_and_push(self.rank);
         let mut st = self.state.lock();
         st.x_waiting += 1;
         let mut waited = None;
@@ -332,7 +234,6 @@ impl<T> Latch<T> {
         if st.can_x() {
             st.x_held = true;
             drop(st);
-            order::push_unchecked(self.rank);
             if let Some(o) = &self.obs {
                 o.acquired(&o.acq_x, None);
             }
@@ -342,24 +243,11 @@ impl<T> Latch<T> {
         }
     }
 
-    /// Whether any holder is present (diagnostics only; racy by nature).
-    pub fn is_held(&self) -> bool {
-        let st = self.state.lock();
-        st.x_held || st.u_held || st.readers > 0
-    }
-
     /// Threads blocked in an acquisition or a promotion of this latch
-    /// (diagnostics only; racy like [`Latch::is_held`]). Tests use it to
+    /// (diagnostics only; racy by nature). Tests use it to
     /// know a thread has blocked instead of sleeping.
     pub fn parked(&self) -> u32 {
         self.cv.parked()
-    }
-
-    /// Get the protected value without latching. Only sound when the caller
-    /// has unique access (e.g. during single-threaded recovery or pool
-    /// teardown).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.data.get_mut()
     }
 }
 
@@ -370,9 +258,7 @@ pub struct SGuard<'a, T> {
 
 impl<T> std::fmt::Debug for SGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SGuard")
-            .field("rank", &self.latch.rank)
-            .finish_non_exhaustive()
+        f.debug_struct("SGuard").finish_non_exhaustive()
     }
 }
 
@@ -389,7 +275,6 @@ impl<T> Drop for SGuard<'_, T> {
         let mut st = self.latch.state.lock();
         st.readers -= 1;
         drop(st);
-        order::pop(self.latch.rank);
         self.latch.cv.notify_all();
     }
 }
@@ -401,9 +286,7 @@ pub struct UGuard<'a, T> {
 
 impl<T> std::fmt::Debug for UGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UGuard")
-            .field("rank", &self.latch.rank)
-            .finish_non_exhaustive()
+        f.debug_struct("UGuard").finish_non_exhaustive()
     }
 }
 
@@ -435,20 +318,6 @@ impl<'a, T> UGuard<'a, T> {
         std::mem::forget(self); // state already transferred to the X guard
         XGuard { latch }
     }
-
-    /// Demote to S mode (used when a would-be writer discovers no write is
-    /// needed but wants to keep reading).
-    pub fn demote(self) -> SGuard<'a, T> {
-        let latch = self.latch;
-        {
-            let mut st = latch.state.lock();
-            st.u_held = false;
-            st.readers += 1;
-        }
-        std::mem::forget(self);
-        latch.cv.notify_all();
-        SGuard { latch }
-    }
 }
 
 impl<T> Deref for UGuard<'_, T> {
@@ -464,7 +333,6 @@ impl<T> Drop for UGuard<'_, T> {
         let mut st = self.latch.state.lock();
         st.u_held = false;
         drop(st);
-        order::pop(self.latch.rank);
         self.latch.cv.notify_all();
     }
 }
@@ -476,24 +344,7 @@ pub struct XGuard<'a, T> {
 
 impl<T> std::fmt::Debug for XGuard<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("XGuard")
-            .field("rank", &self.latch.rank)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, T> XGuard<'a, T> {
-    /// Demote to U mode (keeps readers out of write mode but lets S in).
-    pub fn demote_to_u(self) -> UGuard<'a, T> {
-        let latch = self.latch;
-        {
-            let mut st = latch.state.lock();
-            st.x_held = false;
-            st.u_held = true;
-        }
-        std::mem::forget(self);
-        latch.cv.notify_all();
-        UGuard { latch }
+        f.debug_struct("XGuard").finish_non_exhaustive()
     }
 }
 
@@ -517,7 +368,6 @@ impl<T> Drop for XGuard<'_, T> {
         let mut st = self.latch.state.lock();
         st.x_held = false;
         drop(st);
-        order::pop(self.latch.rank);
         self.latch.cv.notify_all();
     }
 }
@@ -619,23 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn demote_u_to_s() {
-        let l = Latch::new(());
-        let u = l.u();
-        let _s = u.demote();
-        assert!(l.try_u().is_some(), "after demote, U is available again");
-    }
-
-    #[test]
-    fn demote_x_to_u_lets_readers_in() {
-        let l = Latch::new(());
-        let x = l.x();
-        let _u = x.demote_to_u();
-        assert!(l.try_s().is_some());
-        assert!(l.try_x().is_none());
-    }
-
-    #[test]
     fn concurrent_counter_under_x() {
         let l = Arc::new(Latch::new(0u64));
         let mut handles = Vec::new();
@@ -657,7 +490,7 @@ mod tests {
     #[test]
     fn contention_counter_records_blocking() {
         let rec = Recorder::detached();
-        let l = Latch::new_observed(0u32, order::UNRANKED, Arc::new(LatchObs::new(&rec)));
+        let l = Latch::new_observed(0u32, Arc::new(LatchObs::new(&rec)));
         let waits = rec.counter("latch.waits");
         {
             let _s = l.s();

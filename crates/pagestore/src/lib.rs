@@ -36,7 +36,7 @@ pub use disk::{DiskManager, MemDisk};
 pub use error::{StoreError, StoreResult};
 pub use fault::{FaultInjector, FaultSite};
 pub use ids::{Lsn, PageId};
-pub use latch::{Latch, LatchMode, SGuard, UGuard, XGuard};
+pub use latch::{Latch, SGuard, UGuard, XGuard};
 pub use page::{KeyRef, Page, PageType, PAGE_SIZE};
 pub use pageops::PageOp;
 pub use space::SpaceMap;

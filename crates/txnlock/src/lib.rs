@@ -4,9 +4,9 @@
 //! Implements the parts of §4.1–§4.2 of Lomet & Salzberg (SIGMOD 1992) that
 //! live *above* latches:
 //!
-//! * [`modes::LockMode`] — S/U/X plus intention modes and the **move lock**
-//!   of §4.2.2 (compatible with readers, conflicting with non-commutative
-//!   updates).
+//! * [`modes::LockMode`] — S/X, the IX page intention lock of a
+//!   page-oriented-UNDO updater, and the **move lock** of §4.2.2
+//!   (compatible with readers, conflicting with non-commutative updates).
 //! * [`table::LockTable`] — named locks with FIFO queuing, conversion,
 //!   waits-for deadlock detection, and a non-blocking `try_acquire` that
 //!   lets tree operations obey the **No-Wait Rule** (§4.1.2).

@@ -7,22 +7,19 @@
 //! lock" (a sibling-traverser that sees one must not schedule an index-term
 //! posting).
 //!
-//! The intention modes let a page-granule move lock conflict with key-granule
-//! updaters: updaters take `IX` on the data page before `X` on the key,
-//! readers take `IS` on the page before `S` on the key, and the move lock is
-//! taken on the page itself.
+//! The modes are the ones the trees take. Key readers take `S` and key
+//! updaters `X`. Under page-oriented UNDO an updater also takes `IX` on its
+//! data page (or on the tree, for the relation granule) before the key
+//! lock, so that a structure change's `Move` on that page conflicts with
+//! it while `S` readers pass.
 
 /// Database lock modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
-    /// Intention shared (page-level, by key readers).
-    IS,
     /// Intention exclusive (page-level, by key updaters).
     IX,
     /// Shared.
     S,
-    /// Update: read now, intent to convert to X; compatible with S only.
-    U,
     /// Exclusive.
     X,
     /// Move lock (§4.2.2): blocks non-commutative updates while records are
@@ -34,17 +31,7 @@ impl LockMode {
     /// Whether a holder of `self` and a holder of `other` may coexist.
     pub fn compatible(self, other: LockMode) -> bool {
         use LockMode::*;
-        match (self, other) {
-            (IS, IS) | (IS, IX) | (IS, S) | (IS, U) | (IS, Move) => true,
-            (IX, IS) | (IX, IX) => true,
-            (S, IS) | (S, S) | (S, U) | (S, Move) => true,
-            // U admits readers but no other updater (asymmetric in classic
-            // treatments; we use the symmetric-safe version: U grants new S,
-            // existing S tolerates U).
-            (U, IS) | (U, S) => true,
-            (Move, IS) | (Move, S) => true,
-            _ => false,
-        }
+        matches!((self, other), (IX, IX) | (S, S) | (S, Move) | (Move, S))
     }
 
     /// Least mode covering both (used for lock conversion). Falls back to
@@ -52,23 +39,11 @@ impl LockMode {
     /// which classically would be `SIX`).
     pub fn supremum(self, other: LockMode) -> LockMode {
         use LockMode::*;
-        if self == other {
-            return self;
-        }
         match (self, other) {
-            (IS, m) | (m, IS) if m != X => m.supremum_is(),
-            (IX, U) | (U, IX) => X,
-            (IX, Move) | (Move, IX) => X,
-            (S, U) | (U, S) => U,
+            _ if self == other => self,
             (S, Move) | (Move, S) => Move,
-            (U, Move) | (Move, U) => X,
             _ => X,
         }
-    }
-
-    fn supremum_is(self) -> LockMode {
-        // sup(IS, m) = m for every m above IS in the lattice.
-        self
     }
 
     /// Whether this mode is strong enough to cover a request for `req`
@@ -85,14 +60,14 @@ mod tests {
     #[test]
     fn share_modes_are_compatible() {
         assert!(S.compatible(S));
-        assert!(S.compatible(IS));
-        assert!(IS.compatible(IX));
         assert!(IX.compatible(IX));
+        assert!(!S.compatible(IX));
+        assert!(!IX.compatible(S));
     }
 
     #[test]
     fn x_conflicts_with_everything() {
-        for m in [IS, IX, S, U, X, Move] {
+        for m in [IX, S, X, Move] {
             assert!(!X.compatible(m));
             assert!(!m.compatible(X));
         }
@@ -102,34 +77,21 @@ mod tests {
     fn move_lock_matrix() {
         // §4.2.2: compatible with readers...
         assert!(Move.compatible(S));
-        assert!(Move.compatible(IS));
         assert!(S.compatible(Move));
         // ...but conflicts with updaters and other movers.
         assert!(!Move.compatible(IX));
-        assert!(!Move.compatible(U));
         assert!(!Move.compatible(X));
         assert!(!Move.compatible(Move));
         assert!(!IX.compatible(Move));
     }
 
     #[test]
-    fn u_mode_asymmetry_is_symmetrized() {
-        assert!(S.compatible(U));
-        assert!(U.compatible(S));
-        assert!(!U.compatible(U));
-        assert!(!U.compatible(X));
-    }
-
-    #[test]
     fn supremum_lattice() {
-        assert_eq!(S.supremum(U), U);
         assert_eq!(S.supremum(Move), Move);
-        assert_eq!(U.supremum(Move), X);
-        assert_eq!(IS.supremum(S), S);
-        assert_eq!(IS.supremum(IX), IX);
+        assert_eq!(IX.supremum(Move), X);
         assert_eq!(S.supremum(IX), X, "SIX collapses to X in this lattice");
-        assert_eq!(X.supremum(IS), X);
-        for m in [IS, IX, S, U, X, Move] {
+        assert_eq!(X.supremum(S), X);
+        for m in [IX, S, X, Move] {
             assert_eq!(m.supremum(m), m);
         }
     }
@@ -137,10 +99,11 @@ mod tests {
     #[test]
     fn covers_reflexive_and_ordered() {
         assert!(X.covers(S));
-        assert!(U.covers(S));
-        assert!(!S.covers(U));
+        assert!(X.covers(IX));
+        assert!(!S.covers(IX));
         assert!(Move.covers(S));
-        for m in [IS, IX, S, U, X, Move] {
+        assert!(!S.covers(Move));
+        for m in [IX, S, X, Move] {
             assert!(m.covers(m));
         }
     }

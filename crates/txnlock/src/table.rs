@@ -592,7 +592,7 @@ mod tests {
         assert!(lt.is_held(&page, Move));
         assert!(!lt.is_held(&page, X));
         // Readers coexist with the move lock.
-        lt.acquire(t(2), &page, IS).unwrap();
+        lt.acquire(t(2), &page, S).unwrap();
         // Updaters do not.
         assert_eq!(lt.try_acquire(t(3), &page, IX), Err(LockError::WouldBlock));
     }

@@ -21,7 +21,7 @@ fn move_lock_blocks_updaters_but_not_readers() {
     lt.acquire(smo, &page(7), LockMode::Move).unwrap();
     assert!(lt.is_move_locked(&page(7)));
     // Readers coexist with the move (§4.2.2: moves commute with reads)…
-    lt.acquire(ActionId(2), &page(7), LockMode::IS).unwrap();
+    lt.acquire(ActionId(2), &page(7), LockMode::S).unwrap();
     lt.acquire(ActionId(3), &page(7), LockMode::S).unwrap();
     // …but updaters must be refused, and per the No-Wait Rule they probe
     // with try_acquire rather than waiting.
@@ -33,9 +33,10 @@ fn move_lock_blocks_updaters_but_not_readers() {
         lt.try_acquire(ActionId(5), &page(7), LockMode::X),
         Err(LockError::WouldBlock)
     );
-    // The move and the S reader end (IX still conflicts with a plain S);
-    // with only the IS reader left, the blocked updater's retry succeeds.
+    // The move and both S readers end (IX conflicts with a plain S), so
+    // the blocked updater's retry succeeds.
     lt.release_all(smo);
+    lt.release_all(ActionId(2));
     lt.release_all(ActionId(3));
     assert!(!lt.is_move_locked(&page(7)));
     lt.try_acquire(ActionId(4), &page(7), LockMode::IX).unwrap();

@@ -1,5 +1,5 @@
 //! Move-lock edge cases from §4.1.2 (No-Wait Rule) and §4.2.2 (move
-//! locks): conversions racing queued movers, the U ∨ Move = X supremum,
+//! locks): conversions racing queued movers, the IX ∨ Move = X supremum,
 //! No-Wait probes against a held move lock, and the requirement that a
 //! failed No-Wait attempt releases every lock the action had already
 //! acquired (so a blocked mover is never wedged by a restarting updater).
@@ -26,7 +26,7 @@ fn await_waiter(lt: &LockTable, past: u64) {
     }
 }
 
-/// §4.1.1 + §4.2.2: an updater holding U must be able to convert to X
+/// §4.1.1 + §4.2.2: an updater holding IX must be able to convert to X
 /// even while a structure change's Move request is queued behind it —
 /// conversion grantability consults only the *granted* set, so the
 /// converter jumps the queue instead of deadlocking against a mover that
@@ -36,12 +36,12 @@ fn u_to_x_promotion_jumps_a_queued_move_lock() {
     let lt = Arc::new(LockTable::new(Duration::from_secs(10)));
     let updater = ActionId(1);
     let mover = ActionId(2);
-    lt.acquire(updater, &page(7), LockMode::U).unwrap();
+    lt.acquire(updater, &page(7), LockMode::IX).unwrap();
 
     let waits_before = lt.wait_count();
     let lt2 = Arc::clone(&lt);
     let smo = std::thread::spawn(move || {
-        // Move is incompatible with U: this parks until the updater ends.
+        // Move is incompatible with IX: this parks until the updater ends.
         lt2.acquire(mover, &page(7), LockMode::Move).unwrap();
         lt2.is_move_locked(&page(7))
     });
@@ -65,8 +65,8 @@ fn u_to_x_promotion_jumps_a_queued_move_lock() {
     assert_eq!(lt.holds(mover, &page(7)), Some(LockMode::Move));
 }
 
-/// §4.2.2: a U holder that itself needs a move lock converts to the
-/// supremum — and sup(U, Move) is X, because no proper supremum of the
+/// §4.2.2: an IX holder that itself needs a move lock converts to the
+/// supremum — and sup(IX, Move) is X, because no proper supremum of the
 /// two exists in the lattice. Sibling traversers still see the page as
 /// move-locked (`is_move_locked` treats a page-level X as a move, since
 /// nothing else in the tree protocol drives a page lock to X), so they
@@ -75,12 +75,12 @@ fn u_to_x_promotion_jumps_a_queued_move_lock() {
 fn u_holder_requesting_move_converts_to_x() {
     let lt = LockTable::new(Duration::from_secs(10));
     let a = ActionId(1);
-    lt.acquire(a, &page(3), LockMode::U).unwrap();
+    lt.acquire(a, &page(3), LockMode::IX).unwrap();
     lt.acquire(a, &page(3), LockMode::Move).unwrap();
     assert_eq!(lt.holds(a, &page(3)), Some(LockMode::X));
     assert!(
         lt.is_move_locked(&page(3)),
-        "the X reached via U ∨ Move still reads as a move to traversers"
+        "the X reached via IX ∨ Move still reads as a move to traversers"
     );
     // An S reader — compatible with a real Move — must now be refused.
     assert_eq!(
@@ -89,24 +89,19 @@ fn u_holder_requesting_move_converts_to_x() {
     );
 }
 
-/// §4.2.2: while a move lock is held, No-Wait probes for U and IX must
-/// fail with `WouldBlock` (update activity cannot be allowed to alter
-/// what the move must relocate), while S and IS readers pass.
+/// §4.2.2: while a move lock is held, a No-Wait probe for IX must fail
+/// with `WouldBlock` (update activity cannot be allowed to alter what the
+/// move must relocate), while an S reader passes.
 #[test]
 fn no_wait_probes_against_a_move_lock() {
     let lt = LockTable::new(Duration::from_secs(10));
     let mover = ActionId(1);
     lt.acquire(mover, &page(9), LockMode::Move).unwrap();
     assert_eq!(
-        lt.try_acquire(ActionId(2), &page(9), LockMode::U),
-        Err(LockError::WouldBlock)
-    );
-    assert_eq!(
         lt.try_acquire(ActionId(3), &page(9), LockMode::IX),
         Err(LockError::WouldBlock)
     );
     lt.try_acquire(ActionId(4), &page(9), LockMode::S).unwrap();
-    lt.try_acquire(ActionId(5), &page(9), LockMode::IS).unwrap();
 }
 
 fn mgr() -> TxnManager {

@@ -1,6 +1,6 @@
 //! Multi-threaded exercises of the group-commit log manager (§4.3.1).
 //!
-//! Three properties the lock-split design must keep:
+//! Four properties the lock-split design must keep:
 //!
 //! 1. `flushed_lsn` is monotone under concurrent forces, and when
 //!    `force_to(lsn)` returns the record at `lsn` is readable from the

@@ -4,7 +4,7 @@
 # (DESIGN.md §5), so a registry is never consulted.
 #
 #   ./scripts/verify.sh          # fmt + pitree-lint + build + tests
-#                                # + wake gate (seam + latch wake tests in release)
+#                                # + wake gate (seam, latch and lock-table wake tests in release)
 #                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, alloc, write-hint, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracle gate (tests/check_props.rs)
@@ -61,9 +61,10 @@ fi
 step "cargo test (workspace; includes the clippy -D warnings gate)"
 cargo test --offline -q
 
-step "wake gate (release, where a lost wakeup's window is narrowest: the sync seam's parked-count and lost-wakeup stress tests, and the latch tests that wait on Latch::parked)"
+step "wake gate (release, where a lost wakeup's window is narrowest: the sync seam's parked-count and lost-wakeup stress tests, the latch tests that wait on Latch::parked, and the lock-table tests that wait on LockTable::wait_count)"
 cargo test --offline --release -q -p pitree-pagestore --lib -- sync:: latch::
 cargo test --offline --release -q -p pitree-pagestore --test latch_sim
+cargo test --offline --release -q -p pitree-txnlock --test lock_sim --test move_lock_edges
 
 step "fill gate (the split lands where the insert does: ascending and interleaved loads leave full nodes, random ones split as before)"
 cargo test --offline -q -p pitree --test fill -- --nocapture | grep -E 'fill: |^test result'
