@@ -1,11 +1,9 @@
 //! Whole-workspace call graph by name/arity resolution.
 //!
 //! Without type information, a call site resolves to *every* workspace
-//! function whose name and arity are compatible. That over-approximation
-//! is the right direction for the reachability rules (no-wait) and is
-//! narrowed by intersection for the "all targets discharge the
-//! obligation" summaries (log-before-dirty), which treat multi-candidate
-//! sites conservatively.
+//! function whose name and arity are compatible. The latch-order summaries
+//! follow only the sites that resolve to exactly one function: a popular
+//! name resolves to many unrelated ones.
 
 use std::collections::BTreeMap;
 

@@ -3,7 +3,7 @@
 //! Each function body lowers to a small block graph: `Branch` alternatives
 //! fork and re-join, `Loop` bodies get a back edge plus a zero-iteration
 //! bypass, `?` forks to both the exit and a continuation, and `return`
-//! edges straight to the exit. Scope exits append synthetic implicit
+//! edges straight to the exit. Scope exits append synthetic
 //! [`Event::DropVar`] releases so guard state stays accurate on the
 //! fall-through path (early exits conservatively keep guards "held",
 //! which is the safe direction for every rule here).
@@ -115,11 +115,9 @@ impl Builder {
             Node::Scope(inner, binds) => {
                 let end = self.go(inner, Some(cur))?;
                 for v in binds {
-                    self.blocks[end].events.push(Event::DropVar {
-                        var: v.clone(),
-                        line: 0,
-                        implicit: true,
-                    });
+                    self.blocks[end]
+                        .events
+                        .push(Event::DropVar { var: v.clone() });
                 }
                 Some(end)
             }
@@ -223,11 +221,15 @@ mod tests {
     #[test]
     fn try_exit_forks_to_exit_and_continuation() {
         let c = cfg_of("fn f(&self) -> R<()> { self.wal.append(r)?; self.p.mark_dirty(); Ok(()) }");
-        // The block holding the Append must have two successors: exit + cont.
+        // The block holding the append must have two successors: exit + cont.
         let append_block = c
             .blocks
             .iter()
-            .position(|b| b.events.iter().any(|e| matches!(e, Event::Append { .. })))
+            .position(|b| {
+                b.events
+                    .iter()
+                    .any(|e| matches!(e, Event::Call { name, .. } if name == "append"))
+            })
             .unwrap();
         assert!(c.blocks[append_block].succs.contains(&c.exit));
         assert_eq!(c.blocks[append_block].succs.len(), 2);
@@ -240,7 +242,7 @@ mod tests {
             .blocks
             .iter()
             .flat_map(|b| &b.events)
-            .any(|e| matches!(e, Event::DropVar { var, implicit: true, .. } if var == "g"));
+            .any(|e| matches!(e, Event::DropVar { var } if var == "g"));
         assert!(has_implicit);
     }
 }

@@ -13,11 +13,10 @@
 //! one finding in the scan, or it is reported as `stale-allow` — the
 //! violation it excused is gone and the annotation must go with it.
 //!
-//! The scan is whole-workspace because the flow rules are interprocedural:
-//! the call graph, the latch-order graph, the log-before-dirty summaries
-//! and the no-wait reachability all need every file at once. There is one
-//! tier: a function the parser cannot follow is a finding, not a fall-back
-//! to token heuristics.
+//! The scan is whole-workspace because the latch-order rule is
+//! interprocedural: the call graph and the latch-order graph need every
+//! file at once. There is one tier: a function the parser cannot follow is
+//! a finding, not a fall-back to token heuristics.
 
 use crate::context::FileCx;
 use crate::flow;

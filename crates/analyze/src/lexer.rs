@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn comments_are_captured_not_tokenized() {
-        let (toks, comments) = lex("a // pitree-lint: allow(no-wait) queue\nb");
+        let (toks, comments) = lex("a // pitree-lint: allow(guard-lifetime) queue\nb");
         assert_eq!(toks.len(), 2);
         assert_eq!(comments.len(), 1);
         assert_eq!(comments[0].line, 1);

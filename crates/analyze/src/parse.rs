@@ -73,14 +73,10 @@ pub enum Event {
         /// Source line.
         line: u32,
     },
-    /// `drop(var)`, or the synthetic release at scope exit (`implicit`).
+    /// `drop(var)`, or the synthetic release at scope exit.
     DropVar {
         /// The dropped binding.
         var: String,
-        /// Source line (0 for synthetic scope-exit drops).
-        line: u32,
-        /// Synthetic scope-exit drop: releases silently, never a finding.
-        implicit: bool,
     },
     /// `dst = src;` — a move; `dst`'s previous guard (if any) is released.
     AssignVar {
@@ -95,27 +91,6 @@ pub enum Event {
     Forget {
         /// Leaked binding, when a plain identifier.
         var: Option<String>,
-        /// Source line.
-        line: u32,
-    },
-    /// WAL `.append(...)` / `.append_in(...)` (the log manager's two
-    /// append entry points).
-    Append {
-        /// Source line.
-        line: u32,
-    },
-    /// Page dirtying: `.mark_dirty()` / `.mark_dirty_at(...)` / `.data_mut()`.
-    Dirty {
-        /// Which dirtying method.
-        method: String,
-        /// Source line.
-        line: u32,
-    },
-    /// Blocking lock acquisition: `.lock(args...)` / `.acquire(args...)`
-    /// with ≥1 argument (the txn-lock API), or `.lock_alloc()`.
-    BlockingLock {
-        /// Method name.
-        what: String,
         /// Source line.
         line: u32,
     },
@@ -678,8 +653,6 @@ impl<'a> Parser<'a> {
                 return Some((
                     vec![Event::DropVar {
                         var: v.text.clone(),
-                        line,
-                        implicit: false,
                     }],
                     i + 4,
                     Vec::new(),
@@ -754,25 +727,16 @@ impl<'a> Parser<'a> {
                         Vec::new()
                     };
                     return Some((
-                        vec![
-                            Event::BlockingLock {
-                                what: nm.to_string(),
-                                line,
-                            },
-                            Event::Acquire {
-                                mode: Mode::X,
-                                blocking: true,
-                                recv: Some("alloc".to_string()),
-                                var,
-                                line,
-                            },
-                        ],
+                        vec![Event::Acquire {
+                            mode: Mode::X,
+                            blocking: true,
+                            recv: Some("alloc".to_string()),
+                            var,
+                            line,
+                        }],
                         open + 1,
                         binds,
                     ));
-                }
-                "append" | "append_in" => {
-                    return Some((vec![Event::Append { line }], open + 1, Vec::new()));
                 }
                 "rev"
                     if self.toks[i.saturating_sub(8)..i]
@@ -780,26 +744,6 @@ impl<'a> Parser<'a> {
                         .any(|t| t.is_ident("path") || t.is_ident("entries")) =>
                 {
                     return Some((vec![Event::Climb { line }], open + 1, Vec::new()));
-                }
-                "mark_dirty" | "mark_dirty_at" | "data_mut" => {
-                    return Some((
-                        vec![Event::Dirty {
-                            method: nm.to_string(),
-                            line,
-                        }],
-                        open + 1,
-                        Vec::new(),
-                    ));
-                }
-                "lock" | "acquire" if !empty => {
-                    return Some((
-                        vec![Event::BlockingLock {
-                            what: nm.to_string(),
-                            line,
-                        }],
-                        open + 1,
-                        Vec::new(),
-                    ));
                 }
                 "wait" | "wait_timeout" | "wait_durable" | "force" | "force_to" => {
                     return Some((
@@ -1123,7 +1067,7 @@ mod tests {
             Event::Acquire { mode: Mode::X, blocking: true, recv: Some(r), var: Some(v), .. }
                 if r == "pin" && v == "g"
         ));
-        assert!(matches!(&evs[1], Event::DropVar { var, implicit: false, .. } if var == "g"));
+        assert!(matches!(&evs[1], Event::DropVar { var } if var == "g"));
     }
 
     #[test]
@@ -1177,16 +1121,6 @@ mod tests {
         walk(&ast.fns[0].body, &mut branches, &mut loops);
         assert_eq!(branches, 2);
         assert_eq!(loops, 1);
-    }
-
-    #[test]
-    fn blocking_lock_requires_args() {
-        let evs = all_events("fn f(&self, t: &Txn) { t.lock(&n, m); self.q.lock(); }");
-        let blocking: Vec<_> = evs
-            .iter()
-            .filter(|e| matches!(e, Event::BlockingLock { .. }))
-            .collect();
-        assert_eq!(blocking.len(), 1);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The rule catalogue: [`RuleId`] and [`Finding`].
 //!
 //! Every rule is a path-sensitive analysis in [`crate::flow`]: latch order,
-//! no-wait, log-before-dirty, latch cycles and guard lifetimes. The token
-//! facts that need no control flow — panic-free recovery, sync hygiene and
-//! determinism — are clippy configuration (`clippy.toml` and one
-//! `#![deny(...)]` per recovery file; DESIGN.md §8). A finding is silenced
+//! latch cycles and guard lifetimes. The token facts that need no control
+//! flow — panic-free recovery, sync hygiene and determinism — are clippy
+//! configuration (`clippy.toml` and one `#![deny(...)]` per recovery file),
+//! and log-before-dirty (§4.3.1) and No-Wait (§4.2.2) are types: a frame
+//! guard hands out no `&mut Page`, and a completing action's transaction
+//! has no blocking `lock` (DESIGN.md §8). A finding is silenced
 //! with `// pitree-lint: allow(rule-id) <reason>`, which requires a reason
 //! and is itself audited (stale allows fail the build).
 
@@ -17,18 +19,12 @@ pub enum RuleId {
     /// climbing a saved path uses conditional (`try_*`) acquisition only,
     /// and U→X promotion happens while no other blocking latch is held.
     LatchOrder,
-    /// R2 §4.2.2 (flow): a completing action never blocks on a lock — no
-    /// blocking lock acquisition is reachable from a completion entry.
-    NoWait,
-    /// R3 §4.3.1 (flow): every path to a page dirtying passes a WAL append
-    /// first (log-before-dirty).
-    LogBeforeDirty,
     /// F1 §4.1 (flow): the workspace latch-acquisition order graph must be
     /// acyclic — a cycle among blocking acquisitions is a potential
     /// deadlock no interleaving test is guaranteed to hit.
     LatchCycle,
-    /// F2 (flow): latch-guard lifetime — leaked via `forget`, held across a
-    /// blocking wait on some path, or dropped twice.
+    /// F2 (flow): latch-guard lifetime — leaked via `forget`, or held
+    /// across a blocking wait on some path.
     GuardLifetime,
     /// Meta: a function the structural parser cannot follow, so no flow
     /// rule can check it.
@@ -41,10 +37,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// All real (suppressible) rules.
-    pub const ALL: [RuleId; 5] = [
+    pub const ALL: [RuleId; 3] = [
         RuleId::LatchOrder,
-        RuleId::NoWait,
-        RuleId::LogBeforeDirty,
         RuleId::LatchCycle,
         RuleId::GuardLifetime,
     ];
@@ -53,8 +47,6 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::LatchOrder => "latch-order",
-            RuleId::NoWait => "no-wait",
-            RuleId::LogBeforeDirty => "log-before-dirty",
             RuleId::LatchCycle => "latch-cycle",
             RuleId::GuardLifetime => "guard-lifetime",
             RuleId::Unfollowed => "unfollowed",
@@ -72,10 +64,8 @@ impl RuleId {
     pub fn describe(self) -> &'static str {
         match self {
             RuleId::LatchOrder => "top-down latch order; climbs and promotes use try_* (paper 4.1)",
-            RuleId::NoWait => "SMO completion paths take locks conditionally only (paper 4.2.2)",
-            RuleId::LogBeforeDirty => "WAL append precedes page dirtying (paper 4.3.1)",
             RuleId::LatchCycle => "workspace latch-acquisition order graph is acyclic (paper 4.1)",
-            RuleId::GuardLifetime => "guards are not leaked, double-dropped, or held over waits",
+            RuleId::GuardLifetime => "guards are not leaked or held over waits",
             RuleId::Unfollowed => "every function is followed by the flow rules",
             RuleId::LintAllow => "suppressions carry a rule id and a reason",
             RuleId::StaleAllow => "suppressions that fire nothing are removed",

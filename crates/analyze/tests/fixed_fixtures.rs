@@ -86,62 +86,6 @@ fn post_term(&self, parent: &Pin, child: &Pin) {
     assert_fix_silences(RuleId::LatchOrder, "crates/core/src/fake.rs", broken, fixed);
 }
 
-/// R2 fix: a completion path replaces a blocking `lock(..)` with the
-/// `try_lock(..)` probe the No-Wait Rule demands, handling refusal by
-/// giving up (paper 4.2.2).
-#[test]
-fn no_wait_fix_is_try_variant() {
-    let broken = r#"
-fn complete(&self, owner: Owner, key: &[u8]) -> StoreResult<()> {
-    let guard = self.table.lock(owner, key, LockMode::X);
-    guard.use_it();
-    Ok(())
-}
-"#;
-    let fixed = r#"
-fn complete(&self, owner: Owner, key: &[u8]) -> StoreResult<()> {
-    let Ok(guard) = self.table.try_lock(owner, key, LockMode::X) else {
-        return Ok(()); // refused: leave the SMO for a later completion
-    };
-    guard.use_it();
-    Ok(())
-}
-"#;
-    assert_fix_silences(
-        RuleId::NoWait,
-        "crates/core/src/completion.rs",
-        broken,
-        fixed,
-    );
-}
-
-/// R3 fix: the WAL append moves ahead of `mark_dirty` in the same
-/// function (paper 4.3.1 — the log record must exist before the change is
-/// visible to write-back).
-#[test]
-fn log_before_dirty_fix_is_append_first() {
-    let broken = r#"
-fn apply(&self, page: &mut Guard) -> StoreResult<()> {
-    page.mark_dirty();
-    self.wal.append(&self.record)?;
-    Ok(())
-}
-"#;
-    let fixed = r#"
-fn apply(&self, page: &mut Guard) -> StoreResult<()> {
-    self.wal.append(&self.record)?;
-    page.mark_dirty();
-    Ok(())
-}
-"#;
-    assert_fix_silences(
-        RuleId::LogBeforeDirty,
-        "crates/core/src/fake.rs",
-        broken,
-        fixed,
-    );
-}
-
 // ---- Clippy-enforced disciplines ------------------------------------------
 //
 // Panic-free recovery, sync hygiene and determinism are clippy

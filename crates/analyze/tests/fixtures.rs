@@ -117,74 +117,6 @@ fn scoped(&self, a: &Pin, b: &Pin) {
     assert!(!rules_of("crates/core/src/fake.rs", src).contains(&RuleId::LatchOrder));
 }
 
-// ---- R2: no-wait ----------------------------------------------------------
-
-#[test]
-fn no_wait_fires_on_blocking_lock_in_completion_path() {
-    let src = r#"
-fn complete(&self, owner: Owner, key: &[u8], mode: LockMode) {
-    let guard = self.table.lock(owner, key, mode);
-    guard.use_it();
-}
-"#;
-    for path in [
-        "crates/core/src/completion.rs",
-        "crates/core/src/post.rs",
-        "crates/core/src/consolidate.rs",
-        // The TSB and hB posting/split actions run through the same
-        // engine drain, so their files are completion paths too.
-        "crates/tsbtree/src/split.rs",
-        "crates/hbtree/src/split.rs",
-    ] {
-        assert!(
-            rules_of(path, src).contains(&RuleId::NoWait),
-            "blocking lock(..) must fire in {path}"
-        );
-    }
-}
-
-#[test]
-fn no_wait_quiet_on_try_variants_and_out_of_scope() {
-    let src = r#"
-fn complete(&self) {
-    let Some(guard) = self.table.try_lock() else { return };
-    guard.use_it();
-}
-"#;
-    assert!(!rules_of("crates/core/src/post.rs", src).contains(&RuleId::NoWait));
-    assert!(!rules_of("crates/tsbtree/src/split.rs", src).contains(&RuleId::NoWait));
-    // The same blocking call outside the completion paths is not R2's business.
-    let blocking = "fn f(&self) { let g = self.table.lock(); g.use_it(); }";
-    assert!(!rules_of("crates/core/src/tree.rs", blocking).contains(&RuleId::NoWait));
-}
-
-// ---- R3: log-before-dirty -------------------------------------------------
-
-#[test]
-fn log_before_dirty_fires_without_append() {
-    let src = r#"
-fn poke(&self, page: &Pin) {
-    let mut g = page.x();
-    g.set_lsn(Lsn(1));
-    page.mark_dirty();
-}
-"#;
-    assert!(rules_of("crates/core/src/fake.rs", src).contains(&RuleId::LogBeforeDirty));
-}
-
-#[test]
-fn log_before_dirty_quiet_when_logged_first() {
-    let src = r#"
-fn poke(&self, page: &Pin) {
-    let mut g = page.x();
-    let lsn = self.log.append(self.id, self.last, rec);
-    g.set_lsn(lsn);
-    page.mark_dirty();
-}
-"#;
-    assert!(!rules_of("crates/core/src/fake.rs", src).contains(&RuleId::LogBeforeDirty));
-}
-
 // ---- Clippy-enforced: panic-free recovery, sync hygiene, determinism ----
 //
 // These three disciplines are clippy configuration (`clippy.toml` and the
@@ -621,13 +553,18 @@ fn determinism_applies_to_sim_driven_tests_including_test_code() {
 }
 
 // ---- Suppressions ---------------------------------------------------------
+//
+// The grammar's contract, shown on guard-lifetime's wait-while-latched arm:
+// `publish` forces the log while its X guard may still be held.
 
 #[test]
 fn allow_with_reason_suppresses_next_line() {
     let src = r#"
-fn poke(&self, page: &Pin) {
-    // pitree-lint: allow(log-before-dirty) formatting a fresh store with no WAL yet
-    page.mark_dirty();
+fn publish(&self, pin: &Pin) {
+    let g = pin.x();
+    // pitree-lint: allow(guard-lifetime) the force is bounded and the latch is private
+    self.wal.force();
+    drop(g);
 }
 "#;
     assert!(
@@ -639,8 +576,10 @@ fn poke(&self, page: &Pin) {
 #[test]
 fn allow_with_reason_suppresses_same_line() {
     let src = r#"
-fn poke(&self, page: &Pin) {
-    page.mark_dirty(); // pitree-lint: allow(log-before-dirty) fresh store, no WAL yet
+fn publish(&self, pin: &Pin) {
+    let g = pin.x();
+    self.wal.force(); // pitree-lint: allow(guard-lifetime) bounded force, private latch
+    drop(g);
 }
 "#;
     assert!(lint_source("crates/core/src/fake.rs", src).is_empty());
@@ -649,9 +588,11 @@ fn poke(&self, page: &Pin) {
 #[test]
 fn allow_without_reason_is_rejected() {
     let src = r#"
-fn poke(&self, page: &Pin) {
-    // pitree-lint: allow(log-before-dirty)
-    page.mark_dirty();
+fn publish(&self, pin: &Pin) {
+    let g = pin.x();
+    // pitree-lint: allow(guard-lifetime)
+    self.wal.force();
+    drop(g);
 }
 "#;
     let found = lint_source("crates/core/src/fake.rs", src);
@@ -660,7 +601,7 @@ fn poke(&self, page: &Pin) {
         "reasonless allow must be a finding itself: {found:?}"
     );
     assert!(
-        found.iter().any(|f| f.rule == RuleId::LogBeforeDirty),
+        found.iter().any(|f| f.rule == RuleId::GuardLifetime),
         "and it must NOT suppress the violation: {found:?}"
     );
 }
@@ -675,9 +616,9 @@ fn unknown_rule_in_allow_is_rejected() {
 #[test]
 fn stale_allow_is_reported() {
     let src = r#"
-fn poke(&self) {
-    // pitree-lint: allow(log-before-dirty) the violation this excused is long gone
-    self.nothing_dirty_here();
+fn publish(&self) {
+    // pitree-lint: allow(guard-lifetime) the violation this excused is long gone
+    self.wal.force();
 }
 "#;
     let found = lint_source("crates/core/src/fake.rs", src);
@@ -689,14 +630,16 @@ fn poke(&self) {
 #[test]
 fn allow_does_not_cover_other_rules_or_far_lines() {
     let src = r#"
-fn poke(&self, page: &Pin) {
-    // pitree-lint: allow(no-wait) wrong rule for what actually fires here
-    page.mark_dirty();
+fn publish(&self, pin: &Pin) {
+    let g = pin.x();
+    // pitree-lint: allow(latch-order) wrong rule for what actually fires here
+    self.wal.force();
+    drop(g);
 }
 "#;
     let found = lint_source("crates/core/src/fake.rs", src);
     assert!(
-        found.iter().any(|f| f.rule == RuleId::LogBeforeDirty),
+        found.iter().any(|f| f.rule == RuleId::GuardLifetime),
         "an allow for a different rule must not suppress: {found:?}"
     );
     assert!(
@@ -705,15 +648,17 @@ fn poke(&self, page: &Pin) {
     );
 
     let far = r#"
-fn poke(&self, page: &Pin) {
-    // pitree-lint: allow(log-before-dirty) too far away to bind
+fn publish(&self, pin: &Pin) {
+    let g = pin.x();
+    // pitree-lint: allow(guard-lifetime) too far away to bind
 
-    page.mark_dirty();
+    self.wal.force();
+    drop(g);
 }
 "#;
     let found = lint_source("crates/core/src/fake.rs", far);
     assert!(
-        found.iter().any(|f| f.rule == RuleId::LogBeforeDirty),
+        found.iter().any(|f| f.rule == RuleId::GuardLifetime),
         "a line allow only covers its own and the next line: {found:?}"
     );
 }
@@ -721,20 +666,20 @@ fn poke(&self, page: &Pin) {
 #[test]
 fn allow_file_covers_every_instance_of_its_rule() {
     let src = r#"
-// pitree-lint: allow-file(log-before-dirty) this module is deliberately non-recoverable
-fn a(&self, p: &Pin) { p.mark_dirty(); }
-fn b(&self, p: &Pin) { p.mark_dirty(); }
+// pitree-lint: allow-file(guard-lifetime) this module's latches are private to one thread
+fn a(&self, p: &Pin) { let g = p.x(); self.wal.force(); drop(g); }
+fn b(&self, p: &Pin) { let g = p.x(); self.wal.force(); drop(g); }
 "#;
     assert!(lint_source("crates/core/src/fake.rs", src).is_empty());
 }
 
 #[test]
 fn malformed_directive_is_rejected() {
-    let src = "// pitree-lint: allcw(no-wait) typo in the verb\nfn f() {}";
+    let src = "// pitree-lint: allcw(guard-lifetime) typo in the verb\nfn f() {}";
     let found = lint_source("crates/core/src/fake.rs", src);
     assert!(found.iter().any(|f| f.rule == RuleId::LintAllow));
 
-    let unterminated = "// pitree-lint: allow(no-wait never closed\nfn f() {}";
+    let unterminated = "// pitree-lint: allow(guard-lifetime never closed\nfn f() {}";
     let found = lint_source("crates/core/src/fake.rs", unterminated);
     assert!(found.iter().any(|f| f.rule == RuleId::LintAllow));
 }
@@ -743,12 +688,12 @@ fn malformed_directive_is_rejected() {
 
 #[test]
 fn findings_render_as_path_line_rule_message() {
-    let src = "fn f(&self, p: &Pin) { p.mark_dirty(); }";
+    let src = "fn f(&self, p: &Pin) { let g = p.x(); self.wal.force(); }";
     let found = lint_source("crates/core/src/fake.rs", src);
     assert_eq!(found.len(), 1);
     let line = found[0].to_string();
     assert!(
-        line.starts_with("crates/core/src/fake.rs:1: log-before-dirty: "),
+        line.starts_with("crates/core/src/fake.rs:1: guard-lifetime: "),
         "finding must render grep-ably: {line}"
     );
 }

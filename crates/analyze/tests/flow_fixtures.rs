@@ -4,9 +4,11 @@
 //! (`allow(...)` consumes the finding and is itself marked used, so it does
 //! not go stale).
 //!
-//! The firing cases hide the violation behind a branch, a call chain, a
-//! guard move or a guard collection — exactly what the CFG + call-graph
-//! analysis exists to catch, and what a linear token scan cannot see.
+//! The firing cases hide the violation behind a branch, a match guard, a
+//! guard move or a guard collection — exactly what the CFG analysis exists
+//! to catch, and what a linear token scan cannot see. Log-before-dirty and
+//! No-Wait have no fixtures here: types carry them, and their teeth are the
+//! `compile_fail` doctests on `XGuard`, `PinnedPage` and `NoWait`.
 
 use analyze::{lint_source, scan_sources, RuleId};
 
@@ -148,19 +150,6 @@ fn guard_lifetime_fires_on_forget_leak() {
 }
 
 #[test]
-fn guard_lifetime_fires_on_double_drop() {
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn twice(pin: &Pin) {\n\
-         \x20   let g = pin.x();\n\
-         \x20   drop(g);\n\
-         \x20   drop(g);\n\
-         }\n",
-    );
-    assert!(rules_of(&f).contains(&RuleId::GuardLifetime), "{f:?}");
-}
-
-#[test]
 fn guard_lifetime_quiet_when_dropped_before_wait() {
     let f = lint_source(
         "crates/core/src/fake.rs",
@@ -203,292 +192,6 @@ fn guard_lifetime_suppressed_is_consumed_not_stale() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-// ---- log-before-dirty as dataflow (§4.3.1) --------------------------------
-
-#[test]
-fn flow_lbd_fires_on_branch_conditional_append() {
-    // A linear scan sees an append earlier in the token stream and stays
-    // quiet; only path-sensitivity sees the unlogged else-path.
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn apply(wal: &Wal, pin: &Pin, logged: bool) {\n\
-         \x20   if logged {\n\
-         \x20       wal.append(rec);\n\
-         \x20   }\n\
-         \x20   pin.mark_dirty();\n\
-         }\n",
-    );
-    assert!(rules_of(&f).contains(&RuleId::LogBeforeDirty), "{f:?}");
-}
-
-#[test]
-fn flow_lbd_fires_through_a_call_chain() {
-    // The dirty sits in a helper; the uncalled root never appends. The
-    // old per-function scan cannot connect the two.
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn entry(this: &T, pin: &Pin) {\n\
-         \x20   poke(pin);\n\
-         }\n\
-         fn poke(pin: &Pin) {\n\
-         \x20   pin.mark_dirty();\n\
-         }\n",
-    );
-    let hit = f.iter().find(|x| x.rule == RuleId::LogBeforeDirty);
-    assert!(hit.is_some(), "{f:?}");
-    assert!(hit.unwrap().msg.contains("entry"), "{f:?}");
-}
-
-#[test]
-fn flow_lbd_quiet_when_append_dominates_every_path() {
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn apply(wal: &Wal, pin: &Pin, retry: bool) -> R<()> {\n\
-         \x20   wal.append(rec)?;\n\
-         \x20   if retry {\n\
-         \x20       pin.mark_dirty();\n\
-         \x20   } else {\n\
-         \x20       pin.mark_dirty_at(0);\n\
-         \x20   }\n\
-         \x20   Ok(())\n\
-         }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn flow_lbd_takes_append_in_for_an_append() {
-    // The log manager's buffer-reusing entry point logs like `append`.
-    let src = |append: &str| {
-        format!(
-            "pub fn apply(wal: &Wal, pin: &Pin, frame: &mut Vec<u8>) {{\n\
-             \x20   wal.{append}(frame, rec);\n\
-             \x20   pin.mark_dirty();\n\
-             }}\n"
-        )
-    };
-    let f = lint_source("crates/core/src/fake.rs", &src("append_in"));
-    assert!(f.is_empty(), "{f:?}");
-    let f = lint_source("crates/core/src/fake.rs", &src("encode"));
-    assert!(f.iter().any(|x| x.rule == RuleId::LogBeforeDirty), "{f:?}");
-}
-
-#[test]
-fn flow_lbd_quiet_when_a_caller_discharges_the_obligation() {
-    // Interprocedural: the only caller appends first, so the helper's
-    // dirty is logged on every real path.
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn entry(wal: &Wal, pin: &Pin) {\n\
-         \x20   wal.append(rec);\n\
-         \x20   poke(pin);\n\
-         }\n\
-         fn poke(pin: &Pin) {\n\
-         \x20   pin.mark_dirty();\n\
-         }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn flow_lbd_suppressed_is_consumed_not_stale() {
-    let f = lint_source(
-        "crates/core/src/fake.rs",
-        "pub fn mkfs(pin: &Pin) {\n\
-         \x20   // pitree-lint: allow(log-before-dirty) fixture: formatting a fresh store, no WAL yet\n\
-         \x20   pin.mark_dirty();\n\
-         }\n",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-// ---- interprocedural no-wait (§4.2.2) -------------------------------------
-
-#[test]
-fn flow_no_wait_fires_through_a_cross_file_call_chain() {
-    // completion.rs itself takes no lock; the blocking probe hides two
-    // calls away in another core file.
-    let report = scan(&[
-        (
-            "crates/core/src/completion.rs",
-            "pub fn finish(this: &T, store: &Store) {\n\
-             \x20   grow(this, store);\n\
-             }\n",
-        ),
-        (
-            "crates/core/src/split.rs",
-            "pub fn grow(this: &T, store: &Store) {\n\
-             \x20   reserve(this, store);\n\
-             }\n\
-             fn reserve(this: &T, store: &Store) {\n\
-             \x20   let alloc = store.space.lock_alloc();\n\
-             }\n",
-        ),
-    ]);
-    let hit = report
-        .findings
-        .iter()
-        .find(|x| x.rule == RuleId::NoWait)
-        .unwrap_or_else(|| panic!("{:?}", report.findings));
-    assert_eq!(hit.path, "crates/core/src/split.rs");
-    assert!(hit.msg.contains("finish"), "{hit:?}");
-    assert!(hit.msg.contains("reserve"), "{hit:?}");
-}
-
-#[test]
-fn flow_no_wait_quiet_when_not_reachable_from_completion_paths() {
-    // The same blocking probe is fine when only the ordinary insert path
-    // (not an SMO completion entry) reaches it.
-    let report = scan(&[
-        (
-            "crates/core/src/completion.rs",
-            "pub fn finish(this: &T) {\n\
-             \x20   this.step();\n\
-             }\n",
-        ),
-        (
-            "crates/core/src/tree.rs",
-            "pub fn insert(this: &T, store: &Store) {\n\
-             \x20   reserve(this, store);\n\
-             }\n\
-             fn reserve(this: &T, store: &Store) {\n\
-             \x20   let alloc = store.space.lock_alloc();\n\
-             }\n",
-        ),
-    ]);
-    assert!(
-        !rules_of(&report.findings).contains(&RuleId::NoWait),
-        "{:?}",
-        report.findings
-    );
-}
-
-/// The engine's drain in completion.rs reaching a structure crate through
-/// `Structure::complete`; `probe` is the lock call the structure makes.
-fn drain_into_tsb(probe: &str) -> analyze::Report {
-    let tsb_split = format!(
-        "pub fn post_index_term(tree: &E, c: C) {{\n\
-         \x20   reserve(tree);\n\
-         }}\n\
-         fn reserve(tree: &E) {{\n\
-         \x20   let alloc = tree.store.space.{probe}();\n\
-         }}\n"
-    );
-    scan(&[
-        (
-            "crates/core/src/completion.rs",
-            "pub fn run_completions(&self) {\n\
-             \x20   let c = self.completions().pop();\n\
-             \x20   S::complete(self, c);\n\
-             }\n",
-        ),
-        (
-            "crates/tsbtree/src/tree.rs",
-            "fn complete(tree: &E, c: C) {\n\
-             \x20   post_index_term(tree, c);\n\
-             }\n",
-        ),
-        ("crates/tsbtree/src/node.rs", &tsb_split),
-    ])
-}
-
-#[test]
-fn flow_no_wait_follows_the_engine_drain_into_a_structure_crate() {
-    // TSB and hB completions are dispatched by the engine's one drain loop;
-    // a blocking probe three calls away in the structure's own crate is a
-    // completion-path violation just like one in core.
-    let report = drain_into_tsb("lock_alloc");
-    let hit = report
-        .findings
-        .iter()
-        .find(|x| x.rule == RuleId::NoWait)
-        .unwrap_or_else(|| panic!("{:?}", report.findings));
-    assert_eq!(hit.path, "crates/tsbtree/src/node.rs");
-    assert!(hit.msg.contains("run_completions"), "{hit:?}");
-    assert!(hit.msg.contains("complete"), "{hit:?}");
-}
-
-#[test]
-fn flow_no_wait_quiet_when_the_structure_probes_conditionally() {
-    let report = drain_into_tsb("try_lock_alloc");
-    assert!(
-        !rules_of(&report.findings).contains(&RuleId::NoWait),
-        "{:?}",
-        report.findings
-    );
-}
-
-/// The engine's posting driver in post.rs calling a structure's
-/// `Structure::install_term` hook; `probe` is the lock call the hook makes.
-fn posting_driver_into_hb_hook(probe: &str) -> analyze::Report {
-    let hb_tree = format!(
-        "fn install_term(eng: &E, act: &mut Txn, pin: &P, g: &mut G, post: &C, node: Id) {{\n\
-         \x20   let name = eng.key_lock(&post.key);\n\
-         \x20   act.{probe}(&name, LockMode::X);\n\
-         }}\n"
-    );
-    scan(&[
-        (
-            "crates/core/src/post.rs",
-            "pub fn post_index_term(&self, post: &C, probe: &A, node: Id) {\n\
-             \x20   let mut act = self.begin();\n\
-             \x20   self.post_in(&mut act, post, probe);\n\
-             }\n\
-             fn post_in(&self, act: &mut Txn, post: &C, probe: &A) {\n\
-             \x20   let (pin, mut g, node) = self.parent(post);\n\
-             \x20   S::install_term(self, act, &pin, &mut g, post, node);\n\
-             }\n",
-        ),
-        ("crates/hbtree/src/tree.rs", &hb_tree),
-    ])
-}
-
-#[test]
-fn flow_no_wait_follows_the_posting_driver_into_a_structure_hook() {
-    // The §5.3 loop is the engine's and the hooks are each structure's: a
-    // blocking lock inside a hook runs with the parent X-latched, so it is
-    // a completion-path violation even though no entry file contains it.
-    let report = posting_driver_into_hb_hook("lock");
-    let hit = report
-        .findings
-        .iter()
-        .find(|x| x.rule == RuleId::NoWait)
-        .unwrap_or_else(|| panic!("{:?}", report.findings));
-    assert_eq!(hit.path, "crates/hbtree/src/tree.rs");
-    assert!(hit.msg.contains("`post_in` -> `install_term`"), "{hit:?}");
-}
-
-#[test]
-fn flow_no_wait_quiet_when_the_hook_probes_conditionally() {
-    let report = posting_driver_into_hb_hook("try_lock");
-    assert!(
-        !rules_of(&report.findings).contains(&RuleId::NoWait),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn flow_no_wait_suppressed_is_consumed_not_stale() {
-    let report = scan(&[
-        (
-            "crates/core/src/completion.rs",
-            "pub fn finish(this: &T, store: &Store) {\n\
-             \x20   reserve(this, store);\n\
-             }\n",
-        ),
-        (
-            "crates/core/src/split.rs",
-            "pub fn reserve(this: &T, store: &Store) {\n\
-             \x20   // pitree-lint: allow(no-wait) fixture: allocation latch ranks last, cannot invert\n\
-             \x20   let alloc = store.space.lock_alloc();\n\
-             }\n",
-        ),
-    ]);
-    assert!(report.clean(), "{:?}", report.findings);
-    assert_eq!(report.allowed.get(&RuleId::NoWait), Some(&1));
-}
-
 // ---- artifact and parse coverage -------------------------------------------
 
 #[test]
@@ -513,26 +216,25 @@ fn raw_identifiers_do_not_blind_the_scan() {
     // swallows the violation after it (lexer hardening, end to end).
     let f = lint_source(
         "crates/core/src/fake.rs",
-        "pub fn apply(pin: &Pin) {\n\
+        "pub fn publish(pin: &Pin, wal: &Wal) {\n\
+         \x20   let g = pin.x();\n\
          \x20   let r#type = 1;\n\
-         \x20   pin.mark_dirty();\n\
+         \x20   wal.force();\n\
          }\n",
     );
-    assert!(rules_of(&f).contains(&RuleId::LogBeforeDirty), "{f:?}");
+    assert!(rules_of(&f).contains(&RuleId::GuardLifetime), "{f:?}");
 }
 
 #[test]
 fn unfollowed_function_is_a_finding() {
     // There is no fallback tier: a body the parser cannot follow is itself
     // reported, so no rule silently skips it.
-    let src = "pub fn weird(pin: &Pin) { if x { pin.mark_dirty(); } }";
+    let src = "pub fn weird(pin: &Pin, wal: &Wal) { let g = pin.x(); if x { wal.force(); } }";
     // Sanity: this parses, so the flow rule owns it...
-    assert!(
-        rules_of(&lint_source("crates/core/src/fake.rs", src)).contains(&RuleId::LogBeforeDirty)
-    );
+    assert!(rules_of(&lint_source("crates/core/src/fake.rs", src)).contains(&RuleId::GuardLifetime));
     // ...and a parse-defeating body (an `if` with no block) is a finding
     // naming the function.
-    let broken = "pub fn weird(pin: &Pin) { let y = if x; pin.mark_dirty(); }";
+    let broken = "pub fn weird(pin: &Pin, wal: &Wal) { let y = if x; wal.force(); }";
     let f = lint_source("crates/core/src/fake.rs", broken);
     let hit = f
         .iter()

@@ -171,8 +171,9 @@ impl Baseline {
         let mut path = self.couple(key, Some(entry.len().max(key.len() + 16)))?;
         let mut leaf = path.pop().expect("the descent ends at a leaf");
         if self.full(&leaf.1, key, entry) {
-            let mut act = tree.store().txns.begin(tree.config().smo_identity);
-            let mut owed = BLink::split_node(tree, &mut act, &leaf.0, &mut leaf.1, key, &none)?;
+            let mut smo = tree.store().txns.begin(tree.config().smo_identity);
+            let act = &mut smo.no_wait();
+            let mut owed = BLink::split_node(tree, act, &leaf.0, &mut leaf.1, key, &none)?;
             leaf = self.cover(leaf, key, 0)?;
             for level in 1.. {
                 let Some(post) = owed.take() else { break };
@@ -185,14 +186,14 @@ impl Baseline {
                     tree.schedule(post);
                     break;
                 };
-                while BLink::install_term(tree, &mut act, &parent.0, &mut parent.1, &post, *node)?
+                while BLink::install_term(tree, act, &parent.0, &mut parent.1, &post, *node)?
                     == Install::Full
                 {
-                    owed = BLink::split_node(tree, &mut act, &parent.0, &mut parent.1, key, &none)?;
+                    owed = BLink::split_node(tree, act, &parent.0, &mut parent.1, key, &none)?;
                     parent = self.cover(parent, key, level)?;
                 }
             }
-            act.commit()?;
+            smo.commit()?;
         }
         drop(path);
         if self.full(&leaf.1, key, entry) {

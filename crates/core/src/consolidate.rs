@@ -13,13 +13,14 @@
 //! (§4.2.1). The action is testable: every precondition is re-verified under
 //! latches, and a stale schedule simply terminates.
 
+use crate::completion::Completion;
 use crate::config::{ConsolidationPolicy, DeallocPolicy, UndoPolicy};
 use crate::engine::set_header;
 use crate::node::{utilization, Guarded, IndexTerm, NodeHeader};
 use crate::tree::PiTree;
 use pitree_pagestore::page::{PageType, FLAG_FREED};
 use pitree_pagestore::{PageOp, StoreResult};
-use pitree_txnlock::{LockError, LockMode};
+use pitree_txnlock::{LockError, LockMode, NoWait};
 
 /// How a consolidation attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +44,27 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let ConsolidationPolicy::Enabled { dealloc } = tree.config().consolidation else {
         return Ok(ConsolidateOutcome::NotNeeded);
     };
+    let mut act = tree.store().txns.begin(tree.config().smo_identity);
+    let (outcome, next) = merge(tree, &mut act.no_wait(), level, key, dealloc)?;
+    act.commit()?;
+    if let Some(next) = next {
+        tree.completions().push(next);
+    }
+    Ok(outcome)
+}
+
+/// The consolidation action's body: every check and move, under latches it
+/// releases before returning. Returns how it ended and the completion it
+/// owes (the requeued merge, or the parent's), pushed once it commits.
+fn merge(
+    tree: &PiTree,
+    act: &mut NoWait<'_, '_>,
+    level: u8,
+    key: &[u8],
+    dealloc: DeallocPolicy,
+) -> StoreResult<(ConsolidateOutcome, Option<Completion>)> {
     let stats = tree.stats();
     let pool = &tree.store().pool;
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
 
     // The root has no parent and is never consolidated away.
     let root_level = {
@@ -54,8 +73,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         NodeHeader::read(&g)?.level
     };
     if level >= root_level {
-        act.commit()?;
-        return Ok(ConsolidateOutcome::NotNeeded);
+        return Ok((ConsolidateOutcome::NotNeeded, None));
     }
 
     // Locate the (single) parent of the contained node.
@@ -68,22 +86,19 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         Ok(s) => s,
         Err(_) => {
             stats.consolidations_noop.inc();
-            act.commit()?;
-            return Ok(ConsolidateOutcome::NotNeeded);
+            return Ok((ConsolidateOutcome::NotNeeded, None));
         }
     };
     let n_term = IndexTerm::read(parent_guard.page(), slot)?;
     if n_term.multi_parent {
         // "the contained node must only be referenced by this parent" —
         // clipped terms mark multi-parent nodes, which we refuse (§3.3).
-        act.commit()?;
-        return Ok(ConsolidateOutcome::CannotMerge);
+        return Ok((ConsolidateOutcome::CannotMerge, None));
     }
     if slot == 1 {
         // First term: the container lives under a different parent; both
         // must be children of the same parent node (§3.3).
-        act.commit()?;
-        return Ok(ConsolidateOutcome::CannotMerge);
+        return Ok((ConsolidateOutcome::CannotMerge, None));
     }
     let c_term = IndexTerm::read(parent_guard.page(), slot - 1)?;
 
@@ -107,8 +122,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     if c_hdr.side != n_term.child {
         // An unposted sibling sits between container and contained; merging
         // across it would strand the chain.
-        act.commit()?;
-        return Ok(ConsolidateOutcome::CannotMerge);
+        return Ok((ConsolidateOutcome::CannotMerge, None));
     }
     let n_pin = pool.fetch(n_term.child)?;
     let mut ng = n_pin.x();
@@ -131,8 +145,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     };
     if !fits {
         stats.consolidations_noop.inc();
-        act.commit()?;
-        return Ok(ConsolidateOutcome::NotNeeded);
+        return Ok((ConsolidateOutcome::NotNeeded, None));
     }
 
     // Move locks for data-node consolidation under page-oriented UNDO
@@ -147,16 +160,12 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         match got {
             Ok(()) => {}
             Err(LockError::WouldBlock) => {
-                drop(ng);
-                drop(cg);
-                drop(pg);
-                act.commit()?; // empty action; locks released
-                tree.completions()
-                    .push(crate::completion::Completion::Consolidate {
-                        level,
-                        key: key.to_vec(),
-                    });
-                return Ok(ConsolidateOutcome::MoveDeferred);
+                // Requeued once the empty action commits and its locks go.
+                let again = Completion::Consolidate {
+                    level,
+                    key: key.to_vec(),
+                };
+                return Ok((ConsolidateOutcome::MoveDeferred, Some(again)));
             }
             Err(e) => return Err(crate::engine::lock_err(e)),
         }
@@ -172,7 +181,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         low: c_hdr.low.clone(),
         high: n_hdr.high.clone(),
     };
-    set_header(&mut act, &c_pin, &mut cg, merged_hdr.encode())?;
+    set_header(act, &c_pin, &mut cg, merged_hdr.encode())?;
     // Delete the contained node's index term.
     act.apply(
         &parent_pin,
@@ -193,7 +202,6 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
         }
     }
     {
-        // pitree-lint: allow(no-wait) space-map allocator mutex ranks above all page latches and has no inverse order
         let mut alloc = tree.store().space.lock_alloc();
         let (bm_pid, bit) = tree.store().space.locate(n_pin.id());
         let bm = pool.fetch(bm_pid)?;
@@ -210,20 +218,10 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let parent_low = NodeHeader::read(&pg)?.low.as_entry_key().to_vec();
     let parent_level = level + 1;
 
-    drop(ng);
-    drop(n_pin);
-    drop(cg);
-    drop(c_pin);
-    drop(pg);
-    drop(parent_pin);
-    act.commit()?;
     stats.consolidations.inc();
-    if parent_sparse && parent_level < root_level {
-        tree.completions()
-            .push(crate::completion::Completion::Consolidate {
-                level: parent_level,
-                key: parent_low,
-            });
-    }
-    Ok(ConsolidateOutcome::Done)
+    let next = (parent_sparse && parent_level < root_level).then_some(Completion::Consolidate {
+        level: parent_level,
+        key: parent_low,
+    });
+    Ok((ConsolidateOutcome::Done, next))
 }

@@ -37,7 +37,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockError, LockMode, LockName, Txn};
+use pitree_txnlock::{LockError, LockMode, LockName, NoWait, Txn};
 use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::Arc;
 
@@ -165,7 +165,7 @@ pub trait Structure: Sized + Send + Sync {
     /// `path` is the saved path above the node.
     fn split_node(
         eng: &Engine<Self>,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         pending: &Self::Arg,
@@ -184,7 +184,7 @@ pub trait Structure: Sized + Send + Sync {
     /// X-latched parent, logging into `act`, if it fits.
     fn install_term(
         eng: &Engine<Self>,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         post: &Self::Completion,
@@ -232,9 +232,8 @@ impl<S: Structure> std::fmt::Debug for Engine<S> {
 /// undoing the format would restore the blank page over bits that other
 /// actions set once this one released the latch. Rolling the action back
 /// clears only the bit it allocated.
-pub fn alloc_page<'a>(store: &'a Store, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
+pub fn alloc_page<'a>(store: &'a Store, chain: &mut NoWait<'_, '_>) -> StoreResult<PinnedPage<'a>> {
     let pid = {
-        // pitree-lint: allow(no-wait) allocation latch ranks last in the §4.1.1 order (the flow graph proves no inverse alloc->page edge), so blocking here cannot deadlock a completion path
         let mut alloc = store.space.lock_alloc();
         let free = alloc.find_free(&store.pool)?;
         let bm = store.pool.fetch_or_create(free.bitmap, PageType::Free)?;
@@ -256,7 +255,7 @@ pub fn alloc_page<'a>(store: &'a Store, chain: &mut Txn<'_>) -> StoreResult<Pinn
 /// Returns it X-latched.
 pub fn new_node<'a>(
     store: &'a Store,
-    chain: &mut Txn<'_>,
+    chain: &mut NoWait<'_, '_>,
     header: Vec<u8>,
 ) -> StoreResult<(PinnedPage<'a>, XGuard<'a, Page>)> {
     let pin = alloc_page(store, chain)?;
@@ -275,7 +274,7 @@ pub fn new_node<'a>(
 
 /// Rewrite the slot-0 header of an X-latched node.
 pub fn set_header(
-    chain: &mut Txn<'_>,
+    chain: &mut NoWait<'_, '_>,
     pin: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     header: Vec<u8>,
@@ -315,7 +314,7 @@ pub fn split_slot(page: &Page, pending_key: &[u8]) -> u16 {
 /// 3/4): one logged `KeyedInsertMany` into `to`, then one `KeyedRemoveMany`
 /// from `from`. Each applies entry by entry, in slot order.
 pub fn move_entries(
-    chain: &mut Txn<'_>,
+    chain: &mut NoWait<'_, '_>,
     from: &PinnedPage<'_>,
     from_g: &mut XGuard<'_, Page>,
     to: &PinnedPage<'_>,
@@ -376,7 +375,9 @@ impl<S: Structure> Engine<S> {
     /// tree's existence survives any crash.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: S::Config) -> StoreResult<Engine<S>> {
         let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = new_node(&store, &mut act, S::root_leaf_header())?.0.id();
+        let root = new_node(&store, &mut act.no_wait(), S::root_leaf_header())?
+            .0
+            .id();
         {
             let meta = store.pool.fetch(PageId(0))?;
             let mut g = meta.x();

@@ -18,14 +18,18 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::Txn;
+use pitree_txnlock::NoWait;
 
 impl<S: Structure> Engine<S> {
     /// Run `body` as one SMO atomic action: commit on success, roll back on
-    /// error. `body` releases its latches before it returns.
-    fn smo_action<T>(&self, body: impl FnOnce(&mut Txn<'_>) -> StoreResult<T>) -> StoreResult<T> {
+    /// error. `body` releases its latches before it returns, and sees the
+    /// action only as a [`NoWait`] view: it cannot wait for a lock (§4.2.2).
+    fn smo_action<T>(
+        &self,
+        body: impl FnOnce(&mut NoWait<'_, '_>) -> StoreResult<T>,
+    ) -> StoreResult<T> {
         let mut act = self.store().txns.begin(self.config().smo_identity());
-        match body(&mut act) {
+        match body(&mut act.no_wait()) {
             Ok(v) => {
                 act.commit()?;
                 Ok(v)
@@ -77,7 +81,7 @@ impl<S: Structure> Engine<S> {
     /// until it is in.
     fn post_in(
         &self,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         post: &S::Completion,
         probe: &S::Arg,
     ) -> StoreResult<PostOutcome> {
@@ -130,7 +134,7 @@ impl<S: Structure> Engine<S> {
 /// Update Node for a key-ordered parent (B-link, TSB): insert the index
 /// term `(post's key, node)` unless the parent is full under `max_entries`.
 pub fn install_index_term(
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     pin: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     post: &Completion,

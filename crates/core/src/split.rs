@@ -26,7 +26,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockError, LockMode, Txn};
+use pitree_txnlock::{LockError, LockMode, NoWait, Txn};
 
 /// What a split produced.
 pub(crate) enum Split {
@@ -45,7 +45,7 @@ pub(crate) enum Split {
 /// partition key and the new node.
 fn raw_split(
     tree: &PiTree,
-    chain: &mut Txn<'_>,
+    chain: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     pending_key: &[u8],
@@ -95,7 +95,7 @@ fn raw_split(
 /// posted to the root in the same atomic action (§5.3).
 pub(crate) fn split_node(
     tree: &PiTree,
-    chain: &mut Txn<'_>,
+    chain: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     pending_key: &[u8],
@@ -217,7 +217,7 @@ pub(crate) fn split_leaf_for_insert<'t>(
 
     // ---- split inside the transaction (§4.2.1 second case) ------------------
     let mut g = d.guard.promote().into_x();
-    let split = split_node(tree, txn, &d.page, &mut g, key, &d.path)?;
+    let split = split_node(tree, &mut txn.no_wait(), &d.page, &mut g, key, &d.path)?;
     tree.stats().splits_in_txn.inc();
     // Move-lock every page that received moved (uncommitted) records, held
     // to end of transaction: undo of the move must stay possible, so

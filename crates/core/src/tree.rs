@@ -30,7 +30,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockError, LockMode, LockName, Txn};
+use pitree_txnlock::{LockError, LockMode, LockName, NoWait, Txn};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// What the header of a key-partitioned node — directly-contained space
@@ -246,7 +246,7 @@ impl Structure for BLink {
 
     fn split_node(
         tree: &PiTree,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         pending: &[u8],
@@ -330,7 +330,7 @@ impl Structure for BLink {
 
     fn install_term(
         tree: &PiTree,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         post: &Completion,

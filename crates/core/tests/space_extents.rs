@@ -21,11 +21,11 @@ fn fill_extent_zero(store: &Store) -> StoreResult<()> {
     let bm = store.pool.fetch(PageId(1))?;
     {
         let mut g = bm.x();
-        for b in 0..B as usize {
-            g.sm_set_bit(b, true);
+        let lsn = g.lsn();
+        for bit in 0..B as u32 {
+            bm.replay(&mut g, lsn, &PageOp::SetBit { bit })?;
         }
     }
-    bm.mark_dirty();
     drop(bm);
     store.pool.flush_all()
 }
@@ -61,7 +61,7 @@ fn the_first_allocation_in_an_extent_formats_its_bitmap_in_the_action() {
     fill_extent_zero(store).unwrap();
     let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
     let id = act.id();
-    let pin = alloc_page(store, &mut act).unwrap();
+    let pin = alloc_page(store, &mut act.no_wait()).unwrap();
     assert_eq!(pin.id(), PageId(B + 1));
     drop(pin);
     act.commit().unwrap();
@@ -98,7 +98,10 @@ fn the_first_allocation_in_an_extent_formats_its_bitmap_in_the_action() {
     // The next allocation finds the bitmap formatted and logs one bit.
     let mut act = store.txns.begin(ActionIdentity::SystemTransaction);
     let id = act.id();
-    assert_eq!(alloc_page(store, &mut act).unwrap().id(), PageId(B + 2));
+    assert_eq!(
+        alloc_page(store, &mut act.no_wait()).unwrap().id(),
+        PageId(B + 2)
+    );
     act.commit().unwrap();
     assert_eq!(records_of(store, id).len(), 3, "Begin, SetBit, Commit");
 }
@@ -112,9 +115,15 @@ fn rolling_back_the_formatting_action_keeps_the_extent() {
     let store = &cs.store;
     fill_extent_zero(store).unwrap();
     let mut first = store.txns.begin(ActionIdentity::SystemTransaction);
-    assert_eq!(alloc_page(store, &mut first).unwrap().id(), PageId(B + 1));
+    assert_eq!(
+        alloc_page(store, &mut first.no_wait()).unwrap().id(),
+        PageId(B + 1)
+    );
     let mut second = store.txns.begin(ActionIdentity::SystemTransaction);
-    assert_eq!(alloc_page(store, &mut second).unwrap().id(), PageId(B + 2));
+    assert_eq!(
+        alloc_page(store, &mut second.no_wait()).unwrap().id(),
+        PageId(B + 2)
+    );
     second.commit().unwrap();
     first.abort(None).unwrap();
 
@@ -125,7 +134,10 @@ fn rolling_back_the_formatting_action_keeps_the_extent() {
     // The next allocation finds the bitmap formatted and logs one bit.
     let mut third = store.txns.begin(ActionIdentity::SystemTransaction);
     let id = third.id();
-    assert_eq!(alloc_page(store, &mut third).unwrap().id(), PageId(B + 3));
+    assert_eq!(
+        alloc_page(store, &mut third.no_wait()).unwrap().id(),
+        PageId(B + 3)
+    );
     third.commit().unwrap();
     assert_eq!(records_of(store, id).len(), 3, "Begin, SetBit, Commit");
 }

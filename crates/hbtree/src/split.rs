@@ -10,7 +10,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::Txn;
+use pitree_txnlock::NoWait;
 
 /// Choose a hyperplane for a data node: the dimension and median coordinate
 /// giving the most balanced record partition with both sides non-empty.
@@ -78,7 +78,7 @@ fn choose_index_cut(leaves: &[(Rect, bool)]) -> StoreResult<(usize, u64)> {
 /// the new sibling". Returns the new node and its rectangle.
 pub(crate) fn raw_split(
     tree: &HbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &HbHeader,
@@ -155,7 +155,7 @@ pub(crate) fn raw_split(
 /// terms is posted inline (§5.3) — unless n1's fragment is too small to cut.
 pub(crate) fn grow_root(
     tree: &HbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &HbHeader,

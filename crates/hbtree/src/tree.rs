@@ -21,7 +21,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockMode, LockName, Txn};
+use pitree_txnlock::{LockMode, LockName, NoWait, Txn};
 use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::Arc;
 
@@ -185,7 +185,7 @@ impl Structure for Hb {
     /// posting of the new sibling to the parent on the search path.
     fn split_node(
         tree: &HbEngine,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         _pending: &Point,
@@ -227,7 +227,7 @@ impl Structure for Hb {
     /// posting can never starve behind restructuring.
     fn install_term(
         tree: &HbEngine,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         post: &HbPost,

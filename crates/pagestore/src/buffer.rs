@@ -11,7 +11,11 @@
 //!
 //! The WAL protocol (§4.3.1) is enforced here: before a dirty page is written
 //! to durable storage (eviction, checkpoint, shutdown), the registered
-//! [`WalFlush`] hook is asked to force the log up to the page's LSN.
+//! [`WalFlush`] hook is asked to force the log up to the page's LSN. And a
+//! page's content changes only after its log record exists: outside this
+//! crate an X guard reads only, so [`PinnedPage::apply_logged`] (which runs
+//! the append first) and [`PinnedPage::replay`] (a record already in the
+//! log) are the only writers.
 //!
 //! # Sharding
 //!
@@ -45,6 +49,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::ids::{Lsn, PageId};
 use crate::latch::{Latch, LatchObs, SGuard, UGuard, XGuard};
 use crate::page::{Page, PageType};
+use crate::pageops::PageOp;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::collections::HashMap;
@@ -569,7 +574,7 @@ impl BufferPool {
             if g.is_vacant() {
                 self.frames_materialised.inc();
             }
-            *g = page;
+            *g.get_mut() = page;
         }
         frame.set_pid(Some(pid));
         frame.pin.store(1, Ordering::SeqCst);
@@ -795,6 +800,89 @@ impl<'a> PinnedPage<'a> {
             f.rec_lsn.store(lsn.0, Ordering::SeqCst);
         }
     }
+
+    /// Apply `op` to this X-latched page as the change of a log record:
+    /// `append` writes the record and returns its LSN, then `op` is applied
+    /// and the page LSN stamped. An [`XGuard`] hands out no `&mut Page`
+    /// outside this crate, so this and [`PinnedPage::replay`] are the only
+    /// ways a frame's content changes, and here it changes only after the
+    /// append returned (log-before-dirty, §4.3.1), on every path and through
+    /// every helper. Marking the frame dirty is the caller's
+    /// ([`PinnedPage::mark_dirty_at`] changes no content).
+    ///
+    /// A helper that changes the page without an append does not compile;
+    /// the same helper through this entry does:
+    ///
+    /// ```compile_fail,E0596
+    /// # use pitree_pagestore::{BufferPool, Lsn, MemDisk, Page, PageId, PageOp, PageType, PinnedPage, XGuard};
+    /// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+    /// # let mut log: Vec<PageOp> = Vec::new();
+    /// fn poke(page: &PinnedPage<'_>, g: &mut XGuard<'_, Page>, op: &PageOp, log: &mut Vec<PageOp>) {
+    ///     op.apply(g).unwrap(); // no `&mut Page` from a frame guard
+    /// }
+    /// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+    /// let op = PageOp::InsertSlot { slot: 0, bytes: b"r".to_vec() };
+    /// poke(&page, &mut page.x(), &op, &mut log);
+    /// page.mark_dirty_at(Lsn(1));
+    /// ```
+    ///
+    /// ```
+    /// # use pitree_pagestore::{BufferPool, Lsn, MemDisk, Page, PageId, PageOp, PageType, PinnedPage, XGuard};
+    /// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+    /// # let mut log: Vec<PageOp> = Vec::new();
+    /// fn poke(page: &PinnedPage<'_>, g: &mut XGuard<'_, Page>, op: &PageOp, log: &mut Vec<PageOp>) {
+    ///     page.apply_logged(g, op, || { log.push(op.clone()); Lsn(log.len() as u64) }).unwrap();
+    /// }
+    /// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+    /// let op = PageOp::InsertSlot { slot: 0, bytes: b"r".to_vec() };
+    /// poke(&page, &mut page.x(), &op, &mut log);
+    /// page.mark_dirty_at(Lsn(1));
+    /// ```
+    pub fn apply_logged(
+        &self,
+        g: &mut XGuard<'_, Page>,
+        op: &PageOp,
+        append: impl FnOnce() -> Lsn,
+    ) -> StoreResult<Lsn> {
+        debug_assert!(g.latches(&self.f().latch), "a guard of another frame");
+        let lsn = append();
+        let page = g.get_mut();
+        op.apply(page)?;
+        page.set_lsn(lsn);
+        Ok(lsn)
+    }
+
+    /// Replay `op`, the redo of the record at `lsn` that is already in the
+    /// log (restart REDO): mark the frame dirty at `lsn`, apply `op`, stamp
+    /// `lsn`. Redo does not apply an op to the latched page itself:
+    ///
+    /// ```compile_fail,E0596
+    /// # use pitree_pagestore::{BufferPool, Lsn, MemDisk, PageId, PageOp, PageType};
+    /// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+    /// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+    /// let (lsn, op) = (Lsn(8), PageOp::InsertSlot { slot: 0, bytes: b"redo".to_vec() });
+    /// let mut g = page.x();
+    /// page.mark_dirty_at(lsn);
+    /// op.apply(&mut g).unwrap(); // no `&mut Page` from a frame guard
+    /// ```
+    ///
+    /// ```
+    /// # use pitree_pagestore::{BufferPool, Lsn, MemDisk, PageId, PageOp, PageType};
+    /// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+    /// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+    /// let (lsn, op) = (Lsn(8), PageOp::InsertSlot { slot: 0, bytes: b"redo".to_vec() });
+    /// let mut g = page.x();
+    /// page.replay(&mut g, lsn, &op).unwrap();
+    /// assert_eq!(pool.dirty_pages(), vec![(PageId(1), lsn)]);
+    /// ```
+    pub fn replay(&self, g: &mut XGuard<'_, Page>, lsn: Lsn, op: &PageOp) -> StoreResult<()> {
+        debug_assert!(g.latches(&self.f().latch), "a guard of another frame");
+        self.mark_dirty_at(lsn);
+        let page = g.get_mut();
+        op.apply(page)?;
+        page.set_lsn(lsn);
+        Ok(())
+    }
 }
 
 impl Clone for PinnedPage<'_> {
@@ -838,7 +926,7 @@ mod tests {
         {
             let p = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
             let mut g = p.x();
-            g.insert(0, b"cached").unwrap();
+            g.get_mut().insert(0, b"cached").unwrap();
             p.mark_dirty();
         }
         let p = pool.fetch(PageId(1)).unwrap();
@@ -862,7 +950,9 @@ mod tests {
         for i in 1..=4u64 {
             let p = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
             let mut g = p.x();
-            g.insert(0, format!("page-{i}").as_bytes()).unwrap();
+            g.get_mut()
+                .insert(0, format!("page-{i}").as_bytes())
+                .unwrap();
             p.mark_dirty();
         }
         // Pages 1 and 2 must have been evicted and written to "disk".
@@ -896,7 +986,7 @@ mod tests {
         for i in 1..=3u64 {
             let p = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
             let mut g = p.x();
-            g.insert(0, &[i as u8]).unwrap();
+            g.get_mut().insert(0, &[i as u8]).unwrap();
             p.mark_dirty();
         }
         assert_eq!(pool.dirty_pages().len(), 3);
@@ -941,8 +1031,8 @@ mod tests {
         {
             let p = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
             let mut g = p.x();
-            g.insert(0, b"x").unwrap();
-            g.set_lsn(Lsn(77));
+            g.get_mut().insert(0, b"x").unwrap();
+            g.get_mut().set_lsn(Lsn(77));
             p.mark_dirty();
         }
         // Force eviction by fetching another page into the single frame.
@@ -968,7 +1058,7 @@ mod tests {
         for i in 1..=32u64 {
             let p = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
             let mut g = p.x();
-            g.insert(0, &i.to_be_bytes()).unwrap();
+            g.get_mut().insert(0, &i.to_be_bytes()).unwrap();
             p.mark_dirty();
             drop(g);
             drop(p);

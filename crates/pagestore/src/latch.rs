@@ -18,7 +18,10 @@
 //!
 //! [`Latch`] is a container like `RwLock<T>`: data is only reachable through
 //! a guard, so "read while holding at least S" and "write only while holding
-//! X" are enforced by the type system. A [`UGuard`] can be promoted in place
+//! X" are enforced by the type system. Every guard derefs to `&T` only: the
+//! mutable access of an [`XGuard`] is private to this crate, so outside
+//! `pagestore` a latched page changes only through the logging entries of
+//! [`PinnedPage`](crate::buffer::PinnedPage) (§4.3.1). A [`UGuard`] can be promoted in place
 //! with [`UGuard::promote`]; per the paper, callers must only promote while
 //! holding no latch ordered after this one.
 //!
@@ -31,7 +34,7 @@
 use crate::sync::{Condvar, Mutex};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use std::cell::UnsafeCell;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -337,7 +340,48 @@ impl<T> Drop for UGuard<'_, T> {
     }
 }
 
-/// Exclusive-mode guard.
+/// Exclusive-mode guard. It derefs to `&T` only: a frame's page changes
+/// through [`PinnedPage::apply_logged`](crate::buffer::PinnedPage::apply_logged)
+/// or [`PinnedPage::replay`](crate::buffer::PinnedPage::replay).
+///
+/// ```compile_fail,E0596
+/// # use pitree_pagestore::{BufferPool, MemDisk, PageId, PageType};
+/// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+/// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+/// let mut g = page.x();
+/// g.insert(0, b"unlogged").unwrap(); // no `&mut Page` from a frame guard
+/// page.mark_dirty();
+/// ```
+///
+/// ```
+/// # use pitree_pagestore::{BufferPool, Lsn, MemDisk, PageId, PageOp, PageType};
+/// # let pool = BufferPool::new(std::sync::Arc::new(MemDisk::new()), 4);
+/// # let mut log: Vec<PageOp> = Vec::new();
+/// # let mut append = |op: &PageOp| { log.push(op.clone()); Lsn(log.len() as u64) };
+/// let page = pool.fetch_or_create(PageId(1), PageType::Node).unwrap();
+/// let mut g = page.x();
+/// let op = PageOp::InsertSlot { slot: 0, bytes: b"logged".to_vec() };
+/// page.apply_logged(&mut g, &op, || append(&op)).unwrap();
+/// page.mark_dirty();
+/// ```
+///
+/// Releasing a guard moves it, so a second release is a use of a moved
+/// value:
+///
+/// ```compile_fail,E0382
+/// # use pitree_pagestore::Latch;
+/// let latch = Latch::new(0u64);
+/// let g = latch.x();
+/// drop(g);
+/// drop(g);
+/// ```
+///
+/// ```
+/// # use pitree_pagestore::Latch;
+/// let latch = Latch::new(0u64);
+/// let g = latch.x();
+/// drop(g);
+/// ```
 pub struct XGuard<'a, T> {
     latch: &'a Latch<T>,
 }
@@ -356,10 +400,18 @@ impl<T> Deref for XGuard<'_, T> {
     }
 }
 
-impl<T> DerefMut for XGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<T> XGuard<'_, T> {
+    /// The latched value, mutably. Crate-private: outside `pagestore` an X
+    /// guard reads only, so a frame's page changes only through the
+    /// [`PinnedPage`](crate::buffer::PinnedPage) entries that log first.
+    pub(crate) fn get_mut(&mut self) -> &mut T {
         // Safety: X mode held — exclusive.
         unsafe { &mut *self.latch.data.get() }
+    }
+
+    /// Whether this guard holds `latch`.
+    pub(crate) fn latches(&self, latch: &Latch<T>) -> bool {
+        std::ptr::eq(self.latch, latch)
     }
 }
 
@@ -417,7 +469,7 @@ mod tests {
         let l = Latch::new(0u32);
         {
             let mut g = l.x();
-            *g = 42;
+            *g.get_mut() = 42;
         }
         assert_eq!(*l.s(), 42);
     }
@@ -439,7 +491,7 @@ mod tests {
             // Promotion must block until the reader drops.
             let mut x = u.promote();
             assert_eq!(reader_done.load(Ordering::SeqCst), 1);
-            *x = 7;
+            *x.get_mut() = 7;
         });
         assert_eq!(*l.s(), 7);
     }
@@ -477,7 +529,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for _ in 0..1000 {
                     let mut g = l.x();
-                    *g += 1;
+                    *g.get_mut() += 1;
                 }
             }));
         }
@@ -533,7 +585,7 @@ mod tests {
         }
         {
             let mut g = l.x(); // must succeed despite the reader storm
-            *g = 1;
+            *g.get_mut() = 1;
         }
         stop.store(1, Ordering::SeqCst);
         for r in readers {

@@ -164,19 +164,19 @@ impl SpaceMap {
         {
             let meta = pool.fetch_or_create(PageId(0), PageType::Meta)?;
             let mut g = meta.x();
-            g.format(PageType::Meta);
-            g.insert(0, &MetaRecord { max_pages }.encode())?;
-            // pitree-lint: allow(log-before-dirty) formatting a fresh store; the WAL does not exist yet
+            let page = g.get_mut();
+            page.format(PageType::Meta);
+            page.insert(0, &MetaRecord { max_pages }.encode())?;
             meta.mark_dirty();
         }
         {
             let bm = pool.fetch_or_create(bitmap_of(0), PageType::SpaceMap)?;
             let mut g = bm.x();
-            g.format(PageType::SpaceMap);
+            let page = g.get_mut();
+            page.format(PageType::SpaceMap);
             for b in 0..first_data_bit(0) {
-                g.sm_set_bit(b as usize, true);
+                page.sm_set_bit(b as usize, true);
             }
-            // pitree-lint: allow(log-before-dirty) formatting a fresh store; the WAL does not exist yet
             bm.mark_dirty();
         }
         pool.flush_all()?;
@@ -317,7 +317,7 @@ impl AllocGuard<'_> {
             if let Some((bit, format_bitmap)) = found {
                 let pid = k * EXTENT + bit;
                 if pid < cap {
-                    *self.hint = pid + 1;
+                    *self.hint.get_mut() = pid + 1;
                     return Ok(FreePage {
                         pid: PageId(pid),
                         bitmap,
@@ -336,7 +336,7 @@ impl AllocGuard<'_> {
     /// found quickly.
     pub fn note_freed(&mut self, pid: PageId) {
         if pid.0 < *self.hint {
-            *self.hint = pid.0;
+            *self.hint.get_mut() = pid.0;
         }
     }
 }
@@ -358,11 +358,12 @@ mod tests {
     fn take(pool: &BufferPool, free: FreePage) {
         let bm = pool.fetch_or_create(free.bitmap, PageType::Free).unwrap();
         let mut g = bm.x();
+        let page = g.get_mut();
         if free.format_bitmap {
-            g.format(PageType::SpaceMap);
-            g.sm_set_bit(0, true);
+            page.format(PageType::SpaceMap);
+            page.sm_set_bit(0, true);
         }
-        g.sm_set_bit(free.bit as usize, true);
+        page.sm_set_bit(free.bit as usize, true);
         bm.mark_dirty();
     }
 
@@ -371,7 +372,7 @@ mod tests {
         let bm = pool.fetch(bitmap_of(k)).unwrap();
         let mut g = bm.x();
         for b in 0..B as usize {
-            g.sm_set_bit(b, true);
+            g.get_mut().sm_set_bit(b, true);
         }
         bm.mark_dirty();
     }
@@ -464,7 +465,7 @@ mod tests {
         {
             let bm = pool.fetch(free.bitmap).unwrap();
             let mut g = bm.x();
-            g.sm_set_bit(free.bit as usize, false);
+            g.get_mut().sm_set_bit(free.bit as usize, false);
         }
         alloc.note_freed(free.pid);
         assert_eq!(alloc.find_free(&pool).unwrap().pid, free.pid);
@@ -502,7 +503,7 @@ mod tests {
         fill_extent(&pool, 1);
         {
             let bm = pool.fetch(PageId(1)).unwrap();
-            bm.x().sm_set_bit(9, false);
+            bm.x().get_mut().sm_set_bit(9, false);
         }
         let free = alloc.find_free(&pool).unwrap();
         assert_eq!((free.pid, free.format_bitmap), (PageId(2 * B + 1), true));
@@ -551,7 +552,7 @@ mod tests {
         let pool = fresh_pool();
         let sm = SpaceMap::init(&pool, 3 * B).unwrap();
         let node = pool.fetch_or_create(PageId(B), PageType::Node).unwrap();
-        node.x().format(PageType::Node);
+        node.x().get_mut().format(PageType::Node);
         drop(node);
         fill_extent(&pool, 0);
         let mut alloc = sm.lock_alloc();
@@ -564,7 +565,11 @@ mod tests {
             Err(StoreError::Corrupt(_))
         ));
         // An unformatted (Free) frame in the slot is still a fresh extent.
-        pool.fetch(PageId(B)).unwrap().x().format(PageType::Free);
+        pool.fetch(PageId(B))
+            .unwrap()
+            .x()
+            .get_mut()
+            .format(PageType::Free);
         let free = alloc.find_free(&pool).unwrap();
         assert_eq!((free.pid, free.format_bitmap), (PageId(B + 1), true));
     }
@@ -577,7 +582,11 @@ mod tests {
         let mut alloc = sm.lock_alloc();
         take(&pool, alloc.find_free(&pool).unwrap());
         assert!(sm.violations(&pool).unwrap().is_empty());
-        pool.fetch(PageId(B)).unwrap().x().sm_set_bit(0, false);
+        pool.fetch(PageId(B))
+            .unwrap()
+            .x()
+            .get_mut()
+            .sm_set_bit(0, false);
         assert_eq!(
             sm.violations(&pool).unwrap(),
             vec![format!(

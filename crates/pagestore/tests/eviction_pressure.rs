@@ -18,7 +18,7 @@
 
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::{
-    BufferPool, DiskManager, Lsn, MemDisk, Page, PageId, PageType, StoreError, StoreResult,
+    BufferPool, DiskManager, Lsn, MemDisk, Page, PageId, PageOp, PageType, StoreError, StoreResult,
 };
 use pitree_sim::SimRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,10 +104,11 @@ fn seed(pool: &BufferPool, wal: &TrackingWal, next_lsn: &AtomicU64) {
         wal.flushed.fetch_max(lsn.0, Ordering::SeqCst);
         let pin = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
         let mut g = pin.x();
-        g.insert(0, &payload(PageId(i), 0)).unwrap();
-        g.set_lsn(lsn);
-        drop(g);
-        pin.mark_dirty_at(lsn);
+        let op = PageOp::InsertSlot {
+            slot: 0,
+            bytes: payload(PageId(i), 0),
+        };
+        pin.replay(&mut g, lsn, &op).unwrap();
     }
 }
 
@@ -151,11 +152,12 @@ fn eviction_churn_loses_no_writes_and_respects_wal() {
                         wal.flushed.fetch_max(lsn.0, Ordering::SeqCst);
                         let mut g = pin.x();
                         let ver = u64::from_be_bytes(g.get(0).unwrap()[8..16].try_into().unwrap());
-                        g.update(0, &payload(pid, ver + 1)).unwrap();
-                        g.set_lsn(lsn);
+                        let op = PageOp::UpdateSlot {
+                            slot: 0,
+                            bytes: payload(pid, ver + 1),
+                        };
+                        pin.replay(&mut g, lsn, &op).unwrap();
                         versions[pid.0 as usize].fetch_max(ver + 1, Ordering::SeqCst);
-                        drop(g);
-                        pin.mark_dirty_at(lsn);
                     }
                 }
             });
@@ -230,10 +232,11 @@ fn sequential_sweep_counts_evictions_and_writebacks() {
         wal.flushed.fetch_max(lsn.0, Ordering::SeqCst);
         let pin = pool.fetch(PageId(i)).unwrap();
         let mut g = pin.x();
-        g.update(0, &payload(PageId(i), 1)).unwrap();
-        g.set_lsn(lsn);
-        drop(g);
-        pin.mark_dirty_at(lsn);
+        let op = PageOp::UpdateSlot {
+            slot: 0,
+            bytes: payload(PageId(i), 1),
+        };
+        pin.replay(&mut g, lsn, &op).unwrap();
     }
     let dirty_wb = rec.counter("buf.writebacks").get() - wb1;
     assert!(

@@ -5,13 +5,28 @@ use pitree_pagestore::latch::Latch;
 use pitree_sim::{prop, SimRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// A latched counter. An X guard hands out no `&mut`, so the counter is
+/// an atomic, but [`bump`] reads and writes it in two steps: two holders
+/// at once could lose an increment, and the final count would show it.
+fn counter() -> Latch<AtomicU64> {
+    Latch::new(AtomicU64::new(0))
+}
+
+fn bump(c: &AtomicU64) {
+    c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
+fn read(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
+}
+
 #[test]
 fn u_promotes_to_x_under_reader_contention() {
     // Readers churn S latches while a single updater repeatedly takes U,
     // promotes to X (which must drain readers, §4.1's update-mode rule),
     // increments and releases. Every increment must be exclusive.
     const PROMOTIONS: u64 = 200;
-    let latch = Latch::new(0u64);
+    let latch = counter();
     let reads = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..3u64 {
@@ -21,7 +36,7 @@ fn u_promotes_to_x_under_reader_contention() {
                 let mut rng = SimRng::new(t);
                 loop {
                     let g = latch.s();
-                    let v = *g;
+                    let v = read(&g);
                     drop(g);
                     reads.fetch_add(1, Ordering::Relaxed);
                     if v >= PROMOTIONS {
@@ -36,12 +51,11 @@ fn u_promotes_to_x_under_reader_contention() {
         s.spawn(|| {
             for _ in 0..PROMOTIONS {
                 let u = latch.u();
-                let mut x = u.promote();
-                *x += 1;
+                bump(&u.promote());
             }
         });
     });
-    assert_eq!(*latch.s(), PROMOTIONS);
+    assert_eq!(read(&latch.s()), PROMOTIONS);
     assert!(reads.load(Ordering::Relaxed) > 0, "readers made progress");
 }
 
@@ -62,14 +76,14 @@ fn u_is_single_holder_but_compatible_with_s() {
 fn promotion_waits_for_readers_and_blocks_new_ones() {
     // A reader pins the latch; the updater's promotion must complete only
     // after the reader leaves, and must not be starved by late readers.
-    let latch = Latch::new(0u32);
+    let latch = counter();
     let promoted = AtomicU64::new(0);
     std::thread::scope(|s| {
         let reader = latch.s();
         let h = s.spawn(|| {
             let u = latch.u();
-            let mut x = u.promote(); // blocks until the reader drops
-            *x = 1;
+            let x = u.promote(); // blocks until the reader drops
+            bump(&x);
             promoted.store(1, Ordering::SeqCst);
         });
         while latch.parked() == 0 {
@@ -87,7 +101,7 @@ fn promotion_waits_for_readers_and_blocks_new_ones() {
         drop(reader);
         h.join().unwrap();
     });
-    assert_eq!(*latch.s(), 1);
+    assert_eq!(read(&latch.s()), 1);
 }
 
 #[test]
@@ -96,7 +110,7 @@ fn seeded_mixed_mode_storm_stays_consistent() {
     // counter: X and promoted-U increments are exclusive, so the final value
     // must equal the number of successful increments.
     prop::run_cases("latch_mixed_mode_storm", 8, |rng| {
-        let latch = Latch::new(0u64);
+        let latch = counter();
         let expected = AtomicU64::new(0);
         let seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
         std::thread::scope(|s| {
@@ -108,29 +122,27 @@ fn seeded_mixed_mode_storm_stays_consistent() {
                     for _ in 0..300 {
                         match rng.below(5) {
                             0 => {
-                                let mut x = latch.x();
-                                *x += 1;
+                                bump(&latch.x());
                                 expected.fetch_add(1, Ordering::Relaxed);
                             }
                             1 => {
                                 let u = latch.u();
                                 if rng.chance(0.5) {
-                                    let mut x = u.promote();
-                                    *x += 1;
+                                    bump(&u.promote());
                                     expected.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             2 => {
-                                if let Some(mut x) = latch.try_x() {
-                                    *x += 1;
+                                if let Some(x) = latch.try_x() {
+                                    bump(&x);
                                     expected.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             3 => {
-                                let _ = latch.try_s().map(|g| *g);
+                                let _ = latch.try_s().map(|g| read(&g));
                             }
                             _ => {
-                                let _ = *latch.s();
+                                let _ = read(&latch.s());
                             }
                         }
                         if rng.chance(0.1) {
@@ -140,6 +152,6 @@ fn seeded_mixed_mode_storm_stays_consistent() {
                 });
             }
         });
-        assert_eq!(*latch.s(), expected.load(Ordering::Relaxed));
+        assert_eq!(read(&latch.s()), expected.load(Ordering::Relaxed));
     });
 }

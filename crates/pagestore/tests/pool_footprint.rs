@@ -17,7 +17,7 @@ use pitree_obs::Registry;
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::disk::FileDisk;
 use pitree_pagestore::{
-    BufferPool, DiskManager, Lsn, MemDisk, Page, PageId, PageType, StoreError, StoreResult,
+    BufferPool, DiskManager, Lsn, MemDisk, Page, PageId, PageOp, PageType, StoreError, StoreResult,
     PAGE_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -225,9 +225,12 @@ fn a_mostly_vacant_pool_flushes_and_lists_only_resident_frames() {
     pool.set_wal_hook(Arc::new(NoopWal));
     for i in 1..=5u64 {
         let p = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
-        p.x().insert(0, &[i as u8]).unwrap();
         if i % 2 == 1 {
-            p.mark_dirty_at(Lsn(i));
+            let op = PageOp::InsertSlot {
+                slot: 0,
+                bytes: vec![i as u8],
+            };
+            p.replay(&mut p.x(), Lsn(i), &op).unwrap();
         }
     }
     // The dirty-page table of a fuzzy checkpoint: the three dirty resident

@@ -8,7 +8,7 @@
 
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::{
-    BufferPool, DiskManager, Lsn, MemDisk, PageId, PageType, StoreError, StoreResult,
+    BufferPool, DiskManager, Lsn, MemDisk, PageId, PageOp, PageType, StoreError, StoreResult,
 };
 use pitree_sim::SimRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,9 +44,11 @@ fn hot_cold_hammer_preserves_page_contents() {
     // Seed every page with version 0 of its self-describing payload.
     for i in 1..=COLD {
         let p = pool.fetch_or_create(PageId(i), PageType::Node).unwrap();
-        let mut g = p.x();
-        g.insert(0, &payload(PageId(i), 0)).unwrap();
-        p.mark_dirty();
+        let op = PageOp::InsertSlot {
+            slot: 0,
+            bytes: payload(PageId(i), 0),
+        };
+        p.replay(&mut p.x(), Lsn::ZERO, &op).unwrap();
     }
 
     let next_lsn = AtomicU64::new(1);
@@ -83,9 +85,11 @@ fn hot_cold_hammer_preserves_page_contents() {
                         let mut g = pin.x();
                         let version =
                             u64::from_be_bytes(g.get(0).unwrap()[8..16].try_into().unwrap());
-                        g.update(0, &payload(pid, version + 1)).unwrap();
-                        g.set_lsn(Lsn(lsn));
-                        pin.mark_dirty_at(Lsn(lsn));
+                        let op = PageOp::UpdateSlot {
+                            slot: 0,
+                            bytes: payload(pid, version + 1),
+                        };
+                        pin.replay(&mut g, Lsn(lsn), &op).unwrap();
                     }
                 }
             });

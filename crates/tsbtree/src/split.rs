@@ -22,7 +22,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{KeyRef, Page};
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::Txn;
+use pitree_txnlock::NoWait;
 
 /// Number of distinct user keys among a data node's version entries.
 pub(crate) fn distinct_keys(g: &Page) -> usize {
@@ -41,7 +41,7 @@ pub(crate) fn distinct_keys(g: &Page) -> usize {
 /// Time split at `T = now + 1`: all existing versions started before `T`.
 pub(crate) fn time_split(
     tree: &TsbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
@@ -93,7 +93,7 @@ pub(crate) fn time_split(
 /// split key and new node for index posting.
 pub(crate) fn key_split(
     tree: &TsbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
@@ -133,7 +133,7 @@ pub(crate) fn key_split(
 /// `[split_key, …)` to it.
 fn split_off(
     tree: &TsbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,
@@ -162,7 +162,7 @@ fn split_off(
 /// terms are posted to the root inline (§5.3).
 pub(crate) fn grow_root(
     tree: &TsbEngine,
-    act: &mut Txn<'_>,
+    act: &mut NoWait<'_, '_>,
     page: &PinnedPage<'_>,
     g: &mut XGuard<'_, Page>,
     hdr: &TsbHeader,

@@ -24,7 +24,7 @@ use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
-use pitree_txnlock::{LockMode, Txn};
+use pitree_txnlock::{LockMode, NoWait, Txn};
 use pitree_wal::{ActionIdentity, InstantRecovery, RecoveryStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -169,7 +169,7 @@ impl Structure for Tsb {
     /// posting of its new sibling's index term.
     fn split_node(
         tree: &TsbEngine,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         pending: &[u8],
@@ -220,7 +220,7 @@ impl Structure for Tsb {
 
     fn install_term(
         tree: &TsbEngine,
-        act: &mut Txn<'_>,
+        act: &mut NoWait<'_, '_>,
         pin: &PinnedPage<'_>,
         g: &mut XGuard<'_, Page>,
         post: &Completion,

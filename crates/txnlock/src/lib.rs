@@ -21,4 +21,4 @@ pub mod txn;
 
 pub use modes::LockMode;
 pub use table::{LockError, LockName, LockTable};
-pub use txn::{ActiveRegistry, PendingCommit, Txn, TxnManager};
+pub use txn::{ActiveRegistry, NoWait, PendingCommit, Txn, TxnManager};

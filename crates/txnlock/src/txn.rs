@@ -280,6 +280,12 @@ impl<'a> Txn<'a> {
         Ok(lsn)
     }
 
+    /// This action's [`NoWait`] view, for the structure changes it runs
+    /// while latched (a split inside a transaction).
+    pub fn no_wait(&mut self) -> NoWait<'_, 'a> {
+        NoWait { txn: self }
+    }
+
     /// Defer `hook` until (and unless) this action commits — the deferred
     /// index-posting mechanism of §4.2.2. Hooks run after locks are
     /// released.
@@ -345,6 +351,113 @@ impl<'a> Txn<'a> {
         mgr.registry.deregister(id);
         drop(hooks);
         Ok(())
+    }
+}
+
+/// A [`Txn`] as a completing atomic action sees it: it logs and applies page
+/// operations and probes locks with [`NoWait::try_lock`], and has no
+/// blocking `lock`. A structure change runs with latches held, so under the
+/// No-Wait Rule (§4.2.2) it never waits for a database lock; handing it
+/// this view, not the `Txn`, makes a wait unwritable.
+///
+/// ```compile_fail,E0599
+/// use pitree_txnlock::{LockMode, LockName, NoWait};
+/// fn install_term(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     act.lock(name, LockMode::X).unwrap(); // no blocking lock on the view
+/// }
+/// ```
+///
+/// ```
+/// use pitree_txnlock::{LockMode, LockName, NoWait};
+/// fn install_term(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     act.try_lock(name, LockMode::X).unwrap();
+/// }
+/// ```
+///
+/// Every helper a completion reaches is handed the same view, so a wait
+/// two calls away does not compile either:
+///
+/// ```compile_fail,E0599
+/// use pitree_txnlock::{LockMode, LockName, NoWait};
+/// fn finish(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     grow(act, name);
+/// }
+/// fn grow(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     reserve(act, name);
+/// }
+/// fn reserve(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     act.lock(name, LockMode::Move).unwrap(); // no blocking lock on the view
+/// }
+/// ```
+///
+/// ```
+/// use pitree_txnlock::{LockMode, LockName, NoWait};
+/// fn finish(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     grow(act, name);
+/// }
+/// fn grow(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     reserve(act, name);
+/// }
+/// fn reserve(act: &mut NoWait<'_, '_>, name: &LockName) {
+///     act.try_lock(name, LockMode::Move).unwrap();
+/// }
+/// ```
+pub struct NoWait<'t, 'a> {
+    txn: &'t mut Txn<'a>,
+}
+
+impl std::fmt::Debug for NoWait<'_, '_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NoWait").finish_non_exhaustive()
+    }
+}
+
+impl NoWait<'_, '_> {
+    /// The action id (also the lock owner id).
+    pub fn id(&self) -> ActionId {
+        self.txn.id()
+    }
+
+    /// The recovery identity the action was begun with.
+    pub fn identity(&self) -> ActionIdentity {
+        self.txn.identity()
+    }
+
+    /// [`Txn::try_lock`]: acquire a database lock without waiting.
+    pub fn try_lock(&self, name: &LockName, mode: LockMode) -> Result<(), LockError> {
+        self.txn.try_lock(name, mode)
+    }
+
+    /// [`Txn::apply`]: log and apply with page-oriented undo.
+    pub fn apply(
+        &mut self,
+        page: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        op: PageOp,
+    ) -> StoreResult<Lsn> {
+        self.txn.apply(page, g, op)
+    }
+
+    /// [`Txn::apply_logical`]: log and apply with logical undo.
+    pub fn apply_logical(
+        &mut self,
+        page: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        op: PageOp,
+        tag: u8,
+        payload: Vec<u8>,
+    ) -> StoreResult<Lsn> {
+        self.txn.apply_logical(page, g, op, tag, payload)
+    }
+
+    /// [`Txn::apply_redo_only`]: log and apply a redo-only operation.
+    pub fn apply_redo_only(
+        &mut self,
+        page: &PinnedPage<'_>,
+        g: &mut XGuard<'_, Page>,
+        op: PageOp,
+    ) -> StoreResult<Lsn> {
+        self.txn.apply_redo_only(page, g, op)
     }
 }
 

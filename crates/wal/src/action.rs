@@ -130,17 +130,16 @@ impl<'a> AtomicAction<'a> {
         // record's LSN, so the redo scan can only start earlier, never miss.
         // The §4.3.1 ordering this inverts is write-back vs append, and
         // that is still enforced: the page content changes only after the
-        // append below, and write-back forces the log to the page LSN.
-        // pitree-lint: allow(log-before-dirty) conservative pre-append dirty marking closes the fuzzy-checkpoint DPT race; content changes only after the append
+        // append ([`PinnedPage::apply_logged`]), and write-back forces the
+        // log to the page LSN.
         page.mark_dirty_at(self.log.tail_lsn());
-        let lsn = self.log_record(RecordRef::Update {
-            pid: page.id(),
-            redo: &op,
-            undo: &undo,
-        });
-        op.apply(g)?;
-        g.set_lsn(lsn);
-        Ok(lsn)
+        page.apply_logged(g, &op, || {
+            self.log_record(RecordRef::Update {
+                pid: page.id(),
+                redo: &op,
+                undo: &undo,
+            })
+        })
     }
 
     /// Commit without forcing the log — relative durability (§4.3.1).
@@ -194,13 +193,13 @@ impl<'a> AtomicAction<'a> {
                             // Same pre-append marking as `apply_with_undo`:
                             // the CLR must be in the checkpoint's redo range.
                             page.mark_dirty_at(self.log.tail_lsn());
-                            let clr = self.log_record(RecordRef::Kind(&RecordKind::Clr {
-                                pid,
-                                redo: inv.clone(),
-                                undo_next: rec.prev,
-                            }));
-                            inv.apply(&mut g)?;
-                            g.set_lsn(clr);
+                            page.apply_logged(&mut g, &inv, || {
+                                self.log_record(RecordRef::Kind(&RecordKind::Clr {
+                                    pid,
+                                    redo: inv.clone(),
+                                    undo_next: rec.prev,
+                                }))
+                            })?;
                         }
                         UndoInfo::Logical { tag, payload } => {
                             let h = handler.ok_or_else(|| {

@@ -155,11 +155,7 @@ impl InstantRecovery {
         let mut redone = 0;
         for (lsn, op) in &records {
             if g.lsn() < *lsn {
-                if redone == 0 {
-                    // pitree-lint: allow(log-before-dirty) redo replays records that are already durable in the log
-                    page.mark_dirty_at(*lsn);
-                }
-                if let Err(e) = op.apply(&mut g) {
+                if let Err(e) = page.replay(&mut g, *lsn, op) {
                     // Put the plan entry back so a retry (or the background
                     // drive) sees the page as still pending; the applied
                     // prefix is skipped by the LSN check on the next pass.
@@ -167,7 +163,6 @@ impl InstantRecovery {
                     shard.insert(pid, records);
                     return Err(e);
                 }
-                g.set_lsn(*lsn);
                 redone += 1;
             }
         }

@@ -223,17 +223,17 @@ pub(crate) fn undo_pass(
                     UndoInfo::Physiological(inv) => {
                         let page = pool.fetch(pid)?;
                         let mut g = page.x();
-                        let clr = log.append(
-                            action,
-                            last,
-                            RecordKind::Clr {
-                                pid,
-                                redo: inv.clone(),
-                                undo_next: rec.prev,
-                            },
-                        );
-                        inv.apply(&mut g)?;
-                        g.set_lsn(clr);
+                        let clr = page.apply_logged(&mut g, &inv, || {
+                            log.append(
+                                action,
+                                last,
+                                RecordKind::Clr {
+                                    pid,
+                                    redo: inv.clone(),
+                                    undo_next: rec.prev,
+                                },
+                            )
+                        })?;
                         page.mark_dirty_at(clr);
                         last_lsns.insert(action, clr);
                         stats.clrs_written += 1;
@@ -451,17 +451,20 @@ mod tests {
             let page = w.pool.fetch(PageId(7)).unwrap();
             let mut g = page.x();
             let rec_u2 = w.log.read(last).unwrap();
-            let clr = w.log.append(
-                id,
-                abort,
-                RecordKind::Clr {
-                    pid: PageId(7),
-                    redo: PageOp::RemoveSlot { slot: 2 },
-                    undo_next: rec_u2.prev,
-                },
-            );
-            PageOp::RemoveSlot { slot: 2 }.apply(&mut g).unwrap();
-            g.set_lsn(clr);
+            let redo = PageOp::RemoveSlot { slot: 2 };
+            let clr = page
+                .apply_logged(&mut g, &redo, || {
+                    w.log.append(
+                        id,
+                        abort,
+                        RecordKind::Clr {
+                            pid: PageId(7),
+                            redo: redo.clone(),
+                            undo_next: rec_u2.prev,
+                        },
+                    )
+                })
+                .unwrap();
             page.mark_dirty_at(clr);
         }
         w.log.force_all().unwrap();

@@ -108,9 +108,7 @@ fn plan_redo_matches_log_order_replay_byte_for_byte() {
         let page = textbook.pool.fetch_or_create(pid, PageType::Free).unwrap();
         let mut g = page.x();
         if g.lsn() < rec.lsn {
-            redo.apply(&mut g).unwrap();
-            g.set_lsn(rec.lsn);
-            page.mark_dirty_at(rec.lsn);
+            page.replay(&mut g, rec.lsn, &redo).unwrap();
         }
     }
 

@@ -5,7 +5,7 @@
 #
 #   ./scripts/verify.sh          # fmt + pitree-lint + build + tests
 #                                # + wake gate (seam, latch and lock-table wake tests in release)
-#                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, alloc, write-hint, pool- and recovery-footprint gates + sim sweeps
+#                                # + fill, image-fill, prefix, log-table, smo-bytes, paper-claims, walker, type-carried rules, alloc, write-hint, pool- and recovery-footprint gates + sim sweeps
 #                                # + scenario-twins and first-op gates
 #                                # + pitree-check oracle gate (tests/check_props.rs)
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt (e.g. toolchain lacks rustfmt)
@@ -96,6 +96,22 @@ walkers="$(awk '/^test result: ok\./ { n += $4 } END { print n + 0 }' <<<"$walke
 echo "walker gate: $walkers walker_rejects_* tests passed"
 if [[ "$walkers" -lt 17 ]]; then
   echo "only $walkers walker_rejects_* tests ran (17 at the unified walk); the walk lost teeth" >&2
+  exit 1
+fi
+
+step "type-carried rules gate (log-before-dirty and No-Wait are types: each compile_fail doctest on XGuard, PinnedPage and NoWait fails with the error code it pins, beside a compiling twin)"
+# Stable rustdoc checks that a compile_fail doctest fails to compile, not
+# which error it fails with; RUSTC_BOOTSTRAP=1 turns the error-code check
+# on. Its own target dir keeps the main build's fingerprints.
+if ! types_out="$(RUSTC_BOOTSTRAP=1 CARGO_TARGET_DIR=target/doctest-codes \
+  cargo test --offline --doc -p pitree-pagestore -p pitree-txnlock 2>&1)"; then
+  echo "$types_out" >&2
+  exit 1
+fi
+typed="$(grep -c -- ' - compile fail \.\.\. ok$' <<<"$types_out" || true)"
+echo "type-carried rules gate: $typed compile_fail doctests rejected as pinned"
+if [[ "$typed" -lt 6 ]]; then
+  echo "only $typed compile_fail doctests ran (6 when the types took over log-before-dirty and No-Wait); the types lost teeth" >&2
   exit 1
 fi
 
