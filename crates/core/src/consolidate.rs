@@ -44,9 +44,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
     let ConsolidationPolicy::Enabled { dealloc } = tree.config().consolidation else {
         return Ok(ConsolidateOutcome::NotNeeded);
     };
-    let mut act = tree.store().txns.begin(tree.config().smo_identity);
-    let (outcome, next) = merge(tree, &mut act.no_wait(), level, key, dealloc)?;
-    act.commit()?;
+    let (outcome, next) = tree.smo_action(|act| merge(tree, act, level, key, dealloc))?;
     if let Some(next) = next {
         tree.completions().push(next);
     }

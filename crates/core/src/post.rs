@@ -24,7 +24,7 @@ impl<S: Structure> Engine<S> {
     /// Run `body` as one SMO atomic action: commit on success, roll back on
     /// error. `body` releases its latches before it returns, and sees the
     /// action only as a [`NoWait`] view: it cannot wait for a lock (§4.2.2).
-    fn smo_action<T>(
+    pub(crate) fn smo_action<T>(
         &self,
         body: impl FnOnce(&mut NoWait<'_, '_>) -> StoreResult<T>,
     ) -> StoreResult<T> {

@@ -327,3 +327,89 @@ fn walker_rejects_a_key_prefix_the_keys_do_not_share() {
         format!("node {leaf}: stored key prefix of 7 bytes, but its first and last keys share 8");
     assert!(v.iter().any(|v| v == &want), "{v:?}");
 }
+
+/// Fails every page write while armed.
+struct PageWriteFault(std::sync::atomic::AtomicBool);
+
+impl pitree_pagestore::fault::FaultInjector for PageWriteFault {
+    fn check(&self, site: pitree_pagestore::fault::FaultSite) -> pitree_pagestore::StoreResult<()> {
+        let armed = self.0.load(std::sync::atomic::Ordering::SeqCst);
+        match site {
+            pitree_pagestore::fault::FaultSite::PageWrite(_) if armed => {
+                Err(pitree_pagestore::fault::injected_crash(site))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Regression: a consolidation whose merge fails — here a page write
+/// under a pool of a few frames — aborts the action it began. Its Begin
+/// record, the updates it applied and its move locks do not outlive the
+/// error: the registry is empty, the tree is well-formed, and the next
+/// insert goes through.
+#[test]
+fn a_failed_consolidation_aborts_its_action() {
+    let key = |i: u64| i.to_be_bytes().to_vec();
+    let mut failures = 0;
+    for frames in 5..=7 {
+        let fault = Arc::new(PageWriteFault(std::sync::atomic::AtomicBool::new(false)));
+        let cs =
+            CrashableStore::create_with_injector(frames, 100_000, Arc::clone(&fault) as _).unwrap();
+        let mut cfg = PiTreeConfig::small_nodes(4, 4);
+        cfg.auto_complete = false;
+        let tree = PiTree::create(Arc::clone(&cs.store), 1, cfg).unwrap();
+        for i in 0..64 {
+            let mut t = tree.begin();
+            tree.insert(&mut t, &key(i), b"v").unwrap();
+            t.commit().unwrap();
+        }
+        while tree.run_completions().unwrap() > 0 {}
+        for i in (58..64).rev() {
+            let mut t = tree.begin();
+            assert!(tree.delete(&mut t, &key(i)).unwrap());
+            t.commit().unwrap();
+        }
+        // Rewrite a key in each of the leftmost leaves: the pool fills
+        // with dirty frames the merge must evict to reach the right edge.
+        for i in (0..20).step_by(4) {
+            let mut t = tree.begin();
+            assert!(tree.delete(&mut t, &key(i)).unwrap());
+            tree.insert(&mut t, &key(i), b"w").unwrap();
+            t.commit().unwrap();
+        }
+        let mut sparse = Vec::new();
+        while let Some(c) = tree.completions().pop() {
+            if let pitree::Completion::Consolidate { level: 0, key } = c {
+                sparse.push(key);
+            }
+        }
+        let Some(low) = sparse.last() else {
+            panic!("{frames} frames: the deletes left no sparse leaf");
+        };
+        fault.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        let res = pitree::consolidate(&tree, 0, low);
+        fault.0.store(false, std::sync::atomic::Ordering::SeqCst);
+        let Err(e) = res else { continue };
+        failures += 1;
+        assert!(
+            pitree_pagestore::fault::is_injected(&e),
+            "{frames} frames: {e:?}"
+        );
+        assert!(
+            cs.store.txns.registry().is_empty(),
+            "{frames} frames: the failed consolidation left {:?} live",
+            cs.store.txns.registry().snapshot()
+        );
+        let report = tree.validate().unwrap();
+        assert!(report.is_well_formed(), "{:?}", report.violations);
+        let mut t = tree.begin();
+        tree.insert(&mut t, &key(100), b"after").unwrap();
+        t.commit().unwrap();
+        assert_eq!(
+            tree.get_unlocked(&key(100)).unwrap(),
+            Some(b"after".to_vec())
+        );
+    }
+    assert!(failures > 0, "no pool size made the merge fail");
+}

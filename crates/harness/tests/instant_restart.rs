@@ -194,6 +194,45 @@ fn sync_parallel_and_traffic_first_drains_agree_byte_for_byte() {
     );
 }
 
+/// Traffic and the background drive race over one plan: while one worker
+/// stages and replays shard after shard, reads redo whatever pages they
+/// reach first, each from its own records in the log. Every owed page is
+/// redone exactly once — the pages redone by the end are the pages redone
+/// at open plus the pages then pending — and the redo counts sum to the
+/// records the plan owed.
+#[test]
+fn traffic_during_the_drive_redoes_each_owed_page_once() {
+    let cfg = PiTreeConfig::small_nodes(4, 4);
+    let (cs, model) = crashed_workload();
+    let crashed = cs.crash().expect("crash");
+    let rec = crashed.store.recorder().clone();
+    let (tree, plan, _) =
+        PiTree::recover_instant(Arc::clone(&crashed.store), 1, cfg).expect("instant recover");
+    let redone_at_open = rec.counter("recovery.redo_pages").get();
+    let pending_at_open = plan.pending_page_count() as u64;
+    assert!(pending_at_open > 0, "the plan owes pages after undo");
+    std::thread::scope(|s| {
+        let drive = s.spawn(|| plan.drive(&crashed.store.pool, 1));
+        for (k, v) in model.iter().rev() {
+            let got = tree.get_unlocked(&key(*k)).expect("get");
+            assert_eq!(got.as_ref(), Some(v), "key {k} served wrong mid-drive");
+        }
+        drive.join().expect("drive thread").expect("drive");
+    });
+    assert!(plan.is_complete());
+    assert_eq!(
+        rec.counter("recovery.redo_pages").get(),
+        redone_at_open + pending_at_open,
+        "a page was redone twice, or not at all"
+    );
+    let (redone, skipped) = plan.redo_counts();
+    assert_eq!(
+        (redone + skipped) as u64,
+        rec.counter("recovery.plan_records").get()
+    );
+    check_model(&tree, &model, "after the raced drive");
+}
+
 /// The TSB image: versions spread over current and history nodes by time
 /// and key splits, tombstones, and a loser whose version must vanish from
 /// every copy a time split made of it.

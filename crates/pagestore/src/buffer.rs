@@ -50,9 +50,8 @@ use crate::ids::{Lsn, PageId};
 use crate::latch::{Latch, LatchObs, SGuard, UGuard, XGuard};
 use crate::page::{Page, PageType};
 use crate::pageops::PageOp;
-use crate::sync::{Condvar, Mutex, MutexGuard};
+use crate::sync::{Condvar, FixedMap, Mutex, MutexGuard};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -150,7 +149,7 @@ struct Slot {
 }
 
 struct ShardState {
-    table: HashMap<PageId, Slot>,
+    table: FixedMap<PageId, Slot>,
     clock: usize,
 }
 
@@ -299,7 +298,7 @@ impl BufferPool {
                     lo,
                     hi,
                     state: Mutex::new(ShardState {
-                        table: HashMap::new(),
+                        table: FixedMap::default(),
                         clock: lo,
                     }),
                     cv: Condvar::new(),

@@ -166,6 +166,84 @@ impl Condvar {
     }
 }
 
+/// A `HashMap` hashed by [`FixedState`].
+pub type FixedMap<K, V> = std::collections::HashMap<K, V, FixedState>;
+
+/// The store's map hasher: fixed-seed, std-only. `RandomState` seeds each
+/// process differently, so when a map grows — and what a run allocates —
+/// changed from run to run; a fixed seed makes both a function of the keys.
+/// It serves the pool's page table, the lock table and the txn registry.
+/// Page and action ids are the store's own; a lock name can carry a record
+/// key, so a caller choosing keys to collide could slow the lock table — a
+/// fixed seed gives up the protection `RandomState` had there.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FixedState;
+
+impl std::hash::BuildHasher for FixedState {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(0x243f_6a88_85a3_08d3)
+    }
+}
+
+/// [`FixedState`]'s hasher: a multiply-rotate over `u64` words. The
+/// rotation brings the multiply's well-mixed high bits down to the low bits
+/// a table indexes by.
+#[derive(Debug, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
+    }
+}
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            self.word(u64::from_le_bytes(b));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut b = [0u8; 8];
+            for (dst, src) in b.iter_mut().zip(rest) {
+                *dst = *src;
+            }
+            self.word(u64::from_le_bytes(b) ^ (rest.len() as u64) << 59);
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.word(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.word(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.word(n as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +316,31 @@ mod tests {
     /// (each after a spin of a different length, so a bump finds anywhere
     /// from none to all of them parked). A skipped notify that was owed
     /// shows up as a 10 s timeout, which ends the run and fails the test.
+    #[test]
+    fn fixed_state_hashes_alike_in_every_map_and_spreads_page_ids() {
+        use std::hash::BuildHasher;
+        let h = |v: &dyn Fn(&mut WordHasher)| {
+            let mut s = FixedState.build_hasher();
+            v(&mut s);
+            std::hash::Hasher::finish(&s)
+        };
+        assert_eq!(FixedState.hash_one(7u64), FixedState.hash_one(7u64));
+        assert_ne!(FixedState.hash_one(7u64), FixedState.hash_one(8u64));
+        // A byte string's tail is not lost to its padding.
+        let a = h(&|s| std::hash::Hasher::write(s, b"abc"));
+        let b = h(&|s| std::hash::Hasher::write(s, b"abc\0"));
+        assert_ne!(a, b);
+        // Sequential page ids fill a 1024-bucket table's low bits evenly.
+        let mut buckets = [0u32; 1024];
+        for pid in 0..8192u64 {
+            buckets[(FixedState.hash_one(pid) & 1023) as usize] += 1;
+        }
+        assert!(
+            buckets.iter().all(|&n| (2..=16).contains(&n)),
+            "{buckets:?}"
+        );
+    }
+
     #[test]
     fn no_lost_wakeup_under_generation_churn() {
         const WAITERS: u64 = 3;

@@ -12,10 +12,10 @@
 
 use crate::modes::LockMode;
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
-use pitree_pagestore::sync::{Condvar, Mutex};
+use pitree_pagestore::sync::{Condvar, FixedMap, Mutex};
 use pitree_pagestore::PageId;
 use pitree_wal::ActionId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::time::Duration;
 
@@ -103,9 +103,9 @@ impl Entry {
 }
 
 struct TableInner {
-    entries: HashMap<LockName, Entry>,
+    entries: FixedMap<LockName, Entry>,
     /// owner -> (resource, mode) it is currently blocked on.
-    waiting_on: HashMap<ActionId, LockName>,
+    waiting_on: FixedMap<ActionId, LockName>,
 }
 
 /// The lock manager. One per store; shared by all transactions and atomic
@@ -145,8 +145,8 @@ impl LockTable {
     pub fn with_recorder(timeout: Duration, rec: Recorder) -> LockTable {
         LockTable {
             inner: Mutex::new(TableInner {
-                entries: HashMap::new(),
-                waiting_on: HashMap::new(),
+                entries: FixedMap::default(),
+                waiting_on: FixedMap::default(),
             }),
             cv: Condvar::new(),
             timeout,

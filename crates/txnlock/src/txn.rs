@@ -25,11 +25,10 @@ use pitree_obs::Counter;
 use pitree_pagestore::buffer::{BufferPool, PinnedPage};
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::Page;
-use pitree_pagestore::sync::Mutex;
+use pitree_pagestore::sync::{FixedMap, Mutex};
 use pitree_pagestore::{Lsn, PageOp, StoreResult};
 use pitree_wal::recovery::LogicalUndoHandler;
 use pitree_wal::{take_checkpoint, ActionId, ActionIdentity, AtomicAction, LogManager};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +36,7 @@ use std::time::Duration;
 /// Table of live actions/transactions, feeding fuzzy checkpoints.
 #[derive(Default)]
 pub struct ActiveRegistry {
-    inner: Mutex<HashMap<ActionId, (ActionIdentity, Arc<AtomicU64>)>>,
+    inner: Mutex<FixedMap<ActionId, (ActionIdentity, Arc<AtomicU64>)>>,
 }
 
 impl std::fmt::Debug for ActiveRegistry {

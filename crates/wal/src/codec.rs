@@ -150,6 +150,20 @@ impl<'a> Reader<'a> {
         Ok(items)
     }
 
+    /// Step over a length-prefixed byte string, as [`Reader::bytes`] reads
+    /// it, without copying it.
+    pub fn skip_bytes(&mut self) -> StoreResult<()> {
+        let n = self.u32()? as usize;
+        self.take(n).map(drop)
+    }
+
+    /// Step over a count-prefixed list of byte strings, as
+    /// [`Reader::byte_list`] reads it, without copying it.
+    pub fn skip_byte_list(&mut self) -> StoreResult<()> {
+        let n = self.u32()?;
+        (0..n).try_for_each(|_| self.skip_bytes())
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos

@@ -58,7 +58,7 @@
 )]
 
 use crate::codec::checksum;
-use crate::record::{encode_frame, ActionId, LogRecord, RecordKind, RecordRef};
+use crate::record::{encode_frame, ActionId, LogRecord, RecordHead, RecordKind, RecordRef};
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
 use pitree_pagestore::buffer::WalFlush;
 use pitree_pagestore::fault::{FaultSite, InjectorHandle};
@@ -81,6 +81,13 @@ pub trait LogStore: Send + Sync {
     fn durable_len(&self) -> u64;
     /// Record the master LSN (last checkpoint).
     fn set_master(&self, lsn: Lsn);
+    /// Record the master LSN and report whether it is durable. A checkpoint
+    /// sets its master through this; a store whose master lives on a device
+    /// makes it durable before returning.
+    fn try_set_master(&self, lsn: Lsn) -> StoreResult<()> {
+        self.set_master(lsn);
+        Ok(())
+    }
     /// The recorded master LSN.
     fn master(&self) -> Lsn;
     /// Read `len` bytes starting at byte `offset` of the durable log — the
@@ -88,6 +95,21 @@ pub trait LogStore: Send + Sync {
     /// behind every window of [`LogManager::scan`]. A range past the durable
     /// end is a typed error, never a short read.
     fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>>;
+    /// Fill `buf` from byte `offset` of the durable log: a
+    /// [`LogStore::read_range`] into a buffer the caller reuses, as the redo
+    /// plan's frame reads do.
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> StoreResult<()> {
+        let bytes = self.read_range(offset, buf.len())?;
+        if bytes.len() != buf.len() {
+            return Err(StoreError::Corrupt(format!(
+                "log range {offset}+{} returned {} bytes",
+                buf.len(),
+                bytes.len()
+            )));
+        }
+        buf.copy_from_slice(&bytes);
+        Ok(())
+    }
 }
 
 /// In-memory durable log used by tests and the crash harness.
@@ -180,18 +202,25 @@ impl LogStore for MemLogStore {
     }
 
     fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
+        let mut out = vec![0u8; len];
+        self.read_into(offset, &mut out)?;
+        Ok(out)
+    }
+
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> StoreResult<()> {
         let durable = self.durable.lock();
-        let start = offset as usize;
-        start
+        let len = buf.len();
+        let src = (offset as usize)
             .checked_add(len)
-            .and_then(|end| durable.get(start..end))
-            .map(<[u8]>::to_vec)
+            .and_then(|end| durable.get(offset as usize..end))
             .ok_or_else(|| {
                 StoreError::Corrupt(format!(
                     "log range {offset}+{len} beyond durable end {}",
                     durable.len()
                 ))
-            })
+            })?;
+        buf.copy_from_slice(src);
+        Ok(())
     }
 }
 
@@ -257,8 +286,27 @@ impl LogStore for FileLogStore {
     }
 
     fn set_master(&self, lsn: Lsn) {
+        let _ = self.try_set_master(lsn);
+    }
+
+    /// Write the master to a temporary file, sync it, rename it over the
+    /// master file and sync the directory: a crash leaves the old master or
+    /// the new one, never a torn or lost file.
+    fn try_set_master(&self, lsn: Lsn) -> StoreResult<()> {
         self.master.store(lsn.0, Ordering::SeqCst);
-        let _ = std::fs::write(&self.master_path, lsn.0.to_le_bytes());
+        let tmp = self.master_path.with_extension("master.tmp");
+        let dir = match self.master_path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        let write = || -> std::io::Result<()> {
+            let mut f = File::create(&tmp)?;
+            f.write_all(&lsn.0.to_le_bytes())?;
+            f.sync_all()?;
+            std::fs::rename(&tmp, &self.master_path)?;
+            File::open(dir)?.sync_all()
+        };
+        write().map_err(|e| StoreError::Corrupt(format!("master {:?}: {e}", self.master_path)))
     }
 
     fn master(&self) -> Lsn {
@@ -267,10 +315,14 @@ impl LogStore for FileLogStore {
 
     fn read_range(&self, offset: u64, len: usize) -> StoreResult<Vec<u8>> {
         let mut out = vec![0u8; len];
-        self.file
-            .read_exact_at(&mut out, offset)
-            .map_err(|e| StoreError::Corrupt(format!("log range {offset}+{len}: {e}")))?;
+        self.read_into(offset, &mut out)?;
         Ok(out)
+    }
+
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> StoreResult<()> {
+        self.file
+            .read_exact_at(buf, offset)
+            .map_err(|e| StoreError::Corrupt(format!("log range {offset}+{}: {e}", buf.len())))
     }
 }
 
@@ -771,6 +823,17 @@ impl LogManager {
     /// costs O(log written since that checkpoint) in I/O and O(window) in
     /// memory, whatever the age of the database (see `RECOVERY.md`).
     pub fn scan(&self, from: Option<Lsn>) -> LogScan<'_> {
+        self.scan_with(from, LogRecord::decode_body)
+    }
+
+    /// [`LogManager::scan`] yielding each record's [`RecordHead`]: the same
+    /// frames, ending at the same one, but no payload is decoded — what
+    /// analysis reads.
+    pub(crate) fn scan_heads(&self, from: Option<Lsn>) -> LogScan<'_, RecordHead> {
+        self.scan_with(from, RecordHead::decode)
+    }
+
+    fn scan_with<T>(&self, from: Option<Lsn>, decode: Decode<T>) -> LogScan<'_, T> {
         let from_off = from.map_or(0, |l| l.0.saturating_sub(1));
         loop {
             let durable_len = self.store.durable_len();
@@ -786,6 +849,7 @@ impl LogManager {
                         next_read: start,
                         durable_end: tail.base,
                         tail: Some(tail.buf.clone()),
+                        decode,
                     };
                 }
             }
@@ -820,6 +884,12 @@ pub fn read_at(buf: &[u8], lsn: Lsn) -> StoreResult<LogRecord> {
 
 /// [`read_at`] against a buffer whose first byte sits at log offset `base`.
 fn read_at_base(buf: &[u8], base: u64, lsn: Lsn) -> StoreResult<LogRecord> {
+    LogRecord::decode_body(lsn, frame_body(buf, base, lsn)?)
+}
+
+/// The checksummed body of the whole frame starting at `lsn` within a
+/// buffer whose first byte sits at log offset `base`.
+fn frame_body(buf: &[u8], base: u64, lsn: Lsn) -> StoreResult<&[u8]> {
     let abs = lsn
         .0
         .checked_sub(1)
@@ -840,7 +910,7 @@ fn read_at_base(buf: &[u8], base: u64, lsn: Lsn) -> StoreResult<LogRecord> {
     if checksum(body) != sum {
         return Err(StoreError::Corrupt(format!("bad checksum at {lsn}")));
     }
-    LogRecord::decode_body(lsn, body)
+    Ok(body)
 }
 
 /// Decode every complete record in `buf` starting at `from`; stops cleanly
@@ -848,17 +918,20 @@ fn read_at_base(buf: &[u8], base: u64, lsn: Lsn) -> StoreResult<LogRecord> {
 pub fn scan_bytes(buf: &[u8], from: Option<Lsn>) -> Vec<LogRecord> {
     let mut out = Vec::new();
     let mut off = from.map_or(0, |l| l.0.saturating_sub(1));
-    while let Frame::Whole(rec, next) = frame_at(buf, 0, off) {
+    while let Frame::Whole(rec, next) = frame_at(buf, 0, off, LogRecord::decode_body) {
         out.push(rec);
         off = next;
     }
     out
 }
 
+/// How a scan decodes a whole, checksummed frame body at an LSN.
+type Decode<T> = fn(Lsn, &[u8]) -> StoreResult<T>;
+
 /// One step of the frame walk every scan shares.
-enum Frame {
+enum Frame<T> {
     /// A record that decoded, and the log offset one past its frame.
-    Whole(LogRecord, u64),
+    Whole(T, u64),
     /// The buffer ends inside the frame, which spans this many bytes from
     /// its start (8 when even the header is cut).
     Short(usize),
@@ -868,7 +941,7 @@ enum Frame {
 
 /// Classify the frame at log offset `off` of a buffer whose first byte sits
 /// at log offset `base`.
-fn frame_at(buf: &[u8], base: u64, off: u64) -> Frame {
+fn frame_at<T>(buf: &[u8], base: u64, off: u64, decode: Decode<T>) -> Frame<T> {
     let rel = off
         .checked_sub(base)
         .and_then(|r| usize::try_from(r).ok())
@@ -882,21 +955,90 @@ fn frame_at(buf: &[u8], base: u64, off: u64) -> Frame {
     if buf.len().saturating_sub(rel) < span {
         return Frame::Short(span);
     }
-    match read_at_base(buf, base, Lsn(off.saturating_add(1))) {
+    let lsn = Lsn(off.saturating_add(1));
+    match frame_body(buf, base, lsn).and_then(|body| decode(lsn, body)) {
         Ok(rec) => Frame::Whole(rec, off.saturating_add(span as u64)),
         Err(_) => Frame::Bad,
+    }
+}
+
+/// Reads frames back from the durable log by `(LSN, body length)` — what
+/// the redo plan keeps of each record — checking each frame's length and
+/// checksum. Ascending frames within `window` bytes of a read's start share
+/// that read; with a `window` of 0 each frame is one read of its own bytes.
+pub(crate) struct FrameReader<'s> {
+    store: &'s dyn LogStore,
+    window: usize,
+    /// No read runs past this log offset (the end of the last frame owed).
+    end: u64,
+    /// `buf[..filled]` holds the log bytes from offset `base`.
+    buf: Vec<u8>,
+    base: u64,
+    filled: usize,
+    /// Ranged reads issued, and the bytes they returned.
+    pub(crate) reads: u64,
+    pub(crate) bytes: u64,
+}
+
+impl<'s> FrameReader<'s> {
+    pub(crate) fn new(store: &'s dyn LogStore, window: usize, end: u64) -> FrameReader<'s> {
+        FrameReader {
+            store,
+            window,
+            end,
+            buf: Vec::new(),
+            base: 0,
+            filled: 0,
+            reads: 0,
+            bytes: 0,
+        }
+    }
+
+    /// The body of the frame at `lsn`, which analysis saw holding `len`
+    /// body bytes: a typed `Corrupt` if the frame read back differs in
+    /// length or fails its checksum.
+    pub(crate) fn body(&mut self, lsn: Lsn, len: u32) -> StoreResult<&[u8]> {
+        let off = lsn
+            .0
+            .checked_sub(1)
+            .ok_or_else(|| StoreError::Corrupt("null lsn".into()))?;
+        let span = len as u64 + 8;
+        let buffered = off >= self.base && off + span <= self.base + self.filled as u64;
+        if !buffered {
+            let n = span.max(self.end.saturating_sub(off).min(self.window as u64));
+            let n = usize::try_from(n)
+                .map_err(|_| StoreError::Corrupt(format!("frame at {lsn} spans {n} bytes")))?;
+            if self.buf.len() < n {
+                self.buf.resize(n, 0);
+            }
+            let dst = self
+                .buf
+                .get_mut(..n)
+                .ok_or_else(|| StoreError::Corrupt(format!("frame buffer short at {lsn}")))?;
+            self.store.read_into(off, dst)?;
+            (self.base, self.filled) = (off, n);
+            self.reads += 1;
+            self.bytes += n as u64;
+        }
+        let buf = self.buf.get(..self.filled).unwrap_or_default();
+        if le_u32_at(buf, (off - self.base) as usize) != Some(len) {
+            return Err(StoreError::Corrupt(format!(
+                "frame at {lsn} no longer holds the {len} bytes analysis read"
+            )));
+        }
+        frame_body(buf, self.base, lsn)
     }
 }
 
 /// Durable bytes one [`LogStore::read_range`] of a scan asks for. A frame
 /// longer than this (a checkpoint with a large dirty-page table) grows that
 /// one read to the frame, so scan memory is O(window + largest frame).
-const SCAN_WINDOW: usize = 64 * 1024;
+pub(crate) const SCAN_WINDOW: usize = 64 * 1024;
 
 /// The streamed log reader [`LogManager::scan`] returns: an iterator over the
 /// records of `durable suffix ++ tail snapshot`, holding one window of
 /// undecoded bytes at a time.
-pub struct LogScan<'a> {
+pub struct LogScan<'a, T = LogRecord> {
     log: &'a LogManager,
     /// Undecoded bytes; `buf[0]` sits at log offset `base`.
     buf: Vec<u8>,
@@ -908,9 +1050,10 @@ pub struct LogScan<'a> {
     durable_end: u64,
     /// The tail snapshot, taken as the last refill.
     tail: Option<Vec<u8>>,
+    decode: Decode<T>,
 }
 
-impl std::fmt::Debug for LogScan<'_> {
+impl<T> std::fmt::Debug for LogScan<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogScan")
             .field("off", &self.off)
@@ -919,7 +1062,7 @@ impl std::fmt::Debug for LogScan<'_> {
     }
 }
 
-impl LogScan<'_> {
+impl<T> LogScan<'_, T> {
     /// Drop the decoded prefix of the buffer and append the next source
     /// bytes — a durable window sized so the frame at `off` (which spans
     /// `span` bytes) fits, or, once the durable suffix is exhausted, the tail
@@ -928,40 +1071,37 @@ impl LogScan<'_> {
         let done = usize::try_from(self.off.saturating_sub(self.base))
             .unwrap_or(usize::MAX)
             .min(self.buf.len());
-        // Keep only the partial frame: the decoded window is freed before
-        // the next one is read.
-        self.buf = self.buf.split_off(done);
+        // Keep only the partial frame, moved to the front: the next window
+        // is read in behind it, into the buffer the last one used.
+        self.buf.drain(..done);
         self.base += done as u64;
         let left = self.durable_end.saturating_sub(self.next_read);
-        let more = if left > 0 {
+        if left > 0 {
             let want = span.saturating_sub(self.buf.len()).max(SCAN_WINDOW);
             let len = usize::try_from(left).map_or(want, |l| l.min(want));
-            let window = self.log.store.read_range(self.next_read, len)?;
+            let at = self.buf.len();
+            self.buf.resize(at + len, 0);
+            let window = self.buf.get_mut(at..).unwrap_or_default();
+            self.log.store.read_into(self.next_read, window)?;
             self.next_read += len as u64;
             self.log.scan_windows.inc();
             self.log.scan_bytes.add(len as u64);
-            window
         } else {
             match self.tail.take() {
-                Some(tail) => tail,
+                Some(tail) => self.buf.extend_from_slice(&tail),
                 None => return Ok(false),
             }
-        };
-        if self.buf.is_empty() {
-            self.buf = more;
-        } else {
-            self.buf.extend_from_slice(&more);
         }
         Ok(true)
     }
 }
 
-impl Iterator for LogScan<'_> {
-    type Item = StoreResult<LogRecord>;
+impl<T> Iterator for LogScan<'_, T> {
+    type Item = StoreResult<T>;
 
-    fn next(&mut self) -> Option<StoreResult<LogRecord>> {
+    fn next(&mut self) -> Option<StoreResult<T>> {
         loop {
-            let more = match frame_at(&self.buf, self.base, self.off) {
+            let more = match frame_at(&self.buf, self.base, self.off, self.decode) {
                 Frame::Whole(rec, next) => {
                     self.off = next;
                     return Some(Ok(rec));
@@ -1268,6 +1408,19 @@ mod tests {
                 Err(StoreError::Corrupt(msg)) if msg.contains("log range 8+4")
             ));
         }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(path.with_extension("master")).ok();
+    }
+
+    #[test]
+    fn a_file_master_is_replaced_whole_and_survives_reopen() {
+        let path = std::env::temp_dir().join(format!("pitree-wal-master-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = FileLogStore::open(&path).unwrap();
+        store.try_set_master(Lsn(7)).unwrap();
+        store.try_set_master(Lsn(42)).unwrap();
+        assert!(!path.with_extension("master.tmp").exists());
+        assert_eq!(FileLogStore::open(&path).unwrap().master(), Lsn(42));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(path.with_extension("master")).ok();
     }

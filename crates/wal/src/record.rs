@@ -233,6 +233,43 @@ fn get_pageop(r: &mut Reader<'_>) -> StoreResult<PageOp> {
     })
 }
 
+/// Step over a `PageOp` exactly as [`get_pageop`] reads one — the same
+/// bytes accepted, the same rejected — without materialising it.
+fn skip_pageop(r: &mut Reader<'_>) -> StoreResult<()> {
+    match r.u8()? {
+        0 => PageType::from_u8(r.u8()?).map(drop),
+        1 | 3 => r.u16().and_then(|_| r.skip_bytes()),
+        2 => r.u16().map(drop),
+        4 => r.u8().map(drop),
+        5 | 6 => r.u32().map(drop),
+        7..=10 => r.skip_bytes(),
+        11 | 12 => r.skip_byte_list(),
+        t => Err(StoreError::Corrupt(format!("bad PageOp tag {t}"))),
+    }
+}
+
+fn get_undo(r: &mut Reader<'_>) -> StoreResult<UndoInfo> {
+    Ok(match r.u8()? {
+        0 => UndoInfo::Physiological(get_pageop(r)?),
+        1 => UndoInfo::Logical {
+            tag: r.u8()?,
+            payload: r.bytes()?,
+        },
+        2 => UndoInfo::None,
+        t => return Err(StoreError::Corrupt(format!("bad undo tag {t}"))),
+    })
+}
+
+/// Step over undo information as [`get_undo`] reads it.
+fn skip_undo(r: &mut Reader<'_>) -> StoreResult<()> {
+    match r.u8()? {
+        0 => skip_pageop(r),
+        1 => r.u8().and_then(|_| r.skip_bytes()),
+        2 => Ok(()),
+        t => Err(StoreError::Corrupt(format!("bad undo tag {t}"))),
+    }
+}
+
 fn put_identity(w: &mut Writer<'_>, id: &ActionIdentity) {
     match id {
         ActionIdentity::Transaction => w.u8(0),
@@ -394,15 +431,7 @@ impl LogRecord {
             4 => {
                 let pid = PageId(r.u64()?);
                 let redo = get_pageop(&mut r)?;
-                let undo = match r.u8()? {
-                    0 => UndoInfo::Physiological(get_pageop(&mut r)?),
-                    1 => UndoInfo::Logical {
-                        tag: r.u8()?,
-                        payload: r.bytes()?,
-                    },
-                    2 => UndoInfo::None,
-                    t => return Err(StoreError::Corrupt(format!("bad undo tag {t}"))),
-                };
+                let undo = get_undo(&mut r)?;
                 RecordKind::Update { pid, redo, undo }
             }
             5 => RecordKind::Clr {
@@ -443,6 +472,116 @@ impl LogRecord {
             kind,
         })
     }
+}
+
+/// What analysis reads of a record: its action, the kind as far as the
+/// active-action table needs it, and the page an update or CLR owes — never
+/// its `PageOp`, which the redo plan reads back from the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordHead {
+    /// This record's LSN.
+    pub lsn: Lsn,
+    /// Body bytes of its frame (the frame's length field).
+    pub len: u32,
+    /// Owning action.
+    pub action: ActionId,
+    /// The kind, reduced to what analysis acts on.
+    pub kind: HeadKind,
+}
+
+/// [`RecordKind`] as analysis sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HeadKind {
+    /// Start of an action's chain.
+    Begin(ActionIdentity),
+    /// `Commit` or `End`: the action is no longer active.
+    Done,
+    /// A checkpoint (its tables matter only at the master).
+    Checkpoint,
+    /// An update or CLR of this page: a redo record.
+    Page(PageId),
+    /// `Abort` or a logical CLR: the chain only advances.
+    Other,
+}
+
+impl RecordHead {
+    /// Read the head of a frame body. It accepts exactly the bodies
+    /// [`LogRecord::decode_body`] accepts: every field is checked, the
+    /// payloads are stepped over without being copied.
+    pub(crate) fn decode(lsn: Lsn, body: &[u8]) -> StoreResult<RecordHead> {
+        let mut r = Reader::new(body);
+        r.u64()?;
+        let action = ActionId(r.u64()?);
+        let kind = match r.u8()? {
+            0 => HeadKind::Begin(get_identity(&mut r)?),
+            1 | 3 => HeadKind::Done,
+            2 => HeadKind::Other,
+            4 => {
+                let pid = PageId(r.u64()?);
+                skip_pageop(&mut r)?;
+                skip_undo(&mut r)?;
+                HeadKind::Page(pid)
+            }
+            5 => {
+                let pid = PageId(r.u64()?);
+                skip_pageop(&mut r)?;
+                r.u64()?;
+                HeadKind::Page(pid)
+            }
+            6 => {
+                r.u64()?;
+                HeadKind::Other
+            }
+            7 => {
+                for _ in 0..r.u32()? {
+                    r.u64()?;
+                    get_identity(&mut r)?;
+                    r.u64()?;
+                }
+                for _ in 0..r.u32()? {
+                    r.u64()?;
+                    r.u64()?;
+                }
+                HeadKind::Checkpoint
+            }
+            t => return Err(StoreError::Corrupt(format!("bad record tag {t}"))),
+        };
+        if !r.is_done() {
+            return Err(StoreError::Corrupt("trailing bytes in log record".into()));
+        }
+        Ok(RecordHead {
+            lsn,
+            len: u32::try_from(body.len()).unwrap_or(u32::MAX),
+            action,
+            kind,
+        })
+    }
+}
+
+/// The page and redo operation of an update or CLR frame body, its undo
+/// information stepped over: what the redo plan replays. Any other record
+/// is an error — the plan owes only page records.
+pub(crate) fn decode_redo(body: &[u8]) -> StoreResult<(PageId, PageOp)> {
+    let mut r = Reader::new(body);
+    r.u64()?;
+    r.u64()?;
+    let tag = r.u8()?;
+    if !matches!(tag, 4 | 5) {
+        return Err(StoreError::Corrupt(format!(
+            "record tag {tag} owes no page"
+        )));
+    }
+    let pid = PageId(r.u64()?);
+    let redo = get_pageop(&mut r)?;
+    if tag == 4 {
+        skip_undo(&mut r)?;
+    } else {
+        r.u64()?;
+    }
+    if !r.is_done() {
+        return Err(StoreError::Corrupt("trailing bytes in log record".into()));
+    }
+    Ok((pid, redo))
 }
 
 #[cfg(test)]
@@ -595,6 +734,108 @@ mod tests {
                 redo: op,
                 undo: UndoInfo::None,
             });
+        }
+    }
+
+    /// The head a full decode implies.
+    fn head_of(rec: &LogRecord, len: usize) -> RecordHead {
+        let kind = match &rec.kind {
+            RecordKind::Begin { identity } => HeadKind::Begin(*identity),
+            RecordKind::Commit | RecordKind::End => HeadKind::Done,
+            RecordKind::Checkpoint { .. } => HeadKind::Checkpoint,
+            RecordKind::Update { pid, .. } | RecordKind::Clr { pid, .. } => HeadKind::Page(*pid),
+            RecordKind::Abort | RecordKind::LogicalClr { .. } => HeadKind::Other,
+        };
+        RecordHead {
+            lsn: rec.lsn,
+            len: len as u32,
+            action: rec.action,
+            kind,
+        }
+    }
+
+    /// Analysis reads heads where it used to decode records, so the scan
+    /// must end at the same frame: under every bit flip and truncation of
+    /// every record shape, the head decoder accepts exactly what the full
+    /// decoder accepts, and agrees with it; the redo decoder returns the
+    /// full record's page and op.
+    #[test]
+    fn head_and_redo_decoders_accept_what_the_full_decoder_accepts() {
+        let ops = [
+            PageOp::Format { ty: PageType::Node },
+            PageOp::UpdateSlot {
+                slot: 2,
+                bytes: b"upd".to_vec(),
+            },
+            PageOp::SetBit { bit: 7 },
+            PageOp::KeyedRemoveMany {
+                keys: vec![b"a".to_vec(), Vec::new()],
+            },
+        ];
+        let mut kinds = vec![
+            RecordKind::Begin {
+                identity: ActionIdentity::NestedTopAction {
+                    parent: ActionId(3),
+                },
+            },
+            RecordKind::Commit,
+            RecordKind::Abort,
+            RecordKind::End,
+            RecordKind::LogicalClr { undo_next: Lsn(9) },
+            RecordKind::Checkpoint {
+                active: vec![(ActionId(1), ActionIdentity::Transaction, Lsn(10))],
+                dirty: vec![(PageId(3), Lsn(5))],
+            },
+        ];
+        for op in &ops {
+            for undo in [
+                UndoInfo::Physiological(op.clone()),
+                UndoInfo::Logical {
+                    tag: 1,
+                    payload: b"k".to_vec(),
+                },
+                UndoInfo::None,
+            ] {
+                kinds.push(RecordKind::Update {
+                    pid: PageId(11),
+                    redo: op.clone(),
+                    undo,
+                });
+            }
+            kinds.push(RecordKind::Clr {
+                pid: PageId(12),
+                redo: op.clone(),
+                undo_next: Lsn(4),
+            });
+        }
+        for kind in kinds {
+            let rec = LogRecord {
+                lsn: Lsn(1),
+                prev: Lsn(0),
+                action: ActionId(6),
+                kind,
+            };
+            let body = rec.encode_body();
+            let mut variants: Vec<Vec<u8>> = (0..body.len()).map(|n| body[..n].to_vec()).collect();
+            for bit in 0..body.len() * 8 {
+                let mut b = body.clone();
+                b[bit / 8] ^= 1 << (bit % 8);
+                variants.push(b);
+            }
+            variants.push(body);
+            for b in variants {
+                let full = LogRecord::decode_body(Lsn(1), &b);
+                let head = RecordHead::decode(Lsn(1), &b);
+                assert_eq!(full.is_ok(), head.is_ok(), "{b:?}");
+                let Ok(full) = full else { continue };
+                assert_eq!(head.ok(), Some(head_of(&full, b.len())), "{b:?}");
+                match full.kind {
+                    RecordKind::Update { pid, redo, .. } | RecordKind::Clr { pid, redo, .. } => {
+                        assert_eq!(decode_redo(&b).unwrap(), (pid, redo));
+                    }
+                    _ => assert!(decode_redo(&b).is_err()),
+                }
+            }
         }
     }
 

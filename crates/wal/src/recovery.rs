@@ -46,12 +46,13 @@
     clippy::disallowed_macros
 )]
 
-use crate::instant::start_instant;
+use crate::instant::{start_instant, PlanBuilder};
 use crate::log::LogManager;
-use crate::record::{ActionId, ActionIdentity, RecordKind, UndoInfo};
+use crate::record::{ActionId, ActionIdentity, HeadKind, RecordKind, UndoInfo};
 use pitree_obs::Stopwatch;
 use pitree_pagestore::buffer::BufferPool;
-use pitree_pagestore::{Lsn, PageId, PageOp, StoreError, StoreResult};
+use pitree_pagestore::sync::FixedMap;
+use pitree_pagestore::{Lsn, StoreError, StoreResult};
 use std::collections::HashMap;
 
 /// Callback through which recovery (and normal rollback) performs
@@ -95,24 +96,25 @@ fn last_lsn(last_lsns: &HashMap<ActionId, Lsn>, action: ActionId) -> StoreResult
 /// seen, and the redo plan.
 pub(crate) struct Analysis {
     /// Actions with no durable `Commit`/`End`: identity + last known LSN.
-    pub active: HashMap<ActionId, (ActionIdentity, Lsn)>,
+    pub active: FixedMap<ActionId, (ActionIdentity, Lsn)>,
     /// Highest action id seen (recovery reserves past it).
     pub max_action: u64,
-    /// The redo plan: each page's redo operations from the redo horizon
-    /// (min dirty-page recovery LSN) onward, in log order.
-    pub redo: HashMap<PageId, Vec<(Lsn, PageOp)>>,
+    /// The redo plan: the LSN and frame length of each page's redo records
+    /// from the redo horizon (min dirty-page recovery LSN) onward.
+    pub redo: PlanBuilder,
 }
 
 /// Analysis pass: seed from the master checkpoint when present (falling back
 /// to a full scan if the master points at a torn or missing record — the
 /// master is only advanced *after* its checkpoint is durable, so a readable
 /// master always names a whole checkpoint), then stream forward once,
-/// building the active-action table and the redo plan. Each record's redo op
-/// moves into the plan as it is decoded, so analysis holds one scan window
-/// plus the plan — never the suffix.
+/// building the active-action table and the redo plan. The scan reads record
+/// heads ([`LogManager::scan_heads`]): a redo record adds its LSN and frame
+/// length to the plan and its `PageOp` is never decoded, so analysis holds
+/// one scan window plus the plan's LSNs — never the suffix or its payload.
 pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResult<Analysis> {
     let master = log.store().master();
-    let mut active: HashMap<ActionId, (ActionIdentity, Lsn)> = HashMap::new();
+    let mut active: FixedMap<ActionId, (ActionIdentity, Lsn)> = FixedMap::default();
     let mut redo_start = Lsn(1);
     let mut scan_from = Lsn(1);
     if master != Lsn::ZERO {
@@ -136,31 +138,29 @@ pub(crate) fn analyze(log: &LogManager, stats: &mut RecoveryStats) -> StoreResul
     // master only feed the redo plan: the checkpoint's active-action table
     // already accounts for them.
     let mut max_action = 0u64;
-    let mut redo: HashMap<PageId, Vec<(Lsn, PageOp)>> = HashMap::new();
-    for rec in log.scan(Some(redo_start.min(scan_from))) {
-        let rec = rec?;
-        if rec.lsn >= scan_from {
+    let mut redo = PlanBuilder::new();
+    for head in log.scan_heads(Some(redo_start.min(scan_from))) {
+        let head = head?;
+        if head.lsn >= scan_from {
             stats.scanned += 1;
-            max_action = max_action.max(rec.action.0);
-            match &rec.kind {
-                RecordKind::Begin { identity } => {
-                    active.insert(rec.action, (*identity, rec.lsn));
+            max_action = max_action.max(head.action.0);
+            match head.kind {
+                HeadKind::Begin(identity) => {
+                    active.insert(head.action, (identity, head.lsn));
                 }
-                RecordKind::Commit | RecordKind::End => {
-                    active.remove(&rec.action);
+                HeadKind::Done => {
+                    active.remove(&head.action);
                 }
-                RecordKind::Checkpoint { .. } => {}
-                _ => {
-                    if let Some(entry) = active.get_mut(&rec.action) {
-                        entry.1 = rec.lsn;
+                HeadKind::Checkpoint => {}
+                HeadKind::Page(_) | HeadKind::Other => {
+                    if let Some(entry) = active.get_mut(&head.action) {
+                        entry.1 = head.lsn;
                     }
                 }
             }
         }
-        if let RecordKind::Update { pid, redo: op, .. } | RecordKind::Clr { pid, redo: op, .. } =
-            rec.kind
-        {
-            redo.entry(pid).or_default().push((rec.lsn, op));
+        if let HeadKind::Page(pid) = head.kind {
+            redo.owe(pid, head.lsn, head.len)?;
         }
     }
     stats.analysis_start = scan_from;
@@ -199,7 +199,7 @@ pub(crate) fn undo_pass(
     pool: &BufferPool,
     log: &LogManager,
     handler: Option<&dyn LogicalUndoHandler>,
-    active: &HashMap<ActionId, (ActionIdentity, Lsn)>,
+    active: &FixedMap<ActionId, (ActionIdentity, Lsn)>,
     stats: &mut RecoveryStats,
 ) -> StoreResult<()> {
     let mut cursors: HashMap<ActionId, Lsn> = HashMap::new();
@@ -289,7 +289,9 @@ pub(crate) fn undo_pass(
 /// pending LSN): such a page was never fetched since restart, so no frame
 /// speaks for it. The master is advanced only after the checkpoint record is
 /// durable: a crash mid-checkpoint leaves the old master, whose checkpoint is
-/// still whole.
+/// still whole. Before the master moves, the page store is synced: a page
+/// the dirty-page table leaves out is clean because its write completed,
+/// and only a synced write is durable.
 pub fn take_checkpoint(
     pool: &BufferPool,
     log: &LogManager,
@@ -305,7 +307,8 @@ pub fn take_checkpoint(
         RecordKind::Checkpoint { active, dirty },
     );
     log.force_all()?;
-    log.store().set_master(lsn);
+    pool.disk().sync()?;
+    log.store().try_set_master(lsn)?;
     log.note_checkpoint();
     rec.counter("wal.ckpt_taken").inc();
     rec.hist("wal.ckpt_ns").record(timer.elapsed_ns());
@@ -317,9 +320,10 @@ pub fn take_checkpoint(
 mod tests {
     use super::*;
     use crate::action::AtomicAction;
-    use crate::log::{LogManager, LogStore};
+    use crate::log::{LogManager, LogStore, MemLogStore};
     use crate::testkit::{crash, put, world};
-    use pitree_pagestore::page::PageType;
+    use pitree_pagestore::page::{Page, PageType};
+    use pitree_pagestore::{DiskManager, MemDisk, PageId, PageOp};
     use std::sync::Arc;
 
     #[test]
@@ -500,6 +504,78 @@ mod tests {
         assert_eq!(stats.redone, 1);
         let page = w2.pool.fetch(PageId(7)).unwrap();
         assert_eq!(page.s().slot_count(), 6);
+    }
+
+    /// A page store whose writes stay volatile until `sync`: a crash keeps
+    /// only the synced image.
+    #[derive(Default)]
+    struct SyncedDisk {
+        synced: MemDisk,
+        unsynced: pitree_pagestore::sync::Mutex<Vec<(PageId, Page)>>,
+    }
+
+    impl DiskManager for SyncedDisk {
+        fn read_page(&self, pid: PageId) -> StoreResult<Page> {
+            let unsynced = self.unsynced.lock();
+            match unsynced.iter().rev().find(|(p, _)| *p == pid) {
+                Some((_, page)) => Ok(page.clone()),
+                None => self.synced.read_page(pid),
+            }
+        }
+        fn write_page(&self, pid: PageId, page: &Page) -> StoreResult<()> {
+            self.unsynced.lock().push((pid, page.clone()));
+            Ok(())
+        }
+        fn num_pages(&self) -> u64 {
+            let unsynced = self.unsynced.lock();
+            let top = unsynced.iter().map(|(p, _)| p.0 + 1).max().unwrap_or(0);
+            top.max(self.synced.num_pages())
+        }
+        fn sync(&self) -> StoreResult<()> {
+            let unsynced = std::mem::take(&mut *self.unsynced.lock());
+            unsynced
+                .iter()
+                .try_for_each(|(pid, page)| self.synced.write_page(*pid, page))
+        }
+    }
+
+    /// A fuzzy checkpoint leaves a page out of its dirty-page table once
+    /// the page's write completed, so the master may move past its records
+    /// only when that write is durable: the checkpoint syncs the page store
+    /// before it sets the master. Here the page write is never synced by
+    /// anyone else, and the crash keeps only synced writes.
+    #[test]
+    fn a_checkpoint_names_a_page_clean_only_once_its_write_is_synced() {
+        let disk = Arc::new(SyncedDisk::default());
+        let store = Arc::new(MemLogStore::new());
+        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 32);
+        let log = Arc::new(LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap());
+        pool.set_wal_hook(Arc::clone(&log) as Arc<_>);
+        let page = pool.fetch_or_create(PageId(7), PageType::Free).unwrap();
+        let mut act = AtomicAction::begin(&log, ActionIdentity::Transaction);
+        {
+            let mut g = page.x();
+            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })
+                .unwrap();
+            let insert = PageOp::InsertSlot {
+                slot: 0,
+                bytes: b"durable".to_vec(),
+            };
+            act.apply(&page, &mut g, insert).unwrap();
+        }
+        drop(page);
+        act.commit_force().unwrap();
+        pool.flush_all().unwrap();
+        take_checkpoint(&pool, &log, vec![]).unwrap();
+
+        // Crash: the synced page image and the durable log survive.
+        let disk2 = Arc::new(disk.synced.snapshot());
+        let pool2 = BufferPool::new(disk2 as Arc<dyn DiskManager>, 32);
+        let log2 = Arc::new(LogManager::open(Arc::new(store.snapshot())).unwrap());
+        pool2.set_wal_hook(Arc::clone(&log2) as Arc<_>);
+        recover(&pool2, &log2, None).unwrap();
+        let page = pool2.fetch(PageId(7)).unwrap();
+        assert_eq!(page.s().get(0).unwrap(), b"durable");
     }
 
     #[test]

@@ -182,7 +182,9 @@ impl LogStore for ReadLog {
 /// precedes the master: after fetching the checkpoint record, its ranged
 /// reads tile `[redo horizon, end)` exactly once — ascending, no gap, no
 /// overlap. Not one pass from the master plus one from the horizon, and not
-/// one read of the whole suffix.
+/// one read of the whole suffix. The drain then reads the plan's records
+/// back: each of its reads starts at an owed frame inside that range, and
+/// one shard's reads ascend (one forward pass a shard).
 #[test]
 fn analysis_scans_the_log_once_when_the_horizon_precedes_the_master() {
     let w = assemble(MemDisk::new(), MemLogStore::new());
@@ -205,11 +207,12 @@ fn analysis_scans_the_log_once_when_the_horizon_precedes_the_master() {
     let pool = BufferPool::new(Arc::new(w.disk.snapshot()) as Arc<_>, 32);
     let log = LogManager::open(Arc::clone(&store) as Arc<dyn LogStore>).unwrap();
     store.reads.lock().clear();
-    let stats = recover(&pool, &log, None).unwrap();
+    let (plan, mut stats) = start_instant(&pool, &log, None).unwrap();
+    let reads = std::mem::take(&mut *store.reads.lock());
+    plan.drain(&pool, &mut stats).unwrap();
 
     assert_eq!(stats.analysis_start, master);
     assert_eq!(stats.redone, 2 + 60, "every page: format + insert");
-    let reads = store.reads.lock();
     // Frame header, then body, of the master checkpoint; then the scan.
     let (ckpt, windows) = reads.split_at(2);
     assert_eq!(ckpt[0], (master.0 - 1, 8), "reads: {reads:?}");
@@ -220,6 +223,29 @@ fn analysis_scans_the_log_once_when_the_horizon_precedes_the_master() {
         at += len as u64;
     }
     assert_eq!(at, store.durable_len(), "reads: {reads:?}");
+
+    let drain = std::mem::take(&mut *store.reads.lock());
+    let frames: std::collections::BTreeSet<u64> = log
+        .scan(Some(Lsn(horizon + 1)))
+        .map(|r| r.unwrap())
+        .filter(|r| matches!(r.kind, RecordKind::Update { .. }))
+        .map(|r| r.lsn.0 - 1)
+        .collect();
+    assert!(!drain.is_empty(), "the drain reads the plan's records back");
+    for &(off, len) in drain.iter() {
+        assert!(
+            frames.contains(&off),
+            "a read at {off} starts at no owed frame"
+        );
+        assert!(
+            off + len as u64 <= store.durable_len(),
+            "drain reads: {drain:?}"
+        );
+    }
+    // A read below its predecessor starts the next shard's pass: at most
+    // one forward pass per plan shard (16).
+    let passes = 1 + drain.windows(2).filter(|w| w[1].0 <= w[0].0).count();
+    assert!(passes <= 16, "{passes} passes: {drain:?}");
 }
 
 /// Regression: a fuzzy checkpoint taken while the redo plan is still

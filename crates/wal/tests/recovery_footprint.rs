@@ -1,21 +1,31 @@
-//! The restart footprint gate: analysis pays for the window it reads and
-//! the plan it owes, not for the log suffix.
+//! The restart footprint gates: analysis pays for the window it reads and
+//! the LSNs it owes, not for the log suffix, and the drain for one plan
+//! shard's records at a time.
 //!
 //! `start_instant` streams the post-checkpoint suffix one window at a time
-//! and moves each redo op into the per-page plan as it is decoded. So the
-//! peak of live heap inside it, less what it returns holding (the plan), is
-//! a constant — the same at a 256 KB suffix and at a 1 MB one. A change that
-//! quietly buffers the suffix again (the bytes, or a `Vec<LogRecord>`)
-//! fails here with a number: that design measured 2–3× the suffix.
+//! and adds each redo record's LSN and frame length to the per-page plan;
+//! no payload is decoded. So the peak of live heap inside it, less what it
+//! returns holding (the plan), is one scan window plus the plan's unsorted
+//! build (24 bytes an owed record): 130–175 KB at a 256 KB and a 1 MB
+//! suffix. A change that quietly buffers the suffix again (the bytes, or a
+//! `Vec<LogRecord>`) fails here with a number: that design measured 2–3×
+//! the suffix.
+//!
+//! The plan itself holds at most 24 bytes per owed record beyond what an
+//! empty plan holds. A plan of decoded `PageOp`s held 150–170 (see
+//! `PARENT_PLAN`). The drain reads a shard's records back, stages them and
+//! replays the shard, freeing a drained shard's LSNs; its peak stays under
+//! a quarter of what that plan of decoded ops held at the same suffix.
 //!
 //! The meter is a wrapping [`GlobalAlloc`] tallying the *measuring thread
 //! only* (the pattern of `pagestore/tests/pool_footprint.rs`): bytes live,
-//! and their peak.
+//! and their peak. Page buffers — allocations of exactly `PAGE_SIZE` bytes,
+//! the frames the drain fills — are the pool's and are not counted.
 
 use pitree_obs::Registry;
 use pitree_pagestore::buffer::BufferPool;
 use pitree_pagestore::page::PageType;
-use pitree_pagestore::{MemDisk, PageId, PageOp};
+use pitree_pagestore::{MemDisk, PageId, PageOp, PAGE_SIZE};
 use pitree_wal::{
     start_instant, take_checkpoint, ActionIdentity, AtomicAction, FileLogStore, LogManager,
     LogStore, MemLogStore,
@@ -35,7 +45,10 @@ struct MeteringAlloc;
 impl MeteringAlloc {
     /// `try_with`: the allocator runs during TLS teardown too, where the
     /// cells are gone — silently skip counting there.
-    fn moved(delta: i64) {
+    fn moved(size: usize, delta: i64) {
+        if size == PAGE_SIZE {
+            return;
+        }
         let _ = COUNTING.try_with(|c| {
             if c.get() {
                 let _ = LIVE.try_with(|l| {
@@ -49,19 +62,19 @@ impl MeteringAlloc {
 
 unsafe impl GlobalAlloc for MeteringAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::moved(layout.size() as i64);
+        Self::moved(layout.size(), layout.size() as i64);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::moved(layout.size() as i64);
+        Self::moved(layout.size(), layout.size() as i64);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::moved(new_size as i64 - layout.size() as i64);
+        Self::moved(new_size, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        Self::moved(-(layout.size() as i64));
+        Self::moved(layout.size(), -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -135,56 +148,104 @@ fn crash_image(store: Arc<dyn LogStore>, suffix: u64) -> (MemDisk, usize) {
     (disk.snapshot(), updates)
 }
 
-/// Recover `disk` + `store` and report `start_instant`'s peak live bytes
-/// over what it returned holding.
-fn restart_overhead(disk: MemDisk, store: Arc<dyn LogStore>, updates: usize) -> (i64, i64) {
+/// What one metered restart held.
+struct Restart {
+    /// `start_instant`'s peak of live bytes over the plan it returned.
+    overhead: i64,
+    /// Bytes live when `start_instant` returned: the plan.
+    plan: i64,
+    /// The drain's peak of live bytes from its start: a shard's staged
+    /// records, the window it read them through, and the pool's page
+    /// table growing.
+    drain: i64,
+}
+
+/// Recover `disk` + `store`, metering `start_instant` and the drain.
+fn restart(disk: MemDisk, store: Arc<dyn LogStore>, updates: usize) -> Restart {
     let (pool, log) = assemble(&Arc::new(disk), store);
     let ((plan, mut stats), plan_bytes, peak) =
         metered(|| start_instant(&pool, &log, None).unwrap());
-    plan.drain(&pool, &mut stats).unwrap();
+    let (_, _, drain) = metered(|| plan.drain(&pool, &mut stats).unwrap());
     assert_eq!(
         (stats.redone, stats.losers.len()),
         (updates, 0),
         "the whole suffix is replayed"
     );
-    (peak - plan_bytes, plan_bytes)
+    Restart {
+        overhead: peak - plan_bytes,
+        plan: plan_bytes,
+        drain,
+    }
 }
 
 const N: u64 = 256 * 1024;
 const GATE: i64 = 256 * 1024;
+/// The plan's bytes per owed record, beyond an empty plan's.
+const PLAN_GATE: i64 = 24;
+/// The plan `start_instant` returned at the `N` and `4 * N` suffixes when
+/// it held every record's decoded `PageOp` (both log stores).
+const PARENT_PLAN: [i64; 2] = [150_808, 533_176];
 
-fn gate(device: &str, suffix: u64, overhead: i64, plan: i64) {
+/// Recover a crash image with no suffix: what an empty plan holds.
+fn empty_plan(store: Arc<dyn LogStore>) -> i64 {
+    let (disk, updates) = crash_image(Arc::clone(&store), 0);
+    assert_eq!(updates, 0);
+    restart(disk, store, 0).plan
+}
+
+fn gate(device: &str, suffix: u64, r: &Restart, empty: i64, updates: usize, parent: i64) {
+    let per_record = (r.plan - empty) as f64 / updates as f64;
     println!(
-        "recovery_footprint: {device} log, {suffix}-byte suffix: start_instant peaks {overhead} bytes over the {plan}-byte plan it returns"
+        "recovery_footprint: {device} log, {suffix}-byte suffix: start_instant peaks {} bytes over the {}-byte plan it returns ({per_record:.1} bytes per owed record over an empty plan's {empty}); the drain peaks {} bytes (decoded-op plan: {parent})",
+        r.overhead, r.plan, r.drain
     );
     assert!(
-        overhead <= GATE,
-        "{device}: restart over a {suffix}-byte suffix held {overhead} bytes beyond its plan (gate: {GATE})"
+        r.overhead <= GATE,
+        "{device}: restart over a {suffix}-byte suffix held {} bytes beyond its plan (gate: {GATE})",
+        r.overhead
+    );
+    assert!(
+        r.plan - empty <= PLAN_GATE * updates as i64,
+        "{device}: the plan holds {per_record:.1} bytes per owed record (gate: {PLAN_GATE})"
+    );
+    assert!(
+        r.drain * 4 <= parent,
+        "{device}: the drain peaked at {} bytes, over a quarter of the {parent}-byte plan of decoded ops",
+        r.drain
     );
 }
 
 #[test]
 fn restart_holds_a_window_and_the_plan_over_a_mem_log() {
-    for suffix in [N, 4 * N] {
+    let empty = empty_plan(Arc::new(MemLogStore::new()));
+    for (suffix, parent) in [N, 4 * N].into_iter().zip(PARENT_PLAN) {
         let store = Arc::new(MemLogStore::new());
         let (disk, updates) = crash_image(Arc::clone(&store) as Arc<_>, suffix);
-        let (overhead, plan) = restart_overhead(disk, Arc::new(store.snapshot()), updates);
-        gate("mem", suffix, overhead, plan);
+        let r = restart(disk, Arc::new(store.snapshot()), updates);
+        gate("mem", suffix, &r, empty, updates, parent);
     }
 }
 
 #[test]
 fn restart_holds_a_window_and_the_plan_over_a_file_log() {
-    for suffix in [N, 4 * N] {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-            .join(format!("recovery_footprint_{suffix}.log"));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let open = |name: &str| {
+        let path = dir.join(format!("recovery_footprint_{name}.log"));
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(path.with_extension("master"));
+        path
+    };
+    let path = open("empty");
+    let empty = empty_plan(Arc::new(FileLogStore::open(&path).unwrap()));
+    for (suffix, parent) in [N, 4 * N].into_iter().zip(PARENT_PLAN) {
+        let path = open(&suffix.to_string());
         let (disk, updates) = crash_image(Arc::new(FileLogStore::open(&path).unwrap()), suffix);
         let reopened = Arc::new(FileLogStore::open(&path).unwrap());
-        let (overhead, plan) = restart_overhead(disk, reopened, updates);
-        gate("file", suffix, overhead, plan);
+        let r = restart(disk, reopened, updates);
+        gate("file", suffix, &r, empty, updates, parent);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(path.with_extension("master")).ok();
     }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(path.with_extension("master")).ok();
 }

@@ -125,7 +125,7 @@ cargo test --offline --release -q -p pitree-harness --test alloc_gate steady_sta
 step "footprint gate (a 32,768-frame pool allocates its frames, not 128 MB of pages; one page buffer per resident page and per FileDisk miss)"
 cargo test --offline --release -q -p pitree-pagestore --test pool_footprint -- --nocapture | grep -E 'pool_footprint: |^test result'
 
-step "recovery footprint gate (start_instant peaks a window over the plan it returns, the same at a 256 KB and a 1 MB suffix, over a mem and a file log)"
+step "recovery footprint gate (start_instant peaks a window and the plan's build over the plan it returns; the plan holds at most 24 B per owed record; the drain peaks under a quarter of the decoded-op plan it replaced; at a 256 KB and a 1 MB suffix, over a mem and a file log)"
 cargo test --offline --release -q -p pitree-wal --test recovery_footprint -- --nocapture | grep -E 'recovery_footprint: |^test result'
 
 step "sim acceptance sweep (the same crash oracle: 64 seeds crash-recover-verify, 32 seeds crash-during-recovery; plus the shake)"
