@@ -57,12 +57,12 @@ fn separators_longer_than_the_key_post_through_the_engine() {
         }
         k
     };
-    let mut order: Vec<u64> = (0..10_000).collect();
+    let mut order: Vec<u64> = (0..20_000).collect();
     SimRng::new(7).shuffle(&mut order);
     for &i in &order {
         assert!(lc.insert(&key(i), b"v"), "key {i} is new");
     }
-    for i in 0..10_000 {
+    for i in 0..20_000 {
         assert_eq!(lc.get(&key(i)), Some(b"v".to_vec()), "key {i}");
     }
     let stats = lc.tree().stats();

@@ -5,8 +5,7 @@
 use crate::model::Model;
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
 use pitree_baselines::ConcurrentIndex;
-use pitree_pagestore::sync::Mutex;
-use std::collections::HashMap;
+use pitree_pagestore::sync::{FixedMap, Mutex};
 use std::sync::Arc;
 
 /// A Π-tree with its store, autocommitting one forced transaction per
@@ -226,7 +225,7 @@ impl<T: ConcurrentIndex> ConcurrentIndex for LostWriteIndex<T> {
 /// begins after an overwrite's return cannot observe the older value).
 pub struct StaleReadIndex<T: ConcurrentIndex> {
     inner: T,
-    stale: Mutex<HashMap<Vec<u8>, Option<Vec<u8>>>>,
+    stale: Mutex<FixedMap<Vec<u8>, Option<Vec<u8>>>>,
 }
 
 impl<T: ConcurrentIndex> std::fmt::Debug for StaleReadIndex<T> {
@@ -240,7 +239,7 @@ impl<T: ConcurrentIndex> StaleReadIndex<T> {
     pub fn new(inner: T) -> StaleReadIndex<T> {
         StaleReadIndex {
             inner,
-            stale: Mutex::new(HashMap::new()),
+            stale: Mutex::new(FixedMap::default()),
         }
     }
 }

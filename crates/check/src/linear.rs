@@ -13,8 +13,9 @@
 
 use crate::history::{Call, HistoryClock, OpKind, OpRet};
 use pitree_baselines::ConcurrentIndex;
+use pitree_pagestore::sync::FixedSet;
 use pitree_sim::SimRng;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Why a history was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +85,7 @@ fn key_linearizable(calls: &[Call]) -> bool {
     }
     // Visited (done-set, register value) configurations; revisiting one
     // cannot succeed where the first visit failed.
-    let mut seen: HashSet<(u128, Option<u64>)> = HashSet::new();
+    let mut seen: FixedSet<(u128, Option<u64>)> = FixedSet::default();
     dfs(calls, 0u128, None, &mut seen)
 }
 
@@ -92,7 +93,7 @@ fn dfs(
     calls: &[Call],
     done: u128,
     state: Option<u64>,
-    seen: &mut HashSet<(u128, Option<u64>)>,
+    seen: &mut FixedSet<(u128, Option<u64>)>,
 ) -> bool {
     let n = calls.len();
     if done.count_ones() as usize == n {

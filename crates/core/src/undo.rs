@@ -66,11 +66,7 @@ impl PiTree {
                 }
                 (TAG_UNDO_UPDATE, Ok(slot)) => {
                     // Same key, so the same prefix: only the payload moves.
-                    let (old, new) = (
-                        page.entry_payload_at(slot).len(),
-                        Page::entry_payload(payload)?.len(),
-                    );
-                    let full = new.saturating_sub(old) > page.free_space();
+                    let full = !page.update_fits(slot, Page::entry_payload(payload)?.len());
                     (
                         PageOp::KeyedUpdate {
                             bytes: payload.to_vec(),

@@ -33,9 +33,10 @@ use crate::bound::KeyBound;
 use crate::engine::{Engine, Structure};
 use crate::node::IndexTerm;
 use pitree_pagestore::page::{Page, PageType, HEADER_SIZE};
+use pitree_pagestore::sync::{FixedMap, FixedSet};
 use pitree_pagestore::{PageId, StoreResult, PAGE_SIZE};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// How full one level of a tree is, as its pages say — not as the file size
 /// suggests.
@@ -361,7 +362,7 @@ impl<S: Structure> Engine<S> {
         let mut v = space.violations(pool)?;
         let budget = space.allocated_count(pool)? + 8;
         let (mut nodes, mut levels) = (BTreeMap::new(), BTreeMap::new());
-        let (mut seen, mut history) = (HashSet::new(), HashSet::new());
+        let (mut seen, mut history) = (FixedSet::default(), FixedSet::default());
         let mut queue = VecDeque::from([self.root_pid()]);
         while let Some(pid) = queue.pop_front() {
             if !seen.insert(pid) {
@@ -414,7 +415,7 @@ impl<S: Structure> Engine<S> {
         report.history_nodes = history.len();
 
         let mut parents = BTreeMap::new(); // child → (index terms, all marked)
-        let mut siblings = HashSet::new();
+        let mut siblings = FixedSet::default();
         for (pid, node) in &nodes {
             for t in &node.terms {
                 let Some(to) = nodes.get(&t.target) else {
@@ -473,7 +474,7 @@ fn sideways_cycles<R>(nodes: &BTreeMap<PageId, Description<R>>, v: &mut Vec<Stri
         sideways.map(|t| t.target).collect()
     };
     // A depth-first search from every node; `false` while on the path.
-    let mut done = HashMap::new();
+    let mut done = FixedMap::default();
     let mut path = vec![(PageId::INVALID, nodes.keys().copied().collect::<Vec<_>>())];
     while let Some((pid, targets)) = path.last_mut() {
         let Some(next) = targets.pop() else {

@@ -30,9 +30,9 @@ use pitree::{
 };
 use pitree_harness::adapters::commit;
 use pitree_harness::footprint::{measure, MIXES};
+use pitree_pagestore::sync::{FixedMap, FixedSet};
 use pitree_pagestore::{PageId, PageOp, PageType};
 use pitree_wal::{ActionId, ActionIdentity, RecordKind};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// A tree loaded with the keys `0..keys` in ascending order, one forced
@@ -91,8 +91,9 @@ fn e2_smo_actions_are_short_and_bounded() {
     for (keys, want_user, want_smo) in [(2_000u64, 2_001, 612), (5_000, 5_001, 1_540)] {
         let (cs, _tree) = ascending(PiTreeConfig::small_nodes(8, 8), keys);
         // A node page's level, from the slot-0 header last logged for it.
-        let mut level: HashMap<PageId, Option<u8>> = HashMap::new();
-        let mut actions: HashMap<ActionId, (ActionIdentity, HashSet<PageId>)> = HashMap::new();
+        let mut level: FixedMap<PageId, Option<u8>> = FixedMap::default();
+        let mut actions: FixedMap<ActionId, (ActionIdentity, FixedSet<PageId>)> =
+            FixedMap::default();
         let mut creation = None;
         for rec in cs.store.log.scan(None) {
             let rec = rec.unwrap();
@@ -101,7 +102,7 @@ fn e2_smo_actions_are_short_and_bounded() {
                     if identity == ActionIdentity::Transaction && creation.is_none() {
                         creation = Some(rec.action);
                     }
-                    actions.insert(rec.action, (identity, HashSet::new()));
+                    actions.insert(rec.action, (identity, FixedSet::default()));
                 }
                 RecordKind::Update { pid, redo, .. } => {
                     let (identity, pages) = actions.get_mut(&rec.action).unwrap();

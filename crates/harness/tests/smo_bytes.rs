@@ -443,6 +443,14 @@ fn hb_deferred_completions_bytes_are_pinned() {
 
 // ---- the constants, captured at the parent of the engine's drivers ----------
 //
+// Page and content hashes re-captured when a record began to carry its own
+// lengths (a 2-byte slot of offset only; key and payload lengths as
+// varints, one byte each below 128). Every page image is laid out anew.
+// The log hashes moved only for the three CP configurations, whose
+// consolidations log the freed page's full before-image (the same number
+// of `FullImage` records, the same length). No log length and no SMO
+// counter moved: entry caps, not bytes, fill these scripts' nodes.
+//
 // Re-captured when keyed pages began to store key suffixes after the prefix
 // their first and last keys share (18-byte page header, keyed flag, prefix
 // at the page end). Every page hash moved: the images are laid out anew.
@@ -459,73 +467,73 @@ fn hb_deferred_completions_bytes_are_pinned() {
 
 const BLINK_LOGICAL_CP: Golden = Golden {
     log_len: 150_618,
-    log_hash: 0x2db1c1b41cf5ff01,
-    page_hash: 0x4eb11e579e7a88be,
-    content_hash: 0x43e21dfd90d2b997,
+    log_hash: 0x2110de7d3f55dedb,
+    page_hash: 0x89d6a284642a2b45,
+    content_hash: 0x32ac1ac2991cf644,
     before: [98, 4, 68, 94, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_LOGICAL_CP_NOT_AN_UPDATE: Golden = Golden {
     log_len: 104_693,
-    log_hash: 0x7a25a7fde8525e02,
-    page_hash: 0xb4bfbf3b16a31074,
-    content_hash: 0x43e21dfd90d2b997,
+    log_hash: 0x0f67514ad9f8d76d,
+    page_hash: 0x531d47e87ed0e3f3,
+    content_hash: 0x32ac1ac2991cf644,
     before: [98, 4, 68, 94, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_PAGE_ORIENTED_CP: Golden = Golden {
     log_len: 159_739,
-    log_hash: 0xff22123cde80a5b2,
-    page_hash: 0x4a4e336a2182516b,
-    content_hash: 0x01ed380b21ebb32a,
+    log_hash: 0x499f708830823289,
+    page_hash: 0x53918ac53b8b5a00,
+    content_hash: 0x0a8b3264e2aad6f1,
     before: [95, 4, 63, 87, 0],
     after: [0, 0, 0, 0, 0],
 };
 const BLINK_LOGICAL_CNS: Golden = Golden {
     log_len: 97_272,
     log_hash: 0xe1bcee42e3966a62,
-    page_hash: 0x31f2a19d9485fda1,
-    content_hash: 0x1891ff74d4f11bc0,
+    page_hash: 0xf46c26fb7e015b9e,
+    content_hash: 0x6ef83fa41977b0f3,
     before: [98, 4, 68, 93, 0],
     after: [0, 0, 0, 1, 0],
 };
 const BLINK_PAGE_ORIENTED_CNS: Golden = Golden {
     log_len: 93_586,
     log_hash: 0xbdb3c07453e6ba8c,
-    page_hash: 0xfc2c57c700490a93,
-    content_hash: 0x412b7bb34b46279f,
+    page_hash: 0xd515a4af328c5348,
+    content_hash: 0x7e6d91ab78ec0104,
     before: [95, 4, 63, 87, 0],
     after: [0, 0, 0, 0, 0],
 };
 const TSB: Golden = Golden {
     log_len: 139_904,
     log_hash: 0x7de0839269f7f9cc,
-    page_hash: 0x5d448629ca833fd3,
-    content_hash: 0x44872e475dae01fa,
+    page_hash: 0xb38ce2c3483180aa,
+    content_hash: 0x929918b4db86d53f,
     before: [128, 4, 96, 116, 0],
     after: [0, 0, 0, 0, 0],
 };
 const TSB_DEFERRED: Golden = Golden {
     log_len: 147_243,
     log_hash: 0x62ee7d97c8ecd951,
-    page_hash: 0x767fc71cdea182e7,
-    content_hash: 0x428517fa4ed9552a,
+    page_hash: 0x2c064f6493c5bdb7,
+    content_hash: 0xe04c9ffe3a7637de,
     before: [101, 2, 70, 65, 0],
     after: [37, 4, 0, 63, 0],
 };
 const HB: Golden = Golden {
     log_len: 478_962,
     log_hash: 0x32fc609cdbea0657,
-    page_hash: 0x6431686b6f212636,
-    content_hash: 0xf642a997b8597331,
+    page_hash: 0x45f068c52d0f5dac,
+    content_hash: 0xd9f709cf7fd41d63,
     before: [444, 11, 148, 419, 13],
     after: [0, 0, 0, 1, 0],
 };
 const HB_DEFERRED: Golden = Golden {
     log_len: 409_910,
     log_hash: 0x37bd582bcb1d83bd,
-    page_hash: 0x851ef45cb56dc002,
-    content_hash: 0x68ed357b1bb2b131,
+    page_hash: 0x69ee1ec48c2064a1,
+    content_hash: 0xb3b7160ef9d32796,
     before: [245, 2, 148, 145, 133],
     after: [92, 6, 0, 184, 0],
 };

@@ -238,7 +238,7 @@ impl Structure for Hb {
             return Ok(Install::AlreadyPosted);
         }
         let bytes = hdr.encode();
-        if bytes.len() > g.free_space() + g.get(0)?.len() {
+        if !g.update_fits(0, bytes.len()) {
             return Ok(Install::Full);
         }
         set_header(act, pin, g, bytes)?;
@@ -336,7 +336,7 @@ impl HbTree {
     pub fn window_query(&self, window: &Rect) -> StoreResult<Vec<(Point, Vec<u8>)>> {
         let mut out = Vec::new();
         let mut stack = vec![self.root_pid()];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = pitree_pagestore::sync::FixedSet::default();
         while let Some(pid) = stack.pop() {
             if !seen.insert(pid) {
                 continue;

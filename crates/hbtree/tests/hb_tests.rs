@@ -160,7 +160,7 @@ fn figure_2_structure() {
     // Find an index node whose fragment carries a sibling pointer.
     let pool = &cs.store.pool;
     let mut stack = vec![tree.root_pid()];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = pitree_pagestore::sync::FixedSet::default();
     let mut sib_in_index = 0;
     let mut kd_splits_in_index = 0;
     let mut subject: Option<(usize, bool)> = None;

@@ -44,7 +44,7 @@ fn real_headers() -> Vec<Vec<u8>> {
         tree.run_completions().expect("completions");
     }
     let (mut out, mut stack) = (Vec::new(), vec![tree.root_pid()]);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = pitree_pagestore::sync::FixedSet::default();
     while let Some(pid) = stack.pop() {
         if !seen.insert(pid) {
             continue;

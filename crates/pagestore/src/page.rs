@@ -14,11 +14,24 @@
 //! 12..14   heap top (lowest offset occupied by a record)
 //! 14..16   fragmented bytes (reclaimable by compaction)
 //! 16..18   key prefix length P (keyed pages; 0 on every other page)
-//! 18..     slot directory: 4 bytes per slot (offset u16, length u16)
+//! 18..     slot directory: 2 bytes per slot (the record's offset)
 //! ...      free space
 //! ...      record heap, grows downward from PAGE_SIZE - P
 //! -P..     key prefix: the bytes every keyed entry's key starts with
 //! ```
+//!
+//! Every record carries its own lengths, so a slot holds only where it
+//! starts:
+//!
+//! ```text
+//! [klen][len][key suffix: klen - P bytes][payload: len bytes]
+//! ```
+//!
+//! `klen` (the whole key's length) and `len` are varints: one byte below
+//! 128, two bytes up to 16,383 (low seven bits first, high bit set on the
+//! first byte). A keyed entry costs a 2-byte slot and two length bytes. A
+//! raw record — a node's header in slot 0, a meta record, any record of a
+//! page without keyed entries — is one with an empty key: `[0][len][bytes]`.
 //!
 //! Records are addressed by *slot index* and slots are kept dense: removing a
 //! slot shifts later slots down. Trees rely on this to keep entries sorted by
@@ -41,6 +54,9 @@ const OFF_SLOT_COUNT: usize = 10;
 const OFF_HEAP_TOP: usize = 12;
 const OFF_FRAG: usize = 14;
 const OFF_PREFIX: usize = 16;
+
+/// Bytes of one slot-directory entry: its record's offset.
+const SLOT_SIZE: usize = 2;
 
 /// Flag bit recording that the page has been de-allocated, for the
 /// "de-allocation is a node update" policy of §5.2.2(b).
@@ -259,6 +275,170 @@ fn cmp_split(s: &[u8], head: &[u8], tail: &[u8]) -> Ordering {
     }
 }
 
+/// Bytes the varint `v` takes. Every length a page stores is below 2^14.
+#[inline]
+fn varint_len(v: usize) -> usize {
+    1 + usize::from(v >= 0x80)
+}
+
+/// The varint at `buf[at..]` and its width, in bytes [`Page::validate`]
+/// vouched for.
+#[inline]
+fn varint_at(buf: &[u8], at: usize) -> (usize, usize) {
+    match buf[at] {
+        b @ 0..=0x7f => (b as usize, 1),
+        b => ((b & 0x7f) as usize | (buf[at + 1] as usize) << 7, 2),
+    }
+}
+
+/// The varint `bytes` start with and its width; `None` when it is cut
+/// short, runs past two bytes or is not in its shortest form.
+fn read_varint(bytes: &[u8]) -> Option<(usize, usize)> {
+    match *bytes {
+        [b, ..] if b < 0x80 => Some((b as usize, 1)),
+        [b, c, ..] if (1..0x80).contains(&c) => Some(((b & 0x7f) as usize | (c as usize) << 7, 2)),
+        _ => None,
+    }
+}
+
+/// The two lengths a record opens with, read from untrusted `bytes`: the
+/// whole key's length, the payload's, and the bytes they take.
+fn read_head(bytes: &[u8]) -> Option<(usize, usize, usize)> {
+    let (klen, a) = read_varint(bytes)?;
+    let (len, b) = read_varint(&bytes[a..])?;
+    Some((klen, len, a + b))
+}
+
+/// Bytes of a record storing `slen` bytes of a `klen`-byte key and a
+/// `len`-byte payload.
+fn record_len(klen: usize, slen: usize, len: usize) -> usize {
+    varint_len(klen) + varint_len(len) + slen + len
+}
+
+/// A record's two lengths, encoded (none for a stored entry, which carries
+/// its own).
+#[derive(Default)]
+struct Head {
+    bytes: [u8; 4],
+    len: usize,
+}
+
+impl Head {
+    #[inline]
+    fn new(klen: usize, len: usize) -> Head {
+        debug_assert!(klen < 1 << 14 && len < 1 << 14);
+        if klen < 0x80 && len < 0x80 {
+            return Head {
+                bytes: [klen as u8, len as u8, 0, 0],
+                len: 2,
+            };
+        }
+        let mut head = Head {
+            bytes: [0; 4],
+            len: 0,
+        };
+        for v in [klen, len] {
+            if v < 0x80 {
+                head.bytes[head.len] = v as u8;
+            } else {
+                head.bytes[head.len] = 0x80 | (v & 0x7f) as u8;
+                head.len += 1;
+                head.bytes[head.len] = (v >> 7) as u8;
+            }
+            head.len += 1;
+        }
+        head
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// Copy `parts`, concatenated, to `buf[at..]`.
+fn put_parts(buf: &mut [u8], mut at: usize, parts: &[&[u8]]) {
+    for p in parts {
+        buf[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+}
+
+fn put_u16(buf: &mut [u8], off: usize, v: u16) {
+    buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Where slot `idx`'s record sits and how it divides, under a `plen`-byte
+/// key prefix. Read from a page [`Page::validate`] vouched for.
+#[derive(Clone, Copy)]
+struct Rec {
+    /// Offset of the record (its first length byte).
+    off: usize,
+    /// The whole key's length.
+    klen: usize,
+    /// Offset of the stored key suffix.
+    body: usize,
+    /// Bytes of the stored key suffix.
+    slen: usize,
+    /// Bytes of the payload.
+    len: usize,
+}
+
+impl Rec {
+    #[inline]
+    fn read(buf: &[u8], off: usize, plen: usize) -> Rec {
+        let (klen, len, head) = match buf[off..off + 2] {
+            // Both lengths below 128: the one-byte form of every record
+            // the trees' pages hold.
+            [k, l] if (k | l) < 0x80 => (k as usize, l as usize, 2),
+            _ => {
+                let (klen, a) = varint_at(buf, off);
+                let (len, b) = varint_at(buf, off + a);
+                (klen, len, a + b)
+            }
+        };
+        Rec {
+            off,
+            klen,
+            body: off + head,
+            slen: klen.saturating_sub(plen),
+            len,
+        }
+    }
+
+    /// One past the record's last byte.
+    #[inline]
+    fn end(&self) -> usize {
+        self.body + self.slen + self.len
+    }
+}
+
+/// A page image laid out in slot order, each record carved below the last.
+struct Layout<'a> {
+    buf: &'a mut [u8],
+    slots: usize,
+    top: usize,
+}
+
+impl Layout<'_> {
+    /// Append a record made of `parts` as the next slot.
+    fn push(&mut self, parts: &[&[u8]]) -> StoreResult<()> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let slots_end = HEADER_SIZE + SLOT_SIZE * (self.slots + 1);
+        if self.top < slots_end + len {
+            return Err(StoreError::PageFull {
+                page: PageId::INVALID,
+                need: len + SLOT_SIZE,
+                free: self.top.saturating_sub(slots_end - SLOT_SIZE),
+            });
+        }
+        self.top -= len;
+        put_parts(self.buf, self.top, parts);
+        put_u16(self.buf, slots_end - SLOT_SIZE, self.top as u16);
+        self.slots += 1;
+        Ok(())
+    }
+}
+
 /// A single fixed-size slotted page.
 ///
 /// `Page` is a plain byte container with structured accessors; it knows
@@ -355,13 +535,17 @@ impl Page {
     /// Check that the header, slot directory and records are consistent, so
     /// that no accessor can slice outside the page: the key prefix fits
     /// between the slot directory and the page end, the slot directory ends
-    /// at or below the heap top, every record lies in the heap, the live
-    /// records and the fragment count add up to the heap, and on a keyed
-    /// page every entry's key is at least the prefix long and its suffix
-    /// fits its record. Every image read from a device passes here once; the
-    /// accessors rely on it and do not check again. (Records that overlap
-    /// are not looked for: they read wrong bytes, never bytes outside the
-    /// page, and every mutator keeps the heap accounting that bounds them.)
+    /// at or below the heap top, every record's two lengths are shortest
+    /// varints, every record lies in the heap, the live records and the
+    /// fragment count add up to the heap, a raw record's key is empty, and
+    /// on a keyed page every entry's key is at least the prefix long. Every
+    /// image read from a device passes here once; the accessors rely on it
+    /// and do not check again. (Records that overlap are not looked for:
+    /// each reads its extent from its own lengths, so they read wrong
+    /// bytes, never bytes outside the page, as long as no write rewrites
+    /// another record's lengths — the two writers that reuse heap bytes,
+    /// an in-place update and a reclaim at the heap top, first ask
+    /// `starts_within`.)
     pub fn validate(&self) -> StoreResult<()> {
         let corrupt = |what: String| Err(StoreError::Corrupt(format!("page image: {what}")));
         self.page_type()?;
@@ -381,29 +565,36 @@ impl Page {
                 "heap top {top} outside {slots_end}..={base} ({n} slots)"
             ));
         }
-        let keyed = self.is_keyed();
+        let (keyed, heap) = (self.is_keyed(), &self.buf[..base]);
         let mut live = 0;
-        for (i, s) in self.buf[HEADER_SIZE..slots_end].chunks_exact(4).enumerate() {
+        for (i, s) in self.buf[HEADER_SIZE..slots_end]
+            .chunks_exact(SLOT_SIZE)
+            .enumerate()
+        {
             let off = u16::from_le_bytes([s[0], s[1]]) as usize;
-            let len = u16::from_le_bytes([s[2], s[3]]) as usize;
-            if off < top || off + len > base {
-                return corrupt(format!("slot {i} at {off}+{len} outside the heap"));
+            if off < top || off + 2 > base {
+                return corrupt(format!("slot {i} at {off} outside the heap"));
             }
-            live += len;
-            // A keyed entry's key is at least the prefix long, and its
-            // suffix fits the record.
-            if keyed && i > 0 {
-                let klen = if len < 2 {
-                    0
-                } else {
-                    self.get_u16(off) as usize
-                };
-                if len < 2 || klen < plen || klen + 2 > len + plen {
-                    return corrupt(format!(
-                        "slot {i}: a {klen}-byte key in a {len}-byte record under a {plen}-byte prefix"
-                    ));
-                }
+            let (klen, len, head) = match (heap[off], heap[off + 1]) {
+                (k, l) if (k | l) < 0x80 => (k as usize, l as usize, 2),
+                _ => match read_head(&heap[off..]) {
+                    Some(framed) => framed,
+                    None => return corrupt(format!("slot {i}: no record lengths at {off}")),
+                },
+            };
+            // A keyed entry's key is at least the prefix long; a raw
+            // record's is empty.
+            let entry = keyed && i > 0;
+            if (entry && klen < plen) || (!entry && klen != 0) {
+                return corrupt(format!(
+                    "slot {i}: a {klen}-byte key under a {plen}-byte prefix"
+                ));
             }
+            let end = off + head + klen.saturating_sub(plen) + len;
+            if end > base {
+                return corrupt(format!("slot {i} at {off}..{end} outside the heap"));
+            }
+            live += end - off;
         }
         if live + self.frag_bytes() != base - top {
             return corrupt(format!(
@@ -489,7 +680,7 @@ impl Page {
     }
 
     fn slots_end(&self) -> usize {
-        HEADER_SIZE + 4 * self.slot_count() as usize
+        HEADER_SIZE + SLOT_SIZE * self.slot_count() as usize
     }
 
     /// Bytes available for new records *including* their slot entries, after
@@ -520,25 +711,50 @@ impl Page {
         if idx == 0 || idx >= self.slot_count() {
             return false;
         }
-        let (off, len) = self.slot(idx);
-        off as usize == self.heap_top() && self.slot(idx - 1).0 == off + len
+        let rec = self.rec(idx);
+        rec.off == self.heap_top() && self.slot(idx - 1) == rec.end()
     }
 
     // ---- slot operations ---------------------------------------------------
 
-    fn slot(&self, idx: u16) -> (u16, u16) {
-        let base = HEADER_SIZE + 4 * idx as usize;
-        (self.get_u16(base), self.get_u16(base + 2))
+    fn slot(&self, idx: u16) -> usize {
+        self.get_u16(HEADER_SIZE + SLOT_SIZE * idx as usize) as usize
     }
 
-    fn set_slot(&mut self, idx: u16, off: u16, len: u16) {
-        let base = HEADER_SIZE + 4 * idx as usize;
-        self.put_u16(base, off);
-        self.put_u16(base + 2, len);
+    fn set_slot(&mut self, idx: u16, off: usize) {
+        self.put_u16(HEADER_SIZE + SLOT_SIZE * idx as usize, off as u16);
     }
 
-    /// Read the record in slot `idx` as stored. For a keyed entry that is
-    /// its suffix after the page's key prefix: read keys through
+    /// The record in slot `idx`. `idx` must be `< slot_count()`.
+    #[inline]
+    fn rec(&self, idx: u16) -> Rec {
+        debug_assert!(idx < self.slot_count());
+        Rec::read(&self.buf, self.slot(idx), self.prefix_len())
+    }
+
+    /// Whether a record other than the one being written starts in
+    /// `bytes` (which hold that one's start), so that writing them could
+    /// rewrite its lengths. Only a page whose records overlap has one — no
+    /// operation makes such a page, but [`Page::validate`] does not rule
+    /// one out.
+    fn starts_within(&self, bytes: std::ops::Range<usize>) -> bool {
+        // `off - start < len` in u16 arithmetic: one compare a slot, which
+        // the compiler vectorizes.
+        let (start, len) = (bytes.start as u16, bytes.len() as u16);
+        let starts: u32 = self.buf[HEADER_SIZE..self.slots_end()]
+            .chunks_exact(SLOT_SIZE)
+            .map(|s| u32::from(u16::from_le_bytes([s[0], s[1]]).wrapping_sub(start) < len))
+            .sum();
+        starts > 1
+    }
+
+    /// Whether slot `idx` holds a keyed entry rather than a raw record.
+    fn is_entry(&self, idx: u16) -> bool {
+        idx > 0 && self.is_keyed()
+    }
+
+    /// Read the record in slot `idx`: a raw record's bytes, or a keyed
+    /// entry as stored, lengths and key suffix included. Read keys through
     /// [`Page::entry_key_at`], copy entries with [`Page::entry_at`].
     pub fn get(&self, idx: u16) -> StoreResult<&[u8]> {
         if idx >= self.slot_count() {
@@ -547,17 +763,23 @@ impl Page {
                 slot: idx,
             });
         }
-        Ok(self.record_at(idx))
+        Ok(if self.is_entry(idx) {
+            self.record_at(idx)
+        } else {
+            self.payload_at(idx)
+        })
     }
 
-    /// Insert `bytes` as a new record at slot index `idx`, shifting later
-    /// slots up by one. `idx` may equal `slot_count()` (append).
+    /// Insert `bytes` (in [`Page::get`]'s form) as a new record at slot
+    /// index `idx`, shifting later slots up by one. `idx` may equal
+    /// `slot_count()` (append).
     pub fn insert(&mut self, idx: u16, bytes: &[u8]) -> StoreResult<()> {
-        self.check_framing(idx, bytes)?;
-        self.insert_record(idx, &[bytes])
+        let head = self.framing(idx, bytes)?;
+        self.insert_record(idx, &[head.as_slice(), bytes])
     }
 
-    /// [`Page::insert`] of the record `parts` concatenated.
+    /// [`Page::insert`] of the record `parts` (lengths included)
+    /// concatenated.
     fn insert_record(&mut self, idx: u16, parts: &[&[u8]]) -> StoreResult<()> {
         let n = self.slot_count();
         if idx > n {
@@ -567,7 +789,7 @@ impl Page {
             });
         }
         let len: usize = parts.iter().map(|p| p.len()).sum();
-        let need = len + 4;
+        let need = len + SLOT_SIZE;
         if need > self.free_space() {
             return Err(StoreError::PageFull {
                 page: PageId::INVALID,
@@ -579,107 +801,116 @@ impl Page {
             self.compact();
         }
         // Carve the record out of the heap.
-        let new_top = self.heap_top() - len;
-        let mut at = new_top;
-        for p in parts {
-            self.buf[at..at + p.len()].copy_from_slice(p);
-            at += p.len();
-        }
-        self.put_u16(OFF_HEAP_TOP, new_top as u16);
+        let top = self.heap_top() - len;
+        put_parts(&mut self.buf, top, parts);
+        self.put_u16(OFF_HEAP_TOP, top as u16);
         // Shift the slot directory to open slot `idx`.
-        let start = HEADER_SIZE + 4 * idx as usize;
-        let end = HEADER_SIZE + 4 * n as usize;
-        self.buf.copy_within(start..end, start + 4);
-        self.set_slot(idx, new_top as u16, len as u16);
+        let start = HEADER_SIZE + SLOT_SIZE * idx as usize;
+        self.buf
+            .copy_within(start..self.slots_end(), start + SLOT_SIZE);
+        self.set_slot(idx, top);
         self.put_u16(OFF_SLOT_COUNT, n + 1);
         Ok(())
     }
 
     /// Remove the record at slot `idx`, shifting later slots down. Returns
-    /// the removed bytes so callers can build undo information.
+    /// the removed bytes (as [`Page::get`] read them) so callers can build
+    /// undo information.
     pub fn remove(&mut self, idx: u16) -> StoreResult<Vec<u8>> {
-        let n = self.slot_count();
-        if idx >= n {
-            return Err(StoreError::BadSlot {
-                page: PageId::INVALID,
-                slot: idx,
-            });
-        }
-        let (off, len) = self.slot(idx);
-        let bytes = self.buf[off as usize..(off + len) as usize].to_vec();
-        if off as usize == self.heap_top() {
-            // Record sits at the heap frontier: reclaim it directly.
-            self.put_u16(OFF_HEAP_TOP, off + len);
-        } else {
-            self.put_u16(OFF_FRAG, (self.frag_bytes() + len as usize) as u16);
-        }
-        let start = HEADER_SIZE + 4 * (idx + 1) as usize;
-        let end = HEADER_SIZE + 4 * n as usize;
-        self.buf.copy_within(start..end, start - 4);
-        self.put_u16(OFF_SLOT_COUNT, n - 1);
+        let bytes = self.get(idx)?.to_vec();
+        self.remove_record(idx);
         Ok(bytes)
     }
 
-    /// Replace the record at slot `idx` with `bytes`, preserving slot order.
-    /// Returns the previous bytes for undo information.
+    /// [`Page::remove`] without the copy. `idx` must be a live slot.
+    fn remove_record(&mut self, idx: u16) {
+        let rec = self.rec(idx);
+        if rec.off == self.heap_top() && !self.starts_within(rec.off..rec.end()) {
+            // Record sits at the heap frontier: reclaim it directly.
+            self.put_u16(OFF_HEAP_TOP, rec.end() as u16);
+        } else {
+            let frag = self.frag_bytes() + rec.end() - rec.off;
+            self.put_u16(OFF_FRAG, frag as u16);
+        }
+        let start = HEADER_SIZE + SLOT_SIZE * (idx + 1) as usize;
+        self.buf
+            .copy_within(start..self.slots_end(), start - SLOT_SIZE);
+        self.put_u16(OFF_SLOT_COUNT, self.slot_count() - 1);
+    }
+
+    /// Replace the record at slot `idx` with `bytes` (in [`Page::get`]'s
+    /// form), preserving slot order. Returns the previous bytes for undo
+    /// information.
     pub fn update(&mut self, idx: u16, bytes: &[u8]) -> StoreResult<Vec<u8>> {
         let old = self.get(idx)?.to_vec();
-        self.check_framing(idx, bytes)?;
-        self.update_record(idx, &[bytes])?;
+        let head = self.framing(idx, bytes)?;
+        self.update_record(idx, &[head.as_slice(), bytes])?;
         Ok(old)
     }
 
-    /// [`Page::update`] with the record `parts` concatenated. `idx` must be
-    /// a live slot.
+    /// Whether the record in slot `idx` can take a `len`-byte payload in
+    /// place of its own, keeping its key (a raw record's payload is all of
+    /// it): the fit test of an update.
+    pub fn update_fits(&self, idx: u16, len: usize) -> bool {
+        idx < self.slot_count() && {
+            let rec = self.rec(idx);
+            record_len(rec.klen, rec.slen, len) <= self.free_space() + rec.end() - rec.off
+        }
+    }
+
+    /// [`Page::update`] with the record `parts` (lengths included)
+    /// concatenated. `idx` must be a live slot.
     fn update_record(&mut self, idx: u16, parts: &[&[u8]]) -> StoreResult<()> {
-        let (off, old_len) = self.slot(idx);
-        let (off, old_len) = (off as usize, old_len as usize);
+        let rec = self.rec(idx);
+        let old_len = rec.end() - rec.off;
         let len: usize = parts.iter().map(|p| p.len()).sum();
-        if len == old_len {
+        // A record's lengths take at most 4 bytes: one starting up to 3
+        // bytes before this one could have them rewritten too.
+        if len == old_len && !self.starts_within(rec.off.saturating_sub(3)..rec.end()) {
             // In-place overwrite, no heap churn.
-            let mut at = off;
-            for p in parts {
-                self.buf[at..at + p.len()].copy_from_slice(p);
-                at += p.len();
-            }
+            put_parts(&mut self.buf, rec.off, parts);
             return Ok(());
         }
         // Grow/shrink: free then re-insert at the same index. Check space
         // counting the freed bytes as available.
-        let free = self.free_space() + old_len + 4;
-        if len + 4 > free {
+        let free = self.free_space() + old_len + SLOT_SIZE;
+        if len + SLOT_SIZE > free {
             return Err(StoreError::PageFull {
                 page: PageId::INVALID,
-                need: len + 4,
+                need: len + SLOT_SIZE,
                 free,
             });
         }
-        self.remove(idx)?;
+        self.remove_record(idx);
         self.insert_record(idx, parts)
     }
 
-    /// A raw record for slot `idx` of a keyed page must be a stored keyed
-    /// entry, or the page would stop validating.
-    fn check_framing(&self, idx: u16, bytes: &[u8]) -> StoreResult<()> {
-        if idx > 0 && self.is_keyed() {
-            Self::split_stored(bytes, self.prefix_len())?;
+    /// The lengths stored in front of `bytes`, given in [`Page::get`]'s
+    /// form for slot `idx`: a raw record's, or none for a keyed entry,
+    /// which carries its own. Those must hold under the page's key prefix,
+    /// or the page would stop validating.
+    fn framing(&self, idx: u16, bytes: &[u8]) -> StoreResult<Head> {
+        if !self.is_entry(idx) {
+            return Ok(Head::new(0, bytes.len()));
         }
-        Ok(())
+        Self::split_stored(bytes, self.prefix_len())?;
+        Ok(Head::default())
     }
 
-    /// Rewrite the record heap to eliminate fragmentation. Slot indexes are
+    /// Rewrite the record heap in slot order to eliminate fragmentation,
+    /// through one page-sized scratch buffer on the stack. Slot indexes are
     /// unchanged.
     pub fn compact(&mut self) {
-        let n = self.slot_count();
-        let mut scratch = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            scratch.push(self.record_at(i).to_vec());
-        }
+        let mut old = [0u8; PAGE_SIZE];
+        old.copy_from_slice(&self.buf);
+        let plen = self.prefix_len();
         let mut top = self.heap_base();
-        for (i, rec) in scratch.iter().enumerate() {
-            top -= rec.len();
-            self.buf[top..top + rec.len()].copy_from_slice(rec);
-            self.set_slot(i as u16, top as u16, rec.len() as u16);
+        for i in 0..self.slot_count() {
+            let rec = Rec::read(&old, self.slot(i), plen);
+            let len = rec.end() - rec.off;
+            top -= len;
+            self.buf[top..top + len].copy_from_slice(&old[rec.off..rec.end()]);
+            self.set_slot(i, top);
         }
         self.put_u16(OFF_HEAP_TOP, top as u16);
         self.put_u16(OFF_FRAG, 0);
@@ -691,14 +922,15 @@ impl Page {
     // 1..: an entry is `[klen u16 LE][key bytes][payload]`, kept sorted by
     // key (plain byte order). That is the form log records, undo information
     // and moved entries carry (`make_entry`, `entry_at`). The page stores an
-    // entry without its first P key bytes — `[klen][key[P..]][payload]`, klen
-    // still the whole key's length — where P is the length of the key prefix
-    // the page stores once: the longest common prefix of its first and last
-    // keys, which every key between them shares (Bayer & Unterauer's prefix
-    // B-tree, with the prefix taken from the keys the node holds). A keyed
-    // insert or remove that changes the first or last key re-derives the
-    // prefix and, when it changed, re-encodes every entry; REDO of the same
-    // operation on the same bytes re-derives the same prefix.
+    // entry as a record without its first P key bytes —
+    // `[klen][len][key[P..]][payload]`, klen still the whole key's length —
+    // where P is the length of the key prefix the page stores once: the
+    // longest common prefix of its first and last keys, which every key
+    // between them shares (Bayer & Unterauer's prefix B-tree, with the
+    // prefix taken from the keys the node holds). A keyed insert or remove
+    // that changes the first or last key re-derives the prefix and, when it
+    // changed, re-encodes every entry; REDO of the same operation on the
+    // same bytes re-derives the same prefix.
     //
     // Page operations that locate entries by key are logical-within-page:
     // they survive concurrent slot movement, which slot-number addressing
@@ -707,22 +939,32 @@ impl Page {
     /// Split a keyed entry into key and payload; an entry whose key length
     /// runs past its bytes is corrupt.
     fn split_entry(bytes: &[u8]) -> StoreResult<(&[u8], &[u8])> {
-        Self::split_stored(bytes, 0)
+        if let [a, b, body @ ..] = bytes {
+            let klen = u16::from_le_bytes([*a, *b]) as usize;
+            if klen <= body.len() {
+                return Ok(body.split_at(klen));
+            }
+        }
+        Err(StoreError::Corrupt(format!(
+            "keyed entry framing {:02x?}",
+            &bytes[..bytes.len().min(2)]
+        )))
     }
 
     /// Split an entry stored under a `plen`-byte key prefix into its key
-    /// suffix and payload; a key shorter than the prefix, or a suffix that
-    /// runs past the record, is corrupt.
+    /// suffix and payload; lengths that are not shortest varints, a key
+    /// shorter than the prefix, or lengths that do not add up to the record,
+    /// are corrupt.
     fn split_stored(rec: &[u8], plen: usize) -> StoreResult<(&[u8], &[u8])> {
-        if let [a, b, body @ ..] = rec {
-            let klen = u16::from_le_bytes([*a, *b]) as usize;
-            if let Some(slen) = klen.checked_sub(plen).filter(|s| *s <= body.len()) {
+        if let Some((klen, len, head)) = read_head(rec) {
+            let body = &rec[head..];
+            if let Some(slen) = klen.checked_sub(plen).filter(|s| s + len == body.len()) {
                 return Ok(body.split_at(slen));
             }
         }
         Err(StoreError::Corrupt(format!(
-            "keyed entry framing {:02x?} under a {plen}-byte key prefix",
-            &rec[..rec.len().min(2)]
+            "stored entry framing {:02x?} under a {plen}-byte key prefix",
+            &rec[..rec.len().min(4)]
         )))
     }
 
@@ -756,29 +998,31 @@ impl Page {
         &self.buf[self.heap_base()..]
     }
 
-    /// Borrow the record bytes at `slot` without the bounds-checked
-    /// `Result` of [`Page::get`]. `slot` must be `< slot_count()` — the
-    /// in-place probe helpers below only produce such slots.
+    /// Borrow the record bytes at `slot`, lengths included, without the
+    /// bounds-checked `Result` of [`Page::get`]. `slot` must be
+    /// `< slot_count()`.
     #[inline]
     fn record_at(&self, slot: u16) -> &[u8] {
-        debug_assert!(slot < self.slot_count());
-        let (off, len) = self.slot(slot);
-        &self.buf[off as usize..(off + len) as usize]
+        let rec = self.rec(slot);
+        &self.buf[rec.off..rec.end()]
     }
 
-    /// The stored suffix and the payload of the keyed entry at `slot`:
-    /// [`Page::split_stored`] for a record [`Page::validate`] vouched for,
-    /// total on any bytes (a record that is not a keyed entry reads as an
-    /// empty suffix and payload) and without a `Result` on the read hot path.
+    /// The stored key suffix of the record at `slot` (empty for a raw
+    /// record), read in place from a page [`Page::validate`] vouched for,
+    /// without a `Result` on the read hot path.
     #[inline]
-    fn stored_at(&self, slot: u16) -> (&[u8], &[u8]) {
-        match self.record_at(slot) {
-            [a, b, body @ ..] => {
-                let klen = u16::from_le_bytes([*a, *b]) as usize;
-                body.split_at(klen.saturating_sub(self.prefix_len()).min(body.len()))
-            }
-            _ => (&[], &[]),
-        }
+    fn suffix_at(&self, slot: u16) -> &[u8] {
+        let rec = self.rec(slot);
+        &self.buf[rec.body..rec.body + rec.slen]
+    }
+
+    /// The payload of the record at `slot` (all of a raw record), read in
+    /// place like [`Page::suffix_at`].
+    #[inline]
+    fn payload_at(&self, slot: u16) -> &[u8] {
+        let rec = self.rec(slot);
+        let at = rec.body + rec.slen;
+        &self.buf[at..at + rec.len]
     }
 
     /// View the key of the keyed entry at `slot`, straight out of the
@@ -788,7 +1032,7 @@ impl Page {
         debug_assert!(slot >= 1);
         KeyRef {
             prefix: self.key_prefix(),
-            suffix: self.stored_at(slot).0,
+            suffix: self.suffix_at(slot),
         }
     }
 
@@ -797,19 +1041,18 @@ impl Page {
     #[inline]
     pub fn entry_payload_at(&self, slot: u16) -> &[u8] {
         debug_assert!(slot >= 1);
-        self.stored_at(slot).1
+        self.payload_at(slot)
     }
 
     /// A copy of the keyed entry at `slot` as [`Page::make_entry`] builds
     /// it: what log records, undo information and moved entries carry.
     /// `slot` must be in `1..slot_count()`.
     pub fn entry_at(&self, slot: u16) -> Vec<u8> {
-        let (suffix, payload) = self.stored_at(slot);
-        let key = self.entry_key_at(slot);
+        let (key, payload) = (self.entry_key_at(slot), self.payload_at(slot));
         let mut v = Vec::with_capacity(2 + key.len() + payload.len());
         v.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        v.extend_from_slice(self.key_prefix());
-        v.extend_from_slice(suffix);
+        v.extend_from_slice(key.prefix);
+        v.extend_from_slice(key.suffix);
         v.extend_from_slice(payload);
         v
     }
@@ -853,7 +1096,7 @@ impl Page {
         let mut hi = n;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match cmp_split(self.stored_at(mid).0, head, tail) {
+            match cmp_split(self.suffix_at(mid), head, tail) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Ok(mid),
@@ -952,7 +1195,8 @@ impl Page {
             self.prefix_len() as isize,
             new_plen as isize,
         );
-        (n - 1) * (plen - np) + 6 + klen as isize - np + payload_len as isize
+        let record = SLOT_SIZE + record_len(klen, klen.saturating_sub(new_plen), payload_len);
+        (n - 1) * (plen - np) + record as isize
     }
 
     /// Whether the keyed entry `entry` (as [`Page::make_entry`] builds it)
@@ -1000,9 +1244,9 @@ impl Page {
                 free: self.free_space(),
             });
         }
-        let klen = (key.len() as u16).to_le_bytes();
         if np == plen && key.starts_with(self.key_prefix()) {
-            self.insert_record(slot, &[&klen, &key[plen..], payload])?;
+            let head = Head::new(key.len(), payload.len());
+            self.insert_record(slot, &[head.as_slice(), &key[plen..], payload])?;
         } else {
             self.reencode(np, Some((slot, key, payload)), None)?;
         }
@@ -1055,28 +1299,23 @@ impl Page {
             )));
         };
         let old = self.entry_at(slot);
-        let klen = (key.len() as u16).to_le_bytes();
-        self.update_record(slot, &[&klen, &key[self.prefix_len()..], payload])?;
+        let head = Head::new(key.len(), payload.len());
+        self.update_record(slot, &[head.as_slice(), &key[self.prefix_len()..], payload])?;
         Ok(old)
     }
 
     /// Rebuild the page with a `new_plen`-byte key prefix: the header
     /// record, then every keyed entry in order — less the one at `skip`,
     /// plus `add`'s `(slot, key, payload)` at its slot — each stored without
-    /// the new prefix, laid out in slot order. The caller has checked that
-    /// the result fits; on an error the page is unchanged.
+    /// the new prefix, laid out in slot order in one page-sized scratch
+    /// buffer on the stack. The caller has checked that the result fits; on
+    /// an error the page is unchanged.
     fn reencode(
         &mut self,
         new_plen: usize,
         add: Option<(u16, &[u8], &[u8])>,
         skip: Option<u16>,
     ) -> StoreResult<()> {
-        let mut out = Page {
-            buf: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        };
-        out.buf[..OFF_SLOT_COUNT].copy_from_slice(&self.buf[..OFF_SLOT_COUNT]);
-        out.put_u16(OFF_PREFIX, new_plen as u16);
-        out.put_u16(OFF_HEAP_TOP, (PAGE_SIZE - new_plen) as u16);
         // Every key the page keeps starts with the new prefix — unless the
         // page was corrupt, which is an error, never a short slice.
         let some_key = match add {
@@ -1088,17 +1327,24 @@ impl Page {
         if some_key.len() < new_plen {
             return Err(outside());
         }
-        let prefix = some_key.split_at(new_plen).0.to_vec();
-        out.buf[PAGE_SIZE - new_plen..].copy_from_slice(&prefix);
-        out.insert_record(0, &[self.record_at(0)])?;
+        let mut out = [0u8; PAGE_SIZE];
+        let (heap, prefix) = out.split_at_mut(PAGE_SIZE - new_plen);
+        let (p0, p1) = some_key.split_at(new_plen).0.parts();
+        put_parts(prefix, 0, &[p0, p1]);
+        let prefix: &[u8] = prefix;
+        let mut layout = Layout {
+            top: heap.len(),
+            buf: heap,
+            slots: 0,
+        };
+        layout.push(&[self.record_at(0)])?;
         let mut push = |key: KeyRef<'_>, payload: &[u8]| {
-            if !key.starts_with(&prefix) {
+            if !key.starts_with(prefix) {
                 return Err(outside());
             }
             let (a, b) = key.split_at(new_plen).1.parts();
-            let klen = (key.len() as u16).to_le_bytes();
-            let at = out.slot_count();
-            out.insert_record(at, &[&klen, a, b, payload])
+            let head = Head::new(key.len(), payload.len());
+            layout.push(&[head.as_slice(), a, b, payload])
         };
         for slot in 1..=self.slot_count() {
             if let Some((_, key, payload)) = add.filter(|a| a.0 == slot) {
@@ -1108,7 +1354,12 @@ impl Page {
                 push(self.entry_key_at(slot), self.entry_payload_at(slot))?;
             }
         }
-        *self = out;
+        let (slots, top) = (layout.slots, layout.top);
+        out[..OFF_SLOT_COUNT].copy_from_slice(&self.buf[..OFF_SLOT_COUNT]);
+        put_u16(&mut out, OFF_SLOT_COUNT, slots as u16);
+        put_u16(&mut out, OFF_HEAP_TOP, top as u16);
+        put_u16(&mut out, OFF_PREFIX, new_plen as u16);
+        self.buf.copy_from_slice(&out);
         Ok(())
     }
 
@@ -1166,7 +1417,7 @@ impl Page {
     }
 
     fn put_u16(&mut self, off: usize, v: u16) {
-        self.buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
+        put_u16(&mut self.buf, off, v);
     }
 
     fn get_u64(&self, off: usize) -> u64 {
@@ -1194,6 +1445,94 @@ impl std::fmt::Debug for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    std::thread_local! {
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts the allocations of the thread that turned counting on, so the
+    /// other tests running beside it cannot perturb the count.
+    struct CountingAlloc;
+
+    impl CountingAlloc {
+        fn tally() {
+            // `try_with`: the allocator runs during TLS teardown too.
+            let _ = COUNTING.try_with(|c| {
+                if c.get() {
+                    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+                }
+            });
+        }
+    }
+
+    // SAFETY: every method hands its arguments to `System` unchanged; the
+    // tally touches only thread-local cells and allocates nothing.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            Self::tally();
+            System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            Self::tally();
+            System.alloc_zeroed(layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            Self::tally();
+            System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Run `f` with this thread's allocation counter on; the count.
+    fn count_allocs(f: impl FnOnce()) -> u64 {
+        ALLOCS.with(|a| a.set(0));
+        COUNTING.with(|c| c.set(true));
+        f();
+        COUNTING.with(|c| c.set(false));
+        ALLOCS.with(|a| a.get())
+    }
+
+    /// A compaction and a re-encoding each rebuild the page through one
+    /// page-sized scratch buffer on the stack: repeated, they allocate
+    /// nothing, so a keyed insert that shortens the prefix allocates
+    /// nothing and a keyed remove that lengthens it only the entry it
+    /// returns.
+    #[test]
+    fn compaction_and_reencoding_allocate_nothing() {
+        let mut p = Page::new(PageType::Node);
+        p.insert(0, b"node-header").unwrap();
+        for k in 0..120u32 {
+            let key = [&b"stem-"[..], &k.to_be_bytes()].concat();
+            p.keyed_insert(&Page::make_entry(&key, b"value")).unwrap();
+        }
+        for slot in [90, 60, 30] {
+            p.remove(slot).unwrap();
+        }
+        let stem = p.key_prefix().to_vec();
+        assert_eq!(stem, b"stem-\0\0\0");
+        let low = Page::make_entry(b"a", b"v");
+        const ROUNDS: u64 = 50;
+        let allocs = count_allocs(|| {
+            for _ in 0..ROUNDS {
+                p.compact();
+                assert_eq!(p.free_space(), p.contiguous_free_space());
+                p.keyed_insert(&low).unwrap();
+                assert!(p.key_prefix().is_empty());
+                drop(p.keyed_remove(b"a").unwrap());
+                assert_eq!(p.key_prefix(), &stem[..]);
+            }
+        });
+        assert_eq!(allocs, ROUNDS, "one returned entry per round");
+        p.validate().unwrap();
+    }
 
     #[test]
     fn fresh_page_is_empty() {
@@ -1276,8 +1615,9 @@ mod tests {
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        // 4096 - 16 = 4080 usable; each record costs 104 bytes.
-        assert_eq!(n as usize, 4080 / 104);
+        // 4096 - 18 = 4078 usable; each record costs 104 bytes: its slot,
+        // its two lengths and its bytes.
+        assert_eq!(n as usize, 4078 / 104);
         assert!(p.free_space() < 104);
     }
 
@@ -1302,7 +1642,9 @@ mod tests {
     #[test]
     fn used_space_header_read_equals_slot_walk() {
         fn walk(p: &Page) -> usize {
-            (0..p.slot_count()).map(|i| 4 + p.slot(i).1 as usize).sum()
+            (0..p.slot_count())
+                .map(|i| SLOT_SIZE + p.record_at(i).len())
+                .sum()
         }
         let mut p = Page::new(PageType::Node);
         assert_eq!(p.used_space(), 0);
@@ -1455,8 +1797,9 @@ mod tests {
             let e = p.entry_at(slot);
             assert_eq!(p.entry_key_at(slot).to_vec(), Page::entry_key(&e).unwrap());
             assert_eq!(p.entry_payload_at(slot), Page::entry_payload(&e).unwrap());
-            // The stored record is the entry less the page's key prefix.
-            assert_eq!(p.get(slot).unwrap(), [&e[..2], &e[3..]].concat());
+            // The stored record is the entry less the page's key prefix,
+            // behind its key and payload lengths.
+            assert_eq!(p.get(slot).unwrap(), [&[3, 2][..], &e[3..]].concat());
         }
         assert_eq!(p.keyed_probe(b"kdd"), Ok(2));
         assert_eq!(p.keyed_probe(b"kcc"), Err(2));

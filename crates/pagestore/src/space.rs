@@ -46,7 +46,7 @@ use crate::ids::PageId;
 use crate::latch::{Latch, XGuard};
 use crate::page::{Page, PageType};
 
-const META_MAGIC: u32 = 0x5049_5333; // "PIS3": strided, self-formatting bitmaps; 18-byte page header
+const META_MAGIC: u32 = 0x5049_5334; // "PIS4": strided, self-formatting bitmaps; 18-byte page header; 2-byte slots
 
 /// Pages per extent: one bitmap page describes this many page ids.
 const EXTENT: u64 = Page::BITS_PER_SPACEMAP_PAGE as u64;

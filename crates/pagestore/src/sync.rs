@@ -169,10 +169,16 @@ impl Condvar {
 /// A `HashMap` hashed by [`FixedState`].
 pub type FixedMap<K, V> = std::collections::HashMap<K, V, FixedState>;
 
+/// A `HashSet` hashed by [`FixedState`].
+pub type FixedSet<T> = std::collections::HashSet<T, FixedState>;
+
 /// The store's map hasher: fixed-seed, std-only. `RandomState` seeds each
 /// process differently, so when a map grows — and what a run allocates —
 /// changed from run to run; a fixed seed makes both a function of the keys.
-/// It serves the pool's page table, the lock table and the txn registry.
+/// It serves every map the store builds: the pool's page table, the lock
+/// table and its deadlock search, the txn registry, restart's undo pass, the
+/// well-formedness walk and hB's window query (`clippy.toml` bans the
+/// std-seeded constructors).
 /// Page and action ids are the store's own; a lock name can carry a record
 /// key, so a caller choosing keys to collide could slow the lock table — a
 /// fixed seed gives up the protection `RandomState` had there.

@@ -39,7 +39,8 @@ fn stamp(pid: u64, who: u64) -> u8 {
 fn image(pid: u64, who: u64) -> Page {
     let s = stamp(pid, who);
     let mut p = Page::new(PageType::Meta);
-    p.insert(0, &[s; PAGE_SIZE - HEADER_SIZE - 4]).unwrap();
+    // One record fills the page: its slot and two lengths take 5 bytes.
+    p.insert(0, &[s; PAGE_SIZE - HEADER_SIZE - 5]).unwrap();
     p.set_lsn(Lsn(u64::from_le_bytes([s; 8])));
     p
 }

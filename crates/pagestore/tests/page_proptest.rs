@@ -346,3 +346,99 @@ fn keyed_ops_at_the_ends_replay_byte_for_byte_and_invert() {
         );
     }
 }
+
+/// Key and payload lengths either side of a stored length's one-byte limit
+/// (127 / 128) and at its two-byte limit (16,383, far past a page), beside
+/// a raw header of either width: keyed operations agree with a model, an
+/// entry the page cannot hold is a typed `PageFull` that changes nothing,
+/// and the operations that succeeded replay onto the starting image byte
+/// for byte.
+#[test]
+fn edge_lengths_match_the_model_and_replay_byte_for_byte() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    const LENS: [usize; 7] = [0, 1, 126, 127, 128, 129, 16_383];
+    let (cases, two_byte, refused) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    prop::run_cases("edge_lengths_match_the_model", 64, |rng| {
+        cases.fetch_add(1, Relaxed);
+        let mut page = Page::new(PageType::Node);
+        let header = {
+            let hlen = *rng.pick(&[1, 127, 128, 200]);
+            rng.bytes(hlen)
+        };
+        page.insert(0, &header).unwrap();
+        let start = page.clone();
+        let stem = {
+            let len = rng.range_usize(0..6);
+            rng.bytes(len)
+        };
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut logged = Vec::new();
+        for _ in 0..rng.range_usize(1..60) {
+            let payload = {
+                let len = *rng.pick(&LENS);
+                rng.bytes(len)
+            };
+            let known: Vec<Vec<u8>> = model.keys().cloned().collect();
+            let op = if known.is_empty() || rng.chance(0.6) {
+                let klen = *rng.pick(&LENS);
+                let mut key = stem[..stem.len().min(klen)].to_vec();
+                key.extend(rng.bytes(klen - key.len()));
+                PageOp::KeyedInsert {
+                    bytes: Page::make_entry(&key, &payload),
+                }
+            } else if rng.chance(0.5) {
+                PageOp::KeyedRemove {
+                    key: rng.pick(&known).clone(),
+                }
+            } else {
+                PageOp::KeyedUpdate {
+                    bytes: Page::make_entry(rng.pick::<Vec<u8>>(&known), &payload),
+                }
+            };
+            let image = page.as_bytes().to_vec();
+            match (op.apply(&mut page), &op) {
+                (Ok(()), PageOp::KeyedInsert { bytes } | PageOp::KeyedUpdate { bytes }) => {
+                    let key = Page::entry_key(bytes).unwrap().to_vec();
+                    let len = Page::entry_payload(bytes).unwrap().len();
+                    two_byte.fetch_add(usize::from(key.len().max(len) >= 128), Relaxed);
+                    model.insert(key, Page::entry_payload(bytes).unwrap().to_vec());
+                    logged.push(op);
+                }
+                (Ok(()), PageOp::KeyedRemove { key }) => {
+                    model.remove(key);
+                    logged.push(op);
+                }
+                (Err(StoreError::PageFull { .. }), _) => {
+                    assert_eq!(page.as_bytes(), &image[..], "a refused {op:?}");
+                    refused.fetch_add(1, Relaxed);
+                }
+                (Err(StoreError::Corrupt(_)), PageOp::KeyedInsert { bytes }) => {
+                    assert!(model.contains_key(Page::entry_key(bytes).unwrap()));
+                    assert_eq!(page.as_bytes(), &image[..]);
+                }
+                (r, _) => panic!("{r:?}"),
+            }
+            assert_eq!(page.get(0).unwrap(), &header[..]);
+            let expect: Vec<Vec<u8>> = model.iter().map(|(k, v)| Page::make_entry(k, v)).collect();
+            assert_eq!(visible(&page)[1..], expect[..]);
+        }
+        let mut replayed = start;
+        for op in &logged {
+            op.apply(&mut replayed).unwrap();
+        }
+        assert_eq!(replayed.as_bytes(), page.as_bytes());
+        Page::from_bytes(page.as_bytes()).unwrap();
+    });
+    // Over the whole corpus (not a single replayed seed), both happen often.
+    if cases.into_inner() > 1 {
+        let (two_byte, refused) = (two_byte.into_inner(), refused.into_inner());
+        assert!(
+            two_byte > 100 && refused > 100,
+            "{two_byte} entries with a two-byte length stored, {refused} refused"
+        );
+    }
+}

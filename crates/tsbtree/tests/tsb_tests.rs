@@ -463,15 +463,19 @@ fn sequential_puts_leave_full_nodes() {
 
 #[test]
 fn version_appends_to_one_key_still_time_split() {
-    // A hundred keys once, then a long version stream on the largest: the
-    // one key split it causes moves that key's group to its own node, and
-    // from there the time-split choice is what it always was.
+    // Keys once, then a long version stream on the largest: the one key
+    // split it causes moves that key's group to its own node, and from
+    // there the time-split choice is what it always was. The key split
+    // needs the node to fill while more than half its versions are
+    // distinct keys (else it time-splits), so the keys written once must be
+    // more than half the entries the page holds when it first fills.
+    const ONCE: u64 = 120;
     let (_cs, tree) = setup(TsbConfig::default());
-    for k in 0..100u64 {
+    for k in 0..ONCE {
         put(&tree, &key(k), b"once");
     }
     let stamps: Vec<u64> = (0..3_000u64)
-        .map(|i| put(&tree, &key(99), &i.to_be_bytes()))
+        .map(|i| put(&tree, &key(ONCE - 1), &i.to_be_bytes()))
         .collect();
     tree.run_completions().unwrap();
     let report = tree.validate().unwrap();
@@ -479,7 +483,7 @@ fn version_appends_to_one_key_still_time_split() {
     assert_eq!(report.levels.last().unwrap().nodes, 2);
     assert!(report.history_nodes >= 10, "{}", report.history_nodes);
     for (i, ts) in stamps.iter().enumerate().step_by(97) {
-        let v = tree.get_as_of(&key(99), *ts).unwrap();
+        let v = tree.get_as_of(&key(ONCE - 1), *ts).unwrap();
         assert_eq!(v, Some((i as u64).to_be_bytes().to_vec()));
     }
     assert_eq!(tree.get_current(&key(42)).unwrap(), Some(b"once".to_vec()));

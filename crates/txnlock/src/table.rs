@@ -12,7 +12,7 @@
 
 use crate::modes::LockMode;
 use pitree_obs::{Counter, Hist, Recorder, Stopwatch};
-use pitree_pagestore::sync::{Condvar, FixedMap, Mutex};
+use pitree_pagestore::sync::{Condvar, FixedMap, FixedSet, Mutex};
 use pitree_pagestore::PageId;
 use pitree_wal::ActionId;
 use std::collections::VecDeque;
@@ -309,7 +309,7 @@ impl LockTable {
         // Build edges lazily: a waiter waits for every incompatible granted
         // owner of its resource and every earlier incompatible waiter.
         let mut stack = vec![start];
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FixedSet::default();
         while let Some(cur) = stack.pop() {
             let Some(res) = inner.waiting_on.get(&cur) else {
                 continue;

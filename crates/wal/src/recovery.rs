@@ -53,7 +53,6 @@ use pitree_obs::Stopwatch;
 use pitree_pagestore::buffer::BufferPool;
 use pitree_pagestore::sync::FixedMap;
 use pitree_pagestore::{Lsn, StoreError, StoreResult};
-use std::collections::HashMap;
 
 /// Callback through which recovery (and normal rollback) performs
 /// non-page-oriented UNDO: the tree registers a handler that compensates a
@@ -83,7 +82,7 @@ pub struct RecoveryStats {
 /// Look up an undo chain's most recent LSN. The undo pass only walks
 /// actions seeded into `last_lsns`, so a miss means the log chain is
 /// inconsistent — report it rather than panic mid-recovery.
-fn last_lsn(last_lsns: &HashMap<ActionId, Lsn>, action: ActionId) -> StoreResult<Lsn> {
+fn last_lsn(last_lsns: &FixedMap<ActionId, Lsn>, action: ActionId) -> StoreResult<Lsn> {
     last_lsns.get(&action).copied().ok_or_else(|| {
         StoreError::Corrupt(format!(
             "undo pass reached action {} with no known last LSN",
@@ -202,8 +201,8 @@ pub(crate) fn undo_pass(
     active: &FixedMap<ActionId, (ActionIdentity, Lsn)>,
     stats: &mut RecoveryStats,
 ) -> StoreResult<()> {
-    let mut cursors: HashMap<ActionId, Lsn> = HashMap::new();
-    let mut last_lsns: HashMap<ActionId, Lsn> = HashMap::new();
+    let mut cursors: FixedMap<ActionId, Lsn> = FixedMap::default();
+    let mut last_lsns: FixedMap<ActionId, Lsn> = FixedMap::default();
     for (a, (id, last)) in active {
         stats.losers.push((*a, *id));
         cursors.insert(*a, *last);

@@ -63,7 +63,7 @@ fn any_prefix_recovers_exactly_the_durable_commits() {
             // Pages whose formatting action was abandoned in-flight: under the
             // real latch protocol nobody else can touch them until recovery, so
             // the scripts must not reuse them either.
-            let mut poisoned: std::collections::HashSet<PageId> = std::collections::HashSet::new();
+            let mut poisoned = pitree_pagestore::sync::FixedSet::<PageId>::default();
             for (idx, sc) in scripts.iter().enumerate() {
                 if idx == half && cut_frac > 0.5 {
                     pool.flush_all().unwrap();

@@ -75,7 +75,7 @@ cargo test --offline -q -p pitree-hb --test hb_tests -- --nocapture \
 step "image-fill gate (a multi_struct-shaped image through the public API: hB data nodes split when the page is full, >= 60% full)"
 cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'image_fill: |^test result'
 
-step "prefix gate (keyed pages store key suffixes after their first and last key's common prefix: build_pi's shape at 50k keys <= 24 leaf bytes per entry and <= 1.05 page bytes per user byte; B-link, TSB and hB bytes per entry)"
+step "prefix gate (keyed pages store key suffixes after their first and last key's common prefix, each record behind a 2-byte slot and one-byte lengths: build_pi's shape at 50k keys <= 22.0 leaf bytes per entry and <= 0.95 page bytes per user byte; TSB <= 31.3 bytes per version, hB <= 30.5 per record)"
 cargo test --offline -q -p pitree-harness --test image_fill -- --nocapture | grep -E 'prefix: |^test result'
 
 step "log-table gate (the log's records and bytes per record kind x redo PageOp x undo kind, from a scan of both benchmark-shaped images' logs: totals pinned, no FullImage)"
